@@ -23,7 +23,7 @@ Commands:
 * ``check``    — conformance-check the schedulers against the
   correctness oracles (``repro.oracle``): differential sweeps against
   brute-force references, metamorphic properties, and mini-scenario
-  replays through every registered scheduler in both view modes.  Exits
+  replays through every registered scheduler on both views.  Exits
   non-zero on the first divergence, printing a minimized repro script.
 * ``compare``  — run several schemes on the same trace, print a table.
 * ``trace``    — generate a synthetic trace and describe (or export) it.
@@ -294,8 +294,6 @@ def cmd_run(args) -> int:
     if getattr(args, "trace", None):
         obs = Observability.enabled()
     sim_overrides = _fault_overrides(args)
-    if getattr(args, "view_backend", None):
-        sim_overrides["view_backend"] = args.view_backend
     explain = getattr(args, "explain", False)
     if explain:
         sim_overrides["record_plans"] = True
@@ -404,10 +402,7 @@ def cmd_serve(args) -> int:
         make_training_cluster(args.training_servers),
         make_inference_cluster(args.inference_servers),
     )
-    config = SimulationConfig(
-        scheduler_interval=args.epoch_interval,
-        view_backend=args.view_backend,
-    )
+    config = SimulationConfig(scheduler_interval=args.epoch_interval)
     obs = Observability.enabled() if args.trace else Observability.disabled()
     service = SchedulerService(
         pair,
@@ -690,8 +685,7 @@ def cmd_whatif(args) -> int:
         raise AssertionError(
             f"dry-run mutated the simulation: {before} -> {after}")
     sim.rm.verify_books()
-    if sim.view is not None:
-        sim.view.assert_consistent()
+    sim.view.assert_consistent()
     payload = {
         "at": sim.now,
         "scheme": args.scheme,
@@ -732,7 +726,7 @@ def cmd_check(args) -> int:
     vs enumeration, two-phase allocation vs a first-principles
     reference), metamorphic properties (capacity monotonicity,
     permutation invariance, dry-run pricing), and mini-scenario replays
-    of every requested scheme in both view modes.  A divergence prints
+    of every requested scheme on both views.  A divergence prints
     a pointed report with a minimized, runnable repro script and the
     command exits 1.
     """
@@ -956,14 +950,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_setup_args(run_p)
     run_p.add_argument("--scheme", default="lyra", choices=sorted(SCHEMES))
     run_p.add_argument("--scenario", default="basic", choices=SCENARIOS)
-    run_p.add_argument(
-        "--view-backend", default=None,
-        choices=["legacy", "incremental", "array"],
-        help="scheduling-view implementation: full scan each epoch "
-             "(legacy), delta-maintained dict view (incremental, the "
-             "default), or the numpy structure-of-arrays mirror (array); "
-             "all three produce byte-identical logs",
-    )
     run_p.add_argument("--scaling-model", default="linear",
                        choices=["linear", "sublinear20"])
     run_p.add_argument("--json", action="store_true")
@@ -1080,7 +1066,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check_p.add_argument("--policy", action="append",
                          choices=sorted(SCHEMES), metavar="SCHEME",
-                         help="scheme to replay in both view modes "
+                         help="scheme to replay on both views "
                               "(repeatable; default: every registered "
                               "scheme)")
     check_p.add_argument("--seed", type=int, default=0,
@@ -1197,11 +1183,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="on SIGTERM, stop admission and wait up to "
                               "this long for the cluster to empty before "
                               "the final snapshot (0 skips the drain)")
-    serve_p.add_argument(
-        "--view-backend", default=None,
-        choices=["legacy", "incremental", "array"],
-        help="scheduling-view implementation (same choices as run)",
-    )
     serve_p.add_argument("--trace",
                          help="export a structured event trace here on "
                               "shutdown")

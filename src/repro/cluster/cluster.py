@@ -21,8 +21,9 @@ class Cluster:
     def __init__(self, name: str, servers: Iterable[Server] = ()):
         self.name = name
         self._servers: Dict[str, Server] = {}
-        #: attached ClusterView (delta consumer), if any
-        self._view = None
+        #: the scheduling view consuming this whitelist's deltas; only a
+        #: kernel's training whitelist has one
+        self._delta_sink = None
         for server in servers:
             self.add_server(server)
 
@@ -36,7 +37,7 @@ class Cluster:
         view itself is expected to have indexed current state already
         (its constructor rebuilds before attaching).
         """
-        self._view = view
+        self._delta_sink = view
         for server in self._servers.values():
             server._on_change = view.server_changed
 
@@ -44,9 +45,9 @@ class Cluster:
         if server.server_id in self._servers:
             raise ValueError(f"duplicate server id {server.server_id!r}")
         self._servers[server.server_id] = server
-        if self._view is not None:
-            server._on_change = self._view.server_changed
-            self._view.server_added(server)
+        if self._delta_sink is not None:
+            server._on_change = self._delta_sink.server_changed
+            self._delta_sink.server_added(server)
 
     def remove_server(self, server_id: str) -> Server:
         """Drop a server from the whitelist.
@@ -63,9 +64,9 @@ class Cluster:
                 f"{sorted(server.allocations)}; vacate before removal"
             )
         del self._servers[server_id]
-        if self._view is not None:
+        if self._delta_sink is not None:
             server._on_change = None
-            self._view.server_removed(server)
+            self._delta_sink.server_removed(server)
         return server
 
     def __contains__(self, server_id: str) -> bool:

@@ -486,7 +486,7 @@ class PlanTransaction:
         Containers are removed/revived and server books adjusted
         directly — never through ``rm.launch`` — so the fault-injection
         launch gate (and its RNG stream) is not consumed twice.  Job
-        pre-images are restored last, absolutely.  The incremental view
+        pre-images are restored last, absolutely.  The scheduling view
         stays consistent because the inverse book operations fire the
         same ``Server`` change hooks as the forward ones.
         """
@@ -516,10 +516,8 @@ class PlanTransaction:
             elif tag == "group":
                 _, server, previous = entry
                 server.group = previous
-                view = getattr(self._sim, "view", None)
-                if view is not None:
-                    # mirroring backends track group state in columns
-                    view.note_group_change(server)
+                # the view mirrors group state in a column
+                self._sim.view.note_group_change(server)
         for pre in self._job_pre.values():
             job = pre["job"]
             job.status = pre["status"]

@@ -31,7 +31,6 @@ driver against the pre-split behaviour byte-for-byte.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
@@ -132,19 +131,6 @@ class SimulationConfig:
     #: supersedes the legacy ``node_mtbf`` knobs when set.  Typed loosely
     #: so fault-free simulations never import :mod:`repro.faults`.
     fault_plan: Optional[object] = None
-    #: DEPRECATED — use ``view_backend`` instead.  ``True`` maps to the
-    #: ``"incremental"`` backend, ``False`` to ``"legacy"``; passing the
-    #: flag at all emits a :class:`DeprecationWarning`.  ``None`` (the
-    #: default) means "not specified".
-    incremental_view: Optional[bool] = None
-    #: which scheduling-state backend serves the policy facades:
-    #: ``"legacy"`` (full scans, no view), ``"incremental"`` (the
-    #: dict-indexed ClusterView) or ``"array"`` (the numpy
-    #: structure-of-arrays mirror, :mod:`repro.core.arrays`).  ``None``
-    #: derives the backend from ``incremental_view`` for back-compat,
-    #: defaulting to ``"incremental"``.
-    #: Decisions are byte-identical across all three (golden-pinned).
-    view_backend: Optional[str] = None
     #: keep every applied non-empty :class:`~repro.core.actions.EpochPlan`
     #: (as JSON dicts with pricing) in ``Simulation.plan_log`` — the
     #: ``repro run --explain`` data source
@@ -155,29 +141,6 @@ class SimulationConfig:
             raise ValueError("scheduler_interval must be positive")
         if self.orchestrator_interval <= 0:
             raise ValueError("orchestrator_interval must be positive")
-        if self.view_backend not in (None, "legacy", "incremental", "array"):
-            raise ValueError(
-                f"unknown view_backend {self.view_backend!r}; expected "
-                f"'legacy', 'incremental' or 'array'"
-            )
-        if self.incremental_view is not None:
-            mapped = "incremental" if self.incremental_view else "legacy"
-            warnings.warn(
-                f"SimulationConfig(incremental_view={self.incremental_view!r}) "
-                f"is deprecated; use view_backend={mapped!r} instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-
-    def resolved_view_backend(self) -> str:
-        """The effective backend name (``view_backend`` wins; else the
-        deprecated ``incremental_view`` flag maps to incremental/legacy,
-        defaulting to ``"incremental"`` when neither is given)."""
-        if self.view_backend is not None:
-            return self.view_backend
-        if self.incremental_view is None:
-            return "incremental"
-        return "incremental" if self.incremental_view else "legacy"
 
 
 class Driver:
@@ -303,25 +266,17 @@ class SchedulerKernel:
         self.metrics.jobs = list(self.jobs.values())
         self.metrics.submissions = len(self.jobs)
 
-        #: incremental scheduling state; None in legacy full-scan mode
-        self.view: Optional[ClusterView] = None
-        backend = config.resolved_view_backend()
-        if backend != "legacy":
-            view_cls = ClusterView
-            if backend == "array":
-                from repro.core.arrays import ArrayClusterView
-
-                view_cls = ArrayClusterView
-            default_cost = (
+        #: the scheduling view: delta-maintained columns over the
+        #: training whitelist, attached to its change hooks
+        self.view = ClusterView(
+            pair.training,
+            default_onloan_cost=(
                 1.0 / pair.inference_compute
                 if hasattr(pair, "inference_compute")
                 else 3.0
-            )
-            self.view = view_cls(
-                pair.training,
-                default_onloan_cost=default_cost,
-                jobs=self.jobs,
-            )
+            ),
+            jobs=self.jobs,
+        )
         #: the single commit point for decision plans: every epoch's
         #: :class:`~repro.core.actions.EpochPlan` is applied through it
         self.executor = PlanExecutor(self)
@@ -484,8 +439,7 @@ class SchedulerKernel:
             # oracle duration (§3: profiling happens at enqueue)
             job.estimate_error = self.profiler.estimate_error(job.spec)
         self.pending.append(job)
-        if self.view is not None:
-            self.view.note_queue_change()
+        self.view.note_queue_change()
         hour = int(self.now // 3600)
         self._hour_submissions[hour] = self._hour_submissions.get(hour, 0) + 1
         job._arrival_hour = hour  # noqa: SLF001 - kernel-private
@@ -532,8 +486,7 @@ class SchedulerKernel:
                 if self.tracer.enabled:
                     self._take_provenance(plan)
                 self.executor.apply(plan)
-                if self.view is not None:
-                    self._last_epoch_version = self.view.version
+                self._last_epoch_version = self.view.version
         # First-attempt bookkeeping for the Fig. 2 queuing ratio.
         for job in self.pending:
             if job.job_id not in self._first_attempt_seen:
@@ -554,8 +507,7 @@ class SchedulerKernel:
         machinery (transient launch gates could make a retry succeed
         where the last epoch failed)."""
         return (
-            self.view is not None
-            and getattr(self.policy, "epoch_idempotent", False)
+            getattr(self.policy, "epoch_idempotent", False)
             and self._last_epoch_version is not None
             and self._last_epoch_version == self.view.version
             and self.fault_injector is None
@@ -611,11 +563,10 @@ class SchedulerKernel:
                 else None
             )
             engine = PlacementEngine(
-                self.cluster,
+                self.view,
                 special_elastic_grouping=self.config.special_elastic_grouping,
                 opportunistic=opportunistic,
                 rm=self.rm,
-                view=self.view,
                 region_of=region_of,
             )
             self._engines[opportunistic] = engine
@@ -650,8 +601,7 @@ class SchedulerKernel:
                 f"< base demand {job.spec.min_workers}"
             )
         self.pending.remove(job)
-        if self.view is not None:
-            self.view.note_queue_change()
+        self.view.note_queue_change()
         job.mark_started(self.now)
         self._apply_tuning(job)
         if self.degraded_servers:
@@ -719,8 +669,7 @@ class SchedulerKernel:
         byte-identical to the imperative path.
         """
         self.pending.remove(job)
-        if self.view is not None:
-            self.view.note_queue_change()
+        self.view.note_queue_change()
         restart_of = self._preempt_times.pop(job.job_id, None)
         if restart_of is not None:
             # time-to-recover: how long a preempted job waited to run again
@@ -835,8 +784,7 @@ class SchedulerKernel:
             self._completion_epoch.get(job.job_id, 0) + 1
         )
         self.pending.append(job)
-        if self.view is not None:
-            self.view.note_queue_change()
+        self.view.note_queue_change()
         self.metrics.preemptions += 1
         self.log(EventKind.PREEMPT, job.job_id, cause=cause, workers=workers)
         logger.debug("job %d preempted at %.0f (cause=%s)",
@@ -872,8 +820,7 @@ class SchedulerKernel:
             cancelled = True
         if not cancelled:
             return False
-        if self.view is not None:
-            self.view.note_queue_change()
+        self.view.note_queue_change()
         del self.jobs[job_id]
         self.metrics.registry.counter(
             "sim.cancellations", cause=cause
@@ -929,10 +876,9 @@ class SchedulerKernel:
             self.record_failure_noop("already_unhealthy", server_id)
             return False
         report = self.rm.fail_node(server_id, now=self.now)
-        if self.view is not None:
-            # node health lives in the RM, not the GPU books — force
-            # consumers (placement health filter) to revisit
-            self.view.bump()
+        # node health lives in the RM, not the GPU books — force
+        # consumers (placement health filter) to revisit
+        self.view.bump()
         self.metrics.node_failures += 1
         self._fail_times[server_id] = self.now
         self.trace(
@@ -978,8 +924,7 @@ class SchedulerKernel:
 
     def _node_recovery(self, server_id: str) -> None:
         self.rm.recover_node(server_id, now=self.now)
-        if self.view is not None:
-            self.view.bump()
+        self.view.bump()
         failed_at = self._fail_times.pop(server_id, None)
         if failed_at is not None:
             self.metrics.registry.histogram(
@@ -1007,13 +952,12 @@ class SchedulerKernel:
             self.degraded_servers[server_id] = factor
             if server is not None:
                 server.perf_factor = factor
-        if self.view is not None:
-            # perf_factor feeds the placement sort order; mirroring
-            # backends refresh their column from the updated server
-            if server is not None:
-                self.view.note_server_attrs(server)
-            else:
-                self.view.bump()
+        # perf_factor feeds the placement sort order: the view refreshes
+        # its column from the updated server
+        if server is not None:
+            self.view.note_server_attrs(server)
+        else:
+            self.view.bump()
         for job in list(self.running.values()):
             if server_id in job.servers:
                 job.advance(self.now)

@@ -20,7 +20,6 @@ from typing import Callable, Optional
 from repro.core.actions import (
     EpochPlan,
     LoanServers,
-    PlanExecutor,
     Preempt,
     ReclaimServers,
     ScaleIn,
@@ -30,7 +29,6 @@ from repro.core.reclaim import (
     plan_reclaim_lyra,
     plan_reclaim_random,
     plan_reclaim_scf,
-    server_preemption_cost,
 )
 from repro.obs import get_logger
 from repro.obs.profiling import PHASE_ORCH_TICK, PHASE_RECLAIM_PLAN
@@ -170,13 +168,7 @@ class ResourceOrchestrator:
         # Pending demand only creates loan-need where it overflows the
         # free dedicated capacity (the scheduler prefers training
         # hardware for inelastic work, §5.3).
-        view = getattr(sim, "view", None)
-        if view is not None:
-            training_free = view.dedicated_free
-        else:
-            training_free = sum(
-                s.free_gpus for s in sim.pair.training.dedicated_servers
-            )
+        training_free = sim.view.dedicated_free
         pending_total = sum(j.spec.base_gpus for j in sim.pending)
         supply_gpus = supply * gpus_per_server
         pending_eligible = 0
@@ -246,18 +238,6 @@ class ResourceOrchestrator:
         plan.decision_inputs = self._last_inputs
         self._last_inputs = None
         return plan
-
-    def tick(self, sim: "Simulation") -> None:
-        """Legacy entry point: plan one interval and apply it immediately.
-
-        Kept for direct callers (tests, harnesses); the simulator itself
-        calls :meth:`plan_tick` and commits through its own executor.
-        """
-        plan = self.plan_tick(sim)
-        executor = getattr(sim, "executor", None)
-        if executor is None:
-            executor = PlanExecutor(sim)
-        executor.apply(plan)
 
     def _plan_actions(self, sim: "Simulation") -> list:
         self._target_history.append(self.target_loanable(sim))
@@ -426,24 +406,13 @@ class ResourceOrchestrator:
             with_costs = sim.tracer.enabled
         costs = None
         if with_costs:
-            view = getattr(sim, "view", None)
-            if view is not None:
-                # served from the view's cached per-server job-fraction
-                # index (rebuilt only when a delta arrived)
-                costs = tuple(
-                    (sid, round(view.reclaim_cost(sid), 4))
-                    for sid in plan.servers
-                    if sid in sim.pair.training
-                )
-            else:
-                costs = tuple(
-                    (sid, round(
-                        server_preemption_cost(sim.pair.training.get(sid),
-                                               sim.jobs), 4,
-                    ))
-                    for sid in plan.servers
-                    if sid in sim.pair.training
-                )
+            # served from the view's cached per-server job-fraction
+            # index (rebuilt only when a delta arrived)
+            costs = tuple(
+                (sid, round(sim.view.reclaim_cost(sid), 4))
+                for sid in plan.servers
+                if sid in sim.pair.training
+            )
         # 1. Scale elastic jobs in (no preemption).
         for job_id, per_server in plan.scaled_in.items():
             if job_id in sim.running:

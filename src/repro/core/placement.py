@@ -27,9 +27,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.cluster.cluster import Cluster
 from repro.cluster.job import Job
 from repro.cluster.server import BASE_GROUP, FLEX_GROUP, Server
+from repro.core.view import ClusterView
 
 from repro.rm.manager import TransientLaunchError
 
@@ -74,19 +74,20 @@ class PlacementResult:
 
 
 class PlacementEngine:
-    """Best-fit-decreasing placement over a training cluster."""
+    """Best-fit-decreasing placement over a training cluster's view."""
 
     def __init__(
         self,
-        cluster: Cluster,
+        view: ClusterView,
         special_elastic_grouping: bool = True,
         opportunistic: bool = False,
         rm: Optional["ResourceManager"] = None,
         now: float = 0.0,
-        view=None,
         region_of=None,
     ):
-        self.cluster = cluster
+        #: the scheduling view candidates are ranked from
+        self.view = view
+        self.cluster = view.cluster
         self.special_elastic_grouping = special_elastic_grouping
         #: row-6 Opportunistic Scheduling (§7.1): fungible jobs are queued
         #: to the inference cluster only, never to training servers.
@@ -95,13 +96,10 @@ class PlacementEngine:
         #: tracked containers and unhealthy nodes are avoided
         self.rm = rm
         self.now = now
-        #: optional ClusterView: candidate sets come from its
-        #: free-capacity index instead of full cluster scans
-        self.view = view
         #: optional locality oracle (multi-cluster markets): maps a
         #: server to the region its capacity currently serves; a job then
         #: prefers to grow in the region hosting most of its workers,
-        #: within each domain-preference tier
+        #: among equally-packed candidates
         self.region_of = region_of
 
     # ------------------------------------------------------------------
@@ -116,13 +114,10 @@ class PlacementEngine:
                 return self.cluster.get(server_id).gpu_type.name
         return None
 
-    def _eligible(self, job: Job, server: Server, flexible: bool) -> bool:
-        return self._domain_eligible(job, server.on_loan)
-
     def _domain_eligible(self, job: Job, on_loan: bool) -> bool:
         """Eligibility is a *domain* property: it depends only on whether
         the server is on loan, never on the individual machine — which is
-        what lets the view prune whole buckets at once."""
+        what lets the view mask a whole domain at once."""
         if self.opportunistic and job.spec.fungible:
             return on_loan
         if not on_loan:
@@ -130,29 +125,6 @@ class PlacementEngine:
         # On-loan (inference-type) servers take only fungible or
         # heterogeneous jobs.
         return job.spec.fungible or job.spec.heterogeneous
-
-    def _preference(self, job: Job, server: Server, flexible: bool) -> int:
-        """Rank tiers: lower is more preferred."""
-        if not self.special_elastic_grouping:
-            # Ablation: naive BFD — treat every server alike, training
-            # hardware first for determinism.
-            return 0 if not server.on_loan else 1
-        if job.spec.heterogeneous:
-            # Base on training, flexible on inference whenever possible.
-            if flexible:
-                return 0 if server.on_loan else 1
-            return 0 if not server.on_loan else 1
-        if job.elastic:
-            if server.on_loan:
-                wanted = FLEX_GROUP if flexible else BASE_GROUP
-                if server.group == wanted:
-                    return 0
-                if server.group is None:
-                    return 1
-                return 3  # wrong group: last resort among on-loan
-            return 2  # training servers after on-loan options
-        # Inelastic: dedicated training first.
-        return 0 if not server.on_loan else 1
 
     @staticmethod
     def worker_cost(job: Job, server: Server) -> int:
@@ -190,97 +162,55 @@ class PlacementEngine:
             return None
         return min(counts, key=lambda r: (-counts[r], r))
 
-    def _candidates(self, job: Job, flexible: bool) -> List[Server]:
-        lock = self._gpu_type_lock(job)
-        if self.view is not None:
-            # Free-capacity index: only servers of eligible domains with
-            # enough free GPUs are even visited.  The sort key below is a
-            # total order (it ends in server_id), so sorting the same
-            # candidate *set* yields the exact list the full scan would.
-            servers = self.view.candidates(
-                cost_for_type=lambda tname: math.ceil(
-                    job.spec.gpus_per_worker / self.view.rel_compute(tname)
-                ),
-                domain_ok=lambda on_loan: self._domain_eligible(job, on_loan),
-                type_lock=lock,
-            )
-            if self.rm is not None:
-                servers = [
-                    s for s in servers if self.rm.is_healthy(s.server_id)
-                ]
-        else:
-            servers = []
-            for server in self.cluster.servers:
-                if server.free_gpus < self.worker_cost(job, server):
-                    continue
-                if self.rm is not None and not self.rm.is_healthy(
-                    server.server_id
-                ):
-                    continue
-                if not self._eligible(job, server, flexible):
-                    continue
-                if lock is not None and server.gpu_type.name != lock:
-                    continue
-                servers.append(server)
-        # Best fit: fewest free GPUs first within a preference tier, and
-        # prefer partially-used servers over empty ones to curb
-        # fragmentation.  Within a tier, full-speed servers beat known
-        # stragglers (perf_factor is 1.0 everywhere absent faults, so
-        # the extra key component is inert then).  With a locality
-        # oracle, same-region servers win among equally-packed
-        # candidates — elastic growth stays near the job's workers.
-        # Locality must stay a tie-break *below* free_gpus: ranking it
-        # above best-fit lets region affinity override packing, which
-        # fragments a scarce on-loan pool until some opportunistic
-        # job's base demand can never fit again.
-        if self.region_of is not None:
-            job_region = self._job_region(job)
-            region_of = self.region_of
-            servers.sort(
-                key=lambda s: (
-                    self._preference(job, s, flexible),
-                    -s.perf_factor,
-                    s.idle,
-                    s.free_gpus,
-                    0 if (
-                        job_region is None
-                        or region_of(s) == job_region
-                    ) else 1,
-                    s.server_id,
-                )
-            )
-            return servers
-        servers.sort(
-            key=lambda s: (
-                self._preference(job, s, flexible),
-                -s.perf_factor,
-                s.idle,
-                s.free_gpus,
-                s.server_id,
-            )
-        )
-        return servers
-
     # ------------------------------------------------------------------
     # placement of one worker batch
     # ------------------------------------------------------------------
     def _place_workers(self, job: Job, workers: int, flexible: bool) -> int:
-        """Place up to ``workers`` workers; returns how many were placed."""
-        # The array twin ranks by the base key only; with a locality
-        # oracle active the list walk is authoritative for all backends.
-        if (
-            getattr(self.view, "backend", None) == "array"
-            and self.region_of is None
-        ):
-            return self._place_workers_array(job, workers, flexible)
+        """Place up to ``workers`` workers; returns how many were placed.
+
+        Each round asks the view for the single best candidate, places
+        as many workers there as fit, then re-ranks.  A server whose
+        launch failed transiently is excluded for the rest of the round
+        and the next-best candidate tried — the ranking key is a total
+        order, so this visits the servers a sorted list walk would, in
+        the same order, without building or sorting a list per round.
+        """
+        view = self.view
+        train_ok = self._domain_eligible(job, False)
+        loan_ok = self._domain_eligible(job, True)
+        unhealthy = None
+        if self.rm is not None:
+            unhealthy = self.rm.unhealthy_ids()
         remaining = workers
         while remaining > 0:
             placed_this_round = 0
-            for server in self._candidates(job, flexible):
+            failed_ids: Optional[set] = None
+            # recomputed per round: the first placed worker type-locks a
+            # non-heterogeneous job (and anchors its region) for the rest
+            # of its placement
+            lock = self._gpu_type_lock(job)
+            job_region = (
+                self._job_region(job) if self.region_of is not None else None
+            )
+            while True:
+                server = view.select_best(
+                    job.spec.gpus_per_worker,
+                    train_ok,
+                    loan_ok,
+                    lock,
+                    flexible,
+                    job.spec.heterogeneous,
+                    job.elastic,
+                    self.special_elastic_grouping,
+                    unhealthy_ids=unhealthy,
+                    exclude_ids=failed_ids,
+                    job_region=job_region,
+                    region_of=self.region_of,
+                )
+                if server is None:
+                    break
                 cost = self.worker_cost(job, server)
                 fit = min(remaining, server.free_gpus // cost)
-                if fit <= 0:
-                    continue
                 if self.rm is not None:
                     try:
                         self.rm.launch(
@@ -288,8 +218,11 @@ class PlacementEngine:
                             now=self.now,
                         )
                     except TransientLaunchError:
-                        # launch retries exhausted on this server; books
-                        # are untouched — move on to the next candidate
+                        # retries exhausted here; books untouched — try
+                        # the next-best candidate
+                        if failed_ids is None:
+                            failed_ids = set()
+                        failed_ids.add(server.server_id)
                         continue
                 else:
                     server.allocate(job.job_id, fit * cost)
@@ -313,91 +246,6 @@ class PlacementEngine:
                         # the plan journal its pre-image for rollback
                         journal.record_group(server)
                     server.group = FLEX_GROUP if flexible else BASE_GROUP
-                    if self.view is not None:
-                        self.view.note_group_change(server)
-                remaining -= fit
-                placed_this_round += fit
-                break  # re-rank candidates after each placement
-            if placed_this_round == 0:
-                break
-        return workers - remaining
-
-    def _place_workers_array(
-        self, job: Job, workers: int, flexible: bool
-    ) -> int:
-        """The array-backend twin of :meth:`_place_workers`.
-
-        The legacy loop sorts the full candidate list but only ever uses
-        its head: it places on the first server that works, then
-        re-ranks.  The ranking key is a total order, so asking the array
-        view for the single best candidate (excluding servers whose
-        launch just failed transiently, exactly as the list walk skips
-        them within one round) visits the same servers in the same
-        order — without building or sorting a list per round.
-        """
-        view = self.view
-        train_ok = self._domain_eligible(job, False)
-        loan_ok = self._domain_eligible(job, True)
-        unhealthy = None
-        if self.rm is not None:
-            unhealthy = self.rm.unhealthy_ids()
-        remaining = workers
-        while remaining > 0:
-            placed_this_round = 0
-            failed_ids: Optional[set] = None
-            # recomputed per round: the first placed worker type-locks a
-            # non-heterogeneous job for the rest of its placement
-            lock = self._gpu_type_lock(job)
-            while True:
-                server = view.select_best(
-                    job.spec.gpus_per_worker,
-                    train_ok,
-                    loan_ok,
-                    lock,
-                    flexible,
-                    job.spec.heterogeneous,
-                    job.elastic,
-                    self.special_elastic_grouping,
-                    unhealthy_ids=unhealthy,
-                    exclude_ids=failed_ids,
-                )
-                if server is None:
-                    break
-                cost = self.worker_cost(job, server)
-                fit = min(remaining, server.free_gpus // cost)
-                if self.rm is not None:
-                    try:
-                        self.rm.launch(
-                            job, server, fit, cost, flexible=flexible,
-                            now=self.now,
-                        )
-                    except TransientLaunchError:
-                        # retries exhausted here; books untouched — the
-                        # next-best candidate is the next list entry
-                        if failed_ids is None:
-                            failed_ids = set()
-                        failed_ids.add(server.server_id)
-                        continue
-                else:
-                    server.allocate(job.job_id, fit * cost)
-                    job.record_placement(
-                        server.server_id,
-                        fit,
-                        flexible=flexible,
-                        gpu_cost=cost,
-                        on_loan=server.on_loan,
-                    )
-                if (
-                    self.special_elastic_grouping
-                    and server.on_loan
-                    and server.group is None
-                    and job.elastic
-                    and not job.spec.heterogeneous
-                ):
-                    journal = getattr(self.rm, "journal", None)
-                    if journal is not None:
-                        journal.record_group(server)
-                    server.group = FLEX_GROUP if flexible else BASE_GROUP
                     view.note_group_change(server)
                 remaining -= fit
                 placed_this_round += fit
@@ -412,26 +260,11 @@ class PlacementEngine:
         if not job.spec.heterogeneous:
             return False
         workers = request.base_workers + request.flex_workers
-        for on_loan in (False, True):
-            if self.view is not None:
-                capacity = self.view.domain_capacity(
-                    on_loan,
-                    cost_for_type=lambda tname: math.ceil(
-                        job.spec.gpus_per_worker
-                        / self.view.rel_compute(tname)
-                    ),
-                )
-            else:
-                capacity = 0
-                for server in self.cluster.servers:
-                    if server.on_loan != on_loan:
-                        continue
-                    capacity += (
-                        server.free_gpus // self.worker_cost(job, server)
-                    )
-            if capacity >= workers:
-                return False
-        return True
+        return all(
+            self.view.domain_capacity(on_loan, job.spec.gpus_per_worker)
+            < workers
+            for on_loan in (False, True)
+        )
 
     def _rollback(self, job: Job) -> None:
         """Undo all placements for a job that failed its base demand."""

@@ -1,62 +1,130 @@
-"""Incrementally-maintained scheduling state (the ClusterView layer).
+"""The scheduling view: delta-maintained numpy columns over one cluster.
 
 The paper's cluster runs tens of thousands of jobs over thousands of GPUs
 with a scheduler triggered at every arrival, completion and capacity
 change (§3, §7.1).  Recomputing the world from scratch at each epoch —
-scanning every server for free pools, rescanning all servers per placed
-job, re-sorting the whole pending queue — makes the hot path
-O(epochs × jobs × servers).  :class:`ClusterView` replaces those scans
-with state that is maintained *incrementally*:
+scanning every server for free pools, re-ranking all servers per placed
+worker, re-sorting the whole pending queue — makes the hot path
+O(epochs × jobs × servers).  :class:`ClusterView` is the one scheduling
+state every kernel carries instead:
 
-* cached **pool totals** (free dedicated / free on-loan GPUs) so
-  :meth:`pools` is O(1) instead of O(servers);
-* a **free-capacity index** bucketing servers by ``(on_loan, gpu type)``
-  and current free-GPU level, so the placement engine asks "servers of
-  type T with ≥ c free GPUs" instead of filtering the whole cluster;
-* deterministic per-type **on-loan cost** derived from the set of loaned
-  GPU types (not from iteration order);
+* the *hot* server state lives in numpy structure-of-arrays **columns**
+  (free level, on-loan flag, GPU-type code, placement-group code, perf
+  factor, has-allocation flag, server-id rank) over stable slots, so the
+  placement engine's questions — best candidate
+  (:meth:`select_best`), whole-worker capacity of a domain
+  (:meth:`domain_capacity`) — are vectorized masks, not object scans;
+* cached **pool totals** and the per-type on-loan census make
+  :meth:`pools` O(1), with the §5.2 **on-loan cost** derived from the
+  *set* of loaned GPU types (never from iteration order);
 * a cached **pending-queue ordering** per policy, recomputed only when
   the queue actually changed;
-* a cached per-server **job-fraction (preemption-cost) index** consumed
-  by the orchestrator's reclaim path.
+* a cached per-server **preemption-cost index** consumed by the
+  orchestrator's reclaim path.
 
-Invalidation contract
----------------------
+Delta protocol
+--------------
 
-The view is *delta-maintained*: it never polls.  Every mutation point
-must notify it:
+The view never polls.  Every mutation point must notify it:
 
 * ``Server.allocate`` / ``Server.release`` fire the server's
   ``_on_change`` hook, wired by :meth:`Cluster.attach_view` — this covers
   job start, finish, scale-out, scale-in and preemption, whether booked
   directly or through the :class:`~repro.rm.manager.ResourceManager`;
 * ``Cluster.add_server`` / ``Cluster.remove_server`` call
-  :meth:`server_added` / :meth:`server_removed` — this covers capacity
-  loaning and reclaiming (:class:`~repro.cluster.cluster.ClusterPair`
-  routes through them);
-* the :class:`~repro.simulator.simulation.Simulation` calls
-  :meth:`note_queue_change` on every pending-queue mutation (arrival,
-  activation, preemption re-queue) and :meth:`bump` on events the books
-  cannot see (node failure/recovery, server degradation).
+  :meth:`server_added` / :meth:`server_removed` — capacity loaning and
+  reclaiming (:class:`~repro.cluster.cluster.ClusterPair` routes through
+  them);
+* placement and the plan journal's rollback call
+  :meth:`note_group_change` after (re)assigning ``Server.group`` — group
+  assignment happens *after* the allocation hook fired, so that hook
+  cannot see it;
+* the kernel calls :meth:`note_queue_change` on every pending-queue
+  mutation, :meth:`note_server_attrs` after a perf-factor change, and
+  :meth:`bump` on events the books cannot see (node failure/recovery).
 
-Every delta increments :attr:`version`; consumers cache derived results
-keyed by the version, and the simulator skips a scheduling epoch
-entirely when an idempotent policy would re-run against an unchanged
-version.  :meth:`assert_consistent` checks the live state against a
-from-scratch rebuild (the property-test contract).
+Every delta except :meth:`note_group_change` increments
+:attr:`version`; consumers cache derived results keyed by the version,
+and the kernel skips a scheduling epoch entirely when an idempotent
+policy would re-run against an unchanged version.
+
+Bit-exactness rules
+-------------------
+
+Decisions must not depend on slot order or on vector arithmetic:
+
+* **Integer state is mirrored, float state is ranked.**  Free levels and
+  worker costs are integers — vector math over them is exact.  Float
+  values (perf factors, preemption costs) are only ever *compared*,
+  never re-accumulated in a different order.
+* **Selection is by total order.**  The placement key ends in
+  ``server_id``, so the best candidate is unique and ``np.lexsort`` over
+  the key columns picks the server a sorted Python list would.
+
+The scan-from-scratch answer to the same queries lives in
+:mod:`repro.oracle.refview`; it is the differential reference for the
+golden suite, ``repro check`` and the view property tests, and
+:meth:`assert_consistent` audits the live columns against a scan.
 """
 
 from __future__ import annotations
 
+import functools
+from collections import Counter
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.cluster.cluster import Cluster
-from repro.cluster.server import Server
+from repro.cluster.server import BASE_GROUP, FLEX_GROUP, Server
 from repro.core.allocation import Pools
 from repro.core.reclaim import preemption_cost_index
 
-#: Bucket key: (on_loan, gpu type name).
-BucketKey = Tuple[bool, str]
+#: group codes mirrored into the ``_group_code`` column
+_GROUP_CODES = {None: 0, BASE_GROUP: 1, FLEX_GROUP: 2}
+
+#: initial slot capacity; columns grow geometrically
+_INITIAL_SLOTS = 64
+
+#: the columns, with dtype and the value an empty slot holds
+_COLUMNS = (
+    ("_free", np.int64, 0),
+    ("_on_loan", bool, False),
+    ("_type_code", np.int64, 0),
+    ("_group_code", np.int64, 0),
+    ("_perf", np.float64, 1.0),
+    ("_has_alloc", bool, False),
+    ("_active", bool, False),
+    ("_id_rank", np.int64, 0),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _tier_table(
+    flexible: bool, heterogeneous: bool, elastic: bool, special_grouping: bool
+) -> np.ndarray:
+    """Placement preference tier by ``[on_loan][group code]`` (§5.3).
+
+    Lower wins.  Inelastic jobs (and the Table 6 ablation without the
+    elastic-aware grouping) take dedicated training servers first.  A
+    heterogeneous job puts base workers on training and flexible ones
+    on inference hardware whenever possible.  An elastic job prefers
+    on-loan servers — its own BASE/FLEX group, then ungrouped ones,
+    then training servers, and the other group only as a last resort —
+    so reclaiming can vacate the flexible group without preemption.
+    """
+    if special_grouping and heterogeneous:
+        train, loan = (1, 0) if flexible else (0, 1)
+        rows = [[train] * 3, [loan] * 3]
+    elif special_grouping and elastic:
+        loan = [1, 3, 3]
+        loan[_GROUP_CODES[FLEX_GROUP if flexible else BASE_GROUP]] = 0
+        rows = [[2] * 3, loan]
+    else:
+        rows = [[0] * 3, [1] * 3]
+    table = np.array(rows, dtype=np.int64)
+    table.setflags(write=False)  # cached: every caller shares it
+    return table
 
 
 def deterministic_onloan_cost(
@@ -82,10 +150,6 @@ def deterministic_onloan_cost(
 class ClusterView:
     """Delta-maintained scheduling state over one (training) cluster."""
 
-    #: backend name, matching ``SimulationConfig.view_backend``;
-    #: subclasses that change the storage layout override this
-    backend = "incremental"
-
     def __init__(
         self,
         cluster: Cluster,
@@ -95,21 +159,14 @@ class ClusterView:
     ):
         self.cluster = cluster
         self.default_onloan_cost = default_onloan_cost
-        #: live job table (set by the simulation); needed only for the
+        #: live job table (set by the kernel); needed only for the
         #: reclaim-cost index
         self.jobs = jobs
         #: bumped on every delta; consumers key caches off it
         self.version = 0
-        # ---- indexed state (all rebuilt by :meth:`rebuild`) ----
-        self._keys: Dict[str, BucketKey] = {}
-        self._levels: Dict[str, int] = {}
-        self._buckets: Dict[BucketKey, Dict[int, Dict[str, Server]]] = {}
-        self._rel: Dict[str, float] = {}
-        self._free_total: Dict[bool, int] = {False: 0, True: 0}
-        self._onloan_type_servers: Dict[str, int] = {}
-        #: on-loan servers currently hosting at least one allocation
-        #: (the candidate set of the reclaim cost index)
-        self._alloc_onloan: Set[str] = set()
+        #: GPU type name -> column code, and per-code relative compute
+        self._type_codes: Dict[str, int] = {}
+        self._rel_by_code: List[float] = []
         # ---- version-keyed caches ----
         self._pending_cache: Dict[str, Tuple[int, List["Job"]]] = {}
         self._cost_cache: Optional[Tuple[int, Dict[str, float]]] = None
@@ -117,100 +174,88 @@ class ClusterView:
         if attach:
             cluster.attach_view(self)
 
-    # ------------------------------------------------------------------
-    # serialization: the version-keyed caches are pure functions of
-    # (indexed state, version) and recompute on first miss, so snapshots
-    # drop them.  The indexed state itself IS pickled — rebuilding it
-    # would re-key the bucket dicts in cluster order instead of the
-    # delta-evolved order a continuous run carries, and restore must be
-    # bit-faithful to that run.
-    # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
+        # Snapshots carry state, not caches: the version-keyed caches are
+        # pure functions of (columns, version) and recompute on first
+        # miss.  The columns themselves are pickled as they are, so a
+        # restored run keeps the slot layout of the continuous one.
         state = dict(self.__dict__)
         state["_pending_cache"] = {}
         state["_cost_cache"] = None
+        state["_worker_costs"] = {}
         return state
 
     # ------------------------------------------------------------------
-    # full rebuild (initialisation and the property-test reference)
+    # column storage
     # ------------------------------------------------------------------
     def rebuild(self) -> None:
-        """Recompute every index from the cluster's current state."""
-        self._keys.clear()
-        self._levels.clear()
-        self._buckets.clear()
-        self._free_total = {False: 0, True: 0}
-        self._onloan_type_servers = {}
-        self._alloc_onloan.clear()
+        """Recompute every column from the cluster's current state."""
+        slots = _INITIAL_SLOTS
+        for name, dtype, empty in _COLUMNS:
+            setattr(self, name, np.full(slots, empty, dtype=dtype))
+        self._slot_of: Dict[str, int] = {}
+        self._server_at: List[Optional[Server]] = [None] * slots
+        self._free_slots: List[int] = list(range(slots - 1, -1, -1))
+        self._ranks_stale = True
+        #: per-slot worker cost by GPUs-per-worker (valid until a slot
+        #: is refilled — type codes change nowhere else)
+        self._worker_costs: Dict[int, np.ndarray] = {}
+        #: free GPUs per domain, indexed by the on-loan flag
+        self._free_total = [0, 0]
+        #: on-loan servers per GPU-type code (the §5.2 cost census)
+        self._onloan_types: Dict[int, int] = {}
         for server in self.cluster.servers:
             self._index(server)
         self.version += 1
 
+    def _grow(self) -> None:
+        old = len(self._active)
+        for name, dtype, empty in _COLUMNS:
+            grown = np.full(old * 2, empty, dtype=dtype)
+            grown[:old] = getattr(self, name)
+            setattr(self, name, grown)
+        self._server_at.extend([None] * old)
+        self._free_slots.extend(range(old * 2 - 1, old - 1, -1))
+
     def _index(self, server: Server) -> None:
-        sid = server.server_id
-        key = (server.on_loan, server.gpu_type.name)
-        self._keys[sid] = key
-        self._rel[key[1]] = server.gpu_type.relative_compute
-        level = server.free_gpus
-        self._levels[sid] = level
-        if level > 0:
-            self._buckets.setdefault(key, {}).setdefault(level, {})[sid] = server
-        self._free_total[key[0]] += level
-        if key[0]:
-            self._onloan_type_servers[key[1]] = (
-                self._onloan_type_servers.get(key[1], 0) + 1
-            )
-            if server.allocations:
-                self._alloc_onloan.add(sid)
-
-    def _deindex(self, server: Server) -> None:
-        sid = server.server_id
-        key = self._keys.pop(sid)
-        level = self._levels.pop(sid)
-        if level > 0:
-            self._drop_from_bucket(key, level, sid)
-        self._free_total[key[0]] -= level
-        if key[0]:
-            count = self._onloan_type_servers.get(key[1], 0) - 1
-            if count > 0:
-                self._onloan_type_servers[key[1]] = count
-            else:
-                self._onloan_type_servers.pop(key[1], None)
-            self._alloc_onloan.discard(sid)
-
-    def _drop_from_bucket(self, key: BucketKey, level: int, sid: str) -> None:
-        members = self._buckets[key][level]
-        del members[sid]
-        if not members:
-            del self._buckets[key][level]
-            if not self._buckets[key]:
-                del self._buckets[key]
+        """Fill one slot from a server (the only column-fill routine)."""
+        if not self._free_slots:
+            self._grow()
+        slot = self._free_slots.pop()
+        self._slot_of[server.server_id] = slot
+        self._server_at[slot] = server
+        tname = server.gpu_type.name
+        code = self._type_codes.get(tname)
+        if code is None:
+            code = self._type_codes[tname] = len(self._rel_by_code)
+            self._rel_by_code.append(server.gpu_type.relative_compute)
+        self._free[slot] = server.free_gpus
+        self._on_loan[slot] = server.on_loan
+        self._type_code[slot] = code
+        self._group_code[slot] = _GROUP_CODES[server.group]
+        self._perf[slot] = server.perf_factor
+        self._has_alloc[slot] = bool(server.allocations)
+        self._active[slot] = True
+        self._ranks_stale = True
+        self._worker_costs.clear()
+        self._free_total[server.on_loan] += server.free_gpus
+        if server.on_loan:
+            self._onloan_types[code] = self._onloan_types.get(code, 0) + 1
 
     # ------------------------------------------------------------------
     # delta entry points
     # ------------------------------------------------------------------
     def server_changed(self, server: Server) -> None:
         """A member server's books changed (allocate/release hook)."""
-        sid = server.server_id
-        key = self._keys.get(sid)
-        if key is None:  # not (or no longer) a member of this cluster
+        slot = self._slot_of.get(server.server_id)
+        if slot is None:  # not (or no longer) a member of this cluster
             return
-        old = self._levels[sid]
         new = server.free_gpus
+        old = int(self._free[slot])
         if new != old:
-            if old > 0:
-                self._drop_from_bucket(key, old, sid)
-            if new > 0:
-                self._buckets.setdefault(key, {}).setdefault(new, {})[sid] = (
-                    server
-                )
-            self._levels[sid] = new
-            self._free_total[key[0]] += new - old
-        if key[0]:
-            if server.allocations:
-                self._alloc_onloan.add(sid)
-            else:
-                self._alloc_onloan.discard(sid)
+            self._free[slot] = new
+            self._free_total[bool(self._on_loan[slot])] += new - old
+        self._has_alloc[slot] = bool(server.allocations)
         self.version += 1
 
     def server_added(self, server: Server) -> None:
@@ -218,37 +263,49 @@ class ClusterView:
         self.version += 1
 
     def server_removed(self, server: Server) -> None:
-        self._deindex(server)
+        slot = self._slot_of.pop(server.server_id)
+        self._free_total[bool(self._on_loan[slot])] -= int(self._free[slot])
+        if self._on_loan[slot]:
+            code = int(self._type_code[slot])
+            if self._onloan_types[code] > 1:
+                self._onloan_types[code] -= 1
+            else:
+                del self._onloan_types[code]
+        self._active[slot] = False
+        self._server_at[slot] = None
+        self._free_slots.append(slot)
+        self._ranks_stale = True
         self.version += 1
 
     def note_queue_change(self) -> None:
-        """The simulation's pending queue changed (arrive/start/requeue)."""
+        """The kernel's pending queue changed (arrive/start/requeue)."""
         self.version += 1
 
     def bump(self) -> None:
         """Invalidate for a state change the GPU books cannot express
-        (node health transitions, straggler degradation)."""
+        (node health transitions)."""
         self.version += 1
 
     def note_group_change(self, server: Server) -> None:
         """A member server's placement group was (re)assigned.
 
-        The base view reads ``Server.group`` live and the accompanying
-        allocate/release delta already bumped the version, so this is a
-        no-op here; backends that *mirror* group state (the array view)
-        override it.  Placement and the plan journal's rollback are the
-        only two call sites — group changes nowhere else while a server
-        is a member.
+        No version bump: group changes only alongside an allocate or
+        release delta that already bumped.  Placement and the plan
+        journal's rollback are the only two call sites.
         """
+        slot = self._slot_of.get(server.server_id)
+        if slot is not None:
+            self._group_code[slot] = _GROUP_CODES[server.group]
 
     def note_server_attrs(self, server: Server) -> None:
         """A member server's non-book attributes changed (perf factor).
 
-        Equivalent to :meth:`bump` for this backend; mirroring backends
-        additionally refresh the server's column entries.  Callers must
-        invoke this *after* mutating the attribute.
+        Callers must invoke this *after* mutating the attribute.
         """
-        self.bump()
+        slot = self._slot_of.get(server.server_id)
+        if slot is not None:
+            self._perf[slot] = server.perf_factor
+        self.version += 1
 
     # ------------------------------------------------------------------
     # queries: pools and on-loan cost
@@ -266,7 +323,7 @@ class ClusterView:
     def onloan_cost(self) -> float:
         """Deterministic §5.2 cost factor of the loaned hardware."""
         return deterministic_onloan_cost(
-            [self._rel[t] for t in self._onloan_type_servers],
+            [self._rel_by_code[code] for code in self._onloan_types],
             default=self.default_onloan_cost,
         )
 
@@ -279,61 +336,115 @@ class ClusterView:
         )
 
     # ------------------------------------------------------------------
-    # queries: placement candidates
+    # queries: placement
     # ------------------------------------------------------------------
-    def rel_compute(self, type_name: str) -> float:
-        return self._rel[type_name]
+    def _worker_cost(self, gpus_per_worker: int) -> np.ndarray:
+        """Per-slot physical GPUs per worker (§5.2 normalization)."""
+        cost = self._worker_costs.get(gpus_per_worker)
+        if cost is None:
+            rel = np.asarray(self._rel_by_code, dtype=np.float64)
+            by_code = np.ceil(gpus_per_worker / rel).astype(np.int64)
+            cost = self._worker_costs[gpus_per_worker] = by_code[
+                self._type_code
+            ]
+        return cost
 
-    @property
-    def buckets(self) -> Mapping[BucketKey, Dict[int, Dict[str, Server]]]:
-        """Free-capacity index: ``(on_loan, type) -> {level: {id: server}}``.
+    def _ranks(self) -> np.ndarray:
+        """Lexicographic rank of each active slot's server id.
 
-        Only servers with at least one free GPU appear.  Read-only —
-        consumers must never mutate the returned structures.
+        Makes ``server_id`` usable as the final tie-break column of a
+        vectorized sort key: recomputed only when membership changes
+        (loans/reclaims), which is orders of magnitude rarer than
+        placement queries.
         """
-        return self._buckets
+        if self._ranks_stale:
+            for rank, sid in enumerate(sorted(self._slot_of)):
+                self._id_rank[self._slot_of[sid]] = rank
+            self._ranks_stale = False
+        return self._id_rank
 
-    def candidates(
+    def select_best(
         self,
-        cost_for_type: Callable[[str], int],
-        domain_ok: Callable[[bool], bool],
-        type_lock: Optional[str] = None,
-    ) -> List[Server]:
-        """Servers able to host ≥ 1 worker at per-type GPU cost.
+        gpus_per_worker: int,
+        train_ok: bool,
+        loan_ok: bool,
+        type_lock: Optional[str],
+        flexible: bool,
+        heterogeneous: bool,
+        elastic: bool,
+        special_grouping: bool,
+        unhealthy_ids: Optional[Set[str]] = None,
+        exclude_ids: Optional[Set[str]] = None,
+        job_region: Optional[str] = None,
+        region_of: Optional[Callable[[Server], Optional[str]]] = None,
+    ) -> Optional[Server]:
+        """The best server able to host one more worker, or None.
 
-        Exactly the set a full scan would produce (free capacity, domain
-        eligibility, GPU-type lock) in unspecified order — callers apply
-        their own ranking.  Health filtering stays with the caller (the
-        placement engine), since node health lives in the RM.
+        Best fit within a preference tier: the ranking is ``(tier,
+        -perf_factor, idle, free_gpus, server_id)`` — fewest free GPUs
+        first, partially-used servers before empty ones to curb
+        fragmentation, full-speed servers before known stragglers
+        (perf_factor is 1.0 everywhere absent faults).  The key is a
+        total order, so the winner is the head of the list a sorted
+        full scan would build.
+
+        With a locality oracle (``region_of``, multi-cluster markets)
+        and a ``job_region``, a same-region server wins among the
+        candidates that tie on everything above ``server_id``.
+        Locality must stay a tie-break *below* free_gpus: ranking it
+        above best-fit lets region affinity override packing, which
+        fragments a scarce on-loan pool until some opportunistic job's
+        base demand can never fit again.  The region is read live for
+        the tied candidates only — it is not mirrored.
         """
-        out: List[Server] = []
-        for (on_loan, tname), levels in self._buckets.items():
-            if type_lock is not None and tname != type_lock:
-                continue
-            if not domain_ok(on_loan):
-                continue
-            cost = cost_for_type(tname)
-            if cost <= 0:
-                continue
-            for level, members in levels.items():
-                if level >= cost:
-                    out.extend(members.values())
-        return out
+        if not self._rel_by_code:
+            return None
+        mask = self._free >= self._worker_cost(gpus_per_worker)
+        mask &= self._active
+        if not train_ok:
+            mask &= self._on_loan
+        if not loan_ok:
+            mask &= ~self._on_loan
+        if type_lock is not None:
+            code = self._type_codes.get(type_lock)
+            if code is None:
+                return None
+            mask &= self._type_code == code
+        for hidden in (unhealthy_ids, exclude_ids):
+            for sid in hidden or ():
+                slot = self._slot_of.get(sid)
+                if slot is not None:
+                    mask[slot] = False
+        slots = mask.nonzero()[0]
+        if slots.size == 0:
+            return None
+        tier = _tier_table(flexible, heterogeneous, elastic, special_grouping)[
+            self._on_loan[slots].astype(np.intp), self._group_code[slots]
+        ]
+        perf = self._perf[slots]
+        idle = ~self._has_alloc[slots]
+        free = self._free[slots]
+        order = np.lexsort((self._ranks()[slots], free, idle, -perf, tier))
+        head = order[0]
+        if region_of is not None and job_region is not None:
+            tied = (
+                (tier == tier[head]) & (perf == perf[head])
+                & (idle == idle[head]) & (free == free[head])
+            )
+            for i in order[tied[order]]:  # the tied candidates, id order
+                server = self._server_at[int(slots[i])]
+                if region_of(server) == job_region:
+                    return server
+        return self._server_at[int(slots[head])]
 
-    def domain_capacity(
-        self, on_loan: bool, cost_for_type: Callable[[str], int]
-    ) -> int:
+    def domain_capacity(self, on_loan: bool, gpus_per_worker: int) -> int:
         """Whole workers one domain can still host at per-type cost."""
-        total = 0
-        for (ol, tname), levels in self._buckets.items():
-            if ol != on_loan:
-                continue
-            cost = cost_for_type(tname)
-            if cost <= 0:
-                continue
-            for level, members in levels.items():
-                total += (level // cost) * len(members)
-        return total
+        if not self._rel_by_code:
+            return 0
+        mask = self._active & (self._on_loan == on_loan)
+        return int(
+            (self._free[mask] // self._worker_cost(gpus_per_worker)[mask]).sum()
+        )
 
     # ------------------------------------------------------------------
     # queries: pending-queue ordering
@@ -367,10 +478,12 @@ class ClusterView:
         server-fraction model), cached until the next delta."""
         if self._cost_cache is not None and self._cost_cache[0] == self.version:
             return self._cost_cache[1]
+        slots = np.flatnonzero(self._active & self._on_loan & self._has_alloc)
+        servers = sorted(
+            (self._server_at[int(s)] for s in slots),
+            key=lambda server: server.server_id,
+        )
         jobs = self.jobs if self.jobs is not None else {}
-        servers = [
-            self.cluster.get(sid) for sid in sorted(self._alloc_onloan)
-        ]
         index = preemption_cost_index(servers, jobs)
         self._cost_cache = (self.version, index)
         return index
@@ -383,38 +496,67 @@ class ClusterView:
     # consistency (the property-test contract)
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict:
-        """The indexed state as plain comparable structures."""
+        """The maintained state as plain comparable structures."""
+        groups = {code: name for name, code in _GROUP_CODES.items()}
+        types = {code: name for name, code in self._type_codes.items()}
+        servers = {}
+        for sid, slot in self._slot_of.items():
+            servers[sid] = {
+                "free": int(self._free[slot]),
+                "on_loan": bool(self._on_loan[slot]),
+                "type": types[int(self._type_code[slot])],
+                "group": groups[int(self._group_code[slot])],
+                "perf": float(self._perf[slot]),
+                "has_alloc": bool(self._has_alloc[slot]),
+            }
         return {
-            "levels": dict(self._levels),
-            "keys": dict(self._keys),
-            "buckets": {
-                key: {lvl: set(members) for lvl, members in levels.items()}
-                for key, levels in self._buckets.items()
+            "servers": servers,
+            "active_slots": int(self._active.sum()),
+            "free_total": list(self._free_total),
+            "onloan_types": {
+                types[code]: n for code, n in self._onloan_types.items()
             },
-            "free_total": dict(self._free_total),
-            "onloan_types": dict(self._onloan_type_servers),
-            "alloc_onloan": set(self._alloc_onloan),
             "onloan_cost": self.onloan_cost(),
         }
 
     def assert_consistent(self) -> None:
-        """Raise AssertionError unless the live state equals a rebuild."""
-        reference = ClusterView(
-            self.cluster,
-            default_onloan_cost=self.default_onloan_cost,
-            jobs=self.jobs,
-            attach=False,
-        )
-        live, fresh = self.snapshot(), reference.snapshot()
+        """Raise AssertionError unless the maintained state equals what a
+        scan of the live ``Server`` objects says it should be."""
+        servers = self.cluster.servers
+        loaned = [s for s in servers if s.on_loan]
+        fresh = {
+            "servers": {
+                s.server_id: {
+                    "free": s.free_gpus,
+                    "on_loan": s.on_loan,
+                    "type": s.gpu_type.name,
+                    "group": s.group,
+                    "perf": s.perf_factor,
+                    "has_alloc": bool(s.allocations),
+                }
+                for s in servers
+            },
+            "active_slots": len(servers),
+            "free_total": [
+                sum(s.free_gpus for s in servers if not s.on_loan),
+                sum(s.free_gpus for s in loaned),
+            ],
+            "onloan_types": dict(Counter(s.gpu_type.name for s in loaned)),
+            "onloan_cost": deterministic_onloan_cost(
+                [s.gpu_type.relative_compute for s in loaned],
+                default=self.default_onloan_cost,
+            ),
+        }
+        live = self.snapshot()
         for field in live:
             assert live[field] == fresh[field], (
                 f"ClusterView drift in {field!r}:\n"
-                f"  incremental: {live[field]!r}\n"
-                f"  rebuilt:     {fresh[field]!r}"
+                f"  maintained: {live[field]!r}\n"
+                f"  scanned:    {fresh[field]!r}"
             )
         cost = self.onloan_cost()
         assert cost >= 1.0, (
             f"on-loan cost {cost!r} < 1.0: the §5.2 weakest-type "
             f"normalization guarantees at least one physical GPU per "
-            f"normalized GPU — the GPU-type index is corrupt"
+            f"normalized GPU — the GPU-type census is corrupt"
         )

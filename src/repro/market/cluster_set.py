@@ -52,7 +52,6 @@ class FederatedCluster(Cluster):
             if member.name in self._by_name:
                 raise ValueError(f"duplicate member cluster {member.name!r}")
             self._by_name[member.name] = member
-        self._view = None
 
     # -- membership ----------------------------------------------------
     def member(self, name: str) -> Cluster:
@@ -76,7 +75,6 @@ class FederatedCluster(Cluster):
         return self.owner_of(server_id).remove_server(server_id)
 
     def attach_view(self, view) -> None:
-        self._view = view
         for member in self.members:
             member.attach_view(view)
 

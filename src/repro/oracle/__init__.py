@@ -14,10 +14,14 @@ three kinds of machinery:
   *related* inputs (more capacity never means more preemptions, permuting
   candidates never changes plan cost, dry-run pricing equals the
   committed plan's observed deltas);
+* :mod:`repro.oracle.refview` — the scan-from-scratch reference for the
+  scheduling view (:class:`ReferenceView`), swapped into a built
+  simulation by :func:`install_reference_view`;
 * :mod:`repro.oracle.conformance` — the runner behind ``repro check``:
   seeded instance sweeps plus mini-scenario replays through every
-  registered scheduler in both view modes, reporting the first
-  divergence with a minimized, runnable repro script.
+  registered scheduler on the production view and on the reference
+  view, reporting the first divergence with a minimized, runnable repro
+  script.
 """
 
 from repro.oracle.conformance import (
@@ -54,6 +58,7 @@ from repro.oracle.reference import (
     plan_reclaim_bruteforce,
     replay_flex_leftover,
 )
+from repro.oracle.refview import ReferenceView, install_reference_view
 
 __all__ = [
     "AllocationInstance",
@@ -63,6 +68,7 @@ __all__ = [
     "OracleReclaim",
     "ReclaimInstance",
     "ReferenceAllocation",
+    "ReferenceView",
     "allocate_reference",
     "allocation_divergence",
     "check_capacity_monotonic",
@@ -73,6 +79,7 @@ __all__ = [
     "gen_allocation_instance",
     "gen_mckp_instance",
     "gen_reclaim_instance",
+    "install_reference_view",
     "mckp_divergence",
     "metamorphic_divergence",
     "minimize",

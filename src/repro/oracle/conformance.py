@@ -2,7 +2,8 @@
 
 Sweeps seeded random instances through the production decision paths and
 their reference oracles, checks the metamorphic properties, and replays
-mini-scenarios through every registered scheduler in both view modes.
+mini-scenarios through every registered scheduler on the production view
+and on the scan-from-scratch reference view.
 Divergences come back as :class:`Divergence` records carrying the first
 observed disagreement and — for instance-based checks — a minimized,
 runnable repro script, so a red run is immediately actionable.
@@ -41,13 +42,14 @@ from repro.oracle.reference import (
     plan_reclaim_bruteforce,
     replay_flex_leftover,
 )
+from repro.oracle.refview import install_reference_view
 
 #: Distinct seeds per sweep index — a large prime stride keeps the
 #: per-check instance streams disjoint across base seeds.
 _SEED_STRIDE = 1_000_003
 
-#: Replay scenarios stay tiny so sweeping every scheme in both view
-#: modes finishes in seconds; the equivalence suite covers scale.
+#: Replay scenarios stay tiny so sweeping every scheme on both views
+#: finishes in seconds; the equivalence suite covers scale.
 _REPLAY_JOBS = 36
 _REPLAY_DAYS = 0.25
 
@@ -325,18 +327,17 @@ def metamorphic_divergence(seed: int) -> Optional[str]:
 # ----------------------------------------------------------------------
 # scenario replays
 # ----------------------------------------------------------------------
-#: every scheduling-state backend `repro check` sweeps; "legacy" is the
-#: reference implementation the other two must match byte-for-byte
-VIEW_BACKENDS = ("legacy", "incremental", "array")
-
-
 def build_replay_sim(
     scheme: str,
     seed: int,
-    backend: str = "incremental",
+    reference_view: bool = False,
     probe: Optional[Callable[[str, str, dict], None]] = None,
 ):
-    """Wire (but do not run) the conformance mini-scenario."""
+    """Wire (but do not run) the conformance mini-scenario.
+
+    ``reference_view`` swaps the oracle's scan-from-scratch view into
+    the built simulation (see :mod:`repro.oracle.refview`).
+    """
     from repro.scenarios import SCHEMES, build_sim, default_setup
 
     setup = default_setup(
@@ -354,12 +355,11 @@ def build_replay_sim(
         setup,
         scheme,
         seed=seed,
-        sim_overrides={
-            "record_activities": True,
-            "view_backend": backend,
-        },
+        sim_overrides={"record_activities": True},
         **policy_kwargs,
     )
+    if reference_view:
+        install_reference_view(sim)
     if probe is not None:
         sim.policy.conformance_probe = probe
     return sim
@@ -368,7 +368,7 @@ def build_replay_sim(
 def replay_scenario(
     scheme: str,
     seed: int,
-    backend: str = "incremental",
+    reference_view: bool = False,
     probe: Optional[Callable[[str, str, dict], None]] = None,
 ):
     """Run one mini-scenario to completion and return the Simulation.
@@ -379,7 +379,7 @@ def replay_scenario(
     policy's ``conformance_probe`` before the run, so every
     ``emit_decision`` payload flows through it.
     """
-    sim = build_replay_sim(scheme, seed, backend, probe)
+    sim = build_replay_sim(scheme, seed, reference_view, probe)
     sim.run()
     return sim
 
@@ -388,9 +388,7 @@ def recovery_divergence(scheme: str, seed: int) -> Optional[str]:
     """Kill the mini-scenario mid-run and recover it from disk.
 
     The crash barrier cycles with the seed through the full taxonomy
-    (between events, mid plan-commit, right after the WAL append), and
-    the view backend alternates between incremental and array so the
-    snapshot round-trip of both mirror layers stays covered.  The
+    (between events, mid plan-commit, right after the WAL append).  The
     recovered-and-resumed run must reproduce the continuous run's
     Activity log byte-for-byte; a barrier that never occurs after the
     kill time simply degenerates into checking that a *checkpointed*
@@ -407,13 +405,12 @@ def recovery_divergence(scheme: str, seed: int) -> Optional[str]:
     )
     from repro.recovery import RecoveryError, RecoveryManager
 
-    backend = ("incremental", "array")[seed % 2]
-    reference = replay_scenario(scheme, seed, backend=backend)
+    reference = replay_scenario(scheme, seed)
     horizon = reference.now
     barrier = BARRIERS[seed % len(BARRIERS)]
     workdir = tempfile.mkdtemp(prefix="repro-oracle-recovery-")
     try:
-        sim = build_replay_sim(scheme, seed, backend=backend)
+        sim = build_replay_sim(scheme, seed)
         manager = RecoveryManager(
             workdir,
             checkpoint_every=max(horizon / 7.0, 60.0),
@@ -452,25 +449,24 @@ def recovery_divergence(scheme: str, seed: int) -> Optional[str]:
             sim.rm.verify_books()
         except Exception as exc:
             return f"{label} run ended with unbalanced books: {exc}"
-        if sim.view is not None:
-            try:
-                sim.view.assert_consistent()
-            except Exception as exc:
-                return f"{label} view inconsistent after the run: {exc}"
+        try:
+            sim.view.assert_consistent()
+        except Exception as exc:
+            return f"{label} view inconsistent after the run: {exc}"
         return None
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
 
 def replay_divergence(scheme: str, seed: int) -> Optional[str]:
-    """Replay one scheme in every view backend and diff everything observable.
+    """Replay one scheme on both views and diff everything observable.
 
-    The legacy full-scan run is the reference; the incremental and array
-    backends must match it event-for-event.  The incremental-view run
+    The run on the oracle's scan-from-scratch view is the reference; the
+    production run must match it event-for-event.  The production run
     carries a conformance probe that captures the MCKP instances the
     scheduler actually solved; small ones are re-solved by brute force
-    in situ.  Books must balance and each backend's view must be
-    consistent; any divergence message names the backend that drifted.
+    in situ.  Books must balance, no plan may be rejected and the
+    production view must equal a rebuild at the end of the run.
     """
     captured: List[tuple] = []
 
@@ -484,51 +480,36 @@ def replay_divergence(scheme: str, seed: int) -> Optional[str]:
                  decision.mckp_value)
             )
 
-    legacy = replay_scenario(scheme, seed, backend="legacy")
-    runs = [("legacy", legacy)]
-    for backend in VIEW_BACKENDS:
-        if backend == "legacy":
-            continue
-        sim = replay_scenario(
-            scheme, seed, backend=backend,
-            probe=probe if backend == "incremental" else None,
+    reference = replay_scenario(scheme, seed, reference_view=True)
+    sim = replay_scenario(scheme, seed, probe=probe)
+    if len(sim.activities) != len(reference.activities):
+        return (
+            f"production view recorded {len(sim.activities)} activities "
+            f"vs {len(reference.activities)} on the reference view"
         )
-        runs.append((backend, sim))
-        if len(sim.activities) != len(legacy.activities):
+    for i, (a, b) in enumerate(zip(sim.activities, reference.activities)):
+        if a != b:
             return (
-                f"backend {backend!r} recorded "
-                f"{len(sim.activities)} activities vs "
-                f"{len(legacy.activities)} legacy"
+                f"production view diverges from the reference view at "
+                f"activity {i}: t={a.time!r} {a.kind.value} "
+                f"job={a.job_id!r} {a.detail!r} vs reference t={b.time!r} "
+                f"{b.kind.value} job={b.job_id!r} {b.detail!r}"
             )
-        for i, (a, b) in enumerate(zip(sim.activities, legacy.activities)):
-            if a != b:
-                return (
-                    f"backend {backend!r} diverges from legacy at "
-                    f"activity {i}: {backend} t={a.time!r} {a.kind.value} "
-                    f"job={a.job_id!r} {a.detail!r} vs legacy t={b.time!r} "
-                    f"{b.kind.value} job={b.job_id!r} {b.detail!r}"
-                )
 
-    for label, sim in runs:
+    for label, run in (("reference", reference), ("production", sim)):
         try:
-            sim.rm.verify_books()
+            run.rm.verify_books()
         except Exception as exc:
+            return f"{label}-view run ended with unbalanced books: {exc}"
+        if run.executor.plans_rejected:
             return (
-                f"backend {label!r} run ended with unbalanced books: {exc}"
+                f"{label}-view run rejected "
+                f"{run.executor.plans_rejected} decision plan(s)"
             )
-        if sim.executor.plans_rejected:
-            return (
-                f"backend {label!r} run rejected "
-                f"{sim.executor.plans_rejected} decision plan(s)"
-            )
-        if sim.view is not None:
-            try:
-                sim.view.assert_consistent()
-            except Exception as exc:
-                return (
-                    f"backend {label!r} view inconsistent after the "
-                    f"run: {exc}"
-                )
+    try:
+        sim.view.assert_consistent()
+    except Exception as exc:
+        return f"production view inconsistent after the run: {exc}"
 
     for groups, capacity, reported in captured:
         size = 1
@@ -665,7 +646,7 @@ def run_check(
                 if progress:
                     progress(
                         f"replaying {scheme} seed {s} "
-                        f"(backends: {', '.join(VIEW_BACKENDS)})"
+                        f"(production view vs reference view)"
                     )
                 report.checks["replay"] = report.checks.get("replay", 0) + 1
                 detail = replay_divergence(scheme, s)

@@ -112,7 +112,7 @@ class ResourceManager:
     def unhealthy_ids(self) -> Set[str]:
         """The unhealthy-server set (read-only; usually empty).
 
-        The array view's candidate selection masks these out wholesale
+        The view's candidate selection masks these out wholesale
         instead of calling :meth:`is_healthy` per server.
         """
         return self._unhealthy

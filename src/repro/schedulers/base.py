@@ -20,7 +20,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.cluster.job import Job
-from repro.core.actions import EpochPlan, PlanExecutor, PlanTransaction
+from repro.core.actions import EpochPlan, PlanTransaction
 from repro.core.allocation import Pools
 from repro.core.placement import PlacementEngine, PlacementRequest
 from repro.obs.profiling import PHASE_DECIDE, PHASE_PLACEMENT
@@ -83,31 +83,9 @@ class SchedulerPolicy(abc.ABC):
         plan.span_id = decide_span.span_id
         return plan
 
+    @abc.abstractmethod
     def decide(self, ctx: "PlanTransaction") -> None:
-        """Make one epoch's decisions against the transaction façade.
-
-        The default delegates to a legacy imperative :meth:`schedule`
-        override, whose mutations land on the transaction and are staged
-        — so third-party imperative policies keep working unchanged.
-        """
-        self.schedule(ctx)
-
-    def schedule(self, sim: "Simulation") -> None:
-        """Legacy entry point: plan an epoch and apply it immediately.
-
-        Kept for direct callers (tests, harnesses); the simulator itself
-        calls :meth:`plan` and commits through its own executor.
-        """
-        if type(self).decide is SchedulerPolicy.decide:
-            raise NotImplementedError(
-                f"{type(self).__name__} must implement decide() "
-                f"(or a legacy imperative schedule())"
-            )
-        plan = self.plan(sim)
-        executor = getattr(sim, "executor", None)
-        if executor is None:
-            executor = PlanExecutor(sim)
-        executor.apply(plan)
+        """Make one epoch's decisions against the transaction façade."""
 
     # ------------------------------------------------------------------
     # shared helpers
@@ -116,39 +94,21 @@ class SchedulerPolicy(abc.ABC):
     def free_pools(sim: "Simulation") -> Pools:
         """Current idle capacity split into training / on-loan pools.
 
-        Served O(1) from the ClusterView's cached totals when available;
-        the fallback scans every server.  Either way the on-loan cost
+        Served O(1) from the view's cached totals.  The on-loan cost
         factor (physical GPUs per normalized GPU, §5.2) is derived
         deterministically from the loaned hardware's relative compute:
         the *weakest* loaned type sets the cost, so heterogeneous loans
-        can never overcommit the physical on-loan pool (historically the
-        scan kept whichever server iterated last — iteration-order-
-        dependent with mixed loaned hardware).
+        can never overcommit the physical on-loan pool.
         """
-        view = getattr(sim, "view", None)
-        if view is not None:
-            pools = view.pools()
-            if pools.onloan_cost < 1.0:
-                raise ValueError(
-                    f"view produced on-loan cost {pools.onloan_cost!r} < 1.0; "
-                    f"the §5.2 weakest-type normalization guarantees at "
-                    f"least one physical GPU per normalized GPU — the "
-                    f"view's GPU-type index is corrupt"
-                )
-            return pools
-        training = onloan = 0
-        default = 1.0 / sim.pair.inference_compute if hasattr(
-            sim.pair, "inference_compute"
-        ) else 3.0
-        costs = []
-        for server in sim.cluster.servers:
-            if server.on_loan:
-                onloan += server.free_gpus
-                costs.append(1.0 / server.gpu_type.relative_compute)
-            else:
-                training += server.free_gpus
-        cost = max(costs) if costs else default
-        return Pools(training=training, onloan=onloan, onloan_cost=max(1.0, cost))
+        pools = sim.view.pools()
+        if pools.onloan_cost < 1.0:
+            raise ValueError(
+                f"view produced on-loan cost {pools.onloan_cost!r} < 1.0; "
+                f"the §5.2 weakest-type normalization guarantees at "
+                f"least one physical GPU per normalized GPU — the "
+                f"view's GPU-type census is corrupt"
+            )
+        return pools
 
     @staticmethod
     def credit_flex(sim: "Simulation", pools: Pools, jobs: Sequence[Job]) -> None:
@@ -169,21 +129,8 @@ class SchedulerPolicy(abc.ABC):
 
     @staticmethod
     def make_engine(sim: "Simulation") -> PlacementEngine:
-        """The epoch's placement engine.
-
-        Simulations expose a persistent, view-fed engine through
-        ``sim.placement_engine()``; bare harnesses (unit tests driving a
-        policy directly) fall back to constructing a throwaway one.
-        """
-        maker = getattr(sim, "placement_engine", None)
-        if maker is not None:
-            return maker()
-        return PlacementEngine(
-            sim.cluster,
-            special_elastic_grouping=sim.config.special_elastic_grouping,
-            rm=getattr(sim, "rm", None),
-            now=sim.now,
-        )
+        """The kernel's persistent, view-fed placement engine."""
+        return sim.placement_engine()
 
     def sorted_pending(
         self, sim: "Simulation", key_fn, cache_key: str, dynamic: bool = False
@@ -196,10 +143,9 @@ class SchedulerPolicy(abc.ABC):
         to a fresh ``sorted`` regardless of queue insertion order.  The
         returned sequence is read-only.
         """
-        view = getattr(sim, "view", None)
-        if view is not None and not dynamic:
-            return view.ordered_pending(cache_key, key_fn, sim.pending)
-        return sorted(sim.pending, key=key_fn)
+        if dynamic:
+            return sorted(sim.pending, key=key_fn)
+        return sim.view.ordered_pending(cache_key, key_fn, sim.pending)
 
     @staticmethod
     def update_hetero_penalty(sim: "Simulation", job: Job) -> None:
@@ -232,106 +178,57 @@ class SchedulerPolicy(abc.ABC):
         (``workers_for(job)``, defaulting to the base demand), skip jobs
         that do not fit and keep scanning (backfill).  Returns the jobs
         started.
-        """
-        engine = self.make_engine(sim)
-        pools = self.free_pools(sim)
-        started: List[Job] = []
-        failed_shapes = set()
-        opportunistic = getattr(engine, "opportunistic", False)
-        view = getattr(sim, "view", None)
-        if getattr(view, "backend", None) == "array" and ordered_pending:
-            return self._admit_inelastically_array(
-                sim, engine, pools, ordered_pending,
-                workers_for=workers_for, opportunistic=opportunistic,
-            )
-        for job in list(ordered_pending):
-            workers = workers_for(job) if workers_for else job.spec.min_workers
-            gpus = workers * job.spec.gpus_per_worker
-            if opportunistic and job.spec.fungible:
-                budget = pools.onloan
-            elif job.spec.fungible or job.spec.heterogeneous:
-                budget = pools.total
-            else:
-                budget = pools.training
-            if gpus > budget:
-                continue
-            shape = (job.spec.gpus_per_worker, workers, job.spec.fungible)
-            if shape in failed_shapes:
-                continue
-            with sim.phase(PHASE_PLACEMENT):
-                result = engine.place(
-                    [PlacementRequest(job, base_workers=workers)]
-                )
-            if result.failed_base:
-                failed_shapes.add(shape)
-                continue
-            pools = self.free_pools(sim)
-            self.update_hetero_penalty(sim, job)
-            sim.activate(job)
-            started.append(job)
-        return started
 
-    def _admit_inelastically_array(
-        self,
-        sim: "Simulation",
-        engine: PlacementEngine,
-        pools: Pools,
-        ordered_pending: Sequence[Job],
-        workers_for=None,
-        opportunistic: bool = False,
-    ) -> List[Job]:
-        """The array-backend twin of the admission scan.
-
-        The scalar loop touches every pending job per epoch; with 200k
-        queued jobs that Python iteration *is* the epoch.  This twin
-        precomputes each job's demand, budget class and shape id once,
-        then finds the next admissible job with one vectorized mask.
-
-        Equivalence argument: per-class budgets only shrink during the
-        scan (placements consume GPUs, the on-loan cost factor is fixed
-        while membership is) and the failed-shape set only grows, so a
-        job skipped at its turn could never have been admitted later —
-        the scalar loop's single pass and this mask walk attempt exactly
-        the same jobs in the same order.
+        With 200k queued jobs a per-job Python scan *is* the epoch, so
+        each job's demand, budget class and shape id are computed once
+        and the next admissible job is found with one vectorized mask.
+        That is the same single pass: per-class budgets only shrink
+        during the scan (placements consume GPUs, the on-loan cost
+        factor is fixed while membership is) and the failed-shape set
+        only grows, so a job skipped at its turn could never have been
+        admitted later.
         """
         jobs = list(ordered_pending)
-        n = len(jobs)
-        gpus = np.empty(n, dtype=np.int64)
-        cls = np.empty(n, dtype=np.int64)
+        if not jobs:
+            return []
+        engine = self.make_engine(sim)
+        pools = self.free_pools(sim)
+        opportunistic = engine.opportunistic
         worker_counts: List[int] = []
-        shape_ids = np.empty(n, dtype=np.int64)
+        demand: List[int] = []
+        budget_class: List[int] = []
+        shape_of: List[int] = []
         shape_codes: Dict[Tuple, int] = {}
-        for i, job in enumerate(jobs):
+        for job in jobs:
             spec = job.spec
             workers = workers_for(job) if workers_for else spec.min_workers
             worker_counts.append(workers)
-            gpus[i] = workers * spec.gpus_per_worker
+            demand.append(workers * spec.gpus_per_worker)
             if opportunistic and spec.fungible:
-                cls[i] = 0
+                budget_class.append(0)
             elif spec.fungible or spec.heterogeneous:
-                cls[i] = 1
+                budget_class.append(1)
             else:
-                cls[i] = 2
+                budget_class.append(2)
             shape = (spec.gpus_per_worker, workers, spec.fungible)
-            code = shape_codes.get(shape)
-            if code is None:
-                code = len(shape_codes)
-                shape_codes[shape] = code
-            shape_ids[i] = code
+            shape_of.append(shape_codes.setdefault(shape, len(shape_codes)))
+        gpus = np.array(demand, dtype=np.int64)
+        cls = np.array(budget_class, dtype=np.intp)
+        shape_ids = np.array(shape_of, dtype=np.intp)
         failed = np.zeros(len(shape_codes), dtype=bool)
-        alive = np.ones(n, dtype=bool)
         started: List[Job] = []
-        while True:
+        start = 0  # everything before it was scanned and skipped for good
+        while start < len(jobs):
             budgets = np.array(
                 [pools.onloan, pools.total, pools.training], dtype=np.int64
             )
-            ok = alive & (gpus <= budgets[cls]) & ~failed[shape_ids]
-            hits = np.flatnonzero(ok)
-            if hits.size == 0:
-                return started
-            i = int(hits[0])
-            # everything before i was scanned and skipped for good
-            alive[: i + 1] = False
+            ok = (gpus[start:] <= budgets[cls[start:]]) & ~failed[
+                shape_ids[start:]
+            ]
+            i = start + int(ok.argmax())  # first admissible job, if any
+            if not ok[i - start]:
+                break
+            start = i + 1
             job = jobs[i]
             with sim.phase(PHASE_PLACEMENT):
                 result = engine.place(
@@ -344,6 +241,7 @@ class SchedulerPolicy(abc.ABC):
             self.update_hetero_penalty(sim, job)
             sim.activate(job)
             started.append(job)
+        return started
 
     # ------------------------------------------------------------------
     # scale-in helper

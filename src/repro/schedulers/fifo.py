@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.cluster.job import Job
-from repro.core.placement import PlacementEngine, PlacementRequest
+from repro.core.placement import PlacementRequest
 from repro.schedulers.base import SchedulerPolicy
 
 
@@ -70,17 +70,7 @@ class OpportunisticScheduling(FIFOScheduler):
     epoch_idempotent = True
 
     def decide(self, ctx: "PlanTransaction") -> None:
-        maker = getattr(ctx, "placement_engine", None)
-        if maker is not None:
-            engine = maker(opportunistic=True)
-        else:
-            engine = PlacementEngine(
-                ctx.cluster,
-                special_elastic_grouping=ctx.config.special_elastic_grouping,
-                opportunistic=True,
-                rm=ctx.rm,
-                now=ctx.now,
-            )
+        engine = ctx.placement_engine(opportunistic=True)
         pools = self.free_pools(ctx)
         failed_shapes = set()
         ordered = self.sorted_pending(

@@ -427,6 +427,13 @@ class SchedulerService:
         job_id = request.get("job_id")
         if not isinstance(job_id, int):
             return protocol.err(request_id, "bad_request", "missing job_id")
+        job = self.kernel.jobs.get(job_id)
+        if job is None or job.status is JobStatus.FINISHED:
+            # Nothing to make durable.  Journaling a cancel that lost the
+            # race with its job's completion would replay it after a
+            # kill against an older snapshot where the job still runs —
+            # and remove a job the client was told had finished.
+            return protocol.ok(request_id, job_id=job_id, cancelled=False)
         if self.state is not None:
             self.state.journal.append("cancel", job_id=job_id)
         cancelled = self.kernel.cancel_job(job_id)

@@ -211,20 +211,18 @@ class Simulation(SchedulerKernel):
         if self.pending or self.running or self.engine.now < self._last_arrival:
             delay = max(60.0, self.config.scheduler_interval)
             when = self.engine.now + delay
-            if self.view is not None:
-                # Skip redundant wake-ups: heartbeat firings strictly
-                # before the next heap event see unchanged state and do
-                # nothing (any pending job implies a coalesced tick in
-                # the heap no later than now + delay), so jump straight
-                # to the first grid point not before that event.  The
-                # grid is walked by repeated addition because that is the
-                # exact float sequence chained schedule_after calls
-                # produce — a closed form would drift by ULPs and shift
-                # every later timestamp.
-                nxt = self.engine.peek_next_time()
-                if nxt is not None:
-                    while when < nxt:
-                        when = when + delay
+            # Skip redundant wake-ups: heartbeat firings strictly before
+            # the next heap event see unchanged state and do nothing
+            # (any pending job implies a coalesced tick in the heap no
+            # later than now + delay), so jump straight to the first
+            # grid point not before that event.  The grid is walked by
+            # repeated addition because that is the exact float sequence
+            # chained schedule_after calls produce — a closed form would
+            # drift by ULPs and shift every later timestamp.
+            nxt = self.engine.peek_next_time()
+            if nxt is not None:
+                while when < nxt:
+                    when = when + delay
             self.engine.schedule(when, self._heartbeat, tag=("heartbeat",))
 
     # ------------------------------------------------------------------

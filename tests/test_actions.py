@@ -28,6 +28,7 @@ from repro.core.actions import (
     PlanTransaction,
 )
 from repro.core.orchestrator import ResourceOrchestrator
+from repro.core.view import ClusterView
 from repro.schedulers.afs import AFSScheduler
 from repro.schedulers.agnostic import LyraAgnosticScheduler
 from repro.schedulers.fifo import (
@@ -174,12 +175,9 @@ def test_free_pools_rejects_subunit_onloan_cost_from_view():
 
 
 def test_free_pools_weakest_type_default_with_empty_onloan_pool():
-    # no servers on loan anywhere: the scan collects no per-type costs
-    # and must fall back to a conservative default of at least 1.0
-    fake_sim = SimpleNamespace(
-        pair=SimpleNamespace(),  # no inference_compute attribute
-        cluster=make_training_cluster(2),
-    )
+    # no servers on loan anywhere: the census holds no loaned types and
+    # the cost must fall back to a conservative default of at least 1.0
+    fake_sim = SimpleNamespace(view=ClusterView(make_training_cluster(2)))
     pools = FIFOScheduler.free_pools(fake_sim)
     assert pools.onloan == 0
     assert pools.onloan_cost >= 1.0

@@ -1,22 +1,27 @@
-"""The structure-of-arrays scheduling core (``repro.core.arrays``).
+"""The column view under random delta interleavings, and the numpy kernels.
 
-Property-based coverage of the array backend's central contract: the
-numpy column mirror, maintained incrementally from the same deltas that
-feed the dict-indexed :class:`ClusterView`, must equal a from-scratch
-rebuild after *any* interleaving of cluster mutations — and every
-vectorized query (candidate sets, domain capacity, best-candidate
-selection, the MCKP DP kernel, the batched reclaim index) must return
-bit-identical answers to its scalar reference.
+Property-based coverage of the scheduling view's central contract: the
+numpy columns of :class:`repro.core.view.ClusterView`, maintained from
+deltas, must equal a from-scratch rebuild after *any* interleaving of
+cluster mutations — and every query (pools, best-candidate selection
+incl. the region tie-break and the unhealthy/transient-launch
+exclusions, domain capacity, the reclaim-cost index) must return exactly
+what the oracle's scan-from-scratch
+:class:`repro.oracle.refview.ReferenceView` returns over the same
+cluster.  The MCKP DP kernel and the batched reclaim index are pinned
+bit-identical to their scalar references here too.
 
 The golden-log suite (``tests/test_equivalence.py``) pins end-to-end
-behaviour; these tests pin the *mechanisms* so a mirror bug is caught at
+behaviour; these tests pin the *mechanisms* so a column bug is caught at
 the delta that introduced it, not as an opaque digest mismatch.
+``tests/test_view.py`` holds the deterministic unit tests of the same
+class.
 """
 
+import json
 import pickle
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +32,6 @@ from repro.cluster.cluster import (
     make_training_cluster,
 )
 from repro.cluster.job import Job, JobSpec
-from repro.core.arrays import ArrayClusterView
 from repro.core.mckp import (
     Item,
     solve_mckp,
@@ -46,9 +50,10 @@ from repro.faults.crash import (
     CrashPoint,
     SimulatedCrash,
 )
+from repro.oracle.refview import ReferenceView
 from repro.recovery import RecoveryManager
 from repro.rm.manager import ResourceManager
-from tests.test_equivalence import digest, run_scenario
+from tests.test_equivalence import GOLDEN_PATH, digest
 from tests.test_recovery import CHECKPOINT_EVERY, KILL_AT, build_sim
 
 
@@ -114,152 +119,156 @@ def _random_walk(view, rm, pair, jobs, rng, steps=50, per_step=None):
             per_step()
 
 
+def _walked(seed, per_step=None):
+    """A production view and a reference view over one randomly-walked
+    cluster.  The reference is detached (servers hold one ``_on_change``
+    slot) — it is stateless, so it needs no deltas to stay right."""
+    rng = random.Random(seed)
+    pair = ClusterPair(make_training_cluster(3), make_inference_cluster(3))
+    jobs = _make_jobs()
+    view = ClusterView(pair.training, jobs=jobs)
+    ref = ReferenceView(pair.training, jobs=jobs)
+    rm = ResourceManager(pair)
+    _random_walk(
+        view, rm, pair, jobs, rng,
+        per_step=(lambda: per_step(view, ref)) if per_step else None,
+    )
+    return rng, pair, view, ref
+
+
+def _same_answers(view, ref):
+    assert view.pools() == ref.pools()
+    assert view.dedicated_free == ref.dedicated_free
+    assert view.onloan_free == ref.onloan_free
+    # The cost index prices whole jobs, and the kernel only ever books
+    # jobs on whitelist members.  The walk also books them on
+    # inference-side servers, whose changes the view rightly never hears
+    # about — the version-keyed cache is only owed while no job straddles.
+    if all(
+        sid in view.cluster
+        for job in view.jobs.values() for sid in job.servers
+    ):
+        assert view.reclaim_cost_index() == ref.reclaim_cost_index()
+    for gpus_per_worker in (1, 2, 3):
+        for on_loan in (False, True):
+            assert view.domain_capacity(on_loan, gpus_per_worker) == (
+                ref.domain_capacity(on_loan, gpus_per_worker)
+            )
+
+
 # ----------------------------------------------------------------------
-# the column mirror stays delta-exact
+# the columns stay delta-exact, and every query matches the reference
 # ----------------------------------------------------------------------
 class TestArrayMirrorProperties:
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_mirror_equals_rebuild_after_every_delta(self, seed):
-        rng = random.Random(seed)
-        pair = ClusterPair(make_training_cluster(3), make_inference_cluster(3))
-        view = ArrayClusterView(pair.training)
-        rm = ResourceManager(pair)
-        jobs = _make_jobs()
-        view.jobs = jobs
-        # assert_consistent() compares every column against the live
-        # Server objects *and* runs the parent dict-index audit
-        _random_walk(view, rm, pair, jobs, rng,
-                     per_step=view.assert_consistent)
-        rebuilt = ArrayClusterView(
-            pair.training, jobs=jobs, attach=False,
+        # assert_consistent() compares every column and cached total
+        # against a detached rebuild over the live Server objects
+        _, pair, view, ref = _walked(
+            seed, per_step=lambda view, ref: view.assert_consistent()
+        )
+        rebuilt = ClusterView(
+            pair.training, jobs=view.jobs, attach=False,
             default_onloan_cost=view.default_onloan_cost,
         )
-        assert view.array_snapshot() == rebuilt.array_snapshot()
-        assert view.pools() == rebuilt.pools()
-        assert view.reclaim_cost_index() == rebuilt.reclaim_cost_index()
+        assert view.snapshot() == rebuilt.snapshot()
+        assert rebuilt.reclaim_cost_index() == ref.reclaim_cost_index()
+        _same_answers(rebuilt, ref)
+        # a pickle round-trip carries the columns as they are
+        clone = pickle.loads(pickle.dumps(view))
+        clone.assert_consistent()
+        assert clone.snapshot() == view.snapshot()
+        assert clone.version == view.version
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_vectorized_queries_match_dict_view(self, seed):
-        """candidates()/domain_capacity() agree with the bucket walk."""
-        rng = random.Random(seed)
-        pair = ClusterPair(make_training_cluster(3), make_inference_cluster(3))
-        arr = ArrayClusterView(pair.training)
-        rm = ResourceManager(pair)
-        jobs = _make_jobs()
-        arr.jobs = jobs
-        _random_walk(arr, rm, pair, jobs, rng)
-        # detached from-scratch reference (servers hold one _on_change
-        # slot, so a second *attached* view would steal the deltas)
-        ref = ClusterView(pair.training, jobs=jobs, attach=False)
-
-        def cost_for_type(tname):
-            return int(np.ceil(1 / arr.rel_compute(tname)))
-
-        for train_ok, loan_ok in ((True, True), (True, False), (False, True)):
-            def domain_ok(on_loan, _t=train_ok, _l=loan_ok):
-                return _l if on_loan else _t
-
-            got = arr.candidates(cost_for_type, domain_ok)
-            want = ref.candidates(cost_for_type, domain_ok)
-            assert (
-                {s.server_id for s in got} == {s.server_id for s in want}
-            )
-        for on_loan in (False, True):
-            assert arr.domain_capacity(on_loan, cost_for_type) == (
-                ref.domain_capacity(on_loan, cost_for_type)
-            )
+        """pools / domain_capacity / the reclaim index agree with the
+        reference scan after every delta (the id predates the single
+        view: the dict-indexed view it names is gone)."""
+        _walked(seed, per_step=_same_answers)
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_select_best_is_head_of_sorted_candidates(self, seed):
-        """np.lexsort over the columns = head of the Python-sorted list."""
-        rng = random.Random(seed)
-        pair = ClusterPair(make_training_cluster(3), make_inference_cluster(3))
-        view = ArrayClusterView(pair.training)
-        rm = ResourceManager(pair)
-        jobs = _make_jobs()
-        view.jobs = jobs
-        _random_walk(view, rm, pair, jobs, rng)
+        """np.lexsort over the columns = head of the Python-sorted scan,
+        under every tier rule, domain mask, type lock, health/launch
+        exclusion set and the market's region tie-break."""
+        rng, pair, view, ref = _walked(seed)
+        servers = pair.training.servers
+        ids = [s.server_id for s in servers]
+        regions = {sid: rng.choice(["east", "west", None]) for sid in ids}
         for flexible in (False, True):
             for special, hetero, elastic in (
                 (True, False, True), (True, True, False),
                 (True, False, False), (False, False, True),
             ):
-                got = view.select_best(
-                    gpus_per_worker=1, train_ok=True, loan_ok=True,
-                    type_lock=None, flexible=flexible,
-                    heterogeneous=hetero, elastic=elastic,
-                    special_grouping=special,
+                query = dict(
+                    gpus_per_worker=rng.choice([1, 1, 2, 4]),
+                    train_ok=rng.random() < 0.8,
+                    loan_ok=rng.random() < 0.8,
+                    type_lock=rng.choice(
+                        [None, None] + [s.gpu_type.name for s in servers]
+                    ),
+                    flexible=flexible, heterogeneous=hetero,
+                    elastic=elastic, special_grouping=special,
+                    unhealthy_ids=set(rng.sample(ids, rng.randint(0, 2))),
+                    exclude_ids=set(rng.sample(ids, rng.randint(0, 2))),
                 )
-
-                def pref(s):
-                    if not special:
-                        return 1 if s.on_loan else 0
-                    if hetero:
-                        if flexible:
-                            return 0 if s.on_loan else 1
-                        return 0 if not s.on_loan else 1
-                    if elastic:
-                        if s.on_loan:
-                            wanted = "flex" if flexible else "base"
-                            if s.group == wanted:
-                                return 0
-                            if s.group is None:
-                                return 1
-                            return 3
-                        return 2
-                    return 1 if s.on_loan else 0
-
-                eligible = [
-                    s for s in pair.training.servers
-                    if s.free_gpus >= int(
-                        np.ceil(1 / s.gpu_type.relative_compute)
+                if rng.random() < 0.5:
+                    query.update(
+                        job_region=rng.choice(["east", "west", None]),
+                        region_of=lambda s: regions[s.server_id],
                     )
-                ]
-                want = min(
-                    eligible,
-                    key=lambda s: (pref(s), -s.perf_factor, s.idle,
-                                   s.free_gpus, s.server_id),
-                    default=None,
-                )
-                assert (got is None) == (want is None)
-                if got is not None:
-                    assert got.server_id == want.server_id
+                ranked = ref.ranked_candidates(**query)
+                # walking production's best-then-exclude loop (what
+                # placement does after a transient launch failure)
+                # enumerates exactly the reference's sorted list
+                walked = []
+                while True:
+                    best = view.select_best(**query)
+                    if best is None:
+                        break
+                    walked.append(best.server_id)
+                    query["exclude_ids"] = query["exclude_ids"] | {
+                        best.server_id
+                    }
+                assert walked == [s.server_id for s in ranked]
 
 
 # ----------------------------------------------------------------------
-# pickling: columns are derived state, rebuilt lazily after restore
+# pickling and crash recovery carry the columns
 # ----------------------------------------------------------------------
 def test_pickle_roundtrip_rebuilds_columns():
+    """The columns are pickled as they are: a restored view answers and
+    keeps absorbing deltas with no rebuild step (the id predates that —
+    the old mirror dropped its columns and rebuilt lazily)."""
     pair = ClusterPair(make_training_cluster(3), make_inference_cluster(3))
-    view = ArrayClusterView(pair.training)
-    jobs = _make_jobs()
-    view.jobs = jobs
+    view = ClusterView(pair.training, jobs=_make_jobs())
     pair.training.servers[0].allocate(0, 2)
     clone = pickle.loads(pickle.dumps(view))
-    assert clone._arrays_ready is False
-    # deltas arriving before the first query must not explode
+    assert clone.cluster is not pair.training
+    # the clone's servers feed the clone, not the original
     clone.cluster.servers[1].allocate(1, 1)
-    clone.server_changed(clone.cluster.servers[1])
-    # first query triggers the lazy rebuild; the mirror is then exact
+    clone.assert_consistent()
+    view.assert_consistent()
+    assert clone.dedicated_free == view.dedicated_free - 1
     best = clone.select_best(
         gpus_per_worker=1, train_ok=True, loan_ok=True, type_lock=None,
         flexible=False, heterogeneous=False, elastic=True,
         special_grouping=True,
     )
-    assert best is not None
-    assert clone._arrays_ready is True
-    clone.assert_consistent()
+    assert best is clone.cluster.servers[0]  # non-idle, fewest free GPUs
 
 
 def test_recovery_roundtrip_under_array_backend(tmp_path):
-    """Kill-anywhere restart equivalence holds with view_backend="array":
-    the recovered run reproduces the continuous run's golden digest and
-    comes back up on a consistent array view."""
-    reference = run_scenario("lyra_loaning", backend="array")
-    sim = build_sim("lyra_loaning", backend="array")
+    """Kill-anywhere restart equivalence: the recovered run reproduces
+    the continuous run's golden digest and comes back up on a consistent
+    column view (loans and returns included)."""
+    with GOLDEN_PATH.open() as fh:
+        golden = json.load(fh)["lyra_loaning"]["sha256"]
+    sim = build_sim("lyra_loaning")
     manager = RecoveryManager(
         tmp_path,
         checkpoint_every=CHECKPOINT_EVERY,
@@ -273,9 +282,8 @@ def test_recovery_roundtrip_under_array_backend(tmp_path):
 
     recovered = RecoveryManager.recover(tmp_path)
     recovered.resume()
-    assert digest(recovered.activities) == digest(reference.activities)
-    assert isinstance(recovered.view, ArrayClusterView)
-    assert recovered.view.backend == "array"
+    assert digest(recovered.activities) == golden
+    assert type(recovered.view) is ClusterView
     recovered.view.assert_consistent()
 
 

@@ -1,30 +1,21 @@
-"""Equivalence: every view backend vs the legacy full-scan path.
+"""Equivalence: the production view vs the oracle's reference view.
 
-The ClusterView refactors must be *observationally invisible*
-optimisations: every seeded scenario — one per scheduler family, plus
-orchestrated loaning/reclaiming and node-failure runs — must produce a
-byte-identical Activity log under all three view backends:
+The scheduling view (:class:`repro.core.view.ClusterView`) must be an
+*observationally invisible* optimisation: every seeded scenario — one
+per scheduler family, plus orchestrated loaning/reclaiming and
+node-failure runs — must produce a byte-identical Activity log whether
+the kernel runs on the production view or on the scan-from-scratch
+reference (:class:`repro.oracle.refview.ReferenceView`, swapped in by
+``install_reference_view``).
 
-- ``legacy``       recompute everything from scratch each epoch (the
-                   pre-refactor behaviour, kept as the reference),
-- ``incremental``  delta-maintained :class:`ClusterView`,
-- ``array``        the structure-of-arrays mirror
-                   (:class:`repro.core.arrays.ArrayClusterView`) plus the
-                   vectorized placement/admission/MCKP fast paths.
-
-A golden-log fixture (``tests/data/golden_logs.json``, digests generated
-from the legacy path) additionally pins all backends against silent
-drift across future changes: regenerate it with
-``python -m tests.test_equivalence`` only when a PR *intends* to change
-scheduling behaviour.
-
-Set ``REPRO_EQUIV_BACKENDS`` (comma-separated) to restrict the matrix —
-the CI golden-equivalence job runs one backend per matrix entry.
+A golden-log fixture (``tests/data/golden_logs.json``) additionally pins
+both against silent drift across future changes: regenerate it with
+``python -m tests.test_equivalence`` (which runs the reference view)
+only when a PR *intends* to change scheduling behaviour.
 """
 
 import hashlib
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -35,6 +26,7 @@ from repro.cluster.cluster import (
     make_training_cluster,
 )
 from repro.core.orchestrator import ResourceOrchestrator
+from repro.oracle.refview import ReferenceView, install_reference_view
 from repro.schedulers.afs import AFSScheduler
 from repro.schedulers.agnostic import LyraAgnosticScheduler
 from repro.schedulers.fifo import (
@@ -51,17 +43,15 @@ from repro.traces.workload import TraceConfig, generate_workload
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_logs.json"
 
-#: Every view backend that must reproduce the golden logs.
-ALL_BACKENDS = ("legacy", "incremental", "array")
-
-#: The subset exercised by this run (CI matrixes over single backends).
-BACKENDS = tuple(
-    b.strip()
-    for b in os.environ.get(
-        "REPRO_EQUIV_BACKENDS", ",".join(ALL_BACKENDS)
-    ).split(",")
-    if b.strip()
-)
+#: The legs of the matrix.  The ids predate the single view and are kept
+#: so test history stays continuous:
+#:
+#: - ``legacy``       the oracle's scan-from-scratch reference view,
+#: - ``array``        the production column view,
+#: - ``incremental``  the production view again, with its delta
+#:                    maintenance audited (columns == rebuild) after
+#:                    *every* epoch rather than once at the end.
+VIEWS = ("legacy", "incremental", "array")
 
 #: name -> (policy factory, simulation kwargs)
 SCENARIOS = {
@@ -93,24 +83,18 @@ SCENARIOS = {
 
 def run_scenario(
     name: str,
-    incremental: bool = None,
+    view: str = "array",
     obs=None,
-    backend: str = None,
     pair_factory=None,
     orchestrator_factory=None,
 ) -> Simulation:
-    """Run one golden scenario under a specific view backend.
+    """Run one golden scenario on one leg of :data:`VIEWS`.
 
-    ``backend`` names the view implementation ("legacy", "incremental"
-    or "array"); the older ``incremental`` boolean is kept for callers
-    predating the array backend and maps onto legacy/incremental.
     ``pair_factory`` / ``orchestrator_factory`` substitute drop-in
     cluster-pair and orchestrator implementations — the market suite
     uses them to pin the degenerate 1×1 ClusterSet + CapacityBroker
     against these same golden digests.
     """
-    if backend is None:
-        backend = "legacy" if incremental is False else "incremental"
     if pair_factory is None:
         pair_factory = lambda: ClusterPair(  # noqa: E731
             make_training_cluster(6), make_inference_cluster(8)
@@ -136,7 +120,6 @@ def run_scenario(
     )
     config = SimulationConfig(
         record_activities=True,
-        view_backend=backend,
         elastic=opts.get("elastic", True),
         node_mtbf=opts.get("node_mtbf"),
         drain_limit=opts.get("drain_days", 30.0) * DAY,
@@ -150,6 +133,16 @@ def run_scenario(
         config=config,
         obs=obs,
     )
+    if view == "legacy":
+        install_reference_view(sim)
+    elif view == "incremental":
+        finished = sim.epoch_finished
+
+        def audited() -> None:
+            sim.view.assert_consistent()
+            finished()
+
+        sim.epoch_finished = audited
     sim.run()
     return sim
 
@@ -170,29 +163,25 @@ def golden():
         return json.load(fh)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("view", VIEWS)
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_backends_produce_identical_logs(name, backend, golden):
-    sim = run_scenario(name, backend=backend)
+def test_backends_produce_identical_logs(name, view, golden):
+    sim = run_scenario(name, view=view)
     d = digest(sim.activities)
     entry = golden[name]
     assert len(sim.activities) == entry["events"], (
-        f"backend {backend!r}, scenario {name!r}: event count drifted"
+        f"view {view!r}, scenario {name!r}: event count drifted"
     )
     assert d == entry["sha256"], (
-        f"backend {backend!r}, scenario {name!r} drifted from the "
+        f"view {view!r}, scenario {name!r} drifted from the "
         f"committed golden log; if the behaviour change is intentional, "
         f"regenerate the fixture with `python -m tests.test_equivalence`"
     )
-    # every backend must be running through the decision-plan core: the
-    # byte-identical logs above pin each backend ≡ the legacy reference
+    # every leg must be running through the decision-plan core
     assert sim.executor.plans_applied > 0
     assert sim.executor.plans_rejected == 0
-    if backend == "legacy":
-        return
-    # the fast modes must actually be exercising their machinery
-    assert sim.view is not None
-    assert getattr(sim.view, "backend", "incremental") == backend
+    # ... and on the view it claims to
+    assert isinstance(sim.view, ReferenceView) == (view == "legacy")
     sim.view.assert_consistent()
 
 
@@ -203,7 +192,7 @@ def test_tracing_does_not_perturb_the_golden_log(golden):
     from repro.obs import Observability, PROVENANCE_EVENT, SPAN_EVENT
 
     obs = Observability.enabled()
-    sim = run_scenario("lyra_loaning", incremental=True, obs=obs)
+    sim = run_scenario("lyra_loaning", obs=obs)
     assert digest(sim.activities) == golden["lyra_loaning"]["sha256"]
     names = {e.name for e in obs.tracer.events}
     assert SPAN_EVENT in names
@@ -215,7 +204,7 @@ def test_disabled_obs_keeps_golden_log(golden):
     from repro.obs import Observability
 
     obs = Observability.disabled()
-    sim = run_scenario("lyra_elastic", incremental=True, obs=obs)
+    sim = run_scenario("lyra_elastic", obs=obs)
     assert digest(sim.activities) == golden["lyra_elastic"]["sha256"]
     assert len(obs.tracer) == 0
     assert obs.phases.stats() == []
@@ -224,7 +213,7 @@ def test_disabled_obs_keeps_golden_log(golden):
 def _regenerate() -> None:
     fixture = {}
     for name in sorted(SCENARIOS):
-        sim = run_scenario(name, incremental=False)
+        sim = run_scenario(name, view="legacy")
         fixture[name] = {
             "events": len(sim.activities),
             "sha256": digest(sim.activities),

@@ -41,7 +41,7 @@ from repro.market import (
 from repro.rm.manager import ResourceManager
 from repro.scenarios import build_sim, default_setup
 
-from tests.test_equivalence import digest, run_scenario, GOLDEN_PATH, BACKENDS
+from tests.test_equivalence import digest, run_scenario, GOLDEN_PATH, VIEWS
 
 
 def two_lender_set(**kwargs) -> ClusterSet:
@@ -368,22 +368,22 @@ def degenerate_pair():
     )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("view", VIEWS)
 @pytest.mark.parametrize("name", ["lyra_loaning", "lyra_elastic"])
-def test_degenerate_market_matches_golden_logs(name, backend):
+def test_degenerate_market_matches_golden_logs(name, view):
     """ClusterSet(1×1) + CapacityBroker ≡ ClusterPair + orchestrator,
     byte-for-byte against the committed golden fixture."""
     with GOLDEN_PATH.open() as fh:
         golden = json.load(fh)
     sim = run_scenario(
         name,
-        backend=backend,
+        view=view,
         pair_factory=degenerate_pair,
         orchestrator_factory=CapacityBroker,
     )
     assert digest(sim.activities) == golden[name]["sha256"], (
         f"degenerate 1x1 market drifted from the plain pair on "
-        f"{name!r}/{backend!r}"
+        f"{name!r}/{view!r}"
     )
 
 

@@ -25,6 +25,7 @@ from repro.core.view import ClusterView
 from repro.rm.manager import ResourceManager
 from repro.schedulers.lyra import LyraScheduler
 from repro.simulator.simulation import Simulation, SimulationConfig
+from tests.test_arrays import _walked
 
 
 # ----------------------------------------------------------------------
@@ -64,7 +65,7 @@ class TestPlacementProperties:
     def test_never_overallocates_and_books_consistently(self, specs):
         pair = ClusterPair(make_training_cluster(3), make_inference_cluster(2))
         pair.loan(2)
-        engine = PlacementEngine(pair.training)
+        engine = PlacementEngine(ClusterView(pair.training))
         jobs = [Job(s) for s in specs]
         requests = [
             PlacementRequest(
@@ -95,7 +96,7 @@ class TestPlacementProperties:
     def test_type_homogeneity_preserved(self, specs):
         pair = ClusterPair(make_training_cluster(2), make_inference_cluster(2))
         pair.loan(2)
-        engine = PlacementEngine(pair.training)
+        engine = PlacementEngine(ClusterView(pair.training))
         for spec in specs:
             job = Job(spec)
             engine.place(
@@ -165,7 +166,7 @@ class TestReclaimProperties:
     def test_plan_consistency(self, specs, count):
         pair = ClusterPair(make_training_cluster(0), make_inference_cluster(4))
         pair.loan(4)
-        engine = PlacementEngine(pair.training)
+        engine = PlacementEngine(ClusterView(pair.training))
         jobs = {}
         for spec in specs:
             job = Job(spec)
@@ -265,79 +266,31 @@ class TestResourceManagerInterleavings:
 
 
 # ----------------------------------------------------------------------
-# incremental-view invariants
+# scheduling-view invariants
 # ----------------------------------------------------------------------
 class TestClusterViewProperties:
     """Random mutation interleavings keep the ClusterView delta-exact.
 
     The view's contract: after *every* delta it must equal a from-scratch
-    rebuild of its indexes — free-capacity buckets, pool totals, on-loan
-    type counts, the reclaim candidate set and the derived on-loan cost.
+    rebuild of its state — the per-server columns, pool totals, on-loan
+    type census and the derived on-loan cost.
     The op mix covers every mutation source: RM-mediated launches,
     scale-ins and releases, capacity loans/returns, node failures and
-    recoveries, and direct server-book edits (the placement engine path).
+    recoveries, direct server-book edits (the placement engine path),
+    group reassignment and perf degradation.
     """
-
-    OPS = ("launch", "scale_in", "release", "loan", "return",
-           "fail", "recover", "direct_alloc", "direct_release")
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_view_equals_rebuild_after_every_delta(self, seed):
-        rng = random.Random(seed)
-        pair = ClusterPair(make_training_cluster(3), make_inference_cluster(3))
-        view = ClusterView(pair.training)
-        rm = ResourceManager(pair)
-        jobs = {
-            i: Job(JobSpec(
-                job_id=i, submit_time=0.0, duration=1000.0,
-                max_workers=6, min_workers=1, gpus_per_worker=1,
-                elastic=True, fungible=True,
-            ))
-            for i in range(4)
-        }
-        view.jobs = jobs
-        now = 0.0
-        for _ in range(50):
-            now += 1.0
-            op = rng.choice(self.OPS)
-            job = jobs[rng.randrange(len(jobs))]
-            all_servers = (
-                pair.training.servers + pair.inference.servers
-            )
-            server = rng.choice(all_servers)
-            try:
-                if op == "launch":
-                    rm.launch(
-                        job, server, rng.randint(1, 2), 1,
-                        flexible=rng.random() < 0.5, now=now,
-                    )
-                elif op == "scale_in":
-                    rm.scale_in(job, server.server_id, rng.randint(1, 3),
-                                now=now)
-                elif op == "release":
-                    rm.release_job(job, now=now)
-                elif op == "loan":
-                    rm.loan_servers(rng.randint(1, 2), now=now)
-                elif op == "return":
-                    rm.return_server(server.server_id, now=now)
-                elif op == "fail":
-                    report = rm.fail_node(server.server_id, now=now)
-                    for job_id in report.jobs_lost_base:
-                        rm.release_job(jobs[job_id], now=now)
-                        jobs[job_id].clear_placement()
-                elif op == "recover":
-                    rm.recover_node(server.server_id, now=now)
-                elif op == "direct_alloc":
-                    server.allocate(job.job_id, rng.randint(1, 2))
-                elif op == "direct_release":
-                    server.release(job.job_id)
-            except (ValueError, RuntimeError, KeyError):
-                pass  # invalid op rejected — must leave the view intact
-            view.assert_consistent()
+        # the walk (and its op mix) is shared with the query-level
+        # properties in tests/test_arrays.py
+        _, pair, view, _ = _walked(
+            seed, per_step=lambda view, ref: view.assert_consistent()
+        )
         # the cached derived queries agree with scratch computation too
         rebuilt = ClusterView(
-            pair.training, jobs=jobs, attach=False,
+            pair.training, jobs=view.jobs, attach=False,
             default_onloan_cost=view.default_onloan_cost,
         )
         assert view.pools() == rebuilt.pools()

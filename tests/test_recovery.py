@@ -60,7 +60,7 @@ KILL_AT = 30000.0
 CHECKPOINT_EVERY = 3000.0
 
 
-def build_sim(name: str, backend: str = "incremental") -> Simulation:
+def build_sim(name: str) -> Simulation:
     """The golden-suite scenario ``name``, built but not run."""
     policy_fn, opts = SCENARIOS[name]
     specs = generate_workload(
@@ -81,7 +81,6 @@ def build_sim(name: str, backend: str = "incremental") -> Simulation:
     )
     config = SimulationConfig(
         record_activities=True,
-        view_backend=backend,
         elastic=opts.get("elastic", True),
         node_mtbf=opts.get("node_mtbf"),
         drain_limit=opts.get("drain_days", 30.0) * DAY,
@@ -156,7 +155,7 @@ class TestKillAnywhereEquivalence:
     def test_disabled_recovery_allocates_nothing(self, golden):
         """With no checkpoint directory the recovery subsystem must cost
         nothing: no objects wired, behaviour bit-identical to pre-PR."""
-        sim = run_scenario("lyra_elastic", incremental=True)
+        sim = run_scenario("lyra_elastic")
         assert sim.recovery is None
         assert sim.executor.wal is None
         assert sim.executor.crash_probe is None

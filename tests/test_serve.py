@@ -411,6 +411,54 @@ class TestServeDurability:
 
         asyncio.run(second_life())
 
+    def test_cancel_that_lost_the_race_is_not_journaled(self, tmp_path):
+        """A cancel answered ``cancelled: false`` (the job had already
+        finished) must not be made durable: replayed after a kill onto
+        older state where the job still exists, it would remove a job
+        the client was told had finished."""
+        state_dir = tmp_path / "state"
+
+        async def first_life():
+            # epochs at least 10,000 kernel-seconds apart: the only
+            # snapshot is the first epoch's, where ``done`` still runs
+            service = _service(state_dir=state_dir, interval=10_000.0)
+            await service.start()
+            server = asyncio.ensure_future(service.serve_forever())
+            client = await ServeClient.connect(service.host, service.port)
+            done = await client.submit(duration=20.0, max_workers=1)
+            victim = await client.submit(duration=50_000.0, max_workers=1)
+            await _wait_status(client, done, "finished")
+            assert (await client.stats())["snapshots_written"] == 1
+            assert await client.cancel(done) is False
+            assert await client.cancel(999) is False
+            # a cancel that takes effect is still journaled
+            assert await client.cancel(victim) is True
+            await client.close()
+            server.cancel()  # the crash: no stop(), no final snapshot
+            with contextlib.suppress(asyncio.CancelledError):
+                await server
+            service._server.close()
+            ops = [
+                (e["op"], e.get("job_id"))
+                for e in service.state.journal.entries_after(0)
+            ]
+            service.state.journal.close()
+            return done, victim, ops
+
+        done, victim, ops = asyncio.run(first_life())
+
+        async def second_life():
+            service = _service(state_dir=state_dir, interval=1.0)
+            await service.start()
+            try:
+                assert done in service.kernel.jobs
+                assert victim not in service.kernel.jobs
+            finally:
+                await service.stop(final_snapshot=False)
+
+        asyncio.run(second_life())
+        assert ops == [("submit", None), ("submit", None), ("cancel", victim)]
+
     def test_wal_segments_per_generation(self, tmp_path):
         state_dir = tmp_path / "state"
 

@@ -1,28 +1,27 @@
-"""Unit tests for the incremental ClusterView and its consumers.
+"""Unit tests for the scheduling view and its consumers.
 
 Covers: pool totals vs a manual scan, the deterministic on-loan cost
 (the old scan derived it from iteration order), the cached pending-queue
-ordering, candidate/capacity queries vs the full-scan placement path,
-the reclaim-cost index, engine wake-up peeking, epoch skipping and
-heartbeat skip-ahead in the simulator.
+ordering, candidate/capacity queries vs the oracle's full-scan
+reference view, the reclaim-cost index, engine wake-up peeking, epoch
+skipping and heartbeat skip-ahead in the simulator.  The random-delta
+properties of the same class live in ``tests/test_arrays.py``.
 """
-
-import math
 
 import pytest
 
 from repro.cluster.cluster import (
-    Cluster,
     ClusterPair,
     make_inference_cluster,
     make_training_cluster,
 )
 from repro.cluster.gpu import A100, T4
-from repro.cluster.job import Job, JobSpec
+from repro.cluster.job import JobSpec
 from repro.cluster.server import Server
 from repro.core.placement import PlacementEngine, PlacementRequest
 from repro.core.reclaim import server_preemption_cost
 from repro.core.view import ClusterView, deterministic_onloan_cost
+from repro.oracle.refview import ReferenceView, install_reference_view
 from repro.schedulers.base import SchedulerPolicy
 from repro.schedulers.fifo import FIFOScheduler, SJFScheduler
 from repro.simulator.engine import Engine
@@ -42,7 +41,7 @@ class TestViewPools:
         view = ClusterView(pair.training)
         pair.loan(2)
         job = make_job(job_id=1, gpus_per_worker=2, max_workers=3)
-        engine = PlacementEngine(pair.training)
+        engine = PlacementEngine(view)
         engine.place([PlacementRequest(job, base_workers=2, flex_workers=1)])
         pools = view.pools()
         training = sum(
@@ -93,26 +92,26 @@ class TestDeterministicOnloanCost:
         return training
 
     class _FakeSim:
-        def __init__(self, cluster, view=None):
-            self.cluster = cluster
-            self.pair = object()
+        def __init__(self, view):
+            self.cluster = view.cluster
             self.view = view
 
     def test_cost_independent_of_iteration_order(self):
         a = self._hetero_pair([T4, A100])
         b = self._hetero_pair([A100, T4])
-        pa = SchedulerPolicy.free_pools(self._FakeSim(a))
-        pb = SchedulerPolicy.free_pools(self._FakeSim(b))
+        pa = SchedulerPolicy.free_pools(self._FakeSim(ClusterView(a)))
+        pb = SchedulerPolicy.free_pools(self._FakeSim(ClusterView(b)))
         assert pa.onloan_cost == pb.onloan_cost
         # weakest loaned type (T4, relative_compute 1/3) sets the cost
         assert pa.onloan_cost == pytest.approx(1.0 / T4.relative_compute)
 
     def test_view_and_scan_paths_agree(self):
         cluster = self._hetero_pair([A100, T4])
-        view = ClusterView(cluster)
-        scan = SchedulerPolicy.free_pools(self._FakeSim(cluster, view=None))
+        scan = SchedulerPolicy.free_pools(
+            self._FakeSim(ReferenceView(cluster))
+        )
         via_view = SchedulerPolicy.free_pools(
-            self._FakeSim(cluster, view=view)
+            self._FakeSim(ClusterView(cluster))
         )
         assert scan == via_view
 
@@ -129,48 +128,53 @@ class TestViewIndexes:
     def test_candidates_equal_full_scan(self):
         pair = _pair(train=4, infer=4)
         view = ClusterView(pair.training)
+        ref = ReferenceView(pair.training)
         pair.loan(3)
         # partially fill a mix of servers
         filler = make_job(job_id=50, gpus_per_worker=1, max_workers=9,
                           min_workers=9, fungible=True)
-        engine_scan = PlacementEngine(pair.training)
-        engine_scan.place([PlacementRequest(filler, base_workers=9)])
-        engine_view = PlacementEngine(pair.training, view=view)
-        job = make_job(job_id=51, gpus_per_worker=2, max_workers=2,
-                       fungible=True)
+        PlacementEngine(view).place([PlacementRequest(filler, base_workers=9)])
         for flexible in (False, True):
-            scan = engine_scan._candidates(job, flexible)
-            indexed = engine_view._candidates(job, flexible)
-            assert [s.server_id for s in scan] == [
-                s.server_id for s in indexed
-            ]
+            query = dict(
+                gpus_per_worker=2, train_ok=True, loan_ok=True,
+                type_lock=None, flexible=flexible, heterogeneous=False,
+                elastic=False, special_grouping=True,
+            )
+            scan = [s.server_id for s in ref.ranked_candidates(**query)]
+            assert len(scan) > 1
+            # the view's best-then-exclude walk visits the full scan's
+            # sorted candidate list, in order
+            walked = []
+            while len(walked) < len(scan) + 1:
+                best = view.select_best(**query, exclude_ids=set(walked))
+                if best is None:
+                    break
+                walked.append(best.server_id)
+            assert walked == scan
 
     def test_domain_capacity_equals_scan(self):
         pair = _pair(train=3, infer=3)
         view = ClusterView(pair.training)
         pair.loan(2)
         job = make_job(job_id=60, gpus_per_worker=3, heterogeneous=True)
-        engine = PlacementEngine(pair.training)
         pair.training.servers[0].allocate(99, 7)
         for on_loan in (False, True):
             scan = sum(
-                s.free_gpus // engine.worker_cost(job, s)
+                s.free_gpus // PlacementEngine.worker_cost(job, s)
                 for s in pair.training.servers
                 if s.on_loan == on_loan
             )
-            def cost_for(t):
-                return math.ceil(
-                    job.spec.gpus_per_worker / view.rel_compute(t)
-                )
-
-            assert view.domain_capacity(on_loan, cost_for) == scan
+            assert view.domain_capacity(on_loan, 3) == scan
+            assert ReferenceView(pair.training).domain_capacity(
+                on_loan, 3
+            ) == scan
 
     def test_reclaim_cost_matches_direct_computation(self):
         pair = _pair(train=0, infer=4)
         view = ClusterView(pair.training)
         pair.loan(4)
         jobs = {}
-        engine = PlacementEngine(pair.training, view=view)
+        engine = PlacementEngine(view)
         for i in range(3):
             job = make_job(job_id=i, gpus_per_worker=2, max_workers=4,
                            min_workers=2, fungible=True, elastic=True)
@@ -237,67 +241,38 @@ class TestSimulationFastPath:
             for i in range(n)
         ]
 
-    def _run(self, incremental, policy=None):
+    def _run(self, policy=None, reference_view=False):
         pair = _pair(train=2, infer=2)
-        backend = "incremental" if incremental else "legacy"
         sim = Simulation(
             self._specs(),
             pair,
             policy or FIFOScheduler(),
-            config=SimulationConfig(
-                record_activities=True, view_backend=backend
-            ),
+            config=SimulationConfig(record_activities=True),
         )
+        if reference_view:
+            install_reference_view(sim)
         sim.run()
         return sim
 
     def test_epochs_skipped_with_identical_logs(self):
-        legacy = self._run(False)
-        fast = self._run(True)
+        class EveryEpochFIFO(FIFOScheduler):
+            epoch_idempotent = False  # opts out of epoch skipping
+
+        full = self._run(EveryEpochFIFO())
+        fast = self._run()
         assert fast._epochs_skipped > 0
-        assert legacy._epochs_skipped == 0
-        assert legacy.activities == fast.activities
+        assert full._epochs_skipped == 0
+        assert full.activities == fast.activities
+        assert self._run(reference_view=True).activities == fast.activities
 
     def test_heartbeat_skip_ahead_reduces_wakeups(self):
-        legacy = self._run(False, policy=SJFScheduler())
-        fast = self._run(True, policy=SJFScheduler())
-        assert fast._heartbeats < legacy._heartbeats
-        assert legacy.activities == fast.activities
+        sim = self._run(policy=SJFScheduler())
+        # un-skipped, the heartbeat fires on every 60 s grid point
+        assert sim._heartbeats < sim.now / 60.0
+        reference = self._run(policy=SJFScheduler(), reference_view=True)
+        assert reference.activities == sim.activities
+        assert reference._heartbeats == sim._heartbeats
 
     def test_view_consistent_after_full_run(self):
-        sim = self._run(True)
+        sim = self._run()
         sim.view.assert_consistent()
-
-    def test_legacy_mode_has_no_view(self):
-        sim = self._run(False)
-        assert sim.view is None
-
-
-class TestIncrementalViewDeprecation:
-    """``incremental_view`` is deprecated in favor of ``view_backend``;
-    the warning and the bool→backend mapping are pinned here."""
-
-    def test_true_warns_and_maps_to_incremental(self):
-        with pytest.warns(DeprecationWarning, match="incremental_view"):
-            cfg = SimulationConfig(incremental_view=True)
-        assert cfg.resolved_view_backend() == "incremental"
-
-    def test_false_warns_and_maps_to_legacy(self):
-        with pytest.warns(DeprecationWarning, match="view_backend='legacy'"):
-            cfg = SimulationConfig(incremental_view=False)
-        assert cfg.resolved_view_backend() == "legacy"
-
-    def test_explicit_view_backend_wins(self):
-        with pytest.warns(DeprecationWarning):
-            cfg = SimulationConfig(
-                incremental_view=False, view_backend="array"
-            )
-        assert cfg.resolved_view_backend() == "array"
-
-    def test_default_is_incremental_without_warning(self):
-        import warnings as _warnings
-
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error", DeprecationWarning)
-            cfg = SimulationConfig()
-        assert cfg.resolved_view_backend() == "incremental"
