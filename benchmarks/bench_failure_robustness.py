@@ -8,6 +8,7 @@ losses into scale-ins instead of restarts.
 """
 
 from benchmarks.bench_util import emit, get_setup, run_cached
+from repro.faults import FaultPlan, NodeFailureProcess
 
 
 def build():
@@ -17,7 +18,9 @@ def build():
     for mtbf, label in ((None, "no failures"), (21600.0, "MTBF 6 h"),
                         (7200.0, "MTBF 2 h")):
         for scheme in ("baseline", "lyra"):
-            overrides = {"node_mtbf": mtbf} if mtbf else {}
+            overrides = {"fault_plan": FaultPlan(
+                name="node-mtbf", process=NodeFailureProcess(mtbf=mtbf)
+            )} if mtbf else {}
             metrics = run_cached(
                 setup, scheme,
                 sim_overrides=overrides,

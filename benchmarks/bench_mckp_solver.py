@@ -3,9 +3,9 @@
 The paper reports that its worst-case phase-two instance — 354 items over
 245 free GPUs — solves in 0.02 s via dynamic programming.  This bench
 times exactly that instance shape (and a 4x larger one) across the
-solver kernels — the vectorized numpy DP (the default), the scalar
-reference DP, and brute force on a tiny instance — checks they agree
-exactly, and records the comparison in
+solver kernels — the vectorized numpy DP (production), the scalar
+reference DP from ``repro.oracle``, and brute force on a tiny instance —
+checks they agree exactly, and records the comparison in
 ``benchmarks/results/BENCH_mckp.json``.
 
 Runs under pytest-benchmark (``pytest benchmarks/bench_mckp_solver.py``)
@@ -33,6 +33,7 @@ from repro.core.mckp import (  # noqa: E402
     solve_mckp_bruteforce,
 )
 from repro.ioutil import atomic_write  # noqa: E402
+from repro.oracle.reference import solve_mckp_scalar  # noqa: E402
 
 RESULTS = os.path.join(os.path.dirname(__file__), "results")
 
@@ -75,13 +76,13 @@ def solver_comparison() -> dict:
     }
     out = {"instances": {}, "bruteforce": {}}
     for name, (groups, capacity) in instances.items():
-        v_np, c_np = solve_mckp(groups, capacity, use_numpy=True)
-        v_py, c_py = solve_mckp(groups, capacity, use_numpy=False)
+        v_np, c_np = solve_mckp(groups, capacity)
+        v_py, c_py = solve_mckp_scalar(groups, capacity)
         assert v_np == v_py and c_np == c_py, (
             f"{name}: vectorized and scalar DP disagree"
         )
-        t_np = _time(lambda: solve_mckp(groups, capacity, use_numpy=True))
-        t_py = _time(lambda: solve_mckp(groups, capacity, use_numpy=False))
+        t_np = _time(lambda: solve_mckp(groups, capacity))
+        t_py = _time(lambda: solve_mckp_scalar(groups, capacity))
         out["instances"][name] = {
             "items": sum(len(g) for g in groups),
             "groups": len(groups),
@@ -93,7 +94,7 @@ def solver_comparison() -> dict:
         }
     # brute force only on a tiny instance (exponential)
     groups, capacity = make_instance(9, 8, seed=2)
-    v_np, _ = solve_mckp(groups, capacity, use_numpy=True)
+    v_np, _ = solve_mckp(groups, capacity)
     v_bf, _ = solve_mckp_bruteforce(groups, capacity)
     assert abs(v_np - v_bf) < 1e-9, "DP missed the brute-force optimum"
     out["bruteforce"] = {
@@ -104,7 +105,7 @@ def solver_comparison() -> dict:
             lambda: solve_mckp_bruteforce(groups, capacity), repeats=3
         ), 6),
         "vectorized_s": round(_time(
-            lambda: solve_mckp(groups, capacity, use_numpy=True)
+            lambda: solve_mckp(groups, capacity)
         ), 6),
     }
     out["paper_reference_s"] = 0.02

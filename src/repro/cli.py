@@ -4,9 +4,9 @@ Commands:
 
 * ``run``      — run one scheme on a generated trace and print metrics
   (``--trace out.jsonl`` additionally exports a structured event trace;
-  ``--faults PLAN`` injects a fault plan, ``--node-mtbf``/
-  ``--node-repair-time``/``--failure-seed`` drive the legacy Poisson
-  node-failure knobs).
+  ``--faults PLAN`` injects a fault plan; ``--node-mtbf``/
+  ``--node-repair-time``/``--failure-seed`` are shorthand for a plan
+  holding one Poisson node-failure process).
 * ``serve``    — run the same scheduling kernel as a wall-clock asyncio
   daemon: jobs arrive over a JSONL TCP API (submit/query/cancel/scale,
   streaming event feed), requests batch into scheduling epochs, and
@@ -120,11 +120,16 @@ def _fault_overrides(args) -> dict:
         if args.failure_seed is not None:
             plan = plan.with_seed(args.failure_seed)
         overrides["fault_plan"] = plan
-    if args.node_mtbf:
-        overrides["node_mtbf"] = args.node_mtbf
-        overrides["node_repair_time"] = args.node_repair_time
-    if args.failure_seed is not None:
-        overrides["failure_seed"] = args.failure_seed
+    elif args.node_mtbf:
+        from repro.faults import FaultPlan, NodeFailureProcess
+
+        overrides["fault_plan"] = FaultPlan(
+            name="node-mtbf",
+            seed=args.failure_seed or 0,
+            process=NodeFailureProcess(
+                mtbf=args.node_mtbf, repair_time=args.node_repair_time
+            ),
+        )
     return overrides
 
 
@@ -325,9 +330,7 @@ def cmd_run(args) -> int:
         print(f"simulated crash: {exc}; recover with "
               f"`repro recover {args.checkpoint_dir}`", file=sys.stderr)
         return 3
-    has_faults = any(
-        k in sim_overrides for k in ("fault_plan", "node_mtbf")
-    )
+    has_faults = "fault_plan" in sim_overrides
     snapshot = None
     if market is not None and hasattr(sim.pair, "market_snapshot"):
         snapshot = sim.pair.market_snapshot()

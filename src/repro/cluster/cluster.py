@@ -9,7 +9,7 @@ cluster together and implements the loan/return primitive.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from repro.cluster.gpu import GPUType, T4, V100
 from repro.cluster.server import Server
@@ -177,8 +177,9 @@ class ClusterPair:
 
     The inference scheduler autonomously decides *how many* servers to
     lend or ask back (§4 assumptions); this class provides the mechanism:
-    :meth:`loan` moves idle inference servers into the training whitelist
-    and :meth:`return_server` moves a vacated on-loan server back.
+    :meth:`loan_ids` moves named idle inference servers into the training
+    whitelist and :meth:`return_server` moves a vacated on-loan server
+    back.
     """
 
     def __init__(self, training: Cluster, inference: Cluster):
@@ -215,40 +216,13 @@ class ClusterPair:
         """Idle inference servers eligible for loaning."""
         return [s for s in self.inference.servers if s.idle]
 
-    def loan(
-        self,
-        count: int,
-        eligible: Optional[Callable[[Server], bool]] = None,
-    ) -> List[Server]:
-        """Loan up to ``count`` idle inference servers to training.
-
-        Returns the servers actually moved (possibly fewer than asked if
-        the inference cluster lacks idle machines).  ``eligible`` is an
-        optional extra filter — the resource manager uses it to keep
-        unhealthy servers out of the loan pool.
-        """
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        moved: List[Server] = []
-        for server in self.loanable_servers():
-            if len(moved) >= count:
-                break
-            if eligible is not None and not eligible(server):
-                continue
-            self.inference.remove_server(server.server_id)
-            server.on_loan = True
-            self.training.add_server(server)
-            moved.append(server)
-        return moved
-
     def loan_ids(self, server_ids: Sequence[str]) -> List[Server]:
         """Loan the *named* idle inference servers, in the given order.
 
-        The decision-plan counterpart of :meth:`loan`: the orchestrator
-        picks the ids when planning (via
-        :meth:`~repro.rm.manager.ResourceManager.peek_loanable`) and the
-        executor moves exactly those at commit, preserving the whitelist
-        insertion order the count-based path would have produced.
+        The orchestrator picks the ids when planning (via
+        :meth:`~repro.rm.manager.ResourceManager.peek_loanable`, in
+        whitelist insertion order) and the executor moves exactly those
+        at commit.
         """
         # Validate every id before moving any: a bad id mid-list must
         # not leave the whitelists half-mutated (the executor treats

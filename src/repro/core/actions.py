@@ -1,42 +1,42 @@
 """Decision plans: declarative scheduling actions and their executor.
 
-Splits *deciding* from *doing* at the policy→cluster boundary.  Policies
-no longer mutate the simulation mid-``schedule()``; instead each epoch
-produces an :class:`EpochPlan` — an ordered list of immutable action
-records (:class:`Launch`, :class:`Preempt`, :class:`ScaleOut`,
-:class:`ScaleIn`, :class:`LoanServers`, :class:`ReclaimServers`,
-:class:`MigrateJob`) — and the simulation applies it through a single
-commit point, the :class:`PlanExecutor`.  That is the interface
-decision-driven schedulers (DL2, Aryl) put between policy and cluster,
-and it is what Lyra's own evaluation needs to cost and compare decisions
-across policies (§7): a plan can be inspected, priced (``dry_run=True``),
-rejected atomically, or replayed, none of which an imperative scheduler
-allows.
+Splits *deciding* from *doing* at the policy→cluster boundary.  Every
+decision — a policy's epoch, an orchestrator tick, a daemon operator's
+``scale`` request — is an :class:`EpochPlan`: an ordered list of
+immutable action records (:class:`Launch`, :class:`Preempt`,
+:class:`ScaleOut`, :class:`ScaleIn`, :class:`LoanServers`,
+:class:`ReclaimServers`, :class:`MigrateJob`) applied through a single
+commit point, the :class:`PlanExecutor`.  Nothing else starts, scales,
+shrinks or loans (a node failure is a fault, not a decision, and is the
+one other mutation).  That is the interface decision-driven schedulers
+(DL2, Aryl) put between policy and cluster, and it is what Lyra's own
+evaluation needs to cost and compare decisions across policies (§7): a
+plan can be inspected, priced (``dry_run=True``), rejected atomically,
+journaled or replayed, none of which an imperative scheduler allows.
 
 Two families of actions coexist:
 
 * **Staged** actions come out of a :class:`PlanTransaction` — the façade
   a policy's ``decide()`` runs against.  Placement is capacity-shaped
   (which worker fits where depends on every earlier placement in the
-  epoch), so resource/book mutations happen eagerly at plan time exactly
-  as the legacy algorithms made them, journaled with exact inverse
-  operations; the *lifecycle* effects (queue membership, activity log,
-  metrics, completion events) are recorded as actions and deferred to
-  commit.  Rolling back the journal restores the pre-plan cluster state
-  bit-for-bit, which is what makes ``dry_run`` and all-or-nothing
-  rejection possible.
+  epoch), so resource/book mutations happen eagerly at plan time,
+  journaled with exact inverse operations; the *lifecycle* effects
+  (queue membership, activity log, metrics, completion events) are
+  recorded as actions and deferred to commit.  Rolling back the journal
+  restores the pre-plan cluster state bit-for-bit, which is what makes
+  ``dry_run`` and all-or-nothing rejection possible.
 * **Declarative** actions (:class:`LoanServers`, :class:`ReclaimServers`,
-  :class:`MigrateJob`) describe whitelist moves the orchestrator computed
-  purely; nothing is staged and the executor performs the whole effect at
-  commit.
+  :class:`MigrateJob`, :class:`Preempt` and ``ScaleIn(staged=False)``)
+  describe an effect computed purely — by the orchestrator, or from an
+  operator's request; nothing is staged and the executor performs the
+  whole effect at commit.
 
 The executor validates every action against the live cluster/view state
 before committing anything (the activity log cannot be unwritten, so
-atomicity means validate-all-then-commit), emits per-action trace events
-through ``repro.obs`` as the legacy lifecycle events plus a
-``scheduler.plan`` summary, and feeds deltas to the incremental
-:class:`~repro.core.view.ClusterView` through the same ``Server``
-change hooks the staged mutations already fire.
+atomicity means validate-all-then-commit), emits the per-action
+lifecycle events through ``repro.obs`` plus a ``scheduler.plan``
+summary, and feeds deltas to the :class:`~repro.core.view.ClusterView`
+through the same ``Server`` change hooks the staged mutations fire.
 """
 
 from __future__ import annotations
@@ -49,11 +49,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from repro.cluster.job import Job
 from repro.elastic.controller import ElasticControllerError, check_scale_floor
 from repro.obs import get_logger
-from repro.obs.profiling import (
-    NULL_PROFILER,
-    PHASE_PLAN_COMMIT,
-    PHASE_PLAN_VALIDATE,
-)
+from repro.obs.profiling import PHASE_PLAN_COMMIT, PHASE_PLAN_VALIDATE
 from repro.obs.provenance import (
     PROVENANCE_EVENT,
     TRIGGER_LOAN,
@@ -85,8 +81,8 @@ class Launch:
     """Start a pending job on the workers staged for it at plan time.
 
     ``eta`` and ``queued_s`` are snapshots taken when the decision was
-    made; commit replays them verbatim so completion-event timing (and
-    therefore the activity log) is byte-identical to the imperative path.
+    made; commit replays them verbatim, so completion-event timing (and
+    therefore the activity log) does not depend on when the plan commits.
     """
 
     job_id: int
@@ -117,14 +113,17 @@ class ScaleIn:
     ``staged=True`` records a shrink the transaction already applied to
     the books (scheduler-driven); ``staged=False`` is declarative — the
     executor removes ``removals`` (``(server_id, workers)`` pairs) at
-    commit, as reclaim plans demand (§4/§5.3).
+    commit, as reclaim plans (§4/§5.3) and the daemon's ``scale`` op
+    demand; ``workers``/``delta``/``eta`` then stay at their defaults
+    (the commit reads them live) and validation checks the removals
+    instead.
     """
 
     job_id: int
     removals: Tuple[Tuple[str, int], ...]
-    workers: int
-    delta: int
-    eta: float
+    workers: int = 0
+    delta: int = 0
+    eta: float = 0.0
     staged: bool = True
 
     kind = "scale_in"
@@ -168,8 +167,8 @@ class ReclaimServers:
     a reclaim plan (``health`` carries ``(server_id, unhealthy,
     straggling)`` per server).  Otherwise the fields snapshot the reclaim
     planner's outcome — demand, per-server preemption ``costs`` (Table 1
-    metric), collateral GPUs, free servers — so commit can reproduce the
-    legacy metrics and RECLAIM log exactly.
+    metric), collateral GPUs, free servers — for the metrics and the
+    RECLAIM log written at commit.
     """
 
     server_ids: Tuple[str, ...]
@@ -202,9 +201,6 @@ class MigrateJob:
 
 
 Action = Any  # union of the dataclasses above; kept loose for py39
-
-#: staged job-lifecycle actions, in the vocabulary order of the issue
-STAGED_KINDS = ("launch", "scale_out", "scale_in")
 
 
 def _jsonable(value: Any) -> Any:
@@ -272,11 +268,11 @@ class PlanTransaction:
     Reads delegate to the live simulation, with the queue/running
     overlays a mid-epoch policy expects (a job launched earlier in the
     epoch is no longer pending and is already running).  The three
-    legacy mutation entry points — :meth:`activate`, :meth:`rescale`,
-    :meth:`scale_in_worker_counts` — apply the resource-side effects
-    exactly as the imperative scheduler did (so later placement decisions
-    see the true capacity) while journaling inverse operations and
-    recording the lifecycle effect as an action for commit.
+    mutation entry points — :meth:`activate`, :meth:`rescale`,
+    :meth:`scale_in_worker_counts` — apply the resource-side effects at
+    once (so later placement decisions see the true capacity) while
+    journaling inverse operations and recording the lifecycle effect as
+    an action for commit.
 
     The transaction also installs itself as the resource manager's
     ``journal`` so container launches/stops made by the placement engine
@@ -285,7 +281,7 @@ class PlanTransaction:
 
     def __init__(self, sim, policy: str):
         rm = sim.rm
-        if getattr(rm, "journal", None) is not None:
+        if rm.journal is not None:
             raise PlanError(
                 "a plan transaction is already open on this simulation; "
                 "seal or abort it before starting another"
@@ -310,11 +306,6 @@ class PlanTransaction:
     # -- reads -----------------------------------------------------------
     def __getattr__(self, name: str) -> Any:
         return getattr(self._sim, name)
-
-    @property
-    def sim(self):
-        """The underlying simulation (read-only escape hatch)."""
-        return self._sim
 
     @property
     def pending(self) -> List[Job]:
@@ -372,7 +363,7 @@ class PlanTransaction:
         """Journal a server's group before placement reassigns it."""
         self._entries.append(("group", server, server.group))
 
-    # -- staged mutations (the legacy policy-facing API) -----------------
+    # -- staged mutations (the policy-facing API) ------------------------
     def activate(self, job: Job) -> None:
         """Stage the start of a job whose workers were just placed."""
         if job.total_workers < job.spec.min_workers:
@@ -382,9 +373,7 @@ class PlanTransaction:
             )
         self.note_job(job)
         job.mark_started(self._sim.now)
-        self._sim._apply_tuning(job)
-        if self._sim.degraded_servers:
-            job.straggler_penalty = self._sim._straggler_penalty_for(job)
+        self._sim._retune(job)
         self._launched.append(job)
         self._launched_ids.add(job.job_id)
         self._last_total[job.job_id] = job.total_workers
@@ -410,7 +399,6 @@ class PlanTransaction:
         job.advance(self._sim.now)
         for server_id, workers in server_workers.items():
             self._sim.rm.scale_in(job, server_id, workers, now=self._sim.now)
-        job.advance(self._sim.now)  # legacy rescale() advanced again (dt=0)
         self._record_rescale(
             job,
             scaled_out=False,
@@ -423,9 +411,7 @@ class PlanTransaction:
         scaled_out: bool,
         removals: Tuple[Tuple[str, int], ...] = (),
     ) -> None:
-        self._sim._apply_tuning(job)
-        if self._sim.degraded_servers:
-            job.straggler_penalty = self._sim._straggler_penalty_for(job)
+        self._sim._retune(job)
         total = job.total_workers
         prev = self._last_total.get(job.job_id, total)
         self._last_total[job.job_id] = total
@@ -593,15 +579,14 @@ class PlanExecutor:
         plan.consumed = True
         txn = plan.txn
         sim = self.sim
-        record = getattr(sim.config, "record_plans", False)
+        record = sim.config.record_plans
         want_pricing = dry_run or record or sim.tracer.enabled
         pricing = self.price(plan) if want_pricing else None
         if dry_run:
             if txn is not None:
                 txn.rollback()
             return PlanReceipt(applied=False, actions=len(plan.actions), pricing=pricing)
-        obs = getattr(sim, "obs", None)
-        phases = obs.phases if obs is not None else NULL_PROFILER
+        phases = sim.obs.phases
         try:
             with phases.phase(PHASE_PLAN_VALIDATE):
                 self._validate(plan)
@@ -752,6 +737,9 @@ class PlanExecutor:
         sim = self.sim
         pending_ids = {j.job_id for j in sim.pending}
         will_run: Set[int] = set(sim.running)
+        #: ``{job_id: {server_id: flexible workers}}`` the plan's
+        #: declarative ScaleIns remove, cumulative
+        removed: Dict[int, Dict[str, int]] = {}
         for action in plan.actions:
             kind = action.kind
             if kind == "launch":
@@ -773,21 +761,23 @@ class PlanExecutor:
                 job = sim.jobs.get(action.job_id)
                 if job is None:
                     raise PlanRejected(f"{kind} of unknown job {action.job_id}")
-                if getattr(action, "staged", True):
-                    if action.job_id not in will_run:
-                        raise PlanRejected(
-                            f"{kind} of job {action.job_id}, which is not "
-                            f"running in this plan"
-                        )
-                    if kind == "scale_in":
-                        try:
+                if action.job_id not in will_run:
+                    raise PlanRejected(
+                        f"{kind} of job {action.job_id}, which is not "
+                        f"running in this plan"
+                    )
+                if kind == "scale_in":
+                    try:
+                        if action.staged:
                             check_scale_floor(
                                 action.job_id,
                                 action.workers,
                                 job.spec.min_workers,
                             )
-                        except ElasticControllerError as exc:
-                            raise PlanRejected(str(exc)) from exc
+                        else:
+                            self._validate_removals(job, action, removed)
+                    except ElasticControllerError as exc:
+                        raise PlanRejected(str(exc)) from exc
             elif kind == "preempt":
                 if action.job_id not in sim.jobs:
                     raise PlanRejected(f"preempt of unknown job {action.job_id}")
@@ -822,6 +812,40 @@ class PlanExecutor:
                 self._validate_migrate(action)
             else:
                 raise PlanRejected(f"unknown action kind {kind!r}")
+
+    @staticmethod
+    def _validate_removals(
+        job: Job, action: ScaleIn, removed: Dict[int, Dict[str, int]]
+    ) -> None:
+        """Check a declarative ScaleIn against the job's books: it may
+        not shrink the job below its base demand, and each removal must
+        name flexible workers the job holds on that server.
+
+        Nothing is staged, so the books are as they were when the plan
+        was built; ``removed`` carries what earlier actions of the same
+        plan already take (the broker recalls per lender).
+        """
+        taken = removed.setdefault(job.job_id, {})
+        for server_id, workers in action.removals:
+            if workers < 1:
+                raise PlanRejected(
+                    f"scale_in of job {job.job_id} removes {workers} "
+                    f"workers from {server_id!r}"
+                )
+            taken[server_id] = taken.get(server_id, 0) + workers
+        check_scale_floor(
+            job.job_id,
+            job.total_workers - sum(taken.values()),
+            job.spec.min_workers,
+        )
+        for server_id, _ in action.removals:
+            held = job.flex_placement.get(server_id, 0)
+            if taken[server_id] > held:
+                raise PlanRejected(
+                    f"scale_in of job {job.job_id} removes "
+                    f"{taken[server_id]} flexible workers from "
+                    f"{server_id!r}, where it holds {held}"
+                )
 
     def _validate_migrate(self, action: MigrateJob) -> None:
         sim = self.sim
@@ -867,7 +891,7 @@ class PlanExecutor:
             if action.staged:
                 sim._commit_rescale(sim.jobs[action.job_id], False, action.workers, action.eta)
             elif action.job_id in sim.running:
-                sim.scale_in_worker_counts(sim.jobs[action.job_id], dict(action.removals))
+                self._commit_scale_in(sim.jobs[action.job_id], action.removals)
         elif kind == "preempt":
             if action.job_id in sim.running:
                 sim.preempt(sim.jobs[action.job_id], cause=action.cause)
@@ -881,19 +905,30 @@ class PlanExecutor:
         elif kind == "migrate_job":
             self._commit_migrate(action)
 
+    def _commit_scale_in(
+        self, job: Job, removals: Tuple[Tuple[str, int], ...]
+    ) -> None:
+        """The whole effect of a declarative ScaleIn: bank progress, stop
+        the named flexible workers, retune, then log and re-time."""
+        sim = self.sim
+        job.advance(sim.now)
+        for server_id, workers in removals:
+            sim.rm.scale_in(job, server_id, workers, now=sim.now)
+        sim._retune(job)
+        sim._commit_rescale(job, False, job.total_workers, job.eta())
+
     def _commit_loan(self, action: LoanServers) -> None:
         sim = self.sim
         moved = sim.rm.loan_selected(
-            action.server_ids, now=sim.now,
-            borrower=getattr(action, "borrower", None),
+            action.server_ids, now=sim.now, borrower=action.borrower
         )
         if moved:
             server_ids = [s.server_id for s in moved]
             sim.metrics.loan_ops.append(len(moved))
             extra = {}
-            if getattr(action, "lender", None) is not None:
+            if action.lender is not None:
                 extra["lender"] = action.lender
-            if getattr(action, "borrower", None) is not None:
+            if action.borrower is not None:
                 extra["borrower"] = action.borrower
             sim.log(EventKind.LOAN, detail=server_ids,
                     servers=server_ids, requested=action.requested, **extra)
@@ -926,8 +961,8 @@ class PlanExecutor:
 
         The plan's scale-ins and preemptions precede this action in the
         plan, so by now the listed servers should be vacant; any
-        allocation left behind is force-cleared exactly as the legacy
-        path did (defensive — should not trigger).
+        allocation left behind is force-cleared (defensive — should not
+        trigger).
         """
         sim = self.sim
         preempted: Set[int] = set(action.preempted)
@@ -958,7 +993,7 @@ class PlanExecutor:
         if returned:
             costs = dict(action.costs) if action.costs is not None else None
             extra = {}
-            if getattr(action, "lender", None) is not None:
+            if action.lender is not None:
                 extra["lender"] = action.lender
             sim.log(
                 EventKind.RECLAIM,

@@ -121,15 +121,10 @@ class SimulationConfig:
     #: use the §3 job profiler for runtime estimates instead of oracle
     #: durations: estimates are learned online from completed jobs
     use_profiler: bool = False
-    #: mean time between node failures across the training whitelist, in
-    #: seconds (None disables failure injection)
-    node_mtbf: Optional[float] = None
-    #: time a failed node spends unhealthy before rejoining
-    node_repair_time: float = 3600.0
-    failure_seed: int = 0
-    #: full chaos specification (:class:`repro.faults.plan.FaultPlan`);
-    #: supersedes the legacy ``node_mtbf`` knobs when set.  Typed loosely
-    #: so fault-free simulations never import :mod:`repro.faults`.
+    #: what to inject (:class:`repro.faults.plan.FaultPlan`: node
+    #: failures, outages, stragglers, ... and their seed); None injects
+    #: nothing.  Typed loosely so fault-free simulations never import
+    #: :mod:`repro.faults`.
     fault_plan: Optional[object] = None
     #: keep every applied non-empty :class:`~repro.core.actions.EpochPlan`
     #: (as JSON dicts with pricing) in ``Simulation.plan_log`` — the
@@ -593,39 +588,6 @@ class SchedulerKernel:
             and self.now >= self._last_arrival
         )
 
-    def activate(self, job: Job) -> None:
-        """Start a job whose workers the policy just placed."""
-        if job.total_workers < job.spec.min_workers:
-            raise RuntimeError(
-                f"job {job.job_id} activated with {job.total_workers} workers "
-                f"< base demand {job.spec.min_workers}"
-            )
-        self.pending.remove(job)
-        self.view.note_queue_change()
-        job.mark_started(self.now)
-        self._apply_tuning(job)
-        if self.degraded_servers:
-            job.straggler_penalty = self._straggler_penalty_for(job)
-        restart_of = self._preempt_times.pop(job.job_id, None)
-        if restart_of is not None:
-            # time-to-recover: how long a preempted job waited to run again
-            self.metrics.registry.histogram(
-                "resilience.time_to_restart_s"
-            ).observe(self.now - restart_of)
-        self.running[job.job_id] = job
-        if job.job_id not in self._started_once:
-            self._started_once.add(job.job_id)
-            self.metrics.registry.histogram("sim.queue_wait_s").observe(
-                self.now - job.spec.submit_time
-            )
-        self.log(
-            EventKind.START, job.job_id, detail=job.total_workers,
-            workers=job.total_workers,
-            queued_s=self.now - job.spec.submit_time,
-            **self._start_trace_extras(job),
-        )
-        self._reschedule_completion(job)
-
     def _start_trace_extras(self, job: Job) -> Dict[str, object]:
         """Placement/loan context attached to traced ``job.start`` events
         (powers the per-job timeline); empty — and allocation-free — in
@@ -643,30 +605,18 @@ class SchedulerKernel:
             "gpu_types": sorted(gpu_types),
         }
 
-    def rescale(self, job: Job, scaled_out: bool) -> None:
-        """Account a scale operation on a running job and re-time it."""
-        job.advance(self.now)
-        self._apply_tuning(job)
-        if self.degraded_servers:
-            job.straggler_penalty = self._straggler_penalty_for(job)
-        job.scale_ops += 1
-        self.metrics.scale_ops += 1
-        kind = EventKind.SCALE_OUT if scaled_out else EventKind.SCALE_IN
-        self.log(kind, job.job_id, detail=job.total_workers,
-                 workers=job.total_workers)
-        self._reschedule_completion(job)
-
-    # -- plan-commit primitives (called by PlanExecutor only) ----------
+    # -- lifecycle primitives: one per effect, called by PlanExecutor
+    # -- (and, for a fault's flex shrink, by apply_node_failure) --------
     def _commit_start(
         self, job: Job, workers: int, queued_s: float, eta: float
     ) -> None:
         """Commit a staged :class:`~repro.core.actions.Launch`.
 
-        The job's resource-side start (placement, mark_started, tuning)
+        The job's resource-side start (placement, mark_started, retune)
         already happened inside the plan transaction; this performs the
-        deferred lifecycle half of :meth:`activate` with the payloads
-        snapshotted at decision time, so logs and completion timing are
-        byte-identical to the imperative path.
+        deferred lifecycle half — queue membership, metrics, the START
+        log, the completion timer — with the payloads snapshotted at
+        decision time.
         """
         self.pending.remove(job)
         self.view.note_queue_change()
@@ -692,25 +642,31 @@ class SchedulerKernel:
     def _commit_rescale(
         self, job: Job, scaled_out: bool, workers: int, eta: float
     ) -> None:
-        """Commit a staged ScaleOut/ScaleIn: the lifecycle half of
-        :meth:`rescale`, with decision-time payload snapshots."""
+        """The lifecycle half of a scale operation: count it, log it and
+        re-arm the completion timer at ``eta``.  The worker change itself
+        (and :meth:`_retune`) already happened — staged by the plan
+        transaction, or just before the call for a declarative
+        :class:`~repro.core.actions.ScaleIn` and a node failure."""
         job.scale_ops += 1
         self.metrics.scale_ops += 1
         kind = EventKind.SCALE_OUT if scaled_out else EventKind.SCALE_IN
         self.log(kind, job.job_id, detail=workers, workers=workers)
         self._schedule_completion_at(job, eta)
 
-    def _apply_tuning(self, job: Job) -> None:
-        """Lyra+TunedJobs: retune batch size/LR on every allocation change.
+    def _retune(self, job: Job) -> None:
+        """Re-derive a job's throughput factors after an allocation change.
 
-        Tuning restores near-perfect scaling and yields a small goodput
-        bonus whenever the job runs above base demand (§7.4)."""
-        if not self.config.tuned_jobs or not job.elastic:
-            return
-        if job.total_workers > job.spec.min_workers:
-            job.hetero_penalty = _TUNING_BONUS
-        else:
-            job.hetero_penalty = 1.0
+        Lyra+TunedJobs retunes batch size/LR: tuning restores
+        near-perfect scaling and yields a small goodput bonus whenever
+        the job runs above base demand (§7.4).  Under straggler faults
+        the job also paces at its slowest host."""
+        if self.config.tuned_jobs and job.elastic:
+            if job.total_workers > job.spec.min_workers:
+                job.hetero_penalty = _TUNING_BONUS
+            else:
+                job.hetero_penalty = 1.0
+        if self.degraded_servers:
+            job.straggler_penalty = self._straggler_penalty_for(job)
 
     def _reschedule_completion(self, job: Job) -> None:
         self._schedule_completion_at(job, job.eta())
@@ -718,10 +674,11 @@ class SchedulerKernel:
     def _schedule_completion_at(self, job: Job, eta: float) -> None:
         """(Re-)arm the job's completion at ``now + eta``.
 
-        ``eta`` may be a plan-time snapshot: committing every staged
-        action's recorded eta in order reproduces the legacy sequence of
-        heap insertions exactly, including ones superseded later in the
-        same epoch (heap identity drives heartbeat skip-ahead timing).
+        ``eta`` may be a plan-time snapshot: every staged action arms
+        its own recorded eta in plan order, including ones superseded
+        later in the same epoch (heap identity drives heartbeat
+        skip-ahead timing, so the sequence of insertions is pinned by
+        the golden logs).
         """
         epoch = self._completion_epoch.get(job.job_id, 0) + 1
         self._completion_epoch[job.job_id] = epoch
@@ -829,13 +786,6 @@ class SchedulerKernel:
         self.trigger_schedule()
         return True
 
-    def scale_in_worker_counts(self, job: Job, server_workers: Dict[str, int]):
-        """Remove specific flexible workers of a running job."""
-        job.advance(self.now)
-        for server_id, workers in server_workers.items():
-            self.rm.scale_in(job, server_id, workers, now=self.now)
-        self.rescale(job, scaled_out=False)
-
     # ------------------------------------------------------------------
     # failure injection (driven by repro.faults.injector.FaultInjector)
     # ------------------------------------------------------------------
@@ -909,7 +859,8 @@ class SchedulerKernel:
                 if job.flex_placement[sid] == 0:
                     job.remove_flex_on(sid)
                 remaining -= take
-            self.rescale(job, scaled_out=False)
+            self._retune(job)
+            self._commit_rescale(job, False, job.total_workers, job.eta())
         if repair_time is not None:
             self.driver.schedule_after(
                 repair_time,

@@ -18,10 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
-try:  # the array fast path; the scalar DP below is the full fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -43,45 +40,25 @@ class Item:
             raise ValueError(f"weight must be >= 0, got {self.weight}")
 
 
-def _dp_scalar(
+def _dp_rows(
     groups: Sequence[Sequence[Item]], capacity: int
-) -> Tuple[Sequence[float], List[Sequence[int]]]:
-    """The reference DP: pure-Python row updates."""
-    dp = [0.0] * (capacity + 1)
-    choice: List[Sequence[int]] = []
-    for group in groups:
-        new_dp = dp[:]  # taking nothing from this group is always valid
-        taken = [-1] * (capacity + 1)
-        for idx, item in enumerate(group):
-            if item.weight > capacity or item.value <= 0:
-                continue
-            for cap in range(item.weight, capacity + 1):
-                candidate = dp[cap - item.weight] + item.value
-                if candidate > new_dp[cap]:
-                    new_dp[cap] = candidate
-                    taken[cap] = idx
-        dp = new_dp
-        choice.append(taken)
-    return dp, choice
+) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """The DP table: per-item shifted-row updates over numpy rows.
 
-
-def _dp_numpy(
-    groups: Sequence[Sequence[Item]], capacity: int
-) -> Tuple[Sequence[float], List[Sequence[int]]]:
-    """The vectorized DP: per-item shifted-row updates.
-
-    Bit-exact with :func:`_dp_scalar`: items are still visited in order
-    and each update computes ``dp[c - w] + v`` — the identical IEEE-754
-    double operation the scalar inner loop performs, just over the whole
-    capacity row at once.  (Per-*group* batching via reductions is NOT
-    used: numpy's pairwise summation/maximum trees can round differently
-    from a left-to-right scan, which would break the golden-log pin.)
+    Bit-exact with the plain-loop reference
+    (:func:`repro.oracle.reference.solve_mckp_scalar`, property-pinned
+    in the tests): items are still visited in order and each update
+    computes ``dp[c - w] + v`` — the identical IEEE-754 double operation
+    the scalar inner loop performs, just over the whole capacity row at
+    once.  (Per-*group* batching via reductions is NOT used: numpy's
+    pairwise summation/maximum trees can round differently from a
+    left-to-right scan, which would break the golden-log pin.)
     """
-    dp = _np.zeros(capacity + 1, dtype=_np.float64)
-    choice: List[Sequence[int]] = []
+    dp = np.zeros(capacity + 1, dtype=np.float64)
+    choice: List[np.ndarray] = []
     for group in groups:
         new_dp = dp.copy()  # taking nothing is always valid
-        taken = _np.full(capacity + 1, -1, dtype=_np.int64)
+        taken = np.full(capacity + 1, -1, dtype=np.int64)
         for idx, item in enumerate(group):
             w = item.weight
             if w > capacity or item.value <= 0:
@@ -97,8 +74,7 @@ def _dp_numpy(
 
 
 def solve_mckp(
-    groups: Sequence[Sequence[Item]], capacity: int,
-    use_numpy: Optional[bool] = None,
+    groups: Sequence[Sequence[Item]], capacity: int
 ) -> Tuple[float, List[Optional[Item]]]:
     """Solve MCKP by dynamic programming.
 
@@ -106,10 +82,6 @@ def solve_mckp(
         groups: One sequence of candidate items per group; picking zero
             items from a group is always allowed.
         capacity: Knapsack capacity (non-negative integer).
-        use_numpy: Force the vectorized (True) or scalar (False) DP
-            kernel; None picks numpy when available.  Both kernels are
-            bit-exact (property-pinned), so this is a performance knob
-            only.
 
     Returns:
         ``(total_value, choices)`` where ``choices[i]`` is the item chosen
@@ -120,17 +92,9 @@ def solve_mckp(
         raise ValueError(f"capacity must be >= 0, got {capacity}")
 
     num_groups = len(groups)
-    if use_numpy is None:
-        use_numpy = _np is not None
-    if use_numpy and _np is None:
-        raise RuntimeError("use_numpy=True but numpy is unavailable")
-    if use_numpy:
-        dp, choice = _dp_numpy(groups, capacity)
-        # first index achieving the max, matching the scalar argmax walk
-        cap = int(_np.argmax(dp))
-    else:
-        dp, choice = _dp_scalar(groups, capacity)
-        cap = max(range(capacity + 1), key=lambda c: dp[c])
+    dp, choice = _dp_rows(groups, capacity)
+    # the first (smallest) capacity achieving the max
+    cap = int(np.argmax(dp))
 
     # Reconstruct the chosen item per group by walking groups backwards.
     choices: List[Optional[Item]] = [None] * num_groups

@@ -418,7 +418,7 @@ class ResourceOrchestrator:
             if job_id in sim.running:
                 actions.append(ScaleIn(
                     job_id=job_id, removals=tuple(per_server.items()),
-                    workers=0, delta=0, eta=0.0, staged=False,
+                    staged=False,
                 ))
         # 2. Preempt the jobs the plan sacrificed.
         for job_id in plan.preempted_jobs:

@@ -12,8 +12,7 @@ The package splits chaos into three layers:
   GPU-hours by cause, time-to-recover) a chaos run reports.
 
 Fault-free simulations never import this package: ``Simulation.run``
-loads it lazily, only when a non-empty plan (or the legacy
-``node_mtbf`` knob) is configured.
+loads it lazily, only when a non-empty plan is configured.
 """
 
 from repro.faults.audit import (

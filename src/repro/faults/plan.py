@@ -295,17 +295,6 @@ class FaultPlan:
             data = json.loads(text)
         return cls.from_dict(data)
 
-    @classmethod
-    def from_legacy(
-        cls, mtbf: float, repair_time: float = HOUR, seed: int = 0
-    ) -> "FaultPlan":
-        """The pre-plan ``node_mtbf`` knobs as a one-process plan."""
-        return cls(
-            name="legacy-mtbf",
-            seed=seed,
-            process=NodeFailureProcess(mtbf=mtbf, repair_time=repair_time),
-        )
-
     def with_seed(self, seed: int) -> "FaultPlan":
         updates: Dict[str, Any] = {"seed": seed}
         # a seed-derived kill schedule follows the new seed; an explicit

@@ -290,11 +290,6 @@ class ClusterSet(ClusterPair):
             self.lenders_used.add(lender)
             self.transfer_cost_paid += self.transfer_cost(lender, to)
 
-    def loan(self, count, eligible=None, borrower=None):
-        moved = super().loan(count, eligible)
-        self._open_contracts(moved, borrower)
-        return moved
-
     def loan_ids(self, server_ids, borrower=None):
         moved = super().loan_ids(server_ids)
         self._open_contracts(moved, borrower)

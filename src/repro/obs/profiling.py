@@ -125,10 +125,6 @@ class PhaseProfiler:
             self.tracer = tracer
             self.clock = clock
 
-    def current_span_id(self) -> Optional[int]:
-        """The innermost open span's id, or None outside any span."""
-        return self._stack[-1] if self._stack else None
-
     def phase(self, name: str):
         """Context manager timing one occurrence of ``name``."""
         if not self.enabled:

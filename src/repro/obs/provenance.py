@@ -44,7 +44,7 @@ JSON schema of the emitted event's ``args``::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 #: Event name of the per-plan provenance record in traces.
 PROVENANCE_EVENT = "plan.provenance"
@@ -133,22 +133,4 @@ def action_digest(action: Any) -> Dict[str, Any]:
     workers = getattr(action, "workers", None)
     if workers is not None:
         out["workers"] = workers
-    return out
-
-
-def triggers_from_payload(raw: List[Dict[str, Any]]) -> List[Trigger]:
-    """Rebuild :class:`Trigger` records from an event payload (the
-    inverse of :meth:`Trigger.to_dict`, used by the timeline reader)."""
-    out = []
-    for item in raw or []:
-        detail = tuple(
-            (k, v) for k, v in item.items() if k not in ("kind", "ts")
-        )
-        out.append(
-            Trigger(
-                kind=item.get("kind", "?"),
-                ts=float(item.get("ts", 0.0)),
-                detail=detail,
-            )
-        )
     return out

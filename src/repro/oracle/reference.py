@@ -13,7 +13,10 @@ incrementality for first-principles transparency:
   the brute-force MCKP enumerator;
 * :func:`deduct_flex_reference` / :func:`replay_flex_leftover` state the
   fungibility rule for flexible workers plainly, so a production
-  decision's leftover pools can be re-derived and certified.
+  decision's leftover pools can be re-derived and certified;
+* :func:`solve_mckp_scalar` is the MCKP dynamic program as plain Python
+  loops — the reference the vectorized production kernel must match
+  bit for bit, choices included.
 
 None of this is wired into any scheduler: production code must never
 import this module (the conformance runner and tests do).
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.cluster.job import Job
 from repro.cluster.server import Server
@@ -255,3 +258,44 @@ def allocate_reference(
             ref.flex[job.job_id] = 0
     ref.leftover = pools
     return ref
+
+
+# ----------------------------------------------------------------------
+# MCKP: the dynamic program in plain loops
+# ----------------------------------------------------------------------
+def solve_mckp_scalar(
+    groups: Sequence[Sequence[Item]], capacity: int
+) -> Tuple[float, List[Optional[Item]]]:
+    """:func:`repro.core.mckp.solve_mckp` one float at a time.
+
+    Same recurrence, same item order, same tie rules (an item replaces
+    the incumbent only when strictly better; the smallest capacity
+    achieving the optimum wins) — so value *and* choices must equal the
+    vectorized kernel's exactly, not approximately.
+    """
+    if capacity < 0:
+        raise ValueError(f"capacity must be >= 0, got {capacity}")
+    dp = [0.0] * (capacity + 1)
+    choice: List[List[int]] = []
+    for group in groups:
+        new_dp = dp[:]  # taking nothing from this group is always valid
+        taken = [-1] * (capacity + 1)
+        for idx, item in enumerate(group):
+            if item.weight > capacity or item.value <= 0:
+                continue
+            for cap in range(item.weight, capacity + 1):
+                candidate = dp[cap - item.weight] + item.value
+                if candidate > new_dp[cap]:
+                    new_dp[cap] = candidate
+                    taken[cap] = idx
+        dp = new_dp
+        choice.append(taken)
+    cap = max(range(capacity + 1), key=lambda c: dp[c])
+    best_value = dp[cap]
+    choices: List[Optional[Item]] = [None] * len(groups)
+    for g in range(len(groups) - 1, -1, -1):
+        idx = choice[g][cap]
+        if idx >= 0:
+            choices[g] = groups[g][idx]
+            cap -= groups[g][idx].weight
+    return best_value, choices

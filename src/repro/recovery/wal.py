@@ -113,9 +113,6 @@ class PlanWAL:
     def last_plan_id(self) -> Optional[int]:
         return max(self._digests) if self._digests else None
 
-    def digest_of(self, plan_id: int) -> Optional[str]:
-        return self._digests.get(plan_id)
-
     # ------------------------------------------------------------------
     def append(self, plan_id: int, plan) -> str:
         """Journal a plan about to be committed.

@@ -88,9 +88,6 @@ class ResourceManager:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def container(self, container_id: int) -> Container:
-        return self._containers[container_id]
-
     def containers_of(self, job_id: int, running_only: bool = True) -> List[Container]:
         out = [self._containers[c] for c in self._by_job.get(job_id, [])]
         if running_only:
@@ -248,23 +245,14 @@ class ResourceManager:
     def loan_eligible(self, server: Server) -> bool:
         """The one loan-eligibility predicate, shared by plan and commit.
 
-        :meth:`peek_loanable` (planning) and :meth:`loan_servers`
-        (commit) both filter through here, so an eligibility change can
-        never make plans silently diverge from what commits would move.
+        :meth:`peek_loanable` picks the ids a plan names and
+        :meth:`loan_selected` moves exactly those at commit, so this is
+        the only place eligibility is decided.
         Today: never loan a server that is known-unhealthy (e.g. it
         failed while on loan and was routed back before its repair
         finished).
         """
         return self.is_healthy(server.server_id)
-
-    def loan_servers(self, count: int, now: float = 0.0) -> List[Server]:
-        self._note_clock(now)
-        moved = self.pair.loan(count, eligible=self.loan_eligible)
-        if moved:
-            self.audit.append(
-                AuditRecord(now, "loan", tuple(s.server_id for s in moved))
-            )
-        return moved
 
     def peek_loanable(
         self,
@@ -272,12 +260,12 @@ class ResourceManager:
         lender: Optional[str] = None,
         exclude: Optional[set] = None,
     ) -> List[str]:
-        """The server ids :meth:`loan_servers` would move right now.
+        """Up to ``count`` server ids a loan would move right now.
 
         Pure read used when *planning* a loan: the commit later moves
         exactly these ids via :meth:`loan_selected`, so the plan is
-        deterministic and the selection matches the legacy path's
-        (insertion-ordered idle inference servers, eligible only).
+        deterministic (insertion-ordered idle inference servers,
+        eligible only).
         ``lender`` restricts the scan to servers homed in one member
         cluster; ``exclude`` skips ids already claimed by an earlier
         action of the same plan (the capacity broker plans several loans
@@ -454,19 +442,3 @@ class ResourceManager:
             raise RuntimeError(
                 f"containers without server bookings: {sorted(expected)}"
             )
-
-    def whitelist_books(self) -> Dict[str, Dict[str, Tuple[int, int]]]:
-        """Per-cluster whitelist membership books.
-
-        ``{cluster_name: {server_id: (used_gpus, num_gpus)}}`` over every
-        whitelist the pair manages — the market's per-cluster accounting
-        view (and a handy debugging dump for the plain pair, whose two
-        whitelists appear under their own names).
-        """
-        books: Dict[str, Dict[str, Tuple[int, int]]] = {}
-        for cluster in self.pair.clusters():
-            books[cluster.name] = {
-                s.server_id: (s.used_gpus, s.num_gpus)
-                for s in cluster.servers
-            }
-        return books

@@ -41,8 +41,10 @@ from typing import Dict, List, Optional
 
 from repro.cluster.cluster import ClusterPair
 from repro.cluster.job import JobStatus
+from repro.core.actions import EpochPlan, PlanRejected, ScaleIn
 from repro.core.kernel import SchedulerKernel, SimulationConfig
 from repro.obs import Observability, get_logger
+from repro.schedulers.base import SchedulerPolicy
 from repro.serve import protocol
 from repro.serve.driver import WallClockDriver
 from repro.serve.state import ServeState
@@ -52,9 +54,6 @@ logger = get_logger("serve")
 
 #: per-subscriber event buffer; beyond this, oldest events are dropped
 SUBSCRIBER_QUEUE = 4096
-
-#: how the service waits for drain/idle without polling the kernel
-_DRAIN_POLL_S = 0.05
 
 
 class SchedulerService:
@@ -112,8 +111,10 @@ class SchedulerService:
         loop = asyncio.get_running_loop()
         self._loop = loop
         restored = self.state.load_kernel() if self.state else None
+        #: journaled requests up to this sequence are already in the kernel
+        covered_seq = 0
         if restored is not None:
-            kernel, request_seq = restored
+            kernel, covered_seq = restored
             self.kernel = kernel
             self.driver = kernel.driver
             if not isinstance(self.driver, WallClockDriver):
@@ -129,13 +130,6 @@ class SchedulerService:
             self.kernel.recovery = None
             self.recovered_jobs = len(kernel.pending) + len(kernel.running)
             self._rearm_restored_kernel()
-            self._replay_requests(request_seq)
-            logger.info(
-                "recovered kernel at t=%.1f: %d pending, %d running, "
-                "%d journaled requests replayed",
-                kernel.now, len(kernel.pending), len(kernel.running),
-                self.replayed_requests,
-            )
         else:
             self.driver = WallClockDriver(time_scale=self._time_scale)
             self.driver.bind(loop)
@@ -148,11 +142,22 @@ class SchedulerService:
                 obs=self.obs,
                 driver=self.driver,
             )
-        self._next_job_id = (max(self.kernel.jobs) + 1) if self.kernel.jobs else 0
         self.driver.on_epoch_finished = self._on_epoch_finished
         self.kernel.activity_sink = self._on_activity
         if self.state is not None:
             self.kernel.executor.wal = self.state.wal
+            # built or restored, the journal then rebuilds whatever the
+            # kernel does not cover — everything, when no snapshot was
+            # readable
+            self._replay_requests(covered_seq)
+            logger.info(
+                "kernel at t=%.1f: %d pending, %d running, %d recovered "
+                "from a snapshot, %d journaled requests replayed",
+                self.kernel.now, len(self.kernel.pending),
+                len(self.kernel.running), self.recovered_jobs,
+                self.replayed_requests,
+            )
+        self._next_job_id = (max(self.kernel.jobs) + 1) if self.kernel.jobs else 0
         if self._orchestrator is not None:
             self.driver.schedule_after(
                 self.kernel.config.orchestrator_interval,
@@ -178,8 +183,7 @@ class SchedulerService:
             self.kernel.trigger_schedule()
 
     def _replay_requests(self, from_seq: int) -> None:
-        """Re-apply journaled requests the snapshot does not cover."""
-        assert self.state is not None
+        """Re-apply journaled requests the kernel does not cover."""
         for entry in self.state.journal.entries_after(from_seq):
             op = entry.get("op")
             try:
@@ -448,45 +452,52 @@ class SchedulerService:
             return protocol.err(
                 request_id, "bad_request", "scale needs job_id and workers"
             )
-        if self.state is not None:
-            self.state.journal.append("scale", job_id=job_id, workers=workers)
         try:
             result = self._apply_scale(job_id, workers)
         except KeyError:
             return protocol.err(request_id, "unknown_job", f"job {job_id}")
-        except ValueError as exc:
+        except (ValueError, PlanRejected) as exc:
             return protocol.err(request_id, "bad_scale", str(exc))
+        # Only a committed scale-in is made durable (fsynced before this
+        # ack): a refused, no-op or growth-only request changed nothing
+        # and would be replayed, and fail again, on every restart.
+        if result["applied"] == "scale_in" and self.state is not None:
+            self.state.journal.append("scale", job_id=job_id, workers=workers)
         return protocol.ok(request_id, job_id=job_id, **result)
 
     def _apply_scale(self, job_id: int, workers: int) -> dict:
         """Scale a running elastic job toward ``workers``.
 
-        Shrinking removes flexible workers immediately (never below the
-        base demand); growing is a *request* — the next epoch's policy
+        Shrinking is a one-action plan — which flexible workers leave
+        is the schedulers' own rule, ``choose_flex_removals`` — that the
+        kernel's executor validates (running job, workers it holds,
+        never below the base demand), journals in the plan WAL and
+        commits; growing is a *request* — the next epoch's policy
         decides, exactly as it does for every other elastic job.
         """
         job = self.kernel.jobs[job_id]
-        if job_id not in self.kernel.running:
-            raise ValueError("job is not running")
-        if not job.elastic:
-            raise ValueError("job is not elastic")
-        if workers < job.spec.min_workers:
-            raise ValueError(
-                f"cannot scale below base demand {job.spec.min_workers}"
-            )
         current = job.total_workers
         if workers < current:
-            to_remove = current - workers
-            removals: Dict[str, int] = {}
-            for sid in sorted(job.flex_placement):
-                if to_remove == 0:
-                    break
-                take = min(job.flex_placement[sid], to_remove)
-                removals[sid] = take
-                to_remove -= take
-            if removals:
-                self.kernel.scale_in_worker_counts(job, removals)
+            removals = SchedulerPolicy.choose_flex_removals(
+                self.kernel, job, current - workers
+            )
+            shed = sum(removals.values())
+            if shed < current - workers:
+                raise ValueError(
+                    f"job holds {shed} flexible workers, cannot shed "
+                    f"{current - workers}"
+                )
+            self.kernel.executor.apply(EpochPlan(
+                now=self.kernel.now,
+                policy="serve:scale",
+                actions=(ScaleIn(
+                    job_id=job_id, removals=tuple(removals.items()),
+                    staged=False,
+                ),),
+            ))
             return {"workers": job.total_workers, "applied": "scale_in"}
+        if job_id not in self.kernel.running or not job.elastic:
+            raise ValueError("job is not a running elastic job")
         if workers > current:
             # growth is the policy's call: record the wish, run an epoch
             self.kernel.trigger_schedule()

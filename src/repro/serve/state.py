@@ -29,7 +29,9 @@ Restart = load newest readable snapshot (torn snapshots skipped, exactly
 like :meth:`repro.recovery.manager.RecoveryManager.recover`), rebind a
 fresh wall-clock driver at the snapshot's kernel time, re-arm completion
 timers for running jobs, then replay journaled requests with
-``seq > snapshot.request_seq`` through the normal admission paths.
+``seq > snapshot.request_seq`` through the normal admission paths.  With
+no readable snapshot the kernel starts empty and the whole journal is
+replayed.
 """
 
 from __future__ import annotations

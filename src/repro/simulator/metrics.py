@@ -134,23 +134,6 @@ class TimeSeries:
         return self.bucket_bounds(3600.0)
 
 
-#: (attribute, counter metric name) pairs backing the scalar counts.
-_COUNTERS = (
-    ("submissions", "sim.submissions"),
-    ("preemptions", "sim.preemptions"),
-    ("scale_ops", "sim.scale_ops"),
-    ("node_failures", "sim.node_failures"),
-)
-
-#: (attribute, histogram metric name) pairs backing the per-op samples.
-_HISTOGRAMS = (
-    ("loan_ops", "orchestrator.loan_servers"),
-    ("reclaim_ops", "orchestrator.reclaim_servers"),
-    ("collateral", "orchestrator.collateral"),
-    ("flex_satisfied", "orchestrator.flex_satisfied"),
-)
-
-
 def _counter_property(metric_name: str):
     def getter(self: "SimulationMetrics") -> int:
         return self.registry.counter(metric_name).value

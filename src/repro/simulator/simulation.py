@@ -128,13 +128,14 @@ class Simulation(SchedulerKernel):
         self.engine.schedule(0.0, self._heartbeat, tag=("heartbeat",))
         if self.orchestrator is not None:
             self.engine.schedule(0.0, self._orchestrator_tick, tag=("orch",))
-        plan = self._resolve_fault_plan()
+        # None (not an empty plan) when nothing is injected, so the
+        # zero-cost path skips the injector entirely
+        plan = self.config.fault_plan
+        if plan is not None and plan.is_empty():
+            plan = None
         if self.tracer.enabled:
             self.tracer.emit(
                 "run.config", ts=0.0,
-                node_mtbf=self.config.node_mtbf,
-                node_repair_time=self.config.node_repair_time,
-                failure_seed=self.config.failure_seed,
                 fault_plan=plan.to_dict() if plan is not None else None,
                 scheduler_interval=self.config.scheduler_interval,
                 orchestrator_interval=self.config.orchestrator_interval,
@@ -181,25 +182,6 @@ class Simulation(SchedulerKernel):
         self._run_loop(self._deadline)
         self._finalize_hourly_ratio()
         return self.metrics
-
-    def _resolve_fault_plan(self):
-        """The effective fault plan: explicit plan, legacy knobs, or None.
-
-        Returns None (not an empty plan) when nothing is injected, so
-        the zero-cost path skips the injector entirely.
-        """
-        plan = self.config.fault_plan
-        if plan is not None:
-            return None if plan.is_empty() else plan
-        if self.config.node_mtbf:
-            from repro.faults.plan import FaultPlan
-
-            return FaultPlan.from_legacy(
-                self.config.node_mtbf,
-                repair_time=self.config.node_repair_time,
-                seed=self.config.failure_seed,
-            )
-        return None
 
     def _heartbeat(self) -> None:
         """Periodic scheduling epochs (§3: the job scheduler runs

@@ -10,6 +10,7 @@ from repro.cluster.cluster import (
     make_training_cluster,
 )
 from repro.cluster.job import Job, JobSpec
+from repro.rm.manager import ResourceManager
 from repro.scenarios import ExperimentSetup
 from repro.traces.inference import generate_inference_trace
 from repro.traces.workload import TraceConfig, generate_workload
@@ -36,6 +37,20 @@ def make_job(
             **kwargs,
         )
     )
+
+
+def loan(pair_or_rm, count: int, now: float = 0.0):
+    """Loan up to ``count`` idle inference servers the way a committed
+    ``LoanServers`` action does: peek the ids, then move exactly those.
+
+    Setup shortcut for tests that need servers on loan without running
+    an orchestrator; takes a resource manager, or a bare pair (wrapped
+    in a throwaway manager).  Returns the servers moved.
+    """
+    rm = pair_or_rm
+    if not isinstance(rm, ResourceManager):
+        rm = ResourceManager(pair_or_rm)
+    return rm.loan_selected(rm.peek_loanable(count), now=now)
 
 
 @pytest.fixture

@@ -25,7 +25,9 @@ from repro.core.actions import (
     EpochPlan,
     MigrateJob,
     PlanError,
+    PlanRejected,
     PlanTransaction,
+    ScaleIn,
 )
 from repro.core.orchestrator import ResourceOrchestrator
 from repro.core.view import ClusterView
@@ -340,6 +342,76 @@ def test_migrate_to_full_server_rejects_plan():
         sim.executor.apply(plan)
     assert sim.executor.plans_rejected == 1
     assert state_snapshot(sim) == before
+
+
+# ----------------------------------------------------------------------
+# declarative scale-in (reclaim plans, the daemon's ``scale`` op)
+# ----------------------------------------------------------------------
+def flexed_sim():
+    """Job 0 runs elastic at 1 base + 3 flexible workers on the only
+    training server; job 1 (8 GPUs) cannot fit beside it and queues."""
+    specs = [
+        JobSpec(job_id=0, submit_time=0.0, duration=50000.0, max_workers=4,
+                min_workers=1, elastic=True),
+        JobSpec(job_id=1, submit_time=10.0, duration=50000.0, max_workers=8),
+    ]
+    pair = ClusterPair(make_training_cluster(1), make_inference_cluster(1))
+    sim = Simulation(specs, pair, LyraScheduler(),
+                     config=SimulationConfig(record_activities=True))
+    sim.run(until=100.0)
+    assert 0 in sim.running and sim.jobs[0].total_workers == 4
+    assert [j.job_id for j in sim.pending] == [1]
+    return sim
+
+
+def declarative_scale_in(job_id, *removals):
+    return ScaleIn(job_id=job_id, removals=tuple(removals), staged=False)
+
+
+def test_declarative_scale_in_commits_through_the_executor():
+    sim = flexed_sim()
+    job = sim.jobs[0]
+    (host,) = job.servers
+    ops_before = sim.metrics.scale_ops
+    plan = EpochPlan(now=sim.now, policy="test",
+                     actions=(declarative_scale_in(0, (host, 2)),))
+    assert sim.executor.apply(plan).applied
+    assert job.total_workers == 2
+    assert sim.metrics.scale_ops == ops_before + 1
+    last = sim.activities[-1]
+    assert (last.kind.value, last.job_id, last.detail) == ("scale_in", 0, 2)
+    sim.rm.verify_books()
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        # the job holds 3 flexible workers; 4 would take its base worker
+        (lambda host: declarative_scale_in(0, (host, 3)), "below base demand"),
+        (lambda host: declarative_scale_in(0, ("infer-0000", 1)), "holds 0"),
+        (lambda host: declarative_scale_in(0, (host, 0)), "removes 0 workers"),
+        (lambda host: declarative_scale_in(1, (host, 1)), "not running"),
+        (lambda host: declarative_scale_in(77, (host, 1)), "unknown job"),
+    ],
+    ids=["below-floor", "workers-not-held", "empty-removal",
+         "job-not-running", "unknown-job"],
+)
+def test_bad_declarative_scale_in_rejects_the_whole_plan(bad, message):
+    """One invalid ScaleIn rejects every action of its plan — including
+    the valid shrink ahead of it — with nothing logged and books clean."""
+    sim = flexed_sim()
+    (host,) = sim.jobs[0].servers
+    plan = EpochPlan(
+        now=sim.now,
+        policy="test",
+        actions=(declarative_scale_in(0, (host, 1)), bad(host)),
+    )
+    before = state_snapshot(sim)
+    with pytest.raises(PlanRejected, match=message):
+        sim.executor.apply(plan)
+    assert sim.executor.plans_rejected == 1
+    assert state_snapshot(sim) == before
+    sim.rm.verify_books()
 
 
 # ----------------------------------------------------------------------

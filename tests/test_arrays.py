@@ -50,9 +50,11 @@ from repro.faults.crash import (
     CrashPoint,
     SimulatedCrash,
 )
+from repro.oracle.reference import solve_mckp_scalar
 from repro.oracle.refview import ReferenceView
 from repro.recovery import RecoveryManager
 from repro.rm.manager import ResourceManager
+from tests.conftest import loan
 from tests.test_equivalence import GOLDEN_PATH, digest
 from tests.test_recovery import CHECKPOINT_EVERY, KILL_AT, build_sim
 
@@ -92,7 +94,7 @@ def _random_walk(view, rm, pair, jobs, rng, steps=50, per_step=None):
             elif op == "release":
                 rm.release_job(job, now=now)
             elif op == "loan":
-                rm.loan_servers(rng.randint(1, 2), now=now)
+                loan(rm, rng.randint(1, 2), now=now)
             elif op == "return":
                 rm.return_server(server.server_id, now=now)
             elif op == "fail":
@@ -312,8 +314,8 @@ class TestMCKPKernels:
     @settings(max_examples=200, deadline=None)
     def test_numpy_dp_bit_equals_scalar_dp(self, inst):
         groups, capacity = inst
-        v_np, c_np = solve_mckp(groups, capacity, use_numpy=True)
-        v_py, c_py = solve_mckp(groups, capacity, use_numpy=False)
+        v_np, c_np = solve_mckp(groups, capacity)
+        v_py, c_py = solve_mckp_scalar(groups, capacity)
         assert v_np == v_py  # bit-equal floats, not approx
         assert c_np == c_py  # identical item choices, group by group
         _, weight = solution_cost(c_np)
@@ -323,7 +325,7 @@ class TestMCKPKernels:
     @settings(max_examples=100, deadline=None)
     def test_numpy_dp_matches_bruteforce_optimum(self, inst):
         groups, capacity = inst
-        v_np, _ = solve_mckp(groups, capacity, use_numpy=True)
+        v_np, _ = solve_mckp(groups, capacity)
         v_bf, _ = solve_mckp_bruteforce(groups, capacity)
         assert v_np == pytest.approx(v_bf)
 

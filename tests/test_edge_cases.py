@@ -14,7 +14,7 @@ from repro.schedulers.fifo import FIFOScheduler
 from repro.schedulers.lyra import LyraScheduler
 from repro.simulator.simulation import Simulation, SimulationConfig
 
-from tests.conftest import make_job
+from tests.conftest import loan, make_job
 
 
 def make_sim(specs=(), training=2, inference=2, **cfg):
@@ -42,7 +42,7 @@ class TestPoolsDeduct:
 class TestBaseHelpers:
     def test_free_pools_derives_onloan_cost(self):
         sim = make_sim()
-        sim.pair.loan(1)
+        loan(sim.rm, 1)
         pools = SchedulerPolicy.free_pools(sim)
         assert pools.onloan == 8
         assert pools.onloan_cost == pytest.approx(3.0)
@@ -55,7 +55,7 @@ class TestBaseHelpers:
 
     def test_credit_flex_splits_by_domain(self):
         sim = make_sim()
-        sim.pair.loan(1)
+        loan(sim.rm, 1)
         loaned = sim.pair.training.on_loan_servers[0]
         job = make_job(max_workers=8, min_workers=2, elastic=True,
                        fungible=True)
@@ -69,7 +69,7 @@ class TestBaseHelpers:
 
     def test_choose_flex_removals_prefers_training(self):
         sim = make_sim()
-        sim.pair.loan(1)
+        loan(sim.rm, 1)
         loaned = sim.pair.training.on_loan_servers[0]
         job = make_job(max_workers=8, min_workers=2, elastic=True,
                        fungible=True)
@@ -81,7 +81,7 @@ class TestBaseHelpers:
 
     def test_choose_flex_removals_spills_to_loaned(self):
         sim = make_sim()
-        sim.pair.loan(1)
+        loan(sim.rm, 1)
         loaned = sim.pair.training.on_loan_servers[0]
         job = make_job(max_workers=8, min_workers=2, elastic=True,
                        fungible=True)

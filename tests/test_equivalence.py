@@ -26,6 +26,7 @@ from repro.cluster.cluster import (
     make_training_cluster,
 )
 from repro.core.orchestrator import ResourceOrchestrator
+from repro.faults.plan import FaultPlan, NodeFailureProcess
 from repro.oracle.refview import ReferenceView, install_reference_view
 from repro.schedulers.afs import AFSScheduler
 from repro.schedulers.agnostic import LyraAgnosticScheduler
@@ -76,7 +77,13 @@ SCENARIOS = {
     ),
     "node_failures": (
         LyraScheduler,
-        {"orchestrated": True, "node_mtbf": 30000.0, "load": 1.6},
+        {
+            "orchestrated": True,
+            "load": 1.6,
+            "fault_plan": FaultPlan(
+                name="node-mtbf", process=NodeFailureProcess(mtbf=30000.0)
+            ),
+        },
     ),
 }
 
@@ -121,7 +128,7 @@ def run_scenario(
     config = SimulationConfig(
         record_activities=True,
         elastic=opts.get("elastic", True),
-        node_mtbf=opts.get("node_mtbf"),
+        fault_plan=opts.get("fault_plan"),
         drain_limit=opts.get("drain_days", 30.0) * DAY,
     )
     sim = Simulation(

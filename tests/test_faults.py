@@ -120,14 +120,16 @@ class TestFaultPlan:
             builtin_plan("not-a-plan")
 
     def test_with_seed_and_legacy(self):
+        """``with_seed`` copies; a bare failure process (all the CLI's
+        ``--node-mtbf`` builds) is a non-empty plan."""
         plan = builtin_plan("chaos").with_seed(42)
         assert plan.seed == 42
         assert builtin_plan("chaos").seed == 0  # original untouched
-        legacy = FaultPlan.from_legacy(7200.0, repair_time=600.0, seed=3)
-        assert legacy.process.mtbf == 7200.0
-        assert legacy.process.repair_time == 600.0
-        assert legacy.seed == 3
-        assert not legacy.is_empty()
+        mtbf_only = FaultPlan(
+            name="node-mtbf", seed=3,
+            process=NodeFailureProcess(mtbf=7200.0, repair_time=600.0),
+        )
+        assert not mtbf_only.is_empty()
 
 
 class TestRetryPolicy:
@@ -354,9 +356,11 @@ class TestDeterminism:
                      for i in range(6)]
             sim = Simulation(
                 specs, pair(), LyraScheduler(),
-                config=SimulationConfig(node_mtbf=1000.0,
-                                        node_repair_time=600.0,
-                                        failure_seed=3),
+                config=SimulationConfig(fault_plan=FaultPlan(
+                    name="node-mtbf", seed=3,
+                    process=NodeFailureProcess(mtbf=1000.0,
+                                               repair_time=600.0),
+                )),
             )
             m = sim.run()
             return (m.node_failures, m.jct_summary().mean)

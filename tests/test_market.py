@@ -41,6 +41,7 @@ from repro.market import (
 from repro.rm.manager import ResourceManager
 from repro.scenarios import build_sim, default_setup
 
+from tests.conftest import loan
 from tests.test_equivalence import digest, run_scenario, GOLDEN_PATH, VIEWS
 
 
@@ -83,7 +84,7 @@ class TestReturnRouting:
     def test_plain_pair_return_also_routes_by_home(self):
         """The base-pair path goes through the same routing."""
         pair = ClusterPair(make_training_cluster(2), make_inference_cluster(2))
-        pair.loan(1)
+        loan(pair, 1)
         sid = pair.training.on_loan_servers[0].server_id
         server = pair.return_server(sid)
         assert server.server_id in pair.inference
@@ -118,8 +119,8 @@ class TestLoanIdsAtomicity:
 
 class TestSharedEligibility:
     def test_peek_matches_move_under_custom_eligibility(self):
-        """peek (plan) and loan (commit) must share one predicate: an
-        eligibility override changes both or neither."""
+        """Eligibility is decided once, at peek: an override shapes the
+        ids a plan names, and commit moves exactly those."""
 
         class PickyRM(ResourceManager):
             banned = "infer-0001"
@@ -134,8 +135,9 @@ class TestSharedEligibility:
         rm = PickyRM(pair)
         peeked = rm.peek_loanable(3)
         assert PickyRM.banned not in peeked
-        moved = rm.loan_servers(3, now=0.0)
+        moved = rm.loan_selected(peeked, now=0.0)
         assert [s.server_id for s in moved] == peeked
+        assert PickyRM.banned in pair.inference
 
     def test_unhealthy_server_excluded_from_peek_and_move(self):
         pair = ClusterPair(make_training_cluster(2), make_inference_cluster(3))
@@ -144,8 +146,9 @@ class TestSharedEligibility:
         rm.fail_node(first)
         peeked = rm.peek_loanable(3)
         assert first not in peeked
-        moved = rm.loan_servers(3, now=0.0)
+        moved = rm.loan_selected(peeked, now=0.0)
         assert [s.server_id for s in moved] == peeked
+        assert first in pair.inference
 
 
 # ----------------------------------------------------------------------
@@ -412,9 +415,9 @@ def test_any_interleaving_unwinds_cleanly(ops):
     original_training = [s.server_id for s in pair.training.servers]
     for op, arg in ops:
         if op == "loan":
-            rm.loan_servers(arg % 3, now=float(arg))
-        elif op == "loan_ids":
-            ids = rm.peek_loanable(arg % 3)
+            loan(rm, arg % 3, now=float(arg))
+        elif op == "loan_ids":  # one lender's servers only
+            ids = rm.peek_loanable(arg % 3, lender="infer-r1")
             if ids:
                 rm.loan_selected(ids, now=float(arg))
         else:  # return one on-loan server, if any

@@ -11,7 +11,7 @@ from repro.cluster.server import BASE_GROUP, FLEX_GROUP, Server
 from repro.core.placement import PlacementEngine, PlacementRequest
 from repro.core.view import ClusterView
 
-from tests.conftest import make_job
+from tests.conftest import loan, make_job
 
 
 def loaned_cluster(training=2, loaned=2) -> Cluster:
@@ -19,7 +19,7 @@ def loaned_cluster(training=2, loaned=2) -> Cluster:
     pair = ClusterPair(
         make_training_cluster(training), make_inference_cluster(loaned)
     )
-    pair.loan(loaned)
+    loan(pair, loaned)
     return pair.training
 
 

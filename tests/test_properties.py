@@ -25,6 +25,7 @@ from repro.core.view import ClusterView
 from repro.rm.manager import ResourceManager
 from repro.schedulers.lyra import LyraScheduler
 from repro.simulator.simulation import Simulation, SimulationConfig
+from tests.conftest import loan
 from tests.test_arrays import _walked
 
 
@@ -64,7 +65,7 @@ class TestPlacementProperties:
     @settings(max_examples=60, deadline=None)
     def test_never_overallocates_and_books_consistently(self, specs):
         pair = ClusterPair(make_training_cluster(3), make_inference_cluster(2))
-        pair.loan(2)
+        loan(pair, 2)
         engine = PlacementEngine(ClusterView(pair.training))
         jobs = [Job(s) for s in specs]
         requests = [
@@ -95,7 +96,7 @@ class TestPlacementProperties:
     @settings(max_examples=40, deadline=None)
     def test_type_homogeneity_preserved(self, specs):
         pair = ClusterPair(make_training_cluster(2), make_inference_cluster(2))
-        pair.loan(2)
+        loan(pair, 2)
         engine = PlacementEngine(ClusterView(pair.training))
         for spec in specs:
             job = Job(spec)
@@ -165,7 +166,7 @@ class TestReclaimProperties:
     @settings(max_examples=50, deadline=None)
     def test_plan_consistency(self, specs, count):
         pair = ClusterPair(make_training_cluster(0), make_inference_cluster(4))
-        pair.loan(4)
+        loan(pair, 4)
         engine = PlacementEngine(ClusterView(pair.training))
         jobs = {}
         for spec in specs:
@@ -243,7 +244,7 @@ class TestResourceManagerInterleavings:
                 elif op == "release":
                     rm.release_job(job, now=now)
                 elif op == "loan":
-                    rm.loan_servers(rng.randint(1, 2), now=now)
+                    loan(rm, rng.randint(1, 2), now=now)
                 elif op == "return":
                     rm.return_server(server.server_id, now=now)
                 elif op == "fail":

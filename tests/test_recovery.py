@@ -82,7 +82,7 @@ def build_sim(name: str) -> Simulation:
     config = SimulationConfig(
         record_activities=True,
         elastic=opts.get("elastic", True),
-        node_mtbf=opts.get("node_mtbf"),
+        fault_plan=opts.get("fault_plan"),
         drain_limit=opts.get("drain_days", 30.0) * DAY,
     )
     return Simulation(

@@ -8,12 +8,13 @@ from repro.cluster.cluster import (
     make_training_cluster,
 )
 from repro.cluster.job import JobSpec, JobStatus
+from repro.faults import FaultPlan, NodeFailureProcess
 from repro.rm.containers import Container, ContainerState
 from repro.rm.manager import ResourceManager
 from repro.schedulers.lyra import LyraScheduler
 from repro.simulator.simulation import Simulation, SimulationConfig
 
-from tests.conftest import make_job
+from tests.conftest import loan, make_job
 
 
 @pytest.fixture
@@ -119,14 +120,14 @@ class TestLaunchRelease:
 
 class TestWhitelist:
     def test_loan_and_return(self, rm):
-        moved = rm.loan_servers(1, now=0.0)
+        moved = loan(rm, 1, now=0.0)
         assert len(moved) == 1
         returned = rm.return_server(moved[0].server_id, now=1.0)
         assert not returned.on_loan
         assert [r.op for r in rm.audit] == ["loan", "return"]
 
     def test_return_refused_while_containers_run(self, rm):
-        moved = rm.loan_servers(1)[0]
+        moved = loan(rm, 1)[0]
         job = make_job(fungible=True)
         rm.launch(job, moved, 1, 1, flexible=False)
         with pytest.raises(RuntimeError, match="vacated"):
@@ -190,10 +191,13 @@ class TestFailureInjection:
                     max_workers=4)
             for i in range(8)
         ]
+        plan = FaultPlan(
+            name="node-mtbf", seed=seed,
+            process=NodeFailureProcess(mtbf=mtbf, repair_time=600.0),
+        ) if mtbf else None
         sim = Simulation(
             specs, pair, LyraScheduler(),
-            config=SimulationConfig(node_mtbf=mtbf, node_repair_time=600.0,
-                                    failure_seed=seed),
+            config=SimulationConfig(fault_plan=plan),
         )
         metrics = sim.run()
         return sim, metrics
@@ -262,8 +266,8 @@ class TestOnLoanFailures:
     def test_failure_on_loaned_server_books_clean(self):
         sim = self.make_sim()
 
-        def loan():
-            assert sim.rm.loan_servers(1, now=sim.now)
+        def loan_one():
+            assert loan(sim.rm, 1, now=sim.now)
             sim.trigger_schedule()
 
         observed = {}
@@ -275,7 +279,7 @@ class TestOnLoanFailures:
             assert sim.apply_node_failure(server.server_id, repair_time=600.0)
             sim.rm.verify_books()  # clean immediately after the failure
 
-        sim.engine.schedule(10.0, loan)
+        sim.engine.schedule(10.0, loan_one)
         sim.engine.schedule(2000.0, fail)
         metrics = sim.run()
 
@@ -298,8 +302,8 @@ class TestOnLoanFailures:
         # attributed: the preemption was the reclaim's, not the crash's.
         sim = self.make_sim()
 
-        def loan():
-            assert sim.rm.loan_servers(1, now=sim.now)
+        def loan_one():
+            assert loan(sim.rm, 1, now=sim.now)
             sim.trigger_schedule()
 
         def reclaim_then_fail():
@@ -316,13 +320,13 @@ class TestOnLoanFailures:
             returned = sim.rm.return_server(server.server_id, now=sim.now)
             assert not returned.on_loan
             # ...and the unhealthy server is never loaned back out
-            reloaned = sim.rm.loan_servers(1, now=sim.now)
+            reloaned = loan(sim.rm, 1, now=sim.now)
             assert all(
                 s.server_id != server.server_id for s in reloaned
             )
             sim.rm.verify_books()
 
-        sim.engine.schedule(10.0, loan)
+        sim.engine.schedule(10.0, loan_one)
         sim.engine.schedule(2000.0, reclaim_then_fail)
         metrics = sim.run()
 

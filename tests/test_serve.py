@@ -20,7 +20,9 @@ from repro.cluster.cluster import (
     make_training_cluster,
 )
 from repro.core.kernel import SimulationConfig
+from repro.obs import Observability
 from repro.schedulers.fifo import FIFOScheduler
+from repro.schedulers.lyra import LyraScheduler
 from repro.serve import SchedulerService, ServeClient, WallClockDriver
 from repro.serve import protocol
 from repro.serve.client import ServeError
@@ -34,9 +36,10 @@ def _pair():
 
 def _service(**kw):
     interval = kw.pop("interval", 1.0)
+    policy = kw.pop("policy", FIFOScheduler)
     kw.setdefault("time_scale", 500.0)
     return SchedulerService(
-        _pair(), FIFOScheduler(),
+        _pair(), policy(),
         SimulationConfig(scheduler_interval=interval),
         port=0, **kw,
     )
@@ -60,6 +63,16 @@ def run_with_service(body, **service_kw):
                 await server
 
     return asyncio.run(main())
+
+
+async def _crash(service, server, client):
+    """The hard kill: no drain, no stop(), no final snapshot."""
+    await client.close()
+    server.cancel()
+    with contextlib.suppress(asyncio.CancelledError):
+        await server
+    service._server.close()
+    service.state.close()
 
 
 async def _wait_status(client, job_id, status, timeout=5.0):
@@ -458,6 +471,164 @@ class TestServeDurability:
 
         asyncio.run(second_life())
         assert ops == [("submit", None), ("submit", None), ("cancel", victim)]
+
+    def test_restart_without_a_snapshot_replays_the_journal(self, tmp_path):
+        """With every snapshot deleted or torn, the request journal alone
+        rebuilds the world: each acked, un-cancelled job is back, the
+        cancelled one is not, and new ids do not collide with old."""
+        state_dir = tmp_path / "state"
+
+        async def first_life():
+            service = _service(state_dir=state_dir, interval=1.0)
+            await service.start()
+            server = asyncio.ensure_future(service.serve_forever())
+            client = await ServeClient.connect(service.host, service.port)
+            acked = [
+                await client.submit(duration=5_000.0, max_workers=1,
+                                    min_workers=1)
+                for _ in range(5)
+            ]
+            await _wait_status(client, acked[0], "running")
+            assert await client.cancel(acked[2]) is True
+            assert (await client.stats())["snapshots_written"] >= 1
+            await _crash(service, server, client)
+            return acked
+
+        acked = asyncio.run(first_life())
+        snapshots = sorted(state_dir.glob("snapshot-*.ckpt"))
+        assert snapshots
+        snapshots[-1].write_bytes(snapshots[-1].read_bytes()[:40])  # torn
+        for path in snapshots[:-1]:
+            path.unlink()
+
+        async def second_life():
+            service = _service(state_dir=state_dir, interval=1.0)
+            await service.start()
+            server = asyncio.ensure_future(service.serve_forever())
+            client = await ServeClient.connect(service.host, service.port)
+            try:
+                assert service.recovered_jobs == 0  # nothing from a snapshot
+                assert service.replayed_requests == len(acked) + 1
+                for job_id in acked:
+                    if job_id == acked[2]:
+                        with pytest.raises(ServeError) as exc:
+                            await client.query(job_id)
+                        assert exc.value.code == "unknown_job"
+                    else:
+                        info = await client.query(job_id)
+                        assert info["status"] in ("pending", "running")
+                fresh = await client.submit(duration=10.0, max_workers=1)
+                assert fresh == max(acked) + 1
+            finally:
+                await client.close()
+                await service.stop()
+                server.cancel()
+                with contextlib.suppress(asyncio.CancelledError):
+                    await server
+
+        asyncio.run(second_life())
+
+    def test_rejected_scale_is_not_journaled(self, tmp_path):
+        """Only a scale-in that commits is made durable: refused, no-op
+        and growth-only requests change nothing, so journaling them
+        would only replay (and fail) them on every restart."""
+
+        async def body(service, client):
+            job_id = await client.submit(
+                duration=50_000.0, max_workers=4, min_workers=1,
+                elastic=True,
+            )
+            await _wait_status(client, job_id, "running")
+            workers = (await client.query(job_id))["workers"]
+            assert workers > 1
+            journal = service.state.journal
+            seq = journal.seq
+            for target, code in ((0, "bad_scale"), (-3, "bad_scale")):
+                with pytest.raises(ServeError) as exc:
+                    await client.scale(job_id, target)
+                assert exc.value.code == code
+            with pytest.raises(ServeError) as exc:
+                await client.scale(999, 1)
+            assert exc.value.code == "unknown_job"
+            assert (await client.scale(job_id, workers))["applied"] == "noop"
+            grown = await client.scale(job_id, workers + 1)
+            assert grown["applied"] == "requested"
+            assert journal.seq == seq
+            assert service.kernel.executor.plans_rejected == 0
+            shrunk = await client.scale(job_id, 1)
+            assert (shrunk["applied"], shrunk["workers"]) == ("scale_in", 1)
+            assert journal.seq == seq + 1
+            assert journal.entries_after(seq) == [
+                {"seq": seq + 1, "op": "scale", "job_id": job_id,
+                 "workers": 1}
+            ]
+
+        run_with_service(
+            body, policy=LyraScheduler, state_dir=tmp_path / "state",
+            interval=10_000.0,
+        )
+
+    def test_scale_in_is_a_plan_and_survives_a_kill(self, tmp_path):
+        """The ``scale`` op commits through the kernel's executor — one
+        more applied plan, one more WAL entry, a ``scheduler.plan`` +
+        ``plan.provenance`` pair under policy ``serve:scale`` — and a
+        kill right after the ack loses nothing: the snapshot predates
+        the shrink, the journal replays it."""
+        state_dir = tmp_path / "state"
+        obs = Observability.enabled()
+
+        async def first_life():
+            # one epoch only (the next is 10,000 kernel-seconds away), so
+            # the snapshot on disk holds the job at full size
+            service = _service(policy=LyraScheduler, state_dir=state_dir,
+                               interval=10_000.0, obs=obs)
+            await service.start()
+            server = asyncio.ensure_future(service.serve_forever())
+            client = await ServeClient.connect(service.host, service.port)
+            job_id = await client.submit(
+                duration=50_000.0, max_workers=4, min_workers=1,
+                elastic=True,
+            )
+            await _wait_status(client, job_id, "running")
+            before = await client.stats()
+            assert (await client.query(job_id))["workers"] == 4
+            shrunk = await client.scale(job_id, 2)
+            assert (shrunk["applied"], shrunk["workers"]) == ("scale_in", 2)
+            after = await client.stats()
+            assert after["plans_applied"] == before["plans_applied"] + 1
+            assert after["wal_appended"] == before["wal_appended"] + 1
+            assert after["snapshots_written"] == before["snapshots_written"]
+            await _crash(service, server, client)
+            return job_id
+
+        job_id = asyncio.run(first_life())
+        plans = [e for e in obs.tracer.events
+                 if e.name == "scheduler.plan"
+                 and e.args["policy"] == "serve:scale"]
+        assert len(plans) == 1 and plans[0].args["by_kind"] == {"scale_in": 1}
+        assert any(
+            e.name == "plan.provenance"
+            and e.args["plan_id"] == plans[0].args["plan_id"]
+            and e.args["policy"] == "serve:scale"
+            for e in obs.tracer.events
+        )
+
+        async def second_life():
+            service = _service(policy=LyraScheduler, state_dir=state_dir,
+                               interval=10_000.0)
+            await service.start()
+            try:
+                job = service.kernel.jobs[job_id]
+                assert job_id in service.kernel.running
+                assert job.total_workers == 2
+                assert service.replayed_requests >= 1
+                # the replayed shrink is a journaled plan of this life
+                assert service.state.wal.appended == 1
+                service.kernel.rm.verify_books()
+            finally:
+                await service.stop(final_snapshot=False)
+
+        asyncio.run(second_life())
 
     def test_wal_segments_per_generation(self, tmp_path):
         state_dir = tmp_path / "state"

