@@ -397,6 +397,7 @@ def cmd_serve(args) -> int:
         make_inference_cluster,
         make_training_cluster,
     )
+    from repro.recovery import WALError
     from repro.scenarios import make_policy
     from repro.serve import SchedulerService
     from repro.simulator.simulation import SimulationConfig
@@ -407,18 +408,23 @@ def cmd_serve(args) -> int:
     )
     config = SimulationConfig(scheduler_interval=args.epoch_interval)
     obs = Observability.enabled() if args.trace else Observability.disabled()
-    service = SchedulerService(
-        pair,
-        make_policy(args.scheme, seed=args.seed),
-        config,
-        host=args.host,
-        port=args.port,
-        max_pending=args.max_pending,
-        time_scale=args.time_scale,
-        state_dir=args.state_dir,
-        snapshot_every_epochs=args.snapshot_every,
-        obs=obs,
-    )
+    try:
+        service = SchedulerService(
+            pair,
+            make_policy(args.scheme, seed=args.seed),
+            config,
+            host=args.host,
+            port=args.port,
+            max_pending=args.max_pending,
+            time_scale=args.time_scale,
+            state_dir=args.state_dir,
+            snapshot_every_epochs=args.snapshot_every,
+            obs=obs,
+        )
+    except WALError as exc:
+        # the state directory's request journal is unreadable
+        print(f"cannot start: {exc}", file=sys.stderr)
+        return 2
 
     async def _serve() -> int:
         await service.start()

@@ -1,12 +1,14 @@
 """Durable state: snapshots, a write-ahead plan journal, and recovery.
 
-The simulator's entire run state is in-memory; this package makes it
-survive process death.  Three pieces (docs/ROBUSTNESS.md):
+The scheduler's entire run state is in-memory; this package makes it
+survive process death, for the simulator and the serving daemon alike.
+The pieces (docs/ROBUSTNESS.md):
 
 * :class:`~repro.recovery.codec.SnapshotCodec` — versioned, checksummed
-  serialization of the full simulation state (jobs, clusters, loans,
+  envelope around the pickled kernel state (jobs, clusters, loans,
   view, executor counters, fault-injector RNG streams, the event queue
-  as tagged descriptors, metrics, activities);
+  as tagged descriptors, metrics, activities), kept in numbered files
+  by :class:`~repro.recovery.codec.SnapshotStore`;
 * :class:`~repro.recovery.wal.PlanWAL` — an append-only, fsynced JSONL
   journal of every committed :class:`~repro.core.actions.EpochPlan`,
   written *before* the plan's effects land;
@@ -19,7 +21,7 @@ A simulation with ``sim.recovery is None`` (the default) never imports
 this package and takes the exact pre-recovery code path.
 """
 
-from repro.recovery.codec import SCHEMA_VERSION, SnapshotCodec, SnapshotError
+from repro.recovery.codec import SCHEMA_VERSION, SnapshotCodec, SnapshotError, SnapshotStore
 from repro.recovery.manager import RecoveryError, RecoveryManager
 from repro.recovery.state import capture_payload, event_resolver, restore_payload
 from repro.recovery.wal import PlanWAL, WALError
@@ -31,6 +33,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "SnapshotCodec",
     "SnapshotError",
+    "SnapshotStore",
     "WALError",
     "capture_payload",
     "event_resolver",

@@ -1,15 +1,22 @@
-"""Snapshot serialization: versioned, checksummed, atomic.
+"""Snapshot files: versioned, checksummed, atomic, numbered.
 
-A snapshot file is::
+A checkpoint directory (simulator) and a state directory (daemon) keep
+their snapshots the same way, through one :class:`SnapshotStore`:
+``snapshot-NNNNNN.ckpt`` files whose numbers only grow (a torn file's
+number is never reused), loaded newest-first past files that fail their
+checks.  A snapshot file is::
 
     MAGIC (10 bytes) | header length (4 bytes, big-endian) |
     header (JSON: schema version, sha256, payload size) |
     payload (pickle protocol 4)
 
-The checksum covers the payload, so torn or bit-rotted snapshots are
-detected at load time and the recovery manager falls back to the
-previous one.  The schema version gates pickle compatibility: a codec
-refuses payloads written by a different schema rather than guessing.
+The codec envelopes payload *bytes*: the one ``pickle.dumps`` of a
+snapshot happens in :func:`repro.recovery.state.capture_payload`, which
+hands its result here.  The checksum covers the payload, so torn or
+bit-rotted snapshots are detected at load time and the snapshot store
+falls back to the previous one.  The schema version gates pickle
+compatibility: a codec refuses payloads written by a different schema
+rather than guessing.
 """
 
 from __future__ import annotations
@@ -18,15 +25,20 @@ import hashlib
 import json
 import pickle
 from pathlib import Path
-from typing import Any, Dict, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.ioutil import atomic_write_bytes
+from repro.obs import get_logger
+
+logger = get_logger("recovery.codec")
 
 MAGIC = b"REPROSNAP\x00"
 SCHEMA_VERSION = 1
 
 #: pinned pickle protocol: snapshots written on 3.9 load on 3.12
-_PICKLE_PROTOCOL = 4
+PICKLE_PROTOCOL = 4
+
+SNAPSHOT_GLOB = "snapshot-*.ckpt"
 
 
 class SnapshotError(RuntimeError):
@@ -36,11 +48,8 @@ class SnapshotError(RuntimeError):
 class SnapshotCodec:
     """Encodes/decodes snapshot payloads with integrity checking."""
 
-    version = SCHEMA_VERSION
-
     @staticmethod
-    def encode(payload: Dict[str, Any]) -> bytes:
-        blob = pickle.dumps(payload, protocol=_PICKLE_PROTOCOL)
+    def encode(blob: bytes) -> bytes:
         header = json.dumps(
             {
                 "schema": SCHEMA_VERSION,
@@ -85,9 +94,9 @@ class SnapshotCodec:
 
     # ------------------------------------------------------------------
     @classmethod
-    def dump(cls, payload: Dict[str, Any], path: Union[str, Path]) -> int:
-        """Atomically write ``payload`` to ``path``; returns byte size."""
-        data = cls.encode(payload)
+    def dump(cls, blob: bytes, path: Union[str, Path]) -> int:
+        """Atomically write pickled ``blob`` to ``path``; returns byte size."""
+        data = cls.encode(blob)
         atomic_write_bytes(path, data)
         return len(data)
 
@@ -98,3 +107,49 @@ class SnapshotCodec:
         except OSError as exc:
             raise SnapshotError(f"cannot read snapshot {path}: {exc}") from exc
         return cls.decode(data)
+
+
+class SnapshotStore:
+    """Owns the ``snapshot-NNNNNN.ckpt`` files of one directory."""
+
+    def __init__(self, directory: Union[str, Path]):
+        self.directory = Path(directory)
+        self.directory.mkdir(parents=True, exist_ok=True)
+        # atomic_write removes its temp file on an exception, which a
+        # SIGKILL mid-snapshot never raises: sweep what such a death left
+        for stale in self.directory.glob(SNAPSHOT_GLOB + ".tmp.*"):
+            logger.warning("removing stale temp file %s", stale.name)
+            stale.unlink()
+        paths = self.paths()
+        #: number of the newest snapshot on disk, readable or not
+        self.seq = int(paths[-1].stem.split("-", 1)[1]) if paths else 0
+
+    def paths(self) -> List[Path]:
+        """Every snapshot file, oldest first."""
+        return sorted(self.directory.glob(SNAPSHOT_GLOB))
+
+    def write(self, blob: bytes) -> Tuple[Path, int]:
+        """Write payload bytes as the next snapshot; (path, file size)."""
+        self.seq += 1
+        path = self.directory / f"snapshot-{self.seq:06d}.ckpt"
+        return path, SnapshotCodec.dump(blob, path)
+
+    def load_newest(
+        self,
+    ) -> Tuple[Optional[Dict[str, Any]], Optional[Path], List[Path]]:
+        """``(payload, path, skipped)`` of the newest snapshot that passes
+        its checks; ``skipped`` lists the newer files passed over, and
+        ``payload`` is None when no snapshot in the directory is readable."""
+        skipped: List[Path] = []
+        for path in reversed(self.paths()):
+            try:
+                return SnapshotCodec.load(path), path, skipped
+            except SnapshotError as exc:
+                logger.warning("skipping snapshot %s: %s", path.name, exc)
+                skipped.append(path)
+        return None, None, skipped
+
+    def prune(self, keep: int) -> None:
+        """Delete all but the ``keep`` newest snapshots."""
+        for old in self.paths()[:-keep]:
+            old.unlink()

@@ -4,9 +4,7 @@ A :class:`RecoveryManager` owns a checkpoint directory::
 
     recovery.json          manifest (schema, cadence)
     wal.jsonl              write-ahead plan journal
-    snapshot-000001.ckpt   full-state snapshots, monotonically numbered
-    snapshot-000002.ckpt
-    ...
+    snapshot-NNNNNN.ckpt   full-state snapshots (repro.recovery.codec)
 
 Attached to a simulation (``sim.recovery = manager``), it replaces the
 engine's one-shot ``run(until)`` with a stepped loop that snapshots the
@@ -31,25 +29,16 @@ from typing import Optional, Union
 
 from repro.faults.crash import BARRIER_BETWEEN_EVENTS, CrashInjector
 from repro.ioutil import atomic_write_text
-from repro.recovery.codec import SCHEMA_VERSION, SnapshotCodec, SnapshotError
+from repro.recovery.codec import SCHEMA_VERSION, SnapshotStore
 from repro.recovery.state import capture_payload, restore_payload
 from repro.recovery.wal import PlanWAL
 
 MANIFEST_NAME = "recovery.json"
 WAL_NAME = "wal.jsonl"
-SNAPSHOT_GLOB = "snapshot-*.ckpt"
 
 
 class RecoveryError(RuntimeError):
     """Recovery is impossible: no usable snapshot, or a bad directory."""
-
-
-def _snapshot_path(directory: Path, seq: int) -> Path:
-    return directory / f"snapshot-{seq:06d}.ckpt"
-
-
-def _snapshot_seq(path: Path) -> int:
-    return int(path.stem.split("-", 1)[1])
 
 
 class RecoveryManager:
@@ -69,21 +58,15 @@ class RecoveryManager:
         self.checkpoint_every = float(checkpoint_every)
         self.crash = crash
         self.wal: Optional[PlanWAL] = None
+        self.store: Optional[SnapshotStore] = None
         self.checkpoints = 0
-        self.last_snapshot_bytes = 0
         self._sim = None
-        self._snapshot_seq = 0
         self._next_checkpoint: Optional[float] = None
 
     # ------------------------------------------------------------------
     def attach(self, sim) -> None:
         """Wire this manager into ``sim`` and make the directory live."""
-        self.directory.mkdir(parents=True, exist_ok=True)
-        existing = sorted(self.directory.glob(SNAPSHOT_GLOB))
-        if existing:
-            self._snapshot_seq = max(
-                self._snapshot_seq, _snapshot_seq(existing[-1])
-            )
+        self.store = SnapshotStore(self.directory)
         self._sim = sim
         self.wal = PlanWAL(self.directory / WAL_NAME, registry=sim.obs.registry)
         sim.recovery = self
@@ -139,19 +122,15 @@ class RecoveryManager:
 
     def checkpoint(self, sim) -> Path:
         """Snapshot ``sim`` to the next numbered file; returns its path."""
-        payload = capture_payload(sim)
-        self._snapshot_seq += 1
-        path = _snapshot_path(self.directory, self._snapshot_seq)
-        size = SnapshotCodec.dump(payload, path)
+        path, size = self.store.write(capture_payload(sim))
         self.checkpoints += 1
-        self.last_snapshot_bytes = size
         registry = sim.obs.registry
         registry.counter("recovery.checkpoints").inc()
         registry.gauge("recovery.snapshot_bytes").set(size)
         # emitted after capture: the snapshot does not contain the trace
         # of its own creation
         sim.trace(
-            "recovery.checkpoint", seq=self._snapshot_seq, snapshot_bytes=size
+            "recovery.checkpoint", seq=self.store.seq, snapshot_bytes=size
         )
         return path
 
@@ -180,25 +159,13 @@ class RecoveryManager:
                 f"does not match this build (schema {SCHEMA_VERSION})"
             )
 
-        snapshots = sorted(directory.glob(SNAPSHOT_GLOB))
-        if not snapshots:
-            raise RecoveryError(
-                f"{directory} has no snapshots; the run died before its "
-                "first checkpoint — rerun from the start"
-            )
-        payload = None
-        used = None
-        skipped = 0
-        for path in reversed(snapshots):
-            try:
-                payload = SnapshotCodec.load(path)
-                used = path
-                break
-            except SnapshotError:
-                skipped += 1
+        payload, used, skipped = SnapshotStore(directory).load_newest()
         if payload is None:
             raise RecoveryError(
-                f"all {len(snapshots)} snapshots in {directory} are corrupt"
+                f"all {len(skipped)} snapshots in {directory} are corrupt"
+                if skipped
+                else f"{directory} has no snapshots; the run died before "
+                "its first checkpoint — rerun from the start"
             )
 
         sim = restore_payload(payload)
@@ -208,7 +175,6 @@ class RecoveryManager:
                 manifest.get("checkpoint_every", 600.0)
             ),
         )
-        manager._snapshot_seq = _snapshot_seq(used)
         manager.attach(sim)
 
         registry = sim.obs.registry
@@ -224,7 +190,7 @@ class RecoveryManager:
         sim.trace(
             "recovery.resumed",
             snapshot=used.name,
-            snapshots_skipped=skipped,
+            snapshots_skipped=len(skipped),
             sim_time=sim.engine.now,
             wal_plans_ahead=wal_ahead,
         )

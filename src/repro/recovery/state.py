@@ -24,8 +24,9 @@ from __future__ import annotations
 import pickle
 from typing import Any, Callable, Dict
 
-from repro.recovery.codec import SnapshotError
+from repro.recovery.codec import PICKLE_PROTOCOL, SnapshotError
 from repro.rm.containers import container_id_state, set_container_id_state
+from repro.simulator.simulation import Simulation
 
 #: payload schema keys, documented in docs/ROBUSTNESS.md
 PAYLOAD_KEYS = ("sim", "container_seq")
@@ -61,12 +62,14 @@ def event_resolver(sim) -> Callable[[tuple], Callable[[], None]]:
     return resolve
 
 
-def capture_payload(sim) -> Dict[str, Any]:
-    """Snapshot a quiescent simulation into a codec-ready payload.
+def capture_payload(sim, **stamp) -> bytes:
+    """Pickle a quiescent kernel into codec-ready payload bytes.
 
-    The live simulation is left exactly as it was: stripped hooks are
-    re-attached (closure hooks are pure functions of plan + RNG state,
-    so re-created ones behave identically) before returning.
+    The bytes are the ``{"sim", "container_seq", **stamp}`` dict,
+    serialized once (``stamp``: the daemon's request sequence).  The
+    live kernel is left exactly as it was: stripped hooks are re-attached
+    (closure hooks are pure functions of plan + RNG state, so re-created
+    ones behave identically) before returning.
     """
     if sim.rm.journal is not None:
         raise SnapshotError(
@@ -104,38 +107,41 @@ def capture_payload(sim) -> Dict[str, Any]:
     if injector is not None:
         injector.strip_for_snapshot()
     try:
-        # round-trip through pickle so the payload is detached from the
-        # live objects (the caller may keep mutating the simulation)
-        blob = pickle.dumps(
-            {"sim": sim, "container_seq": container_id_state()},
-            protocol=4,
+        # the bytes are detached from the live objects by construction
+        # (the caller may keep mutating the kernel)
+        return pickle.dumps(
+            {"sim": sim, "container_seq": container_id_state(), **stamp},
+            protocol=PICKLE_PROTOCOL,
         )
     finally:
         for obj, attr, value in reversed(saved):
             setattr(obj, attr, value)
         if injector is not None:
             injector.rewire()
-    return pickle.loads(blob)
 
 
 def restore_payload(payload: Dict[str, Any]):
-    """Bring a decoded payload back to life; returns the simulation.
+    """Bring a decoded payload back to life; returns the kernel.
 
-    Rewires everything :func:`capture_payload` stripped: the engine heap
-    (tags → callbacks), the profiler clock, and the fault injector's
-    closure hooks.  The caller (normally the
-    :class:`~repro.recovery.manager.RecoveryManager`) re-attaches the
-    durable-state machinery before resuming.
+    Rewires everything :func:`capture_payload` stripped — the profiler
+    clock, the fault injector's closure hooks — then the timers, by
+    driver: a :class:`Simulation` rebinds its engine heap (tags →
+    callbacks); a wall-clock kernel's timers died with the old process,
+    so its pending tick is cleared and the daemon re-arms completions.
+    The caller re-attaches the durable-state machinery before resuming.
     """
     for key in PAYLOAD_KEYS:
         if key not in payload:
             raise SnapshotError(f"snapshot payload missing {key!r}")
-    sim = payload["sim"]
+    kernel = payload["sim"]
     set_container_id_state(payload["container_seq"])
-    sim.engine.rebind(event_resolver(sim))
-    phases = sim.obs.phases
+    phases = kernel.obs.phases
     if phases.tracer is not None:
-        phases.clock = lambda: sim.engine.now
-    if sim.fault_injector is not None:
-        sim.fault_injector.rewire()
-    return sim
+        phases.clock = lambda: kernel.now
+    if kernel.fault_injector is not None:
+        kernel.fault_injector.rewire()
+    if isinstance(kernel, Simulation):
+        kernel.engine.rebind(event_resolver(kernel))
+    else:
+        kernel._tick_pending = False
+    return kernel

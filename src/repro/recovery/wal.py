@@ -15,9 +15,13 @@ verification, not replay-of-effects:
   second plan record, so replaying an already-applied plan can never
   double-commit.
 
-The format is append-only JSONL, fsynced per entry.  A torn final line
-(the crash landed mid-write) is tolerated and dropped on load; a torn
-line anywhere else means outside interference and is an error.
+The file itself is an :class:`AppendLog` — append-only JSONL, fsynced
+per record — shared with the daemon's request journal.  A record is
+complete once its newline is on disk.  Bytes after the last newline are
+a torn tail: the process died inside the write, so that plan was never
+committed / that request never acked; opening the log cuts the tail off
+the *file*, so the next append starts on a fresh line.  A complete line
+that does not parse is outside interference and a :class:`WALError`.
 """
 
 from __future__ import annotations
@@ -26,11 +30,64 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Union
+
+from repro.obs import get_logger
+
+logger = get_logger("recovery.wal")
 
 
 class WALError(RuntimeError):
-    """The journal is corrupt, or a replayed plan diverged from it."""
+    """A durable log is corrupt, or a replayed plan diverged from it."""
+
+
+class AppendLog:
+    """One JSON record per line; ``dumps_kwargs`` fix the byte format."""
+
+    def __init__(self, path: Union[str, Path], **dumps_kwargs):
+        self.path = Path(path)
+        self._dumps_kwargs = dumps_kwargs
+        self._fh = None
+
+    def load(self) -> List[dict]:
+        """Every complete record, in file order; truncates a torn tail."""
+        try:
+            data = self.path.read_bytes()
+        except FileNotFoundError:
+            return []
+        complete = data.rfind(b"\n") + 1
+        if complete < len(data):
+            logger.warning("%s: truncating a torn tail", self.path)
+            with self.path.open("r+b") as fh:
+                fh.truncate(complete)
+                os.fsync(fh.fileno())
+        records = []
+        for number, line in enumerate(data[:complete].split(b"\n")[:-1], 1):
+            try:
+                record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise ValueError("not a JSON object")
+            except ValueError as exc:
+                raise WALError(
+                    f"{self.path}: corrupt journal entry at line {number}"
+                ) from exc
+            records.append(record)
+        return records
+
+    def append(self, record: dict) -> None:
+        """Write one record and make it durable before returning."""
+        if self._fh is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._fh = self.path.open("ab")
+        line = json.dumps(record, **self._dumps_kwargs) + "\n"
+        self._fh.write(line.encode("utf-8"))
+        self._fh.flush()
+        os.fsync(self._fh.fileno())
+
+    def close(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
 
 
 def plan_digest(record: dict) -> str:
@@ -54,27 +111,11 @@ class PlanWAL:
         self.appended = 0
         self.replayed = 0
         self._digests: Dict[int, str] = {}
-        self._fh = None
-        if self.path.exists():
-            self._load()
+        self._log = AppendLog(self.path, sort_keys=True)
+        self._load()
 
-    # ------------------------------------------------------------------
     def _load(self) -> None:
-        raw = self.path.read_bytes().decode("utf-8", errors="replace")
-        lines = raw.split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        for i, line in enumerate(lines):
-            try:
-                record = json.loads(line)
-            except ValueError as exc:
-                if i == len(lines) - 1:
-                    # torn tail from a crash mid-append: drop it; the
-                    # plan it described was never committed
-                    break
-                raise WALError(
-                    f"{self.path}: corrupt journal entry at line {i + 1}"
-                ) from exc
+        for i, record in enumerate(self._log.load()):
             kind = record.get("type")
             plan_id = record.get("plan_id")
             if not isinstance(plan_id, int):
@@ -110,9 +151,6 @@ class PlanWAL:
     def plan_ids(self) -> List[int]:
         return sorted(self._digests)
 
-    def last_plan_id(self) -> Optional[int]:
-        return max(self._digests) if self._digests else None
-
     # ------------------------------------------------------------------
     def append(self, plan_id: int, plan) -> str:
         """Journal a plan about to be committed.
@@ -133,26 +171,18 @@ class PlanWAL:
                     f"recovered run diverged: plan {plan_id} digest "
                     f"{digest[:12]} != journaled {known[:12]}"
                 )
-            self._write({"type": "noop", "plan_id": plan_id, "digest": digest})
+            self._log.append(
+                {"type": "noop", "plan_id": plan_id, "digest": digest}
+            )
             self.replayed += 1
             if self.registry is not None:
                 self.registry.counter("recovery.wal_entries_replayed").inc()
             return "replayed"
         record["digest"] = digest
-        self._write(record)
+        self._log.append(record)
         self._digests[plan_id] = digest
         self.appended += 1
         return "appended"
 
-    def _write(self, record: dict) -> None:
-        if self._fh is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = self.path.open("a", encoding="utf-8")
-        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        self._log.close()

@@ -127,7 +127,6 @@ class SchedulerService:
             # this process's time_scale wins over the snapshot's
             self.driver.time_scale = self._time_scale
             self.driver.bind(loop)
-            self.kernel.recovery = None
             self.recovered_jobs = len(kernel.pending) + len(kernel.running)
             self._rearm_restored_kernel()
         else:

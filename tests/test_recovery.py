@@ -41,6 +41,7 @@ from repro.faults.crash import (
 from repro.faults.plan import FaultPlan, builtin_plan
 from repro.ioutil import atomic_write, atomic_write_text
 from repro.recovery import (
+    SCHEMA_VERSION,
     PlanWAL,
     RecoveryError,
     RecoveryManager,
@@ -93,6 +94,21 @@ def build_sim(name: str) -> Simulation:
         orchestrator=ResourceOrchestrator() if orchestrated else None,
         config=config,
     )
+
+
+def killed_run(name: str, directory) -> Simulation:
+    """Scenario ``name`` checkpointed into ``directory`` and killed
+    between events at KILL_AT; returns the dead process's simulation."""
+    sim = build_sim(name)
+    manager = RecoveryManager(
+        directory,
+        checkpoint_every=CHECKPOINT_EVERY,
+        crash=CrashInjector([CrashPoint(KILL_AT, BARRIER_BETWEEN_EVENTS)]),
+    )
+    manager.attach(sim)
+    with pytest.raises(SimulatedCrash):
+        sim.run()
+    return sim
 
 
 @pytest.fixture(scope="module")
@@ -168,16 +184,7 @@ class TestKillAnywhereEquivalence:
     def test_recover_skips_corrupt_newest_snapshot(self, golden, tmp_path):
         """A torn newest snapshot falls back to the previous one; the
         recovered run still reaches the golden log."""
-        sim = build_sim("fifo_contention")
-        manager = RecoveryManager(
-            tmp_path,
-            checkpoint_every=CHECKPOINT_EVERY,
-            crash=CrashInjector([CrashPoint(KILL_AT, BARRIER_BETWEEN_EVENTS)]),
-        )
-        manager.attach(sim)
-        with pytest.raises(SimulatedCrash):
-            sim.run()
-        del sim
+        killed_run("fifo_contention", tmp_path)
         snapshots = sorted(tmp_path.glob("snapshot-*.ckpt"))
         assert len(snapshots) >= 2
         # tear the newest snapshot mid-payload
@@ -194,25 +201,19 @@ class TestKillAnywhereEquivalence:
 # ----------------------------------------------------------------------
 # snapshot payload round-trip (state surgery, RNG streams)
 # ----------------------------------------------------------------------
-class TestSnapshotRoundTrip:
-    def _killed(self, name, tmp):
-        sim = build_sim(name)
-        manager = RecoveryManager(
-            tmp,
-            checkpoint_every=CHECKPOINT_EVERY,
-            crash=CrashInjector([CrashPoint(KILL_AT, BARRIER_BETWEEN_EVENTS)]),
-        )
-        manager.attach(sim)
-        with pytest.raises(SimulatedCrash):
-            sim.run()
-        return sim
+def _decoded(blob: bytes) -> dict:
+    """The in-memory round trip of captured payload bytes: through the
+    codec envelope, exactly as a snapshot file would carry them."""
+    return SnapshotCodec.decode(SnapshotCodec.encode(blob))
 
+
+class TestSnapshotRoundTrip:
     def test_round_trip_preserves_engine_and_rng_streams(self, tmp_path):
         """capture → restore reproduces the event heap, every seeded RNG
         stream, the activity prefix, and the container-id counter."""
-        sim = self._killed("node_failures", tmp_path)
+        sim = killed_run("node_failures", tmp_path)
         seq_before = container_id_state()
-        payload = capture_payload(sim)
+        payload = _decoded(capture_payload(sim))
         assert payload["container_seq"] == seq_before
         restored = restore_payload(payload)
 
@@ -237,15 +238,15 @@ class TestSnapshotRoundTrip:
         assert sim.executor.wal is not None
 
     def test_round_trip_preserves_policy_rng(self, tmp_path):
-        sim = self._killed("pollux_seeded", tmp_path)
-        restored = restore_payload(capture_payload(sim))
+        sim = killed_run("pollux_seeded", tmp_path)
+        restored = restore_payload(_decoded(capture_payload(sim)))
         assert restored.policy.rng.getstate() == sim.policy.rng.getstate()
 
     def test_capture_strips_durable_machinery_from_payload(self, tmp_path):
         """Snapshots never contain the recovery manager, WAL, or crash
         probe — a restored payload starts clean for re-attachment."""
-        sim = self._killed("fifo_contention", tmp_path)
-        restored = restore_payload(capture_payload(sim))
+        sim = killed_run("fifo_contention", tmp_path)
+        restored = restore_payload(_decoded(capture_payload(sim)))
         assert restored.recovery is None
         assert restored.executor.wal is None
         assert restored.executor.crash_probe is None
@@ -262,17 +263,19 @@ class TestSnapshotRoundTrip:
 # snapshot file format
 # ----------------------------------------------------------------------
 class TestSnapshotCodec:
-    PAYLOAD = {"sim": ["nested", {"state": 1.5}], "container_seq": 42}
+    DECODED = {"sim": ["nested", {"state": 1.5}], "container_seq": 42}
+    #: the codec envelopes bytes; pickling is capture_payload's job
+    PAYLOAD = pickle.dumps(DECODED, protocol=4)
 
     def test_encode_decode_round_trip(self):
         data = SnapshotCodec.encode(self.PAYLOAD)
-        assert SnapshotCodec.decode(data) == self.PAYLOAD
+        assert SnapshotCodec.decode(data) == self.DECODED
 
     def test_dump_load_round_trip(self, tmp_path):
         path = tmp_path / "snapshot-000001.ckpt"
         size = SnapshotCodec.dump(self.PAYLOAD, path)
         assert path.stat().st_size == size
-        assert SnapshotCodec.load(path) == self.PAYLOAD
+        assert SnapshotCodec.load(path) == self.DECODED
 
     def test_rejects_bad_magic(self):
         data = SnapshotCodec.encode(self.PAYLOAD)
@@ -298,7 +301,7 @@ class TestSnapshotCodec:
         header_len = int.from_bytes(data[len(MAGIC):len(MAGIC) + 4], "big")
         start = len(MAGIC) + 4
         header = json.loads(data[start:start + header_len])
-        header["schema"] = SnapshotCodec.version + 1
+        header["schema"] = SCHEMA_VERSION + 1
         raw = json.dumps(header, sort_keys=True).encode()
         forged = (
             MAGIC + len(raw).to_bytes(4, "big") + raw
@@ -356,7 +359,6 @@ class TestPlanWAL:
         # and the journal re-loads cleanly, noops and all
         wal3 = PlanWAL(path)
         assert wal3.plan_ids == [1, 2]
-        assert wal3.last_plan_id() == 2
 
     def test_divergent_replay_is_a_hard_error(self, tmp_path):
         path = tmp_path / "wal.jsonl"

@@ -75,6 +75,30 @@ async def _crash(service, server, client):
     service.state.close()
 
 
+async def killed_daemon(state_dir):
+    """One daemon life that ends in a hard kill: five acked submits, the
+    third cancelled once running, at least two epoch snapshots on disk.
+    Returns the acked job ids (shared with tests/test_durable_state.py)."""
+    service = _service(state_dir=state_dir, interval=1.0)
+    await service.start()
+    server = asyncio.ensure_future(service.serve_forever())
+    client = await ServeClient.connect(service.host, service.port)
+    acked = [
+        await client.submit(duration=5_000.0, max_workers=1, min_workers=1)
+        for _ in range(5)
+    ]
+    await _wait_status(client, acked[0], "running")
+    assert await client.cancel(acked[2]) is True
+    for _ in range(500):
+        if (await client.stats())["snapshots_written"] >= 2:
+            break
+        await asyncio.sleep(0.01)
+    else:
+        raise AssertionError("daemon never wrote a second snapshot")
+    await _crash(service, server, client)
+    return acked
+
+
 async def _wait_status(client, job_id, status, timeout=5.0):
     loop = asyncio.get_running_loop()
     deadline = loop.time() + timeout
@@ -477,24 +501,7 @@ class TestServeDurability:
         rebuilds the world: each acked, un-cancelled job is back, the
         cancelled one is not, and new ids do not collide with old."""
         state_dir = tmp_path / "state"
-
-        async def first_life():
-            service = _service(state_dir=state_dir, interval=1.0)
-            await service.start()
-            server = asyncio.ensure_future(service.serve_forever())
-            client = await ServeClient.connect(service.host, service.port)
-            acked = [
-                await client.submit(duration=5_000.0, max_workers=1,
-                                    min_workers=1)
-                for _ in range(5)
-            ]
-            await _wait_status(client, acked[0], "running")
-            assert await client.cancel(acked[2]) is True
-            assert (await client.stats())["snapshots_written"] >= 1
-            await _crash(service, server, client)
-            return acked
-
-        acked = asyncio.run(first_life())
+        acked = asyncio.run(killed_daemon(state_dir))
         snapshots = sorted(state_dir.glob("snapshot-*.ckpt"))
         assert snapshots
         snapshots[-1].write_bytes(snapshots[-1].read_bytes()[:40])  # torn
