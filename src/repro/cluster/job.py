@@ -159,6 +159,12 @@ class Job:
         self.onloan_work: float = 0.0
         #: running-time estimate error injected for the Table 9 study
         self.estimate_error: float = 1.0
+        #: kernel bookkeeping, gone with the job: admission hour (Fig. 2),
+        #: generation of the armed completion timer (older ones are
+        #: stale), last preemption until it runs again (time-to-restart)
+        self.arrival_hour = 0
+        self.completion_epoch = 0
+        self.preempted_at: Optional[float] = None
 
     # ------------------------------------------------------------------
     # identity / convenience passthroughs

@@ -20,11 +20,14 @@ Two families of actions coexist:
   a policy's ``decide()`` runs against.  Placement is capacity-shaped
   (which worker fits where depends on every earlier placement in the
   epoch), so resource/book mutations happen eagerly at plan time,
-  journaled with exact inverse operations; the *lifecycle* effects
-  (queue membership, activity log, metrics, completion events) are
-  recorded as actions and deferred to commit.  Rolling back the journal
-  restores the pre-plan cluster state bit-for-bit, which is what makes
-  ``dry_run`` and all-or-nothing rejection possible.
+  journaled for exact inversion; the *lifecycle* effects (queue
+  membership, activity log, metrics, completion events) are recorded as
+  actions and deferred to commit.  Rolling back the journal restores
+  the pre-plan cluster state — books, groups, job placement, the
+  container ledger's contents — which is what makes ``dry_run`` and
+  all-or-nothing rejection possible.  The journal records *what* was
+  launched and stopped; undoing it is the resource manager's
+  ``unlaunch`` / ``revive``, so the ledger's layout is known there only.
 * **Declarative** actions (:class:`LoanServers`, :class:`ReclaimServers`,
   :class:`MigrateJob`, :class:`Preempt` and ``ScaleIn(staged=False)``)
   describe an effect computed purely — by the orchestrator, or from an
@@ -58,7 +61,7 @@ from repro.obs.provenance import (
     action_digest,
 )
 from repro.obs.tracer import CAT_PLAN
-from repro.rm.containers import Container, ContainerState
+from repro.rm.containers import Container
 from repro.simulator.events import EventKind
 
 logger = get_logger("actions")
@@ -297,7 +300,6 @@ class PlanTransaction:
         self._job_pre: Dict[int, Dict[str, Any]] = {}
         #: worker totals as of the job's last recorded action (for deltas)
         self._last_total: Dict[int, int] = {}
-        self._audit_len = len(rm.audit)
         #: decision inputs for the provenance ledger (traced runs only)
         self._prov_inputs: Optional[Dict[str, Any]] = None
         self._open = True
@@ -469,12 +471,13 @@ class PlanTransaction:
     def rollback(self) -> None:
         """Undo every staged resource mutation, newest first.
 
-        Containers are removed/revived and server books adjusted
-        directly — never through ``rm.launch`` — so the fault-injection
-        launch gate (and its RNG stream) is not consumed twice.  Job
-        pre-images are restored last, absolutely.  The scheduling view
-        stays consistent because the inverse book operations fire the
-        same ``Server`` change hooks as the forward ones.
+        Containers are un-launched/revived through the resource
+        manager's inverse operations — never through ``rm.launch`` — so
+        the fault-injection launch gate (and its RNG stream) is not
+        consumed twice.  Job pre-images are restored last, absolutely.
+        The scheduling view stays consistent because the inverse book
+        operations fire the same ``Server`` change hooks as the forward
+        ones.
         """
         if not self._open:
             raise PlanError("transaction already closed")
@@ -485,20 +488,10 @@ class PlanTransaction:
             tag = entry[0]
             if tag == "launch":
                 _, job, server, containers = entry
-                total = 0
-                for container in containers:
-                    total += container.gpus
-                    del rm._containers[container.container_id]
-                    rm._by_job[job.job_id].remove(container.container_id)
-                    rm._by_server[server.server_id].remove(container.container_id)
-                server.release(job.job_id, total)
+                rm.unlaunch(job, server, containers)
             elif tag == "stopped":
                 _, job_id, pairs = entry
-                for server, container in pairs:
-                    container.state = ContainerState.RUNNING
-                    container.end_time = None
-                    if server is not None:
-                        server.allocate(job_id, container.gpus)
+                rm.revive(job_id, pairs)
             elif tag == "group":
                 _, server, previous = entry
                 server.group = previous
@@ -525,7 +518,6 @@ class PlanTransaction:
             job._server_cost.update(pre["server_cost"])
             job._onloan_servers.clear()
             job._onloan_servers.update(pre["onloan_servers"])
-        del rm.audit[self._audit_len:]
         self._entries.clear()
         self._job_pre.clear()
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.cluster.cluster import Cluster, ClusterPair
 from repro.cluster.job import Job, JobSpec, JobStatus
@@ -233,8 +233,6 @@ class SchedulerKernel:
         #: only ever populated while the tracer is enabled
         self._pending_triggers: List[Trigger] = []
         self._dropped_triggers = 0
-        #: jobs that have dispatched at least once (queue-wait metric)
-        self._started_once: Set[int] = set()
 
         self.jobs: Dict[int, Job] = {}
         self.pending: List[Job] = []
@@ -246,12 +244,12 @@ class SchedulerKernel:
         #: when a fault plan is active
         self.fault_injector = None
         self._fail_times: Dict[str, float] = {}
-        self._preempt_times: Dict[int, float] = {}
-        self._completion_epoch: Dict[int, int] = {}
         self._tick_pending = False
         self._last_tick = -math.inf
         self._last_arrival = 0.0
-        self._first_attempt_seen: Set[int] = set()
+        #: jobs admitted since the previous epoch ended, awaiting their
+        #: first scheduling attempt (Fig. 2 queuing ratio)
+        self._arrivals: List[Job] = []
         self._hour_submissions: Dict[int, int] = {}
         self._hour_queued: Dict[int, int] = {}
 
@@ -434,10 +432,10 @@ class SchedulerKernel:
             # oracle duration (§3: profiling happens at enqueue)
             job.estimate_error = self.profiler.estimate_error(job.spec)
         self.pending.append(job)
+        self._arrivals.append(job)
         self.view.note_queue_change()
-        hour = int(self.now // 3600)
+        hour = job.arrival_hour = int(self.now // 3600)
         self._hour_submissions[hour] = self._hour_submissions.get(hour, 0) + 1
-        job._arrival_hour = hour  # noqa: SLF001 - kernel-private
         self.log(
             EventKind.SUBMIT, job.job_id,
             min_workers=job.spec.min_workers,
@@ -482,14 +480,13 @@ class SchedulerKernel:
                     self._take_provenance(plan)
                 self.executor.apply(plan)
                 self._last_epoch_version = self.view.version
-        # First-attempt bookkeeping for the Fig. 2 queuing ratio.
-        for job in self.pending:
-            if job.job_id not in self._first_attempt_seen:
-                self._first_attempt_seen.add(job.job_id)
-                hour = getattr(job, "_arrival_hour", 0)
+        # First-attempt bookkeeping for the Fig. 2 queuing ratio: an
+        # arrival still pending after the first epoch it saw was queued.
+        for job in self._arrivals:
+            if job.status is JobStatus.PENDING:
+                hour = job.arrival_hour
                 self._hour_queued[hour] = self._hour_queued.get(hour, 0) + 1
-        for job in list(self.running.values()):
-            self._first_attempt_seen.add(job.job_id)
+        self._arrivals.clear()
         self.driver.epoch_finished()
 
     run_epoch = _schedule_tick
@@ -620,15 +617,15 @@ class SchedulerKernel:
         """
         self.pending.remove(job)
         self.view.note_queue_change()
-        restart_of = self._preempt_times.pop(job.job_id, None)
-        if restart_of is not None:
+        if job.preempted_at is not None:
             # time-to-recover: how long a preempted job waited to run again
             self.metrics.registry.histogram(
                 "resilience.time_to_restart_s"
-            ).observe(self.now - restart_of)
+            ).observe(self.now - job.preempted_at)
+            job.preempted_at = None
         self.running[job.job_id] = job
-        if job.job_id not in self._started_once:
-            self._started_once.add(job.job_id)
+        if job.preemptions == 0:
+            # first dispatch: only a preemption puts a job back in the queue
             self.metrics.registry.histogram("sim.queue_wait_s").observe(
                 queued_s
             )
@@ -680,8 +677,7 @@ class SchedulerKernel:
         skip-ahead timing, so the sequence of insertions is pinned by
         the golden logs).
         """
-        epoch = self._completion_epoch.get(job.job_id, 0) + 1
-        self._completion_epoch[job.job_id] = epoch
+        job.completion_epoch = epoch = job.completion_epoch + 1
         if math.isinf(eta):
             return
         self.driver.schedule(
@@ -691,7 +687,7 @@ class SchedulerKernel:
 
     def _completion(self, job: Job, epoch: int):
         def handler() -> None:
-            if self._completion_epoch.get(job.job_id) != epoch:
+            if job.completion_epoch != epoch:
                 return  # stale event from a superseded allocation
             if job.status is not JobStatus.RUNNING:
                 return
@@ -733,13 +729,11 @@ class SchedulerKernel:
         self.metrics.registry.counter(
             "sim.preemptions_by_cause", cause=cause
         ).inc()
-        self._preempt_times[job.job_id] = self.now
+        job.preempted_at = self.now
         self.rm.release_job(job, now=self.now)
         job.mark_preempted(self.now, overhead=self.config.preemption_overhead)
         del self.running[job.job_id]
-        self._completion_epoch[job.job_id] = (
-            self._completion_epoch.get(job.job_id, 0) + 1
-        )
+        job.completion_epoch += 1
         self.pending.append(job)
         self.view.note_queue_change()
         self.metrics.preemptions += 1
@@ -755,9 +749,11 @@ class SchedulerKernel:
         A pending job silently leaves the queue; a running job is
         released first (its containers stop, progress is discarded).
         Returns False when the job is unknown or already finished —
-        cancellation is idempotent, never an error.  Cancelled jobs are
-        excluded from future epochs because they are in neither queue;
-        their ``finish_time`` stays None so JCT metrics ignore them.
+        cancellation is idempotent, never an error.  A cancelled job
+        leaves the job table, the metrics roster and, because its
+        bookkeeping lives on the :class:`Job`, everything else: only the
+        records (activity log, trace, WAL, request journal) and the
+        submission/cancellation counters remember it.
         """
         job = self.jobs.get(job_id)
         if job is None or job.status is JobStatus.FINISHED:
@@ -767,9 +763,7 @@ class SchedulerKernel:
             job.advance(self.now)
             self.rm.release_job(job, now=self.now)
             del self.running[job_id]
-            self._completion_epoch[job_id] = (
-                self._completion_epoch.get(job_id, 0) + 1
-            )
+            job.completion_epoch += 1
             job.status = JobStatus.PENDING
             cancelled = True
         if job in self.pending:
@@ -777,8 +771,11 @@ class SchedulerKernel:
             cancelled = True
         if not cancelled:
             return False
+        if job in self._arrivals:
+            self._arrivals.remove(job)
         self.view.note_queue_change()
         del self.jobs[job_id]
+        self.metrics.jobs.remove(job)  # the roster stays in step
         self.metrics.registry.counter(
             "sim.cancellations", cause=cause
         ).inc()

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from typing import Callable, Optional
 
 from repro.core.actions import (
@@ -78,8 +79,9 @@ class ResourceOrchestrator:
         self.predictor = predictor
         self.scale_in_first = scale_in_first
         self.window = window
-        self._history: list = []
-        self._target_history: list = []
+        #: held as read: the predictor's window, the median's three targets
+        self._history: deque = deque(maxlen=window)
+        self._target_history: deque = deque(maxlen=3)
         self._surplus_ticks = 0
         #: fault-injection hook: ``predictor_down(now)`` -> True forces
         #: the degraded (reactive safety-margin) posture for this tick
@@ -118,12 +120,10 @@ class ResourceOrchestrator:
         if (
             not self._degraded_tick
             and self.predictor is not None
-            and len(self._history) >= self.window
+            and len(self._history) == self.window
         ):
             try:
-                predicted_util = float(
-                    self.predictor(self._history[-self.window:])
-                )
+                predicted_util = float(self.predictor(list(self._history)))
             except PredictorUnavailable:
                 self._degraded_tick = True
             else:
@@ -241,7 +241,7 @@ class ResourceOrchestrator:
 
     def _plan_actions(self, sim: "Simulation") -> list:
         self._target_history.append(self.target_loanable(sim))
-        recent = self._target_history[-3:]
+        recent = self._target_history
         supply = sorted(recent)[len(recent) // 2]
         need = self.training_need_servers(sim, supply)
         target = min(supply, need)

@@ -32,6 +32,7 @@ to the parent orchestrator, byte-for-byte.
 from __future__ import annotations
 
 import math
+from collections import deque
 from typing import Dict, List, Optional
 
 from repro.core.actions import LoanServers
@@ -55,8 +56,9 @@ class CapacityBroker(ResourceOrchestrator):
                  **kwargs):
         super().__init__(**kwargs)
         self.lender_traces: Dict[str, object] = dict(lender_traces or {})
-        self._lender_history: Dict[str, List[int]] = {
-            name: [] for name in self.lender_traces
+        #: the last three offers per lender — what the supply median reads
+        self._lender_history: Dict[str, deque] = {
+            name: deque(maxlen=3) for name in self.lender_traces
         }
 
     # ------------------------------------------------------------------
@@ -91,9 +93,8 @@ class CapacityBroker(ResourceOrchestrator):
         supplies: Dict[str, int] = {}
         for name in sorted(self.lender_traces):
             trace = self.lender_traces[name]
-            history = self._lender_history[name]
-            history.append(trace.loanable_at(sim.now, headroom=headroom))
-            recent = history[-3:]
+            recent = self._lender_history[name]
+            recent.append(trace.loanable_at(sim.now, headroom=headroom))
             supplies[name] = sorted(recent)[len(recent) // 2]
 
         outstanding = pair.outstanding_by_lender()

@@ -33,7 +33,9 @@ from repro.obs import get_logger
 logger = get_logger("recovery.codec")
 
 MAGIC = b"REPROSNAP\x00"
-SCHEMA_VERSION = 1
+#: 2: live-only container ledger (a schema-1 snapshot would restore
+#: stopped containers into it, unfiltered), per-job facts on the Job
+SCHEMA_VERSION = 2
 
 #: pinned pickle protocol: snapshots written on 3.9 load on 3.12
 PICKLE_PROTOCOL = 4

@@ -1,10 +1,9 @@
 """Resource-manager substrate: containers, whitelists, node failures."""
 
 from repro.rm.containers import Container, ContainerState
-from repro.rm.manager import AuditRecord, NodeFailureReport, ResourceManager
+from repro.rm.manager import NodeFailureReport, ResourceManager
 
 __all__ = [
-    "AuditRecord",
     "Container",
     "ContainerState",
     "NodeFailureReport",

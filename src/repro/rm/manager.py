@@ -11,11 +11,16 @@ that execution layer:
 * server GPU books are mutated only through container launch/stop, so
   the container ledger and the server ledger can never drift (asserted
   by :meth:`ResourceManager.verify_books`);
+* the ledger is *live-only*: a container leaves it the moment it stops
+  (release, scale-in, node failure), so nothing here grows with uptime.
+  What happened is on record elsewhere: the kernel's Activity log, the
+  tracer's events and the plan WAL (docs/ARCHITECTURE.md);
 * node failures are first-class: :meth:`fail_node` marks a server
   unhealthy, declares its containers lost, and reports which jobs lost
   base workers (must be rescheduled) versus only flexible workers (a
   scale-in suffices) — the hook the simulator's failure injection uses;
-* an audit log records every operation with its timestamp.
+* :meth:`unlaunch` / :meth:`revive` invert a launch / a stop for the
+  plan journal's rollback.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from repro.cluster.cluster import ClusterPair
 from repro.cluster.job import Job
 from repro.cluster.server import Server
-from repro.rm.containers import Container
+from repro.rm.containers import Container, ContainerState
 
 
 class TransientLaunchError(RuntimeError):
@@ -39,22 +44,14 @@ class TransientLaunchError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class AuditRecord:
-    """One resource-manager operation, for the audit trail."""
-
-    time: float
-    op: str
-    detail: Tuple
-
-
 @dataclass
 class NodeFailureReport:
     """What a node failure cost.
 
     Attributes:
         server_id: The failed server.
-        lost_containers: Containers declared lost.
+        lost_containers: Containers declared lost (already out of the
+            ledger; these objects are their only record).
         jobs_lost_base: Jobs that lost base workers — gang semantics
             mean the whole job must be rescheduled (§6).
         jobs_lost_flex: ``{job_id: workers}`` jobs that only lost
@@ -76,7 +73,6 @@ class ResourceManager:
         self._by_job: Dict[int, List[int]] = {}
         self._by_server: Dict[str, List[int]] = {}
         self._unhealthy: Set[str] = set()
-        self.audit: List[AuditRecord] = []
         #: fault-injection hook: called after validation but before any
         #: mutation on each launch; may raise :class:`TransientLaunchError`
         self.launch_gate: Optional[Callable[[Job, Server, int], None]] = None
@@ -88,20 +84,14 @@ class ResourceManager:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def containers_of(self, job_id: int, running_only: bool = True) -> List[Container]:
-        out = [self._containers[c] for c in self._by_job.get(job_id, [])]
-        if running_only:
-            out = [c for c in out if c.running]
-        return out
+    def containers_of(self, job_id: int) -> List[Container]:
+        return [self._containers[c] for c in self._by_job.get(job_id, ())]
 
-    def containers_on(self, server_id: str, running_only: bool = True) -> List[Container]:
-        out = [self._containers[c] for c in self._by_server.get(server_id, [])]
-        if running_only:
-            out = [c for c in out if c.running]
-        return out
+    def containers_on(self, server_id: str) -> List[Container]:
+        return [self._containers[c] for c in self._by_server.get(server_id, ())]
 
     def running_containers(self) -> List[Container]:
-        return [c for c in self._containers.values() if c.running]
+        return list(self._containers.values())
 
     def is_healthy(self, server_id: str) -> bool:
         return server_id not in self._unhealthy
@@ -113,6 +103,25 @@ class ResourceManager:
         instead of calling :meth:`is_healthy` per server.
         """
         return self._unhealthy
+
+    # -- the live ledger: the one place that knows the index layout ------
+    def _track(self, container: Container) -> None:
+        cid = container.container_id
+        self._containers[cid] = container
+        self._by_job.setdefault(container.job_id, []).append(cid)
+        self._by_server.setdefault(container.server_id, []).append(cid)
+
+    def _forget(self, container: Container) -> None:
+        cid = container.container_id
+        del self._containers[cid]
+        for index, key in (
+            (self._by_job, container.job_id),
+            (self._by_server, container.server_id),
+        ):
+            ids = index[key]
+            ids.remove(cid)
+            if not ids:
+                del index[key]
 
     # ------------------------------------------------------------------
     # container lifecycle
@@ -165,18 +174,8 @@ class ResourceManager:
                 flexible=flexible,
                 start_time=now,
             )
-            self._containers[container.container_id] = container
-            self._by_job.setdefault(job.job_id, []).append(
-                container.container_id
-            )
-            self._by_server.setdefault(server.server_id, []).append(
-                container.container_id
-            )
+            self._track(container)
             launched.append(container)
-        self.audit.append(
-            AuditRecord(now, "launch",
-                        (job.job_id, server.server_id, workers, flexible))
-        )
         if self.journal is not None:
             self.journal.record_launch(job, server, launched)
         return launched
@@ -195,13 +194,13 @@ class ResourceManager:
         stopped = []
         for container in self.containers_of(job.job_id):
             container.stop(now)
+            self._forget(container)
             server = self._server(container.server_id)
             if server is not None:
                 server.release(job.job_id, container.gpus)
             stopped.append((server, container))
             released += 1
         job.clear_placement()
-        self.audit.append(AuditRecord(now, "release_job", (job.job_id,)))
         if stopped and self.journal is not None:
             self.journal.record_stopped(job.job_id, stopped)
         return released
@@ -220,6 +219,7 @@ class ResourceManager:
             if container.job_id != job.job_id or not container.flexible:
                 continue
             container.stop(now)
+            self._forget(container)
             server = self._server(server_id)
             if server is not None:
                 server.release(job.job_id, container.gpus)
@@ -232,12 +232,28 @@ class ResourceManager:
                 job.flex_placement[server_id] = have - take
                 if job.flex_placement[server_id] == 0:
                     job.remove_flex_on(server_id)
-            self.audit.append(
-                AuditRecord(now, "scale_in", (job.job_id, server_id, stopped))
-            )
             if self.journal is not None:
                 self.journal.record_stopped(job.job_id, stopped_pairs)
         return stopped
+
+    # -- inverses, for the plan journal's rollback (which restores job
+    # -- placement itself, from its pre-images) --------------------------
+    def unlaunch(self, job: Job, server: Server, containers: List[Container]) -> None:
+        """Undo one :meth:`launch` batch: out of the ledger, GPUs un-booked."""
+        for container in containers:
+            self._forget(container)
+        server.release(job.job_id, sum(c.gpus for c in containers))
+
+    def revive(self, job_id: int, stopped: List[tuple]) -> None:
+        """Undo one stop batch (the ``(server_or_None, container)`` pairs
+        the journal was handed).  Not a :meth:`launch`: the launch gate,
+        and a fault plan's RNG behind it, is not drawn a second time."""
+        for server, container in stopped:
+            container.state = ContainerState.RUNNING
+            container.end_time = None
+            self._track(container)
+            if server is not None:
+                server.allocate(job_id, container.gpus)
 
     # ------------------------------------------------------------------
     # whitelist API (§6)
@@ -293,14 +309,8 @@ class ResourceManager:
         """
         self._note_clock(now)
         if borrower is not None:
-            moved = self.pair.loan_ids(server_ids, borrower=borrower)
-        else:
-            moved = self.pair.loan_ids(server_ids)
-        if moved:
-            self.audit.append(
-                AuditRecord(now, "loan", tuple(s.server_id for s in moved))
-            )
-        return moved
+            return self.pair.loan_ids(server_ids, borrower=borrower)
+        return self.pair.loan_ids(server_ids)
 
     def _note_clock(self, now: float) -> None:
         """Tell a clock-aware pair (the market's ClusterSet) what time it
@@ -343,11 +353,9 @@ class ResourceManager:
         if source is not None:
             source.release(job.job_id, total)
         for container in moved:
-            self._by_server[source_id].remove(container.container_id)
-            self._by_server.setdefault(target.server_id, []).append(
-                container.container_id
-            )
+            self._forget(container)
             container.server_id = target.server_id
+            self._track(container)
         job.remove_placement(source_id)
         if base:
             job.record_placement(
@@ -359,12 +367,6 @@ class ResourceManager:
                 target.server_id, flex, flexible=True,
                 gpu_cost=gpu_cost, on_loan=target.on_loan,
             )
-        self.audit.append(
-            AuditRecord(
-                now, "migrate",
-                (job.job_id, source_id, target.server_id, len(moved)),
-            )
-        )
         return len(moved)
 
     def return_server(self, server_id: str, now: float = 0.0) -> Server:
@@ -374,9 +376,7 @@ class ResourceManager:
                 f"must confirm it is vacated before whitelist removal (§6)"
             )
         self._note_clock(now)
-        server = self.pair.return_server(server_id)
-        self.audit.append(AuditRecord(now, "return", (server_id,)))
-        return server
+        return self.pair.return_server(server_id)
 
     # ------------------------------------------------------------------
     # failure injection
@@ -388,6 +388,7 @@ class ResourceManager:
         server = self._server(server_id)
         for container in self.containers_on(server_id):
             container.stop(now, lost=True)
+            self._forget(container)
             report.lost_containers.append(container)
             if container.flexible:
                 report.jobs_lost_flex[container.job_id] = (
@@ -403,17 +404,10 @@ class ResourceManager:
         for job_id in report.jobs_lost_base:
             report.jobs_lost_flex.pop(job_id, None)
         self._unhealthy.add(server_id)
-        self.audit.append(
-            AuditRecord(
-                now, "fail_node",
-                (server_id, len(report.lost_containers)),
-            )
-        )
         return report
 
     def recover_node(self, server_id: str, now: float = 0.0) -> None:
         self._unhealthy.discard(server_id)
-        self.audit.append(AuditRecord(now, "recover_node", (server_id,)))
 
     # ------------------------------------------------------------------
     # invariants

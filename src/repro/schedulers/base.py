@@ -173,11 +173,10 @@ class SchedulerPolicy(abc.ABC):
     ) -> List[Job]:
         """Admit jobs in a fixed order at a fixed worker count.
 
-        The workhorse of the FIFO/SJF baselines and of opportunistic
-        admission: scan ``ordered_pending``, place each job's workers
-        (``workers_for(job)``, defaulting to the base demand), skip jobs
-        that do not fit and keep scanning (backfill).  Returns the jobs
-        started.
+        The workhorse of the FIFO/SJF baselines: scan ``ordered_pending``,
+        place each job's workers (``workers_for(job)``, defaulting to
+        the base demand), skip jobs that do not fit and keep scanning
+        (backfill).  Returns the jobs started.
 
         With 200k queued jobs a per-job Python scan *is* the epoch, so
         each job's demand, budget class and shape id are computed once
@@ -193,7 +192,6 @@ class SchedulerPolicy(abc.ABC):
             return []
         engine = self.make_engine(sim)
         pools = self.free_pools(sim)
-        opportunistic = engine.opportunistic
         worker_counts: List[int] = []
         demand: List[int] = []
         budget_class: List[int] = []
@@ -204,12 +202,10 @@ class SchedulerPolicy(abc.ABC):
             workers = workers_for(job) if workers_for else spec.min_workers
             worker_counts.append(workers)
             demand.append(workers * spec.gpus_per_worker)
-            if opportunistic and spec.fungible:
-                budget_class.append(0)
-            elif spec.fungible or spec.heterogeneous:
-                budget_class.append(1)
+            if spec.fungible or spec.heterogeneous:
+                budget_class.append(0)  # may also use on-loan GPUs
             else:
-                budget_class.append(2)
+                budget_class.append(1)
             shape = (spec.gpus_per_worker, workers, spec.fungible)
             shape_of.append(shape_codes.setdefault(shape, len(shape_codes)))
         gpus = np.array(demand, dtype=np.int64)
@@ -219,9 +215,7 @@ class SchedulerPolicy(abc.ABC):
         started: List[Job] = []
         start = 0  # everything before it was scanned and skipped for good
         while start < len(jobs):
-            budgets = np.array(
-                [pools.onloan, pools.total, pools.training], dtype=np.int64
-            )
+            budgets = np.array([pools.total, pools.training], dtype=np.int64)
             ok = (gpus[start:] <= budgets[cls[start:]]) & ~failed[
                 shape_ids[start:]
             ]

@@ -156,7 +156,9 @@ class SchedulerService:
                 len(self.kernel.running), self.recovered_jobs,
                 self.replayed_requests,
             )
-        self._next_job_id = (max(self.kernel.jobs) + 1) if self.kernel.jobs else 0
+        # past every id ever journaled or restored, not just the live ones
+        journaled = self.state.journal.max_job_id if self.state else -1
+        self._next_job_id = max([journaled, *self.kernel.jobs]) + 1
         if self._orchestrator is not None:
             self.driver.schedule_after(
                 self.kernel.config.orchestrator_interval,

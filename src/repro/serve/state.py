@@ -53,8 +53,14 @@ class RequestJournal:
     def __init__(self, path: Path):
         self.path = Path(path)
         self._log = AppendLog(self.path, separators=(",", ":"))
+        entries = self._log.load()
         #: sequence number of the newest journaled request
-        self.seq = len(self._log.load())
+        self.seq = len(entries)
+        #: largest job id ever acked (-1: none): new jobs are numbered past
+        #: it, so a since-cancelled job's id is never handed out again
+        self.max_job_id = max(
+            (e["spec"]["job_id"] for e in entries if "spec" in e), default=-1
+        )
 
     def entries_after(self, seq: int) -> List[dict]:
         """Requests newer than ``seq``, read from disk: startup replay

@@ -88,18 +88,24 @@ def state_snapshot(sim) -> tuple:
         )
         for j in sim.jobs.values()
     )
+    rm = sim.rm
     containers = tuple(
-        (cid, c.job_id, c.server_id, c.state.value)
-        for cid, c in sorted(sim.rm._containers.items())
+        (cid, c.job_id, c.server_id, c.state.value) for cid, c in sorted(rm._containers.items())
+    )
+    # the ledger's two indices, as sorted contents: a rollback re-files a
+    # revived container, so order within a key is not part of the state
+    indices = tuple(
+        tuple(sorted((key, tuple(sorted(ids))) for key, ids in index.items()))
+        for index in (rm._by_job, rm._by_server)
     )
     return (
         servers,
         jobs,
         containers,
+        indices,
         tuple(sorted(sim.running)),
         tuple(j.job_id for j in sim.pending),
         len(sim.activities),
-        len(sim.rm.audit),
         sim.metrics.scale_ops,
         len(sim.metrics.reclaim_ops),
         len(sim.metrics.loan_ops),
@@ -410,6 +416,37 @@ def test_bad_declarative_scale_in_rejects_the_whole_plan(bad, message):
     with pytest.raises(PlanRejected, match=message):
         sim.executor.apply(plan)
     assert sim.executor.plans_rejected == 1
+    assert state_snapshot(sim) == before
+    sim.rm.verify_books()
+
+
+@pytest.mark.parametrize("how", ["dry-run", "rejected"])
+def test_rolled_back_plan_leaves_the_container_ledger_as_found(how):
+    """A staged plan that stops containers (job 0's flexible workers) and
+    launches new ones (job 1, which never ran) is undone through the
+    resource manager's inverse operations: the ledger and both of its
+    indices come back with the contents they had, no emptied key left."""
+    specs = [
+        JobSpec(
+            job_id=0, submit_time=0.0, duration=50000.0, max_workers=8, min_workers=2, elastic=True
+        ),
+        JobSpec(job_id=1, submit_time=10.0, duration=50000.0, max_workers=4),
+    ]
+    pair = ClusterPair(make_training_cluster(1), make_inference_cluster(1))
+    sim = Simulation(specs, pair, LyraScheduler(), config=SimulationConfig(record_activities=True))
+    sim.run(until=20.0)  # job 1 has arrived; its epoch (t=30) has not run
+    assert sim.jobs[0].total_workers == 8 and [j.job_id for j in sim.pending] == [1]
+    before = state_snapshot(sim)
+    plan = sim.policy.plan(sim)
+    kinds = plan.by_kind()
+    assert kinds.get("scale_in") and kinds.get("launch"), kinds
+    assert state_snapshot(sim) != before, "the plan staged nothing"
+    if how == "dry-run":
+        assert not sim.executor.apply(plan, dry_run=True).applied
+    else:
+        plan.actions += (declarative_scale_in(77, ("nowhere", 1)),)
+        with pytest.raises(PlanRejected, match="unknown job"):
+            sim.executor.apply(plan)
     assert state_snapshot(sim) == before
     sim.rm.verify_books()
 

@@ -20,8 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import scenarios
 from repro.cli import main
 from repro.recovery import (
+    SCHEMA_VERSION,
     PlanWAL,
     RecoveryError,
     RecoveryManager,
@@ -29,6 +31,8 @@ from repro.recovery import (
     SnapshotStore,
     WALError,
 )
+from repro.recovery.codec import PICKLE_PROTOCOL
+from repro.recovery.state import capture_payload
 from repro.serve.state import RequestJournal, ServeState
 from tests.test_recovery import build_sim, killed_run
 from tests.test_serve import _service, killed_daemon, run_with_service
@@ -177,12 +181,16 @@ async def _restarted(state_dir):
         await service.stop(final_snapshot=False)
 
 
-@pytest.mark.parametrize("torn", ["newest", "all"])
+@pytest.mark.parametrize(
+    "torn", ["newest", "all", "newest-schema1", "all-schema1"]
+)
 @pytest.mark.parametrize("client", ["simulator", "daemon"])
 def test_store_falls_back_past_torn_snapshots(client, torn, tmp_path):
     """Newest snapshot torn: the previous one is used and the skip is
     reported.  All torn: the simulator cannot recover; the daemon
-    rebuilds from its request journal alone."""
+    rebuilds from its request journal alone.  A snapshot an older build
+    wrote (``"schema": 1``, intact otherwise) is refused the same way."""
+    torn, _, old_schema = torn.partition("-")
     if client == "simulator":
         killed_run("fifo_contention", tmp_path)
     else:
@@ -192,7 +200,15 @@ def test_store_falls_back_past_torn_snapshots(client, torn, tmp_path):
     victims = snapshots[-1:] if torn == "newest" else snapshots
     for path in victims:
         data = path.read_bytes()
-        path.write_bytes(data[: len(data) // 2])
+        if old_schema:
+            # the header is the first thing in the file, as sorted JSON
+            damaged = data.replace(
+                b'"schema": %d' % SCHEMA_VERSION, b'"schema": 1', 1
+            )
+            assert damaged != data
+        else:
+            damaged = data[: len(data) // 2]
+        path.write_bytes(damaged)
 
     payload, used, skipped = SnapshotStore(tmp_path).load_newest()
     assert skipped == victims[::-1]
@@ -278,3 +294,39 @@ def test_serve_snapshot_serializes_the_kernel_once(tmp_path, monkeypatch):
         assert payload["generation"] == service.state.generation
 
     run_with_service(body, state_dir=tmp_path, interval=1.0)
+
+
+# ----------------------------------------------------------------------
+# what a snapshot holds: decision state plus the job table
+# ----------------------------------------------------------------------
+def _drained_lyra_run(num_jobs):
+    """A drained, seeded Lyra run at a fixed load on one 6+8-server
+    pair.  Usage sampling is off: that time series is the simulator's
+    output and grows with simulated time by design."""
+    setup = scenarios.default_setup(
+        num_jobs=num_jobs, days=num_jobs / 120.0, training_servers=6,
+        inference_servers=8, seed=3,
+    )
+    sim = scenarios.build_sim(
+        setup, "lyra", sim_overrides={"sample_interval": 1e12}
+    )
+    sim.run()
+    assert sim.drained
+    return sim
+
+
+def test_snapshot_grows_with_the_job_table_and_little_else():
+    """Twice the jobs over twice the time: the pickled kernel may grow
+    by the job table's growth and half as much again — not by a
+    container, an index entry or an audit line per operation ever run."""
+    small, large = _drained_lyra_run(60), _drained_lyra_run(120)
+    for rm in (small.rm, large.rm):
+        assert not (rm._containers or rm._by_job or rm._by_server)
+
+    def table(sim):
+        return len(pickle.dumps(sim.jobs, protocol=PICKLE_PROTOCOL))
+
+    table_growth = table(large) - table(small)
+    snapshot_growth = len(capture_payload(large)) - len(capture_payload(small))
+    assert table_growth > 0
+    assert snapshot_growth <= 1.5 * table_growth

@@ -9,7 +9,9 @@ running with a live completion timer, unknown, finished).
 """
 
 import math
+from collections import deque
 
+import numpy as np
 import pytest
 
 from repro.cluster.cluster import (
@@ -19,6 +21,7 @@ from repro.cluster.cluster import (
 )
 from repro.cluster.job import JobSpec, JobStatus
 from repro.core.kernel import Driver, SchedulerKernel, SimulationConfig
+from repro.recovery import PlanWAL
 from repro.schedulers.fifo import FIFOScheduler
 
 
@@ -88,6 +91,38 @@ def _submit(kernel, job_id, **kw):
     job = kernel.register_job(_spec(job_id, **kw))
     kernel.admit_job(job)
     return job
+
+
+def _naming(root, job_id):
+    """Paths from ``root`` to everything that names ``job_id``: the bare
+    id (as a key, a member, an attribute or an array cell) or a spec
+    carrying it.  Walks dicts, sequences, sets, arrays and instance
+    attributes; callables are opaque."""
+    hits, seen, stack = [], set(), [("kernel", root)]
+    while stack:
+        path, obj = stack.pop()
+        if isinstance(obj, int) and not isinstance(obj, bool):
+            if obj == job_id:
+                hits.append(path)
+            continue
+        if id(obj) in seen or callable(obj):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            if obj.dtype.kind in "iu" and (obj == job_id).any():
+                hits.append(path)
+        elif isinstance(obj, dict):
+            for key, value in obj.items():
+                stack.append((f"{path}<key>", key))
+                stack.append((f"{path}[{key!r}]", value))
+        elif isinstance(obj, (list, tuple, set, frozenset, deque)):
+            stack.extend((f"{path}[]", item) for item in obj)
+        else:
+            attrs = dict(getattr(obj, "__dict__", {}))
+            for name in getattr(type(obj), "__slots__", ()):
+                attrs[name] = getattr(obj, name, None)
+            stack.extend((f"{path}.{n}", v) for n, v in attrs.items())
+    return sorted(hits)
 
 
 class TestDriverProtocol:
@@ -198,6 +233,30 @@ class TestCancel:
         # the orphaned completion timer must fire as a harmless no-op
         driver.advance_to(10_000.0)
         assert not kernel.running
+
+    @pytest.mark.parametrize("when", ["pending", "running"])
+    def test_cancel_leaves_nothing_in_the_kernel_naming_the_job(
+        self, when, tmp_path
+    ):
+        """A cancelled job takes its bookkeeping along: once the next
+        epoch ran and its orphaned completion timer fired, only the plan
+        WAL — the record — still names the id."""
+        victim = 987_654_321
+        kernel, driver = _kernel(interval=10.0)
+        kernel.executor.wal = PlanWAL(tmp_path / "wal.jsonl")
+        # the two servers hold 16 GPUs: the victim fits beside job 0 or not
+        _submit(kernel, 0, duration=500.0,
+                max_workers=15 if when == "running" else 16)
+        _submit(kernel, victim, duration=500.0, max_workers=1)
+        driver.advance_to(0.0)
+        assert (victim in kernel.running) == (when == "running")
+        assert _naming(kernel, victim)  # the walk does find a live job
+        assert kernel.cancel_job(victim) is True
+        driver.advance_to(10_000.0)
+        assert _naming(kernel, victim) == []
+        assert kernel.metrics.submissions == 2  # counted, not kept
+        journaled = str(victim) in (tmp_path / "wal.jsonl").read_text()
+        assert journaled == (when == "running")
 
     def test_cancel_is_idempotent_and_safe(self):
         kernel, driver = _kernel()

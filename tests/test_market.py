@@ -38,6 +38,7 @@ from repro.market import (
     market_config_from_spec,
     resolve_market,
 )
+from repro.obs import Observability
 from repro.rm.manager import ResourceManager
 from repro.scenarios import build_sim, default_setup
 
@@ -327,17 +328,19 @@ class TestRegionalOutage:
             num_jobs=60, days=1.0, training_servers=10,
             inference_servers=12, seed=1,
         )
+        obs = Observability.enabled()
         sim = build_sim(
             setup, "lyra", market=market_config_from_spec("2x2"),
             sim_overrides={"fault_plan": resolve_plan("regional-outage")},
+            obs=obs,
         )
         sim.run()
         assert sim.metrics.node_failures > 0
         failed = [
-            record.detail[0] for record in sim.rm.audit
-            if record.op == "fail_node"
+            event.args["server_id"] for event in obs.tracer.events
+            if event.name == "cluster.node_failure"
         ]
-        assert failed, "outage fired but no fail_node audit records"
+        assert len(failed) == sim.metrics.node_failures
         for server_id in failed:
             assert str(server_id).startswith("infer-r0"), (
                 f"regional outage leaked outside infer-r0: {server_id}"

@@ -203,11 +203,23 @@ class TestResourceManagerInterleavings:
     operation — including rejected ones, which must leave no partial
     state behind.  This is the fault-injection substrate's contract:
     failures and recoveries can land at any point between loans,
-    launches and scale-ins.
+    launches and scale-ins.  The ledger is also live-only after every
+    operation: what it holds and indexes is exactly what runs.
     """
 
-    OPS = ("launch", "scale_in", "release", "loan", "return",
+    OPS = ("launch", "scale_in", "release", "migrate", "loan", "return",
            "fail", "recover")
+
+    @staticmethod
+    def assert_ledger_live_only(rm, launched):
+        running = {c.container_id for c in launched if c.running}
+        assert set(rm._containers) == running
+        for index, attr in ((rm._by_job, "job_id"), (rm._by_server, "server_id")):
+            filed = [cid for ids in index.values() for cid in ids]
+            assert sorted(filed) == sorted(running), "an index files a dead id"
+            for key, ids in index.items():
+                assert ids, f"emptied key {key!r} left behind"
+                assert all(getattr(rm._containers[c], attr) == key for c in ids)
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -224,6 +236,7 @@ class TestResourceManagerInterleavings:
             for i in range(4)
         }
         now = 0.0
+        launched = []  # every container ever launched, stopped or not
         for _ in range(50):
             now += 1.0
             op = rng.choice(self.OPS)
@@ -234,9 +247,13 @@ class TestResourceManagerInterleavings:
             server = rng.choice(all_servers)
             try:
                 if op == "launch":
-                    rm.launch(
+                    launched += rm.launch(
                         job, server, rng.randint(1, 2), 1,
                         flexible=rng.random() < 0.5, now=now,
+                    )
+                elif op == "migrate":
+                    rm.migrate_job(
+                        job, server.server_id, rng.choice(all_servers), now=now
                     )
                 elif op == "scale_in":
                     rm.scale_in(job, server.server_id, rng.randint(1, 3),
@@ -259,11 +276,13 @@ class TestResourceManagerInterleavings:
             except (ValueError, RuntimeError, KeyError):
                 pass  # invalid op rejected — must be atomic
             rm.verify_books()
+            self.assert_ledger_live_only(rm, launched)
         # cleanup still balances: releasing every job empties the books
         for job in jobs.values():
             rm.release_job(job, now=now)
         rm.verify_books()
         assert not rm.running_containers()
+        assert not (rm._containers or rm._by_job or rm._by_server)
 
 
 # ----------------------------------------------------------------------

@@ -535,6 +535,30 @@ class TestServeDurability:
 
         asyncio.run(second_life())
 
+    def test_cancelled_job_id_is_not_reissued_after_a_restart(self, tmp_path):
+        """Submit 0,1,2, cancel the newest, stop cleanly, restart: the
+        next submit must not be acked as job 2 again — a client still
+        holding the old id would query or cancel someone else's job."""
+        state_dir = tmp_path / "state"
+
+        async def first_life(service, client):
+            acked = [
+                await client.submit(duration=5_000.0, max_workers=1)
+                for _ in range(3)
+            ]
+            assert await client.cancel(acked[-1]) is True
+            return acked
+
+        acked = run_with_service(first_life, state_dir=state_dir)
+
+        async def second_life(service, client):
+            assert set(service.kernel.jobs) == set(acked[:-1])
+            return await client.submit(duration=10.0, max_workers=1)
+
+        fresh = run_with_service(second_life, state_dir=state_dir)
+        assert fresh not in acked
+        assert fresh == max(acked) + 1
+
     def test_rejected_scale_is_not_journaled(self, tmp_path):
         """Only a scale-in that commits is made durable: refused, no-op
         and growth-only requests change nothing, so journaling them

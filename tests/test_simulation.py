@@ -9,6 +9,7 @@ from repro.cluster.cluster import (
 )
 from repro.cluster.job import JobSpec, JobStatus
 from repro.core.actions import PlanTransaction
+from repro.scenarios import build_sim, default_setup
 from repro.schedulers.fifo import FIFOScheduler
 from repro.schedulers.lyra import LyraScheduler
 from repro.simulator.events import EventKind
@@ -98,6 +99,36 @@ class TestQueueing:
         _, metrics = run(specs)
         # both submitted in hour 0; job 1 queued -> ratio 0.5
         assert metrics.hourly_queuing_ratio[0] == pytest.approx(0.5)
+
+    #: per hour, (arrivals still queued after their first epoch,
+    #: arrivals), as the per-epoch scan of the whole queue and running
+    #: set produced them before it became a walk over the arrivals
+    PINNED_HOURLY = {
+        "lyra": (
+            dict(num_jobs=60, days=0.5, training_servers=6,
+                 inference_servers=8, seed=0),
+            0,
+            [(1, 4), (0, 5), (0, 3), (0, 3), (0, 3), (0, 7), (0, 2), (0, 3),
+             (0, 7), (1, 3), (6, 10), (2, 10)],
+        ),
+        # reclaims preempt here: a preempted job is back in the queue
+        # but is not a first attempt, and must not be counted again
+        "opportunistic": (
+            dict(num_jobs=90, days=1.0, training_servers=6,
+                 inference_servers=8, seed=0, target_load=3.0),
+            9,
+            [(1, 2), (1, 5), (0, 1), (0, 2), (1, 2), (2, 4), (1, 4), (2, 5),
+             (2, 7), (2, 2), (2, 6), (6, 9), (6, 8), (2, 2), (3, 5), (0, 1),
+             (6, 6), (1, 4), (1, 4), (1, 1), (1, 4), (0, 1), (2, 5)],
+        ),
+    }
+
+    @pytest.mark.parametrize("scheme", sorted(PINNED_HOURLY))
+    def test_hourly_queuing_ratio_pinned_on_seeded_runs(self, scheme):
+        setup_kw, preemptions, hourly = self.PINNED_HOURLY[scheme]
+        metrics = build_sim(default_setup(**setup_kw), scheme).run()
+        assert metrics.preemptions == preemptions
+        assert metrics.hourly_queuing_ratio == [q / n for q, n in hourly]
 
     def test_oversized_job_clamped_to_cluster(self):
         # 100 workers x 1 GPU on a 16-GPU cluster: clamped, same work.
