@@ -16,7 +16,9 @@ simulator so both can share it byte-for-byte:
   itself: *when* is always delegated to its driver.
 * :class:`Driver` is the protocol a clock source implements to host the
   kernel: a ``now`` property plus ``schedule``/``schedule_after`` timer
-  primitives and an ``epoch_finished`` notification.  The simulator
+  primitives and an ``epoch_finished`` notification.  A timer is armed
+  as a *tag* — data, never a closure — and a driver fires a due tag by
+  handing it to :meth:`SchedulerKernel.dispatch`.  The simulator
   (:class:`~repro.simulator.simulation.Simulation`) implements it over
   the discrete-event :class:`~repro.simulator.engine.Engine`; the
   serving daemon (:mod:`repro.serve`) implements it over an asyncio
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.cluster import Cluster, ClusterPair
 from repro.cluster.job import Job, JobSpec, JobStatus
@@ -149,11 +151,12 @@ class Driver:
       non-decreasing; the unit is whatever the driver's clock measures
       (simulated seconds for the engine driver, scaled wall-clock
       seconds for the serving driver).
-    * ``schedule(when, callback, tag=None)`` — run ``callback`` at
-      absolute kernel time ``when``.  ``tag`` is a small pickle-friendly
-      tuple naming the callback for durable drivers (see
-      :meth:`repro.simulator.engine.Engine.schedule`).
-    * ``schedule_after(delay, callback, tag=None)`` — relative form.
+    * ``schedule(when, tag)`` — at absolute kernel time ``when``, hand
+      ``tag`` to the kernel's :meth:`~SchedulerKernel.dispatch`.  A tag
+      is a small pickle-friendly tuple, ``(head, *arguments)``; it is
+      all a driver holds of an armed timer, so a durable driver's timers
+      are data (see :mod:`repro.simulator.engine`).
+    * ``schedule_after(delay, tag)`` — relative form.
     * ``epoch_finished()`` — called at the end of every scheduling
       epoch, after the plan committed and bookkeeping ran; drivers use
       it to stop a drained run (simulator) or wake drain/latency
@@ -169,14 +172,10 @@ class Driver:
     def now(self) -> float:
         raise NotImplementedError
 
-    def schedule(
-        self, when: float, callback: Callable[[], None], tag=None
-    ) -> None:
+    def schedule(self, when: float, tag: tuple) -> None:
         raise NotImplementedError
 
-    def schedule_after(
-        self, delay: float, callback: Callable[[], None], tag=None
-    ) -> None:
+    def schedule_after(self, delay: float, tag: tuple) -> None:
         raise NotImplementedError
 
     def epoch_finished(self) -> None:
@@ -200,6 +199,14 @@ class SchedulerKernel:
     subclass does this) makes the instance its own driver — it must then
     implement the protocol itself.
     """
+
+    #: every timer this class arms: tag head -> the method fired with
+    #: the rest of the tag as arguments
+    TIMERS = {
+        "tick": "_schedule_tick",
+        "completion": "_on_completion",
+        "node_recovery": "_node_recovery",
+    }
 
     def __init__(
         self,
@@ -261,15 +268,7 @@ class SchedulerKernel:
 
         #: the scheduling view: delta-maintained columns over the
         #: training whitelist, attached to its change hooks
-        self.view = ClusterView(
-            pair.training,
-            default_onloan_cost=(
-                1.0 / pair.inference_compute
-                if hasattr(pair, "inference_compute")
-                else 3.0
-            ),
-            jobs=self.jobs,
-        )
+        self.view = ClusterView(pair.training, jobs=self.jobs)
         #: the single commit point for decision plans: every epoch's
         #: :class:`~repro.core.actions.EpochPlan` is applied through it
         self.executor = PlanExecutor(self)
@@ -421,6 +420,17 @@ class SchedulerKernel:
     # ------------------------------------------------------------------
     # the epoch pipeline
     # ------------------------------------------------------------------
+    def dispatch(self, tag: tuple) -> None:
+        """Fire an armed timer: the one place a tag becomes a call.
+
+        Drivers call this with every due tag — live or restored from a
+        snapshot, it is the same lookup — so ``("completion", 7, 2)``
+        runs ``_on_completion(7, 2)``.  Handlers take the tag's fields,
+        never captured objects: a timer that outlived what it names
+        (a cancelled job's completion) finds nothing and does nothing.
+        """
+        getattr(self, self.TIMERS[tag[0]])(*tag[1:])
+
     def admit_job(self, job: Job) -> None:
         """A job arrives: enqueue it and request a scheduling epoch.
 
@@ -458,7 +468,7 @@ class SchedulerKernel:
         self._tick_pending = True
         when = max(self.driver.now,
                    self._last_tick + self.config.scheduler_interval)
-        self.driver.schedule(when, self._schedule_tick, tag=("tick",))
+        self.driver.schedule(when, ("tick",))
 
     def _schedule_tick(self) -> None:
         """One scheduling epoch: the decide → validate → commit pipeline."""
@@ -659,9 +669,9 @@ class SchedulerKernel:
         the job also paces at its slowest host."""
         if self.config.tuned_jobs and job.elastic:
             if job.total_workers > job.spec.min_workers:
-                job.hetero_penalty = _TUNING_BONUS
+                job.tuning_bonus = _TUNING_BONUS
             else:
-                job.hetero_penalty = 1.0
+                job.tuning_bonus = 1.0
         if self.degraded_servers:
             job.straggler_penalty = self._straggler_penalty_for(job)
 
@@ -680,34 +690,31 @@ class SchedulerKernel:
         job.completion_epoch = epoch = job.completion_epoch + 1
         if math.isinf(eta):
             return
-        self.driver.schedule(
-            self.now + eta, self._completion(job, epoch),
-            tag=("completion", job.job_id, epoch),
-        )
+        self.driver.schedule(self.now + eta, ("completion", job.job_id, epoch))
 
-    def _completion(self, job: Job, epoch: int):
-        def handler() -> None:
-            if job.completion_epoch != epoch:
-                return  # stale event from a superseded allocation
-            if job.status is not JobStatus.RUNNING:
-                return
-            job.advance(self.now)
-            if job.remaining_work > _WORK_EPS * job.spec.total_work:
-                self._reschedule_completion(job)
-                return
-            self.rm.release_job(job, now=self.now)
-            job.mark_finished(self.now)
-            del self.running[job.job_id]
-            if self.profiler is not None:
-                self.profiler.observe(job.spec, job.spec.duration)
-            self.metrics.registry.histogram("sim.jct_s").observe(job.jct)
-            self.log(EventKind.FINISH, job.job_id, jct_s=job.jct)
-            logger.debug("job %d finished at %.0f (jct %.0f s)",
-                         job.job_id, self.now, job.jct)
-            self.note_trigger(TRIGGER_COMPLETION, job_id=job.job_id)
-            self.trigger_schedule()
-
-        return handler
+    def _on_completion(self, job_id: int, epoch: int) -> None:
+        job = self.jobs.get(job_id)
+        if job is None:
+            return  # the job was cancelled while this timer was armed
+        if job.completion_epoch != epoch:
+            return  # stale event from a superseded allocation
+        if job.status is not JobStatus.RUNNING:
+            return
+        job.advance(self.now)
+        if job.remaining_work > _WORK_EPS * job.spec.total_work:
+            self._reschedule_completion(job)
+            return
+        self.rm.release_job(job, now=self.now)
+        job.mark_finished(self.now)
+        del self.running[job.job_id]
+        if self.profiler is not None:
+            self.profiler.observe(job.spec, job.spec.duration)
+        self.metrics.registry.histogram("sim.jct_s").observe(job.jct)
+        self.log(EventKind.FINISH, job.job_id, jct_s=job.jct)
+        logger.debug("job %d finished at %.0f (jct %.0f s)",
+                     job.job_id, self.now, job.jct)
+        self.note_trigger(TRIGGER_COMPLETION, job_id=job.job_id)
+        self.trigger_schedule()
 
     def preempt(self, job: Job, cause: str = "scheduler") -> None:
         """Preempt a running job (reclaiming made it inevitable, §4)."""
@@ -860,9 +867,7 @@ class SchedulerKernel:
             self._commit_rescale(job, False, job.total_workers, job.eta())
         if repair_time is not None:
             self.driver.schedule_after(
-                repair_time,
-                lambda sid=server_id: self._node_recovery(sid),
-                tag=("node_recovery", server_id),
+                repair_time, ("node_recovery", server_id)
             )
         self.note_trigger(
             TRIGGER_NODE_FAILURE, server_id=server_id, cause=cause

@@ -18,7 +18,7 @@ import random
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.faults.audit import audit_simulation
-from repro.faults.plan import FaultPlan, Straggler
+from repro.faults.plan import FaultPlan
 from repro.obs.provenance import TRIGGER_FAULT
 from repro.rm.manager import TransientLaunchError
 
@@ -36,6 +36,16 @@ def _in_any(now: float, windows: List[Tuple[float, float]]) -> bool:
 
 class FaultInjector:
     """Schedules a plan's fault events into a simulation's engine."""
+
+    #: every timer armed here, as ``("fault", family, *arguments)``:
+    #: family -> the method fired with the arguments
+    TIMERS = {
+        "flash": "_flash_crowd_marker",
+        "outage": "_outage",
+        "straggler": "_straggler_start",
+        "straggler_end": "_straggler_end",
+        "process": "_process_fire",
+    }
 
     def __init__(self, plan: FaultPlan, sim: "Simulation"):
         self.plan = plan
@@ -61,55 +71,31 @@ class FaultInjector:
                 [(f.at, f.duration, f.magnitude) for f in plan.flash_crowds]
             )
             for i, crowd in enumerate(plan.flash_crowds):
-                sim.engine.schedule(
-                    crowd.at,
-                    lambda c=crowd: self._flash_crowd_marker(c),
-                    tag=("fault", "flash", i),
-                )
+                sim.engine.schedule(crowd.at, ("fault", "flash", i))
         if plan.process is not None:
             self._arm_process()
         for i, outage in enumerate(plan.outages):
-            sim.engine.schedule(
-                outage.at, lambda o=outage: self._outage(o),
-                tag=("fault", "outage", i),
-            )
+            sim.engine.schedule(outage.at, ("fault", "outage", i))
         for i, straggler in enumerate(plan.stragglers):
-            sim.engine.schedule(
-                straggler.at, lambda s=straggler: self._straggler_start(s),
-                tag=("fault", "straggler", i),
-            )
+            sim.engine.schedule(straggler.at, ("fault", "straggler", i))
         if plan.predictor_outages or plan.predictor_biases:
             self._install_predictor_faults()
         if plan.launch_failures is not None:
             self._install_launch_gate()
 
+    def dispatch(self, tag: tuple) -> None:
+        """Fire one of this injector's timers, ``(family, *arguments)``.
+
+        The simulation routes every due ``("fault", ...)`` tag here, in
+        a live run and a restored one alike: handlers read the plan and
+        the per-family RNGs, which are part of the simulation state, so
+        a restored timer continues exactly where the armed one would.
+        """
+        getattr(self, self.TIMERS[tag[0]])(*tag[1:])
+
     # ------------------------------------------------------------------
     # snapshot support (repro.recovery)
     # ------------------------------------------------------------------
-    def resolve_tag(self, tag):
-        """Rebuild the callback for one of this injector's event tags.
-
-        The per-family RNGs (and everything else the callbacks read) are
-        restored as part of the simulation state, so a resolved callback
-        continues exactly where the snapshotted one would have.
-        """
-        family = tag[1]
-        if family == "flash":
-            crowd = self.plan.flash_crowds[tag[2]]
-            return lambda c=crowd: self._flash_crowd_marker(c)
-        if family == "outage":
-            outage = self.plan.outages[tag[2]]
-            return lambda o=outage: self._outage(o)
-        if family == "straggler":
-            straggler = self.plan.stragglers[tag[2]]
-            return lambda s=straggler: self._straggler_start(s)
-        if family == "straggler_end":
-            block = list(tag[2])
-            return lambda b=block: self._straggler_end(b)
-        if family == "process":
-            return self._process_fire
-        raise ValueError(f"unknown fault event tag {tag!r}")
-
     def strip_for_snapshot(self) -> None:
         """Detach the closure-based hooks pickle cannot serialize.
 
@@ -202,11 +188,10 @@ class FaultInjector:
         if sim.drained:
             return
         delay = self._rng_process.expovariate(1.0 / self.plan.process.mtbf)
-        sim.engine.schedule_after(
-            delay, self._process_fire, tag=("fault", "process")
-        )
+        sim.engine.schedule_after(delay, ("fault", "process"))
 
-    def _outage(self, outage) -> None:
+    def _outage(self, index: int) -> None:
+        outage = self.plan.outages[index]
         region = getattr(outage, "region", None)
         extra = {"region": region} if region is not None else {}
         self.sim.trace(
@@ -224,7 +209,8 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # stragglers
     # ------------------------------------------------------------------
-    def _straggler_start(self, straggler: Straggler) -> None:
+    def _straggler_start(self, index: int) -> None:
+        straggler = self.plan.stragglers[index]
         block = self._choose_block(straggler.servers)
         if not block:
             self.sim.record_failure_noop("no_healthy_servers")
@@ -243,23 +229,23 @@ class FaultInjector:
             len(block)
         )
         self.sim.engine.schedule_after(
-            straggler.duration, lambda: self._straggler_end(block),
-            tag=("fault", "straggler_end", tuple(block)),
+            straggler.duration, ("fault", "straggler_end", tuple(block))
         )
         self._audit("straggler")
 
-    def _straggler_end(self, block: List[str]) -> None:
+    def _straggler_end(self, block: Tuple[str, ...]) -> None:
         for server_id in block:
             self.sim.set_server_degradation(server_id, None)
-        self.sim.trace("fault.straggler_end", servers=block)
+        self.sim.trace("fault.straggler_end", servers=list(block))
         self._audit("straggler")
 
     # ------------------------------------------------------------------
     # flash crowds
     # ------------------------------------------------------------------
-    def _flash_crowd_marker(self, crowd) -> None:
+    def _flash_crowd_marker(self, index: int) -> None:
         """The overlay is baked into the trace; this event just marks the
         spike's onset in the event trace and audits the reclaim storm."""
+        crowd = self.plan.flash_crowds[index]
         self.sim.trace(
             "fault.flash_crowd", magnitude=crowd.magnitude,
             duration=crowd.duration,

@@ -23,7 +23,7 @@ this package and takes the exact pre-recovery code path.
 
 from repro.recovery.codec import SCHEMA_VERSION, SnapshotCodec, SnapshotError, SnapshotStore
 from repro.recovery.manager import RecoveryError, RecoveryManager
-from repro.recovery.state import capture_payload, event_resolver, restore_payload
+from repro.recovery.state import capture_payload, restore_payload
 from repro.recovery.wal import PlanWAL, WALError
 
 __all__ = [
@@ -36,6 +36,5 @@ __all__ = [
     "SnapshotStore",
     "WALError",
     "capture_payload",
-    "event_resolver",
     "restore_payload",
 ]

@@ -6,11 +6,11 @@ A :class:`RecoveryManager` owns a checkpoint directory::
     wal.jsonl              write-ahead plan journal
     snapshot-NNNNNN.ckpt   full-state snapshots (repro.recovery.codec)
 
-Attached to a simulation (``sim.recovery = manager``), it replaces the
-engine's one-shot ``run(until)`` with a stepped loop that snapshots the
-full run state every ``checkpoint_every`` simulated seconds — always
-*between* engine events, so checkpointing never perturbs event order and
-a checkpointed run stays byte-identical to a plain one.
+Attached to a simulation (``sim.recovery = manager``), it rides the
+engine's run loop as its between-events hook and snapshots the full run
+state every ``checkpoint_every`` simulated seconds — always *between*
+engine events, so checkpointing never perturbs event order and a
+checkpointed run stays byte-identical to a plain one.
 
 Recovery (:meth:`RecoveryManager.recover`) loads the newest snapshot
 that passes its checksum (falling back past torn ones), rewires it, and
@@ -104,21 +104,19 @@ class RecoveryManager:
         self._install_crash_probe()
 
     # ------------------------------------------------------------------
-    def run_loop(self, sim, deadline: Optional[float]) -> None:
-        """The checkpointed replacement for ``engine.run(until)``."""
-        engine = sim.engine
-        engine.begin()
+    def between_events(self) -> None:
+        """The engine's between-events hook: checkpoint when one is due,
+        then honor the crash barrier.  Called with the clock at the
+        event just fired (before the first one: where the run stands)."""
+        sim = self._sim
+        now = sim.engine.now
         if self._next_checkpoint is None:
-            self._next_checkpoint = engine.now + self.checkpoint_every
-        while True:
-            if self.crash is not None:
-                self.crash.maybe_fire(BARRIER_BETWEEN_EVENTS, engine.now)
-            if not engine.step(deadline):
-                break
-            if engine.now >= self._next_checkpoint:
-                self.checkpoint(sim)
-                self._next_checkpoint = engine.now + self.checkpoint_every
-        engine.finish(deadline)
+            self._next_checkpoint = now + self.checkpoint_every
+        elif now >= self._next_checkpoint:
+            self.checkpoint(sim)
+            self._next_checkpoint = now + self.checkpoint_every
+        if self.crash is not None:
+            self.crash.maybe_fire(BARRIER_BETWEEN_EVENTS, now)
 
     def checkpoint(self, sim) -> Path:
         """Snapshot ``sim`` to the next numbered file; returns its path."""

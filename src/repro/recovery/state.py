@@ -1,14 +1,12 @@
 """Full-run state capture and restore.
 
 The simulation object graph is pickled *whole* — jobs, clusters, loans,
-view, executor, metrics, activities, fault-injector RNG streams — so
-every cross-reference survives by construction.  Three things cannot be
+view, executor, metrics, activities, fault-injector RNG streams, and
+the engine heap, which is plain ``(when, seq, tag)`` data fired through
+the kernel's ``dispatch`` (see :mod:`repro.simulator.engine`) — so
+every cross-reference survives by construction.  Two things cannot be
 pickled and are handled explicitly:
 
-* the engine heap holds closures → serialized as tagged ``(when, seq,
-  tag)`` descriptors (see :mod:`repro.simulator.engine`) and resolved
-  back to callbacks against the restored simulation by
-  :func:`event_resolver`;
 * closure-valued hooks (fault launch gate, predictor fault wrappers,
   the profiler's clock) → stripped before pickling and re-installed by
   :func:`restore_payload` / :meth:`FaultInjector.rewire`, reading their
@@ -22,7 +20,7 @@ is open — asserted, not assumed.
 from __future__ import annotations
 
 import pickle
-from typing import Any, Callable, Dict
+from typing import Any, Dict
 
 from repro.recovery.codec import PICKLE_PROTOCOL, SnapshotError
 from repro.rm.containers import container_id_state, set_container_id_state
@@ -30,36 +28,6 @@ from repro.simulator.simulation import Simulation
 
 #: payload schema keys, documented in docs/ROBUSTNESS.md
 PAYLOAD_KEYS = ("sim", "container_seq")
-
-
-def event_resolver(sim) -> Callable[[tuple], Callable[[], None]]:
-    """Map a restored event tag back to a live callback on ``sim``."""
-
-    def resolve(tag: tuple) -> Callable[[], None]:
-        head = tag[0]
-        if head == "arrival":
-            return sim._arrival(sim.jobs[tag[1]])
-        if head == "completion":
-            return sim._completion(sim.jobs[tag[1]], tag[2])
-        if head == "tick":
-            return sim._schedule_tick
-        if head == "heartbeat":
-            return sim._heartbeat
-        if head == "sampler":
-            return sim._sampler
-        if head == "orch":
-            return sim._orchestrator_tick
-        if head == "node_recovery":
-            return lambda sid=tag[1]: sim._node_recovery(sid)
-        if head == "fault":
-            if sim.fault_injector is None:
-                raise SnapshotError(
-                    f"fault event {tag!r} restored without a fault injector"
-                )
-            return sim.fault_injector.resolve_tag(tag)
-        raise SnapshotError(f"unknown event tag {tag!r}")
-
-    return resolve
 
 
 def capture_payload(sim, **stamp) -> bytes:
@@ -125,10 +93,12 @@ def restore_payload(payload: Dict[str, Any]):
 
     Rewires everything :func:`capture_payload` stripped — the profiler
     clock, the fault injector's closure hooks — then the timers, by
-    driver: a :class:`Simulation` rebinds its engine heap (tags →
-    callbacks); a wall-clock kernel's timers died with the old process,
-    so its pending tick is cleared and the daemon re-arms completions.
-    The caller re-attaches the durable-state machinery before resuming.
+    driver: a :class:`Simulation`'s engine heap came back as it was, so
+    it is only handed the kernel's ``dispatch`` and checked (a heap
+    naming a timer nobody handles is refused here, not when it fires);
+    a wall-clock kernel's timers died with the old process, so its
+    pending tick is cleared and the daemon re-arms completions.  The
+    caller re-attaches the durable-state machinery before resuming.
     """
     for key in PAYLOAD_KEYS:
         if key not in payload:
@@ -141,7 +111,10 @@ def restore_payload(payload: Dict[str, Any]):
     if kernel.fault_injector is not None:
         kernel.fault_injector.rewire()
     if isinstance(kernel, Simulation):
-        kernel.engine.rebind(event_resolver(kernel))
+        for _when, _seq, tag in kernel.engine.snapshot_events():
+            if not kernel.handles(tag):
+                raise SnapshotError(f"unknown event tag {tag!r}")
+        kernel.engine.dispatch = kernel.dispatch
     else:
         kernel._tick_pending = False
     return kernel

@@ -2,9 +2,12 @@
 
 Maps kernel time onto an asyncio event loop: ``now`` is elapsed loop
 time since binding, scaled by ``time_scale`` (kernel seconds per wall
-second), and ``schedule`` arms ``loop.call_later`` timers.  A scale of
-60 runs a day of kernel time in 24 wall minutes — handy for demos and
-load tests; production serving uses 1.0.
+second), and ``schedule`` arms a ``loop.call_later`` timer that holds
+the tag and, when due, hands it to ``on_timer`` — the service, which
+fires its own orchestrator cadence and passes every other tag to the
+kernel's ``dispatch``.  A scale of 60 runs a day of kernel time in 24
+wall minutes — handy for demos and load tests; production serving uses
+1.0.
 
 The driver is pickle-friendly so a kernel snapshot can embed it: the
 loop and armed timers are dropped on pickling (timers die with the
@@ -36,9 +39,11 @@ class WallClockDriver(Driver):
         self._t0: Optional[float] = None
         #: timers armed since binding (observability, not control flow)
         self.timers_armed = 0
-        #: kernel callbacks that raised (each is logged and swallowed —
+        #: timers whose handler raised (each is logged and swallowed —
         #: one bad event must not kill the daemon)
         self.callback_errors = 0
+        #: service hook: fires a due timer's tag
+        self.on_timer: Optional[Callable[[tuple], None]] = None
         #: service hook, invoked after every scheduling epoch
         self.on_epoch_finished: Optional[Callable[[], None]] = None
 
@@ -63,9 +68,7 @@ class WallClockDriver(Driver):
             return self._start_at
         return self._start_at + (self._loop.time() - self._t0) * self.time_scale
 
-    def schedule(
-        self, when: float, callback: Callable[[], None], tag=None
-    ) -> None:
+    def schedule(self, when: float, tag: tuple) -> None:
         if self._loop is None:
             raise RuntimeError(
                 "WallClockDriver.schedule before bind(); the daemon must "
@@ -73,21 +76,19 @@ class WallClockDriver(Driver):
             )
         delay = max(0.0, (when - self.now) / self.time_scale)
         self.timers_armed += 1
-        self._loop.call_later(delay, self._fire, callback, tag)
+        self._loop.call_later(delay, self._fire, tag)
 
-    def schedule_after(
-        self, delay: float, callback: Callable[[], None], tag=None
-    ) -> None:
-        self.schedule(self.now + delay, callback, tag=tag)
+    def schedule_after(self, delay: float, tag: tuple) -> None:
+        self.schedule(self.now + delay, tag)
 
     def epoch_finished(self) -> None:
         if self.on_epoch_finished is not None:
             self.on_epoch_finished()
 
     # ------------------------------------------------------------------
-    def _fire(self, callback: Callable[[], None], tag) -> None:
+    def _fire(self, tag: tuple) -> None:
         try:
-            callback()
+            self.on_timer(tag)
         except Exception:
             # The simulator lets exceptions kill the run (a bug should
             # fail loudly in a batch job); a daemon must stay up and

@@ -141,6 +141,7 @@ class SchedulerService:
                 obs=self.obs,
                 driver=self.driver,
             )
+        self.driver.on_timer = self._on_timer
         self.driver.on_epoch_finished = self._on_epoch_finished
         self.kernel.activity_sink = self._on_activity
         if self.state is not None:
@@ -161,9 +162,7 @@ class SchedulerService:
         self._next_job_id = max([journaled, *self.kernel.jobs]) + 1
         if self._orchestrator is not None:
             self.driver.schedule_after(
-                self.kernel.config.orchestrator_interval,
-                self._orchestrator_tick,
-                tag=("orch",),
+                self.kernel.config.orchestrator_interval, ("orch",)
             )
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
@@ -183,22 +182,30 @@ class SchedulerService:
         if self.kernel.pending:
             self.kernel.trigger_schedule()
 
+    def _apply(self, entry: dict):
+        """Turn one journaled entry into its state change.
+
+        The only code that does: a live op validates, journals and calls
+        this; restart replay is a loop over it.  What is journaled is
+        therefore exactly what replays.
+        """
+        op = entry.get("op")
+        if op == "submit":
+            spec = protocol.spec_from_dict(entry["spec"])
+            if spec.job_id not in self.kernel.jobs:
+                self.kernel.admit_job(self.kernel.register_job(spec))
+            return None
+        if op == "cancel":
+            return self.kernel.cancel_job(entry["job_id"])
+        if op == "scale":
+            return self._apply_scale(entry["job_id"], entry["workers"])
+        raise ValueError(f"no journaled op {op!r}")
+
     def _replay_requests(self, from_seq: int) -> None:
         """Re-apply journaled requests the kernel does not cover."""
         for entry in self.state.journal.entries_after(from_seq):
-            op = entry.get("op")
             try:
-                if op == "submit":
-                    spec = protocol.spec_from_dict(entry["spec"])
-                    if spec.job_id not in self.kernel.jobs:
-                        job = self.kernel.register_job(spec)
-                        self.kernel.admit_job(job)
-                elif op == "cancel":
-                    self.kernel.cancel_job(
-                        entry["job_id"], cause=entry.get("cause", "user")
-                    )
-                elif op == "scale":
-                    self._apply_scale(entry["job_id"], entry["workers"])
+                self._apply(entry)
             except Exception:
                 # a request that was applicable pre-kill may no longer
                 # be (job finished in the snapshot, say); replay is
@@ -285,13 +292,16 @@ class SchedulerService:
                 self.obs.registry.counter("serve.events_dropped").inc()
             queue.put_nowait(event)
 
-    def _orchestrator_tick(self) -> None:
-        self.kernel.run_orchestrator_epoch()
-        self.driver.schedule_after(
-            self.kernel.config.orchestrator_interval,
-            self._orchestrator_tick,
-            tag=("orch",),
-        )
+    def _on_timer(self, tag: tuple) -> None:
+        """Driver hook: a timer is due.  The orchestrator cadence is the
+        daemon's own; every other tag is one the kernel armed."""
+        if tag[0] == "orch":
+            self.kernel.run_orchestrator_epoch()
+            self.driver.schedule_after(
+                self.kernel.config.orchestrator_interval, ("orch",)
+            )
+        else:
+            self.kernel.dispatch(tag)
 
     # ------------------------------------------------------------------
     # connection handling
@@ -389,13 +399,11 @@ class SchedulerService:
         job_id = self._next_job_id
         spec = protocol.spec_from_request(fields, job_id, self.kernel.now)
         self._next_job_id += 1
+        entry = {"op": "submit", "spec": protocol.spec_to_dict(spec)}
         if self.state is not None:
-            self.state.journal.append(
-                "submit", spec=protocol.spec_to_dict(spec)
-            )
-        job = self.kernel.register_job(spec)
+            self.state.journal.append(**entry)
+        self._apply(entry)
         self._submit_walls[job_id] = self._loop.time()
-        self.kernel.admit_job(job)
         return protocol.ok(request_id, job_id=job_id, submit_time=spec.submit_time)
 
     def _op_query(self, request_id, request) -> dict:
@@ -439,9 +447,10 @@ class SchedulerService:
             # kill against an older snapshot where the job still runs —
             # and remove a job the client was told had finished.
             return protocol.ok(request_id, job_id=job_id, cancelled=False)
+        entry = {"op": "cancel", "job_id": job_id}
         if self.state is not None:
-            self.state.journal.append("cancel", job_id=job_id)
-        cancelled = self.kernel.cancel_job(job_id)
+            self.state.journal.append(**entry)
+        cancelled = self._apply(entry)
         self._submit_walls.pop(job_id, None)
         self._maybe_mark_drained()
         return protocol.ok(request_id, job_id=job_id, cancelled=cancelled)
@@ -453,8 +462,9 @@ class SchedulerService:
             return protocol.err(
                 request_id, "bad_request", "scale needs job_id and workers"
             )
+        entry = {"op": "scale", "job_id": job_id, "workers": workers}
         try:
-            result = self._apply_scale(job_id, workers)
+            result = self._apply(entry)
         except KeyError:
             return protocol.err(request_id, "unknown_job", f"job {job_id}")
         except (ValueError, PlanRejected) as exc:
@@ -463,7 +473,7 @@ class SchedulerService:
         # ack): a refused, no-op or growth-only request changed nothing
         # and would be replayed, and fail again, on every restart.
         if result["applied"] == "scale_in" and self.state is not None:
-            self.state.journal.append("scale", job_id=job_id, workers=workers)
+            self.state.journal.append(**entry)
         return protocol.ok(request_id, job_id=job_id, **result)
 
     def _apply_scale(self, job_id: int, workers: int) -> dict:

@@ -1,66 +1,63 @@
 """Discrete-event simulation engine.
 
-A minimal, allocation-free event loop: callbacks are scheduled at absolute
-simulated times and executed in (time, insertion) order.  Everything else —
-jobs, clusters, schedulers — lives above this layer.
+A minimal event loop: timers are armed at absolute simulated times and
+fired in (time, insertion) order.  Everything else — jobs, clusters,
+schedulers — lives above this layer.
 
-Every event may carry a *tag*: a small, JSON/pickle-friendly tuple that
-names the callback it wraps (``("completion", job_id, epoch)``,
-``("heartbeat",)``, ...).  Tags are what make the engine *durable*:
-closures cannot be serialized, but a tagged heap can be snapshotted as
-``(when, seq, tag)`` triples and rebuilt by resolving each tag back to a
-fresh callback against the restored simulation (see
-:mod:`repro.recovery.state`).  Untagged events still work for ad-hoc
-harnesses — they simply make the engine unsnapshotable.
+The engine holds data, not code.  An armed timer is its *tag*: a small,
+JSON/pickle-friendly tuple (``("completion", job_id, epoch)``,
+``("heartbeat",)``, ...) that the engine hands, when due, to the one
+``dispatch`` function its owner supplied — the same function in a live
+run and in one restored from a snapshot.  The heap is therefore plain
+``(when, seq, tag)`` triples and pickles as it is.  Ad-hoc harnesses may
+still arm a bare callable, which fires as itself — it simply makes the
+engine unsnapshotable.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple, Union
 
-#: A serializable event descriptor; ``None`` marks an ad-hoc closure.
-EventTag = Optional[tuple]
+#: What a timer holds: a serializable tag, or an ad-hoc harness callable.
+Event = Union[tuple, Callable[[], None]]
 
 
 class UnsnapshotableEvent(RuntimeError):
-    """The heap holds an untagged event, so it cannot be serialized."""
+    """The heap holds a bare callable, so it cannot be serialized."""
 
 
 class Engine:
     """A priority-queue driven simulation clock."""
 
-    def __init__(self, start_time: float = 0.0):
+    def __init__(
+        self,
+        start_time: float = 0.0,
+        dispatch: Optional[Callable[[tuple], None]] = None,
+    ):
+        #: fires a due tag; owned by whoever arms tags (not pickled — the
+        #: owner of a restored engine hands its own dispatch back)
+        self.dispatch = dispatch
         self.now = start_time
-        self._heap: List[Tuple[float, int, Callable[[], None], EventTag]] = []
+        self._heap: List[Tuple[float, int, Event]] = []
         self._next_seq = 0
         self._stopped = False
 
-    def schedule(
-        self,
-        when: float,
-        callback: Callable[[], None],
-        tag: EventTag = None,
-    ) -> None:
-        """Run ``callback`` at absolute time ``when`` (>= now)."""
+    def schedule(self, when: float, event: Event) -> None:
+        """Fire ``event`` at absolute time ``when`` (>= now)."""
         if when < self.now:
             raise ValueError(
                 f"cannot schedule in the past: {when} < now {self.now}"
             )
         seq = self._next_seq
         self._next_seq = seq + 1
-        heapq.heappush(self._heap, (when, seq, callback, tag))
+        heapq.heappush(self._heap, (when, seq, event))
 
-    def schedule_after(
-        self,
-        delay: float,
-        callback: Callable[[], None],
-        tag: EventTag = None,
-    ) -> None:
-        """Run ``callback`` ``delay`` seconds from now."""
+    def schedule_after(self, delay: float, event: Event) -> None:
+        """Fire ``event`` ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"delay must be >= 0, got {delay}")
-        self.schedule(self.now + delay, callback, tag=tag)
+        self.schedule(self.now + delay, event)
 
     @property
     def pending_events(self) -> int:
@@ -75,123 +72,70 @@ class Engine:
         return self._heap[0][0] if self._heap else None
 
     def stop(self) -> None:
-        """Abort the run loop after the current callback returns."""
+        """Abort the run loop after the current event returns."""
         self._stopped = True
 
-    def run(self, until: Optional[float] = None) -> float:
+    def run(
+        self,
+        until: Optional[float] = None,
+        between: Optional[Callable[[], None]] = None,
+    ) -> float:
         """Process events until the heap drains or ``until`` is reached.
 
         Returns the final simulation time.  Events scheduled exactly at
-        ``until`` are still executed.
+        ``until`` are still executed.  ``between`` — the recovery
+        layer's checkpoint and crash barrier — is called once before
+        every event and once after the last, with the clock still at
+        the last event fired; it never changes which events run or in
+        what (time, seq) order.
         """
         self._stopped = False
-        heap = self._heap
-        while heap and not self._stopped:
+        heap, dispatch = self._heap, self.dispatch
+        while True:
+            if between is not None:
+                between()
+            if not heap or self._stopped:
+                break
             when = heap[0][0]
             if until is not None and when > until:
-                self.now = until
-                return self.now
+                break
             self.now = when
-            # Batch: drain every event sharing this timestamp before
-            # re-checking the deadline.  Same-timestamp events a callback
-            # schedules get a larger seq, so they sort after the existing
-            # ones and still run inside this batch — the (time, seq)
-            # execution order is identical to the one-pop-per-iteration
-            # loop, but a heartbeat storm costs one deadline check and
-            # one clock write instead of thousands.
-            while heap and heap[0][0] == when and not self._stopped:
-                callback = heapq.heappop(heap)[2]
-                callback()
+            event = heapq.heappop(heap)[2]
+            if callable(event):
+                event()
+            else:
+                dispatch(event)
         if until is not None and self.now < until:
             self.now = until
         return self.now
 
     # ------------------------------------------------------------------
-    # stepped execution (the checkpointed run loop)
-    # ------------------------------------------------------------------
-    def begin(self) -> None:
-        """Reset the stop flag, as :meth:`run` does on entry."""
-        self._stopped = False
-
-    def step(self, until: Optional[float] = None) -> bool:
-        """Process exactly one event; False when there is nothing to do.
-
-        ``begin()``/``step()``/``finish()`` decompose :meth:`run` so a
-        caller can interleave work *between* events — the recovery
-        layer's checkpoint barrier — without perturbing event order:
-        the sequence of (time, callback) executions is identical to one
-        uninterrupted ``run(until)`` call.
-        """
-        if not self._heap or self._stopped:
-            return False
-        when, _, callback, _tag = self._heap[0]
-        if until is not None and when > until:
-            return False
-        heapq.heappop(self._heap)
-        self.now = when
-        callback()
-        return True
-
-    def finish(self, until: Optional[float] = None) -> float:
-        """Apply :meth:`run`'s final-clock semantics after a step loop."""
-        if until is not None and self.now < until:
-            self.now = until
-        return self.now
-
-    # ------------------------------------------------------------------
-    # serialization (tags only; callbacks are resolved on restore)
+    # serialization: the heap is already data
     # ------------------------------------------------------------------
     def snapshot_events(self) -> List[Tuple[float, int, tuple]]:
         """The heap as ``(when, seq, tag)`` triples, heap-order sorted.
 
-        Raises :class:`UnsnapshotableEvent` if any event lacks a tag.
+        Raises :class:`UnsnapshotableEvent` if any event is a callable.
         """
-        events = []
-        for when, seq, _cb, tag in self._heap:
-            if tag is None:
+        for when, seq, event in self._heap:
+            if callable(event):
                 raise UnsnapshotableEvent(
-                    f"event at t={when} (seq {seq}) has no tag; only tagged "
-                    f"events can be serialized"
+                    f"event at t={when} (seq {seq}) is a bare callable; "
+                    f"only tags can be serialized"
                 )
-            events.append((when, seq, tag))
-        events.sort()
-        return events
+        return sorted(self._heap)
 
     def __getstate__(self) -> dict:
-        # an engine may be re-pickled before rebind() (snapshot payloads
-        # round-trip through pickle to detach from the live run); its
-        # events then live in _unresolved, not the heap
-        unresolved = getattr(self, "_unresolved", None)
         return {
             "now": self.now,
             "next_seq": self._next_seq,
             "stopped": self._stopped,
-            "events": (
-                list(unresolved)
-                if unresolved is not None
-                else self.snapshot_events()
-            ),
+            "events": self.snapshot_events(),
         }
 
     def __setstate__(self, state: dict) -> None:
+        self.dispatch = None
         self.now = state["now"]
         self._next_seq = state["next_seq"]
         self._stopped = state["stopped"]
-        self._heap = []
-        #: restored tag triples awaiting :meth:`rebind`
-        self._unresolved = state["events"]
-
-    def rebind(self, resolver: Callable[[tuple], Callable[[], None]]) -> int:
-        """Rebuild the heap from restored tags; returns the event count.
-
-        ``resolver`` maps each tag back to a callback against the
-        restored simulation.  Original (when, seq) pairs are preserved,
-        so execution order is bit-identical to the snapshotted run.
-        """
-        unresolved = getattr(self, "_unresolved", None)
-        if unresolved is None:
-            return 0
-        for when, seq, tag in unresolved:
-            heapq.heappush(self._heap, (when, seq, resolver(tag), tag))
-        del self._unresolved
-        return len(self._heap)
+        self._heap = state["events"]  # sorted, hence a valid heap

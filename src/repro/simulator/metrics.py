@@ -11,9 +11,8 @@ reclaiming demand (§7.3).
 :class:`~repro.obs.metrics.MetricsRegistry`: scalar counts live in
 registry counters and the per-op samples in registry histograms, so any
 component holding the registry can record without new fields being
-plumbed through.  The original dataclass construction and attribute
-surface (``metrics.preemptions += 1``, ``metrics.loan_ops.append(...)``)
-is preserved as a compatibility shim.
+plumbed through.  Its attributes (``metrics.preemptions += 1``,
+``metrics.loan_ops.append(...)``) are properties over those instruments.
 """
 
 from __future__ import annotations
@@ -160,7 +159,7 @@ def _histogram_property(metric_name: str):
 class SimulationMetrics:
     """Everything a finished simulation exposes for reporting.
 
-    Attribute surface (unchanged from the original dataclass):
+    Attribute surface:
 
     * ``jobs`` — finished jobs (the population all distributions cover)
     * ``submissions`` / ``preemptions`` / ``scale_ops`` /
@@ -183,45 +182,21 @@ class SimulationMetrics:
     collateral = _histogram_property("orchestrator.collateral")
     flex_satisfied = _histogram_property("orchestrator.flex_satisfied")
 
-    def __init__(
-        self,
-        jobs: Optional[List[Job]] = None,
-        submissions: int = 0,
-        preemptions: int = 0,
-        scale_ops: int = 0,
-        node_failures: int = 0,
-        loan_ops: Optional[List[int]] = None,
-        reclaim_ops: Optional[List[int]] = None,
-        collateral: Optional[List[float]] = None,
-        flex_satisfied: Optional[List[float]] = None,
-        training_usage: Optional[TimeSeries] = None,
-        overall_usage: Optional[TimeSeries] = None,
-        onloan_usage: Optional[TimeSeries] = None,
-        onloan_busy: Optional[TimeSeries] = None,
-        hourly_queuing_ratio: Optional[List[float]] = None,
-        registry: Optional[MetricsRegistry] = None,
-    ):
-        # Compatibility shim: direct construction (with or without the
-        # old dataclass keywords) still works and self-hosts a registry.
+    def __init__(self, registry: Optional[MetricsRegistry] = None):
+        # constructed bare, the facade self-hosts a private registry
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.jobs: List[Job] = jobs if jobs is not None else []
-        self.submissions = submissions
-        self.preemptions = preemptions
-        self.scale_ops = scale_ops
-        self.node_failures = node_failures
-        if loan_ops is not None:
-            self.loan_ops = loan_ops
-        if reclaim_ops is not None:
-            self.reclaim_ops = reclaim_ops
-        if collateral is not None:
-            self.collateral = collateral
-        if flex_satisfied is not None:
-            self.flex_satisfied = flex_satisfied
-        self.training_usage = training_usage or TimeSeries()
-        self.overall_usage = overall_usage or TimeSeries()
-        self.onloan_usage = onloan_usage or TimeSeries()
-        self.onloan_busy = onloan_busy or TimeSeries()
-        self.hourly_queuing_ratio: List[float] = hourly_queuing_ratio or []
+        self.jobs: List[Job] = []
+        # registers the four counters, so a run that never bumps one
+        # still reports it as 0
+        self.submissions = 0
+        self.preemptions = 0
+        self.scale_ops = 0
+        self.node_failures = 0
+        self.training_usage = TimeSeries()
+        self.overall_usage = TimeSeries()
+        self.onloan_usage = TimeSeries()
+        self.onloan_busy = TimeSeries()
+        self.hourly_queuing_ratio: List[float] = []
 
     def __repr__(self) -> str:
         return (

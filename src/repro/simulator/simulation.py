@@ -33,10 +33,10 @@ Simulated mechanics (matching §7.1–7.2):
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.cluster.cluster import ClusterPair
-from repro.cluster.job import Job, JobSpec
+from repro.cluster.job import JobSpec
 from repro.core.kernel import (  # noqa: F401  (re-exports: long-standing API)
     DAY,
     SchedulerKernel,
@@ -62,6 +62,17 @@ class Simulation(SchedulerKernel):
     unchanged on top.
     """
 
+    #: the kernel's timers plus the trace-replay cadences armed here;
+    #: ``("fault", family, ...)`` tags belong to the fault injector
+    TIMERS = {
+        **SchedulerKernel.TIMERS,
+        "arrival": "_on_arrival",
+        "heartbeat": "_on_heartbeat",
+        "sampler": "_on_sampler",
+        "orch": "_on_orch",
+        "fault": "_on_fault",
+    }
+
     def __init__(
         self,
         specs: Sequence[JobSpec],
@@ -72,7 +83,7 @@ class Simulation(SchedulerKernel):
         config: SimulationConfig = SimulationConfig(),
         obs: Optional[Observability] = None,
     ):
-        self.engine = Engine()
+        self.engine = Engine(dispatch=self.dispatch)
         super().__init__(
             specs,
             pair,
@@ -97,15 +108,19 @@ class Simulation(SchedulerKernel):
     def now(self) -> float:
         return self.engine.now
 
-    def schedule(
-        self, when: float, callback: Callable[[], None], tag=None
-    ) -> None:
-        self.engine.schedule(when, callback, tag=tag)
+    def schedule(self, when: float, tag: tuple) -> None:
+        self.engine.schedule(when, tag)
 
-    def schedule_after(
-        self, delay: float, callback: Callable[[], None], tag=None
-    ) -> None:
-        self.engine.schedule_after(delay, callback, tag=tag)
+    def schedule_after(self, delay: float, tag: tuple) -> None:
+        self.engine.schedule_after(delay, tag)
+
+    def handles(self, tag: tuple) -> bool:
+        """Whether :meth:`dispatch` can fire ``tag``: snapshot loading
+        refuses a heap naming a timer nobody handles."""
+        if tag[0] == "fault":
+            injector = self.fault_injector
+            return injector is not None and tag[1] in injector.TIMERS
+        return tag[0] in self.TIMERS
 
     def epoch_finished(self) -> None:
         if self.drained:
@@ -120,14 +135,11 @@ class Simulation(SchedulerKernel):
         """Replay the trace; ``until`` optionally cuts the run short at a
         simulated timestamp (the ``repro whatif`` probe point)."""
         for job in self.jobs.values():
-            self.engine.schedule(
-                job.spec.submit_time, self._arrival(job),
-                tag=("arrival", job.job_id),
-            )
-        self.engine.schedule(0.0, self._sampler, tag=("sampler",))
-        self.engine.schedule(0.0, self._heartbeat, tag=("heartbeat",))
+            self.engine.schedule(job.spec.submit_time, ("arrival", job.job_id))
+        self.engine.schedule(0.0, ("sampler",))
+        self.engine.schedule(0.0, ("heartbeat",))
         if self.orchestrator is not None:
-            self.engine.schedule(0.0, self._orchestrator_tick, tag=("orch",))
+            self.engine.schedule(0.0, ("orch",))
         # None (not an empty plan) when nothing is injected, so the
         # zero-cost path skips the injector entirely
         plan = self.config.fault_plan
@@ -157,17 +169,14 @@ class Simulation(SchedulerKernel):
         return self.metrics
 
     def _run_loop(self, deadline: float) -> None:
-        """Drive the engine to ``deadline``.
-
-        Without an attached recovery manager this is exactly the
-        pre-recovery ``engine.run`` call; with one, the manager steps
-        the engine so it can checkpoint (and honor crash barriers)
-        *between* events — event order is identical either way.
-        """
-        if self.recovery is None:
-            self.engine.run(until=deadline)
-        else:
-            self.recovery.run_loop(self, deadline)
+        """Drive the engine to ``deadline``; an attached recovery
+        manager checkpoints (and honors crash barriers) *between*
+        events, which leaves event order as it is."""
+        recovery = self.recovery
+        self.engine.run(
+            until=deadline,
+            between=recovery.between_events if recovery else None,
+        )
 
     def resume(self) -> SimulationMetrics:
         """Continue a restored run to its original deadline.
@@ -183,7 +192,7 @@ class Simulation(SchedulerKernel):
         self._finalize_hourly_ratio()
         return self.metrics
 
-    def _heartbeat(self) -> None:
+    def _on_heartbeat(self) -> None:
         """Periodic scheduling epochs (§3: the job scheduler runs
         periodically, on top of the event-driven triggers)."""
         self._heartbeats += 1
@@ -205,18 +214,18 @@ class Simulation(SchedulerKernel):
             if nxt is not None:
                 while when < nxt:
                     when = when + delay
-            self.engine.schedule(when, self._heartbeat, tag=("heartbeat",))
+            self.engine.schedule(when, ("heartbeat",))
 
     # ------------------------------------------------------------------
     # event handlers
     # ------------------------------------------------------------------
-    def _arrival(self, job: Job):
-        def handler() -> None:
-            self.admit_job(job)
+    def _on_arrival(self, job_id: int) -> None:
+        self.admit_job(self.jobs[job_id])
 
-        return handler
+    def _on_fault(self, *tag) -> None:
+        self.fault_injector.dispatch(tag)
 
-    def _sampler(self) -> None:
+    def _on_sampler(self) -> None:
         now = self.engine.now
         if now > self._last_arrival:
             # Usage statistics cover the trace window only (the paper's
@@ -289,14 +298,11 @@ class Simulation(SchedulerKernel):
                 pending=len(self.pending),
             )
 
-        self.engine.schedule_after(
-            self.config.sample_interval, self._sampler, tag=("sampler",)
-        )
+        self.engine.schedule_after(self.config.sample_interval, ("sampler",))
 
-    def _orchestrator_tick(self) -> None:
+    def _on_orch(self) -> None:
         self.run_orchestrator_epoch()
         if self.pending or self.running or self.engine.now < self._last_arrival:
             self.engine.schedule_after(
-                self.config.orchestrator_interval, self._orchestrator_tick,
-                tag=("orch",),
+                self.config.orchestrator_interval, ("orch",)
             )

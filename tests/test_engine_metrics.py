@@ -1,10 +1,13 @@
 """Tests for the event engine and the metrics layer."""
 
 import math
+import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.simulator.engine import Engine
+from repro.simulator.engine import Engine, UnsnapshotableEvent
 from repro.simulator.metrics import (
     DistributionSummary,
     SimulationMetrics,
@@ -86,6 +89,80 @@ class TestEngine:
         engine = Engine()
         engine.run(until=42.0)
         assert engine.now == 42.0
+
+    def test_tags_fire_through_dispatch_and_pickle_as_data(self):
+        fired = []
+        engine = Engine(dispatch=fired.append)
+        engine.schedule(2.0, ("b", 7))
+        engine.schedule(1.0, ("a",))
+        frozen = pickle.loads(pickle.dumps(engine))
+        assert frozen.snapshot_events() == engine.snapshot_events()
+        engine.run()
+        assert fired == [("a",), ("b", 7)]
+        # a restored heap is the same data; its owner hands dispatch back
+        refired = []
+        frozen.dispatch = refired.append
+        frozen.run()
+        assert refired == fired
+
+    def test_bare_callable_makes_the_heap_unsnapshotable(self):
+        engine = Engine()
+        engine.schedule(1.0, lambda: None)
+        with pytest.raises(UnsnapshotableEvent):
+            engine.snapshot_events()
+
+
+#: an event: (time, delays of the events it schedules when it fires);
+#: small integer times make same-timestamp ties the common case
+_EVENTS = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=6),
+        st.lists(st.integers(min_value=0, max_value=3), max_size=3),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    events=_EVENTS,
+    until=st.none() | st.integers(min_value=0, max_value=10),
+    stop_at=st.none() | st.integers(min_value=0, max_value=20),
+)
+def test_property_between_hook_never_changes_what_runs(events, until, stop_at):
+    """``run(until, between=hook)`` fires the same (time, seq) sequence
+    as ``run(until)`` — ties, events that schedule events and a
+    ``stop()`` included — and calls the hook once before every event
+    and once after the last."""
+
+    def drive(hooked: bool):
+        fired, hook_calls, armed = [], [], []
+
+        def arm(when, children):
+            armed.append(children)
+            engine.schedule(when, ("event", len(armed) - 1))
+
+        def dispatch(tag):
+            seq = tag[1]
+            fired.append((engine.now, seq))
+            for i, delay in enumerate(armed[seq]):
+                # grandchildren thin out, so every schedule terminates
+                arm(engine.now + delay, armed[seq][i + 1:])
+            if len(fired) - 1 == stop_at:
+                engine.stop()
+
+        engine = Engine(dispatch=dispatch)
+        for when, children in events:
+            arm(float(when), children)
+        hook = (lambda: hook_calls.append(len(fired))) if hooked else None
+        end = engine.run(until=until, between=hook)
+        return fired, hook_calls, end, engine.snapshot_events()
+
+    fired, _, end, left = drive(hooked=False)
+    hooked_fired, hook_calls, hooked_end, hooked_left = drive(hooked=True)
+    assert fired == sorted(fired)  # (time, seq) order
+    assert (hooked_fired, hooked_end, hooked_left) == (fired, end, left)
+    assert hook_calls == list(range(len(fired) + 1))
 
 
 class TestDistributionSummary:

@@ -30,22 +30,24 @@ class ManualDriver(Driver):
 
     def __init__(self, start: float = 0.0):
         self._now = start
-        #: armed timers as ``(when, seq, callback, tag)``; fired in
-        #: (when, arming-order) order like the engine's heap
+        #: armed timers as ``(when, seq, tag)``; fired in (when,
+        #: arming-order) order like the engine's heap
         self.timers = []
         self._seq = 0
         self.epochs_finished = 0
+        #: fires a due tag: the hosted kernel's ``dispatch``
+        self.dispatch = None
 
     @property
     def now(self) -> float:
         return self._now
 
-    def schedule(self, when, callback, tag=None):
+    def schedule(self, when, tag):
         self._seq += 1
-        self.timers.append((when, self._seq, callback, tag))
+        self.timers.append((when, self._seq, tag))
 
-    def schedule_after(self, delay, callback, tag=None):
-        self.schedule(self._now + delay, callback, tag=tag)
+    def schedule_after(self, delay, tag):
+        self.schedule(self._now + delay, tag)
 
     def epoch_finished(self):
         self.epochs_finished += 1
@@ -61,13 +63,13 @@ class ManualDriver(Driver):
             timer = min(due, key=lambda x: (x[0], x[1]))
             self.timers.remove(timer)
             self._now = max(self._now, timer[0])
-            timer[2]()
+            self.dispatch(timer[2])
             fired += 1
         self._now = max(self._now, t)
         return fired
 
     def armed_tags(self):
-        return [timer[3] for timer in self.timers]
+        return [timer[2] for timer in self.timers]
 
 
 def _spec(job_id, duration=100.0, max_workers=2, **kw):
@@ -84,6 +86,7 @@ def _kernel(interval=10.0, **config_kw):
         config=SimulationConfig(scheduler_interval=interval, **config_kw),
         driver=driver,
     )
+    driver.dispatch = kernel.dispatch
     return kernel, driver
 
 
@@ -131,9 +134,9 @@ class TestDriverProtocol:
         with pytest.raises(NotImplementedError):
             driver.now
         with pytest.raises(NotImplementedError):
-            driver.schedule(0.0, lambda: None)
+            driver.schedule(0.0, ("tick",))
         with pytest.raises(NotImplementedError):
-            driver.schedule_after(0.0, lambda: None)
+            driver.schedule_after(0.0, ("tick",))
         with pytest.raises(NotImplementedError):
             driver.epoch_finished()
 
@@ -173,7 +176,7 @@ class TestEpochBatching:
         driver.advance_to(0.0)  # first epoch at t=0
         _submit(kernel, 1, max_workers=1)
         # the new tick must not land before last_tick + interval
-        ticks = [t for t in driver.timers if t[3] == ("tick",)]
+        ticks = [t for t in driver.timers if t[2] == ("tick",)]
         assert len(ticks) == 1
         assert ticks[0][0] == pytest.approx(10.0)
         # nothing fires before the interval elapses

@@ -61,8 +61,9 @@ KILL_AT = 30000.0
 CHECKPOINT_EVERY = 3000.0
 
 
-def build_sim(name: str) -> Simulation:
-    """The golden-suite scenario ``name``, built but not run."""
+def build_sim(name: str, fault_plan=None) -> Simulation:
+    """The golden-suite scenario ``name``, built but not run
+    (``fault_plan`` replaces the scenario's own)."""
     policy_fn, opts = SCENARIOS[name]
     specs = generate_workload(
         TraceConfig(
@@ -83,7 +84,7 @@ def build_sim(name: str) -> Simulation:
     config = SimulationConfig(
         record_activities=True,
         elastic=opts.get("elastic", True),
-        fault_plan=opts.get("fault_plan"),
+        fault_plan=fault_plan or opts.get("fault_plan"),
         drain_limit=opts.get("drain_days", 30.0) * DAY,
     )
     return Simulation(
@@ -109,6 +110,29 @@ def killed_run(name: str, directory) -> Simulation:
     with pytest.raises(SimulatedCrash):
         sim.run()
     return sim
+
+
+def armed_tags(sim):
+    return [tag for _when, _seq, tag in sim.engine.snapshot_events()]
+
+
+def paused_at(sim, directory, instants):
+    """Run ``sim`` to its end, yielding it paused between events at
+    each of ``instants`` (a crash barrier that kills nothing)."""
+    RecoveryManager(
+        directory,
+        checkpoint_every=10 * DAY,
+        crash=CrashInjector(
+            [CrashPoint(t, BARRIER_BETWEEN_EVENTS) for t in instants]
+        ),
+    ).attach(sim)
+    step = sim.run
+    for _ in instants:
+        with pytest.raises(SimulatedCrash):
+            step()
+        step = sim.resume
+        yield sim
+    step()
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +161,8 @@ class TestKillAnywhereEquivalence:
             sim.run()
         assert exc.value.barrier == barrier
         assert manager.checkpoints > 0
+        # every timer the dead process left armed is one dispatch fires
+        assert all(sim.handles(tag) for tag in armed_tags(sim))
         del sim
 
         recovered = RecoveryManager.recover(tmp_path)
@@ -207,6 +233,14 @@ def _decoded(blob: bytes) -> dict:
     return SnapshotCodec.decode(SnapshotCodec.encode(blob))
 
 
+def _resumed_copy_digest(sim) -> str:
+    """``sim`` captured, restored and the copy run to its end."""
+    restored = restore_payload(_decoded(capture_payload(sim)))
+    assert armed_tags(restored) == armed_tags(sim)
+    restored.resume()
+    return digest(restored.activities)
+
+
 class TestSnapshotRoundTrip:
     def test_round_trip_preserves_engine_and_rng_streams(self, tmp_path):
         """capture → restore reproduces the event heap, every seeded RNG
@@ -257,6 +291,71 @@ class TestSnapshotRoundTrip:
     def test_restore_rejects_incomplete_payload(self):
         with pytest.raises(SnapshotError):
             restore_payload({"sim": None})
+
+    @pytest.mark.parametrize(
+        "tag", [("warp_drive", 7), ("fault", "process"), ("fault", "meteor")]
+    )
+    def test_restore_refuses_a_timer_nobody_handles(self, tag, tmp_path):
+        """An unknown head, a fault timer with no injector, an unknown
+        fault family: refused when the snapshot loads, not when the
+        timer would have fired."""
+        name = "node_failures" if tag[1] == "meteor" else "fifo_contention"
+        payload = _decoded(capture_payload(killed_run(name, tmp_path)))
+        engine = payload["sim"].engine
+        engine.schedule(engine.now + 1.0, tag)
+        with pytest.raises(SnapshotError, match="unknown event tag"):
+            restore_payload(payload)
+
+    @pytest.mark.parametrize(
+        "plan, instants, families",
+        [
+            ("stragglers", (5000.0, 10000.0, 40000.0),
+             {"straggler", "straggler_end"}),
+            ("chaos", (9000.0, 14000.0, 30000.0),
+             {"flash", "outage", "straggler", "straggler_end", "process"}),
+            ("rack-outage", (6000.0, 20000.0, 25000.0),
+             {"outage", "process"}),
+            ("flash-crowd", (6000.0, 20000.0, 45000.0), {"flash"}),
+        ],
+        ids=["stragglers", "chaos", "rack-outage", "flash-crowd"],
+    )
+    def test_restored_run_resumes_to_the_uninterrupted_log(
+        self, plan, instants, families, tmp_path
+    ):
+        """A run paused at each instant, captured and restored: the
+        restored copy resumes to the same log as the original.  The
+        armed sets cover every fault timer family, so the restore path
+        of each is the path a live run takes — not a crash-only one."""
+        sim = build_sim("lyra_loaning", builtin_plan(plan))
+        resumed, seen = [], set()
+        for paused in paused_at(sim, tmp_path, instants):
+            seen.update(
+                tag[1] for tag in armed_tags(paused) if tag[0] == "fault"
+            )
+            resumed.append(_resumed_copy_digest(paused))
+        assert seen == families
+        assert resumed == [digest(sim.activities)] * len(instants)
+        plain = build_sim("lyra_loaning", builtin_plan(plan))
+        plain.run()
+        assert digest(plain.activities) == digest(sim.activities)
+
+    @pytest.mark.parametrize("at", [6000.0, 12000.0])
+    def test_cancelled_jobs_stale_timer_survives_a_restore(
+        self, at, tmp_path
+    ):
+        """A running job cancelled just before a capture leaves its
+        completion timer armed, naming a job the table no longer holds:
+        the restored run ignores it exactly as the live one does."""
+        sim = build_sim("lyra_loaning")
+        for paused in paused_at(sim, tmp_path, [at]):
+            victim = max(paused.running)
+            assert paused.cancel_job(victim) is True
+            assert any(
+                tag[:2] == ("completion", victim)
+                for tag in armed_tags(paused)
+            )
+            resumed = _resumed_copy_digest(paused)
+        assert resumed == digest(sim.activities)
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ from repro.schedulers.gandiva import GandivaScheduler
 from repro.schedulers.lyra import LyraScheduler
 from repro.schedulers.pollux import PolluxScheduler
 from repro.simulator.simulation import Simulation, SimulationConfig
+from tests.conftest import loan
 
 
 def run_policy(policy, specs, training=2, inference=2, **cfg):
@@ -98,6 +99,43 @@ class TestLyra:
         )
         assert metrics.scale_ops == 0
         assert sim.jobs[0].jct == pytest.approx(400.0, abs=5.0)
+
+    @pytest.mark.parametrize("loaned, factor", [(1, 0.7 * 1.08), (0, 1.08)])
+    def test_tuning_bonus_multiplies_the_mixed_gpu_penalty(
+        self, loaned, factor
+    ):
+        """Lyra+TunedJobs on a heterogeneous job grown past its base
+        demand: the §7.4 bonus and the <=70 % mixed-GPU penalty are two
+        factors, so spanning V100 + T4 runs at 0.7 x 1.08 and one GPU
+        type at 1.08 — the bonus never overwrites the penalty."""
+        pair = ClusterPair(
+            make_training_cluster(2 - loaned), make_inference_cluster(2)
+        )
+        specs = [
+            # holds 4 of the first server's 8 GPUs, so with one server on
+            # loan the elastic job's 5 base workers straddle both types
+            inelastic(0, duration=10_000.0, workers=4),
+            elastic(1, submit=10.0, duration=10_000.0, wmin=5, wmax=6,
+                    heterogeneous=True),
+        ]
+        sim = Simulation(
+            specs, pair, LyraScheduler(),
+            config=SimulationConfig(tuned_jobs=True),
+        )
+        loan(sim.rm, loaned)
+        seen = {}
+
+        def probe():
+            job = sim.jobs[1]
+            seen["types"] = {
+                sim.cluster.get(sid).gpu_type.name for sid in job.servers
+            }
+            seen["per_gpu"] = job.throughput() / job.total_workers
+
+        sim.engine.schedule(100.0, probe)
+        sim.run()
+        assert len(seen["types"]) == 1 + loaned
+        assert seen["per_gpu"] == pytest.approx(factor)
 
 
 class TestGandiva:

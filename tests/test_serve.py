@@ -153,7 +153,7 @@ class TestWallClockDriver:
 
     def test_schedule_before_bind_raises(self):
         with pytest.raises(RuntimeError, match="bind"):
-            WallClockDriver().schedule(1.0, lambda: None)
+            WallClockDriver().schedule(1.0, ("tick",))
 
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ValueError):
@@ -176,10 +176,11 @@ class TestWallClockDriver:
             driver = WallClockDriver(time_scale=1000.0)
             driver.bind(asyncio.get_running_loop())
 
-            def boom():
-                raise RuntimeError("kernel bug")
+            def boom(tag):
+                raise RuntimeError(f"kernel bug firing {tag!r}")
 
-            driver.schedule_after(0.0, boom, tag=("tick",))
+            driver.on_timer = boom
+            driver.schedule_after(0.0, ("tick",))
             await asyncio.sleep(0.05)
             assert driver.callback_errors == 1
             assert driver.timers_armed == 1
