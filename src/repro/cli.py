@@ -332,7 +332,7 @@ def cmd_run(args) -> int:
         return 3
     has_faults = "fault_plan" in sim_overrides
     snapshot = None
-    if market is not None and hasattr(sim.pair, "market_snapshot"):
+    if market is not None:
         snapshot = sim.pair.market_snapshot()
     if args.json:
         data = _metrics_dict(metrics)

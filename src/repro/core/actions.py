@@ -147,10 +147,10 @@ class LoanServers:
     """Move the named idle inference servers into the training whitelist
     (§6).  Ids are pre-picked so the commit is deterministic.
 
-    In a multi-cluster capacity market ``lender`` names the member
-    cluster the servers come from and ``borrower`` the training region
-    the loan is matched to (contracts open against it); both stay None
-    on the single-pair path.
+    ``lender`` names the member cluster the servers come from and
+    ``borrower`` the training region the loan is matched to (contracts
+    open against it; None means the first region).  The orchestrator
+    sets both on every topology — a pair's are its two cluster names.
     """
 
     server_ids: Tuple[str, ...]
@@ -184,8 +184,8 @@ class ReclaimServers:
     collateral_gpus: int = 0
     costs: Optional[Tuple[Tuple[str, float], ...]] = None
     record_metrics: bool = True
-    #: member cluster being repaid (market recalls are per lender);
-    #: None on the single-pair path
+    #: member cluster being repaid (the orchestrator recalls per
+    #: lender); None for a what-if reclaim, which takes from any
     lender: Optional[str] = None
 
     kind = "reclaim_servers"
@@ -815,7 +815,7 @@ class PlanExecutor:
 
         Nothing is staged, so the books are as they were when the plan
         was built; ``removed`` carries what earlier actions of the same
-        plan already take (the broker recalls per lender).
+        plan already take (one tick may recall for several lenders).
         """
         taken = removed.setdefault(job.job_id, {})
         for server_id, workers in action.removals:
@@ -917,13 +917,14 @@ class PlanExecutor:
         if moved:
             server_ids = [s.server_id for s in moved]
             sim.metrics.loan_ops.append(len(moved))
-            extra = {}
-            if action.lender is not None:
-                extra["lender"] = action.lender
-            if action.borrower is not None:
-                extra["borrower"] = action.borrower
-            sim.log(EventKind.LOAN, detail=server_ids,
-                    servers=server_ids, requested=action.requested, **extra)
+            sim.log(
+                EventKind.LOAN,
+                detail=server_ids,
+                servers=server_ids,
+                requested=action.requested,
+                lender=action.lender,
+                borrower=action.borrower,
+            )
             logger.debug("loaned %d servers at %.0f", len(moved), sim.now)
             sim.note_trigger(TRIGGER_LOAN, servers=len(moved))
             sim.trigger_schedule()
@@ -984,9 +985,6 @@ class PlanExecutor:
                 sim.metrics.collateral.append(collateral_frac)
         if returned:
             costs = dict(action.costs) if action.costs is not None else None
-            extra = {}
-            if action.lender is not None:
-                extra["lender"] = action.lender
             sim.log(
                 EventKind.RECLAIM,
                 detail={
@@ -1001,7 +999,7 @@ class PlanExecutor:
                 collateral=collateral_frac,
                 preemption_costs=costs,
                 inference_driven=action.record_metrics,
-                **extra,
+                lender=action.lender,
             )
             logger.info(
                 "reclaimed %d/%d servers at %.0f (%d preemptions, " "%d scale-ins)",

@@ -555,14 +555,12 @@ class SchedulerKernel:
         """
         engine = self._engines.get(opportunistic)
         if engine is None:
-            # In an active multi-cluster market the pair exposes a
-            # region oracle and placement turns locality-aware; the
-            # degenerate 1×1 market (and the plain pair) leaves it off,
-            # keeping placement byte-identical to the single-pair path.
+            # With several regions placement turns locality-aware.  A
+            # 1×1 topology has one region and nothing to prefer, and the
+            # oracle costs a walk over the job's servers per placement
+            # round, so it is left off there.
             region_of = (
-                self.pair.region_of
-                if getattr(self.pair, "market_active", False)
-                else None
+                self.pair.region_of if self.pair.market_active else None
             )
             engine = PlacementEngine(
                 self.view,

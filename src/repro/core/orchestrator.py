@@ -1,14 +1,20 @@
 """Resource orchestrator: executes capacity loaning and reclaiming (§3–§4).
 
-The inference cluster scheduler autonomously decides *when and how much* to
-lend or ask back — here that signal is derived from the inference
-utilization trace plus the 2 % headroom rule (§7.1).  The orchestrator's
-own responsibility is *which* on-loan servers to return, delegated to one
-of the reclaim planners in :mod:`repro.core.reclaim` (Lyra's preemption-
-cost greedy, or the Random/SCF baselines).
+Each inference cluster scheduler autonomously decides *when and how much*
+to lend or ask back — here that signal is derived per lender from its
+utilization trace plus the 2 % headroom rule (§7.1), optionally capped by
+a usage predictor so reclaiming starts one interval early, before the
+traffic actually rises (§6).  The orchestrator clears those offers
+against the training side's demand with one rule over N >= 1 lenders and
+M >= 1 borrower regions (:meth:`ResourceOrchestrator._plan_actions`);
+Lyra's pair is the 1×1 case of it, not a separate path.  *Which* on-loan
+servers go back is delegated to one of the reclaim planners in
+:mod:`repro.core.reclaim` (Lyra's preemption-cost greedy, or the
+Random/SCF baselines).
 
-An optional usage predictor lets the orchestrator initiate reclaiming one
-interval early, before the inference traffic actually rises (§6).
+Everything is emitted as declarative actions into the one
+:class:`~repro.core.actions.EpochPlan` the transactional executor
+commits — the orchestrator never moves a server outside a plan.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from typing import Callable, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.core.actions import (
     EpochPlan,
@@ -60,6 +66,11 @@ class ResourceOrchestrator:
             of the next interval; used to reclaim ahead of traffic rises.
         scale_in_first: Vacate flexible server groups before preempting
             (§5.3); disabled when elastic scaling is off.
+        lender_traces: ``{lender_name: InferenceTrace}`` — one
+            utilization series per inference member cluster (their
+            diurnal phases differ across time zones, which is what makes
+            a market interesting).  Omitted for a single lender, whose
+            series is the simulation's ``inference_trace``.
     """
 
     def __init__(
@@ -70,6 +81,7 @@ class ResourceOrchestrator:
         predictor: Optional[Callable[[list], float]] = None,
         scale_in_first: bool = True,
         window: int = 10,
+        lender_traces: Optional[Dict[str, object]] = None,
     ):
         if reclaimer not in RECLAIMERS:
             raise ValueError(f"unknown reclaimer {reclaimer!r}; use {RECLAIMERS}")
@@ -79,9 +91,11 @@ class ResourceOrchestrator:
         self.predictor = predictor
         self.scale_in_first = scale_in_first
         self.window = window
-        #: held as read: the predictor's window, the median's three targets
-        self._history: deque = deque(maxlen=window)
-        self._target_history: deque = deque(maxlen=3)
+        self.lender_traces: Dict[str, object] = dict(lender_traces or {})
+        #: per lender, held as read: the predictor's utilization window
+        #: and the three offers the supply median reads
+        self._windows: Dict[str, deque] = {}
+        self._offers: Dict[str, deque] = {}
         self._surplus_ticks = 0
         #: fault-injection hook: ``predictor_down(now)`` -> True forces
         #: the degraded (reactive safety-margin) posture for this tick
@@ -98,51 +112,86 @@ class ResourceOrchestrator:
         self._last_inputs: Optional[dict] = None
 
     # ------------------------------------------------------------------
-    def target_loanable(self, sim: "Simulation") -> int:
-        """Servers the inference side can have on loan right now.
+    def lender_trace(self, sim: "Simulation", lender: str):
+        """The utilization series ``lender`` offers against, or None.
 
-        While the predictor is unavailable (it raises
-        :class:`PredictorUnavailable`, or the fault-injection
-        ``predictor_down`` hook says so) the orchestrator degrades
-        gracefully: it stops forecasting and instead holds
-        ``degraded_headroom`` extra reactive slack, since a spike can no
-        longer be seen coming.
+        A run built without per-lender traces has one lender, and the
+        simulation's own inference trace is its series.
         """
-        trace = sim.inference_trace
-        self._forecast_capped = False
+        if self.lender_traces:
+            return self.lender_traces.get(lender)
+        return sim.inference_trace
+
+    def lender_offer(
+        self, sim: "Simulation", lender: str, safety: Optional[float] = None
+    ) -> int:
+        """Servers ``lender`` can have on loan right now.
+
+        What its utilization trace and the headroom leave, capped by the
+        §6 forecast once the predictor's window is full.  ``safety`` is
+        the posture while the predictor is unavailable: no forecast,
+        that much reactive headroom instead, since a spike can no longer
+        be seen coming.  A lender without a trace offers nothing.
+        """
+        trace = self.lender_trace(sim, lender)
         if trace is None:
             return 0
-        target = trace.loanable_at(sim.now, headroom=self.headroom)
-        self._history.append(trace.utilization_at(sim.now))
+        if safety is not None:
+            return trace.loanable_at(sim.now, headroom=safety)
+        offer = trace.loanable_at(sim.now, headroom=self.headroom)
+        window = self._windows.get(lender, ())
+        if self.predictor is not None and len(window) == self.window:
+            predicted_util = float(self.predictor(list(window)))
+            reserved = math.ceil(
+                (min(1.0, max(0.0, predicted_util)) + self.headroom)
+                * trace.num_servers
+            )
+            forecast = max(0, trace.num_servers - reserved)
+            if forecast < offer:
+                self._forecast_capped = True
+                offer = forecast
+        return offer
+
+    def _lender_supplies(self, sim: "Simulation") -> Dict[str, int]:
+        """Every lender's offer this interval, median-of-3 smoothed.
+
+        The predictor being unavailable — the fault-injection
+        ``predictor_down`` hook says so, or any lender's forecast raises
+        :class:`PredictorUnavailable` — degrades the whole tick, once:
+        every lender holds ``degraded_headroom`` extra slack.
+        """
+        lenders = sorted(m.name for m in sim.pair.inference_members)
+        for name in lenders:
+            trace = self.lender_trace(sim, name)
+            if trace is not None:
+                self._windows.setdefault(
+                    name, deque(maxlen=self.window)
+                ).append(trace.utilization_at(sim.now))
+        self._forecast_capped = False
         self._degraded_tick = (
             self.predictor_down is not None and self.predictor_down(sim.now)
         )
-        if (
-            not self._degraded_tick
-            and self.predictor is not None
-            and len(self._history) == self.window
-        ):
+        offers: Dict[str, int] = {}
+        if not self._degraded_tick:
             try:
-                predicted_util = float(self.predictor(list(self._history)))
+                offers = {n: self.lender_offer(sim, n) for n in lenders}
             except PredictorUnavailable:
                 self._degraded_tick = True
-            else:
-                reserved = math.ceil(
-                    (min(1.0, max(0.0, predicted_util)) + self.headroom)
-                    * trace.num_servers
-                )
-                predicted_target = max(0, trace.num_servers - reserved)
-                self._forecast_capped = predicted_target < target
-                target = min(target, predicted_target)
         if self._degraded_tick:
+            self._forecast_capped = False
             safety = min(0.99, self.headroom + self.degraded_headroom)
-            target = trace.loanable_at(sim.now, headroom=safety)
+            offers = {n: self.lender_offer(sim, n, safety) for n in lenders}
             sim.metrics.registry.counter("resilience.degraded_ticks").inc()
             sim.trace(
                 "recovery.predictor_degraded", headroom=safety,
                 freeze_loans=self.freeze_loans_when_degraded,
             )
-        return target
+        supplies: Dict[str, int] = {}
+        for name in lenders:
+            recent = self._offers.setdefault(name, deque(maxlen=3))
+            recent.append(offers[name])
+            supplies[name] = sorted(recent)[len(recent) // 2]
+        return supplies
 
     def training_need_servers(self, sim: "Simulation", supply: int = 10**9) -> int:
         """Loaned servers the training side can actually use right now.
@@ -240,20 +289,50 @@ class ResourceOrchestrator:
         return plan
 
     def _plan_actions(self, sim: "Simulation") -> list:
-        self._target_history.append(self.target_loanable(sim))
-        recent = self._target_history
-        supply = sorted(recent)[len(recent) // 2]
-        need = self.training_need_servers(sim, supply)
-        target = min(supply, need)
-        current = sim.pair.loaned_count
+        """The one clearing rule, over N >= 1 lenders x M >= 1 regions.
+
+        1. every lender publishes its smoothed loanable supply;
+        2. lenders whose outstanding loans exceed their supply are
+           repaid first — per-lender recalls through the reclaim
+           machinery (route-around, scale-in-first, the configured
+           planner);
+        3. remaining training demand is matched to lenders with spare
+           supply (:meth:`_match_loans`);
+        4. a demand-driven surplus (training no longer needs what it
+           borrowed) is returned only after it persists three intervals
+           — that avoids loan/return thrash around scheduling epochs —
+           largest debtor first.
+        """
+        pair = sim.pair
+        supplies = self._lender_supplies(sim)
+        outstanding = pair.outstanding_by_lender()
+        actions: list = []
+
+        recalled: Dict[str, int] = {}
+        for name, supply in supplies.items():
+            deficit = outstanding[name] - supply
+            if deficit > 0:
+                # Inference-driven: the lender wants servers back now.
+                recalled[name] = self._recall(
+                    sim, actions, deficit, name, record_metrics=True
+                )
+
+        effective = {
+            name: max(0, outstanding[name] - recalled.get(name, 0))
+            for name in supplies
+        }
+        current = sum(effective.values())
+        total_supply = sum(supplies.values())
+        need = self.training_need_servers(sim, total_supply)
+        target = min(total_supply, need)
         if sim.tracer.enabled:
             # Provenance: what the loaning decision saw this interval.
-            # ``supply`` is the smoothed inference-side offer, ``need``
-            # the training-side demand; a forecast-lowered supply or a
+            # ``supply`` is the smoothed lender-side offer, ``need`` the
+            # training-side demand; a forecast-lowered supply or a
             # degraded predictor shows up here and in the trigger kind.
             self._last_inputs = {
-                "supply": supply,
-                "raw_target": self._target_history[-1],
+                "supply": total_supply,
+                "raw_target": sum(self._offers[n][-1] for n in supplies),
                 "need": need,
                 "target": target,
                 "current": current,
@@ -261,35 +340,107 @@ class ResourceOrchestrator:
                 "predictor": self.predictor is not None,
                 "forecast_capped": self._forecast_capped,
                 "degraded": self._degraded_tick,
+                "lender_supply": dict(supplies),
+                "lender_outstanding": dict(outstanding),
+                "recalled": dict(recalled),
             }
-        if target > current:
-            self._surplus_ticks = 0
-            if self._degraded_tick and self.freeze_loans_when_degraded:
-                return []  # degraded posture: reclaim only, no new loans
-            ids = sim.rm.peek_loanable(target - current)
-            if ids:
-                return [LoanServers(server_ids=tuple(ids),
-                                    requested=target - current)]
-            return []
-        if supply < current:
-            # Inference-driven: the lender wants servers back now.
-            self._surplus_ticks = 0
-            return self._plan_reclaim_actions(
-                sim, current - supply, record_metrics=True
-            )
-        if target < current:
-            # Demand-driven surplus: return idle servers only after the
-            # surplus persists a few intervals (avoids loan/return
-            # thrash around scheduling epochs).
+
+        if target < current and not recalled:
             self._surplus_ticks += 1
             if self._surplus_ticks >= 3:
                 self._surplus_ticks = 0
-                return self._plan_reclaim_actions(
-                    sim, current - target, record_metrics=False
+                remaining = current - target
+                for name in sorted(effective, key=lambda n: (-effective[n], n)):
+                    give_back = min(remaining, effective[name])
+                    if give_back > 0:
+                        remaining -= self._recall(
+                            sim, actions, give_back, name, record_metrics=False
+                        )
+        else:
+            self._surplus_ticks = 0
+            # degraded posture may be reclaim-only: no new loans
+            if target > current and not (
+                self._degraded_tick and self.freeze_loans_when_degraded
+            ):
+                actions.extend(
+                    self._match_loans(sim, target - current, supplies, effective)
                 )
-            return []
-        self._surplus_ticks = 0
-        return []
+
+        registry = sim.metrics.registry
+        registry.gauge("market.contracts_open").set(len(pair.contracts))
+        registry.gauge("market.penalties_accrued").set(pair.penalties_accrued)
+        registry.gauge("market.early_recalls").set(pair.early_recalls)
+        return actions
+
+    def _recall(self, sim: "Simulation", actions: list, demand: int,
+                lender: str, record_metrics: bool) -> int:
+        """Plan returning ``demand`` of ``lender``'s servers onto
+        ``actions``; the number of servers the plan returns."""
+        recall = self._plan_reclaim_actions(
+            sim, demand, record_metrics=record_metrics, lender=lender
+        )
+        actions.extend(recall)
+        return sum(
+            len(a.server_ids) for a in recall if a.kind == "reclaim_servers"
+        )
+
+    def _match_loans(
+        self,
+        sim: "Simulation",
+        want: int,
+        supplies: Dict[str, int],
+        effective: Dict[str, int],
+    ) -> list:
+        """Match a loan deficit to lenders, cheapest transfer first.
+
+        Borrower regions split the deficit most-starved-first (fewest
+        free dedicated GPUs); each borrower then shops lenders ordered
+        by ``(transfer_cost(lender, borrower), lender name)``.  Ids are
+        pre-picked per lender via the shared eligibility predicate, so
+        the commit is deterministic and moves exactly what was planned.
+        Each match is a ``LoanServers`` carrying its (lender, borrower)
+        pair, against which the contracts open at commit.
+        """
+        pair = sim.pair
+        spare = {
+            name: max(0, supplies[name] - effective[name]) for name in supplies
+        }
+        free_by_region = pair.training_region_free_gpus()
+        borrowers = sorted(free_by_region, key=lambda r: (free_by_region[r], r))
+        actions: list = []
+        claimed: set = set()  # ids already promised to an earlier action
+        for borrower, share in zip(
+            borrowers, self._split_want(want, len(borrowers))
+        ):
+            for lender in sorted(
+                spare, key=lambda n: (pair.transfer_cost(n, borrower), n)
+            ):
+                take = min(share, spare[lender])
+                if take <= 0:
+                    continue
+                ids = sim.rm.peek_loanable(take, lender=lender, exclude=claimed)
+                if not ids:
+                    continue
+                claimed.update(ids)
+                actions.append(LoanServers(
+                    server_ids=tuple(ids),
+                    requested=take,
+                    lender=lender,
+                    borrower=borrower,
+                ))
+                spare[lender] -= len(ids)
+                share -= len(ids)
+        return actions
+
+    @staticmethod
+    def _split_want(want: int, parts: int) -> List[int]:
+        """Split a loan deficit across borrower regions, front-loaded:
+        the most starved region (first) gets the ceiling share."""
+        shares = []
+        for i in range(parts):
+            shares.append(math.ceil(want / (parts - i)))
+            want -= shares[-1]
+        return shares
 
     # ------------------------------------------------------------------
     def _plan_route_around(
@@ -304,9 +455,10 @@ class ResourceOrchestrator:
         immediate return; whatever demand remains is planned over the
         healthy candidates.  With no faults injected this scans and
         selects nothing.  ``home`` restricts the scan to one lender's
-        servers (per-lender market recalls); None — the pair default —
-        scans them all.  Returns ``(server_id, unhealthy, straggling)``
-        triples; the scan is pure — the executor does the returning.
+        servers (recalls are per lender); None — the what-if entry
+        point — scans them all.  Returns ``(server_id, unhealthy,
+        straggling)`` triples; the scan is pure — the executor does the
+        returning.
         """
         picked = []
         for server in sim.pair.training.on_loan_servers:
@@ -333,7 +485,7 @@ class ResourceOrchestrator:
         selection commits — they are no longer candidates (the legacy
         path returned them before planning; healthy stragglers would
         otherwise be counted twice).  ``home`` restricts candidates to
-        one lender's on-loan servers (market recalls are per lender).
+        one lender's on-loan servers (recalls are per lender).
         """
         skip = set(exclude)
         candidates = [
@@ -344,16 +496,15 @@ class ResourceOrchestrator:
             candidates = [s for s in candidates if s.home_cluster == home]
         # Contract-aware preference: when mature contracts alone can
         # satisfy the demand, keep immature (penalty-bearing) loans out
-        # of the candidate pool.  Only a live market has contracts with
-        # teeth; the degenerate pair skips this so selection is
-        # byte-identical to the plain ClusterPair path.
-        contracts = getattr(sim.pair, "contracts", None)
-        if contracts and getattr(sim.pair, "market_active", False):
-            now = getattr(sim.pair, "clock", 0.0)
+        # of the candidate pool.  Gated on a live market: the default
+        # terms run two hours, so on a pair this would change which
+        # servers Lyra's reclaim picks (and the golden logs with it).
+        contracts = sim.pair.contracts
+        if sim.pair.market_active:
             mature = [
                 s for s in candidates
                 if s.server_id not in contracts
-                or contracts[s.server_id].mature(now)
+                or contracts[s.server_id].mature(sim.now)
             ]
             if len(mature) >= demand:
                 candidates = mature
@@ -381,7 +532,7 @@ class ResourceOrchestrator:
         metrics snapshot (demand, free servers, collateral, per-server
         preemption costs) attached for the RECLAIM log.  ``lender``
         scopes the whole sequence to one member cluster's servers (the
-        capacity broker recalls per lender); None is the pair behavior.
+        clearing rule recalls per lender); None takes from any.
         """
         actions: list = []
         health = self._plan_route_around(sim, demand, home=lender)

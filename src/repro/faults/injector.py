@@ -65,11 +65,15 @@ class FaultInjector:
         """Wire every fault family of the plan into the simulation."""
         sim, plan = self.sim, self.plan
         if plan.flash_crowds and sim.inference_trace is not None:
-            # pure overlay: the orchestrator and usage sampler read the
-            # spiked trace for the whole run
-            sim.inference_trace = sim.inference_trace.with_spikes(
-                [(f.at, f.duration, f.magnitude) for f in plan.flash_crowds]
-            )
+            # pure overlay: the usage sampler and the orchestrator read
+            # spiked traces for the whole run — the aggregate, and every
+            # lender's own series where the orchestrator holds them
+            spikes = [(f.at, f.duration, f.magnitude) for f in plan.flash_crowds]
+            sim.inference_trace = sim.inference_trace.with_spikes(spikes)
+            if sim.orchestrator is not None:
+                traces = sim.orchestrator.lender_traces
+                for name in traces:
+                    traces[name] = traces[name].with_spikes(spikes)
             for i, crowd in enumerate(plan.flash_crowds):
                 sim.engine.schedule(crowd.at, ("fault", "flash", i))
         if plan.process is not None:

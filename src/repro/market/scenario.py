@@ -34,11 +34,12 @@ import numpy as np
 
 from repro.cluster.cluster import (
     Cluster,
+    ClusterPair,
+    ContractTerms,
     make_inference_cluster,
     make_training_cluster,
 )
 from repro.market.cluster_set import ClusterSet
-from repro.market.contracts import ContractTerms
 from repro.traces.inference import (
     DAY,
     SAMPLE_INTERVAL,
@@ -187,7 +188,7 @@ class MarketBuild:
     """Everything :func:`~repro.scenarios.build_sim` needs to swap a
     market in for the plain pair."""
 
-    pair: ClusterSet
+    pair: ClusterPair
     lender_traces: Dict[str, InferenceTrace]
     aggregate_trace: InferenceTrace
 

@@ -35,7 +35,9 @@ logger = get_logger("recovery.codec")
 MAGIC = b"REPROSNAP\x00"
 #: 2: live-only container ledger (a schema-1 snapshot would restore
 #: stopped containers into it, unfiltered), per-job facts on the Job
-SCHEMA_VERSION = 2
+#: 3: one topology class keeping the contract book on every run,
+#: per-lender orchestrator windows (a schema-2 pair has neither)
+SCHEMA_VERSION = 3
 
 #: pinned pickle protocol: snapshots written on 3.9 load on 3.12
 PICKLE_PROTOCOL = 4

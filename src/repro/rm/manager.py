@@ -284,7 +284,7 @@ class ResourceManager:
         eligible only).
         ``lender`` restricts the scan to servers homed in one member
         cluster; ``exclude`` skips ids already claimed by an earlier
-        action of the same plan (the capacity broker plans several loans
+        action of the same plan (the orchestrator may plan several loans
         per interval against one unchanged whitelist snapshot).
         """
         ids: List[str] = []
@@ -305,19 +305,9 @@ class ResourceManager:
         """Whitelist-move the named idle inference servers to training.
 
         ``borrower`` names the training region the loan is matched to
-        in a capacity market; the plain pair ignores it.
+        (the contracts open against it, at ``now``).
         """
-        self._note_clock(now)
-        if borrower is not None:
-            return self.pair.loan_ids(server_ids, borrower=borrower)
-        return self.pair.loan_ids(server_ids)
-
-    def _note_clock(self, now: float) -> None:
-        """Tell a clock-aware pair (the market's ClusterSet) what time it
-        is, so loan contracts open/close with real timestamps.  The plain
-        ClusterPair has no clock and this is a no-op."""
-        if hasattr(self.pair, "clock"):
-            self.pair.clock = now
+        return self.pair.loan_ids(server_ids, borrower=borrower, now=now)
 
     def migrate_job(
         self, job: Job, source_id: str, target: Server, now: float = 0.0
@@ -375,8 +365,7 @@ class ResourceManager:
                 f"server {server_id!r} still runs containers; the scheduler "
                 f"must confirm it is vacated before whitelist removal (§6)"
             )
-        self._note_clock(now)
-        return self.pair.return_server(server_id)
+        return self.pair.return_server(server_id, now=now)
 
     # ------------------------------------------------------------------
     # failure injection
@@ -413,7 +402,10 @@ class ResourceManager:
     # invariants
     # ------------------------------------------------------------------
     def verify_books(self) -> None:
-        """Assert the container ledger matches every server's GPU book.
+        """Assert the container ledger matches every server's GPU book,
+        and that loans conserve servers: each server is in exactly one
+        whitelist, and the open contracts are exactly the on-loan
+        servers, lender by lender.
 
         Raises ``RuntimeError`` on the first divergence; cheap enough to
         run inside tests after every mutation batch.
@@ -422,8 +414,15 @@ class ResourceManager:
         for container in self.running_containers():
             key = (container.server_id, container.job_id)
             expected[key] = expected.get(key, 0) + container.gpus
+        seen: Set[str] = set()
         for cluster in self.pair.clusters():
             for server in cluster.servers:
+                if server.server_id in seen:
+                    raise RuntimeError(
+                        f"server {server.server_id} is in two whitelists "
+                        f"(again in {cluster.name!r})"
+                    )
+                seen.add(server.server_id)
                 for job_id, gpus in server.allocations.items():
                     booked = expected.pop((server.server_id, job_id), 0)
                     if booked != gpus:
@@ -436,3 +435,19 @@ class ResourceManager:
             raise RuntimeError(
                 f"containers without server bookings: {sorted(expected)}"
             )
+        contracts = self.pair.contracts
+        on_loan = {s.server_id: s for s in self.pair.training.on_loan_servers}
+        if contracts.keys() != on_loan.keys():
+            raise RuntimeError(
+                f"contracts without a loan: "
+                f"{sorted(contracts.keys() - on_loan.keys())}; loans "
+                f"without a contract: "
+                f"{sorted(on_loan.keys() - contracts.keys())}"
+            )
+        for server_id, server in on_loan.items():
+            lender = contracts[server_id].lender
+            if lender != server.home_cluster:
+                raise RuntimeError(
+                    f"contract for {server_id} names lender {lender!r}, "
+                    f"the server is homed in {server.home_cluster!r}"
+                )

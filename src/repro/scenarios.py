@@ -292,10 +292,10 @@ def build_sim(
         obs: Observability bundle (tracer/registry/profiler); omit for
             the zero-overhead disabled default.
         market: Optional :class:`~repro.market.MarketConfig` — split the
-            setup's hardware into a multi-cluster capacity market and
-            clear it with a :class:`~repro.market.CapacityBroker`
-            instead of the single-pair orchestrator.  A 1×1 market is
-            behavior-identical to ``market=None``.
+            setup's hardware into a multi-cluster capacity market, each
+            lender with its own utilization trace.  The same
+            orchestrator rule clears it; ``market=None`` is the 1×1
+            case on the setup's own pair and trace.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; use one of {sorted(SCHEMES)}")
@@ -304,11 +304,13 @@ def build_sim(
         specs = apply_scenario(setup.workload.specs, scenario, seed=seed)
 
     lender_traces = None
+    orchestrator_cls = ResourceOrchestrator
     if market is not None:
         # Lazy import: the market package is optional machinery and the
         # common single-pair path should not pay for it.
-        from repro.market import build_market_setup
+        from repro.market import CapacityBroker, build_market_setup
 
+        orchestrator_cls = CapacityBroker  # same rule, timed as `market`
         built = build_market_setup(setup, market, seed=seed)
         pair = built.pair
         trace = built.aggregate_trace
@@ -328,21 +330,14 @@ def build_sim(
 
     orchestrator = None
     if wiring.get("loaning", False):
-        orch_kwargs = dict(
+        orchestrator = orchestrator_cls(
             reclaimer=wiring.get("reclaimer", "lyra"),
             headroom=wiring.get("headroom", 0.02),
             seed=seed,
             predictor=predictor,
             scale_in_first=config.elastic,
+            lender_traces=lender_traces,
         )
-        if market is not None:
-            from repro.market import CapacityBroker
-
-            orchestrator = CapacityBroker(
-                lender_traces=lender_traces, **orch_kwargs
-            )
-        else:
-            orchestrator = ResourceOrchestrator(**orch_kwargs)
 
     sim = Simulation(
         specs,

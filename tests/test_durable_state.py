@@ -182,14 +182,17 @@ async def _restarted(state_dir):
 
 
 @pytest.mark.parametrize(
-    "torn", ["newest", "all", "newest-schema1", "all-schema1"]
+    "torn",
+    ["newest", "all", "newest-schema1", "all-schema1",
+     "newest-schema2", "all-schema2"],
 )
 @pytest.mark.parametrize("client", ["simulator", "daemon"])
 def test_store_falls_back_past_torn_snapshots(client, torn, tmp_path):
     """Newest snapshot torn: the previous one is used and the skip is
     reported.  All torn: the simulator cannot recover; the daemon
     rebuilds from its request journal alone.  A snapshot an older build
-    wrote (``"schema": 1``, intact otherwise) is refused the same way."""
+    wrote (``"schema": 1`` or ``2``, intact otherwise) is refused the
+    same way."""
     torn, _, old_schema = torn.partition("-")
     if client == "simulator":
         killed_run("fifo_contention", tmp_path)
@@ -203,7 +206,8 @@ def test_store_falls_back_past_torn_snapshots(client, torn, tmp_path):
         if old_schema:
             # the header is the first thing in the file, as sorted JSON
             damaged = data.replace(
-                b'"schema": %d' % SCHEMA_VERSION, b'"schema": 1', 1
+                b'"schema": %d' % SCHEMA_VERSION,
+                b'"schema": %d' % int(old_schema[len("schema"):]), 1
             )
             assert damaged != data
         else:

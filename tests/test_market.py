@@ -1,9 +1,8 @@
-"""The multi-cluster capacity market, and the loan-path bugfix sweep.
+"""The one cluster topology and the one clearing rule, over N×M.
 
 Covers:
 
-* the three loan-path regressions this PR fixes — each test fails on the
-  pre-fix code:
+* three loan-path regressions — each test fails on the pre-fix code:
   - ``return_server`` routing by ``home_cluster`` (it used to dump every
     return into ``self.inference``, wherever the server came from);
   - ``loan_ids`` all-or-nothing validation (it used to raise mid-list,
@@ -11,16 +10,24 @@ Covers:
   - one shared loan-eligibility predicate (``peek_loanable`` used to
     re-implement the filter inline, so an eligibility change could make
     plans diverge from commits);
-* the market layer itself: contracts, broker clearing across lenders,
-  regional outages, config parsing;
-* the degenerate-equivalence rule: a 1×1 ClusterSet driven by a
-  CapacityBroker reproduces the committed golden logs byte-identically;
-* a Hypothesis property: any interleaving of loan / loan_ids /
-  return_server, fully unwound, restores every whitelist exactly.
+* the topology: federation, contracts, config parsing, regional outages;
+* the clearing rule on N > 1 lenders: a flash crowd and the §6 predictor
+  reach every lender (both were dropped by the market's own copy of the
+  rule), the degraded posture is entered once per tick;
+* the pair is the 1×1 case: the two constructors build one class, and
+  the orchestrated golden scenarios reproduce the committed logs with
+  the lender and the region renamed — nothing depends on the names
+  ``"inference"`` / ``"training"``;
+* Hypothesis properties: any interleaving of loan / loan_ids /
+  return_server, fully unwound, restores every whitelist exactly; every
+  committed orchestrator plan over a random ≤ 3×3 market conserves
+  servers and stays within each lender's deficit and spare supply.
 """
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from repro.cluster.cluster import (
@@ -38,9 +45,15 @@ from repro.market import (
     market_config_from_spec,
     resolve_market,
 )
-from repro.obs import Observability
+from repro.cluster.job import JobSpec
+from repro.core.orchestrator import PredictorUnavailable, ResourceOrchestrator
+from repro.faults.plan import FaultPlan, FlashCrowd
+from repro.obs import PROVENANCE_EVENT, Observability
 from repro.rm.manager import ResourceManager
 from repro.scenarios import build_sim, default_setup
+from repro.schedulers.lyra import LyraScheduler
+from repro.simulator.simulation import Simulation
+from repro.traces.inference import SAMPLE_INTERVAL, InferenceTrace
 
 from tests.conftest import loan
 from tests.test_equivalence import digest, run_scenario, GOLDEN_PATH, VIEWS
@@ -169,13 +182,29 @@ class TestFederation:
             union.add_server(union.get("infer-r1-0002"))
 
     def test_degenerate_set_uses_members_directly(self):
+        """Two constructors, one class: with one cluster per side the
+        set *is* the pair — the members themselves, no federation
+        wrapper, no merged copy — and the pair has the set's book."""
+        training = make_training_cluster(2)
+        inference = make_inference_cluster(2)
         pair = ClusterSet(
-            training_regions=[make_training_cluster(2)],
-            inference_clusters=[make_inference_cluster(2)],
+            training_regions=[training], inference_clusters=[inference]
         )
-        assert not pair.market_active
+        assert type(pair) is ClusterPair is type(two_lender_set())
+        assert pair.training is training and pair.inference is inference
+        assert not pair.market_active and two_lender_set().market_active
         assert not isinstance(pair.inference, FederatedCluster)
-        assert pair.inference.name == "inference"
+        plain = ClusterPair(make_training_cluster(2), make_inference_cluster(2))
+        assert plain.inference_members == [plain.inference]
+        assert plain.training_region_names == ("training",)
+        assert list(plain.clusters()) == [plain.training, plain.inference]
+        loan(plain, 1, now=5.0)
+        loan(pair, 1, now=5.0)
+        assert plain.contracts == pair.contracts
+        assert plain.market_snapshot() == pair.market_snapshot()
+        assert plain.market_snapshot()["outstanding_by_lender"] == {
+            "inference": 1
+        }
 
     def test_home_cluster_of_unknown_region_raises(self):
         pair = two_lender_set()
@@ -188,8 +217,9 @@ class TestContracts:
     def test_contract_lifecycle_and_penalties(self):
         terms = ContractTerms(min_duration=100.0, recall_penalty=2.5)
         pair = two_lender_set(terms=terms)
-        pair.clock = 10.0
-        pair.loan_ids(["infer-r0-0000", "infer-r1-0000"], borrower="train-r0")
+        pair.loan_ids(
+            ["infer-r0-0000", "infer-r1-0000"], borrower="train-r0", now=10.0
+        )
         assert pair.contracts_opened == 2
         assert pair.outstanding_by_lender() == {
             "infer-r0": 1, "infer-r1": 1
@@ -199,13 +229,11 @@ class TestContracts:
         assert contract.borrower == "train-r0"
         assert not contract.mature(50.0)
         # early recall: penalty accrues
-        pair.clock = 50.0
-        pair.return_server("infer-r0-0000")
+        pair.return_server("infer-r0-0000", now=50.0)
         assert pair.early_recalls == 1
         assert pair.penalties_accrued == pytest.approx(2.5)
         # mature recall: free
-        pair.clock = 500.0
-        pair.return_server("infer-r1-0000")
+        pair.return_server("infer-r1-0000", now=500.0)
         assert pair.early_recalls == 1
         assert pair.recalls == 2
         assert not pair.contracts
@@ -303,21 +331,156 @@ class TestBroker:
             assert sim.pair.training.get(sid).on_loan
 
     def test_degenerate_market_has_no_contract_machinery_cost(self):
-        """A 1×1 market behaves as the plain pair (inert bookkeeping)."""
+        """A 1×1 market is a pair under other names: the broker adds no
+        code to the orchestrator, and loans keep the one contract book."""
+        assert not [
+            name for name, value in vars(CapacityBroker).items()
+            if callable(value)
+        ], "CapacityBroker must hold no logic of its own"
         setup = default_setup(
-            num_jobs=30, days=0.5, training_servers=6, inference_servers=8
+            num_jobs=90, days=0.5, training_servers=6, inference_servers=8,
+            target_load=4.0,
         )
         sim = build_sim(setup, "lyra", market=market_config_from_spec("1x1"))
         assert isinstance(sim.orchestrator, CapacityBroker)
-        assert not sim.pair.market_active
-        sim.run()
+        assert type(sim.pair) is ClusterPair and not sim.pair.market_active
+        metrics = sim.run()
         sim.rm.verify_books()
+        book = sim.pair.market_snapshot()
+        assert book["contracts_opened"] == sum(metrics.loan_ops) > 0
+        assert book["recalls"] + book["contracts_open"] == book[
+            "contracts_opened"
+        ]
+        assert book["lenders_used"] == ["infer-r0"]
 
     def test_split_want_is_front_loaded_and_exact(self):
-        assert CapacityBroker._split_want(7, 3) == [3, 2, 2]
-        assert CapacityBroker._split_want(2, 3) == [1, 1, 0]
-        assert sum(CapacityBroker._split_want(11, 4)) == 11
-        assert CapacityBroker._split_want(5, 0) == []
+        split = ResourceOrchestrator._split_want
+        assert split(7, 3) == [3, 2, 2]
+        assert split(2, 3) == [1, 1, 0]
+        assert sum(split(11, 4)) == 11
+        assert split(5, 0) == []
+        assert split(4, 1) == [4]  # the pair: one borrower takes it all
+
+
+
+# ----------------------------------------------------------------------
+# one rule: what reaches the pair's lender reaches every lender
+# ----------------------------------------------------------------------
+def loaded_sim(spec, fault_plan=None, predictor=None, obs=None):
+    """12+24 servers, 300 jobs over half a day at load 2.0 (seed 1), not
+    yet run: the pair opens 16 loans here, a 2×1 market 33, a 2×2
+    market 34."""
+    setup = default_setup(
+        num_jobs=300, days=0.5, training_servers=12, inference_servers=24,
+        seed=1, target_load=2.0,
+    )
+    overrides = {"record_activities": True}
+    if fault_plan is not None:
+        overrides["fault_plan"] = fault_plan
+    return build_sim(
+        setup, "lyra", seed=1, predictor=predictor, obs=obs,
+        market=market_config_from_spec(spec) if spec else None,
+        sim_overrides=overrides,
+    )
+
+
+def loaded_run(spec, **kwargs):
+    sim = loaded_sim(spec, **kwargs)
+    sim.run()
+    sim.rm.verify_books()
+    return sim
+
+
+class TestEveryLenderIsReached:
+    def test_flash_crowd_reaches_every_lender(self):
+        """A 4-hour +0.6 spike at t = 3 h must cut a 2×2 market's
+        loaning as it cuts the pair's.  It used to overlay the aggregate
+        trace only, which no lender of a market reads: the run was
+        byte-identical with and without the fault."""
+        crowd = FaultPlan(
+            name="crowd",
+            flash_crowds=(
+                FlashCrowd(at=10800.0, duration=14400.0, magnitude=0.6),
+            ),
+        )
+        calm = loaded_run("2x2")
+        spiked = loaded_run("2x2", fault_plan=crowd)
+        assert digest(spiked.activities) != digest(calm.activities)
+        assert len(spiked.metrics.loan_ops) < len(calm.metrics.loan_ops)
+        registry = spiked.metrics.registry
+        assert registry.counter("resilience.flash_crowds").value == 1
+
+    def test_predictor_caps_every_lender(self):
+        """A forecast of full utilization leaves nothing to offer — on
+        the pair and on each lender of a market (whose own clearing rule
+        used to accept the predictor and never call it)."""
+        for spec in (None, "2x1"):
+            sim = loaded_run(spec, predictor=lambda history: 1.0)
+            assert sim.metrics.loan_ops == [], spec
+            assert sim.pair.contracts_opened == 0
+
+    def test_late_forecast_recalls_and_says_so(self):
+        """A forecast that rises only after loans are out recalls them,
+        and the plan's provenance names the forecast as the reason."""
+        cell = {}
+
+        def predictor(history):
+            return 1.0 if cell["sim"].now >= 5 * 3600.0 else 0.0
+
+        obs = Observability.enabled()
+        sim = cell["sim"] = loaded_sim("2x1", predictor=predictor, obs=obs)
+        sim.run()
+        assert sim.metrics.loan_ops, "nothing was ever on loan"
+        recalls = [
+            event.args for event in obs.tracer.events
+            if event.name == PROVENANCE_EVENT
+            and event.args["policy"].startswith("orchestrator:")
+            and event.ts >= 5 * 3600.0
+            and any(a["kind"] == "reclaim_servers"
+                    for a in event.args["actions"])
+        ]
+        assert recalls, "the risen forecast recalled nothing"
+        assert all(args["inputs"]["forecast_capped"] for args in recalls)
+        assert all(args["inputs"]["predictor"] for args in recalls)
+        assert sim.pair.loaned_count == 0
+
+    def test_predictor_unavailable_degrades_the_tick_once(self):
+        """Whichever lender's forecast raises, the tick degrades once:
+        one counter increment, one event, every lender on the safety
+        headroom."""
+        calls = []
+
+        def flaky(history):
+            calls.append(len(history))
+            if len(calls) == 2:  # the second lender of the tick
+                raise PredictorUnavailable("forecast service down")
+            return 0.0
+
+        pair = two_lender_set()
+        trace = InferenceTrace(utilization=np.zeros(12), num_servers=3)
+        obs = Observability.enabled()
+        sim = Simulation(
+            [], pair, LyraScheduler(), obs=obs,
+            orchestrator=ResourceOrchestrator(
+                predictor=flaky, window=1,
+                lender_traces={"infer-r0": trace, "infer-r1": trace},
+            ),
+        )
+        plan = sim.orchestrator.plan_tick(sim)
+        assert calls == [1, 1]
+        assert plan.decision_inputs["degraded"]
+        assert not plan.decision_inputs["forecast_capped"]
+        # ceil(0.17 * 3) = 1 server held back per lender
+        assert plan.decision_inputs["lender_supply"] == {
+            "infer-r0": 2, "infer-r1": 2
+        }
+        counter = sim.metrics.registry.counter("resilience.degraded_ticks")
+        assert counter.value == 1
+        degraded = [
+            e for e in obs.tracer.events
+            if e.name == "recovery.predictor_degraded"
+        ]
+        assert len(degraded) == 1
 
 
 class TestRegionalOutage:
@@ -365,7 +528,7 @@ class TestRegionalOutage:
 
 
 # ----------------------------------------------------------------------
-# degenerate golden equivalence (the tentpole's safety rail)
+# the pair is the 1×1 market: both constructors, any names, one log
 # ----------------------------------------------------------------------
 def degenerate_pair():
     return ClusterSet(
@@ -377,8 +540,8 @@ def degenerate_pair():
 @pytest.mark.parametrize("view", VIEWS)
 @pytest.mark.parametrize("name", ["lyra_loaning", "lyra_elastic"])
 def test_degenerate_market_matches_golden_logs(name, view):
-    """ClusterSet(1×1) + CapacityBroker ≡ ClusterPair + orchestrator,
-    byte-for-byte against the committed golden fixture."""
+    """The list-of-clusters constructor and the market's name for the
+    orchestrator give the committed golden log, byte for byte."""
     with GOLDEN_PATH.open() as fh:
         golden = json.load(fh)
     sim = run_scenario(
@@ -388,9 +551,62 @@ def test_degenerate_market_matches_golden_logs(name, view):
         orchestrator_factory=CapacityBroker,
     )
     assert digest(sim.activities) == golden[name]["sha256"], (
-        f"degenerate 1x1 market drifted from the plain pair on "
+        f"the 1x1 ClusterSet drifted from the plain pair on "
         f"{name!r}/{view!r}"
     )
+
+
+def renamed_pair():
+    """The golden 6+8 pair under ``market_config_from_spec("1x1")``'s
+    names: lender ``infer-r0``, region ``train-r0``, ids to match."""
+    names = market_config_from_spec("1x1")
+    lender, region = names.inference[0].name, names.training[0].name
+    return ClusterSet(
+        training_regions=[
+            make_training_cluster(6, name=region, id_prefix=region)
+        ],
+        inference_clusters=[
+            make_inference_cluster(8, name=lender, id_prefix=lender)
+        ],
+    )
+
+
+def with_golden_ids(detail):
+    """``detail`` with ``infer-r0-0003`` spelled ``infer-0003`` again."""
+    if isinstance(detail, str):
+        return detail.replace("infer-r0-", "infer-").replace(
+            "train-r0-", "train-"
+        )
+    if isinstance(detail, dict):
+        return {
+            with_golden_ids(k): with_golden_ids(v) for k, v in detail.items()
+        }
+    if isinstance(detail, (list, tuple)):
+        return type(detail)(with_golden_ids(item) for item in detail)
+    return detail
+
+
+@pytest.mark.parametrize(
+    "name", ["lyra_loaning", "agnostic_loaning", "node_failures"]
+)
+def test_renamed_pair_matches_golden_logs(name):
+    """Nothing in the one rule may depend on the names ``"inference"`` /
+    ``"training"``: every orchestrated golden scenario, lender and
+    region renamed, gives the golden log once server ids are mapped
+    back."""
+    with GOLDEN_PATH.open() as fh:
+        golden = json.load(fh)
+    sim = run_scenario(name, pair_factory=renamed_pair)
+    # the failure scenario's load never overflows the training cluster
+    loaned = name != "node_failures"
+    assert bool(sim.metrics.loan_ops) == loaned
+    assert sim.pair.lenders_used == ({"infer-r0"} if loaned else set())
+    assert loaned == any("infer-r0-" in repr(a.detail) for a in sim.activities)
+    mapped = [
+        dataclasses.replace(a, detail=with_golden_ids(a.detail))
+        for a in sim.activities
+    ]
+    assert digest(mapped) == golden[name]["sha256"]
 
 
 # ----------------------------------------------------------------------
@@ -442,3 +658,85 @@ def test_any_interleaving_unwinds_cleanly(ops):
     assert pair.outstanding_by_lender() == {
         "infer-r0": 0, "infer-r1": 0
     }
+
+
+FLAT_SAMPLES = 6  # one piecewise-flat level lasts half an hour
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    levels=st.lists(
+        st.lists(st.sampled_from([0.0, 0.3, 0.6, 0.9, 1.0]),
+                 min_size=4, max_size=4),
+        min_size=3, max_size=3,
+    ),
+    demand=st.lists(
+        st.tuples(st.integers(0, 12), st.integers(2, 16), st.booleans()),
+        min_size=2, max_size=8,
+    ),
+)
+def test_every_committed_plan_clears_within_its_books(shape, levels, demand):
+    """Over random ≤ 3×3 markets, piecewise-flat lender traces and
+    pending demand, every orchestrator plan that commits: keeps the
+    books (``verify_books``), recalls for a lender at most its deficit,
+    matches no loan to a lender beyond its spare supply, and names no
+    server in two ``LoanServers``."""
+    lenders, regions = shape
+    pair = ClusterSet(
+        training_regions=[
+            make_training_cluster(1, name=f"t{j}", id_prefix=f"t{j}")
+            for j in range(regions)
+        ],
+        inference_clusters=[
+            make_inference_cluster(3, name=f"i{i}", id_prefix=f"i{i}")
+            for i in range(lenders)
+        ],
+    )
+    traces = {
+        f"i{i}": InferenceTrace(
+            utilization=np.repeat(levels[i], FLAT_SAMPLES), num_servers=3
+        )
+        for i in range(lenders)
+    }
+    specs = [
+        JobSpec(
+            job_id=n, submit_time=tick * SAMPLE_INTERVAL, duration=4000.0,
+            max_workers=workers, min_workers=1 if elastic else workers,
+            elastic=elastic, fungible=True,
+        )
+        for n, (tick, workers, elastic) in enumerate(demand)
+    ]
+    sim = Simulation(
+        specs, pair, LyraScheduler(), obs=Observability.enabled(),
+        orchestrator=ResourceOrchestrator(lender_traces=traces),
+    )
+    commit = sim.executor.apply
+    checked = []
+
+    def checking(plan, dry_run=False):
+        receipt = commit(plan, dry_run=dry_run)
+        if plan.policy.startswith("orchestrator:"):
+            seen = plan.decision_inputs
+            supply, owed = seen["lender_supply"], seen["lender_outstanding"]
+            recalled, loaned, named = dict.fromkeys(supply, 0), {}, []
+            for action in plan.actions:
+                if action.kind == "loan_servers":
+                    named.extend(action.server_ids)
+                    loaned[action.lender] = (
+                        loaned.get(action.lender, 0) + len(action.server_ids)
+                    )
+                elif action.kind == "reclaim_servers" and action.record_metrics:
+                    recalled[action.lender] += len(action.server_ids)
+            assert len(named) == len(set(named))
+            for name in supply:
+                assert recalled[name] <= max(0, owed[name] - supply[name])
+                spare = supply[name] - (owed[name] - recalled[name])
+                assert loaned.get(name, 0) <= max(0, spare)
+            sim.rm.verify_books()
+            checked.append(plan)
+        return receipt
+
+    sim.executor.apply = checking
+    sim.run()
+    assert checked and sim.executor.plans_rejected == 0

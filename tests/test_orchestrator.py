@@ -51,11 +51,22 @@ class TestTargets:
         trace = flat_trace([0.0] * 10, num_servers=4)
         sim = sim_with(trace)
         orch = ResourceOrchestrator()
-        assert orch.target_loanable(sim) == 3  # 4 - ceil(0.02*4)=1
+        # 4 - ceil(0.02*4)=1; the pair's one lender is its inference side
+        assert orch.lender_offer(sim, "inference") == 3
+        # degraded posture: a safety headroom instead, ceil(0.3*4)=2
+        assert orch.lender_offer(sim, "inference", safety=0.3) == 2
+        # per-lender traces, once given, are the only source
+        named = ResourceOrchestrator(
+            lender_traces={"elsewhere": flat_trace([0.5] * 10)}
+        )
+        assert named.lender_offer(sim, "elsewhere") == 1
+        assert named.lender_offer(sim, "inference") == 0
 
     def test_no_trace_means_no_loaning(self):
         sim = sim_with(None)
-        assert ResourceOrchestrator().target_loanable(sim) == 0
+        orch = ResourceOrchestrator()
+        assert orch.lender_offer(sim, "inference") == 0
+        assert orch.plan_tick(sim).actions == ()
 
 
 class TestLoanReclaimFlow:

@@ -177,6 +177,35 @@ class TestNodeFailure:
         with pytest.raises(RuntimeError, match="mismatch"):
             rm.verify_books()
 
+    @pytest.mark.parametrize(
+        "drift", ["contract-without-loan", "loan-without-contract",
+                  "two-whitelists", "wrong-lender"],
+    )
+    def test_verify_books_detects_loan_drift(self, rm, drift):
+        """Loans conserve servers: each is in exactly one whitelist, and
+        the open contracts are exactly the on-loan servers, lender by
+        lender.  Plant each drift; the error names the server."""
+        pair = rm.pair
+        (moved,) = loan(rm, 1, now=1.0)
+        rm.verify_books()
+        if drift == "contract-without-loan":
+            # the server went home behind the book's back
+            pair.training.remove_server(moved.server_id)
+            moved.on_loan = False
+            pair.inference.add_server(moved)
+            expect = "contracts without a loan: \\['infer-0000'\\]"
+        elif drift == "loan-without-contract":
+            del pair.contracts[moved.server_id]
+            expect = "loans without a contract: \\['infer-0000'\\]"
+        elif drift == "two-whitelists":
+            pair.inference.add_server(moved)  # still in training too
+            expect = "infer-0000 is in two whitelists"
+        else:
+            moved.home_cluster = "elsewhere"
+            expect = "infer-0000 names lender 'inference'"
+        with pytest.raises(RuntimeError, match=expect):
+            rm.verify_books()
+
 
 class TestFailureInjection:
     def run_with_failures(self, mtbf, specs=None, seed=1):
