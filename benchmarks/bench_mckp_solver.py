@@ -2,11 +2,16 @@
 
 The paper reports that its worst-case phase-two instance — 354 items over
 245 free GPUs — solves in 0.02 s via dynamic programming.  This bench
-times exactly that instance shape (and a 4x larger one) across the
-solver kernels — the vectorized numpy DP (production), the scalar
-reference DP from ``repro.oracle``, and brute force on a tiny instance —
-checks they agree exactly, and records the comparison in
-``benchmarks/results/BENCH_mckp.json``.
+times exactly that instance shape, a 4x larger one, and the shape the
+e2e ``lyra_wide`` workload solves (183 items, 2,514 free GPUs, a reach
+of 366) across the solver kernels — the vectorized numpy DP
+(production, table clamped to what the instance can reach), the
+full-width scalar reference DP from ``repro.oracle``, and brute force on
+a tiny instance — checks they agree exactly, records the comparison and
+each instance's full vs clamped table size in
+``benchmarks/results/BENCH_mckp.json``, and fails if the wide instance
+solves slower than the paper's (fewer items must not cost more because
+the cluster around them is bigger).
 
 Runs under pytest-benchmark (``pytest benchmarks/bench_mckp_solver.py``)
 or standalone::
@@ -31,6 +36,7 @@ from repro.core.mckp import (  # noqa: E402
     Item,
     solve_mckp,
     solve_mckp_bruteforce,
+    table_shape,
 )
 from repro.ioutil import atomic_write  # noqa: E402
 from repro.oracle.reference import solve_mckp_scalar  # noqa: E402
@@ -58,6 +64,31 @@ def make_instance(num_items: int, capacity: int, seed: int = 0):
     return groups, capacity
 
 
+#: group sizes of the ``lyra_wide`` shape: 31 groups, 183 items
+WIDE_GROUP_SIZES = [16] * 3 + [12] * 2 + [8] * 5 + [7] + [4] * 12 + [2] * 8
+
+
+def make_wide_instance():
+    """The mean phase-two instance of the e2e ``lyra_wide`` workload.
+
+    Measured there over 491 solves: 31 groups, 183 items, every job at 2
+    GPUs per worker (all weights even), the heaviest items summing to
+    ~365 GPUs — against a free capacity of 2,514.  The table the answer
+    can depend on is 184 columns; the free cluster offers 2,515.
+    """
+    rng = random.Random(0)
+    sizes = list(WIDE_GROUP_SIZES)
+    rng.shuffle(sizes)
+    groups = []
+    for size in sizes:
+        base_time = rng.uniform(2000, 9000)
+        groups.append([
+            Item(weight=2 * k, value=base_time * k / (k + size / 2))
+            for k in range(1, size + 1)
+        ])
+    return groups, 2514
+
+
 def _time(fn, repeats: int = 5) -> float:
     """Best-of-N wall time in seconds (min damps scheduler noise)."""
     samples = []
@@ -73,6 +104,7 @@ def solver_comparison() -> dict:
     instances = {
         "paper_354x245": make_instance(354, 245),
         "4x_1400x980": make_instance(1400, 980, seed=1),
+        "wide_183x2514": make_wide_instance(),
     }
     out = {"instances": {}, "bruteforce": {}}
     for name, (groups, capacity) in instances.items():
@@ -81,12 +113,16 @@ def solver_comparison() -> dict:
         assert v_np == v_py and c_np == c_py, (
             f"{name}: vectorized and scalar DP disagree"
         )
-        t_np = _time(lambda: solve_mckp(groups, capacity))
+        t_np = _time(lambda: solve_mckp(groups, capacity), repeats=25)
         t_py = _time(lambda: solve_mckp_scalar(groups, capacity))
+        width, unit = table_shape(groups, capacity)
         out["instances"][name] = {
             "items": sum(len(g) for g in groups),
             "groups": len(groups),
             "capacity": capacity,
+            "unit": unit,
+            "table_cells_full": len(groups) * (capacity + 1),
+            "table_cells_clamped": len(groups) * (width + 1),
             "value": v_np,
             "vectorized_s": round(t_np, 6),
             "scalar_s": round(t_py, 6),
@@ -109,6 +145,13 @@ def solver_comparison() -> dict:
         ), 6),
     }
     out["paper_reference_s"] = 0.02
+    wide = out["instances"]["wide_183x2514"]["vectorized_s"]
+    paper = out["instances"]["paper_354x245"]["vectorized_s"]
+    assert wide <= paper, (
+        f"wide_183x2514 solves in {wide * 1e3:.2f} ms, slower than "
+        f"paper_354x245 ({paper * 1e3:.2f} ms): the table is following "
+        f"the free cluster again, not the flexible demand on offer"
+    )
     return out
 
 
@@ -134,6 +177,7 @@ def bench_mckp_paper_instance(benchmark):
     comparison = solver_comparison()
     paper = comparison["instances"]["paper_354x245"]
     big = comparison["instances"]["4x_1400x980"]
+    wide = comparison["instances"]["wide_183x2514"]
     write_report(comparison)
 
     emit(
@@ -149,6 +193,10 @@ def bench_mckp_paper_instance(benchmark):
             ["solution weight", weight],
             ["4x instance vectorized (s)", big["vectorized_s"]],
             ["4x instance scalar (s)", big["scalar_s"]],
+            ["lyra_wide-shaped 183 x 2,514 vectorized (s)",
+             wide["vectorized_s"]],
+            ["its table cells, full -> clamped",
+             f"{wide['table_cells_full']} -> {wide['table_cells_clamped']}"],
         ],
     )
     assert weight <= capacity
@@ -164,7 +212,8 @@ def main() -> int:
         print(
             f"{name:16s} vectorized {row['vectorized_s']*1e3:8.2f} ms  "
             f"scalar {row['scalar_s']*1e3:8.2f} ms  "
-            f"speedup {row['speedup']:.2f}x"
+            f"speedup {row['speedup']:.2f}x  "
+            f"cells {row['table_cells_full']} -> {row['table_cells_clamped']}"
         )
     bf = comparison["bruteforce"]
     print(

@@ -23,6 +23,10 @@ from repro.cluster.server import Server
 class Cluster:
     """A set of GPU servers under one scheduler's control (a whitelist)."""
 
+    #: memo of :attr:`total_gpus`, reset by every membership change (a
+    #: server's size never changes) and never pickled
+    _total_gpus: Optional[int] = None
+
     def __init__(self, name: str, servers: Iterable[Server] = ()):
         self.name = name
         self._servers: Dict[str, Server] = {}
@@ -50,6 +54,7 @@ class Cluster:
         if server.server_id in self._servers:
             raise ValueError(f"duplicate server id {server.server_id!r}")
         self._servers[server.server_id] = server
+        self._total_gpus = None
         if self._delta_sink is not None:
             server._on_change = self._delta_sink.server_changed
             self._delta_sink.server_added(server)
@@ -69,10 +74,16 @@ class Cluster:
                 f"{sorted(server.allocations)}; vacate before removal"
             )
         del self._servers[server_id]
+        self._total_gpus = None
         if self._delta_sink is not None:
             server._on_change = None
             self._delta_sink.server_removed(server)
         return server
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_total_gpus", None)
+        return state
 
     def __contains__(self, server_id: str) -> bool:
         return server_id in self._servers
@@ -107,7 +118,9 @@ class Cluster:
 
     @property
     def total_gpus(self) -> int:
-        return sum(s.num_gpus for s in self._servers.values())
+        if self._total_gpus is None:
+            self._total_gpus = sum(s.num_gpus for s in self._servers.values())
+        return self._total_gpus
 
     @property
     def free_gpus(self) -> int:

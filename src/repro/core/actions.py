@@ -1018,7 +1018,7 @@ class PlanExecutor:
         sim = self.sim
         job = sim.jobs[action.job_id]
         target = sim.pair.training.get(action.target)
-        sim.rm.migrate_job(job, action.source, target, now=sim.now)
+        sim.rm.migrate_job(job, action.source, target)
         sim.log(
             EventKind.MIGRATE,
             job.job_id,

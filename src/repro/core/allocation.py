@@ -194,41 +194,43 @@ def sjf_phase(
     return scheduled, skipped
 
 
-def jct_reduction_value(job: Job, extra: int) -> float:
-    """Lyra's item value: estimated JCT reduction of ``extra`` workers."""
-    base_time = job.remaining_time_at(job.spec.min_workers) * job.estimate_error
-    scaled_time = (
-        job.remaining_time_at(job.spec.min_workers + extra)
-        * job.estimate_error
-    )
-    return base_time - scaled_time
+def jct_reduction_values(job: Job, extras: Sequence[int]) -> List[float]:
+    """Lyra's item values: estimated JCT reduction of each extra count.
+
+    The ``value_fn(job, extras)`` contract is one value per entry of
+    ``extras``, so the time at base demand is evaluated once per job.
+    """
+    base = job.spec.min_workers
+    base_time = job.remaining_time_at(base) * job.estimate_error
+    return [
+        base_time - job.remaining_time_at(base + extra) * job.estimate_error
+        for extra in extras
+    ]
 
 
 def build_flex_groups(
     elastic_jobs: Sequence[Job],
     max_weight: int,
-    value_fn=jct_reduction_value,
+    value_fn=jct_reduction_values,
 ) -> List[List[Item]]:
     """Build MCKP groups for phase two (the Fig. 6 transformation).
 
     For elastic job *j* with range ``[w_min, w_max]``, item *k* grants
     ``k`` extra workers; its weight is ``k * gpus_per_worker`` and its
-    value ``value_fn(job, k)`` — by default the reduction in estimated
-    remaining time versus running at base demand.  Items wider than
-    ``max_weight`` can never fit and are pruned up front.
+    value ``value_fn(job, extras)[k - 1]`` — by default the reduction in
+    estimated remaining time versus running at base demand.  Items wider
+    than ``max_weight`` can never fit and are pruned up front.
     """
     groups: List[List[Item]] = []
     for job in elastic_jobs:
-        items: List[Item] = []
-        for extra in range(1, job.spec.max_workers - job.spec.min_workers + 1):
-            weight = extra * job.spec.gpus_per_worker
-            if weight > max_weight:
-                break
-            items.append(
-                Item(weight=weight, value=value_fn(job, extra),
-                     payload=(job, extra))
-            )
-        groups.append(items)
+        gpus = job.spec.gpus_per_worker
+        extras = range(1, 1 + min(
+            job.spec.max_workers - job.spec.min_workers, max_weight // gpus
+        ))
+        groups.append([
+            Item(weight=extra * gpus, value=value, payload=(job, extra))
+            for extra, value in zip(extras, value_fn(job, extras))
+        ])
     return groups
 
 
@@ -237,7 +239,7 @@ def allocate_two_phase(
     running_elastic: Sequence[Job],
     pools: Pools,
     order_key=None,
-    value_fn=jct_reduction_value,
+    value_fn=jct_reduction_values,
     phases=None,
     presorted: bool = False,
 ) -> AllocationDecision:

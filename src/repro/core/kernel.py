@@ -874,7 +874,7 @@ class SchedulerKernel:
         return True
 
     def _node_recovery(self, server_id: str) -> None:
-        self.rm.recover_node(server_id, now=self.now)
+        self.rm.recover_node(server_id)
         self.view.bump()
         failed_at = self._fail_times.pop(server_id, None)
         if failed_at is not None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import gcd
 from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,37 +41,71 @@ class Item:
             raise ValueError(f"weight must be >= 0, got {self.weight}")
 
 
+def table_shape(
+    groups: Sequence[Sequence[Item]], capacity: int
+) -> Tuple[int, int]:
+    """``(width, unit)`` of the DP table: its last column, GPUs per column.
+
+    Only *live* items matter (they fit and have ``value > 0``; a ``nan``
+    wins no comparison).  No selection outweighs the *reach* — each
+    group's heaviest live weight, summed — and every selection weighs a
+    multiple of the gcd of the live weights, so the table is sized by
+    the flexible demand on offer, not by the free cluster.
+    """
+    reach = unit = 0
+    for group in groups:
+        heaviest = 0
+        for item in group:
+            w = item.weight
+            if w <= capacity and item.value > 0:
+                unit = gcd(unit, w)
+                if w > heaviest:
+                    heaviest = w
+        reach += heaviest
+    unit = unit or 1  # no live item, or every live weight is 0
+    return min(capacity, reach) // unit, unit
+
+
 def _dp_rows(
     groups: Sequence[Sequence[Item]], capacity: int
-) -> Tuple[np.ndarray, List[np.ndarray]]:
+) -> Tuple[np.ndarray, List[np.ndarray], int]:
     """The DP table: per-item shifted-row updates over numpy rows.
 
-    Bit-exact with the plain-loop reference
+    Bit-exact with the plain-loop, full-width reference
     (:func:`repro.oracle.reference.solve_mckp_scalar`, property-pinned
     in the tests): items are still visited in order and each update
     computes ``dp[c - w] + v`` — the identical IEEE-754 double operation
-    the scalar inner loop performs, just over the whole capacity row at
-    once.  (Per-*group* batching via reductions is NOT used: numpy's
-    pairwise summation/maximum trees can round differently from a
-    left-to-right scan, which would break the golden-log pin.)
+    the scalar inner loop performs, just over the whole row at once.
+    (Per-*group* batching via reductions is NOT used: numpy's pairwise
+    summation/maximum trees can round differently from a left-to-right
+    scan, which would break the golden-log pin.)
+
+    The row is :func:`table_shape` wide and column ``j`` is the full
+    table's column ``j * unit``, same additions in the same order: a
+    cell reads only cells to its left, at multiples of ``unit``, and
+    every full-table cell past the reach equals the one at it — so the
+    first column holding the optimum is kept (docs/ARCHITECTURE.md,
+    *Bit-exactness rules*).  Returns ``(dp, choice, unit)``.
     """
-    dp = np.zeros(capacity + 1, dtype=np.float64)
+    width, unit = table_shape(groups, capacity)
+    cells = width + 1
+    dp = np.zeros(cells, dtype=np.float64)
     choice: List[np.ndarray] = []
     for group in groups:
         new_dp = dp.copy()  # taking nothing is always valid
-        taken = np.full(capacity + 1, -1, dtype=np.int64)
+        taken = np.full(cells, -1, dtype=np.int64)
         for idx, item in enumerate(group):
-            w = item.weight
-            if w > capacity or item.value <= 0:
+            if item.weight > capacity or not item.value > 0:
                 continue
-            candidate = dp[: capacity + 1 - w] + item.value
+            w = item.weight // unit
+            candidate = dp[: cells - w] + item.value
             target = new_dp[w:]
             better = candidate > target
-            target[better] = candidate[better]
-            taken[w:][better] = idx
+            np.putmask(target, better, candidate)
+            np.putmask(taken[w:], better, idx)
         dp = new_dp
         choice.append(taken)
-    return dp, choice
+    return dp, choice, unit
 
 
 def solve_mckp(
@@ -85,14 +120,14 @@ def solve_mckp(
 
     Returns:
         ``(total_value, choices)`` where ``choices[i]`` is the item chosen
-        from ``groups[i]`` or None.  Runs in ``O(len(items) * capacity)``
-        time and ``O(len(groups) * capacity)`` space.
+        from ``groups[i]`` or None.  ``O(items × min(capacity, reach) /
+        unit)`` time, ``groups`` for ``items`` in space (:func:`table_shape`).
     """
     if capacity < 0:
         raise ValueError(f"capacity must be >= 0, got {capacity}")
 
     num_groups = len(groups)
-    dp, choice = _dp_rows(groups, capacity)
+    dp, choice, unit = _dp_rows(groups, capacity)
     # the first (smallest) capacity achieving the max
     cap = int(np.argmax(dp))
 
@@ -104,7 +139,7 @@ def solve_mckp(
         if idx >= 0:
             item = groups[g][idx]
             choices[g] = item
-            cap -= item.weight
+            cap -= item.weight // unit
     return best_value, choices
 
 

@@ -35,7 +35,7 @@ from repro.core.allocation import (
     ONLOAN,
     TRAINING,
     Pools,
-    jct_reduction_value,
+    jct_reduction_values,
 )
 from repro.core.mckp import Item, solve_mckp_bruteforce
 
@@ -198,7 +198,7 @@ def allocate_reference(
     pending: Sequence[Job],
     running_elastic: Sequence[Job],
     pools: Pools,
-    value_fn=jct_reduction_value,
+    value_fn=jct_reduction_values,
 ) -> ReferenceAllocation:
     """First-principles §5.2 two-phase allocation on raw cluster state.
 
@@ -233,17 +233,16 @@ def allocate_reference(
         capacity = pools.total
         groups: List[List[Item]] = []
         for job in elastic_jobs:
-            items: List[Item] = []
             span = job.spec.max_workers - job.spec.min_workers
-            for extra in range(1, span + 1):
-                weight = extra * job.spec.gpus_per_worker
-                if weight > capacity:
-                    break
-                items.append(
-                    Item(weight=weight, value=value_fn(job, extra),
-                         payload=(job, extra))
-                )
-            groups.append(items)
+            extras = [
+                extra for extra in range(1, span + 1)
+                if extra * job.spec.gpus_per_worker <= capacity
+            ]
+            groups.append([
+                Item(weight=extra * job.spec.gpus_per_worker, value=value,
+                     payload=(job, extra))
+                for extra, value in zip(extras, value_fn(job, extras))
+            ])
         value, choices = solve_mckp_bruteforce(groups, capacity)
         ref.mckp_value = value
         for job, choice in zip(elastic_jobs, choices):

@@ -309,9 +309,7 @@ class ResourceManager:
         """
         return self.pair.loan_ids(server_ids, borrower=borrower, now=now)
 
-    def migrate_job(
-        self, job: Job, source_id: str, target: Server, now: float = 0.0
-    ) -> int:
+    def migrate_job(self, job: Job, source_id: str, target: Server) -> int:
         """Move every worker of ``job`` off ``source_id`` onto ``target``.
 
         Containers are re-homed (not stopped and relaunched — the
@@ -395,7 +393,7 @@ class ResourceManager:
         self._unhealthy.add(server_id)
         return report
 
-    def recover_node(self, server_id: str, now: float = 0.0) -> None:
+    def recover_node(self, server_id: str) -> None:
         self._unhealthy.discard(server_id)
 
     # ------------------------------------------------------------------

@@ -21,6 +21,8 @@ Baseline.
 
 from __future__ import annotations
 
+from typing import List, Sequence
+
 from repro.cluster.job import Job
 from repro.schedulers.lyra import LyraScheduler
 
@@ -46,22 +48,24 @@ def las_order_key(job: Job):
     )
 
 
-def throughput_gain_value(job: Job, extra: int) -> float:
-    """Runtime-oblivious item value for the phase-two knapsack.
+def throughput_gain_values(job: Job, extras: Sequence[int]) -> List[float]:
+    """Runtime-oblivious item values for the phase-two knapsack.
 
-    Marginal effective throughput of the extra workers (in training-GPU
-    units), discounted by the job's attained service so that young jobs
-    are favoured — the same bias LAS applies in phase one.  Normalizing
-    by ``1 + attained/total`` needs no runtime prediction: both terms are
-    observable counters.
+    Marginal effective throughput of each extra-worker count (in
+    training-GPU units), discounted by the job's attained service so
+    that young jobs are favoured — the same bias LAS applies in phase
+    one.  Normalizing by ``1 + attained/total`` needs no runtime
+    prediction: both terms are observable counters.
     """
     base = job.spec.min_workers
-    gain = (
-        job.scaling_model.effective_workers(base + extra)
-        - job.scaling_model.effective_workers(base)
-    ) * job.spec.gpus_per_worker
+    effective = job.scaling_model.effective_workers
+    base_workers = effective(base)
     age_discount = 1.0 + attained_service(job) / max(1.0, job.spec.total_work)
-    return gain / age_discount
+    return [
+        (effective(base + extra) - base_workers) * job.spec.gpus_per_worker
+        / age_discount
+        for extra in extras
+    ]
 
 
 class LyraAgnosticScheduler(LyraScheduler):
@@ -71,7 +75,7 @@ class LyraAgnosticScheduler(LyraScheduler):
 
     #: hooks consumed by :meth:`LyraScheduler.decide`
     order_key = staticmethod(las_order_key)
-    value_fn = staticmethod(throughput_gain_value)
+    value_fn = staticmethod(throughput_gain_values)
     #: attained service grows with the clock — the pending order is
     #: time-varying and must be re-sorted every epoch, never cached
     dynamic_order = True

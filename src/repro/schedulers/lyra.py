@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.cluster.job import Job
-from repro.core.allocation import allocate_two_phase, jct_reduction_value
+from repro.core.allocation import allocate_two_phase, jct_reduction_values
 from repro.core.placement import PlacementRequest
 from repro.obs.profiling import PHASE_ALLOCATION, PHASE_PLACEMENT
 from repro.schedulers.base import SchedulerPolicy
@@ -40,7 +40,7 @@ class LyraScheduler(SchedulerPolicy):
     #: phase-two MCKP item values depend on *remaining* time — they drift
     #: with the clock, so epochs are never skippable (epoch_idempotent
     #: stays False)
-    value_fn = staticmethod(jct_reduction_value)
+    value_fn = staticmethod(jct_reduction_values)
     #: True when order_key is time-varying (least-attained-service) and
     #: the cached pending order must not be reused across epochs
     dynamic_order = False

@@ -1,5 +1,7 @@
 """Tests for two-phase allocation (§5.2), incl. the Table 2/4 examples."""
 
+import random
+
 import pytest
 
 from repro.core.allocation import (
@@ -12,6 +14,10 @@ from repro.core.allocation import (
     preferred_domain,
     sjf_phase,
 )
+
+from repro.core.mckp import Item
+from repro.elastic.throughput import SUBLINEAR_20
+from repro.schedulers.agnostic import throughput_gain_values
 
 from tests.conftest import make_job
 
@@ -139,6 +145,75 @@ class TestFlexGroups:
         job.remaining_work = job.spec.total_work / 2
         groups = build_flex_groups([job], max_weight=10)
         assert groups[0][0].value == pytest.approx(10.0)
+
+    def test_values_bit_identical_to_per_item_expression(self):
+        """The base time is hoisted out of the per-item loop; every
+        ``Item`` must still be what the one-item-at-a-time builder made:
+        ``t(min) * err - t(min + k) * err``, same operands, same order."""
+        rng = random.Random(21)
+        for job_id in range(300):
+            min_w = rng.randint(1, 4)
+            job = make_job(
+                job_id=job_id, duration=rng.uniform(30.0, 90_000.0),
+                min_workers=min_w, max_workers=min_w + rng.randint(1, 12),
+                gpus_per_worker=rng.choice((1, 2, 4)), elastic=True,
+            )
+            job.remaining_work *= rng.uniform(0.05, 1.0)
+            job.estimate_error = rng.uniform(0.4, 2.5)
+            job.straggler_penalty = rng.choice((1.0, rng.uniform(0.3, 1.0)))
+            job.hetero_penalty = rng.choice((1.0, 0.7))
+            job.tuning_bonus = rng.choice((1.0, rng.uniform(1.0, 1.2)))
+            if rng.random() < 0.3:
+                job.scaling_model = SUBLINEAR_20
+            max_weight = rng.randint(0, 40)
+
+            expected = []
+            for extra in range(1, job.spec.max_workers - min_w + 1):
+                weight = extra * job.spec.gpus_per_worker
+                if weight > max_weight:
+                    break
+                base_time = job.remaining_time_at(min_w) * job.estimate_error
+                scaled_time = (
+                    job.remaining_time_at(min_w + extra) * job.estimate_error
+                )
+                expected.append(Item(weight, base_time - scaled_time,
+                                     (job, extra)))
+            (group,) = build_flex_groups([job], max_weight=max_weight)
+            assert group == expected  # float ==, not approx
+
+    def test_value_fn_is_called_once_per_job(self):
+        calls = []
+
+        def value_fn(job, extras):
+            calls.append((job.job_id, list(extras)))
+            return [float(extra) for extra in extras]
+
+        jobs = [make_job(job_id=k, min_workers=1, max_workers=4,
+                         gpus_per_worker=2, elastic=True) for k in range(3)]
+        groups = build_flex_groups(jobs, max_weight=5, value_fn=value_fn)
+        assert calls == [(0, [1, 2]), (1, [1, 2]), (2, [1, 2])]
+        assert [[(i.weight, i.value) for i in g] for g in groups] == (
+            [[(2, 1.0), (4, 2.0)]] * 3
+        )
+
+    def test_agnostic_values_bit_identical_to_per_item_expression(self):
+        rng = random.Random(22)
+        for job_id in range(100):
+            job = make_job(job_id=job_id, duration=rng.uniform(30.0, 9e4),
+                           min_workers=2, max_workers=2 + rng.randint(1, 9),
+                           gpus_per_worker=rng.choice((1, 2)), elastic=True)
+            job.remaining_work *= rng.uniform(0.05, 1.0)
+            if rng.random() < 0.5:
+                job.scaling_model = SUBLINEAR_20
+            effective = job.scaling_model.effective_workers
+            attained = job.spec.total_work - job.remaining_work
+            extras = range(1, job.spec.max_workers - 1)
+            assert throughput_gain_values(job, extras) == [
+                (effective(2 + extra) - effective(2))
+                * job.spec.gpus_per_worker
+                / (1.0 + attained / max(1.0, job.spec.total_work))
+                for extra in extras
+            ]
 
 
 class TestTwoPhase:

@@ -103,7 +103,7 @@ def _random_walk(view, rm, pair, jobs, rng, steps=50, per_step=None):
                     rm.release_job(jobs[job_id], now=now)
                     jobs[job_id].clear_placement()
             elif op == "recover":
-                rm.recover_node(server.server_id, now=now)
+                rm.recover_node(server.server_id)
             elif op == "direct_alloc":
                 server.allocate(job.job_id, rng.randint(1, 2))
             elif op == "direct_release":

@@ -18,7 +18,7 @@ from repro.schedulers.agnostic import (
     LyraAgnosticScheduler,
     attained_service,
     las_order_key,
-    throughput_gain_value,
+    throughput_gain_values,
 )
 from repro.schedulers.lyra import LyraScheduler
 from repro.simulator.calibration import first_divergence, match_fraction
@@ -121,16 +121,16 @@ class TestAgnosticScheduler:
     def test_value_needs_no_runtime(self):
         job = make_job(duration=123456.0, max_workers=8, min_workers=2,
                        elastic=True)
-        value = throughput_gain_value(job, 2)
+        (value,) = throughput_gain_values(job, [2])
         # pure throughput: 2 extra linear workers x 1 GPU each
         assert value == pytest.approx(2.0)
 
     def test_value_discounted_by_age(self):
         job = make_job(duration=100.0, max_workers=8, min_workers=2,
                        elastic=True)
-        fresh = throughput_gain_value(job, 2)
+        (fresh,) = throughput_gain_values(job, [2])
         job.remaining_work = 0.0
-        assert throughput_gain_value(job, 2) == pytest.approx(fresh / 2)
+        assert throughput_gain_values(job, [2]) == pytest.approx([fresh / 2])
 
     def test_end_to_end_between_baseline_and_lyra(self):
         setup = default_setup(num_jobs=150, days=0.75, training_servers=8,

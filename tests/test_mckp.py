@@ -1,15 +1,22 @@
 """Tests for the multiple-choice knapsack solver (§5.2 phase two)."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from benchmarks.bench_mckp_solver import make_wide_instance
+from repro.core.allocation import build_flex_groups
 from repro.core.mckp import (
     Item,
     solution_cost,
     solve_mckp,
     solve_mckp_bruteforce,
+    table_shape,
 )
+from repro.oracle.instances import gen_allocation_instance, gen_mckp_instance
+from repro.oracle.reference import solve_mckp_scalar
 
 
 class TestBasics:
@@ -165,3 +172,129 @@ class TestAdversarialInputs:
         assert value == 0.0
         assert choices == [None, None, None]
         assert solution_cost(choices) == (0.0, 0)
+
+
+# ----------------------------------------------------------------------
+# the clamped table (reach, unit) against the full-width scalar reference
+# ----------------------------------------------------------------------
+def assert_same_solution(groups, capacity):
+    """``solve_mckp`` and the full-width plain-loop DP agree bit for bit:
+    the same float and the very same ``Item`` object group by group."""
+    value, choices = solve_mckp(groups, capacity)
+    ref_value, ref_choices = solve_mckp_scalar(groups, capacity)
+    assert value == ref_value  # ==, not approx
+    assert len(choices) == len(ref_choices) == len(groups)
+    for got, want in zip(choices, ref_choices):
+        assert got is want
+    assert solution_cost(choices)[1] <= capacity
+
+
+def raw_reach(groups):
+    return sum(
+        max((i.weight for i in group if i.value > 0), default=0)
+        for group in groups
+    )
+
+
+clamp_values = st.one_of(
+    st.floats(min_value=-5.0, max_value=100.0, allow_nan=False),
+    st.integers(-1, 8).map(float),  # ties and exact zeros
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]),
+)
+
+
+@st.composite
+def clamp_instances(draw):
+    """Instances aimed at each edge the clamp introduces: a unit > 1 with
+    capacity off the unit grid, capacity below / at / far above the
+    reach, zero weights (alone: unit 1), dead values, items heavier than
+    capacity, empty groups, one odd weight among even ones (gcd 1)."""
+    unit = draw(st.sampled_from([1, 2, 2, 3, 4, 6]))
+    steps = st.integers(0, 5) if draw(st.booleans()) else st.just(0)
+    groups = [
+        [Item(weight=unit * draw(steps), value=draw(clamp_values))
+         for _ in range(draw(st.integers(0, 4)))]
+        for _ in range(draw(st.integers(0, 5)))
+    ]
+    if groups and draw(st.booleans()):  # the odd one out
+        groups[draw(st.integers(0, len(groups) - 1))].append(
+            Item(weight=unit * draw(st.integers(0, 5)) + 1,
+                 value=draw(clamp_values))
+        )
+    reach = raw_reach(groups)
+    capacity = draw(st.one_of(
+        st.sampled_from([0, 1, max(0, reach - 1), reach, reach + 1,
+                         reach // 2, 10 * reach + 7]),
+        st.integers(0, reach + 3),
+    ))
+    return groups, capacity
+
+
+class TestClampedTable:
+    @given(inst=clamp_instances())
+    @settings(max_examples=500, deadline=None)
+    def test_equals_full_width_scalar_reference(self, inst):
+        assert_same_solution(*inst)
+
+    @given(inst=clamp_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_shape_bounds_every_selection(self, inst):
+        groups, capacity = inst
+        width, unit = table_shape(groups, capacity)
+        assert unit >= 1 and 0 <= width * unit <= capacity
+        live = [i.weight for g in groups for i in g
+                if i.weight <= capacity and i.value > 0]
+        assert all(w % unit == 0 for w in live)
+        _, weight = solution_cost(solve_mckp(groups, capacity)[1])
+        assert weight % unit == 0 and weight // unit <= width
+
+    def test_oracle_mckp_generator(self):
+        for seed in range(300):
+            assert_same_solution(*gen_mckp_instance(seed).build())
+
+    def test_oracle_allocation_generator(self):
+        for seed in range(150):
+            pending, running, pools = gen_allocation_instance(seed).build()
+            elastic = [j for j in pending + running if j.elastic]
+            groups = build_flex_groups(elastic, max_weight=pools.total)
+            assert_same_solution(groups, pools.total)
+
+    def test_lyra_wide_shape_is_clamped(self):
+        # the e2e lyra_wide mean instance: the free cluster offers 2,515
+        # columns, the flexible demand on offer can reach 184 of them
+        groups, capacity = make_wide_instance()
+        assert (len(groups), sum(map(len, groups))) == (31, 183)
+        assert capacity == 2514 and raw_reach(groups) == 366
+        assert table_shape(groups, capacity) == (183, 2)
+        assert_same_solution(groups, capacity)
+        # tighter than the reach: capacity binds, off the unit grid
+        assert table_shape(groups, 101) == (50, 2)
+        assert_same_solution(groups, 101)
+
+
+class TestTableShape:
+    def test_empty(self):
+        assert table_shape([], 10) == (0, 1)
+        assert table_shape([[], []], 10) == (0, 1)
+        assert table_shape([[Item(3, 1.0)]], 0) == (0, 1)
+
+    def test_reach_is_sum_of_heaviest_live_items(self):
+        groups = [[Item(1, 1.0), Item(3, 2.0)], [Item(2, 1.0)]]
+        assert table_shape(groups, 100) == (5, 1)
+        assert table_shape(groups, 4) == (4, 1)  # capacity binds
+
+    def test_dead_items_do_not_count(self):
+        groups = [[Item(2, 1.0), Item(7, 0.0), Item(9, -1.0),
+                   Item(11, math.nan), Item(50, 5.0)]]
+        # 50 does not fit; 7, 9, 11 can never be taken
+        assert table_shape(groups, 20) == (1, 2)
+
+    def test_unit_is_gcd_and_capacity_floors(self):
+        groups = [[Item(4, 1.0), Item(8, 2.0)], [Item(6, 1.0)]]
+        assert table_shape(groups, 100) == (7, 2)  # reach 14
+        assert table_shape(groups, 13) == (6, 2)  # 13 // 2, not ceil
+        assert table_shape(groups + [[Item(3, 1.0)]], 100) == (17, 1)
+
+    def test_zero_weights(self):
+        assert table_shape([[Item(0, 1.0)], [Item(0, 2.0)]], 9) == (0, 1)
+        assert table_shape([[Item(0, 1.0)], [Item(6, 2.0)]], 9) == (1, 6)

@@ -253,7 +253,7 @@ class TestResourceManagerInterleavings:
                     )
                 elif op == "migrate":
                     rm.migrate_job(
-                        job, server.server_id, rng.choice(all_servers), now=now
+                        job, server.server_id, rng.choice(all_servers)
                     )
                 elif op == "scale_in":
                     rm.scale_in(job, server.server_id, rng.randint(1, 3),
@@ -272,7 +272,7 @@ class TestResourceManagerInterleavings:
                         rm.release_job(jobs[job_id], now=now)
                         jobs[job_id].clear_placement()
                 elif op == "recover":
-                    rm.recover_node(server.server_id, now=now)
+                    rm.recover_node(server.server_id)
             except (ValueError, RuntimeError, KeyError):
                 pass  # invalid op rejected — must be atomic
             rm.verify_books()

@@ -1,5 +1,8 @@
 """Unit tests for servers, clusters and the whitelist loaning API."""
 
+import pickle
+import random
+
 import pytest
 
 from repro.cluster.cluster import (
@@ -10,6 +13,7 @@ from repro.cluster.cluster import (
 )
 from repro.cluster.gpu import T4, V100
 from repro.cluster.server import Server
+from repro.market import ClusterSet
 
 from tests.conftest import loan
 
@@ -178,3 +182,68 @@ class TestClusterPair:
         loan(pair, 2)
         assert len(pair.training.on_loan_servers) == 2
         assert len(pair.training.dedicated_servers) == 2
+
+
+def _market_2x2() -> ClusterPair:
+    return ClusterSet(
+        [make_training_cluster(3, name=f"train-r{k}", id_prefix=f"train-r{k}")
+         for k in range(2)],
+        [make_inference_cluster(4, name=f"infer-r{k}", id_prefix=f"infer-r{k}")
+         for k in range(2)],
+    )
+
+
+class TestTotalGpusMemo:
+    """``Cluster.total_gpus`` is answered from a memo; it must equal the
+    scan at every moment, servers on loan included."""
+
+    @pytest.mark.parametrize("make_pair", [
+        lambda: ClusterPair(make_training_cluster(3), make_inference_cluster(5)),
+        _market_2x2,
+    ], ids=["pair", "2x2"])
+    def test_equals_scan_after_random_membership_changes(self, make_pair):
+        rng = random.Random(7)
+        pair = make_pair()
+        whitelists = [pair.training, pair.inference, *pair.inference.members]
+
+        def check():
+            for cluster in whitelists:
+                assert cluster.total_gpus == sum(
+                    s.num_gpus for s in cluster.servers
+                ), cluster.name
+        check()
+        for step in range(300):
+            now = float(step)
+            op = rng.choice(("add", "remove", "loan", "return"))
+            region = pair.training.servers[0].home_cluster
+            lender = rng.choice(pair.inference.members)
+            if op == "add":
+                home, cluster = rng.choice(
+                    [(region, pair.training), (lender.name, lender)]
+                )
+                cluster.add_server(Server(
+                    server_id=f"extra-{step}", gpu_type=V100,
+                    num_gpus=rng.choice((2, 4, 8)), home_cluster=home,
+                ))
+            elif op == "remove":
+                cluster = rng.choice([pair.training, lender])
+                owned = [s for s in cluster.servers if not s.on_loan]
+                if len(owned) > 1:
+                    cluster.remove_server(rng.choice(owned).server_id)
+            elif op == "loan":
+                loan(pair, rng.randint(1, 3), now=now)
+            elif pair.training.on_loan_servers:
+                pair.return_server(
+                    rng.choice(pair.training.on_loan_servers).server_id,
+                    now=now,
+                )
+            check()
+        assert pair.loaned_count > 0  # the walk ends with loans open
+
+    def test_memo_is_not_pickled(self):
+        cluster = make_training_cluster(3)
+        assert cluster.total_gpus == 24
+        assert "_total_gpus" not in cluster.__getstate__()
+        restored = pickle.loads(pickle.dumps(cluster))
+        restored.add_server(Server(server_id="late", gpu_type=V100))
+        assert restored.total_gpus == 32
