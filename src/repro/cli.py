@@ -462,7 +462,8 @@ def cmd_serve(args) -> int:
         with contextlib.suppress(asyncio.CancelledError):
             await server_task
         if args.trace:
-            records = obs.export_trace(args.trace, format="jsonl")
+            # after a restart the service's bundle is the restored kernel's
+            records = service.obs.export_trace(args.trace, format="jsonl")
             print(f"wrote {records} trace records to {args.trace}",
                   flush=True)
         return 0

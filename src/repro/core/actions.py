@@ -558,8 +558,15 @@ class PlanExecutor:
         #: check per applied plan
         self.wal = None
         #: crash-barrier probe (:class:`repro.faults.crash.CrashInjector`),
-        #: called with the barrier name at the commit-path kill points
+        #: asked at the commit-path kill points whether to die there
         self.crash_probe = None
+
+    def __getstate__(self) -> dict:
+        # the WAL and the crash probe are the recovery manager's (or the
+        # daemon's) and are re-attached with it, never snapshotted
+        state = dict(self.__dict__)
+        state["wal"] = state["crash_probe"] = None
+        return state
 
     # -- entry point -----------------------------------------------------
     def apply(self, plan: EpochPlan, dry_run: bool = False) -> PlanReceipt:
@@ -594,7 +601,7 @@ class PlanExecutor:
         if self.wal is not None and plan.actions:
             self.wal.append(self.plans_applied + 1, plan)
             if self.crash_probe is not None:
-                self.crash_probe("post_wal")
+                self.crash_probe.maybe_fire("post_wal", sim.now)
         self.in_flight = True
         try:
             with phases.phase(PHASE_PLAN_COMMIT):
@@ -604,7 +611,7 @@ class PlanExecutor:
                     if i == 0 and self.crash_probe is not None:
                         # the harshest kill point: one action of a
                         # multi-action plan has already mutated state
-                        self.crash_probe("mid_epoch")
+                        self.crash_probe.maybe_fire("mid_epoch", sim.now)
         finally:
             self.in_flight = False
         if txn is not None:

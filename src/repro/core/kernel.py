@@ -208,6 +208,10 @@ class SchedulerKernel:
         "node_recovery": "_node_recovery",
     }
 
+    #: the Ideal scenario (§7.1) models perfect heterogeneous training:
+    #: True keeps a mixed-GPU job's throughput multiplier at 1.0
+    hetero_ideal = False
+
     def __init__(
         self,
         specs: Sequence[JobSpec],
@@ -283,6 +287,14 @@ class SchedulerKernel:
         #: None (the default) keeps the run loop on the exact pre-recovery
         #: code path — no checkpoints, no WAL, no recovery allocations
         self.recovery = None
+
+    def __getstate__(self) -> dict:
+        # The recovery manager and the live event feed belong to the
+        # process, not to the run: a snapshot leaves them out and
+        # whoever restores the kernel attaches its own.
+        state = dict(self.__dict__)
+        state["recovery"] = state["activity_sink"] = None
+        return state
 
     # ------------------------------------------------------------------
     # setup helpers
@@ -509,7 +521,7 @@ class SchedulerKernel:
         machinery (transient launch gates could make a retry succeed
         where the last epoch failed)."""
         return (
-            getattr(self.policy, "epoch_idempotent", False)
+            self.policy.epoch_idempotent
             and self._last_epoch_version is not None
             and self._last_epoch_version == self.view.version
             and self.fault_injector is None

@@ -30,13 +30,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.cluster.job import Job
 from repro.cluster.server import BASE_GROUP, FLEX_GROUP, Server
 from repro.core.view import ClusterView
-
-from repro.rm.manager import TransientLaunchError
-
-try:  # typing-only; avoids a hard dependency cycle
-    from repro.rm.manager import ResourceManager
-except ImportError:  # pragma: no cover
-    ResourceManager = None  # type: ignore[assignment]
+from repro.rm.manager import ResourceManager, TransientLaunchError
 
 
 @dataclass
@@ -240,11 +234,10 @@ class PlacementEngine:
                     and job.elastic
                     and not job.spec.heterogeneous
                 ):
-                    journal = getattr(self.rm, "journal", None)
-                    if journal is not None:
+                    if self.rm is not None and self.rm.journal is not None:
                         # group assignment is outside the RM's books; give
                         # the plan journal its pre-image for rollback
-                        journal.record_group(server)
+                        self.rm.journal.record_group(server)
                     server.group = FLEX_GROUP if flexible else BASE_GROUP
                     view.note_group_change(server)
                 remaining -= fit

@@ -27,12 +27,11 @@ def verify_scheduler_invariants(sim: "Simulation") -> None:
 
     Raises :class:`InvariantViolation` on the first inconsistency.
     """
-    executor = getattr(sim, "executor", None)
-    if executor is not None and executor.in_flight:
+    if sim.executor.in_flight:
         raise InvariantViolation(
             "audit ran inside a PlanExecutor commit; plans must apply "
             "atomically between audits")
-    if getattr(sim.rm, "journal", None) is not None:
+    if sim.rm.journal is not None:
         raise InvariantViolation(
             "audit ran with a plan transaction still open on the RM; "
             "policies must seal or abort before control returns")

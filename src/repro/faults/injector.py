@@ -26,14 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.simulator.simulation import Simulation
 
 
-def _window(at: float, duration: float) -> Tuple[float, float]:
-    return (at, at + duration)
-
-
-def _in_any(now: float, windows: List[Tuple[float, float]]) -> bool:
-    return any(a <= now < b for a, b in windows)
-
-
 class FaultInjector:
     """Schedules a plan's fault events into a simulation's engine."""
 
@@ -56,8 +48,8 @@ class FaultInjector:
         self._rng_target = random.Random(f"{plan.seed}:target")
         self._rng_launch = random.Random(f"{plan.seed}:launch")
         self.audits = 0
-        #: the unwrapped predictor, kept so snapshot restore can re-wrap
-        #: it instead of pickling the bias closure
+        #: the orchestrator's own predictor, which :meth:`_biased_forecast`
+        #: wraps while a plan carries predictor biases
         self._predictor_orig = None
 
     # ------------------------------------------------------------------
@@ -82,10 +74,19 @@ class FaultInjector:
             sim.engine.schedule(outage.at, ("fault", "outage", i))
         for i, straggler in enumerate(plan.stragglers):
             sim.engine.schedule(straggler.at, ("fault", "straggler", i))
-        if plan.predictor_outages or plan.predictor_biases:
-            self._install_predictor_faults()
+        # The hooks are bound methods of this injector, reading the plan
+        # and the per-family RNGs: state like any other, so a snapshot
+        # carries them installed and nothing re-installs them on restore.
+        orch = sim.orchestrator
+        if orch is not None and plan.predictor_outages:
+            orch.predictor_down = self._predictor_down
+            orch.degraded_headroom = plan.degraded.headroom
+            orch.freeze_loans_when_degraded = plan.degraded.freeze_loans
+        if orch is not None and plan.predictor_biases and orch.predictor is not None:
+            self._predictor_orig = orch.predictor
+            orch.predictor = self._biased_forecast
         if plan.launch_failures is not None:
-            self._install_launch_gate()
+            sim.rm.launch_gate = self._launch_gate
 
     def dispatch(self, tag: tuple) -> None:
         """Fire one of this injector's timers, ``(family, *arguments)``.
@@ -96,37 +97,6 @@ class FaultInjector:
         a restored timer continues exactly where the armed one would.
         """
         getattr(self, self.TIMERS[tag[0]])(*tag[1:])
-
-    # ------------------------------------------------------------------
-    # snapshot support (repro.recovery)
-    # ------------------------------------------------------------------
-    def strip_for_snapshot(self) -> None:
-        """Detach the closure-based hooks pickle cannot serialize.
-
-        The inverse of :meth:`rewire`: called with the simulation
-        otherwise quiescent, it removes the launch gate and predictor
-        wrappers (keeping the unwrapped predictor so rewiring does not
-        double-wrap).  RNG streams and scheduled events stay — they are
-        serialized with the rest of the state.
-        """
-        self.sim.rm.launch_gate = None
-        orchestrator = self.sim.orchestrator
-        if orchestrator is not None:
-            orchestrator.predictor_down = None
-            if self._predictor_orig is not None:
-                orchestrator.predictor = self._predictor_orig
-
-    def rewire(self) -> None:
-        """Re-install the closure hooks after a snapshot or a restore.
-
-        Only the unserializable wiring is redone; nothing is scheduled
-        and no RNG is re-seeded, so a restored run draws the exact
-        stream suffix the uninterrupted run would have.
-        """
-        if self.plan.predictor_outages or self.plan.predictor_biases:
-            self._install_predictor_faults()
-        if self.plan.launch_failures is not None:
-            self._install_launch_gate()
 
     # ------------------------------------------------------------------
     # node failures
@@ -196,7 +166,7 @@ class FaultInjector:
 
     def _outage(self, index: int) -> None:
         outage = self.plan.outages[index]
-        region = getattr(outage, "region", None)
+        region = outage.region
         extra = {"region": region} if region is not None else {}
         self.sim.trace(
             "fault.outage", servers=outage.servers,
@@ -263,86 +233,68 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # predictor faults
     # ------------------------------------------------------------------
-    def _install_predictor_faults(self) -> None:
-        sim = self.sim
-        orchestrator = sim.orchestrator
-        if orchestrator is None:
-            return
-        outages = [
-            _window(o.at, o.duration) for o in self.plan.predictor_outages
-        ]
-        if outages:
-            orchestrator.predictor_down = (
-                lambda now, _w=outages: _in_any(now, _w)
-            )
-            orchestrator.degraded_headroom = self.plan.degraded.headroom
-            orchestrator.freeze_loans_when_degraded = (
-                self.plan.degraded.freeze_loans
-            )
-        biases = [
-            (b.at, b.at + b.duration, b.factor)
-            for b in self.plan.predictor_biases
-        ]
-        if biases and orchestrator.predictor is not None:
-            orig = orchestrator.predictor
-            self._predictor_orig = orig
+    def _predictor_down(self, now: float) -> bool:
+        """The orchestrator's ``predictor_down`` hook: inside an outage
+        window of the plan."""
+        return any(
+            o.at <= now < o.at + o.duration
+            for o in self.plan.predictor_outages
+        )
 
-            def biased(history):
-                value = float(orig(history))
-                now = sim.now
-                for start, end, factor in biases:
-                    if start <= now < end:
-                        sim.metrics.registry.counter(
-                            "resilience.predictor_biased_ticks"
-                        ).inc()
-                        return value * factor
-                return value
-
-            orchestrator.predictor = biased
+    def _biased_forecast(self, history) -> float:
+        """The orchestrator's ``predictor`` while the plan biases it:
+        the real forecast, scaled inside a bias window."""
+        value = float(self._predictor_orig(history))
+        now = self.sim.now
+        for bias in self.plan.predictor_biases:
+            if bias.at <= now < bias.at + bias.duration:
+                self.sim.metrics.registry.counter(
+                    "resilience.predictor_biased_ticks"
+                ).inc()
+                return value * bias.factor
+        return value
 
     # ------------------------------------------------------------------
     # transient launch failures
     # ------------------------------------------------------------------
-    def _install_launch_gate(self) -> None:
+    def _launch_gate(self, job, server, workers) -> None:
+        """The resource manager's ``launch_gate``: fail a launch with
+        the plan's probability, retrying with the plan's backoff."""
         sim = self.sim
         failures = self.plan.launch_failures
         retry = self.plan.retry
         rng = self._rng_launch
         registry = sim.metrics.registry
-
-        def gate(job, server, workers) -> None:
-            if failures.until is not None and sim.now >= failures.until:
+        if failures.until is not None and sim.now >= failures.until:
+            return
+        for attempt in range(retry.max_attempts):
+            if rng.random() >= failures.probability:
+                if attempt:
+                    backoff = sum(
+                        retry.delay(i, rng) for i in range(attempt)
+                    )
+                    registry.counter("resilience.launch_retries").inc(
+                        attempt
+                    )
+                    registry.histogram(
+                        "resilience.launch_backoff_s"
+                    ).observe(backoff)
+                    sim.trace(
+                        "recovery.launch_retried", job_id=job.job_id,
+                        server_id=server.server_id,
+                        attempts=attempt + 1,
+                        backoff_s=round(backoff, 3),
+                    )
                 return
-            for attempt in range(retry.max_attempts):
-                if rng.random() >= failures.probability:
-                    if attempt:
-                        backoff = sum(
-                            retry.delay(i, rng) for i in range(attempt)
-                        )
-                        registry.counter("resilience.launch_retries").inc(
-                            attempt
-                        )
-                        registry.histogram(
-                            "resilience.launch_backoff_s"
-                        ).observe(backoff)
-                        sim.trace(
-                            "recovery.launch_retried", job_id=job.job_id,
-                            server_id=server.server_id,
-                            attempts=attempt + 1,
-                            backoff_s=round(backoff, 3),
-                        )
-                    return
-            registry.counter("resilience.launch_failures").inc()
-            sim.trace(
-                "fault.launch_failed", job_id=job.job_id,
-                server_id=server.server_id, attempts=retry.max_attempts,
-            )
-            raise TransientLaunchError(
-                f"launch of job {job.job_id} on {server.server_id} failed "
-                f"{retry.max_attempts} attempts"
-            )
-
-        sim.rm.launch_gate = gate
+        registry.counter("resilience.launch_failures").inc()
+        sim.trace(
+            "fault.launch_failed", job_id=job.job_id,
+            server_id=server.server_id, attempts=retry.max_attempts,
+        )
+        raise TransientLaunchError(
+            f"launch of job {job.job_id} on {server.server_id} failed "
+            f"{retry.max_attempts} attempts"
+        )
 
     # ------------------------------------------------------------------
     def _audit(self, cause: str) -> None:

@@ -20,7 +20,7 @@ Plans link back to the span that produced them through
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.obs.tracer import CAT_SPAN, SPAN_EVENT, Tracer
 
@@ -70,7 +70,7 @@ class _Phase:
             self.span_id = prof._span_seq
             self._parent = prof._stack[-1] if prof._stack else None
             prof._stack.append(self.span_id)
-            self._ts = prof.clock() if prof.clock is not None else 0.0
+            self._ts = prof.clock.now
         self._start = time.perf_counter()
         return self
 
@@ -106,8 +106,10 @@ class PhaseProfiler:
         self.maxima: Dict[str, float] = {}
         #: Span sink; ``None`` keeps phases span-free (pure timing).
         self.tracer: Optional[Tracer] = None
-        #: Returns the current *simulated* time for span timestamps.
-        self.clock: Optional[Callable[[], float]] = None
+        #: Whoever keeps the *simulated* time (anything with a ``now``:
+        #: the engine, a driver) — an object, not a closure over one, so
+        #: a snapshot carries the binding.
+        self.clock = None
         self._stack: List[int] = []
         self._span_seq = 0
 
@@ -115,8 +117,9 @@ class PhaseProfiler:
     def disabled(cls) -> "PhaseProfiler":
         return cls(enabled=False)
 
-    def bind(self, tracer: Tracer, clock: Callable[[], float]) -> None:
-        """Promote phases to spans emitted into ``tracer``.
+    def bind(self, tracer: Tracer, clock) -> None:
+        """Promote phases to spans emitted into ``tracer``, stamped
+        with ``clock.now``.
 
         No-op when either side is disabled, preserving the zero-cost
         guarantee of untraced runs.

@@ -37,7 +37,10 @@ MAGIC = b"REPROSNAP\x00"
 #: stopped containers into it, unfiltered), per-job facts on the Job
 #: 3: one topology class keeping the contract book on every run,
 #: per-lender orchestrator windows (a schema-2 pair has neither)
-SCHEMA_VERSION = 3
+#: 4: the payload is the object graph alone — hooks in it by reference,
+#: armed timers in both drivers, the container-id counter on the RM (a
+#: schema-3 kernel comes back with none of them and nothing re-derives)
+SCHEMA_VERSION = 4
 
 #: pinned pickle protocol: snapshots written on 3.9 load on 3.12
 PICKLE_PROTOCOL = 4

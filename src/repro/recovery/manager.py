@@ -13,11 +13,12 @@ engine events, so checkpointing never perturbs event order and a
 checkpointed run stays byte-identical to a plain one.
 
 Recovery (:meth:`RecoveryManager.recover`) loads the newest snapshot
-that passes its checksum (falling back past torn ones), rewires it, and
-resumes.  Because the simulator is deterministic, the window between the
-snapshot and the crash is simply re-executed; the WAL verifies that
-every re-derived plan in that window matches what the dead process had
-already journaled (see :mod:`repro.recovery.wal`).
+that passes its checksum (falling back past torn ones), attaches a
+fresh manager to it, and resumes.  Because the simulator is
+deterministic, the window between the snapshot and the crash is simply
+re-executed; the WAL verifies that every re-derived plan in that window
+matches what the dead process had already journaled (see
+:mod:`repro.recovery.wal`).
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ class RecoveryManager:
         self.store: Optional[SnapshotStore] = None
         self.checkpoints = 0
         self._sim = None
-        self._next_checkpoint: Optional[float] = None
+        self._next_checkpoint = 0.0
 
     # ------------------------------------------------------------------
     def attach(self, sim) -> None:
@@ -71,7 +72,7 @@ class RecoveryManager:
         self.wal = PlanWAL(self.directory / WAL_NAME, registry=sim.obs.registry)
         sim.recovery = self
         sim.executor.wal = self.wal
-        self._install_crash_probe()
+        sim.executor.crash_probe = self.crash
         atomic_write_text(
             self.directory / MANIFEST_NAME,
             json.dumps(
@@ -84,35 +85,27 @@ class RecoveryManager:
             + "\n",
         )
 
-    def _install_crash_probe(self) -> None:
-        sim = self._sim
-        if sim is None:
-            return
-        if self.crash is None:
-            sim.executor.crash_probe = None
-        else:
-            crash = self.crash
-            engine = sim.engine
-            sim.executor.crash_probe = (
-                lambda barrier: crash.maybe_fire(barrier, engine.now)
-            )
-
     def arm_crash(self, crash: Optional[CrashInjector]) -> None:
         """(Re-)arm a crash schedule; used by in-process chaos harnesses
         after each recovery to install the surviving kill points."""
-        self.crash = crash
-        self._install_crash_probe()
+        self.crash = self._sim.executor.crash_probe = crash
 
     # ------------------------------------------------------------------
+    def loop_hook(self):
+        """The between-events hook for one run loop (``run`` or
+        ``resume``, any number per manager): the first checkpoint is due
+        ``checkpoint_every`` from where the run stands as the loop
+        starts, whatever an earlier loop left."""
+        self._next_checkpoint = self._sim.engine.now + self.checkpoint_every
+        return self.between_events
+
     def between_events(self) -> None:
         """The engine's between-events hook: checkpoint when one is due,
         then honor the crash barrier.  Called with the clock at the
         event just fired (before the first one: where the run stands)."""
         sim = self._sim
         now = sim.engine.now
-        if self._next_checkpoint is None:
-            self._next_checkpoint = now + self.checkpoint_every
-        elif now >= self._next_checkpoint:
+        if now >= self._next_checkpoint:
             self.checkpoint(sim)
             self._next_checkpoint = now + self.checkpoint_every
         if self.crash is not None:

@@ -10,31 +10,8 @@ GPUs on exactly one server.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
-
-#: Next container id to hand out.  A plain module-level int (not an
-#: ``itertools.count``) so crash recovery can capture and restore it:
-#: a restored run must mint the same ids the uninterrupted run would.
-_next_container_id = 1
-
-
-def _take_container_id() -> int:
-    global _next_container_id
-    cid = _next_container_id
-    _next_container_id = cid + 1
-    return cid
-
-
-def container_id_state() -> int:
-    """The next container id (snapshot support)."""
-    return _next_container_id
-
-
-def set_container_id_state(next_id: int) -> None:
-    """Restore the id counter from a snapshot."""
-    global _next_container_id
-    _next_container_id = int(next_id)
 
 
 class ContainerState(enum.Enum):
@@ -50,7 +27,8 @@ class Container:
     """One worker container.
 
     Attributes:
-        container_id: Unique id assigned by the resource manager.
+        container_id: Unique id minted by the launching resource
+            manager, whose counter is run state; 0 outside a manager.
         job_id: Owning training job.
         server_id: Host server (containers never span servers).
         gpus: Physical GPUs pinned on the host (includes the §5.2
@@ -68,7 +46,7 @@ class Container:
     start_time: float = 0.0
     end_time: Optional[float] = None
     state: ContainerState = ContainerState.RUNNING
-    container_id: int = field(default_factory=_take_container_id)
+    container_id: int = 0
 
     def __post_init__(self) -> None:
         if self.gpus < 1:

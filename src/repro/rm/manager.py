@@ -72,6 +72,8 @@ class ResourceManager:
         self._containers: Dict[int, Container] = {}
         self._by_job: Dict[int, List[int]] = {}
         self._by_server: Dict[str, List[int]] = {}
+        #: the id the next launched container gets
+        self._next_container_id = 1
         self._unhealthy: Set[str] = set()
         #: fault-injection hook: called after validation but before any
         #: mutation on each launch; may raise :class:`TransientLaunchError`
@@ -173,7 +175,9 @@ class ResourceManager:
                 gpus=gpus_per_worker,
                 flexible=flexible,
                 start_time=now,
+                container_id=self._next_container_id,
             )
+            self._next_container_id += 1
             self._track(container)
             launched.append(container)
         if self.journal is not None:

@@ -49,6 +49,12 @@ class SchedulerPolicy(abc.ABC):
     #: presence or behaviour.
     conformance_probe = None
 
+    def __getstate__(self) -> dict:
+        # a probe observes the run from the harness; it is not run state
+        state = dict(self.__dict__)
+        state.pop("conformance_probe", None)
+        return state
+
     def emit_decision(self, kind: str, **payload) -> None:
         """Publish one decision record to an attached conformance probe.
 
@@ -156,7 +162,7 @@ class SchedulerPolicy(abc.ABC):
         Ideal scenario models perfect heterogeneous training and keeps
         the multiplier at 1.0 via ``hetero_ideal``.
         """
-        if not job.spec.heterogeneous or getattr(sim, "hetero_ideal", False):
+        if not job.spec.heterogeneous or sim.hetero_ideal:
             return
         types = {
             sim.cluster.get(sid).gpu_type.name

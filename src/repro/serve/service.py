@@ -117,21 +117,14 @@ class SchedulerService:
             kernel, covered_seq = restored
             self.kernel = kernel
             self.driver = kernel.driver
-            if not isinstance(self.driver, WallClockDriver):
-                # a simulator snapshot or a hand-built kernel: give it a
-                # wall-clock driver resuming at the snapshot instant
-                self.driver = WallClockDriver(
-                    time_scale=self._time_scale, start_at=kernel.now
-                )
-                kernel.driver = self.driver
+            # one bundle per daemon across restarts: cumulative counters
+            # and the trace so far are state, and came back with the kernel
+            self.obs = kernel.obs
             # this process's time_scale wins over the snapshot's
             self.driver.time_scale = self._time_scale
-            self.driver.bind(loop)
             self.recovered_jobs = len(kernel.pending) + len(kernel.running)
-            self._rearm_restored_kernel()
         else:
             self.driver = WallClockDriver(time_scale=self._time_scale)
-            self.driver.bind(loop)
             self.kernel = SchedulerKernel(
                 [],
                 self._pair,
@@ -143,6 +136,14 @@ class SchedulerService:
             )
         self.driver.on_timer = self._on_timer
         self.driver.on_epoch_finished = self._on_epoch_finished
+        # a restored driver arms again what was armed at the snapshot
+        self.driver.bind(loop)
+        if restored is None and self._orchestrator is not None:
+            # once per state directory: the cadence re-arms itself
+            # (:meth:`_on_timer`) and a restored armed set holds it
+            self.driver.schedule_after(
+                self.kernel.config.orchestrator_interval, ("orch",)
+            )
         self.kernel.activity_sink = self._on_activity
         if self.state is not None:
             self.kernel.executor.wal = self.state.wal
@@ -160,27 +161,11 @@ class SchedulerService:
         # past every id ever journaled or restored, not just the live ones
         journaled = self.state.journal.max_job_id if self.state else -1
         self._next_job_id = max([journaled, *self.kernel.jobs]) + 1
-        if self._orchestrator is not None:
-            self.driver.schedule_after(
-                self.kernel.config.orchestrator_interval, ("orch",)
-            )
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         logger.info("serving on %s:%d", self.host, self.port)
-
-    def _rearm_restored_kernel(self) -> None:
-        """Wall-clock timers died with the old process: re-arm them.
-
-        Completion re-arming bumps each job's completion epoch, so any
-        notion of the old timers is superseded; a fresh scheduling epoch
-        picks up whatever was pending.
-        """
-        for job in list(self.kernel.running.values()):
-            self.kernel._reschedule_completion(job)
-        if self.kernel.pending:
-            self.kernel.trigger_schedule()
 
     def _apply(self, entry: dict):
         """Turn one journaled entry into its state change.
@@ -296,10 +281,14 @@ class SchedulerService:
         """Driver hook: a timer is due.  The orchestrator cadence is the
         daemon's own; every other tag is one the kernel armed."""
         if tag[0] == "orch":
-            self.kernel.run_orchestrator_epoch()
-            self.driver.schedule_after(
-                self.kernel.config.orchestrator_interval, ("orch",)
-            )
+            try:
+                self.kernel.run_orchestrator_epoch()
+            finally:
+                # the cadence is armed once per daemon, restarts
+                # included: a failed tick must not be the last one
+                self.driver.schedule_after(
+                    self.kernel.config.orchestrator_interval, ("orch",)
+                )
         else:
             self.kernel.dispatch(tag)
 

@@ -26,9 +26,9 @@ directory:
   audit trail of every plan the daemon ever committed.
 
 Restart = load newest readable snapshot (torn snapshots skipped, by the
-same store the simulator's recovery manager uses), rebind a fresh
-wall-clock driver at the snapshot's kernel time, re-arm completion
-timers for running jobs, then replay journaled requests with
+same store the simulator's recovery manager uses), bind its wall-clock
+driver — which arms again the timers that were armed at the snapshot —
+at the snapshot's kernel time, then replay journaled requests with
 ``seq > snapshot.request_seq`` through the normal admission paths.  With
 no readable snapshot the kernel starts empty and the whole journal is
 replayed.

@@ -35,8 +35,8 @@ class Engine:
         start_time: float = 0.0,
         dispatch: Optional[Callable[[tuple], None]] = None,
     ):
-        #: fires a due tag; owned by whoever arms tags (not pickled — the
-        #: owner of a restored engine hands its own dispatch back)
+        #: fires a due tag; a bound method of whoever arms tags, so it
+        #: pickles by reference with its owner
         self.dispatch = dispatch
         self.now = start_time
         self._heap: List[Tuple[float, int, Event]] = []
@@ -127,6 +127,7 @@ class Engine:
 
     def __getstate__(self) -> dict:
         return {
+            "dispatch": self.dispatch,
             "now": self.now,
             "next_seq": self._next_seq,
             "stopped": self._stopped,
@@ -134,7 +135,7 @@ class Engine:
         }
 
     def __setstate__(self, state: dict) -> None:
-        self.dispatch = None
+        self.dispatch = state["dispatch"]
         self.now = state["now"]
         self._next_seq = state["next_seq"]
         self._stopped = state["stopped"]

@@ -95,7 +95,7 @@ class Simulation(SchedulerKernel):
         )
         # Promote profiler phases to spans on the simulated clock; a
         # no-op unless both the profiler and the tracer are enabled.
-        self.obs.phases.bind(self.tracer, lambda: self.engine.now)
+        self.obs.phases.bind(self.tracer, self.engine)
         #: heartbeat firings (drops when wake-up skipping is active)
         self._heartbeats = 0
         #: the run deadline, kept so a restored run can resume to it
@@ -175,7 +175,7 @@ class Simulation(SchedulerKernel):
         recovery = self.recovery
         self.engine.run(
             until=deadline,
-            between=recovery.between_events if recovery else None,
+            between=recovery.loop_hook() if recovery else None,
         )
 
     def resume(self) -> SimulationMetrics:

@@ -9,6 +9,7 @@ running with a live completion timer, unknown, finished).
 """
 
 import math
+import pickle
 from collections import deque
 
 import numpy as np
@@ -21,7 +22,7 @@ from repro.cluster.cluster import (
 )
 from repro.cluster.job import JobSpec, JobStatus
 from repro.core.kernel import Driver, SchedulerKernel, SimulationConfig
-from repro.recovery import PlanWAL
+from repro.recovery import PlanWAL, capture_payload, restore_payload
 from repro.schedulers.fifo import FIFOScheduler
 
 
@@ -314,3 +315,42 @@ class TestKernelMisc:
         kernel.register_job(_spec(1))
         assert kernel.metrics.submissions == 2
         assert {j.job_id for j in kernel.metrics.jobs} == {0, 1}
+
+
+class TestRestartExactness:
+    """A snapshot carries the armed timers themselves, so a restored
+    kernel finishes its jobs when the uninterrupted one would — restore
+    re-derives nothing from ``job.eta()`` (which is as of the job's last
+    progress update, not of the capture instant)."""
+
+    def _captured_at_600(self):
+        kernel, driver = _kernel()
+        _submit(kernel, 0, duration=1000.0)
+        driver.advance_to(0.0)
+        assert 0 in kernel.running
+        driver.advance_to(600.0)
+        _submit(kernel, 1, duration=50.0, max_workers=64)  # arms a tick
+        return kernel, restore_payload(pickle.loads(capture_payload(kernel)))
+
+    def test_running_job_finishes_on_time_after_a_restore(self):
+        kernel, restored = self._captured_at_600()
+        assert restored is not kernel and restored.now == 600.0
+        epoch = kernel.jobs[0].completion_epoch
+        assert restored.jobs[0].completion_epoch == epoch
+        assert sorted(restored.driver.armed_tags()) == sorted(
+            kernel.driver.armed_tags()
+        )
+        restored.driver.advance_to(2000.0)
+        job = restored.jobs[0]
+        assert job.status is JobStatus.FINISHED
+        assert job.finish_time == 1000.0
+        assert job.completion_epoch == epoch
+
+    def test_pending_tick_comes_back_armed_exactly_once(self):
+        _, restored = self._captured_at_600()
+        assert restored.driver.armed_tags().count(("tick",)) == 1
+        restored.trigger_schedule()  # absorbed: the armed tick is pending
+        assert restored.driver.armed_tags().count(("tick",)) == 1
+        epochs = restored.driver.epochs_finished
+        restored.driver.advance_to(700.0)
+        assert restored.driver.epochs_finished == epochs + 1

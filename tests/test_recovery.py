@@ -38,8 +38,15 @@ from repro.faults.crash import (
     SimulatedCrash,
     seeded_crash_schedule,
 )
-from repro.faults.plan import FaultPlan, builtin_plan
+from repro.faults.plan import (
+    FaultPlan,
+    LaunchFailures,
+    PredictorBias,
+    PredictorOutage,
+    builtin_plan,
+)
 from repro.ioutil import atomic_write, atomic_write_text
+from repro.rm.manager import TransientLaunchError
 from repro.recovery import (
     SCHEMA_VERSION,
     PlanWAL,
@@ -51,7 +58,6 @@ from repro.recovery import (
     capture_payload,
     restore_payload,
 )
-from repro.rm.containers import container_id_state
 from repro.simulator.simulation import DAY, Simulation, SimulationConfig
 from repro.traces.inference import generate_inference_trace
 from repro.traces.workload import TraceConfig, generate_workload
@@ -246,12 +252,10 @@ class TestSnapshotRoundTrip:
         """capture → restore reproduces the event heap, every seeded RNG
         stream, the activity prefix, and the container-id counter."""
         sim = killed_run("node_failures", tmp_path)
-        seq_before = container_id_state()
-        payload = _decoded(capture_payload(sim))
-        assert payload["container_seq"] == seq_before
-        restored = restore_payload(payload)
+        restored = restore_payload(_decoded(capture_payload(sim)))
 
         assert restored is not sim
+        assert restored.rm._next_container_id == sim.rm._next_container_id > 1
         assert restored.engine.now == sim.engine.now
         assert (
             restored.engine.snapshot_events() == sim.engine.snapshot_events()
@@ -290,7 +294,7 @@ class TestSnapshotRoundTrip:
 
     def test_restore_rejects_incomplete_payload(self):
         with pytest.raises(SnapshotError):
-            restore_payload({"sim": None})
+            restore_payload({"request_seq": 3})
 
     @pytest.mark.parametrize(
         "tag", [("warp_drive", 7), ("fault", "process"), ("fault", "meteor")]
@@ -359,10 +363,160 @@ class TestSnapshotRoundTrip:
 
 
 # ----------------------------------------------------------------------
+# the snapshot is the object graph: every hook installed, nothing edited
+# ----------------------------------------------------------------------
+#: installs all three fault hooks (launch gate, predictor outage,
+#: predictor bias) and keeps each active around the capture instant
+ALL_HOOKS_PLAN = FaultPlan(
+    name="all-hooks",
+    seed=11,
+    launch_failures=LaunchFailures(probability=0.3),
+    predictor_outages=(PredictorOutage(at=20000.0, duration=9000.0),),
+    predictor_biases=(PredictorBias(at=0.0, duration=DAY, factor=0.8),),
+)
+CAPTURE_AT = 25000.0
+
+
+def _last_seen(history):
+    """A stand-in usage predictor (module-level, so it pickles by name)."""
+    return history[-1]
+
+
+@pytest.fixture
+def hooked(tmp_path):
+    """``lyra_loaning`` under ALL_HOOKS_PLAN, paused between events at
+    CAPTURE_AT with every detachable hook attached as well: a recovery
+    manager (WAL + crash probe), a conformance probe and an event feed —
+    the last two as lambdas, which no pickle could carry."""
+    sim = build_sim("lyra_loaning", ALL_HOOKS_PLAN)
+    sim.orchestrator.predictor = _last_seen
+    sim.policy.conformance_probe = lambda name, kind, payload: None
+    sim.activity_sink = lambda activity, trace_args: None
+    for paused in paused_at(sim, tmp_path, [CAPTURE_AT]):
+        yield paused
+
+
+def _rng_states(sim):
+    injector = sim.fault_injector
+    return [
+        rng.getstate()
+        for rng in (
+            injector._rng_process, injector._rng_target,
+            injector._rng_launch, sim.orchestrator.rng,
+        )
+    ]
+
+
+def _hook_draws(sim):
+    """What the three fault hooks answer next (draws the launch RNG)."""
+    job = next(iter(sim.running.values()))
+    server = sim.cluster.servers[0]
+    launches = []
+    for _ in range(40):
+        try:
+            sim.rm.launch_gate(job, server, 1)
+            launches.append(True)
+        except TransientLaunchError:
+            launches.append(False)
+    return (
+        launches,
+        sim.orchestrator.predictor([0.25, 0.5]),
+        [sim.orchestrator.predictor_down(t) for t in (0.0, 21000.0, 30000.0)],
+    )
+
+
+class TestSnapshotIsTheObjectGraph:
+    def test_capture_never_edits_what_it_saves(self, hooked):
+        """Every attribute of the kernel and of each hook owner is the
+        very object it was (``is``, not ``==``) after a capture, no RNG
+        moved, and any number of captures wrap the predictor once."""
+        sim = hooked
+        assert sim.recovery is not None and sim.executor.wal is not None
+        assert sim.executor.crash_probe is not None
+        owners = (
+            sim, sim.executor, sim.rm, sim.orchestrator, sim.policy,
+            sim.fault_injector,
+        )
+        phases = sim.obs.phases
+
+        def attributes():
+            held = [dict(vars(owner)) for owner in owners]
+            held.append({n: getattr(phases, n) for n in phases.__slots__})
+            return held
+
+        before, rngs = attributes(), _rng_states(sim)
+        for _ in range(50):
+            capture_payload(sim)
+        for was, now in zip(before, attributes()):
+            assert was.keys() == now.keys()
+            changed = [n for n in was if was[n] is not now[n]]
+            assert changed == []
+        assert _rng_states(sim) == rngs
+        assert sim.orchestrator.predictor.__self__ is sim.fault_injector
+        assert sim.fault_injector._predictor_orig is _last_seen
+
+    def test_round_trip_with_every_hook_installed(self, hooked):
+        """Hooks that are run state come back installed and bound to the
+        restored injector, drawing what the live ones draw; hooks that
+        belong to the process are not in the payload at all."""
+        sim = hooked
+        restored = restore_payload(_decoded(capture_payload(sim)))
+        injector = restored.fault_injector
+        assert injector is not sim.fault_injector
+        assert injector.sim is restored
+        assert restored.rm.launch_gate.__self__ is injector
+        assert restored.orchestrator.predictor_down.__self__ is injector
+        # wrapped once: a second install() on restore would wrap the wrapper
+        assert restored.orchestrator.predictor.__self__ is injector
+        assert injector._predictor_orig is _last_seen
+        assert restored.engine.dispatch.__self__ is restored
+        assert restored.recovery is restored.executor.wal is None
+        assert restored.activity_sink is restored.executor.crash_probe is None
+        assert restored.policy.conformance_probe is None
+        assert _rng_states(restored) == _rng_states(sim)
+        live = _hook_draws(sim)
+        assert False in live[0] and True in live[0]
+        assert live[1] == 0.5 * 0.8 and live[2] == [False, True, False]
+        assert _hook_draws(restored) == live
+
+    def test_restored_hooks_carry_the_run_to_the_uninterrupted_log(
+        self, hooked
+    ):
+        plain = build_sim("lyra_loaning", ALL_HOOKS_PLAN)
+        plain.orchestrator.predictor = _last_seen
+        plain.run()
+        counters = plain.obs.registry.snapshot()["counters"]
+        assert counters["resilience.launch_failures"] > 0
+        assert counters["resilience.predictor_biased_ticks"] > 0
+        assert _resumed_copy_digest(hooked) == digest(plain.activities)
+
+    def test_foreign_closure_is_a_typed_error_naming_its_holder(self, hooked):
+        hooked.rm.launch_gate = lambda job, server, workers: None
+        with pytest.raises(SnapshotError, match=r"sim\.rm\.launch_gate"):
+            capture_payload(hooked)
+
+    def test_second_loop_starts_its_own_checkpoint_cadence(self, tmp_path):
+        """Two run loops through one manager: the second one's first
+        checkpoint is due a full interval after *it* starts, not at
+        whatever deadline the first loop left behind."""
+        sim = build_sim("fifo_contention")
+        manager = RecoveryManager(tmp_path, checkpoint_every=5000.0)
+        manager.attach(sim)
+        # the run drains long before the cut-off, where its clock ends:
+        # the deadline the first loop leaves behind is days in the past
+        sim.run(until=10 * DAY)
+        taken = manager.checkpoints
+        assert taken > 0 and sim.now == 10 * DAY
+        sim._deadline = sim.now + 1000.0
+        sim.resume()
+        assert manager.checkpoints == taken
+
+
+# ----------------------------------------------------------------------
 # snapshot file format
 # ----------------------------------------------------------------------
 class TestSnapshotCodec:
-    DECODED = {"sim": ["nested", {"state": 1.5}], "container_seq": 42}
+    DECODED = {"sim": ["nested", {"state": 1.5}], "request_seq": 42}
     #: the codec envelopes bytes; pickling is capture_payload's job
     PAYLOAD = pickle.dumps(DECODED, protocol=4)
 

@@ -47,10 +47,21 @@ class TestContainer:
         c.stop(5.0, lost=True)
         assert c.state is ContainerState.LOST
 
-    def test_unique_ids(self):
-        a = Container(job_id=1, server_id="s", gpus=1)
-        b = Container(job_id=1, server_id="s", gpus=1)
-        assert a.container_id != b.container_id
+    def test_unique_ids(self, rm):
+        """Ids are minted by the manager that launches: unique within
+        it, and the same sequence from every manager (no process-wide
+        counter for one run to leak into the next)."""
+        server = first_server(rm)
+        launched = rm.launch(make_job(1), server, 2, 1, flexible=False)
+        launched += rm.launch(make_job(2), server, 1, 1, flexible=False)
+        assert [c.container_id for c in launched] == [1, 2, 3]
+        other = ResourceManager(
+            ClusterPair(make_training_cluster(1), make_inference_cluster(1))
+        )
+        [first] = other.launch(
+            make_job(1), first_server(other), 1, 1, flexible=False
+        )
+        assert first.container_id == 1
 
     def test_rejects_zero_gpus(self):
         with pytest.raises(ValueError):

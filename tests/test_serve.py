@@ -10,9 +10,12 @@ on the same state directory, and require every acked job back.
 
 import asyncio
 import contextlib
+import json
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.cluster import (
     ClusterPair,
@@ -73,6 +76,39 @@ async def _crash(service, server, client):
         await server
     service._server.close()
     service.state.close()
+
+
+@contextlib.asynccontextmanager
+async def daemon_life(state_dir, *, crash=False, **service_kw):
+    """One daemon generation on ``state_dir``, yielding ``(service,
+    client)``; ends in a graceful stop, or — ``crash`` — a hard kill."""
+    service = _service(state_dir=state_dir, interval=1.0, **service_kw)
+    await service.start()
+    server = asyncio.ensure_future(service.serve_forever())
+    client = await ServeClient.connect(service.host, service.port)
+    try:
+        yield service, client
+    finally:
+        if crash:
+            await _crash(service, server, client)
+        else:
+            await client.close()
+            await service.stop()
+            server.cancel()
+            with contextlib.suppress(asyncio.CancelledError):
+                await server
+
+
+async def _poll(condition, what, timeout=10.0):
+    """Await ``condition()`` (an async predicate) turning truthy."""
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout
+    while loop.time() < deadline:
+        value = await condition()
+        if value:
+            return value
+        await asyncio.sleep(0.01)
+    raise AssertionError(f"timed out waiting for {what}")
 
 
 async def killed_daemon(state_dir):
@@ -200,6 +236,108 @@ class TestWallClockDriver:
             assert abs(frozen.now - driver.now) < 60.0
 
         asyncio.run(main())
+
+
+class _HandLoop:
+    """The two loop members the driver uses, cranked by the test."""
+
+    def __init__(self):
+        self.clock = 0.0
+        self.calls = []
+
+    def time(self):
+        return self.clock
+
+    def call_later(self, delay, callback, *args):
+        self.calls.append((self.clock + delay, callback, args))
+
+    def fire(self, index):
+        """Run one outstanding call (any order: a late timer is legal)."""
+        due, callback, args = self.calls.pop(index % len(self.calls))
+        self.clock = max(self.clock, due)
+        callback(*args)
+
+
+ORCH_EVERY = 30.0
+
+_DRIVER_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("arm"), st.floats(min_value=0.0, max_value=90.0)),
+        st.tuples(st.just("fire"), st.integers(min_value=0, max_value=50)),
+        st.tuples(st.just("restart"), st.just(0)),
+        # the per-epoch snapshot: taken inside a firing timer's handler
+        st.tuples(
+            st.just("fire_snapshotting_then_restart"),
+            st.integers(min_value=0, max_value=50),
+        ),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=_DRIVER_OPS)
+def test_property_the_armed_set_is_the_models(ops):
+    """Arm / fire / pickle / bind in any order against a list model: a
+    fired tag never comes back, an unfired one always does, at its own
+    instant — and a cadence that re-arms itself when it fires (the
+    service's ``("orch",)``, armed once on the fresh driver) is armed
+    exactly once across any number of restarts."""
+    model = []  # [(when, tag)], unfired
+    fired = []
+    state = {"snapshot_in_handler": False, "snapshot": None, "serial": 0}
+
+    def arm(delay, tag):
+        model.append((driver.now + delay, tag))
+        driver.schedule_after(delay, tag)
+
+    def on_timer(tag):
+        fired.append(tag)
+        [entry] = [e for e in model if e[1] == tag]
+        model.remove(entry)
+        assert driver.now >= entry[0] - 1e-6  # never before its instant
+        if tag == ("orch",):
+            arm(ORCH_EVERY, tag)
+        elif state["snapshot_in_handler"]:
+            state["snapshot"] = pickle.dumps(driver)
+
+    def boot(blob=None):
+        """A process start: a fresh driver, or one restored from
+        ``blob``, bound to a fresh loop."""
+        fresh = pickle.loads(blob) if blob else WallClockDriver(2.0)
+        fresh.on_timer = on_timer
+        loop = _HandLoop()
+        fresh.bind(loop)
+        # every unfired timer is armed again, as far off as it was
+        assert sorted(due for due, _, _ in loop.calls) == pytest.approx(
+            sorted(max(0.0, when - fresh.now) / 2.0 for when, _ in model)
+        )
+        return fresh, loop
+
+    driver, loop = boot()
+    arm(ORCH_EVERY, ("orch",))
+    for op, arg in ops:
+        if op == "arm":
+            state["serial"] += 1
+            arm(arg, ("t", state["serial"]))
+        elif op == "fire":
+            loop.fire(arg)
+        elif op == "restart":
+            driver, loop = boot(pickle.dumps(driver))
+        else:
+            state["snapshot"] = None
+            state["snapshot_in_handler"] = True
+            loop.fire(arg)
+            state["snapshot_in_handler"] = False
+            driver, loop = boot(state["snapshot"] or pickle.dumps(driver))
+        assert len(loop.calls) == len(model)
+        assert [tag for _, tag in model].count(("orch",)) == 1
+    # drain: everything still armed fires, once, nothing else does
+    expected = sorted(tag for _, tag in model if tag != ("orch",))
+    fired.clear()
+    while any(tag != ("orch",) for _, tag in model):
+        loop.fire(0)
+    assert sorted(tag for tag in fired if tag != ("orch",)) == expected
 
 
 # ----------------------------------------------------------------------
@@ -690,3 +828,83 @@ class TestServeDurability:
         asyncio.run(life())
         segments = sorted(p.name for p in state_dir.glob("wal-gen*.jsonl"))
         assert segments == ["wal-gen0.jsonl", "wal-gen1.jsonl"]
+
+    def test_restart_finishes_a_running_job_on_time(self, tmp_path):
+        """The restored timer *is* the armed one: a job 600 s into a
+        1,000 s run when the newest snapshot was taken finishes 1,000 s
+        after it started, with its completion epoch untouched — not
+        1,000 s after the restart (its ``eta()`` is as of its last
+        progress update, which is the start)."""
+        state_dir = tmp_path / "state"
+
+        async def first_life():
+            async with daemon_life(state_dir, crash=True) as (service, client):
+                long_job = await client.submit(
+                    duration=1_000.0, max_workers=1, min_workers=1
+                )
+                await _wait_status(client, long_job, "running")
+
+                async def past_600():
+                    return (await client.stats())["now"] >= 600.0
+
+                await _poll(past_600, "kernel time 600")
+                written = (await client.stats())["snapshots_written"]
+                # any request that runs an epoch: its snapshot is the
+                # one the restart loads
+                await client.submit(duration=10.0, max_workers=1)
+
+                async def snapshotted():
+                    stats = await client.stats()
+                    return stats["snapshots_written"] > written
+
+                await _poll(snapshotted, "the epoch's snapshot")
+                job = service.kernel.jobs[long_job]
+                return long_job, job.first_start_time, job.completion_epoch
+
+        long_job, started, epoch = asyncio.run(first_life())
+
+        async def second_life():
+            async with daemon_life(state_dir) as (service, client):
+                assert service.kernel.now >= 600.0
+                job = service.kernel.jobs[long_job]
+                assert job.completion_epoch == epoch
+                info = await _wait_status(client, long_job, "finished")
+                assert job.completion_epoch == epoch
+                return info["finish_time"]
+
+        finished = asyncio.run(second_life())
+        # on time, give or take a late wall-clock timer (500 kernel
+        # seconds = one wall second); re-arming at restart + eta() would
+        # land past 1,600
+        assert started + 1_000.0 <= finished < started + 1_500.0
+
+    def test_one_observability_bundle_across_a_restart(self, tmp_path):
+        """Counters and the trace are state: the restarted daemon
+        reports through the bundle that came back with its kernel, not
+        through the fresh one its constructor was handed."""
+        state_dir = tmp_path / "state"
+
+        async def life():
+            async with daemon_life(
+                state_dir, obs=Observability.enabled()
+            ) as (service, client):
+                job_id = await client.submit(
+                    duration=5_000.0, max_workers=1, min_workers=1
+                )
+                await _wait_status(client, job_id, "running")
+                return service, job_id, (await client.stats())["metrics"]
+
+        _, _, metrics = asyncio.run(life())
+        assert metrics["counters"]["sim.submissions"] == 1
+        service, second_job, metrics = asyncio.run(life())
+        assert service.obs is service.kernel.obs
+        assert metrics["counters"]["sim.submissions"] == 2
+        assert metrics["counters"]["serve.requests{op=submit}"] == 2
+        trace = tmp_path / "trace.jsonl"
+        service.obs.export_trace(str(trace))
+        submits = [
+            event["job_id"]
+            for event in map(json.loads, trace.read_text().splitlines())
+            if event.get("name") == "job.submit"
+        ]
+        assert submits == [second_job - 1, second_job]
