@@ -5,10 +5,10 @@ decision — a policy's epoch, an orchestrator tick, a daemon operator's
 ``scale`` request — is an :class:`EpochPlan`: an ordered list of
 immutable action records (:class:`Launch`, :class:`Preempt`,
 :class:`ScaleOut`, :class:`ScaleIn`, :class:`LoanServers`,
-:class:`ReclaimServers`, :class:`MigrateJob`) applied through a single
-commit point, the :class:`PlanExecutor`.  Nothing else starts, scales,
-shrinks or loans (a node failure is a fault, not a decision, and is the
-one other mutation).  That is the interface decision-driven schedulers
+:class:`ReclaimServers`) applied through a single commit point, the
+:class:`PlanExecutor`.  Nothing else starts, scales, shrinks or loans
+(a node failure is a fault, not a decision, and is the one other
+mutation).  That is the interface decision-driven schedulers
 (DL2, Aryl) put between policy and cluster, and it is what Lyra's own
 evaluation needs to cost and compare decisions across policies (§7): a
 plan can be inspected, priced (``dry_run=True``), rejected atomically,
@@ -23,13 +23,13 @@ Two families of actions coexist:
   journaled for exact inversion; the *lifecycle* effects (queue
   membership, activity log, metrics, completion events) are recorded as
   actions and deferred to commit.  Rolling back the journal restores
-  the pre-plan cluster state — books, groups, job placement, the
-  container ledger's contents — which is what makes ``dry_run`` and
-  all-or-nothing rejection possible.  The journal records *what* was
-  launched and stopped; undoing it is the resource manager's
-  ``unlaunch`` / ``revive``, so the ledger's layout is known there only.
+  the pre-plan cluster state — server books, groups, job placement —
+  which is what makes ``dry_run`` and all-or-nothing rejection
+  possible.  The journal records one signed GPU delta per mutation of a
+  server's book (undone by handing the resource manager its negation)
+  and one pre-image per job touched (restored absolutely).
 * **Declarative** actions (:class:`LoanServers`, :class:`ReclaimServers`,
-  :class:`MigrateJob`, :class:`Preempt` and ``ScaleIn(staged=False)``)
+  :class:`Preempt` and ``ScaleIn(staged=False)``)
   describe an effect computed purely — by the orchestrator, or from an
   operator's request; nothing is staged and the executor performs the
   whole effect at commit.
@@ -61,7 +61,6 @@ from repro.obs.provenance import (
     action_digest,
 )
 from repro.obs.tracer import CAT_PLAN
-from repro.rm.containers import Container
 from repro.simulator.events import EventKind
 
 logger = get_logger("actions")
@@ -191,18 +190,6 @@ class ReclaimServers:
     kind = "reclaim_servers"
 
 
-@dataclass(frozen=True)
-class MigrateJob:
-    """Move every worker of a job from ``source`` to ``target`` without
-    preempting it (defragmentation / vacating a server)."""
-
-    job_id: int
-    source: str
-    target: str
-
-    kind = "migrate_job"
-
-
 Action = Any  # union of the dataclasses above; kept loose for py39
 
 
@@ -278,8 +265,8 @@ class PlanTransaction:
     an action for commit.
 
     The transaction also installs itself as the resource manager's
-    ``journal`` so container launches/stops made by the placement engine
-    are captured, including job-placement pre-images.
+    ``journal`` so launches/stops made by the placement engine are
+    captured, including job-placement pre-images.
     """
 
     def __init__(self, sim, policy: str):
@@ -354,12 +341,9 @@ class PlanTransaction:
         }
         self._last_total.setdefault(jid, job.total_workers)
 
-    def record_launch(self, job: Job, server, containers: List[Container]) -> None:
-        self._entries.append(("launch", job, server, list(containers)))
-
-    def record_stopped(self, job_id: int, pairs: List[tuple]) -> None:
-        """``pairs``: ``(server_or_None, container)`` stopped this txn."""
-        self._entries.append(("stopped", job_id, list(pairs)))
+    def record_book(self, server, job_id: int, gpus: int) -> None:
+        """Journal a signed GPU delta just applied to a server's book."""
+        self._entries.append(("book", server, job_id, gpus))
 
     def record_group(self, server) -> None:
         """Journal a server's group before placement reassigns it."""
@@ -400,7 +384,7 @@ class PlanTransaction:
         self.note_job(job)
         job.advance(self._sim.now)
         for server_id, workers in server_workers.items():
-            self._sim.rm.scale_in(job, server_id, workers, now=self._sim.now)
+            self._sim.rm.scale_in(job, server_id, workers)
         self._record_rescale(
             job,
             scaled_out=False,
@@ -471,13 +455,12 @@ class PlanTransaction:
     def rollback(self) -> None:
         """Undo every staged resource mutation, newest first.
 
-        Containers are un-launched/revived through the resource
-        manager's inverse operations — never through ``rm.launch`` — so
-        the fault-injection launch gate (and its RNG stream) is not
-        consumed twice.  Job pre-images are restored last, absolutely.
-        The scheduling view stays consistent because the inverse book
-        operations fire the same ``Server`` change hooks as the forward
-        ones.
+        Each book delta is handed back to the resource manager negated
+        — never through ``rm.launch`` — so the fault-injection launch
+        gate (and its RNG stream) is not consumed twice.  Job pre-images
+        are restored last, absolutely.  The scheduling view stays
+        consistent because the inverse book operations fire the same
+        ``Server`` change hooks as the forward ones.
         """
         if not self._open:
             raise PlanError("transaction already closed")
@@ -485,14 +468,10 @@ class PlanTransaction:
         self._open = False
         rm = self._sim.rm
         for entry in reversed(self._entries):
-            tag = entry[0]
-            if tag == "launch":
-                _, job, server, containers = entry
-                rm.unlaunch(job, server, containers)
-            elif tag == "stopped":
-                _, job_id, pairs = entry
-                rm.revive(job_id, pairs)
-            elif tag == "group":
+            if entry[0] == "book":
+                _, server, job_id, gpus = entry
+                rm.rebook(server, job_id, -gpus)
+            else:
                 _, server, previous = entry
                 server.group = previous
                 # the view mirrors group state in a column
@@ -708,11 +687,6 @@ class PlanExecutor:
                 servers_reclaimed += len(action.server_ids)
                 if action.costs:
                     preemption_cost += sum(c for _, c in action.costs)
-            elif kind == "migrate_job":
-                jobs_affected.add(action.job_id)
-                job = sim.jobs.get(action.job_id)
-                if job is not None:
-                    gpus_moved += job.gpus_on(action.source)
         return {
             "actions": len(plan.actions),
             "by_kind": plan.by_kind(),
@@ -800,15 +774,13 @@ class PlanExecutor:
                                 f"route-around return of {server_id!r}, "
                                 f"which is not in the training whitelist"
                             )
-                        if sim.rm.containers_on(server_id):
+                        if sim.pair.training.get(server_id).allocations:
                             raise PlanRejected(
                                 f"route-around return of {server_id!r}, "
-                                f"which still hosts containers"
+                                f"which still hosts workers"
                             )
                 elif action.demand <= 0:
                     raise PlanRejected(f"reclaim with non-positive demand {action.demand}")
-            elif kind == "migrate_job":
-                self._validate_migrate(action)
             else:
                 raise PlanRejected(f"unknown action kind {kind!r}")
 
@@ -846,33 +818,6 @@ class PlanExecutor:
                     f"{server_id!r}, where it holds {held}"
                 )
 
-    def _validate_migrate(self, action: MigrateJob) -> None:
-        sim = self.sim
-        job = sim.jobs.get(action.job_id)
-        if job is None:
-            raise PlanRejected(f"migrate of unknown job {action.job_id}")
-        if action.job_id not in sim.running:
-            raise PlanRejected(f"migrate of job {action.job_id}, which is not running")
-        if action.source not in job.servers:
-            raise PlanRejected(
-                f"migrate of job {action.job_id} off {action.source!r}, "
-                f"where it has no workers"
-            )
-        if action.target not in sim.pair.training:
-            raise PlanRejected(
-                f"migrate target {action.target!r} is not in the training "
-                f"whitelist"
-            )
-        if not sim.rm.is_healthy(action.target):
-            raise PlanRejected(f"migrate target {action.target!r} is unhealthy")
-        target = sim.pair.training.get(action.target)
-        needed = job.gpus_on(action.source)
-        if target.free_gpus < needed:
-            raise PlanRejected(
-                f"migrate target {action.target!r} has "
-                f"{target.free_gpus} free GPUs, {needed} needed"
-            )
-
     # -- commit ----------------------------------------------------------
     def _commit(self, action: Action) -> None:
         sim = self.sim
@@ -901,8 +846,6 @@ class PlanExecutor:
                 self._commit_route_around(action)
             else:
                 self._commit_reclaim(action)
-        elif kind == "migrate_job":
-            self._commit_migrate(action)
 
     def _commit_scale_in(
         self, job: Job, removals: Tuple[Tuple[str, int], ...]
@@ -912,7 +855,7 @@ class PlanExecutor:
         sim = self.sim
         job.advance(sim.now)
         for server_id, workers in removals:
-            sim.rm.scale_in(job, server_id, workers, now=sim.now)
+            sim.rm.scale_in(job, server_id, workers)
         sim._retune(job)
         sim._commit_rescale(job, False, job.total_workers, job.eta())
 
@@ -960,9 +903,9 @@ class PlanExecutor:
         """Execute a reclaim plan's server returns (§4).
 
         The plan's scale-ins and preemptions precede this action in the
-        plan, so by now the listed servers should be vacant; any
-        allocation left behind is force-cleared (defensive — should not
-        trigger).
+        plan, so by now the listed servers should be vacant; a job still
+        running there is preempted, and anything else left on the book
+        is drift ``rm.return_server`` refuses, naming server and jobs.
         """
         sim = self.sim
         preempted: Set[int] = set(action.preempted)
@@ -977,8 +920,6 @@ class PlanExecutor:
                 if job_id in sim.running:
                     sim.preempt(sim.jobs[job_id], cause="reclaim")
                     preempted.add(job_id)
-                else:  # released placement left behind: clean up
-                    server.release(job_id)
             gpus_per_server = server.num_gpus
             sim.rm.return_server(server_id, now=sim.now)
             returned += 1
@@ -1020,17 +961,3 @@ class PlanExecutor:
                 TRIGGER_RECLAIM, servers=returned, demand=action.demand
             )
             sim.trigger_schedule()
-
-    def _commit_migrate(self, action: MigrateJob) -> None:
-        sim = self.sim
-        job = sim.jobs[action.job_id]
-        target = sim.pair.training.get(action.target)
-        sim.rm.migrate_job(job, action.source, target)
-        sim.log(
-            EventKind.MIGRATE,
-            job.job_id,
-            detail={"from": action.source, "to": action.target},
-            source=action.source,
-            target=action.target,
-        )
-        sim._reschedule_completion(job)

@@ -78,7 +78,6 @@ _TRACE_NAMES = {
     EventKind.LOAN: ("orchestrator.loan", CAT_ORCHESTRATOR),
     EventKind.RECLAIM: ("orchestrator.reclaim", CAT_ORCHESTRATOR),
     EventKind.SCHEDULE_EPOCH: ("scheduler.epoch", CAT_SCHEDULER),
-    EventKind.MIGRATE: ("job.migrate", CAT_JOB),
 }
 
 #: Relative tolerance for "the job is done" at a completion event.
@@ -226,7 +225,6 @@ class SchedulerKernel:
         self.driver: Driver = driver if driver is not None else self
         self.pair = pair
         self.cluster: Cluster = pair.training
-        self.rm = ResourceManager(pair)
         self.profiler = JobProfiler() if config.use_profiler else None
         self.policy = policy
         self.inference_trace = inference_trace
@@ -246,6 +244,8 @@ class SchedulerKernel:
         self._dropped_triggers = 0
 
         self.jobs: Dict[int, Job] = {}
+        #: the only writer of placement, over the live job table
+        self.rm = ResourceManager(pair, self.jobs)
         self.pending: List[Job] = []
         self.running: Dict[int, Job] = {}
         #: straggling servers: ``{server_id: throughput factor}``; empty
@@ -563,7 +563,7 @@ class SchedulerKernel:
 
         One engine per opportunistic flag lives for the whole run (the
         engine is stateless apart from configuration, so persistence is
-        safe); its clock is refreshed on every call.
+        safe).
         """
         engine = self._engines.get(opportunistic)
         if engine is None:
@@ -576,13 +576,12 @@ class SchedulerKernel:
             )
             engine = PlacementEngine(
                 self.view,
+                self.rm,
                 special_elastic_grouping=self.config.special_elastic_grouping,
                 opportunistic=opportunistic,
-                rm=self.rm,
                 region_of=region_of,
             )
             self._engines[opportunistic] = engine
-        engine.now = self.now
         return engine
 
     # ------------------------------------------------------------------
@@ -714,7 +713,7 @@ class SchedulerKernel:
         if job.remaining_work > _WORK_EPS * job.spec.total_work:
             self._reschedule_completion(job)
             return
-        self.rm.release_job(job, now=self.now)
+        self.rm.release_job(job)
         job.mark_finished(self.now)
         del self.running[job.job_id]
         if self.profiler is not None:
@@ -747,7 +746,7 @@ class SchedulerKernel:
             "sim.preemptions_by_cause", cause=cause
         ).inc()
         job.preempted_at = self.now
-        self.rm.release_job(job, now=self.now)
+        self.rm.release_job(job)
         job.mark_preempted(self.now, overhead=self.config.preemption_overhead)
         del self.running[job.job_id]
         job.completion_epoch += 1
@@ -778,7 +777,7 @@ class SchedulerKernel:
         cancelled = False
         if job_id in self.running:
             job.advance(self.now)
-            self.rm.release_job(job, now=self.now)
+            self.rm.release_job(job)
             del self.running[job_id]
             job.completion_epoch += 1
             job.status = JobStatus.PENDING
@@ -839,7 +838,11 @@ class SchedulerKernel:
         if not self.rm.is_healthy(server_id):
             self.record_failure_noop("already_unhealthy", server_id)
             return False
-        report = self.rm.fail_node(server_id, now=self.now)
+        # bank progress up to the failure instant before the workers go
+        for job_id in self.rm._server(server_id).allocations:
+            if job_id in self.running:
+                self.jobs[job_id].advance(self.now)
+        report = self.rm.fail_node(server_id)
         # node health lives in the RM, not the GPU books — force
         # consumers (placement health filter) to revisit
         self.view.bump()
@@ -856,23 +859,11 @@ class SchedulerKernel:
         for job_id in sorted(report.jobs_lost_base):
             if job_id in self.running:
                 self.preempt(self.jobs[job_id], cause=cause)
-        # jobs that only lost flexible workers shrink and continue
+        # jobs that only lost flexible workers have shrunk and continue
         for job_id in sorted(report.jobs_lost_flex):
-            workers = report.jobs_lost_flex[job_id]
             job = self.jobs[job_id]
             if job_id not in self.running:
                 continue
-            job.advance(self.now)  # progress up to the failure instant
-            remaining = workers
-            for sid in list(job.flex_placement):
-                if sid != server_id:
-                    continue
-                have = job.flex_placement[sid]
-                take = min(have, remaining)
-                job.flex_placement[sid] = have - take
-                if job.flex_placement[sid] == 0:
-                    job.remove_flex_on(sid)
-                remaining -= take
             self._retune(job)
             self._commit_rescale(job, False, job.total_workers, job.eta())
         if repair_time is not None:

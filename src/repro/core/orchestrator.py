@@ -471,7 +471,7 @@ class ResourceOrchestrator:
             straggling = server.perf_factor < 1.0
             if not (unhealthy or straggling):
                 continue
-            if sim.rm.containers_on(server_id):
+            if server.allocations:
                 continue  # still hosts workers; leave it to the planner
             picked.append((server_id, unhealthy, straggling))
         return picked

@@ -68,15 +68,15 @@ class PlacementResult:
 
 
 class PlacementEngine:
-    """Best-fit-decreasing placement over a training cluster's view."""
+    """Best-fit-decreasing placement over a training cluster's view,
+    executed through its resource manager."""
 
     def __init__(
         self,
         view: ClusterView,
+        rm: ResourceManager,
         special_elastic_grouping: bool = True,
         opportunistic: bool = False,
-        rm: Optional["ResourceManager"] = None,
-        now: float = 0.0,
         region_of=None,
     ):
         #: the scheduling view candidates are ranked from
@@ -86,10 +86,10 @@ class PlacementEngine:
         #: row-6 Opportunistic Scheduling (§7.1): fungible jobs are queued
         #: to the inference cluster only, never to training servers.
         self.opportunistic = opportunistic
-        #: optional resource manager: when present, workers become
-        #: tracked containers and unhealthy nodes are avoided
+        #: the one writer of placement: every worker is launched (and a
+        #: failed base demand released) through it, and its unhealthy
+        #: nodes are avoided
         self.rm = rm
-        self.now = now
         #: optional locality oracle (multi-cluster markets): maps a
         #: server to the region its capacity currently serves; a job then
         #: prefers to grow in the region hosting most of its workers,
@@ -172,9 +172,7 @@ class PlacementEngine:
         view = self.view
         train_ok = self._domain_eligible(job, False)
         loan_ok = self._domain_eligible(job, True)
-        unhealthy = None
-        if self.rm is not None:
-            unhealthy = self.rm.unhealthy_ids()
+        unhealthy = self.rm.unhealthy_ids()
         remaining = workers
         while remaining > 0:
             placed_this_round = 0
@@ -205,28 +203,15 @@ class PlacementEngine:
                     break
                 cost = self.worker_cost(job, server)
                 fit = min(remaining, server.free_gpus // cost)
-                if self.rm is not None:
-                    try:
-                        self.rm.launch(
-                            job, server, fit, cost, flexible=flexible,
-                            now=self.now,
-                        )
-                    except TransientLaunchError:
-                        # retries exhausted here; books untouched — try
-                        # the next-best candidate
-                        if failed_ids is None:
-                            failed_ids = set()
-                        failed_ids.add(server.server_id)
-                        continue
-                else:
-                    server.allocate(job.job_id, fit * cost)
-                    job.record_placement(
-                        server.server_id,
-                        fit,
-                        flexible=flexible,
-                        gpu_cost=cost,
-                        on_loan=server.on_loan,
-                    )
+                try:
+                    self.rm.launch(job, server, fit, cost, flexible=flexible)
+                except TransientLaunchError:
+                    # retries exhausted here; books untouched — try
+                    # the next-best candidate
+                    if failed_ids is None:
+                        failed_ids = set()
+                    failed_ids.add(server.server_id)
+                    continue
                 if (
                     self.special_elastic_grouping
                     and server.on_loan
@@ -234,7 +219,7 @@ class PlacementEngine:
                     and job.elastic
                     and not job.spec.heterogeneous
                 ):
-                    if self.rm is not None and self.rm.journal is not None:
+                    if self.rm.journal is not None:
                         # group assignment is outside the RM's books; give
                         # the plan journal its pre-image for rollback
                         self.rm.journal.record_group(server)
@@ -259,15 +244,6 @@ class PlacementEngine:
             for on_loan in (False, True)
         )
 
-    def _rollback(self, job: Job) -> None:
-        """Undo all placements for a job that failed its base demand."""
-        if self.rm is not None:
-            self.rm.release_job(job, now=self.now)
-            return
-        for server_id in list(job.servers):
-            self.cluster.get(server_id).release(job.job_id)
-        job.clear_placement()
-
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
@@ -290,7 +266,8 @@ class PlacementEngine:
                     job, request.base_workers, flexible=False
                 )
                 if placed < request.base_workers:
-                    self._rollback(job)
+                    # a failed base demand keeps nothing (gang semantics)
+                    self.rm.release_job(job)
                     result.failed_base.append(job)
                     continue
                 result.placed_base.append(job)

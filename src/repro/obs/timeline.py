@@ -5,7 +5,7 @@ A flat event trace answers *what happened*; this module rebuilds *to
 whom* and *because of what*.  :class:`TimelineStore` ingests a loaded
 trace once and indexes three views:
 
-* per-job lifecycles — queued → running → preempted/migrated/scaled →
+* per-job lifecycles — queued → running → preempted/scaled →
   completed, each transition carrying the servers, GPU types and loan
   status recorded at dispatch;
 * per-server lifecycles — loaned → reclaimed/returned, down → up,
@@ -35,11 +35,10 @@ _JOB_STATES = {
     "job.finish": "completed",
     "job.scale_out": "scaled_out",
     "job.scale_in": "scaled_in",
-    "job.migrate": "migrated",
 }
 
 #: plan-action kinds that put (or keep) a job on servers
-_DISPATCH_KINDS = ("launch", "scale_out", "scale_in", "migrate_job")
+_DISPATCH_KINDS = ("launch", "scale_out", "scale_in")
 
 
 @dataclass(frozen=True)
@@ -310,11 +309,9 @@ class TimelineStore:
         if tr.state == "preempted":
             self._explain_preemption(job_id, tr, chain)
             return out
-        # running / scaled / migrated: a plan committed it
+        # running / scaled: a plan committed it
         plan = self.plan_at(tr.ts, job_id, kinds=_DISPATCH_KINDS)
-        verb = {"running": "dispatched", "migrated": "migrated"}.get(
-            tr.state, "rescaled"
-        )
+        verb = "dispatched" if tr.state == "running" else "rescaled"
         if plan is not None:
             chain.append(CausalStep(
                 plan.ts,

@@ -40,7 +40,10 @@ MAGIC = b"REPROSNAP\x00"
 #: 4: the payload is the object graph alone — hooks in it by reference,
 #: armed timers in both drivers, the container-id counter on the RM (a
 #: schema-3 kernel comes back with none of them and nothing re-derives)
-SCHEMA_VERSION = 4
+#: 5: a worker is a count on the server and job books; the resource
+#: manager holds the job table and no container ledger (a schema-4 one
+#: comes back with the ledger and without the table)
+SCHEMA_VERSION = 5
 
 #: pinned pickle protocol: snapshots written on 3.9 load on 3.12
 PICKLE_PROTOCOL = 4

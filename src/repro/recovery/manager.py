@@ -130,7 +130,7 @@ class RecoveryManager:
     def recover(cls, directory: Union[str, Path]):
         """Restore the newest usable snapshot in ``directory``.
 
-        Returns the revived simulation, with a fresh manager already
+        Returns the restored simulation, with a fresh manager already
         attached as ``sim.recovery`` — call ``sim.resume()`` to continue
         the run.  Snapshots that fail their checksum (a crash can tear
         at any byte) are skipped in favour of the previous one.

@@ -4,7 +4,7 @@ A snapshot is the kernel's object graph and nothing else.  The graph is
 pickled *whole* and *as it stands* — jobs, clusters, loans, view,
 executor, metrics, activities, the fault injector with its RNG streams
 and the hooks it installed (bound methods, which pickle by reference to
-their owner), the resource manager's container-id counter, and the
+their owner), the resource manager over the same job table, and the
 armed timers, which are plain tag data in both drivers (the engine's
 heap, the wall-clock driver's armed set) — so every cross-reference
 survives by construction and restoring re-derives nothing.  What

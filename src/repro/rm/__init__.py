@@ -1,11 +1,8 @@
-"""Resource-manager substrate: containers, whitelists, node failures."""
+"""Resource-manager substrate: worker placement, whitelists, node failures."""
 
-from repro.rm.containers import Container, ContainerState
 from repro.rm.manager import NodeFailureReport, ResourceManager
 
 __all__ = [
-    "Container",
-    "ContainerState",
     "NodeFailureReport",
     "ResourceManager",
 ]

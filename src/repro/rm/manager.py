@@ -2,44 +2,41 @@
 
 Lyra "runs on top of a cluster resource manager such as YARN and
 Kubernetes to execute its decisions" (§3): launching and tearing down
-worker containers, moving servers across cluster boundaries through the
-whitelist API (§6), and monitoring server/worker status.  This module is
-that execution layer:
+workers, moving servers across cluster boundaries through the whitelist
+API (§6), and monitoring server/worker status.  This module is that
+execution layer, and the only writer of placement:
 
-* every worker the placement engine schedules becomes a tracked
-  :class:`~repro.rm.containers.Container`;
-* server GPU books are mutated only through container launch/stop, so
-  the container ledger and the server ledger can never drift (asserted
-  by :meth:`ResourceManager.verify_books`);
-* the ledger is *live-only*: a container leaves it the moment it stops
-  (release, scale-in, node failure), so nothing here grows with uptime.
-  What happened is on record elsewhere: the kernel's Activity log, the
-  tracer's events and the plan WAL (docs/ARCHITECTURE.md);
+* a worker is a count on two books — ``Server.allocations[job] = gpus``
+  and the ``Job``'s ``{server: workers}`` placement maps.  Every
+  scheduling decision reads one or the other; :meth:`launch`,
+  :meth:`scale_in`, :meth:`release_job` and :meth:`fail_node` edit both
+  together, and :meth:`verify_books` asserts they agree, server by
+  server and job by job;
 * node failures are first-class: :meth:`fail_node` marks a server
-  unhealthy, declares its containers lost, and reports which jobs lost
-  base workers (must be rescheduled) versus only flexible workers (a
-  scale-in suffices) — the hook the simulator's failure injection uses;
-* :meth:`unlaunch` / :meth:`revive` invert a launch / a stop for the
-  plan journal's rollback.
+  unhealthy, takes its workers off both books, and reports which jobs
+  lost base workers (must be rescheduled) versus only flexible workers
+  (they shrink and continue) — the hook the simulator's failure
+  injection uses;
+* an open plan transaction is handed each GPU delta as it lands on a
+  server's book; :meth:`rebook` applies one back for its rollback.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.cluster.cluster import ClusterPair
 from repro.cluster.job import Job
 from repro.cluster.server import Server
-from repro.rm.containers import Container, ContainerState
 
 
 class TransientLaunchError(RuntimeError):
-    """A container launch failed transiently and exhausted its retries.
+    """A worker launch failed transiently and exhausted its retries.
 
     Raised by the launch gate (fault injection) before any books are
     mutated; the placement engine reacts by trying the next candidate
-    server, so the failure costs a placement opportunity, not ledger
+    server, so the failure costs a placement opportunity, not book
     consistency.
     """
 
@@ -50,51 +47,40 @@ class NodeFailureReport:
 
     Attributes:
         server_id: The failed server.
-        lost_containers: Containers declared lost (already out of the
-            ledger; these objects are their only record).
         jobs_lost_base: Jobs that lost base workers — gang semantics
             mean the whole job must be rescheduled (§6).
         jobs_lost_flex: ``{job_id: workers}`` jobs that only lost
-            flexible workers and can continue after a scale-in.
+            flexible workers and continue, already shrunk.
     """
 
     server_id: str
-    lost_containers: List[Container] = field(default_factory=list)
     jobs_lost_base: Set[int] = field(default_factory=set)
     jobs_lost_flex: Dict[int, int] = field(default_factory=dict)
 
 
 class ResourceManager:
-    """Container lifecycle + whitelist execution over a cluster pair."""
+    """Worker lifecycle + whitelist execution over a cluster pair.
 
-    def __init__(self, pair: ClusterPair):
+    ``jobs`` is the owner's live job table (``{job_id: Job}``, the one
+    the scheduling view reads): the manager looks jobs up in it by the
+    ids on a server's book and never writes to it.
+    """
+
+    def __init__(self, pair: ClusterPair, jobs: Dict[int, Job]):
         self.pair = pair
-        self._containers: Dict[int, Container] = {}
-        self._by_job: Dict[int, List[int]] = {}
-        self._by_server: Dict[str, List[int]] = {}
-        #: the id the next launched container gets
-        self._next_container_id = 1
+        self.jobs = jobs
         self._unhealthy: Set[str] = set()
         #: fault-injection hook: called after validation but before any
         #: mutation on each launch; may raise :class:`TransientLaunchError`
         self.launch_gate: Optional[Callable[[Job, Server, int], None]] = None
         #: open plan transaction (:class:`repro.core.actions.PlanTransaction`)
-        #: journaling container/book mutations for rollback; None outside
-        #: an epoch being planned
+        #: journaling book mutations for rollback; None outside an epoch
+        #: being planned
         self.journal = None
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def containers_of(self, job_id: int) -> List[Container]:
-        return [self._containers[c] for c in self._by_job.get(job_id, ())]
-
-    def containers_on(self, server_id: str) -> List[Container]:
-        return [self._containers[c] for c in self._by_server.get(server_id, ())]
-
-    def running_containers(self) -> List[Container]:
-        return list(self._containers.values())
-
     def is_healthy(self, server_id: str) -> bool:
         return server_id not in self._unhealthy
 
@@ -106,27 +92,14 @@ class ResourceManager:
         """
         return self._unhealthy
 
-    # -- the live ledger: the one place that knows the index layout ------
-    def _track(self, container: Container) -> None:
-        cid = container.container_id
-        self._containers[cid] = container
-        self._by_job.setdefault(container.job_id, []).append(cid)
-        self._by_server.setdefault(container.server_id, []).append(cid)
-
-    def _forget(self, container: Container) -> None:
-        cid = container.container_id
-        del self._containers[cid]
-        for index, key in (
-            (self._by_job, container.job_id),
-            (self._by_server, container.server_id),
-        ):
-            ids = index[key]
-            ids.remove(cid)
-            if not ids:
-                del index[key]
+    def _server(self, server_id: str) -> Optional[Server]:
+        for cluster in self.pair.clusters():
+            if server_id in cluster:
+                return cluster.get(server_id)
+        return None
 
     # ------------------------------------------------------------------
-    # container lifecycle
+    # worker lifecycle
     # ------------------------------------------------------------------
     def launch(
         self,
@@ -135,9 +108,8 @@ class ResourceManager:
         workers: int,
         gpus_per_worker: int,
         flexible: bool,
-        now: float = 0.0,
-    ) -> List[Container]:
-        """Launch one container per worker on ``server``.
+    ) -> None:
+        """Launch ``workers`` workers of ``job`` on ``server``.
 
         Reserves the GPUs and records the placement on the job; raises
         ``ValueError`` (and launches nothing) if capacity is missing or
@@ -159,7 +131,7 @@ class ResourceManager:
             self.launch_gate(job, server, workers)
         if self.journal is not None:
             self.journal.note_job(job)
-        server.allocate(job.job_id, total)
+        self.rebook(server, job.job_id, total)
         job.record_placement(
             server.server_id,
             workers,
@@ -167,97 +139,58 @@ class ResourceManager:
             gpu_cost=gpus_per_worker,
             on_loan=server.on_loan,
         )
-        launched = []
-        for _ in range(workers):
-            container = Container(
-                job_id=job.job_id,
-                server_id=server.server_id,
-                gpus=gpus_per_worker,
-                flexible=flexible,
-                start_time=now,
-                container_id=self._next_container_id,
-            )
-            self._next_container_id += 1
-            self._track(container)
-            launched.append(container)
+
+    def rebook(self, server: Server, job_id: int, gpus: int) -> None:
+        """Move one server's book by a signed GPU delta for ``job_id``.
+
+        The server-side half of every mutation above, journaled when a
+        plan transaction is open; the transaction's rollback calls it
+        with each delta negated (after detaching, so undoing is not
+        itself journaled).  Never the launch gate: a fault plan's RNG
+        behind it is not drawn a second time.
+        """
+        if gpus > 0:
+            server.allocate(job_id, gpus)
+        else:
+            server.release(job_id, -gpus)
         if self.journal is not None:
-            self.journal.record_launch(job, server, launched)
-        return launched
+            self.journal.record_book(server, job_id, gpus)
 
-    def _server(self, server_id: str) -> Optional[Server]:
-        for cluster in self.pair.clusters():
-            if server_id in cluster:
-                return cluster.get(server_id)
-        return None
+    def _stop(self, job: Job, server_id: str, workers: int) -> None:
+        """Take ``workers`` of ``job`` off ``server_id``'s book (the
+        caller edits the job's side, *after*: the cost is read here)."""
+        self.rebook(
+            self._server(server_id),
+            job.job_id,
+            -workers * job.gpu_cost_on(server_id),
+        )
 
-    def release_job(self, job: Job, now: float = 0.0) -> int:
-        """Tear down every container of a job (completion/preemption)."""
+    def release_job(self, job: Job) -> int:
+        """Tear down every worker of a job (completion/preemption)."""
         if self.journal is not None:
             self.journal.note_job(job)
         released = 0
-        stopped = []
-        for container in self.containers_of(job.job_id):
-            container.stop(now)
-            self._forget(container)
-            server = self._server(container.server_id)
-            if server is not None:
-                server.release(job.job_id, container.gpus)
-            stopped.append((server, container))
-            released += 1
+        for placement in (job.base_placement, job.flex_placement):
+            for server_id, workers in placement.items():
+                self._stop(job, server_id, workers)
+                released += workers
         job.clear_placement()
-        if stopped and self.journal is not None:
-            self.journal.record_stopped(job.job_id, stopped)
         return released
 
-    def scale_in(
-        self, job: Job, server_id: str, workers: int, now: float = 0.0
-    ) -> int:
-        """Release up to ``workers`` flexible containers on one server."""
+    def scale_in(self, job: Job, server_id: str, workers: int) -> int:
+        """Release up to ``workers`` flexible workers on one server."""
         if self.journal is not None:
             self.journal.note_job(job)
-        stopped = 0
-        stopped_pairs = []
-        for container in self.containers_on(server_id):
-            if stopped >= workers:
-                break
-            if container.job_id != job.job_id or not container.flexible:
-                continue
-            container.stop(now)
-            self._forget(container)
-            server = self._server(server_id)
-            if server is not None:
-                server.release(job.job_id, container.gpus)
-            stopped_pairs.append((server, container))
-            stopped += 1
-        if stopped:
-            have = job.flex_placement.get(server_id, 0)
-            take = min(stopped, have)
-            if take:
-                job.flex_placement[server_id] = have - take
-                if job.flex_placement[server_id] == 0:
-                    job.remove_flex_on(server_id)
-            if self.journal is not None:
-                self.journal.record_stopped(job.job_id, stopped_pairs)
-        return stopped
-
-    # -- inverses, for the plan journal's rollback (which restores job
-    # -- placement itself, from its pre-images) --------------------------
-    def unlaunch(self, job: Job, server: Server, containers: List[Container]) -> None:
-        """Undo one :meth:`launch` batch: out of the ledger, GPUs un-booked."""
-        for container in containers:
-            self._forget(container)
-        server.release(job.job_id, sum(c.gpus for c in containers))
-
-    def revive(self, job_id: int, stopped: List[tuple]) -> None:
-        """Undo one stop batch (the ``(server_or_None, container)`` pairs
-        the journal was handed).  Not a :meth:`launch`: the launch gate,
-        and a fault plan's RNG behind it, is not drawn a second time."""
-        for server, container in stopped:
-            container.state = ContainerState.RUNNING
-            container.end_time = None
-            self._track(container)
-            if server is not None:
-                server.allocate(job_id, container.gpus)
+        have = job.flex_placement.get(server_id, 0)
+        take = min(workers, have)
+        if take < 1:
+            return 0
+        self._stop(job, server_id, take)
+        if take < have:
+            job.flex_placement[server_id] = have - take
+        else:
+            job.remove_flex_on(server_id)
+        return take
 
     # ------------------------------------------------------------------
     # whitelist API (§6)
@@ -313,87 +246,38 @@ class ResourceManager:
         """
         return self.pair.loan_ids(server_ids, borrower=borrower, now=now)
 
-    def migrate_job(self, job: Job, source_id: str, target: Server) -> int:
-        """Move every worker of ``job`` off ``source_id`` onto ``target``.
-
-        Containers are re-homed (not stopped and relaunched — the
-        production mechanic is a checkpoint/restore onto the new server,
-        which keeps the container identity for the books).  Returns the
-        number of workers moved.
-        """
-        moved = [
-            c for c in self.containers_of(job.job_id)
-            if c.server_id == source_id
-        ]
-        if not moved:
-            raise ValueError(
-                f"job {job.job_id} has no running containers on {source_id!r}"
-            )
-        if not self.is_healthy(target.server_id):
-            raise ValueError(f"server {target.server_id!r} is unhealthy")
-        total = sum(c.gpus for c in moved)
-        if total > target.free_gpus:
-            raise ValueError(
-                f"server {target.server_id}: need {total} GPUs, "
-                f"{target.free_gpus} free"
-            )
-        source = self._server(source_id)
-        base = job.base_placement.get(source_id, 0)
-        flex = job.flex_placement.get(source_id, 0)
-        gpu_cost = job._server_cost.get(source_id, job.spec.gpus_per_worker)
-        target.allocate(job.job_id, total)
-        if source is not None:
-            source.release(job.job_id, total)
-        for container in moved:
-            self._forget(container)
-            container.server_id = target.server_id
-            self._track(container)
-        job.remove_placement(source_id)
-        if base:
-            job.record_placement(
-                target.server_id, base, flexible=False,
-                gpu_cost=gpu_cost, on_loan=target.on_loan,
-            )
-        if flex:
-            job.record_placement(
-                target.server_id, flex, flexible=True,
-                gpu_cost=gpu_cost, on_loan=target.on_loan,
-            )
-        return len(moved)
-
     def return_server(self, server_id: str, now: float = 0.0) -> Server:
-        if self.containers_on(server_id):
+        server = self.pair.training.get(server_id)
+        if server.allocations:
             raise RuntimeError(
-                f"server {server_id!r} still runs containers; the scheduler "
-                f"must confirm it is vacated before whitelist removal (§6)"
+                f"server {server_id!r} still books GPUs for jobs "
+                f"{sorted(server.allocations)}; the scheduler must confirm "
+                f"it is vacated before whitelist removal (§6)"
             )
         return self.pair.return_server(server_id, now=now)
 
     # ------------------------------------------------------------------
     # failure injection
     # ------------------------------------------------------------------
-    def fail_node(self, server_id: str, now: float = 0.0) -> NodeFailureReport:
-        """A server dies: containers are lost, GPUs freed, node marked
-        unhealthy until :meth:`recover_node`."""
+    def fail_node(self, server_id: str) -> NodeFailureReport:
+        """A server dies: its workers leave both books, the node is
+        unhealthy until :meth:`recover_node`.
+
+        The caller banks the losers' progress first (a job's throughput
+        is read off its placement) and reschedules every job in
+        ``jobs_lost_base`` — gang semantics; what such a job also lost
+        in flexible workers is subsumed by that.
+        """
         report = NodeFailureReport(server_id=server_id)
         server = self._server(server_id)
-        for container in self.containers_on(server_id):
-            container.stop(now, lost=True)
-            self._forget(container)
-            report.lost_containers.append(container)
-            if container.flexible:
-                report.jobs_lost_flex[container.job_id] = (
-                    report.jobs_lost_flex.get(container.job_id, 0) + 1
-                )
+        for job_id in list(server.allocations):
+            job = self.jobs[job_id]
+            if server_id in job.base_placement:
+                report.jobs_lost_base.add(job_id)
             else:
-                report.jobs_lost_base.add(container.job_id)
-        if server is not None:
-            for job_id in list(server.allocations):
-                server.release(job_id)
-        # jobs that lost base workers lose everything (gang semantics);
-        # their flex losses are subsumed by the full reschedule
-        for job_id in report.jobs_lost_base:
-            report.jobs_lost_flex.pop(job_id, None)
+                report.jobs_lost_flex[job_id] = job.flex_placement[server_id]
+            server.release(job_id)
+            job.remove_placement(server_id)
         self._unhealthy.add(server_id)
         return report
 
@@ -404,39 +288,44 @@ class ResourceManager:
     # invariants
     # ------------------------------------------------------------------
     def verify_books(self) -> None:
-        """Assert the container ledger matches every server's GPU book,
-        and that loans conserve servers: each server is in exactly one
-        whitelist, and the open contracts are exactly the on-loan
-        servers, lender by lender.
+        """Assert the two placement books agree — every server's GPU
+        book against the job table, and every job's placement against
+        the servers — and that loans conserve servers: each server is in
+        exactly one whitelist, and the open contracts are exactly the
+        on-loan servers, lender by lender.
 
         Raises ``RuntimeError`` on the first divergence; cheap enough to
         run inside tests after every mutation batch.
         """
-        expected: Dict[Tuple[str, int], int] = {}
-        for container in self.running_containers():
-            key = (container.server_id, container.job_id)
-            expected[key] = expected.get(key, 0) + container.gpus
-        seen: Set[str] = set()
+        booked: Dict[str, Dict[int, int]] = {}
         for cluster in self.pair.clusters():
             for server in cluster.servers:
-                if server.server_id in seen:
+                server_id = server.server_id
+                if server_id in booked:
                     raise RuntimeError(
-                        f"server {server.server_id} is in two whitelists "
+                        f"server {server_id} is in two whitelists "
                         f"(again in {cluster.name!r})"
                     )
-                seen.add(server.server_id)
+                booked[server_id] = server.allocations
                 for job_id, gpus in server.allocations.items():
-                    booked = expected.pop((server.server_id, job_id), 0)
-                    if booked != gpus:
+                    job = self.jobs.get(job_id)
+                    placed = job.gpus_on(server_id) if job is not None else 0
+                    if placed != gpus:
                         raise RuntimeError(
-                            f"book mismatch on {server.server_id} job "
-                            f"{job_id}: containers say {booked}, server "
-                            f"says {gpus}"
+                            f"book mismatch on {server_id} job {job_id}: "
+                            f"the job's placement says {placed}, the "
+                            f"server says {gpus}"
                         )
-        if expected:
-            raise RuntimeError(
-                f"containers without server bookings: {sorted(expected)}"
-            )
+        for job in self.jobs.values():
+            for placement in (job.base_placement, job.flex_placement):
+                for server_id in placement:
+                    if job.job_id not in booked.get(server_id, ()):
+                        raise RuntimeError(
+                            f"book mismatch on {server_id} job "
+                            f"{job.job_id}: the job places "
+                            f"{job.workers_on(server_id)} workers there, "
+                            f"the server books nothing for it"
+                        )
         contracts = self.pair.contracts
         on_loan = {s.server_id: s for s in self.pair.training.on_loan_servers}
         if contracts.keys() != on_loan.keys():

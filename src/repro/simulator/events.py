@@ -26,7 +26,6 @@ class EventKind(enum.Enum):
     LOAN = "loan"
     RECLAIM = "reclaim"
     SCHEDULE_EPOCH = "schedule_epoch"
-    MIGRATE = "migrate"
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ from repro.cluster.cluster import (
     make_training_cluster,
 )
 from repro.cluster.job import Job, JobSpec
+from repro.core.placement import PlacementEngine
+from repro.core.view import ClusterView
 from repro.rm.manager import ResourceManager
 from repro.scenarios import ExperimentSetup
 from repro.traces.inference import generate_inference_trace
@@ -49,8 +51,21 @@ def loan(pair_or_rm, count: int, now: float = 0.0):
     """
     rm = pair_or_rm
     if not isinstance(rm, ResourceManager):
-        rm = ResourceManager(pair_or_rm)
+        rm = ResourceManager(pair_or_rm, {})
     return rm.loan_selected(rm.peek_loanable(count), now=now)
+
+
+def make_engine(cluster_or_view, **options) -> PlacementEngine:
+    """A placement engine over a bare training whitelist (or a view of
+    one), built the way the kernel builds it: over a view *and* a
+    resource manager.  The manager's pair has an empty lender and its
+    job table is empty — enough to launch and release, which is all
+    placement asks of it."""
+    view = cluster_or_view
+    if not isinstance(view, ClusterView):
+        view = ClusterView(view)
+    pair = ClusterPair(view.cluster, make_inference_cluster(0))
+    return PlacementEngine(view, ResourceManager(pair, {}), **options)
 
 
 @pytest.fixture

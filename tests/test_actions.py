@@ -2,9 +2,9 @@
 
 Covers the freeze-guard contract (policies and the orchestrator emit
 plans; only the PlanExecutor applies them), dry-run pricing leaving the
-simulation untouched, single-use plans, declarative migration, the
-explicit ``epoch_idempotent`` declarations, the on-loan-cost guard, and
-the hypothesis properties pinning reclaim-plan rollback and the
+simulation untouched, single-use plans, the closed action vocabulary,
+the explicit ``epoch_idempotent`` declarations, the on-loan-cost guard,
+and the hypothesis properties pinning reclaim-plan rollback and the
 scale-in-first/preempt disjointness.
 """
 
@@ -23,7 +23,6 @@ from repro.cluster.cluster import (
 from repro.cluster.job import JobSpec
 from repro.core.actions import (
     EpochPlan,
-    MigrateJob,
     PlanError,
     PlanRejected,
     PlanTransaction,
@@ -88,21 +87,22 @@ def state_snapshot(sim) -> tuple:
         )
         for j in sim.jobs.values()
     )
-    rm = sim.rm
-    containers = tuple(
-        (cid, c.job_id, c.server_id, c.state.value) for cid, c in sorted(rm._containers.items())
-    )
-    # the ledger's two indices, as sorted contents: a rollback re-files a
-    # revived container, so order within a key is not part of the state
-    indices = tuple(
-        tuple(sorted((key, tuple(sorted(ids))) for key, ids in index.items()))
-        for index in (rm._by_job, rm._by_server)
+    # the job-side book, row by row: what every decision reads
+    workers = tuple(
+        (
+            j.job_id,
+            sid,
+            j.base_placement.get(sid, 0),
+            j.flex_placement.get(sid, 0),
+            j.gpu_cost_on(sid),
+        )
+        for j in sim.jobs.values()
+        for sid in sorted(j.servers | set(j._server_cost) | j._onloan_servers)
     )
     return (
         servers,
         jobs,
-        containers,
-        indices,
+        workers,
         tuple(sorted(sim.running)),
         tuple(j.job_id for j in sim.pending),
         len(sim.activities),
@@ -293,64 +293,6 @@ def test_orchestrated_run_routes_ticks_through_executor():
 
 
 # ----------------------------------------------------------------------
-# declarative migration
-# ----------------------------------------------------------------------
-def test_migrate_job_moves_workers_and_logs():
-    spec = JobSpec(job_id=0, submit_time=0.0, duration=9000.0, max_workers=2)
-    pair = ClusterPair(make_training_cluster(3), make_inference_cluster(1))
-    sim = Simulation(
-        [spec],
-        pair,
-        FIFOScheduler(),
-        config=SimulationConfig(record_activities=True),
-    )
-    sim.run(until=100.0)
-    job = sim.jobs[0]
-    assert job.job_id in sim.running
-    source = next(iter(job.servers))
-    target = next(
-        s.server_id for s in pair.training.servers
-        if s.server_id != source and s.free_gpus >= job.gpus_on(source)
-    )
-    plan = EpochPlan(
-        now=sim.now,
-        policy="test",
-        actions=(MigrateJob(job_id=0, source=source, target=target),),
-    )
-    receipt = sim.executor.apply(plan)
-    assert receipt.applied
-    assert source not in job.servers
-    assert target in job.servers
-    assert any(a.kind.value == "migrate" for a in sim.activities)
-    sim.rm.verify_books()
-    # the job still finishes after being re-homed (resume the engine —
-    # run() would re-schedule the arrival events)
-    sim.engine.run(until=sim._last_arrival + sim.config.drain_limit)
-    assert job.job_id not in sim.running
-
-
-def test_migrate_to_full_server_rejects_plan():
-    spec = JobSpec(job_id=0, submit_time=0.0, duration=9000.0, max_workers=8, gpus_per_worker=1)
-    pair = ClusterPair(make_training_cluster(2), make_inference_cluster(1))
-    sim = Simulation([spec], pair, FIFOScheduler(), config=SimulationConfig(record_activities=True))
-    sim.run(until=100.0)
-    job = sim.jobs[0]
-    source = next(iter(job.servers))
-    target = next(s.server_id for s in pair.training.servers if s.server_id != source)
-    pair.training.get(target).allocate(99, 8)  # fill the target
-    plan = EpochPlan(
-        now=sim.now,
-        policy="test",
-        actions=(MigrateJob(job_id=0, source=source, target=target),),
-    )
-    before = state_snapshot(sim)
-    with pytest.raises(PlanError):
-        sim.executor.apply(plan)
-    assert sim.executor.plans_rejected == 1
-    assert state_snapshot(sim) == before
-
-
-# ----------------------------------------------------------------------
 # declarative scale-in (reclaim plans, the daemon's ``scale`` op)
 # ----------------------------------------------------------------------
 def flexed_sim():
@@ -420,12 +362,24 @@ def test_bad_declarative_scale_in_rejects_the_whole_plan(bad, message):
     sim.rm.verify_books()
 
 
+def test_an_action_of_no_known_kind_rejects_the_plan():
+    """The vocabulary is closed: six kinds, and anything else — here the
+    retired ``migrate_job`` — rejects its plan with nothing committed."""
+    sim = flexed_sim()
+    stray = SimpleNamespace(kind="migrate_job", job_id=0)
+    plan = EpochPlan(now=sim.now, policy="test", actions=(stray,))
+    before = state_snapshot(sim)
+    with pytest.raises(PlanRejected, match="unknown action kind 'migrate_job'"):
+        sim.executor.apply(plan)
+    assert state_snapshot(sim) == before
+
+
 @pytest.mark.parametrize("how", ["dry-run", "rejected"])
 def test_rolled_back_plan_leaves_the_container_ledger_as_found(how):
-    """A staged plan that stops containers (job 0's flexible workers) and
-    launches new ones (job 1, which never ran) is undone through the
-    resource manager's inverse operations: the ledger and both of its
-    indices come back with the contents they had, no emptied key left."""
+    """A staged plan that stops workers (job 0's flexible ones) and
+    launches new ones (job 1, which never ran) is undone by negating
+    each journaled book delta: both books come back row for row, no
+    emptied key, cost or on-loan mark left behind, and they agree."""
     specs = [
         JobSpec(
             job_id=0, submit_time=0.0, duration=50000.0, max_workers=8, min_workers=2, elastic=True

@@ -86,22 +86,20 @@ def _random_walk(view, rm, pair, jobs, rng, steps=50, per_step=None):
             if op == "launch":
                 rm.launch(
                     job, server, rng.randint(1, 2), 1,
-                    flexible=rng.random() < 0.5, now=now,
+                    flexible=rng.random() < 0.5,
                 )
             elif op == "scale_in":
-                rm.scale_in(job, server.server_id, rng.randint(1, 3),
-                            now=now)
+                rm.scale_in(job, server.server_id, rng.randint(1, 3))
             elif op == "release":
-                rm.release_job(job, now=now)
+                rm.release_job(job)
             elif op == "loan":
                 loan(rm, rng.randint(1, 2), now=now)
             elif op == "return":
                 rm.return_server(server.server_id, now=now)
             elif op == "fail":
-                report = rm.fail_node(server.server_id, now=now)
+                report = rm.fail_node(server.server_id)
                 for job_id in report.jobs_lost_base:
-                    rm.release_job(jobs[job_id], now=now)
-                    jobs[job_id].clear_placement()
+                    rm.release_job(jobs[job_id])
             elif op == "recover":
                 rm.recover_node(server.server_id)
             elif op == "direct_alloc":
@@ -130,7 +128,7 @@ def _walked(seed, per_step=None):
     jobs = _make_jobs()
     view = ClusterView(pair.training, jobs=jobs)
     ref = ReferenceView(pair.training, jobs=jobs)
-    rm = ResourceManager(pair)
+    rm = ResourceManager(pair, jobs)
     _random_walk(
         view, rm, pair, jobs, rng,
         per_step=(lambda: per_step(view, ref)) if per_step else None,
@@ -336,15 +334,14 @@ class TestMCKPKernels:
 class TestReclaimIndex:
     def _placed(self):
         pair = ClusterPair(make_training_cluster(3), make_inference_cluster(2))
-        rm = ResourceManager(pair)
         jobs = _make_jobs(3)
-        now = 0.0
+        rm = ResourceManager(pair, jobs)
         rng = random.Random(11)
         for job in jobs.values():
             for _ in range(2):
                 server = rng.choice(pair.training.servers)
                 try:
-                    rm.launch(job, server, 1, 1, flexible=False, now=now)
+                    rm.launch(job, server, 1, 1, flexible=False)
                 except (ValueError, RuntimeError):
                     pass
         return pair, jobs

@@ -146,7 +146,7 @@ class TestSharedEligibility:
                 )
 
         pair = ClusterPair(make_training_cluster(2), make_inference_cluster(4))
-        rm = PickyRM(pair)
+        rm = PickyRM(pair, {})
         peeked = rm.peek_loanable(3)
         assert PickyRM.banned not in peeked
         moved = rm.loan_selected(peeked, now=0.0)
@@ -155,7 +155,7 @@ class TestSharedEligibility:
 
     def test_unhealthy_server_excluded_from_peek_and_move(self):
         pair = ClusterPair(make_training_cluster(2), make_inference_cluster(3))
-        rm = ResourceManager(pair)
+        rm = ResourceManager(pair, {})
         first = pair.inference.servers[0].server_id
         rm.fail_node(first)
         peeked = rm.peek_loanable(3)
@@ -626,7 +626,7 @@ def test_any_interleaving_unwinds_cleanly(ops):
     membership, clears every on_loan flag, and leaves the RM books
     clean."""
     pair = two_lender_set()
-    rm = ResourceManager(pair)
+    rm = ResourceManager(pair, {})
     original = {
         m.name: [s.server_id for s in m.servers]
         for m in pair.inference_members

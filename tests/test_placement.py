@@ -9,9 +9,8 @@ from repro.cluster.cluster import (
 from repro.cluster.gpu import T4, V100
 from repro.cluster.server import BASE_GROUP, FLEX_GROUP, Server
 from repro.core.placement import PlacementEngine, PlacementRequest
-from repro.core.view import ClusterView
 
-from tests.conftest import loan, make_job
+from tests.conftest import loan, make_engine, make_job
 
 
 def loaned_cluster(training=2, loaned=2) -> Cluster:
@@ -39,7 +38,7 @@ class TestWorkerCost:
 class TestBasicPlacement:
     def test_single_job_placed_and_started(self):
         cluster = make_training_cluster(2)
-        engine = PlacementEngine(ClusterView(cluster))
+        engine = make_engine(cluster)
         job = make_job(max_workers=4)
         result = engine.place([PlacementRequest(job, base_workers=4)])
         assert result.placed_base == [job]
@@ -49,14 +48,14 @@ class TestBasicPlacement:
     def test_best_fit_prefers_partially_used_server(self):
         cluster = make_training_cluster(3)
         cluster.servers[1].allocate(99, 6)  # 2 GPUs free
-        engine = PlacementEngine(ClusterView(cluster))
+        engine = make_engine(cluster)
         job = make_job(max_workers=2)
         engine.place([PlacementRequest(job, base_workers=2)])
         assert job.servers == {cluster.servers[1].server_id}
 
     def test_bfd_orders_big_jobs_first(self):
         cluster = make_training_cluster(1)  # single 8-GPU server
-        engine = PlacementEngine(ClusterView(cluster))
+        engine = make_engine(cluster)
         small = make_job(job_id=1, max_workers=2, gpus_per_worker=1)
         big = make_job(job_id=2, max_workers=1, gpus_per_worker=8)
         result = engine.place(
@@ -72,7 +71,7 @@ class TestBasicPlacement:
 
     def test_failed_base_rolled_back(self):
         cluster = make_training_cluster(1)
-        engine = PlacementEngine(ClusterView(cluster))
+        engine = make_engine(cluster)
         job = make_job(max_workers=3, gpus_per_worker=4)  # needs 12 > 8
         result = engine.place([PlacementRequest(job, base_workers=3)])
         assert result.failed_base == [job]
@@ -81,7 +80,7 @@ class TestBasicPlacement:
 
     def test_flex_shortfall_tolerated(self):
         cluster = make_training_cluster(1)
-        engine = PlacementEngine(ClusterView(cluster))
+        engine = make_engine(cluster)
         job = make_job(max_workers=12, min_workers=4, elastic=True)
         result = engine.place(
             [PlacementRequest(job, base_workers=4, flex_workers=8)]
@@ -94,7 +93,7 @@ class TestBasicPlacement:
         cluster = make_training_cluster(2)
         cluster.servers[0].allocate(99, 5)
         cluster.servers[1].allocate(98, 5)
-        engine = PlacementEngine(ClusterView(cluster))
+        engine = make_engine(cluster)
         job = make_job(max_workers=1, gpus_per_worker=4)
         result = engine.place([PlacementRequest(job, base_workers=1)])
         assert result.failed_base == [job]  # 3+3 free but not 4 anywhere
@@ -103,14 +102,14 @@ class TestBasicPlacement:
 class TestDomainPreferences:
     def test_inelastic_prefers_training(self):
         cluster = loaned_cluster()
-        engine = PlacementEngine(ClusterView(cluster))
+        engine = make_engine(cluster)
         job = make_job(max_workers=2, fungible=True)
         engine.place([PlacementRequest(job, base_workers=2)])
         assert all(not cluster.get(s).on_loan for s in job.servers)
 
     def test_elastic_fungible_prefers_onloan(self):
         cluster = loaned_cluster()
-        engine = PlacementEngine(ClusterView(cluster))
+        engine = make_engine(cluster)
         job = make_job(max_workers=4, min_workers=2, elastic=True,
                        fungible=True)
         engine.place([PlacementRequest(job, base_workers=2)])
@@ -118,7 +117,7 @@ class TestDomainPreferences:
 
     def test_nonfungible_never_on_loan(self):
         cluster = loaned_cluster(training=0, loaned=2)
-        engine = PlacementEngine(ClusterView(cluster))
+        engine = make_engine(cluster)
         job = make_job(max_workers=2)
         result = engine.place([PlacementRequest(job, base_workers=2)])
         assert result.failed_base == [job]
@@ -127,7 +126,7 @@ class TestDomainPreferences:
         # §5.3: elastic base and flexible demand land on separate groups
         # of on-loan servers so reclaiming can vacate flex first.
         cluster = loaned_cluster(training=0, loaned=2)
-        engine = PlacementEngine(ClusterView(cluster))
+        engine = make_engine(cluster)
         job = make_job(max_workers=4, min_workers=2, elastic=True,
                        fungible=True)
         engine.place([PlacementRequest(job, base_workers=2, flex_workers=2)])
@@ -138,7 +137,7 @@ class TestDomainPreferences:
 
     def test_grouping_disabled_in_ablation(self):
         cluster = loaned_cluster(training=0, loaned=2)
-        engine = PlacementEngine(ClusterView(cluster), special_elastic_grouping=False)
+        engine = make_engine(cluster, special_elastic_grouping=False)
         job = make_job(max_workers=4, min_workers=2, elastic=True,
                        fungible=True)
         engine.place([PlacementRequest(job, base_workers=2, flex_workers=2)])
@@ -147,7 +146,7 @@ class TestDomainPreferences:
 
     def test_gpu_type_lock_keeps_job_homogeneous(self):
         cluster = loaned_cluster(training=1, loaned=2)
-        engine = PlacementEngine(ClusterView(cluster))
+        engine = make_engine(cluster)
         job = make_job(max_workers=8, min_workers=2, elastic=True,
                        fungible=True)
         # Base lands on loan (T4); flexible workers must stay on T4 too.
@@ -157,7 +156,7 @@ class TestDomainPreferences:
 
     def test_heterogeneous_job_may_span_types(self):
         cluster = loaned_cluster(training=1, loaned=1)
-        engine = PlacementEngine(ClusterView(cluster))
+        engine = make_engine(cluster)
         job = make_job(max_workers=8, min_workers=4, elastic=True,
                        heterogeneous=True, fungible=True)
         engine.place([PlacementRequest(job, base_workers=4, flex_workers=4)])
@@ -175,7 +174,7 @@ class TestDomainPreferences:
         # deprioritized (§6): the normal job wins the contended training
         # GPUs even though the hetero job has the larger total demand.
         cluster = loaned_cluster(training=1, loaned=1)
-        engine = PlacementEngine(ClusterView(cluster))
+        engine = make_engine(cluster)
         hetero = make_job(job_id=1, max_workers=5, gpus_per_worker=2,
                           heterogeneous=True)
         normal = make_job(job_id=2, max_workers=1, gpus_per_worker=2)
@@ -190,7 +189,7 @@ class TestDomainPreferences:
 
     def test_hetero_capable_job_fitting_one_domain_not_deprioritized(self):
         cluster = make_training_cluster(1)
-        engine = PlacementEngine(ClusterView(cluster))
+        engine = make_engine(cluster)
         hetero = make_job(job_id=1, max_workers=1, gpus_per_worker=8,
                           heterogeneous=True)
         normal = make_job(job_id=2, max_workers=1, gpus_per_worker=4)
@@ -209,14 +208,14 @@ class TestDomainPreferences:
 class TestOpportunisticMode:
     def test_fungible_restricted_to_onloan(self):
         cluster = loaned_cluster(training=2, loaned=0)
-        engine = PlacementEngine(ClusterView(cluster), opportunistic=True)
+        engine = make_engine(cluster, opportunistic=True)
         job = make_job(max_workers=2, fungible=True)
         result = engine.place([PlacementRequest(job, base_workers=2)])
         assert result.failed_base == [job]
 
     def test_nonfungible_unaffected(self):
         cluster = loaned_cluster(training=2, loaned=0)
-        engine = PlacementEngine(ClusterView(cluster), opportunistic=True)
+        engine = make_engine(cluster, opportunistic=True)
         job = make_job(max_workers=2)
         result = engine.place([PlacementRequest(job, base_workers=2)])
         assert result.placed_base == [job]

@@ -250,12 +250,14 @@ def _resumed_copy_digest(sim) -> str:
 class TestSnapshotRoundTrip:
     def test_round_trip_preserves_engine_and_rng_streams(self, tmp_path):
         """capture → restore reproduces the event heap, every seeded RNG
-        stream, the activity prefix, and the container-id counter."""
+        stream, the activity prefix, and both placement books."""
         sim = killed_run("node_failures", tmp_path)
         restored = restore_payload(_decoded(capture_payload(sim)))
 
         assert restored is not sim
-        assert restored.rm._next_container_id == sim.rm._next_container_id > 1
+        restored.rm.verify_books()
+        assert restored.rm.jobs is restored.jobs
+        assert restored.cluster.used_gpus == sim.cluster.used_gpus > 0
         assert restored.engine.now == sim.engine.now
         assert (
             restored.engine.snapshot_events() == sim.engine.snapshot_events()
@@ -566,6 +568,21 @@ class TestSnapshotCodec:
     def test_missing_file(self, tmp_path):
         with pytest.raises(SnapshotError):
             SnapshotCodec.load(tmp_path / "nope.ckpt")
+
+    def test_recover_refuses_a_directory_an_older_build_wrote(self, tmp_path):
+        """Schema 5: a worker is a count on two books.  A schema-4
+        directory (its resource manager pickled a container ledger and
+        no job table) is refused by its manifest, before any unpickle."""
+        killed_run("fifo_contention", tmp_path)
+        manifest = tmp_path / "recovery.json"
+        current = manifest.read_text()
+        manifest.write_text(current.replace('"schema": 5', '"schema": 4'))
+        assert manifest.read_text() != current
+        with pytest.raises(
+            RecoveryError,
+            match=r"schema 4 does not match this build \(schema 5\)",
+        ):
+            RecoveryManager.recover(tmp_path)
 
 
 # ----------------------------------------------------------------------

@@ -9,112 +9,99 @@ from repro.cluster.cluster import (
 )
 from repro.cluster.job import JobSpec, JobStatus
 from repro.faults import FaultPlan, NodeFailureProcess
-from repro.rm.containers import Container, ContainerState
 from repro.rm.manager import ResourceManager
 from repro.schedulers.lyra import LyraScheduler
 from repro.simulator.simulation import Simulation, SimulationConfig
 
-from tests.conftest import loan, make_job
+from tests.conftest import loan, make_job as bare_job
 
 
 @pytest.fixture
 def rm():
     pair = ClusterPair(make_training_cluster(2), make_inference_cluster(2))
-    return ResourceManager(pair)
+    return ResourceManager(pair, {})
+
+
+@pytest.fixture
+def make_job(rm):
+    """``conftest.make_job``, entered in the manager's job table the way
+    the kernel's ``add_job_spec`` enters a job in its own."""
+    def make(**kwargs):
+        job = bare_job(**kwargs)
+        rm.jobs[job.job_id] = job
+        return job
+    return make
 
 
 def first_server(rm):
     return rm.pair.training.servers[0]
 
 
-class TestContainer:
-    def test_lifecycle(self):
-        c = Container(job_id=1, server_id="s", gpus=2)
-        assert c.running
-        c.stop(10.0)
-        assert c.state is ContainerState.RELEASED
-        assert c.end_time == 10.0
-
-    def test_stop_idempotent(self):
-        c = Container(job_id=1, server_id="s", gpus=2)
-        c.stop(10.0)
-        c.stop(20.0, lost=True)
-        assert c.state is ContainerState.RELEASED
-        assert c.end_time == 10.0
-
-    def test_lost_state(self):
-        c = Container(job_id=1, server_id="s", gpus=2)
-        c.stop(5.0, lost=True)
-        assert c.state is ContainerState.LOST
-
-    def test_unique_ids(self, rm):
-        """Ids are minted by the manager that launches: unique within
-        it, and the same sequence from every manager (no process-wide
-        counter for one run to leak into the next)."""
-        server = first_server(rm)
-        launched = rm.launch(make_job(1), server, 2, 1, flexible=False)
-        launched += rm.launch(make_job(2), server, 1, 1, flexible=False)
-        assert [c.container_id for c in launched] == [1, 2, 3]
-        other = ResourceManager(
-            ClusterPair(make_training_cluster(1), make_inference_cluster(1))
-        )
-        [first] = other.launch(
-            make_job(1), first_server(other), 1, 1, flexible=False
-        )
-        assert first.container_id == 1
-
-    def test_rejects_zero_gpus(self):
-        with pytest.raises(ValueError):
-            Container(job_id=1, server_id="s", gpus=0)
-
-
 class TestLaunchRelease:
-    def test_launch_books_both_sides(self, rm):
+    def test_launch_books_both_sides(self, rm, make_job):
         job = make_job(max_workers=3)
         server = first_server(rm)
-        containers = rm.launch(job, server, 3, 1, flexible=False, now=5.0)
-        assert len(containers) == 3
+        rm.launch(job, server, 3, 1, flexible=False)
         assert server.allocations[job.job_id] == 3
         assert job.base_workers == 3
         rm.verify_books()
 
-    def test_launch_over_capacity_rejected(self, rm):
+    def test_launch_over_capacity_rejected(self, rm, make_job):
         job = make_job(max_workers=5, gpus_per_worker=2)
         with pytest.raises(ValueError, match="free"):
             rm.launch(job, first_server(rm), 5, 2, flexible=False)
         rm.verify_books()
 
-    def test_launch_on_unhealthy_rejected(self, rm):
+    def test_launch_on_unhealthy_rejected(self, rm, make_job):
         job = make_job()
         server = first_server(rm)
         rm.fail_node(server.server_id)
         with pytest.raises(ValueError, match="unhealthy"):
             rm.launch(job, server, 1, 1, flexible=False)
 
-    def test_release_job_frees_everything(self, rm):
-        job = make_job(max_workers=4)
+    def test_release_job_frees_everything(self, rm, make_job):
+        """Base-only, flex-only and shared servers alike."""
+        job = make_job(max_workers=4, min_workers=1, elastic=True)
         rm.launch(job, rm.pair.training.servers[0], 2, 1, flexible=False)
-        rm.launch(job, rm.pair.training.servers[1], 2, 1, flexible=False)
-        released = rm.release_job(job, now=9.0)
+        rm.launch(job, rm.pair.training.servers[0], 1, 1, flexible=True)
+        rm.launch(job, rm.pair.training.servers[1], 1, 1, flexible=True)
+        released = rm.release_job(job)
         assert released == 4
         assert rm.pair.training.used_gpus == 0
         assert job.total_workers == 0
-        assert not rm.containers_of(job.job_id)
         rm.verify_books()
 
-    def test_scale_in_releases_flex_only(self, rm):
+    def test_scale_in_releases_flex_only(self, rm, make_job):
         job = make_job(max_workers=6, min_workers=2, elastic=True)
         server = first_server(rm)
         rm.launch(job, server, 2, 1, flexible=False)
         rm.launch(job, server, 3, 1, flexible=True)
-        stopped = rm.scale_in(job, server.server_id, 2, now=3.0)
+        stopped = rm.scale_in(job, server.server_id, 2)
         assert stopped == 2
         assert job.flex_workers == 1
         assert job.base_workers == 2
         assert server.allocations[job.job_id] == 3
         rm.verify_books()
 
-    def test_scale_in_never_touches_base(self, rm):
+    def test_scale_in_frees_what_a_worker_costs_on_that_server(
+        self, rm, make_job
+    ):
+        """On weaker on-loan hardware a worker books more GPUs than its
+        nominal demand (§5.2); a scale-in frees that, not the nominal."""
+        (t4,) = loan(rm, 1)
+        job = make_job(max_workers=2, min_workers=1, elastic=True,
+                       fungible=True)
+        rm.launch(job, first_server(rm), 1, 1, flexible=False)
+        rm.launch(job, t4, 2, 3, flexible=True)
+        assert rm.scale_in(job, t4.server_id, 1) == 1
+        assert t4.allocations[job.job_id] == 3
+        rm.verify_books()
+        assert rm.scale_in(job, t4.server_id, 5) == 1
+        assert t4.idle and job.gpu_cost_on(t4.server_id) == 1
+        assert not job._onloan_servers
+        rm.verify_books()
+
+    def test_scale_in_never_touches_base(self, rm, make_job):
         job = make_job(max_workers=4, min_workers=2, elastic=True)
         server = first_server(rm)
         rm.launch(job, server, 2, 1, flexible=False)
@@ -132,7 +119,7 @@ class TestWhitelist:
         assert not returned.on_loan
         assert sid in rm.pair.inference and sid not in rm.pair.training
 
-    def test_return_refused_while_containers_run(self, rm):
+    def test_return_refused_while_containers_run(self, rm, make_job):
         moved = loan(rm, 1)[0]
         job = make_job(fungible=True)
         rm.launch(job, moved, 1, 1, flexible=False)
@@ -141,20 +128,16 @@ class TestWhitelist:
 
 
 class TestNodeFailure:
-    def test_base_loss_reported(self, rm):
+    def test_base_loss_reported(self, rm, make_job):
         job = make_job(max_workers=2)
         server = first_server(rm)
         rm.launch(job, server, 2, 1, flexible=False)
-        report = rm.fail_node(server.server_id, now=4.0)
+        report = rm.fail_node(server.server_id)
         assert report.jobs_lost_base == {job.job_id}
-        assert len(report.lost_containers) == 2
-        assert all(
-            c.state is ContainerState.LOST for c in report.lost_containers
-        )
-        assert server.used_gpus == 0
+        assert server.used_gpus == 0 and job.total_workers == 0
         assert not rm.is_healthy(server.server_id)
 
-    def test_flex_only_loss_reported_separately(self, rm):
+    def test_flex_only_loss_reported_separately(self, rm, make_job):
         job = make_job(max_workers=6, min_workers=2, elastic=True)
         base_server, flex_server = rm.pair.training.servers[:2]
         rm.launch(job, base_server, 2, 1, flexible=False)
@@ -163,7 +146,26 @@ class TestNodeFailure:
         assert report.jobs_lost_base == set()
         assert report.jobs_lost_flex == {job.job_id: 3}
 
-    def test_base_loss_subsumes_flex_loss(self, rm):
+    def test_flex_only_loser_is_shrunk_on_its_own_book(self, rm, make_job):
+        """``fail_node`` alone — no kernel behind it — takes the dead
+        server out of the job: no workers there, and the per-server cost
+        and on-loan mark go with the last of them."""
+        (t4,) = loan(rm, 1)
+        job = make_job(max_workers=3, min_workers=1, elastic=True,
+                       fungible=True)
+        rm.launch(job, first_server(rm), 1, 1, flexible=False)
+        rm.launch(job, t4, 2, 3, flexible=True)
+        assert job.gpu_cost_on(t4.server_id) == 3
+        report = rm.fail_node(t4.server_id)
+        assert report.jobs_lost_flex == {job.job_id: 2}
+        assert job.workers_on(t4.server_id) == 0
+        assert (job.base_workers, job.flex_workers) == (1, 0)
+        assert t4.server_id not in job._server_cost
+        assert not job._onloan_servers
+        assert t4.idle
+        rm.verify_books()
+
+    def test_base_loss_subsumes_flex_loss(self, rm, make_job):
         job = make_job(max_workers=6, min_workers=2, elastic=True)
         server = first_server(rm)
         rm.launch(job, server, 2, 1, flexible=False)
@@ -172,7 +174,7 @@ class TestNodeFailure:
         assert report.jobs_lost_base == {job.job_id}
         assert job.job_id not in report.jobs_lost_flex
 
-    def test_recovery(self, rm):
+    def test_recovery(self, rm, make_job):
         server = first_server(rm)
         rm.fail_node(server.server_id)
         rm.recover_node(server.server_id)
@@ -180,12 +182,43 @@ class TestNodeFailure:
         job = make_job()
         rm.launch(job, server, 1, 1, flexible=False)  # usable again
 
-    def test_verify_books_detects_drift(self, rm):
+    def test_verify_books_detects_drift(self, rm, make_job):
         job = make_job(max_workers=2)
         server = first_server(rm)
         rm.launch(job, server, 2, 1, flexible=False)
         server.release(job.job_id, 1)  # sabotage behind the RM's back
         with pytest.raises(RuntimeError, match="mismatch"):
+            rm.verify_books()
+
+    @pytest.mark.parametrize(
+        "drift", ["more-workers", "dearer-workers", "workers-elsewhere",
+                  "unknown-job"],
+    )
+    def test_verify_books_detects_job_side_drift(self, rm, make_job, drift):
+        """The audit compares the server books with the record decisions
+        read — the jobs' own placement — in both directions; the error
+        names the server and the job."""
+        job = make_job(job_id=7, max_workers=4, min_workers=1, elastic=True)
+        server, other = rm.pair.training.servers[:2]
+        sid = server.server_id
+        rm.launch(job, server, 1, 1, flexible=False)
+        rm.launch(job, server, 1, 1, flexible=True)
+        rm.verify_books()
+        expect = f"book mismatch on {sid} job 7: "
+        if drift == "more-workers":
+            job.flex_placement[sid] += 1
+            expect += "the job's placement says 3, the server says 2"
+        elif drift == "dearer-workers":
+            job._server_cost[sid] = 3
+            expect += "the job's placement says 6, the server says 2"
+        elif drift == "workers-elsewhere":
+            job.flex_placement[other.server_id] = 2
+            expect = (f"book mismatch on {other.server_id} job 7: the job "
+                      f"places 2 workers there, the server books nothing")
+        else:
+            del rm.jobs[7]
+            expect += "the job's placement says 0, the server says 2"
+        with pytest.raises(RuntimeError, match=expect):
             rm.verify_books()
 
     @pytest.mark.parametrize(

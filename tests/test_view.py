@@ -26,7 +26,7 @@ from repro.schedulers.base import SchedulerPolicy
 from repro.schedulers.fifo import FIFOScheduler, SJFScheduler
 from repro.simulator.engine import Engine
 from repro.simulator.simulation import Simulation, SimulationConfig
-from tests.conftest import loan, make_job
+from tests.conftest import loan, make_engine, make_job
 
 
 def _pair(train=3, infer=3):
@@ -41,7 +41,7 @@ class TestViewPools:
         view = ClusterView(pair.training)
         loan(pair, 2)
         job = make_job(job_id=1, gpus_per_worker=2, max_workers=3)
-        engine = PlacementEngine(view)
+        engine = make_engine(view)
         engine.place([PlacementRequest(job, base_workers=2, flex_workers=1)])
         pools = view.pools()
         training = sum(
@@ -133,7 +133,7 @@ class TestViewIndexes:
         # partially fill a mix of servers
         filler = make_job(job_id=50, gpus_per_worker=1, max_workers=9,
                           min_workers=9, fungible=True)
-        PlacementEngine(view).place([PlacementRequest(filler, base_workers=9)])
+        make_engine(view).place([PlacementRequest(filler, base_workers=9)])
         for flexible in (False, True):
             query = dict(
                 gpus_per_worker=2, train_ok=True, loan_ok=True,
@@ -174,7 +174,7 @@ class TestViewIndexes:
         view = ClusterView(pair.training)
         loan(pair, 4)
         jobs = {}
-        engine = PlacementEngine(view)
+        engine = make_engine(view)
         for i in range(3):
             job = make_job(job_id=i, gpus_per_worker=2, max_workers=4,
                            min_workers=2, fungible=True, elastic=True)
