@@ -11,8 +11,7 @@ Public API highlights:
 * :mod:`repro.simulator` — the discrete-event cluster simulator.
 * :mod:`repro.traces` — synthetic workload and inference-utilization
   traces calibrated to the paper's statistics.
-* :mod:`repro.elastic` — scaling models, elastic job controller,
-  hyperparameter tuning.
+* :mod:`repro.elastic` — training-throughput scaling models.
 * :mod:`repro.predictor` — the NumPy LSTM usage predictor.
 * :mod:`repro.obs` — observability: event tracing, metrics registry,
   phase profiling and trace inspection (docs/OBSERVABILITY.md).

@@ -65,9 +65,10 @@ from repro.scenarios import (
     build_sim,
     default_setup,
     run_scheme,
+    wire_scheme,
 )
 from repro.simulator.metrics import SimulationMetrics, reduction
-from repro.traces.io import load_workload
+from repro.traces.io import load_workload, save_workload
 from repro.traces.workload import TraceConfig, generate_workload
 
 
@@ -398,20 +399,24 @@ def cmd_serve(args) -> int:
         make_training_cluster,
     )
     from repro.recovery import WALError
-    from repro.scenarios import make_policy
     from repro.serve import SchedulerService
-    from repro.simulator.simulation import SimulationConfig
 
     pair = ClusterPair(
         make_training_cluster(args.training_servers),
         make_inference_cluster(args.inference_servers),
     )
-    config = SimulationConfig(scheduler_interval=args.epoch_interval)
+    # a loaning scheme's orchestrator has no utilization trace to offer
+    # against here, so it ticks and loans nothing
+    policy, config, orchestrator = wire_scheme(
+        args.scheme,
+        seed=args.seed,
+        sim_overrides={"scheduler_interval": args.epoch_interval},
+    )
     obs = Observability.enabled() if args.trace else Observability.disabled()
     try:
         service = SchedulerService(
             pair,
-            make_policy(args.scheme, seed=args.seed),
+            policy,
             config,
             host=args.host,
             port=args.port,
@@ -420,6 +425,7 @@ def cmd_serve(args) -> int:
             state_dir=args.state_dir,
             snapshot_every_epochs=args.snapshot_every,
             obs=obs,
+            orchestrator=orchestrator,
         )
     except WALError as exc:
         # the state directory's request journal is unreadable
@@ -670,15 +676,14 @@ def cmd_whatif(args) -> int:
     (preemptions, per-server preemption cost, collateral GPUs) with the
     simulation state provably untouched.
     """
-    wiring = SCHEMES[args.scheme]
-    if not wiring.get("loaning", False):
+    setup = _make_setup(args)
+    sim = build_sim(setup, args.scheme, scenario=args.scenario,
+                    seed=args.seed)
+    if sim.orchestrator is None:
         print(f"scheme {args.scheme!r} has no resource orchestrator; "
               f"pick a loaning scheme (e.g. lyra, lyra_loaning)",
               file=sys.stderr)
         return 2
-    setup = _make_setup(args)
-    sim = build_sim(setup, args.scheme, scenario=args.scenario,
-                    seed=args.seed)
     sim.run(until=args.at)
     loaned = sim.pair.loaned_count
     before = (
@@ -812,29 +817,11 @@ def cmd_trace(args) -> int:
         "elastic_jobs": sum(1 for s in workload.specs if s.elastic),
     }
     if args.out:
-        with atomic_write(args.out) as fh:
-            json.dump(
-                {
-                    "stats": stats,
-                    "jobs": [
-                        {
-                            "job_id": s.job_id,
-                            "submit_time": s.submit_time,
-                            "duration": s.duration,
-                            "min_workers": s.min_workers,
-                            "max_workers": s.max_workers,
-                            "gpus_per_worker": s.gpus_per_worker,
-                            "elastic": s.elastic,
-                            "fungible": s.fungible,
-                            "heterogeneous": s.heterogeneous,
-                            "checkpointing": s.checkpointing,
-                            "model_family": s.model_family,
-                        }
-                        for s in workload.specs
-                    ],
-                },
-                fh,
-            )
+        try:
+            save_workload(workload, args.out)
+        except ValueError as exc:  # not a .json / .csv path
+            print(f"cannot write trace: {exc}", file=sys.stderr)
+            return 2
         print(f"wrote {len(workload.specs)} jobs to {args.out}")
     for key, value in stats.items():
         print(f"  {key}: {value:.3f}" if isinstance(value, float)
@@ -1109,7 +1096,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace_p = sub.add_parser("trace", help="generate/describe a trace")
     _add_setup_args(trace_p)
-    trace_p.add_argument("--out", help="write the trace as JSON")
+    trace_p.add_argument("--out",
+                         help="write the trace (.json/.csv) for run --replay")
     trace_p.set_defaults(func=cmd_trace)
 
     report_p = sub.add_parser(

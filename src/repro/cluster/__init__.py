@@ -6,7 +6,7 @@ from repro.cluster.cluster import (
     make_inference_cluster,
     make_training_cluster,
 )
-from repro.cluster.gpu import A100, GPUType, T4, V100, get_gpu_type
+from repro.cluster.gpu import A100, GPUType, T4, V100
 from repro.cluster.job import Job, JobSpec, JobStatus
 from repro.cluster.server import BASE_GROUP, FLEX_GROUP, Server
 
@@ -23,7 +23,6 @@ __all__ = [
     "Server",
     "T4",
     "V100",
-    "get_gpu_type",
     "make_inference_cluster",
     "make_training_cluster",
 ]

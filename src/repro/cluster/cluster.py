@@ -113,10 +113,6 @@ class Cluster:
         return [s for s in self._servers.values() if s.on_loan]
 
     @property
-    def dedicated_servers(self) -> List[Server]:
-        return [s for s in self._servers.values() if not s.on_loan]
-
-    @property
     def total_gpus(self) -> int:
         if self._total_gpus is None:
             self._total_gpus = sum(s.num_gpus for s in self._servers.values())
@@ -130,22 +126,10 @@ class Cluster:
     def used_gpus(self) -> int:
         return sum(s.used_gpus for s in self._servers.values())
 
-    @property
-    def normalized_capacity(self) -> float:
-        """Total capacity in training-GPU equivalents (§5.2)."""
-        return sum(s.normalized_gpus for s in self._servers.values())
-
     def utilization(self) -> float:
         """Fraction of GPUs currently allocated."""
         total = self.total_gpus
         return self.used_gpus / total if total else 0.0
-
-    def release_job(self, job_id: int) -> int:
-        """Release every GPU held by ``job_id`` anywhere in the cluster."""
-        freed = 0
-        for server in self._servers.values():
-            freed += server.release(job_id)
-        return freed
 
 
 def make_training_cluster(

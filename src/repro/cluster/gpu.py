@@ -39,14 +39,6 @@ class GPUType:
                 f"relative_compute must be positive, got {self.relative_compute}"
             )
 
-    def batch_shrink_factor(self, reference: "GPUType") -> float:
-        """Fraction of ``reference``'s local batch that fits in this GPU.
-
-        Capacity loaning keeps the *global* batch size constant by running
-        more workers with proportionally smaller local batches (§2.1).
-        """
-        return min(1.0, self.memory_gb / reference.memory_gb)
-
 
 #: The training-cluster GPU in the paper's production environment.
 V100 = GPUType(name="V100", memory_gb=32, relative_compute=1.0)
@@ -56,15 +48,3 @@ T4 = GPUType(name="T4", memory_gb=16, relative_compute=1.0 / 3.0)
 
 #: A newer training GPU, available for custom scenarios.
 A100 = GPUType(name="A100", memory_gb=80, relative_compute=1.75)
-
-_REGISTRY = {gpu.name: gpu for gpu in (V100, T4, A100)}
-
-
-def get_gpu_type(name: str) -> GPUType:
-    """Look up a built-in GPU type by name (case-insensitive)."""
-    try:
-        return _REGISTRY[name.upper().replace("NVIDIA ", "")]
-    except KeyError:
-        raise KeyError(
-            f"unknown GPU type {name!r}; known: {sorted(_REGISTRY)}"
-        ) from None

@@ -81,11 +81,6 @@ class Server:
         return not self.allocations
 
     @property
-    def normalized_gpus(self) -> float:
-        """Capacity in training-GPU equivalents (§5.2 normalization)."""
-        return self.num_gpus * self.gpu_type.relative_compute
-
-    @property
     def job_count(self) -> int:
         return len(self.allocations)
 

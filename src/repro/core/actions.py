@@ -50,7 +50,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.cluster.job import Job
-from repro.elastic.controller import ElasticControllerError, check_scale_floor
 from repro.obs import get_logger
 from repro.obs.profiling import PHASE_PLAN_COMMIT, PHASE_PLAN_VALIDATE
 from repro.obs.provenance import (
@@ -73,6 +72,16 @@ class PlanError(RuntimeError):
 class PlanRejected(PlanError):
     """Validation against the live cluster state failed; nothing was
     committed and any staged effects were rolled back."""
+
+
+def _check_scale_floor(job: Job, workers: int) -> None:
+    """§5.2: a running job never shrinks below its gang-scheduled base
+    demand — that would stall it."""
+    if workers < job.spec.min_workers:
+        raise PlanRejected(
+            f"job {job.job_id}: scaling in to {workers} workers would drop "
+            f"below base demand {job.spec.min_workers}; preempt the job instead"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -740,17 +749,10 @@ class PlanExecutor:
                         f"running in this plan"
                     )
                 if kind == "scale_in":
-                    try:
-                        if action.staged:
-                            check_scale_floor(
-                                action.job_id,
-                                action.workers,
-                                job.spec.min_workers,
-                            )
-                        else:
-                            self._validate_removals(job, action, removed)
-                    except ElasticControllerError as exc:
-                        raise PlanRejected(str(exc)) from exc
+                    if action.staged:
+                        _check_scale_floor(job, action.workers)
+                    else:
+                        self._validate_removals(job, action, removed)
             elif kind == "preempt":
                 if action.job_id not in sim.jobs:
                     raise PlanRejected(f"preempt of unknown job {action.job_id}")
@@ -804,11 +806,7 @@ class PlanExecutor:
                     f"workers from {server_id!r}"
                 )
             taken[server_id] = taken.get(server_id, 0) + workers
-        check_scale_floor(
-            job.job_id,
-            job.total_workers - sum(taken.values()),
-            job.spec.min_workers,
-        )
+        _check_scale_floor(job, job.total_workers - sum(taken.values()))
         for server_id, _ in action.removals:
             held = job.flex_placement.get(server_id, 0)
             if taken[server_id] > held:

@@ -232,7 +232,8 @@ class SchedulerKernel:
         self.config = config
         self.obs = obs if obs is not None else Observability.disabled()
         self.tracer = self.obs.tracer
-        self.metrics = SimulationMetrics(registry=self.obs.registry)
+        self.jobs: Dict[int, Job] = {}
+        self.metrics = SimulationMetrics(self.obs.registry, self.jobs)
         self.activities: List[Activity] = []
         #: optional live event sink: called with every Activity the
         #: kernel logs (the serving daemon's streaming feed); None — the
@@ -243,7 +244,6 @@ class SchedulerKernel:
         self._pending_triggers: List[Trigger] = []
         self._dropped_triggers = 0
 
-        self.jobs: Dict[int, Job] = {}
         #: the only writer of placement, over the live job table
         self.rm = ResourceManager(pair, self.jobs)
         self.pending: List[Job] = []
@@ -267,7 +267,6 @@ class SchedulerKernel:
         self._scaling = get_scaling_model(config.scaling_model)
         for spec in specs:
             self.add_job_spec(spec)
-        self.metrics.jobs = list(self.jobs.values())
         self.metrics.submissions = len(self.jobs)
 
         #: the scheduling view: delta-maintained columns over the
@@ -316,12 +315,11 @@ class SchedulerKernel:
     def register_job(self, spec: JobSpec) -> Job:
         """Register a job *after* construction (the daemon's submit path).
 
-        :meth:`add_job_spec` covers trace replay, where the metrics
-        roster is finalized once in ``__init__``; this keeps the roster
-        and submission count in step for jobs arriving at runtime.
+        :meth:`add_job_spec` covers trace replay, where submissions
+        are counted once in ``__init__``; this keeps the count in step
+        for jobs arriving at runtime.
         """
         job = self.add_job_spec(spec)
-        self.metrics.jobs.append(job)
         self.metrics.submissions += 1
         return job
 
@@ -766,8 +764,8 @@ class SchedulerKernel:
         released first (its containers stop, progress is discarded).
         Returns False when the job is unknown or already finished —
         cancellation is idempotent, never an error.  A cancelled job
-        leaves the job table, the metrics roster and, because its
-        bookkeeping lives on the :class:`Job`, everything else: only the
+        leaves the job table (the metrics roster reads it) and, because
+        its bookkeeping lives on the :class:`Job`, everything else: only the
         records (activity log, trace, WAL, request journal) and the
         submission/cancellation counters remember it.
         """
@@ -791,7 +789,6 @@ class SchedulerKernel:
             self._arrivals.remove(job)
         self.view.note_queue_change()
         del self.jobs[job_id]
-        self.metrics.jobs.remove(job)  # the roster stays in step
         self.metrics.registry.counter(
             "sim.cancellations", cause=cause
         ).inc()

@@ -189,26 +189,6 @@ def preemption_cost_index(
     return index
 
 
-def preemption_cost_matrix(
-    servers: Sequence[Server],
-    jobs: Mapping[int, Job],
-    model: CostModel = CostModel.SERVER_FRACTION,
-) -> Tuple[List[str], "object"]:
-    """``(server_ids, costs)`` with costs as a numpy vector.
-
-    A thin array-shaped façade over :func:`preemption_cost_index` for
-    callers that rank or threshold many candidates at once (dry-run
-    pricing sweeps, benchmarks).  Values are exactly the index's — the
-    vector is built from it, not re-accumulated — so both presentations
-    always agree bit-for-bit.
-    """
-    import numpy as np
-
-    index = preemption_cost_index(servers, jobs, model)
-    ids = [server.server_id for server in servers]
-    return ids, np.array([index[sid] for sid in ids], dtype=np.float64)
-
-
 def initial_greedy_costs(
     candidates: Sequence[Server],
     jobs: Mapping[int, Job],

@@ -1,53 +1,15 @@
-"""Elastic-scaling substrate: throughput models, controller, tuning."""
+"""Elastic-scaling substrate: training-throughput scaling models."""
 
-from repro.elastic.controller import (
-    ControllerState,
-    ElasticController,
-    ElasticControllerError,
-)
-from repro.elastic.hetero import (
-    WorkerShard,
-    heterogeneous_throughput,
-    mixed_penalty,
-    plan_worker_mix,
-    split_batch,
-    step_efficiency,
-)
 from repro.elastic.throughput import (
     LINEAR,
     SUBLINEAR_20,
     ScalingModel,
     get_scaling_model,
 )
-from repro.elastic.tuning import (
-    TrainingHyperparams,
-    adascale_gain,
-    adascale_lr,
-    retune,
-    scale_batch_for_workers,
-    shrink_batch_for_memory,
-    workers_for_global_batch,
-)
 
 __all__ = [
-    "ControllerState",
-    "ElasticController",
-    "ElasticControllerError",
     "LINEAR",
     "SUBLINEAR_20",
     "ScalingModel",
-    "TrainingHyperparams",
-    "WorkerShard",
-    "adascale_gain",
-    "adascale_lr",
     "get_scaling_model",
-    "heterogeneous_throughput",
-    "mixed_penalty",
-    "plan_worker_mix",
-    "split_batch",
-    "step_efficiency",
-    "retune",
-    "scale_batch_for_workers",
-    "shrink_batch_for_memory",
-    "workers_for_global_batch",
 ]

@@ -32,7 +32,6 @@ from repro.faults.plan import (
     PredictorBias,
     PredictorOutage,
     Straggler,
-    builtin_plan,
     resolve_plan,
 )
 from repro.faults.recovery import DegradedLoaning, RetryPolicy
@@ -52,7 +51,6 @@ __all__ = [
     "RetryPolicy",
     "Straggler",
     "audit_simulation",
-    "builtin_plan",
     "resilience_snapshot",
     "resolve_plan",
     "verify_scheduler_invariants",

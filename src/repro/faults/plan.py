@@ -386,17 +386,6 @@ def _builtin_plans() -> Dict[str, FaultPlan]:
 BUILTIN_PLANS: Dict[str, FaultPlan] = _builtin_plans()
 
 
-def builtin_plan(name: str) -> FaultPlan:
-    """Look up a builtin plan by name."""
-    try:
-        return BUILTIN_PLANS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown builtin fault plan {name!r}; known: "
-            f"{sorted(BUILTIN_PLANS)}"
-        ) from None
-
-
 def resolve_plan(spec: str) -> FaultPlan:
     """Resolve a CLI ``--plan`` value: builtin name or file path."""
     if spec in BUILTIN_PLANS:

@@ -94,10 +94,6 @@ class FederatedCluster(Cluster):
         return [s for s in self.servers if s.on_loan]
 
     @property
-    def dedicated_servers(self) -> List[Server]:
-        return [s for s in self.servers if not s.on_loan]
-
-    @property
     def total_gpus(self) -> int:
         return sum(member.total_gpus for member in self.members)
 
@@ -108,13 +104,6 @@ class FederatedCluster(Cluster):
     @property
     def used_gpus(self) -> int:
         return sum(member.used_gpus for member in self.members)
-
-    @property
-    def normalized_capacity(self) -> float:
-        return sum(member.normalized_capacity for member in self.members)
-
-    def release_job(self, job_id: int) -> int:
-        return sum(member.release_job(job_id) for member in self.members)
 
 
 def ClusterSet(

@@ -28,8 +28,8 @@ from repro.obs.tracer import CAT_SPAN, SPAN_EVENT, SUMMARY_EVENT
 #: surfaced explicitly so a producer/consumer drift (or a hand-edited
 #: trace) is visible instead of silently folded into the census.
 KNOWN_EVENT_PREFIXES = (
-    "job.", "scheduler.", "orchestrator.", "cluster.", "elastic.",
-    "fault.", "recovery.", "plan.", "obs.", "run.", "trace.",
+    "job.", "scheduler.", "orchestrator.", "cluster.", "fault.",
+    "recovery.", "plan.", "obs.", "run.", "trace.",
 )
 
 

@@ -86,9 +86,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.value = (0.0 if math.isnan(self.value) else self.value) + amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
 
 class Histogram:
     """A distribution; keeps raw observations for exact summaries.
@@ -205,12 +202,3 @@ class MetricsRegistry:
                     "max": hist.percentile(100),
                 }
         return out
-
-    def find(self, prefix: str) -> Dict[str, Any]:
-        """Snapshot filtered to instruments whose name starts with
-        ``prefix`` (handy in tests and interactive inspection)."""
-        snap = self.snapshot()
-        return {
-            kind: {k: v for k, v in values.items() if k.startswith(prefix)}
-            for kind, values in snap.items()
-        }

@@ -32,11 +32,7 @@ from repro.ioutil import atomic_write
 CAT_JOB = "job"
 CAT_SCHEDULER = "scheduler"
 CAT_ORCHESTRATOR = "orchestrator"
-CAT_CLUSTER = "cluster"
-CAT_ELASTIC = "elastic"
 CAT_META = "meta"
-CAT_FAULT = "fault"
-CAT_RECOVERY = "recovery"
 CAT_PLAN = "plan"
 CAT_SPAN = "span"
 
@@ -130,9 +126,8 @@ class Tracer:
         """Events in (sim-time, seq) order.
 
         Emission is already time-ordered for anything driven by the
-        simulation engine; sorting here additionally covers emitters
-        with their own clocks (e.g. an :class:`ElasticController` fed a
-        stale timestamp).
+        simulation engine; sorting here additionally covers an emitter
+        handed a stale timestamp.
         """
         return sorted(self.events, key=lambda e: (e.ts, e.seq))
 

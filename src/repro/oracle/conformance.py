@@ -338,7 +338,7 @@ def build_replay_sim(
     ``reference_view`` swaps the oracle's scan-from-scratch view into
     the built simulation (see :mod:`repro.oracle.refview`).
     """
-    from repro.scenarios import SCHEMES, build_sim, default_setup
+    from repro.scenarios import build_sim, default_setup
 
     setup = default_setup(
         num_jobs=_REPLAY_JOBS,
@@ -348,15 +348,14 @@ def build_replay_sim(
         seed=seed,
         target_load=2.5,
     )
-    policy_kwargs = {}
-    if SCHEMES[scheme]["policy"] == "pollux":
-        policy_kwargs = dict(pollux_generations=6, pollux_population=6)
     sim = build_sim(
         setup,
         scheme,
         seed=seed,
         sim_overrides={"record_activities": True},
-        **policy_kwargs,
+        # a small GA when the scheme's policy is Pollux; ignored otherwise
+        pollux_generations=6,
+        pollux_population=6,
     )
     if reference_view:
         install_reference_view(sim)

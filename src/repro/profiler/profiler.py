@@ -126,11 +126,3 @@ class JobProfiler:
         estimate to ``actual * estimate_error``.
         """
         return self.predict(spec) / spec.duration
-
-    def mean_absolute_log_error(self, specs) -> float:
-        """Evaluation helper: mean |log(pred / actual)| over specs."""
-        errors = [
-            abs(math.log(max(1e-9, self.estimate_error(spec))))
-            for spec in specs
-        ]
-        return float(np.mean(errors)) if errors else math.nan

@@ -43,7 +43,9 @@ MAGIC = b"REPROSNAP\x00"
 #: 5: a worker is a count on the server and job books; the resource
 #: manager holds the job table and no container ledger (a schema-4 one
 #: comes back with the ledger and without the table)
-SCHEMA_VERSION = 5
+#: 6: the metrics roster is the kernel's job table, not a list beside it
+#: (a schema-5 ``SimulationMetrics`` has the list and no table)
+SCHEMA_VERSION = 6
 
 #: pinned pickle protocol: snapshots written on 3.9 load on 3.12
 PICKLE_PROTOCOL = 4

@@ -16,7 +16,7 @@ reclaiming, Gandiva, AFS, Pollux, Lyra+TunedJobs).  This module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,34 +45,40 @@ from repro.traces.workload import TraceConfig, Workload, generate_workload
 
 SCENARIOS = ("basic", "advanced", "heterogeneous", "ideal")
 
-#: Schemes and their wiring: (policy, loaning?, reclaimer, elastic?, tuned?)
-SCHEMES: Dict[str, Dict] = {
-    "baseline": dict(policy="fifo", loaning=False, elastic=False),
-    "sjf": dict(policy="sjf", loaning=False, elastic=False),
-    "lyra": dict(policy="lyra", loaning=True, reclaimer="lyra", elastic=True),
+
+@dataclass(frozen=True)
+class Scheme:
+    """How one evaluated scheme is wired (§7.1): which policy plans,
+    whether a resource orchestrator loans capacity and with which
+    reclaimer, and whether jobs scale elastically / arrive tuned."""
+
+    policy: str
+    loaning: bool = False
+    reclaimer: str = "lyra"
+    elastic: bool = False
+    tuned: bool = False
+
+
+SCHEMES: Dict[str, Scheme] = {
+    "baseline": Scheme("fifo"),
+    "sjf": Scheme("sjf"),
+    "lyra": Scheme("lyra", loaning=True, elastic=True),
     # capacity-loaning-only group (elastic scaling disabled)
-    "opportunistic": dict(policy="opportunistic", loaning=True,
-                          reclaimer="random", elastic=False),
-    "random_loaning": dict(policy="lyra", loaning=True, reclaimer="random",
-                           elastic=False),
-    "scf_loaning": dict(policy="lyra", loaning=True, reclaimer="scf",
-                        elastic=False),
-    "lyra_loaning": dict(policy="lyra", loaning=True, reclaimer="lyra",
-                         elastic=False),
+    "opportunistic": Scheme("opportunistic", loaning=True, reclaimer="random"),
+    "random_loaning": Scheme("lyra", loaning=True, reclaimer="random"),
+    "scf_loaning": Scheme("lyra", loaning=True, reclaimer="scf"),
+    "lyra_loaning": Scheme("lyra", loaning=True),
     # elastic-scaling-only group (no loaning)
-    "gandiva": dict(policy="gandiva", loaning=False, elastic=True),
-    "afs": dict(policy="afs", loaning=False, elastic=True),
-    "pollux": dict(policy="pollux", loaning=False, elastic=True, tuned=True),
-    "lyra_scaling": dict(policy="lyra", loaning=False, elastic=True),
-    "lyra_tuned": dict(policy="lyra", loaning=False, elastic=True, tuned=True),
+    "gandiva": Scheme("gandiva", elastic=True),
+    "afs": Scheme("afs", elastic=True),
+    "pollux": Scheme("pollux", elastic=True, tuned=True),
+    "lyra_scaling": Scheme("lyra", elastic=True),
+    "lyra_tuned": Scheme("lyra", elastic=True, tuned=True),
     # full system with tuning (used in §7.4 comparisons)
-    "lyra_full_tuned": dict(policy="lyra", loaning=True, reclaimer="lyra",
-                            elastic=True, tuned=True),
+    "lyra_full_tuned": Scheme("lyra", loaning=True, elastic=True, tuned=True),
     # §10 future work: no running-time knowledge anywhere
-    "lyra_agnostic": dict(policy="lyra_agnostic", loaning=True,
-                          reclaimer="lyra", elastic=True),
-    "lyra_agnostic_scaling": dict(policy="lyra_agnostic", loaning=False,
-                                  elastic=True),
+    "lyra_agnostic": Scheme("lyra_agnostic", loaning=True, elastic=True),
+    "lyra_agnostic_scaling": Scheme("lyra_agnostic", elastic=True),
 }
 
 
@@ -259,6 +265,47 @@ def make_policy(name: str, seed: int = 0, **kwargs) -> SchedulerPolicy:
     raise ValueError(f"unknown policy {name!r}")
 
 
+def wire_scheme(
+    scheme: str,
+    seed: int = 0,
+    sim_overrides: Optional[dict] = None,
+    predictor=None,
+    lender_traces: Optional[dict] = None,
+    orchestrator_cls=ResourceOrchestrator,
+    **policy_kwargs,
+) -> Tuple[SchedulerPolicy, SimulationConfig, Optional[ResourceOrchestrator]]:
+    """Resolve a :data:`SCHEMES` name into what a kernel is built from:
+    ``(policy, config, orchestrator)``.
+
+    The one reader of a scheme's wiring — the simulator
+    (:func:`build_sim`) and the daemon (``repro serve``) both build
+    their kernel from this triple, so a scheme means the same under
+    either clock.  ``orchestrator`` is None for a scheme that does not
+    loan; ``sim_overrides`` are extra :class:`SimulationConfig` fields.
+    """
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; use one of {sorted(SCHEMES)}")
+    wiring = SCHEMES[scheme]
+    policy = make_policy(wiring.policy, seed=seed, **policy_kwargs)
+    config = SimulationConfig(
+        **{
+            "elastic": wiring.elastic,
+            "tuned_jobs": wiring.tuned,
+            **(sim_overrides or {}),
+        }
+    )
+    orchestrator = None
+    if wiring.loaning:
+        orchestrator = orchestrator_cls(
+            reclaimer=wiring.reclaimer,
+            seed=seed,
+            predictor=predictor,
+            scale_in_first=config.elastic,
+            lender_traces=lender_traces,
+        )
+    return policy, config, orchestrator
+
+
 def build_sim(
     setup: ExperimentSetup,
     scheme: str,
@@ -297,9 +344,6 @@ def build_sim(
             orchestrator rule clears it; ``market=None`` is the 1×1
             case on the setup's own pair and trace.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; use one of {sorted(SCHEMES)}")
-    wiring = SCHEMES[scheme]
     if specs is None:
         specs = apply_scenario(setup.workload.specs, scenario, seed=seed)
 
@@ -318,26 +362,15 @@ def build_sim(
     else:
         pair = setup.make_pair()
         trace = setup.inference_trace  # always present: usage accounting
-    policy = make_policy(wiring["policy"], seed=seed, **policy_kwargs)
-
-    params = dict(
-        elastic=wiring.get("elastic", False),
-        tuned_jobs=wiring.get("tuned", False),
-        scaling_model=scaling_model,
+    policy, config, orchestrator = wire_scheme(
+        scheme,
+        seed=seed,
+        sim_overrides={"scaling_model": scaling_model, **(sim_overrides or {})},
+        predictor=predictor,
+        lender_traces=lender_traces,
+        orchestrator_cls=orchestrator_cls,
+        **policy_kwargs,
     )
-    params.update(sim_overrides or {})
-    config = SimulationConfig(**params)
-
-    orchestrator = None
-    if wiring.get("loaning", False):
-        orchestrator = orchestrator_cls(
-            reclaimer=wiring.get("reclaimer", "lyra"),
-            headroom=wiring.get("headroom", 0.02),
-            seed=seed,
-            predictor=predictor,
-            scale_in_first=config.elastic,
-            lender_traces=lender_traces,
-        )
 
     sim = Simulation(
         specs,

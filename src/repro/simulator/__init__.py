@@ -1,10 +1,5 @@
 """Discrete-event cluster simulator."""
 
-from repro.simulator.calibration import (
-    Divergence,
-    first_divergence,
-    match_fraction,
-)
 from repro.simulator.engine import Engine
 from repro.simulator.events import Activity, EventKind
 from repro.simulator.metrics import (
@@ -18,9 +13,6 @@ from repro.simulator.simulation import Simulation, SimulationConfig
 
 __all__ = [
     "Activity",
-    "Divergence",
-    "first_divergence",
-    "match_fraction",
     "DistributionSummary",
     "Engine",
     "EventKind",

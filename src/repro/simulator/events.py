@@ -4,7 +4,7 @@ The paper calibrates its simulator against the testbed by comparing "the
 timestamp and decision of each activity (e.g. job launching, start and end
 of training, scheduling decision)" (§7.2).  We keep the same audit trail:
 every simulation appends :class:`Activity` records that tests and the
-calibration benchmark can replay and diff.
+golden-log suite replay and diff.
 """
 
 from __future__ import annotations

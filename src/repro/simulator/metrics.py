@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, ValuesView
 
 import numpy as np
 
@@ -98,20 +98,6 @@ class TimeSeries:
             out.setdefault(int(t // width), []).append(v)
         return out
 
-    def bucket_bounds(
-        self, width: float = 3600.0
-    ) -> List[Tuple[float, float]]:
-        """``(start, end)`` time of every non-empty bucket, ascending.
-
-        Aligned with the lists :meth:`bucket_means` / :meth:`bucket_max`
-        return, so callers no longer have to reconstruct which hour a
-        value belongs to.
-        """
-        return [
-            (h * width, (h + 1) * width)
-            for h in sorted(self.buckets(width))
-        ]
-
     def bucket_means(self, width: float = 3600.0) -> List[float]:
         buckets = self.buckets(width)
         return [float(np.mean(buckets[h])) for h in sorted(buckets)]
@@ -127,10 +113,6 @@ class TimeSeries:
     def hourly_max(self) -> List[float]:
         """Maximum per simulated hour (peak-tracking curves)."""
         return self.bucket_max(3600.0)
-
-    def hourly_bounds(self) -> List[Tuple[float, float]]:
-        """Bucket boundaries matching :meth:`hourly_means`."""
-        return self.bucket_bounds(3600.0)
 
 
 def _counter_property(metric_name: str):
@@ -161,7 +143,8 @@ class SimulationMetrics:
 
     Attribute surface:
 
-    * ``jobs`` — finished jobs (the population all distributions cover)
+    * ``jobs`` — the job table it was handed, in insertion order (the
+      population all distributions cover)
     * ``submissions`` / ``preemptions`` / ``scale_ops`` /
       ``node_failures`` — scalar counts (registry counters)
     * ``loan_ops`` / ``reclaim_ops`` — per-op server counts
@@ -182,10 +165,15 @@ class SimulationMetrics:
     collateral = _histogram_property("orchestrator.collateral")
     flex_satisfied = _histogram_property("orchestrator.flex_satisfied")
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None):
+    def __init__(
+        self,
+        registry: Optional[MetricsRegistry] = None,
+        jobs: Optional[Dict[int, Job]] = None,
+    ):
         # constructed bare, the facade self-hosts a private registry
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.jobs: List[Job] = []
+        #: the owner's live ``{job_id: Job}`` table, read and never copied
+        self._job_table: Dict[int, Job] = jobs if jobs is not None else {}
         # registers the four counters, so a run that never bumps one
         # still reports it as 0
         self.submissions = 0
@@ -197,6 +185,10 @@ class SimulationMetrics:
         self.onloan_usage = TimeSeries()
         self.onloan_busy = TimeSeries()
         self.hourly_queuing_ratio: List[float] = []
+
+    @property
+    def jobs(self) -> ValuesView[Job]:
+        return self._job_table.values()
 
     def __repr__(self) -> str:
         return (

@@ -17,7 +17,6 @@ from repro.traces.models import (
     VGG,
     ModelFamily,
     fig3_series,
-    get_family,
 )
 from repro.traces.workload import TraceConfig, Workload, generate_workload
 
@@ -41,5 +40,4 @@ __all__ = [
     "generate_workload",
     "load_workload",
     "save_workload",
-    "get_family",
 ]

@@ -73,15 +73,6 @@ ALL_FAMILIES: Dict[str, ModelFamily] = {
 ELASTIC_FAMILIES: List[ModelFamily] = [RESNET, VGG, BERT, GNMT]
 
 
-def get_family(name: str) -> ModelFamily:
-    try:
-        return ALL_FAMILIES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown model family {name!r}; known: {sorted(ALL_FAMILIES)}"
-        ) from None
-
-
 def fig3_series(
     family: ModelFamily, epochs: int = 30, double_every: int = 5
 ) -> List[Tuple[int, int, float]]:

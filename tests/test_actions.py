@@ -336,13 +336,18 @@ def test_declarative_scale_in_commits_through_the_executor():
     [
         # the job holds 3 flexible workers; 4 would take its base worker
         (lambda host: declarative_scale_in(0, (host, 3)), "below base demand"),
+        # the same §5.2 floor for a shrink a transaction already staged
+        (
+            lambda host: ScaleIn(job_id=0, removals=((host, 4),), workers=0, delta=-4),
+            "job 0: scaling in to 0 workers would drop below base demand 1",
+        ),
         (lambda host: declarative_scale_in(0, ("infer-0000", 1)), "holds 0"),
         (lambda host: declarative_scale_in(0, (host, 0)), "removes 0 workers"),
         (lambda host: declarative_scale_in(1, (host, 1)), "not running"),
         (lambda host: declarative_scale_in(77, (host, 1)), "unknown job"),
     ],
-    ids=["below-floor", "workers-not-held", "empty-removal",
-         "job-not-running", "unknown-job"],
+    ids=["below-floor", "staged-below-floor", "workers-not-held",
+         "empty-removal", "job-not-running", "unknown-job"],
 )
 def test_bad_declarative_scale_in_rejects_the_whole_plan(bad, message):
     """One invalid ScaleIn rejects every action of its plan — including

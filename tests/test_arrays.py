@@ -38,11 +38,7 @@ from repro.core.mckp import (
     solve_mckp_bruteforce,
     solution_cost,
 )
-from repro.core.reclaim import (
-    CostModel,
-    preemption_cost_index,
-    preemption_cost_matrix,
-)
+from repro.core.reclaim import preemption_cost_index
 from repro.core.view import ClusterView
 from repro.faults.crash import (
     BARRIER_BETWEEN_EVENTS,
@@ -332,29 +328,6 @@ class TestMCKPKernels:
 # the batched reclaim index keeps its scalar presentation
 # ----------------------------------------------------------------------
 class TestReclaimIndex:
-    def _placed(self):
-        pair = ClusterPair(make_training_cluster(3), make_inference_cluster(2))
-        jobs = _make_jobs(3)
-        rm = ResourceManager(pair, jobs)
-        rng = random.Random(11)
-        for job in jobs.values():
-            for _ in range(2):
-                server = rng.choice(pair.training.servers)
-                try:
-                    rm.launch(job, server, 1, 1, flexible=False)
-                except (ValueError, RuntimeError):
-                    pass
-        return pair, jobs
-
-    @pytest.mark.parametrize("model", list(CostModel))
-    def test_matrix_agrees_with_index(self, model):
-        pair, jobs = self._placed()
-        index = preemption_cost_index(pair.training.servers, jobs, model)
-        ids, costs = preemption_cost_matrix(pair.training.servers, jobs, model)
-        assert ids == [s.server_id for s in pair.training.servers]
-        for sid, cost in zip(ids, costs):
-            assert float(index[sid]) == float(cost)
-
     def test_empty_server_cost_is_the_int_zero(self):
         """The historical ``sum([])`` returned the int 0; its repr (``0``,
         not ``0.0``) leaks into logged plan-cost details, so the batched

@@ -1,4 +1,4 @@
-"""Tests for the elastic substrate: scaling models, controller, tuning."""
+"""Tests for the elastic substrate: the throughput scaling models."""
 
 import math
 
@@ -6,25 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.elastic.controller import (
-    ControllerState,
-    ElasticController,
-    ElasticControllerError,
-)
 from repro.elastic.throughput import (
     LINEAR,
     SUBLINEAR_20,
     ScalingModel,
     get_scaling_model,
-)
-from repro.elastic.tuning import (
-    TrainingHyperparams,
-    adascale_gain,
-    adascale_lr,
-    retune,
-    scale_batch_for_workers,
-    shrink_batch_for_memory,
-    workers_for_global_batch,
 )
 
 
@@ -78,156 +64,3 @@ class TestScalingModel:
         assert model.effective_workers(workers + 1) > model.effective_workers(
             workers
         )
-
-
-class TestElasticController:
-    def make(self, wmin=2, wmax=4):
-        return ElasticController(job_id=1, min_workers=wmin, max_workers=wmax)
-
-    def test_gang_start_semantics(self):
-        ctrl = self.make()
-        assert ctrl.state is ControllerState.WAITING
-        ctrl.join("w0")
-        assert ctrl.state is ControllerState.WAITING
-        ctrl.join("w1")
-        assert ctrl.state is ControllerState.RUNNING
-
-    def test_flexible_join_after_start(self):
-        ctrl = self.make()
-        ctrl.join("w0")
-        ctrl.join("w1")
-        generation = ctrl.join("w2", flexible=True)
-        assert ctrl.worker_count == 3
-        assert generation == 3
-
-    def test_base_join_after_start_rejected(self):
-        ctrl = self.make()
-        ctrl.join("w0")
-        ctrl.join("w1")
-        with pytest.raises(ElasticControllerError, match="gang"):
-            ctrl.join("w2", flexible=False)
-
-    def test_max_workers_enforced(self):
-        ctrl = self.make(wmin=1, wmax=2)
-        ctrl.join("w0")
-        ctrl.join("w1", flexible=True)
-        with pytest.raises(ElasticControllerError, match="max"):
-            ctrl.join("w2", flexible=True)
-
-    def test_flexible_leave(self):
-        ctrl = self.make()
-        ctrl.join("w0")
-        ctrl.join("w1")
-        ctrl.join("w2", flexible=True)
-        ctrl.leave("w2")
-        assert ctrl.worker_count == 2
-        assert ctrl.state is ControllerState.RUNNING
-
-    def test_base_leave_while_running_rejected(self):
-        ctrl = self.make()
-        ctrl.join("w0")
-        ctrl.join("w1")
-        with pytest.raises(ElasticControllerError, match="preempt"):
-            ctrl.leave("w0")
-
-    def test_duplicate_join_rejected(self):
-        ctrl = self.make()
-        ctrl.join("w0")
-        with pytest.raises(ElasticControllerError, match="duplicate"):
-            ctrl.join("w0")
-
-    def test_unknown_leave_rejected(self):
-        with pytest.raises(ElasticControllerError):
-            self.make().leave("ghost")
-
-    def test_generation_bumps_on_every_change(self):
-        ctrl = self.make()
-        g1 = ctrl.join("w0")
-        g2 = ctrl.join("w1")
-        g3 = ctrl.join("w2", flexible=True)
-        g4 = ctrl.leave("w2")
-        assert (g1, g2, g3, g4) == (1, 2, 3, 4)
-        assert len(ctrl.history) == 4
-
-    def test_stop_clears_membership(self):
-        ctrl = self.make()
-        ctrl.join("w0")
-        ctrl.stop()
-        assert ctrl.state is ControllerState.STOPPED
-        assert ctrl.worker_count == 0
-        with pytest.raises(ElasticControllerError):
-            ctrl.join("w9")
-
-    def test_invalid_range_rejected(self):
-        with pytest.raises(ValueError):
-            ElasticController(job_id=1, min_workers=3, max_workers=2)
-
-
-class TestTuning:
-    def params(self):
-        return TrainingHyperparams(
-            local_batch_size=32, global_batch_size=64, learning_rate=0.1
-        )
-
-    def test_batch_scales_with_workers(self):
-        scaled = scale_batch_for_workers(self.params(), 2, 4)
-        assert scaled.global_batch_size == 128
-        assert scaled.local_batch_size == 32
-
-    def test_memory_shrink_preserves_global_batch(self):
-        # §2.1: T4 has half the V100's memory -> halve the local batch,
-        # double the workers, same global batch.
-        shrunk = shrink_batch_for_memory(self.params(), 0.5)
-        assert shrunk.local_batch_size == 16
-        assert shrunk.global_batch_size == 64
-        assert workers_for_global_batch(shrunk) == 4
-
-    def test_memory_ratio_validation(self):
-        with pytest.raises(ValueError):
-            shrink_batch_for_memory(self.params(), 0.0)
-        with pytest.raises(ValueError):
-            shrink_batch_for_memory(self.params(), 1.5)
-
-    def test_adascale_gain_bounds(self):
-        # 1 <= r <= k for any gradient statistics.
-        r = adascale_gain(4.0, grad_var=1.0, grad_sqnorm=1.0)
-        assert 1.0 <= r <= 4.0
-
-    def test_adascale_noise_dominated_is_linear(self):
-        r = adascale_gain(8.0, grad_var=1e9, grad_sqnorm=1.0)
-        assert r == pytest.approx(8.0, rel=1e-3)
-
-    def test_adascale_bias_dominated_is_constant(self):
-        r = adascale_gain(8.0, grad_var=1e-9, grad_sqnorm=1.0)
-        assert r == pytest.approx(1.0, rel=1e-3)
-
-    @given(
-        k=st.floats(1.0, 64.0),
-        var=st.floats(0.01, 100.0),
-        sqn=st.floats(0.01, 100.0),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_adascale_gain_always_in_range(self, k, var, sqn):
-        r = adascale_gain(k, var, sqn)
-        assert 1.0 - 1e-9 <= r <= k + 1e-9
-
-    def test_adascale_lr(self):
-        assert adascale_lr(0.1, 1.0) == pytest.approx(0.1)
-        assert adascale_lr(0.1, 4.0, grad_var=1e9) == pytest.approx(0.4, rel=1e-3)
-
-    def test_retune_round_trip(self):
-        params = self.params()
-        up = retune(params, 2, 4)
-        down = retune(up, 4, 2)
-        assert down.global_batch_size == params.global_batch_size
-        assert down.learning_rate == pytest.approx(params.learning_rate)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TrainingHyperparams(0, 64, 0.1)
-        with pytest.raises(ValueError):
-            TrainingHyperparams(32, 64, 0.0)
-        with pytest.raises(ValueError):
-            adascale_gain(0.5)
-        with pytest.raises(ValueError):
-            adascale_lr(-0.1, 2.0)

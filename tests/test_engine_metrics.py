@@ -200,14 +200,12 @@ class TestTimeSeries:
         assert math.isnan(TimeSeries().mean())
         assert TimeSeries().hourly_means() == []
         assert TimeSeries().hourly_max() == []
-        assert TimeSeries().hourly_bounds() == []
 
     def test_hourly_max_and_bounds(self):
         series = TimeSeries()
         for t, v in [(0, 0.2), (1800, 0.4), (3600, 1.0), (5400, 0.6)]:
             series.append(t, v)
         assert series.hourly_max() == [pytest.approx(0.4), 1.0]
-        assert series.hourly_bounds() == [(0.0, 3600.0), (3600.0, 7200.0)]
 
     def test_custom_bucket_width(self):
         series = TimeSeries()
@@ -233,21 +231,24 @@ class TestSimulationMetrics:
         job.mark_finished(finish)
         return job
 
+    @staticmethod
+    def metrics_over(*jobs):
+        """Metrics over a job table, the way a kernel hands it one."""
+        return SimulationMetrics(jobs={job.job_id: job for job in jobs})
+
     def test_queuing_and_jct_distributions(self):
-        metrics = SimulationMetrics()
-        metrics.jobs = [
+        metrics = self.metrics_over(
             self.finished_job(1, 0, 10, 110),
             self.finished_job(2, 0, 0, 50),
-        ]
+        )
         assert metrics.queuing_summary().mean == pytest.approx(5.0)
         assert metrics.jct_summary().mean == pytest.approx(80.0)
 
     def test_queued_only_filter(self):
-        metrics = SimulationMetrics()
-        metrics.jobs = [
+        metrics = self.metrics_over(
             self.finished_job(1, 0, 10, 110),
             self.finished_job(2, 0, 0, 50),
-        ]
+        )
         assert metrics.queuing_times(queued_only=True) == [10.0]
 
     def test_preemption_ratio(self):
@@ -260,20 +261,18 @@ class TestSimulationMetrics:
         assert SimulationMetrics().preemption_ratio == 0.0
 
     def test_onloan_job_selection(self):
-        metrics = SimulationMetrics()
-        metrics.jobs = [
+        metrics = self.metrics_over(
             self.finished_job(1, 0, 0, 100, onloan=0.9),
             self.finished_job(2, 0, 0, 100, onloan=0.1),
-        ]
+        )
         assert metrics.onloan_job_ids() == [1]
         assert metrics.onloan_job_ids(min_fraction=0.05) == [1, 2]
 
     def test_summary_for_subset(self):
-        metrics = SimulationMetrics()
-        metrics.jobs = [
+        metrics = self.metrics_over(
             self.finished_job(1, 0, 10, 110),
             self.finished_job(2, 0, 0, 50),
-        ]
+        )
         summaries = metrics.summary_for([1])
         assert summaries["jct"].mean == pytest.approx(110.0)
         assert summaries["queuing"].count == 1
@@ -283,7 +282,6 @@ class TestSimulationMetrics:
         assert reduction(1.0, 0.0) == math.inf
 
     def test_completion_ratio(self):
-        metrics = SimulationMetrics()
         unfinished = make_job(job_id=3)
-        metrics.jobs = [self.finished_job(1, 0, 0, 50), unfinished]
+        metrics = self.metrics_over(self.finished_job(1, 0, 0, 50), unfinished)
         assert metrics.completion_ratio() == pytest.approx(0.5)

@@ -13,6 +13,7 @@ from repro.cluster.cluster import (
 )
 from repro.cluster.job import JobSpec, JobStatus
 from repro.faults import (
+    BUILTIN_PLANS,
     DegradedLoaning,
     FaultPlan,
     FlashCrowd,
@@ -23,7 +24,6 @@ from repro.faults import (
     PredictorOutage,
     RetryPolicy,
     Straggler,
-    builtin_plan,
     resilience_snapshot,
     resolve_plan,
     verify_scheduler_invariants,
@@ -70,7 +70,7 @@ class TestFaultPlan:
     def test_round_trip_every_builtin(self):
         for name in ("none", "node-churn", "rack-outage", "flash-crowd",
                      "stragglers", "chaos"):
-            plan = builtin_plan(name)
+            plan = resolve_plan(name)
             assert FaultPlan.from_dict(plan.to_dict()) == plan
 
     def test_unknown_keys_rejected(self):
@@ -90,41 +90,39 @@ class TestFaultPlan:
             LaunchFailures(probability=2.0)
 
     def test_is_empty(self):
-        assert builtin_plan("none").is_empty()
-        assert not builtin_plan("chaos").is_empty()
+        assert resolve_plan("none").is_empty()
+        assert not resolve_plan("chaos").is_empty()
         # retry/degraded policies alone do not make a plan non-empty
         assert FaultPlan(retry=RetryPolicy(max_attempts=9),
                          degraded=DegradedLoaning(headroom=0.5)).is_empty()
 
     def test_from_file_json(self, tmp_path):
-        plan = builtin_plan("rack-outage")
+        plan = resolve_plan("rack-outage")
         path = tmp_path / "plan.json"
         path.write_text(json.dumps(plan.to_dict()))
         assert FaultPlan.from_file(str(path)) == plan
 
     def test_from_file_yaml(self, tmp_path):
         yaml = pytest.importorskip("yaml")
-        plan = builtin_plan("stragglers")
+        plan = resolve_plan("stragglers")
         path = tmp_path / "plan.yaml"
         path.write_text(yaml.safe_dump(plan.to_dict()))
         assert FaultPlan.from_file(str(path)) == plan
 
     def test_resolve_plan(self, tmp_path):
-        assert resolve_plan("chaos") is builtin_plan("chaos")
+        assert resolve_plan("chaos") is BUILTIN_PLANS["chaos"]
         path = tmp_path / "p.json"
-        path.write_text(json.dumps(builtin_plan("none").to_dict()))
-        assert resolve_plan(str(path)) == builtin_plan("none")
+        path.write_text(json.dumps(resolve_plan("none").to_dict()))
+        assert resolve_plan(str(path)) == resolve_plan("none")
         with pytest.raises(ValueError, match="neither"):
             resolve_plan("not-a-plan")
-        with pytest.raises(KeyError, match="unknown builtin"):
-            builtin_plan("not-a-plan")
 
     def test_with_seed_and_legacy(self):
         """``with_seed`` copies; a bare failure process (all the CLI's
         ``--node-mtbf`` builds) is a non-empty plan."""
-        plan = builtin_plan("chaos").with_seed(42)
+        plan = resolve_plan("chaos").with_seed(42)
         assert plan.seed == 42
-        assert builtin_plan("chaos").seed == 0  # original untouched
+        assert resolve_plan("chaos").seed == 0  # original untouched
         mtbf_only = FaultPlan(
             name="node-mtbf", seed=3,
             process=NodeFailureProcess(mtbf=7200.0, repair_time=600.0),
@@ -170,7 +168,7 @@ class TestRetryPolicy:
 class TestZeroCost:
     def test_empty_plan_is_bit_identical_to_no_plan(self):
         specs = [spec(job_id=i, submit=i * 100.0) for i in range(6)]
-        sim_a, m_a = run(specs, builtin_plan("none"))
+        sim_a, m_a = run(specs, resolve_plan("none"))
         sim_b = Simulation(
             [spec(job_id=i, submit=i * 100.0) for i in range(6)],
             pair(), LyraScheduler(), config=SimulationConfig(),
@@ -313,7 +311,7 @@ class TestInjector:
     def test_chaos_runs_audit_after_fault_events(self):
         metrics = run_scheme(
             small_setup(), "lyra",
-            sim_overrides={"fault_plan": builtin_plan("node-churn")},
+            sim_overrides={"fault_plan": resolve_plan("node-churn")},
         )
         snap = resilience_snapshot(metrics)
         assert snap["audits"] > 0
@@ -326,7 +324,7 @@ class TestInjector:
 class TestDeterminism:
     def test_chaos_snapshot_is_byte_identical(self):
         setup = small_setup()
-        plan = builtin_plan("chaos")
+        plan = resolve_plan("chaos")
         snaps = []
         for _ in range(2):
             metrics = run_scheme(
@@ -341,7 +339,7 @@ class TestDeterminism:
         setup = small_setup()
         runs = {}
         for seed in (0, 1):
-            plan = builtin_plan("node-churn").with_seed(seed)
+            plan = resolve_plan("node-churn").with_seed(seed)
             metrics = run_scheme(
                 setup, "lyra", sim_overrides={"fault_plan": plan}
             )
@@ -373,7 +371,7 @@ class TestDeterminism:
 # ----------------------------------------------------------------------
 class TestAudit:
     def test_clean_simulation_passes(self):
-        sim, _ = run([spec()], builtin_plan("none"))
+        sim, _ = run([spec()], resolve_plan("none"))
         verify_scheduler_invariants(sim)
 
     def test_detects_running_pending_overlap(self):

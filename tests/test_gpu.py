@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster.gpu import A100, GPUType, T4, V100, get_gpu_type
+from repro.cluster.gpu import A100, GPUType, T4, V100
 
 
 class TestGPUType:
@@ -31,31 +31,3 @@ class TestGPUType:
 
     def test_hashable_for_dict_keys(self):
         assert len({V100: 1, T4: 2}) == 2
-
-
-class TestBatchShrink:
-    def test_t4_halves_v100_batch(self):
-        # 16 GB T4 fits half of a 32 GB V100's local batch (§2.1).
-        assert T4.batch_shrink_factor(V100) == pytest.approx(0.5)
-
-    def test_never_grows_batch(self):
-        assert V100.batch_shrink_factor(T4) == 1.0
-
-    def test_same_gpu_is_identity(self):
-        assert V100.batch_shrink_factor(V100) == 1.0
-
-
-class TestRegistry:
-    @pytest.mark.parametrize("name", ["V100", "T4", "A100"])
-    def test_lookup(self, name):
-        assert get_gpu_type(name).name == name
-
-    def test_lookup_case_insensitive(self):
-        assert get_gpu_type("v100") is V100
-
-    def test_lookup_strips_vendor_prefix(self):
-        assert get_gpu_type("Nvidia T4") is T4
-
-    def test_unknown_raises_keyerror_with_choices(self):
-        with pytest.raises(KeyError, match="V100"):
-            get_gpu_type("H100")

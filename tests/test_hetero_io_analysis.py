@@ -1,110 +1,14 @@
-"""Tests for heterogeneous-training math, trace I/O, and the analysis
-report."""
+"""Tests for trace I/O and the analysis report."""
+
+import json
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.analysis import ShapeCheck, compare_to_paper, render_report
-from repro.cluster.gpu import A100, T4, V100
-from repro.elastic.hetero import (
-    heterogeneous_throughput,
-    mixed_penalty,
-    plan_worker_mix,
-    split_batch,
-    step_efficiency,
-)
+from repro.cli import main
 from repro.scenarios import default_setup, run_scheme
 from repro.traces.io import load_workload, save_workload
 from repro.traces.workload import TraceConfig, generate_workload
-
-
-class TestBatchSplitting:
-    def test_homogeneous_split_is_even(self):
-        shards = split_batch(64, [V100] * 4)
-        assert [s.batch for s in shards] == [16] * 4
-
-    def test_split_conserves_global_batch(self):
-        shards = split_batch(100, [V100, V100, T4, T4, T4])
-        assert sum(s.batch for s in shards) == 100
-
-    def test_faster_gpu_gets_bigger_shard(self):
-        shards = split_batch(64, [V100, T4])
-        assert shards[0].batch > shards[1].batch
-        # proportional to the 3:1 speed ratio, up to rounding
-        assert shards[0].batch == pytest.approx(48, abs=2)
-
-    def test_every_worker_gets_at_least_one_sample(self):
-        shards = split_batch(4, [A100, T4, T4, T4])
-        assert all(s.batch >= 1 for s in shards)
-
-    def test_batch_smaller_than_workers_rejected(self):
-        with pytest.raises(ValueError):
-            split_batch(2, [V100, V100, V100])
-
-    def test_empty_workers_rejected(self):
-        with pytest.raises(ValueError):
-            split_batch(8, [])
-
-    @given(
-        batch=st.integers(8, 512),
-        v100s=st.integers(1, 4),
-        t4s=st.integers(1, 4),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_split_properties(self, batch, v100s, t4s):
-        gpus = [V100] * v100s + [T4] * t4s
-        shards = split_batch(batch, gpus)
-        assert sum(s.batch for s in shards) == batch
-        assert all(s.batch >= 1 for s in shards)
-
-
-class TestStepEfficiency:
-    def test_balanced_steps_are_efficient(self):
-        shards = split_batch(96, [V100, V100, T4])
-        assert step_efficiency(shards) > 0.9
-
-    def test_unbalanced_steps_waste_time(self):
-        from repro.elastic.hetero import WorkerShard
-
-        shards = [WorkerShard(V100, 60), WorkerShard(V100, 4)]
-        assert step_efficiency(shards) < 0.6
-
-    def test_mixed_penalty_in_paper_band(self):
-        # V100+T4 mixes land around the <=70-95 % band of §7.1 and its
-        # references once sync overhead is charged.
-        penalty = mixed_penalty(128, [V100] * 2 + [T4] * 2,
-                                sync_overhead=0.1)
-        assert 0.6 <= penalty <= 0.95
-
-    def test_homogeneous_penalty_is_one(self):
-        assert mixed_penalty(64, [V100] * 4) == 1.0
-
-    def test_throughput_positive_and_bounded(self):
-        gpus = [V100, V100, T4]
-        tput = heterogeneous_throughput(90, gpus)
-        assert 0 < tput <= sum(g.relative_compute for g in gpus)
-
-    def test_bad_sync_overhead_rejected(self):
-        with pytest.raises(ValueError):
-            heterogeneous_throughput(64, [V100], sync_overhead=1.0)
-
-
-class TestWorkerMixPlanning:
-    def test_training_first(self):
-        mix = plan_worker_mix(10, training_free=8, onloan_free=24)
-        assert mix == {"training": 8, "onloan": 6}
-
-    def test_fits_training_alone(self):
-        assert plan_worker_mix(4, 8, 0) == {"training": 4, "onloan": 0}
-
-    def test_infeasible_raises(self):
-        with pytest.raises(ValueError, match="does not fit"):
-            plan_worker_mix(10, training_free=2, onloan_free=8)
-
-    def test_zero_demand_rejected(self):
-        with pytest.raises(ValueError):
-            plan_worker_mix(0, 8, 8)
 
 
 class TestTraceIO:
@@ -115,7 +19,7 @@ class TestTraceIO:
         )
 
     @pytest.mark.parametrize("ext", ["json", "csv"])
-    def test_round_trip(self, workload, tmp_path, ext):
+    def test_round_trip(self, workload, tmp_path, ext, capsys):
         path = tmp_path / f"trace.{ext}"
         save_workload(workload, path)
         loaded = load_workload(path, cluster_gpus=64)
@@ -125,6 +29,20 @@ class TestTraceIO:
             assert a.duration == pytest.approx(b.duration)
             assert a.elastic == b.elastic
             assert a.min_workers == b.min_workers
+        # the CLI leg: `repro trace --out` writes through the same
+        # serializer, and `run --replay` reads the file back
+        cli_path = tmp_path / f"cli.{ext}"
+        assert main([
+            "trace", "--jobs", "50", "--days", "0.5", "--seed", "17",
+            "--training-servers", "8", "--out", str(cli_path),
+        ]) == 0
+        assert len(load_workload(cli_path, cluster_gpus=64).specs) == 50
+        capsys.readouterr()
+        assert main([
+            "run", "--scheme", "baseline", "--replay", str(cli_path),
+            "--training-servers", "8", "--inference-servers", "8", "--json",
+        ]) == 0
+        assert json.loads(capsys.readouterr().out)["completed"] == 1.0
 
     def test_json_preserves_config(self, workload, tmp_path):
         path = tmp_path / "trace.json"

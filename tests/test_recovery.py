@@ -43,7 +43,7 @@ from repro.faults.plan import (
     LaunchFailures,
     PredictorBias,
     PredictorOutage,
-    builtin_plan,
+    resolve_plan,
 )
 from repro.ioutil import atomic_write, atomic_write_text
 from repro.rm.manager import TransientLaunchError
@@ -332,7 +332,7 @@ class TestSnapshotRoundTrip:
         restored copy resumes to the same log as the original.  The
         armed sets cover every fault timer family, so the restore path
         of each is the path a live run takes — not a crash-only one."""
-        sim = build_sim("lyra_loaning", builtin_plan(plan))
+        sim = build_sim("lyra_loaning", resolve_plan(plan))
         resumed, seen = [], set()
         for paused in paused_at(sim, tmp_path, instants):
             seen.update(
@@ -341,7 +341,7 @@ class TestSnapshotRoundTrip:
             resumed.append(_resumed_copy_digest(paused))
         assert seen == families
         assert resumed == [digest(sim.activities)] * len(instants)
-        plain = build_sim("lyra_loaning", builtin_plan(plan))
+        plain = build_sim("lyra_loaning", resolve_plan(plan))
         plain.run()
         assert digest(plain.activities) == digest(sim.activities)
 
@@ -570,17 +570,17 @@ class TestSnapshotCodec:
             SnapshotCodec.load(tmp_path / "nope.ckpt")
 
     def test_recover_refuses_a_directory_an_older_build_wrote(self, tmp_path):
-        """Schema 5: a worker is a count on two books.  A schema-4
-        directory (its resource manager pickled a container ledger and
-        no job table) is refused by its manifest, before any unpickle."""
+        """Schema 6: the metrics roster is the kernel's job table.  A
+        schema-5 directory (its metrics pickled a job list beside the
+        table) is refused by its manifest, before any unpickle."""
         killed_run("fifo_contention", tmp_path)
         manifest = tmp_path / "recovery.json"
         current = manifest.read_text()
-        manifest.write_text(current.replace('"schema": 5', '"schema": 4'))
+        manifest.write_text(current.replace('"schema": 6', '"schema": 5'))
         assert manifest.read_text() != current
         with pytest.raises(
             RecoveryError,
-            match=r"schema 4 does not match this build \(schema 5\)",
+            match=r"schema 5 does not match this build \(schema 6\)",
         ):
             RecoveryManager.recover(tmp_path)
 
@@ -711,12 +711,12 @@ class TestAtomicWrite:
 # ----------------------------------------------------------------------
 class TestProcessCrashPlan:
     def test_builtin_plan_carries_a_seeded_schedule(self):
-        plan = builtin_plan("process-crash")
+        plan = resolve_plan("process-crash")
         assert plan.crashes == seeded_crash_schedule(seed=0, count=3)
         assert not plan.is_empty()
 
     def test_with_seed_regenerates_seed_derived_schedules(self):
-        plan = builtin_plan("process-crash").with_seed(5)
+        plan = resolve_plan("process-crash").with_seed(5)
         assert plan.crashes == seeded_crash_schedule(seed=5, count=3)
         # a hand-written schedule is never silently replaced
         custom = FaultPlan(
@@ -725,7 +725,7 @@ class TestProcessCrashPlan:
         assert custom.crashes == (CrashPoint(100.0),)
 
     def test_crash_points_round_trip_through_dict(self):
-        plan = builtin_plan("process-crash")
+        plan = resolve_plan("process-crash")
         again = FaultPlan.from_dict(plan.to_dict())
         assert again.crashes == plan.crashes
         assert again.to_dict() == plan.to_dict()

@@ -46,12 +46,11 @@ class TestFormatting:
 
 class TestSchemeRow:
     def test_row_matches_headers(self):
-        metrics = SimulationMetrics()
         job = make_job()
         job.record_placement("s", 2, flexible=False)
         job.mark_started(10.0)
         job.mark_finished(110.0)
-        metrics.jobs = [job]
+        metrics = SimulationMetrics(jobs={job.job_id: job})
         metrics.submissions = 1
         row = scheme_row("x", metrics)
         assert len(row) == len(SCHEME_HEADERS)

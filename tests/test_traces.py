@@ -15,7 +15,6 @@ from repro.traces.models import (
     GENERIC,
     RESNET,
     fig3_series,
-    get_family,
 )
 from repro.traces.workload import DAY, TraceConfig, generate_workload
 
@@ -194,11 +193,6 @@ class TestModelFamilies:
         assert workers[25] == 32
         throughputs = [t for _, _, t in series]
         assert throughputs[-1] > throughputs[0]
-
-    def test_get_family(self):
-        assert get_family("resnet") is RESNET
-        with pytest.raises(KeyError):
-            get_family("alexnet")
 
     def test_registry_complete(self):
         assert set(ALL_FAMILIES) == {"resnet", "vgg", "bert", "gnmt", "generic"}
