@@ -20,11 +20,14 @@ The ``--xl`` tier (16,384 servers / 200,000 jobs) additionally enforces a
 sub-150 ms mean epoch.  (An XL epoch is not idle bookkeeping: it admits
 and places ~200 jobs, each an inherently sequential plan commit, so the
 absolute bar guards against scan regressions rather than claiming
-interactive latency — measured means are 63-104 ms; the per-epoch
-object scans this view replaced sat at 1.9-2.7 s here.)
+interactive latency — measured means are 28-34 ms, 63-104 ms before
+placement became one argmin; the per-epoch object scans this view
+replaced sat at 1.9-2.7 s here.)
 Results land in ``BENCH_scale.json`` (override with ``--out``).
 With ``--baseline`` the run fails when any cell's mean epoch latency
-regresses past 2x the committed baseline.
+regresses past 2x the committed baseline, or when its activity-log
+``sha256`` differs from the baseline cell's — a faster epoch that
+decides differently is not a speed-up.
 """
 
 from __future__ import annotations
@@ -150,16 +153,23 @@ def check_baseline(cells, baseline_path: str) -> list:
     with open(baseline_path) as fh:
         baseline = json.load(fh)
     ref = {
-        (c["servers"], c["jobs"], c["scheme"]): c["mean_ms"]
-        for c in baseline["cells"]
+        (c["servers"], c["jobs"], c["scheme"]): c for c in baseline["cells"]
     }
     failures = []
     for cell in cells:
         key = (cell["servers"], cell["jobs"], cell["scheme"])
-        if key in ref and cell["mean_ms"] > REGRESSION_FACTOR * ref[key]:
+        if key not in ref:
+            continue
+        mean_ms = ref[key]["mean_ms"]
+        if cell["mean_ms"] > REGRESSION_FACTOR * mean_ms:
             failures.append(
                 f"{key}: mean {cell['mean_ms']:.3f} ms "
-                f"> {REGRESSION_FACTOR}x baseline {ref[key]:.3f} ms"
+                f"> {REGRESSION_FACTOR}x baseline {mean_ms:.3f} ms"
+            )
+        if cell["sha256"] != ref[key]["sha256"]:
+            failures.append(
+                f"{key}: activity log sha256 {cell['sha256'][:12]}... "
+                f"!= baseline {ref[key]['sha256'][:12]}..."
             )
     return failures
 
@@ -183,7 +193,8 @@ def main(argv=None) -> int:
                         help="result JSON path")
     parser.add_argument("--baseline",
                         help="committed baseline JSON; fail on >2x "
-                             "epoch-latency regression in any cell")
+                             "epoch-latency regression or a changed "
+                             "activity-log sha256 in any cell")
     args = parser.parse_args(argv)
     if args.quick and args.xl:
         parser.error("--quick and --xl are mutually exclusive")

@@ -134,15 +134,8 @@ class PlacementEngine:
             job.spec.gpus_per_worker / server.gpu_type.relative_compute
         )
 
-    def _job_region(self, job: Job) -> Optional[str]:
-        """The region hosting the plurality of this job's workers.
-
-        Ties break to the lexicographically smaller region name so the
-        answer — and therefore placement — is deterministic.  ``None``
-        (no placed workers, or no region information) disables the
-        locality rank for this job: any region is as good as any other
-        for its first worker.
-        """
+    def _region_workers(self, job: Job) -> Dict[str, int]:
+        """This job's workers per region, over its servers in the cluster."""
         counts: Dict[str, int] = {}
         for placement in (job.base_placement, job.flex_placement):
             for server_id, workers in placement.items():
@@ -152,6 +145,18 @@ class PlacementEngine:
                 if region is None:
                     continue
                 counts[region] = counts.get(region, 0) + workers
+        return counts
+
+    @staticmethod
+    def _plurality(counts: Dict[str, int]) -> Optional[str]:
+        """The region hosting the plurality of a job's workers.
+
+        Ties break to the lexicographically smaller region name so the
+        answer — and therefore placement — is deterministic.  ``None``
+        (no placed workers, or no region information) disables the
+        locality rank for this job: any region is as good as any other
+        for its first worker.
+        """
         if not counts:
             return None
         return min(counts, key=lambda r: (-counts[r], r))
@@ -168,22 +173,25 @@ class PlacementEngine:
         and the next-best candidate tried — the ranking key is a total
         order, so this visits the servers a sorted list walk would, in
         the same order, without building or sorting a list per round.
+
+        The type lock and the job's region are derived once and then
+        carried forward: a launch is the only thing here that moves
+        them — the first placed worker type-locks a non-heterogeneous
+        job, and each launch adds its workers to one region's tally.
         """
         view = self.view
         train_ok = self._domain_eligible(job, False)
         loan_ok = self._domain_eligible(job, True)
         unhealthy = self.rm.unhealthy_ids()
+        lock = self._gpu_type_lock(job)
+        regions = (
+            self._region_workers(job) if self.region_of is not None else {}
+        )
+        job_region = self._plurality(regions)
         remaining = workers
         while remaining > 0:
             placed_this_round = 0
             failed_ids: Optional[set] = None
-            # recomputed per round: the first placed worker type-locks a
-            # non-heterogeneous job (and anchors its region) for the rest
-            # of its placement
-            lock = self._gpu_type_lock(job)
-            job_region = (
-                self._job_region(job) if self.region_of is not None else None
-            )
             while True:
                 server = view.select_best(
                     job.spec.gpus_per_worker,
@@ -227,22 +235,38 @@ class PlacementEngine:
                     view.note_group_change(server)
                 remaining -= fit
                 placed_this_round += fit
+                if lock is None and not job.spec.heterogeneous:
+                    lock = server.gpu_type.name
+                if self.region_of is not None:
+                    region = self.region_of(server)
+                    if region is not None:
+                        regions[region] = regions.get(region, 0) + fit
+                        job_region = self._plurality(regions)
                 break  # re-rank (ask for a fresh best) after a placement
             if placed_this_round == 0:
                 break
         return workers - remaining
 
-    def _needs_mixed(self, request: PlacementRequest) -> bool:
-        """Whether this job's workers can only fit by spanning GPU types."""
+    def _needs_mixed(
+        self, request: PlacementRequest, capacity: Dict[int, int]
+    ) -> bool:
+        """Whether this job's workers can only fit by spanning GPU types.
+
+        ``capacity`` memoizes the larger domain's whole-worker capacity
+        per GPUs-per-worker for one :meth:`place` call; the view does not
+        change while the requests are being ordered.
+        """
         job = request.job
         if not job.spec.heterogeneous:
             return False
-        workers = request.base_workers + request.flex_workers
-        return all(
-            self.view.domain_capacity(on_loan, job.spec.gpus_per_worker)
-            < workers
-            for on_loan in (False, True)
-        )
+        gpus = job.spec.gpus_per_worker
+        largest = capacity.get(gpus)
+        if largest is None:
+            largest = capacity[gpus] = max(
+                self.view.domain_capacity(on_loan, gpus)
+                for on_loan in (False, True)
+            )
+        return largest < request.base_workers + request.flex_workers
 
     # ------------------------------------------------------------------
     # public API
@@ -258,7 +282,8 @@ class PlacementEngine:
         # neither domain alone) go last, with the lowest priority on the
         # remaining servers (§6).  Heterogeneous-*capable* jobs that fit
         # a single domain are placed like everyone else.
-        ordered.sort(key=lambda r: self._needs_mixed(r))
+        capacity: Dict[int, int] = {}
+        ordered.sort(key=lambda r: self._needs_mixed(r, capacity))
         for request in ordered:
             job = request.job
             if request.base_workers > 0:

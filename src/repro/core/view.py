@@ -14,6 +14,10 @@ state every kernel carries instead:
   placement engine's questions — best candidate
   (:meth:`select_best`), whole-worker capacity of a domain
   (:meth:`domain_capacity`) — are vectorized masks, not object scans;
+* three **derived columns** — the packed placement key, the
+  ``(on_loan, group)`` cell and the region code — turn the best
+  candidate into one ``argmin``; they are caches, re-derived from the
+  columns on first use and never pickled;
 * cached **pool totals** and the per-type on-loan census make
   :meth:`pools` O(1), with the §5.2 **on-loan cost** derived from the
   *set* of loaned GPU types (never from iteration order);
@@ -58,13 +62,51 @@ Decisions must not depend on slot order or on vector arithmetic:
   values (perf factors, preemption costs) are only ever *compared*,
   never re-accumulated in a different order.
 * **Selection is by total order.**  The placement key ends in
-  ``server_id``, so the best candidate is unique and ``np.lexsort`` over
-  the key columns picks the server a sorted Python list would.
+  ``server_id``, so the best candidate is unique and the ``argmin`` of
+  the packed key is the head of the list a sorted Python scan builds.
+
+The packed placement key
+------------------------
+
+The ranking ``(tier, -perf_factor, idle, free_gpus, server_id)`` is
+packed into one int64 per slot, one disjoint bit field per component,
+the highest-priority field highest — so integer order *is* the ranking
+order.  Low to high:
+
+=========  =====  ======  ============================================
+field      shift  width   value
+=========  =====  ======  ============================================
+id rank    0      22      rank of ``server_id`` among the members
+free       22     12      free GPUs
+idle       34     1       1 when the server holds no allocation
+perf rank  35     22      distinct perf factors ranked, fastest 0
+tier       57     3       per-request addend: §5.3 tier 0–3, 4 =
+                          ineligible (a domain the job may not use,
+                          and every empty slot)
+=========  =====  ======  ============================================
+
+Each field is an exact rank or count, so the packing is injective and
+preserves order.  The view stores the low four fields (the *key*, below
+``2**57``); a query adds its tier from a six-entry offset table indexed
+by the ``(on_loan, group)`` cell column.  Empty slots hold ``4 << 57``
+in the key itself.  The largest sum is therefore ``4 << 57`` plus
+``4 << 57``, i.e. ``2**60``, well inside int64: no addition can
+overflow.  :meth:`_index` refuses (``OverflowError``) a server with
+``2**12`` or more GPUs and a member past the ``2**22``-th — the perf
+rank is below the member count, so its field fits too.  Slots that
+cannot host the worker (free below its cost, the wrong GPU type,
+unhealthy, excluded) are set to the int64 maximum, the *sentinel*,
+before the ``argmin``; a winner at or above ``4 << 57`` means no
+candidate.  :meth:`server_changed` rewrites one slot's key from its
+static part (perf rank, id rank) with scalar integer work; the whole
+key is re-derived only when membership changes (the id ranks move) or
+a perf factor does (the perf ranks move).
 
 The scan-from-scratch answer to the same queries lives in
 :mod:`repro.oracle.refview`; it is the differential reference for the
 golden suite, ``repro check`` and the view property tests, and
-:meth:`assert_consistent` audits the live columns against a scan.
+:meth:`assert_consistent` audits the live columns against a scan and
+the derived ones against a from-scratch pack.
 """
 
 from __future__ import annotations
@@ -98,12 +140,35 @@ _COLUMNS = (
     ("_id_rank", np.int64, 0),
 )
 
+#: the derived columns: caches over the columns, left out of pickles.
+#: ``_key is None`` means key, cell and static parts are all stale;
+#: ``_regions`` is stale on its own (None) or for another oracle.
+_DERIVED = ("_key", "_cell", "_static", "_regions")
+
+#: packed placement key layout (see the module docstring)
+_ID_BITS = 22
+_FREE_BITS = 12
+_FREE_SHIFT = _ID_BITS
+_IDLE_SHIFT = _FREE_SHIFT + _FREE_BITS
+_PERF_SHIFT = _IDLE_SHIFT + 1
+_TIER_SHIFT = _PERF_SHIFT + _ID_BITS
+#: tier 4: a domain the job may not use, and every empty slot
+_INELIGIBLE = 4 << _TIER_SHIFT
+#: a slot that cannot host the worker
+_SENTINEL = np.iinfo(np.int64).max
+
 
 @functools.lru_cache(maxsize=None)
-def _tier_table(
-    flexible: bool, heterogeneous: bool, elastic: bool, special_grouping: bool
+def _tier_offsets(
+    flexible: bool,
+    heterogeneous: bool,
+    elastic: bool,
+    special_grouping: bool,
+    train_ok: bool,
+    loan_ok: bool,
 ) -> np.ndarray:
-    """Placement preference tier by ``[on_loan][group code]`` (§5.3).
+    """Placement preference tier by cell ``3 * on_loan + group code``
+    (§5.3), shifted into the packed key's top field.
 
     Lower wins.  Inelastic jobs (and the Table 6 ablation without the
     elastic-aware grouping) take dedicated training servers first.  A
@@ -111,7 +176,8 @@ def _tier_table(
     on inference hardware whenever possible.  An elastic job prefers
     on-loan servers — its own BASE/FLEX group, then ungrouped ones,
     then training servers, and the other group only as a last resort —
-    so reclaiming can vacate the flexible group without preemption.
+    so reclaiming can vacate the flexible group without preemption.  A
+    domain the job may not use is ineligible.
     """
     if special_grouping and heterogeneous:
         train, loan = (1, 0) if flexible else (0, 1)
@@ -122,7 +188,10 @@ def _tier_table(
         rows = [[2] * 3, loan]
     else:
         rows = [[0] * 3, [1] * 3]
-    table = np.array(rows, dtype=np.int64)
+    for on_loan, ok in enumerate((train_ok, loan_ok)):
+        if not ok:
+            rows[on_loan] = [_INELIGIBLE >> _TIER_SHIFT] * 3
+    table = np.array(rows, dtype=np.int64).ravel() << _TIER_SHIFT
     table.setflags(write=False)  # cached: every caller shares it
     return table
 
@@ -177,13 +246,20 @@ class ClusterView:
     def __getstate__(self) -> dict:
         # Snapshots carry state, not caches: the version-keyed caches are
         # pure functions of (columns, version) and recompute on first
-        # miss.  The columns themselves are pickled as they are, so a
-        # restored run keeps the slot layout of the continuous one.
+        # miss, the derived columns are re-derived on first query.  The
+        # columns themselves are pickled as they are, so a restored run
+        # keeps the slot layout of the continuous one.
         state = dict(self.__dict__)
         state["_pending_cache"] = {}
         state["_cost_cache"] = None
         state["_worker_costs"] = {}
+        for name in _DERIVED:
+            del state[name]
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._drop_derived()
 
     # ------------------------------------------------------------------
     # column storage
@@ -197,9 +273,11 @@ class ClusterView:
         self._server_at: List[Optional[Server]] = [None] * slots
         self._free_slots: List[int] = list(range(slots - 1, -1, -1))
         self._ranks_stale = True
-        #: per-slot worker cost by GPUs-per-worker (valid until a slot
-        #: is refilled — type codes change nowhere else)
-        self._worker_costs: Dict[int, np.ndarray] = {}
+        self._drop_derived()
+        #: per-slot worker cost by (GPUs per worker, type-lock code)
+        #: (valid until a slot is refilled — type codes change nowhere
+        #: else)
+        self._worker_costs: Dict[Tuple[int, Optional[int]], np.ndarray] = {}
         #: free GPUs per domain, indexed by the on-loan flag
         self._free_total = [0, 0]
         #: on-loan servers per GPU-type code (the §5.2 cost census)
@@ -219,6 +297,15 @@ class ClusterView:
 
     def _index(self, server: Server) -> None:
         """Fill one slot from a server (the only column-fill routine)."""
+        if (
+            server.num_gpus >= 1 << _FREE_BITS
+            or len(self._slot_of) >= 1 << _ID_BITS
+        ):
+            raise OverflowError(
+                f"server {server.server_id!r} ({server.num_gpus} GPUs, "
+                f"{len(self._slot_of) + 1} members) exceeds the placement "
+                f"key's {_FREE_BITS}-bit free / {_ID_BITS}-bit rank fields"
+            )
         if not self._free_slots:
             self._grow()
         slot = self._free_slots.pop()
@@ -237,6 +324,7 @@ class ClusterView:
         self._has_alloc[slot] = bool(server.allocations)
         self._active[slot] = True
         self._ranks_stale = True
+        self._drop_derived()
         self._worker_costs.clear()
         self._free_total[server.on_loan] += server.free_gpus
         if server.on_loan:
@@ -252,10 +340,18 @@ class ClusterView:
             return
         new = server.free_gpus
         old = int(self._free[slot])
+        busy = bool(server.allocations)
         if new != old:
             self._free[slot] = new
             self._free_total[bool(self._on_loan[slot])] += new - old
-        self._has_alloc[slot] = bool(server.allocations)
+        self._has_alloc[slot] = busy
+        key = self._key
+        if key is not None:
+            key[slot] = (
+                self._static[slot]
+                | (new << _FREE_SHIFT)
+                | ((not busy) << _IDLE_SHIFT)
+            )
         self.version += 1
 
     def server_added(self, server: Server) -> None:
@@ -275,6 +371,7 @@ class ClusterView:
         self._server_at[slot] = None
         self._free_slots.append(slot)
         self._ranks_stale = True
+        self._drop_derived()
         self.version += 1
 
     def note_queue_change(self) -> None:
@@ -295,7 +392,9 @@ class ClusterView:
         """
         slot = self._slot_of.get(server.server_id)
         if slot is not None:
-            self._group_code[slot] = _GROUP_CODES[server.group]
+            code = self._group_code[slot] = _GROUP_CODES[server.group]
+            if self._key is not None:
+                self._cell[slot] = 3 * int(self._on_loan[slot]) + code
 
     def note_server_attrs(self, server: Server) -> None:
         """A member server's non-book attributes changed (perf factor).
@@ -305,6 +404,7 @@ class ClusterView:
         slot = self._slot_of.get(server.server_id)
         if slot is not None:
             self._perf[slot] = server.perf_factor
+            self._key = None  # perf ranks are cluster-wide: re-derive
         self.version += 1
 
     # ------------------------------------------------------------------
@@ -338,22 +438,29 @@ class ClusterView:
     # ------------------------------------------------------------------
     # queries: placement
     # ------------------------------------------------------------------
-    def _worker_cost(self, gpus_per_worker: int) -> np.ndarray:
-        """Per-slot physical GPUs per worker (§5.2 normalization)."""
-        cost = self._worker_costs.get(gpus_per_worker)
+    def _worker_cost(
+        self, gpus_per_worker: int, type_lock: Optional[int] = None
+    ) -> np.ndarray:
+        """Per-slot physical GPUs per worker (§5.2 normalization).
+
+        With a ``type_lock`` code, a slot of any other GPU type costs the
+        sentinel, so no free level can host the worker there.
+        """
+        cost = self._worker_costs.get((gpus_per_worker, type_lock))
         if cost is None:
             rel = np.asarray(self._rel_by_code, dtype=np.float64)
             by_code = np.ceil(gpus_per_worker / rel).astype(np.int64)
-            cost = self._worker_costs[gpus_per_worker] = by_code[
-                self._type_code
-            ]
+            if type_lock is not None:
+                by_code[np.arange(by_code.size) != type_lock] = _SENTINEL
+            cost = by_code[self._type_code]
+            self._worker_costs[(gpus_per_worker, type_lock)] = cost
         return cost
 
     def _ranks(self) -> np.ndarray:
         """Lexicographic rank of each active slot's server id.
 
-        Makes ``server_id`` usable as the final tie-break column of a
-        vectorized sort key: recomputed only when membership changes
+        Makes ``server_id`` usable as the final field of the packed
+        placement key: recomputed only when membership changes
         (loans/reclaims), which is orders of magnitude rarer than
         placement queries.
         """
@@ -362,6 +469,53 @@ class ClusterView:
                 self._id_rank[self._slot_of[sid]] = rank
             self._ranks_stale = False
         return self._id_rank
+
+    def _drop_derived(self) -> None:
+        """Forget the derived columns; the next query re-derives them."""
+        for name in _DERIVED:
+            setattr(self, name, None)
+
+    def _derive(self) -> np.ndarray:
+        """Pack the placement key and the cell column from the columns.
+
+        ``_static`` keeps each slot's perf-rank and id-rank fields as a
+        Python list, so :meth:`server_changed` re-packs one slot with
+        integer operations and a single array write.
+        """
+        active = self._active
+        perfs = np.unique(self._perf[active])
+        perf_rank = perfs.size - np.searchsorted(perfs, self._perf, "right")
+        static = (perf_rank << _PERF_SHIFT) | self._ranks()
+        key = (
+            static
+            | (self._free << _FREE_SHIFT)
+            | ((~self._has_alloc).astype(np.int64) << _IDLE_SHIFT)
+        )
+        key[~active] = _INELIGIBLE
+        self._cell = 3 * self._on_loan + self._group_code
+        self._static = static.tolist()
+        self._key = key
+        return key
+
+    def _region_codes(
+        self, region_of: Callable[[Server], Optional[str]]
+    ) -> Tuple[np.ndarray, Dict[str, int]]:
+        """Region code per slot (-1: none) and the code of each region.
+
+        Derived with the id ranks: a server's region changes only when
+        it joins or leaves the cluster (a loan's borrower is fixed for
+        the contract), so it is read once per membership change.
+        """
+        cached = self._regions
+        if cached is None or cached[0] != region_of:
+            codes = np.full(len(self._active), -1, dtype=np.int64)
+            names: Dict[str, int] = {}
+            for slot in self._slot_of.values():
+                region = region_of(self._server_at[slot])
+                if region is not None:
+                    codes[slot] = names.setdefault(region, len(names))
+            cached = self._regions = (region_of, codes, names)
+        return cached[1], cached[2]
 
     def select_best(
         self,
@@ -386,7 +540,9 @@ class ClusterView:
         fragmentation, full-speed servers before known stragglers
         (perf_factor is 1.0 everywhere absent faults).  The key is a
         total order, so the winner is the head of the list a sorted
-        full scan would build.
+        full scan would build: one ``argmin`` over the packed key plus
+        the request's tier offsets, with every slot that cannot host
+        the worker set to the sentinel.
 
         With a locality oracle (``region_of``, multi-cluster markets)
         and a ``job_region``, a same-region server wins among the
@@ -394,48 +550,45 @@ class ClusterView:
         Locality must stay a tie-break *below* free_gpus: ranking it
         above best-fit lets region affinity override packing, which
         fragments a scarce on-loan pool until some opportunistic job's
-        base demand can never fit again.  The region is read live for
-        the tied candidates only — it is not mirrored.
+        base demand can never fit again.
         """
         if not self._rel_by_code:
             return None
-        mask = self._free >= self._worker_cost(gpus_per_worker)
-        mask &= self._active
-        if not train_ok:
-            mask &= self._on_loan
-        if not loan_ok:
-            mask &= ~self._on_loan
+        lock = None
         if type_lock is not None:
-            code = self._type_codes.get(type_lock)
-            if code is None:
+            lock = self._type_codes.get(type_lock)
+            if lock is None:
                 return None
-            mask &= self._type_code == code
+        key = self._key if self._key is not None else self._derive()
+        total = _tier_offsets(
+            flexible, heterogeneous, elastic, special_grouping,
+            train_ok, loan_ok,
+        ).take(self._cell)
+        total += key
+        np.putmask(
+            total, self._free < self._worker_cost(gpus_per_worker, lock),
+            _SENTINEL,
+        )
         for hidden in (unhealthy_ids, exclude_ids):
             for sid in hidden or ():
                 slot = self._slot_of.get(sid)
                 if slot is not None:
-                    mask[slot] = False
-        slots = mask.nonzero()[0]
-        if slots.size == 0:
+                    total[slot] = _SENTINEL
+        best = int(total.argmin())
+        head = int(total[best])
+        if head >= _INELIGIBLE:
             return None
-        tier = _tier_table(flexible, heterogeneous, elastic, special_grouping)[
-            self._on_loan[slots].astype(np.intp), self._group_code[slots]
-        ]
-        perf = self._perf[slots]
-        idle = ~self._has_alloc[slots]
-        free = self._free[slots]
-        order = np.lexsort((self._ranks()[slots], free, idle, -perf, tier))
-        head = order[0]
         if region_of is not None and job_region is not None:
-            tied = (
-                (tier == tier[head]) & (perf == perf[head])
-                & (idle == idle[head]) & (free == free[head])
-            )
-            for i in order[tied[order]]:  # the tied candidates, id order
-                server = self._server_at[int(slots[i])]
-                if region_of(server) == job_region:
-                    return server
-        return self._server_at[int(slots[head])]
+            codes, names = self._region_codes(region_of)
+            code = names.get(job_region)
+            if code is not None:
+                # the lowest-id same-region slot among those tied with
+                # the head on every field above the id rank
+                local = np.where(codes == code, total, _SENTINEL)
+                nearest = int(local.argmin())
+                if local[nearest] >> _ID_BITS == head >> _ID_BITS:
+                    best = nearest
+        return self._server_at[best]
 
     def domain_capacity(self, on_loan: bool, gpus_per_worker: int) -> int:
         """Whole workers one domain can still host at per-type cost."""
@@ -548,6 +701,36 @@ class ClusterView:
             ),
         }
         live = self.snapshot()
+        # the derived columns against a from-scratch pack of the servers
+        key = self._key if self._key is not None else self._derive()
+        perfs = sorted({s.perf_factor for s in servers}, reverse=True)
+        ranks = {sid: r for r, sid in enumerate(sorted(fresh["servers"]))}
+        fresh["placement_key"] = {
+            s.server_id: (
+                perfs.index(s.perf_factor) << _PERF_SHIFT
+                | s.idle << _IDLE_SHIFT
+                | s.free_gpus << _FREE_SHIFT
+                | ranks[s.server_id],
+                3 * s.on_loan + _GROUP_CODES[s.group],
+            )
+            for s in servers
+        }
+        live["placement_key"] = {
+            sid: (int(key[slot]), int(self._cell[slot]))
+            for sid, slot in self._slot_of.items()
+        }
+        fresh["empty_slots_ineligible"] = True
+        live["empty_slots_ineligible"] = bool(
+            (key[~self._active] == _INELIGIBLE).all()
+        )
+        if self._regions is not None:
+            region_of, codes, names = self._regions
+            region = {code: name for name, code in names.items()}
+            fresh["regions"] = {s.server_id: region_of(s) for s in servers}
+            live["regions"] = {
+                sid: region.get(int(codes[slot]))
+                for sid, slot in self._slot_of.items()
+            }
         for field in live:
             assert live[field] == fresh[field], (
                 f"ClusterView drift in {field!r}:\n"

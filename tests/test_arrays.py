@@ -39,7 +39,7 @@ from repro.core.mckp import (
     solution_cost,
 )
 from repro.core.reclaim import preemption_cost_index
-from repro.core.view import ClusterView
+from repro.core.view import _INITIAL_SLOTS, ClusterView
 from repro.faults.crash import (
     BARRIER_BETWEEN_EVENTS,
     CrashInjector,
@@ -188,49 +188,76 @@ class TestArrayMirrorProperties:
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_select_best_is_head_of_sorted_candidates(self, seed):
-        """np.lexsort over the columns = head of the Python-sorted scan,
-        under every tier rule, domain mask, type lock, health/launch
-        exclusion set and the market's region tie-break."""
-        rng, pair, view, ref = _walked(seed)
-        servers = pair.training.servers
-        ids = [s.server_id for s in servers]
-        regions = {sid: rng.choice(["east", "west", None]) for sid in ids}
-        for flexible in (False, True):
-            for special, hetero, elastic in (
+        """The packed key's argmin = head of the Python-sorted scan, after
+        every delta of a walk whose loans grow the columns past their
+        initial slots — under every tier rule, domain mask, type lock,
+        health/launch exclusion set, three perf factors and the market's
+        region tie-break."""
+        rng = random.Random(seed)
+        pair = ClusterPair(
+            make_training_cluster(_INITIAL_SLOTS - 4),
+            make_inference_cluster(12),
+        )
+        jobs = _make_jobs()
+        view = ClusterView(pair.training, jobs=jobs)
+        ref = ReferenceView(pair.training, jobs=jobs)
+        rm = ResourceManager(pair, jobs)
+        every = pair.training.servers + pair.inference.servers
+        types = sorted({s.gpu_type.name for s in every})
+        assert len(types) == 2
+        regions = {
+            s.server_id: rng.choice(["east", "west", None]) for s in every
+        }
+
+        def region_of(server):
+            return regions[server.server_id]
+
+        for server, perf in zip(pair.training.servers, (0.5, 0.25)):
+            server.perf_factor = perf
+            view.note_server_attrs(server)
+        loan(rm, 8)  # members join through deltas: the columns grow
+        assert len(view._active) > _INITIAL_SLOTS
+
+        def walk_matches_reference():
+            ids = [s.server_id for s in pair.training.servers]
+            special, hetero, elastic = rng.choice([
                 (True, False, True), (True, True, False),
                 (True, False, False), (False, False, True),
-            ):
-                query = dict(
-                    gpus_per_worker=rng.choice([1, 1, 2, 4]),
-                    train_ok=rng.random() < 0.8,
-                    loan_ok=rng.random() < 0.8,
-                    type_lock=rng.choice(
-                        [None, None] + [s.gpu_type.name for s in servers]
-                    ),
-                    flexible=flexible, heterogeneous=hetero,
-                    elastic=elastic, special_grouping=special,
-                    unhealthy_ids=set(rng.sample(ids, rng.randint(0, 2))),
-                    exclude_ids=set(rng.sample(ids, rng.randint(0, 2))),
+            ])
+            query = dict(
+                gpus_per_worker=rng.choice([1, 1, 2, 4]),
+                train_ok=rng.random() < 0.8,
+                loan_ok=rng.random() < 0.8,
+                type_lock=rng.choice([None, None] + types),
+                flexible=rng.random() < 0.5, heterogeneous=hetero,
+                elastic=elastic, special_grouping=special,
+                unhealthy_ids=set(rng.sample(ids, rng.randint(0, 2))),
+                exclude_ids=set(rng.sample(ids, rng.randint(0, 2))),
+            )
+            if rng.random() < 0.5:
+                query.update(
+                    job_region=rng.choice(["east", "west", None]),
+                    region_of=region_of,
                 )
-                if rng.random() < 0.5:
-                    query.update(
-                        job_region=rng.choice(["east", "west", None]),
-                        region_of=lambda s: regions[s.server_id],
-                    )
-                ranked = ref.ranked_candidates(**query)
-                # walking production's best-then-exclude loop (what
-                # placement does after a transient launch failure)
-                # enumerates exactly the reference's sorted list
-                walked = []
-                while True:
-                    best = view.select_best(**query)
-                    if best is None:
-                        break
-                    walked.append(best.server_id)
-                    query["exclude_ids"] = query["exclude_ids"] | {
-                        best.server_id
-                    }
-                assert walked == [s.server_id for s in ranked]
+            ranked = ref.ranked_candidates(**query)
+            # walking production's best-then-exclude loop (what
+            # placement does after a transient launch failure)
+            # enumerates exactly the reference's sorted list
+            walked = []
+            while True:
+                best = view.select_best(**query)
+                if best is None:
+                    break
+                walked.append(best.server_id)
+                query["exclude_ids"] = query["exclude_ids"] | {
+                    best.server_id
+                }
+            assert walked == [s.server_id for s in ranked]
+
+        walk_matches_reference()
+        _random_walk(
+            view, rm, pair, jobs, rng, per_step=walk_matches_reference
+        )
 
 
 # ----------------------------------------------------------------------
@@ -239,7 +266,8 @@ class TestArrayMirrorProperties:
 def test_pickle_roundtrip_rebuilds_columns():
     """The columns are pickled as they are: a restored view answers and
     keeps absorbing deltas with no rebuild step (the id predates that —
-    the old mirror dropped its columns and rebuilt lazily)."""
+    the old mirror dropped its columns and rebuilt lazily); only the
+    derived placement columns are re-derived, on the first query."""
     pair = ClusterPair(make_training_cluster(3), make_inference_cluster(3))
     view = ClusterView(pair.training, jobs=_make_jobs())
     pair.training.servers[0].allocate(0, 2)
@@ -256,6 +284,68 @@ def test_pickle_roundtrip_rebuilds_columns():
         special_grouping=True,
     )
     assert best is clone.cluster.servers[0]  # non-idle, fewest free GPUs
+
+
+#: what a pickled view carries: the columns and the books, no derived
+#: placement column — the key set from before the packed key existed
+PICKLED_VIEW_KEYS = [
+    "_active", "_cost_cache", "_free", "_free_slots", "_free_total",
+    "_group_code", "_has_alloc", "_id_rank", "_on_loan", "_onloan_types",
+    "_pending_cache", "_perf", "_ranks_stale", "_rel_by_code",
+    "_server_at", "_slot_of", "_type_code", "_type_codes", "_worker_costs",
+    "cluster", "default_onloan_cost", "jobs", "version",
+]
+
+
+def test_pickle_leaves_derived_columns_out_and_clone_answers_alike():
+    """The packed key, the cell column and the region codes are caches:
+    a pickle carries none of them, and the restored clone re-derives
+    them to answer every query exactly like the original."""
+    pair = ClusterPair(make_training_cluster(4), make_inference_cluster(4))
+    jobs = _make_jobs()
+    view = ClusterView(pair.training, jobs=jobs)
+    rm = ResourceManager(pair, jobs)
+    loan(rm, 3)
+    servers = pair.training.servers
+    rm.launch(jobs[0], servers[0], 2, 1, flexible=False)
+    rm.launch(jobs[1], servers[-1], 3, 1, flexible=True)
+    servers[-1].group = "flex"
+    view.note_group_change(servers[-1])
+    servers[1].perf_factor = 0.5
+    view.note_server_attrs(servers[1])
+    regions = {s.server_id: ("east" if i % 2 else "west")
+               for i, s in enumerate(servers)}
+
+    def region_of(server):
+        return regions[server.server_id]
+
+    queries = [
+        dict(
+            gpus_per_worker=gpus, train_ok=train_ok, loan_ok=loan_ok,
+            type_lock=None, flexible=flexible, heterogeneous=hetero,
+            elastic=elastic, special_grouping=special,
+            job_region=job_region, region_of=region_of,
+        )
+        for gpus in (1, 4)
+        for train_ok, loan_ok in ((True, True), (True, False), (False, True))
+        for flexible in (False, True)
+        for special, hetero, elastic in (
+            (True, False, True), (True, True, False), (False, False, False),
+        )
+        for job_region in (None, "east")
+    ]
+
+    def answers(v):
+        best = [v.select_best(**q) for q in queries]
+        return [None if s is None else s.server_id for s in best]
+
+    expected = answers(view)
+    assert view._key is not None and view._regions is not None
+    assert sorted(view.__getstate__()) == PICKLED_VIEW_KEYS
+    clone = pickle.loads(pickle.dumps(view))
+    assert clone._key is None and clone._regions is None
+    assert answers(clone) == expected
+    clone.assert_consistent()
 
 
 def test_recovery_roundtrip_under_array_backend(tmp_path):

@@ -1,5 +1,7 @@
 """Edge-case tests for scheduler helpers, pools, and simulator limits."""
 
+import json
+
 import pytest
 
 from repro.cluster.cluster import (
@@ -163,3 +165,21 @@ class TestBenchUtilScale:
 
         monkeypatch.delenv("REPRO_SCALE", raising=False)
         assert bench_util.scale_name() == "small"
+
+
+class TestBenchScaleBaseline:
+    def test_changed_activity_log_fails_the_baseline(self, tmp_path):
+        """The scale bench's baseline pins behaviour as well as latency:
+        a cell whose activity log moved fails even when it got faster."""
+        from benchmarks.bench_scale import check_baseline
+
+        cell = {"servers": 48, "jobs": 500, "scheme": "fifo",
+                "mean_ms": 0.1, "sha256": "a" * 64}
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps({"cells": [cell]}))
+        assert check_baseline([dict(cell, mean_ms=0.05)], str(path)) == []
+        moved = check_baseline(
+            [dict(cell, mean_ms=0.05, sha256="b" * 64)], str(path)
+        )
+        assert len(moved) == 1 and "sha256" in moved[0]
+        assert check_baseline([dict(cell, mean_ms=0.3)], str(path))

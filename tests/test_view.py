@@ -205,12 +205,62 @@ class TestViewIndexes:
         assert second is not first
         assert [j.job_id for j in second] == [9, 3, 2, 1, 0]
 
+    def test_key_field_overflow_is_refused_at_index(self, monkeypatch):
+        """A server the packed placement key cannot hold is refused with
+        a typed error when it is indexed, never wrapped into the next
+        field; at the limit it still packs exactly."""
+        training = make_training_cluster(2)
+        view = ClusterView(training)
+        limit = Server(server_id="wide", gpu_type=A100, num_gpus=4095)
+        training.add_server(limit)
+        best = view.select_best(
+            gpus_per_worker=1, train_ok=True, loan_ok=True, type_lock=None,
+            flexible=False, heterogeneous=False, elastic=False,
+            special_grouping=True,
+        )
+        assert best is not limit  # fewest free GPUs first: 8 < 4095
+        view.assert_consistent()
+        with pytest.raises(OverflowError):
+            ClusterView(make_training_cluster(0)).server_added(
+                Server(server_id="huge", gpu_type=A100, num_gpus=4096)
+            )
+        # the id-rank field: a view that may hold four members refuses
+        # the fifth
+        monkeypatch.setattr("repro.core.view._ID_BITS", 2)
+        four = make_training_cluster(4)
+        small = ClusterView(four)
+        with pytest.raises(OverflowError):
+            four.add_server(Server(server_id="fifth", gpu_type=A100))
+        assert len(small._slot_of) == 4
+
     def test_assert_consistent_detects_drift(self):
         pair = _pair()
         view = ClusterView(pair.training)
         view.assert_consistent()
         # corrupt the cached total behind the view's back
         view._free_total[False] -= 1
+        with pytest.raises(AssertionError):
+            view.assert_consistent()
+
+    @pytest.mark.parametrize("column", ["_key", "_cell", "_regions"])
+    def test_assert_consistent_audits_derived_columns(self, column):
+        """The packed key, the cell column and the region codes must
+        equal a from-scratch pack of the live servers."""
+        pair = _pair()
+        view = ClusterView(pair.training)
+        loan(pair, 2)
+        view.select_best(
+            gpus_per_worker=1, train_ok=True, loan_ok=True, type_lock=None,
+            flexible=False, heterogeneous=False, elastic=True,
+            special_grouping=True, job_region="training",
+            region_of=pair.region_of,
+        )
+        view.assert_consistent()
+        slot = view._slot_of[pair.training.servers[-1].server_id]
+        if column == "_regions":
+            view._regions[1][slot] = -1
+        else:
+            getattr(view, column)[slot] += 1
         with pytest.raises(AssertionError):
             view.assert_consistent()
 
