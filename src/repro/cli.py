@@ -285,11 +285,6 @@ def cmd_run(args) -> int:
 
     from repro.faults.crash import SimulatedCrash
 
-    if args.resume:
-        if not args.checkpoint_dir:
-            print("--resume requires --checkpoint-dir", file=sys.stderr)
-            return 2
-        return _resume_run(args, args.checkpoint_dir)
     setup = _make_setup(args)
     specs = None
     if getattr(args, "replay", None):
@@ -495,11 +490,12 @@ def _attach_recovery(sim, args):
     return manager
 
 
-def _resume_run(args, directory: str) -> int:
+def cmd_recover(args) -> int:
+    """Restore a killed run from its checkpoint directory and finish it."""
     from repro.recovery import RecoveryError, RecoveryManager
 
     try:
-        sim = RecoveryManager.recover(directory)
+        sim = RecoveryManager.recover(args.directory)
     except RecoveryError as exc:
         print(f"cannot recover: {exc}", file=sys.stderr)
         return 2
@@ -509,14 +505,9 @@ def _resume_run(args, directory: str) -> int:
     else:
         _print_metrics("recovered", metrics)
         _print_recovery_summary(sim)
-    if getattr(args, "activities_out", None):
+    if args.activities_out:
         _write_activities(sim, args.activities_out)
     return 0
-
-
-def cmd_recover(args) -> int:
-    """Restore a killed run from its checkpoint directory and finish it."""
-    return _resume_run(args, args.directory)
 
 
 def cmd_chaos(args) -> int:
@@ -976,9 +967,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "the plain pair exactly)")
     _add_fault_args(run_p)
     _add_recovery_args(run_p)
-    run_p.add_argument("--resume", action="store_true",
-                       help="resume from --checkpoint-dir instead of "
-                            "starting a fresh run")
     run_p.add_argument("--crash-at", type=float, default=None,
                        metavar="SECONDS",
                        help="kill the run at the first matching recovery "

@@ -129,6 +129,19 @@ class Job:
     kills flexible workers first (§4).
     """
 
+    #: every attribute a job has: a plan transaction's rollback restores
+    #: all of them, and a slot (unlike an instance dict, which CPython
+    #: 3.11 keeps off the fast attribute path once anything reads it
+    #: whole) keeps each read as fast as an inline attribute
+    __slots__ = (
+        "spec", "status", "remaining_work", "base_placement",
+        "flex_placement", "_server_cost", "_onloan_servers", "scaling_model",
+        "first_start_time", "finish_time", "last_progress_time",
+        "preemptions", "scale_ops", "hetero_penalty", "tuning_bonus",
+        "straggler_penalty", "onloan_work", "estimate_error", "arrival_hour",
+        "completion_epoch", "preempted_at",
+    )
+
     def __init__(self, spec: JobSpec):
         self.spec = spec
         self.status = JobStatus.PENDING
@@ -380,6 +393,18 @@ class Job:
         if self.first_start_time is None:
             self.first_start_time = now
 
+    def preemption_loss(self, overhead: float) -> float:
+        """GPU-seconds a preemption at the current progress destroys.
+
+        The ``overhead`` seconds of checkpoint save/load and container
+        churn (§7.5) at the job's full rate, plus — without
+        checkpointing — every bit of banked progress.
+        """
+        lost = overhead * self.spec.max_gpus
+        if not self.spec.checkpointing:
+            lost += self.spec.total_work - self.remaining_work
+        return lost
+
     def mark_preempted(self, now: float, overhead: float = 0.0) -> None:
         """Kick the job back to the queue after a reclaim preemption (§4).
 
@@ -397,8 +422,10 @@ class Job:
         self.preemptions += 1
         if not self.spec.checkpointing:
             self.remaining_work = self.spec.total_work
-        penalty_rate = self.spec.max_workers * self.spec.gpus_per_worker
-        self.remaining_work += overhead * penalty_rate
+        # with the lost progress already gone, the loss still owed is the
+        # overhead alone: its progress term is total - total = +0.0, and
+        # adding +0.0 leaves the overhead bit for bit
+        self.remaining_work += self.preemption_loss(overhead)
         self.last_progress_time = now
 
     def mark_finished(self, now: float) -> None:

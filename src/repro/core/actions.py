@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
@@ -72,6 +73,14 @@ class PlanError(RuntimeError):
 class PlanRejected(PlanError):
     """Validation against the live cluster state failed; nothing was
     committed and any staged effects were rolled back."""
+
+
+#: every attribute of a job, in ``Job.__slots__`` order
+_job_state = operator.attrgetter(*Job.__slots__)
+
+#: the container types a job's attributes hold (placement maps, per-server
+#: costs, the on-loan set); a rollback refills them in place
+_CONTAINERS = frozenset((dict, set))
 
 
 def _check_scale_floor(job: Job, workers: int) -> None:
@@ -190,7 +199,7 @@ class ReclaimServers:
     scaled_in: Tuple[int, ...] = ()
     free_servers: int = 0
     collateral_gpus: int = 0
-    costs: Optional[Tuple[Tuple[str, float], ...]] = None
+    costs: Tuple[Tuple[str, float], ...] = ()
     record_metrics: bool = True
     #: member cluster being repaid (the orchestrator recalls per
     #: lender); None for a what-if reclaim, which takes from any
@@ -235,9 +244,6 @@ class EpochPlan:
     provenance: Optional[Provenance] = field(
         default=None, repr=False, compare=False
     )
-
-    def __len__(self) -> int:
-        return len(self.actions)
 
     def by_kind(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
@@ -292,8 +298,9 @@ class PlanTransaction:
         self._launched_ids: Set[int] = set()
         #: journal of invertible resource mutations, in application order
         self._entries: List[tuple] = []
-        #: per-job pre-images, captured on first touch
-        self._job_pre: Dict[int, Dict[str, Any]] = {}
+        #: per-job pre-images, captured on first touch: ``(job, its
+        #: attribute values in slot order, (container, copy) pairs)``
+        self._job_pre: Dict[int, tuple] = {}
         #: worker totals as of the job's last recorded action (for deltas)
         self._last_total: Dict[int, int] = {}
         #: decision inputs for the provenance ledger (traced runs only)
@@ -330,24 +337,11 @@ class PlanTransaction:
         jid = job.job_id
         if jid in self._job_pre:
             return
-        self._job_pre[jid] = {
-            "job": job,
-            "status": job.status,
-            "remaining_work": job.remaining_work,
-            "last_progress_time": job.last_progress_time,
-            "first_start_time": job.first_start_time,
-            "finish_time": job.finish_time,
-            "preemptions": job.preemptions,
-            "scale_ops": job.scale_ops,
-            "hetero_penalty": job.hetero_penalty,
-            "tuning_bonus": job.tuning_bonus,
-            "straggler_penalty": job.straggler_penalty,
-            "onloan_work": job.onloan_work,
-            "base_placement": dict(job.base_placement),
-            "flex_placement": dict(job.flex_placement),
-            "server_cost": dict(job._server_cost),
-            "onloan_servers": set(job._onloan_servers),
-        }
+        # every attribute, and a copy of each container the job holds,
+        # so rollback can refill the very objects other code refers to
+        values = _job_state(job)
+        contents = [(v, v.copy()) for v in values if type(v) in _CONTAINERS]
+        self._job_pre[jid] = (job, values, contents)
         self._last_total.setdefault(jid, job.total_workers)
 
     def record_book(self, server, job_id: int, gpus: int) -> None:
@@ -485,27 +479,12 @@ class PlanTransaction:
                 server.group = previous
                 # the view mirrors group state in a column
                 self._sim.view.note_group_change(server)
-        for pre in self._job_pre.values():
-            job = pre["job"]
-            job.status = pre["status"]
-            job.remaining_work = pre["remaining_work"]
-            job.last_progress_time = pre["last_progress_time"]
-            job.first_start_time = pre["first_start_time"]
-            job.finish_time = pre["finish_time"]
-            job.preemptions = pre["preemptions"]
-            job.scale_ops = pre["scale_ops"]
-            job.hetero_penalty = pre["hetero_penalty"]
-            job.tuning_bonus = pre["tuning_bonus"]
-            job.straggler_penalty = pre["straggler_penalty"]
-            job.onloan_work = pre["onloan_work"]
-            job.base_placement.clear()
-            job.base_placement.update(pre["base_placement"])
-            job.flex_placement.clear()
-            job.flex_placement.update(pre["flex_placement"])
-            job._server_cost.clear()
-            job._server_cost.update(pre["server_cost"])
-            job._onloan_servers.clear()
-            job._onloan_servers.update(pre["onloan_servers"])
+        for job, values, contents in self._job_pre.values():
+            for name, value in zip(Job.__slots__, values):
+                setattr(job, name, value)
+            for live, saved in contents:
+                live.clear()
+                live.update(saved)
         self._entries.clear()
         self._job_pre.clear()
 
@@ -683,19 +662,13 @@ class PlanExecutor:
                 preemptions += 1
                 job = sim.jobs.get(action.job_id)
                 if job is not None:
-                    lost = sim.config.preemption_overhead * (
-                        job.spec.max_workers * job.spec.gpus_per_worker
-                    )
-                    if not job.spec.checkpointing:
-                        lost += job.spec.total_work - job.remaining_work
-                    lost_gpu_s += lost
+                    lost_gpu_s += job.preemption_loss(sim.config.preemption_overhead)
                     gpus_moved += sum(job.gpus_on(sid) for sid in job.servers)
             elif kind == "loan_servers":
                 servers_loaned += len(action.server_ids)
             elif kind == "reclaim_servers":
                 servers_reclaimed += len(action.server_ids)
-                if action.costs:
-                    preemption_cost += sum(c for _, c in action.costs)
+                preemption_cost += sum(c for _, c in action.costs)
         return {
             "actions": len(plan.actions),
             "by_kind": plan.by_kind(),
@@ -930,7 +903,6 @@ class PlanExecutor:
             if collateral_frac is not None:
                 sim.metrics.collateral.append(collateral_frac)
         if returned:
-            costs = dict(action.costs) if action.costs is not None else None
             sim.log(
                 EventKind.RECLAIM,
                 detail={
@@ -943,7 +915,7 @@ class PlanExecutor:
                 scaled_in=list(action.scaled_in),
                 free_servers=action.free_servers,
                 collateral=collateral_frac,
-                preemption_costs=costs,
+                preemption_costs=dict(action.costs),
                 inference_driven=action.record_metrics,
                 lender=action.lender,
             )

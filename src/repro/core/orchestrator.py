@@ -36,6 +36,7 @@ from repro.core.reclaim import (
     plan_reclaim_lyra,
     plan_reclaim_random,
     plan_reclaim_scf,
+    server_preemption_cost,
 )
 from repro.obs import get_logger
 from repro.obs.profiling import PHASE_ORCH_TICK, PHASE_RECLAIM_PLAN
@@ -521,7 +522,6 @@ class ResourceOrchestrator:
         sim: "Simulation",
         demand: int,
         record_metrics: bool = True,
-        with_costs: Optional[bool] = None,
         lender: Optional[str] = None,
     ) -> list:
         """Turn one reclaim demand into a declarative action sequence.
@@ -551,19 +551,12 @@ class ResourceOrchestrator:
             plan = self._plan(sim, demand, exclude=routed_ids, home=lender)
         if not plan.servers:
             return actions
-        # Per-server preemption costs (Table 1's metric), captured at
-        # plan time while the placements the costs describe still exist.
-        if with_costs is None:
-            with_costs = sim.tracer.enabled
-        costs = None
-        if with_costs:
-            # served from the view's cached per-server job-fraction
-            # index (rebuilt only when a delta arrived)
-            costs = tuple(
-                (sid, round(sim.view.reclaim_cost(sid), 4))
-                for sid in plan.servers
-                if sid in sim.pair.training
-            )
+        # Per-server preemption costs (Table 1's metric), priced at plan
+        # time while the placements the costs describe still exist.
+        costs = []
+        for sid in plan.servers:
+            cost = server_preemption_cost(sim.pair.training.get(sid), sim.jobs)
+            costs.append((sid, round(float(cost), 4)))
         # 1. Scale elastic jobs in (no preemption).
         for job_id, per_server in plan.scaled_in.items():
             if job_id in sim.running:
@@ -583,7 +576,7 @@ class ResourceOrchestrator:
             scaled_in=tuple(sorted(plan.scaled_in)),
             free_servers=plan.free_servers,
             collateral_gpus=plan.collateral_gpus,
-            costs=costs,
+            costs=tuple(costs),
             record_metrics=record_metrics,
             lender=lender,
         ))
@@ -593,9 +586,9 @@ class ResourceOrchestrator:
                      record_metrics: bool = True) -> EpochPlan:
         """Plan reclaiming ``demand`` on-loan servers, without applying.
 
-        The what-if entry point (``repro whatif``): always prices
-        per-server preemption costs regardless of tracing, and never
-        touches the loan/return state — apply the returned plan with
+        The what-if entry point (``repro whatif``): prices per-server
+        preemption costs like every reclaim plan, and never touches the
+        loan/return state — apply the returned plan with
         ``dry_run=True`` to get its cost without moving anything.  Note
         the Random reclaimer draws from the orchestrator's RNG even when
         planning, so a priced-but-discarded plan advances that stream.
@@ -608,7 +601,7 @@ class ResourceOrchestrator:
             )
         with sim.phase(PHASE_ORCH_TICK):
             actions = self._plan_reclaim_actions(
-                sim, demand, record_metrics=record_metrics, with_costs=True
+                sim, demand, record_metrics=record_metrics
             )
         return EpochPlan(
             now=sim.now,

@@ -90,16 +90,16 @@ def job_preemption_cost(
     """Cost contribution of one base-hosting job to vacating ``server_id``.
 
     The single source of truth for Table 1's three cost definitions,
-    shared by the cached :func:`preemption_cost_index` and the greedy
-    planner's live loop.  The greedy passes its working ``base_span`` /
-    ``full_span`` placement copies so costs track simulated preemptions
-    and scale-ins; index callers omit them and get the live placement.
-    Historically the two paths computed GPU_FRACTION differently — GPUs
-    over ``job.servers`` in the index vs workers over the working span
-    in the loop — so the cached index could silently disagree with the
-    costs the greedy actually paid; both now route through here (pinned
-    equal by tests/test_reclaim.py and the repro.oracle conformance
-    checks).
+    shared by :func:`server_preemption_cost` (what a reclaim plan
+    reports) and the greedy planner's live loop.  The greedy passes its
+    working ``base_span`` / ``full_span`` placement copies so costs track
+    simulated preemptions and scale-ins; :func:`server_preemption_cost`
+    omits them and gets the live placement.  Historically the two paths
+    computed GPU_FRACTION differently — GPUs over ``job.servers`` in the
+    reported cost vs workers over the working span in the loop — so the
+    reported cost could silently disagree with the cost the greedy
+    actually paid; both now route through here (pinned equal by
+    tests/test_reclaim.py and the repro.oracle conformance checks).
     """
     if model is CostModel.JOB_COUNT:
         return 1.0
@@ -121,72 +121,13 @@ def server_preemption_cost(
     The SERVER_FRACTION model (Lyra's choice) charges ``1/span`` per
     base-hosting job, so a server fully owning one big job costs 1.0
     while a server hosting slivers of many multi-server jobs costs more —
-    matching the worked example of Fig. 5 / Table 1.
+    matching the worked example of Fig. 5 / Table 1.  The orchestrator
+    prices every server of every reclaim plan with it, at plan time.
     """
     return sum(
         job_preemption_cost(job, server.server_id, model)
         for job in _base_jobs_on(server, jobs)
     )
-
-
-def preemption_cost_index(
-    servers: Sequence[Server],
-    jobs: Mapping[int, Job],
-    model: CostModel = CostModel.SERVER_FRACTION,
-) -> Dict[str, float]:
-    """Preemption cost of each server, as one batch.
-
-    The ClusterView caches this index keyed by its delta version, so the
-    orchestrator's reclaim tracing reads costs without rescanning job
-    placements between capacity changes.
-
-    Batched: the per-job quantities each cost model needs — the base
-    span reciprocal (SERVER_FRACTION) or the placement-wide GPU total
-    (GPU_FRACTION) — are computed once per job and shared across every
-    server the job touches, instead of being rederived per (server, job)
-    pair as :func:`server_preemption_cost` does.  The per-server *sum*
-    stays a left-to-right scan in allocation order: accumulating through
-    a numpy reduction would round differently (pairwise summation) and
-    break bit-equality with the scalar path, which tests pin.
-    """
-    if model is CostModel.GPU_FRACTION:
-        shared: Dict[int, float] = {}
-
-        def term(job: Job, server_id: str) -> float:
-            total = shared.get(job.job_id)
-            if total is None:
-                total = sum(job.gpus_on(sid) for sid in job.servers)
-                shared[job.job_id] = total
-            return job.gpus_on(server_id) / total if total else 0.0
-
-    elif model is CostModel.SERVER_FRACTION:
-        shared = {}
-
-        def term(job: Job, server_id: str) -> float:
-            value = shared.get(job.job_id)
-            if value is None:
-                value = 1.0 / max(1, len(job.base_placement))
-                shared[job.job_id] = value
-            return value
-
-    else:  # JOB_COUNT
-
-        def term(job: Job, server_id: str) -> float:
-            return 1.0
-
-    index: Dict[str, float] = {}
-    for server in servers:
-        sid = server.server_id
-        total = 0
-        for job_id in server.allocations:
-            job = jobs[job_id]
-            if sid in job.base_placement:
-                total = total + term(job, sid)
-        # NB: an empty sum stays the int 0, exactly like the historical
-        # ``sum(...)`` — downstream reprs (plan cost details) see the
-        # same token stream either way.
-        index[sid] = total
-    return index
 
 
 def initial_greedy_costs(
@@ -198,7 +139,7 @@ def initial_greedy_costs(
 
     Builds the same working placement copies as :func:`plan_reclaim_lyra`
     and prices every candidate before any simulated preemption.  On a
-    consistent cluster this must equal :func:`preemption_cost_index` for
+    consistent cluster this must equal :func:`server_preemption_cost` for
     every cost model — the drift between the two GPU_FRACTION code paths
     was exactly the bug this pin exists to catch (tests/test_reclaim.py
     and the repro.oracle conformance runner both enforce it).

@@ -22,9 +22,11 @@ state every kernel carries instead:
   :meth:`pools` O(1), with the §5.2 **on-loan cost** derived from the
   *set* of loaned GPU types (never from iteration order);
 * a cached **pending-queue ordering** per policy, recomputed only when
-  the queue actually changed;
-* a cached per-server **preemption-cost index** consumed by the
-  orchestrator's reclaim path.
+  the queue actually changed.
+
+The view holds no job table: a reclaim plan's preemption costs are
+priced from the job placements by the orchestrator, at plan time
+(:func:`repro.core.reclaim.server_preemption_cost`).
 
 Delta protocol
 --------------
@@ -59,7 +61,7 @@ Decisions must not depend on slot order or on vector arithmetic:
 
 * **Integer state is mirrored, float state is ranked.**  Free levels and
   worker costs are integers — vector math over them is exact.  Float
-  values (perf factors, preemption costs) are only ever *compared*,
+  values (perf factors) are only ever *compared*,
   never re-accumulated in a different order.
 * **Selection is by total order.**  The placement key ends in
   ``server_id``, so the best candidate is unique and the ``argmin`` of
@@ -113,14 +115,13 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.server import BASE_GROUP, FLEX_GROUP, Server
 from repro.core.allocation import Pools
-from repro.core.reclaim import preemption_cost_index
 
 #: group codes mirrored into the ``_group_code`` column
 _GROUP_CODES = {None: 0, BASE_GROUP: 1, FLEX_GROUP: 2}
@@ -223,35 +224,29 @@ class ClusterView:
         self,
         cluster: Cluster,
         default_onloan_cost: float = 3.0,
-        jobs: Optional[Mapping[int, "Job"]] = None,
         attach: bool = True,
     ):
         self.cluster = cluster
         self.default_onloan_cost = default_onloan_cost
-        #: live job table (set by the kernel); needed only for the
-        #: reclaim-cost index
-        self.jobs = jobs
         #: bumped on every delta; consumers key caches off it
         self.version = 0
         #: GPU type name -> column code, and per-code relative compute
         self._type_codes: Dict[str, int] = {}
         self._rel_by_code: List[float] = []
-        # ---- version-keyed caches ----
+        #: the version-keyed cache: pending order per policy key
         self._pending_cache: Dict[str, Tuple[int, List["Job"]]] = {}
-        self._cost_cache: Optional[Tuple[int, Dict[str, float]]] = None
         self.rebuild()
         if attach:
             cluster.attach_view(self)
 
     def __getstate__(self) -> dict:
-        # Snapshots carry state, not caches: the version-keyed caches are
-        # pure functions of (columns, version) and recompute on first
+        # Snapshots carry state, not caches: the pending-order cache is
+        # a pure function of (queue, version) and recomputes on first
         # miss, the derived columns are re-derived on first query.  The
         # columns themselves are pickled as they are, so a restored run
         # keeps the slot layout of the continuous one.
         state = dict(self.__dict__)
         state["_pending_cache"] = {}
-        state["_cost_cache"] = None
         state["_worker_costs"] = {}
         for name in _DERIVED:
             del state[name]
@@ -622,28 +617,6 @@ class ClusterView:
         ordered = sorted(pending, key=key_fn)
         self._pending_cache[cache_key] = (self.version, ordered)
         return ordered
-
-    # ------------------------------------------------------------------
-    # queries: reclaim cost (per-server job-fraction index)
-    # ------------------------------------------------------------------
-    def reclaim_cost_index(self) -> Dict[str, float]:
-        """Preemption cost of every allocated on-loan server (Table 1's
-        server-fraction model), cached until the next delta."""
-        if self._cost_cache is not None and self._cost_cache[0] == self.version:
-            return self._cost_cache[1]
-        slots = np.flatnonzero(self._active & self._on_loan & self._has_alloc)
-        servers = sorted(
-            (self._server_at[int(s)] for s in slots),
-            key=lambda server: server.server_id,
-        )
-        jobs = self.jobs if self.jobs is not None else {}
-        index = preemption_cost_index(servers, jobs)
-        self._cost_cache = (self.version, index)
-        return index
-
-    def reclaim_cost(self, server_id: str) -> float:
-        """Preemption cost of one server (0 for unallocated servers)."""
-        return self.reclaim_cost_index().get(server_id, 0.0)
 
     # ------------------------------------------------------------------
     # consistency (the property-test contract)

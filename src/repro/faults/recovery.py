@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List
 
 
 @dataclass(frozen=True)
@@ -55,10 +54,6 @@ class RetryPolicy:
         if self.jitter:
             raw *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
         return raw
-
-    def schedule(self, rng: random.Random) -> List[float]:
-        """All backoff delays for one exhausted retry sequence."""
-        return [self.delay(i, rng) for i in range(self.max_attempts - 1)]
 
 
 @dataclass(frozen=True)

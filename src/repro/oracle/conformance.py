@@ -23,7 +23,7 @@ from repro.core.reclaim import (
     initial_greedy_costs,
     plan_reclaim_lyra,
     plan_reclaim_optimal,
-    preemption_cost_index,
+    server_preemption_cost,
 )
 from repro.oracle.instances import (
     gen_allocation_instance,
@@ -165,9 +165,10 @@ def reclaim_divergence(instance) -> Optional[str]:
     Certifies three things on one instance: the greedy never beats the
     true optimum (that would mean an invalid plan), the exhaustive
     server-subset search matches the exhaustive job-subset search
-    exactly, and the cached preemption-cost index prices every candidate
-    exactly as the greedy loop's first iteration does, for all three
-    Table 1 cost models.
+    exactly, and the cost a reclaim plan reports
+    (:func:`server_preemption_cost`) prices every candidate exactly as
+    the greedy loop's first iteration does, for all three Table 1 cost
+    models.
     """
     servers, jobs = instance.build()
     oracle = plan_reclaim_bruteforce(servers, jobs, instance.count)
@@ -201,16 +202,17 @@ def reclaim_divergence(instance) -> Optional[str]:
         )
 
     for model in CostModel:
-        index = preemption_cost_index(servers, jobs, model)
         live = initial_greedy_costs(servers, jobs, model)
-        for sid in index:
+        for server in servers:
+            sid = server.server_id
+            reported = server_preemption_cost(server, jobs, model)
             if not math.isclose(
-                index[sid], live[sid], rel_tol=1e-9, abs_tol=1e-9
+                reported, live[sid], rel_tol=1e-9, abs_tol=1e-9
             ):
                 return (
-                    f"cost-model drift under {model.value}: the cached "
-                    f"index prices {sid} at {index[sid]!r} but the greedy "
-                    f"loop's first iteration pays {live[sid]!r}"
+                    f"cost-model drift under {model.value}: the reported "
+                    f"cost of {sid} is {reported!r} but the greedy loop's "
+                    f"first iteration pays {live[sid]!r}"
                 )
     return None
 

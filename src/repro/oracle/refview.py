@@ -17,11 +17,10 @@ production run and the reference run to agree event for event.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from repro.cluster.server import BASE_GROUP, FLEX_GROUP, Server
 from repro.core.allocation import Pools
-from repro.core.reclaim import preemption_cost_index
 
 
 def placement_tier(
@@ -56,10 +55,9 @@ def placement_tier(
 class ReferenceView:
     """Full-scan answers to the :class:`ClusterView` queries."""
 
-    def __init__(self, cluster, default_onloan_cost: float = 3.0, jobs=None):
+    def __init__(self, cluster, default_onloan_cost: float = 3.0):
         self.cluster = cluster
         self.default_onloan_cost = default_onloan_cost
-        self.jobs = jobs
         self.version = 0
 
     # -- deltas: nothing to maintain, only the version moves ------------
@@ -160,19 +158,6 @@ class ReferenceView:
     ) -> List:
         return sorted(pending, key=key_fn)
 
-    # -- reclaim cost ---------------------------------------------------
-    def reclaim_cost_index(self) -> Dict[str, float]:
-        servers = sorted(
-            (s for s in self.cluster.servers if s.on_loan and s.allocations),
-            key=lambda s: s.server_id,
-        )
-        return preemption_cost_index(
-            servers, self.jobs if self.jobs is not None else {}
-        )
-
-    def reclaim_cost(self, server_id: str) -> float:
-        return self.reclaim_cost_index().get(server_id, 0.0)
-
     def assert_consistent(self) -> None:
         """Stateless: there is nothing that could have drifted."""
 
@@ -185,9 +170,7 @@ def install_reference_view(sim) -> ReferenceView:
     built with.  Returns the installed view.
     """
     ref = ReferenceView(
-        sim.cluster,
-        default_onloan_cost=sim.view.default_onloan_cost,
-        jobs=sim.jobs,
+        sim.cluster, default_onloan_cost=sim.view.default_onloan_cost
     )
     sim.cluster.attach_view(ref)
     sim.view = ref

@@ -45,7 +45,11 @@ MAGIC = b"REPROSNAP\x00"
 #: comes back with the ledger and without the table)
 #: 6: the metrics roster is the kernel's job table, not a list beside it
 #: (a schema-5 ``SimulationMetrics`` has the list and no table)
-SCHEMA_VERSION = 6
+#: 7: every reclaim plan carries its preemption costs, traced or not, and
+#: the view holds no job table (a schema-6 WAL journaled untraced
+#: reclaims without costs, so its digests no longer match a re-derived
+#: plan)
+SCHEMA_VERSION = 7
 
 #: pinned pickle protocol: snapshots written on 3.9 load on 3.12
 PICKLE_PROTOCOL = 4

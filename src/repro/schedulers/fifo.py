@@ -14,8 +14,6 @@ evicted when inference traffic returns).
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.cluster.job import Job
 from repro.core.placement import PlacementRequest
 from repro.schedulers.base import SchedulerPolicy
@@ -33,9 +31,6 @@ class FIFOScheduler(SchedulerPolicy):
     @staticmethod
     def order_key(job: Job):
         return (job.spec.submit_time, job.job_id)
-
-    def order(self, pending: List[Job]) -> List[Job]:
-        return sorted(pending, key=self.order_key)
 
     def decide(self, ctx: "PlanTransaction") -> None:
         ordered = self.sorted_pending(

@@ -49,11 +49,6 @@ class InferenceTrace:
         if self.num_servers < 1:
             raise ValueError(f"num_servers must be >= 1, got {self.num_servers}")
 
-    @property
-    def span(self) -> float:
-        """Trace length in seconds."""
-        return len(self.utilization) * SAMPLE_INTERVAL
-
     def utilization_at(self, t: float) -> float:
         """Utilization sample covering time ``t`` (clamped to the trace)."""
         idx = int(t // SAMPLE_INTERVAL)

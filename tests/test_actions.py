@@ -20,7 +20,7 @@ from repro.cluster.cluster import (
     make_inference_cluster,
     make_training_cluster,
 )
-from repro.cluster.job import JobSpec
+from repro.cluster.job import Job, JobSpec
 from repro.core.actions import (
     EpochPlan,
     PlanError,
@@ -379,12 +379,10 @@ def test_an_action_of_no_known_kind_rejects_the_plan():
     assert state_snapshot(sim) == before
 
 
-@pytest.mark.parametrize("how", ["dry-run", "rejected"])
-def test_rolled_back_plan_leaves_the_container_ledger_as_found(how):
-    """A staged plan that stops workers (job 0's flexible ones) and
-    launches new ones (job 1, which never ran) is undone by negating
-    each journaled book delta: both books come back row for row, no
-    emptied key, cost or on-loan mark left behind, and they agree."""
+def shrink_to_launch_sim():
+    """Job 0 runs elastic at 8 workers on the only training server; job 1
+    has arrived, and its epoch (t=30), which shrinks job 0 to launch it,
+    has not run."""
     specs = [
         JobSpec(
             job_id=0, submit_time=0.0, duration=50000.0, max_workers=8, min_workers=2, elastic=True
@@ -393,8 +391,18 @@ def test_rolled_back_plan_leaves_the_container_ledger_as_found(how):
     ]
     pair = ClusterPair(make_training_cluster(1), make_inference_cluster(1))
     sim = Simulation(specs, pair, LyraScheduler(), config=SimulationConfig(record_activities=True))
-    sim.run(until=20.0)  # job 1 has arrived; its epoch (t=30) has not run
+    sim.run(until=20.0)
     assert sim.jobs[0].total_workers == 8 and [j.job_id for j in sim.pending] == [1]
+    return sim
+
+
+@pytest.mark.parametrize("how", ["dry-run", "rejected"])
+def test_rolled_back_plan_leaves_the_container_ledger_as_found(how):
+    """A staged plan that stops workers (job 0's flexible ones) and
+    launches new ones (job 1, which never ran) is undone by negating
+    each journaled book delta: both books come back row for row, no
+    emptied key, cost or on-loan mark left behind, and they agree."""
+    sim = shrink_to_launch_sim()
     before = state_snapshot(sim)
     plan = sim.policy.plan(sim)
     kinds = plan.by_kind()
@@ -407,6 +415,40 @@ def test_rolled_back_plan_leaves_the_container_ledger_as_found(how):
         with pytest.raises(PlanRejected, match="unknown job"):
             sim.executor.apply(plan)
     assert state_snapshot(sim) == before
+    sim.rm.verify_books()
+
+
+class _FailsAfterDeciding(LyraScheduler):
+    """Stages its epoch, writes a job field that no hand-kept rollback
+    list named, then fails."""
+
+    def decide(self, ctx):
+        super().decide(ctx)
+        for job_id in (0, 1):
+            ctx.jobs[job_id].preempted_at = 5.0
+        raise RuntimeError("decide failed")
+
+
+def _attributes(job) -> dict:
+    values = {name: getattr(job, name) for name in Job.__slots__}
+    return {k: (v.copy() if isinstance(v, (dict, set)) else v) for k, v in values.items()}
+
+
+def test_failed_decide_leaves_every_touched_job_as_found():
+    """A decide() that raises after shrinking job 0 and launching job 1
+    rolls back every attribute of both jobs, into the very placement
+    maps they held."""
+    sim = shrink_to_launch_sim()
+    jobs = [sim.jobs[0], sim.jobs[1]]
+    before = [_attributes(job) for job in jobs]
+    maps = [(job.base_placement, job.flex_placement) for job in jobs]
+    books = state_snapshot(sim)
+    with pytest.raises(RuntimeError, match="decide failed"):
+        _FailsAfterDeciding().plan(sim)
+    assert [_attributes(job) for job in jobs] == before
+    for job, (base, flex) in zip(jobs, maps):
+        assert job.base_placement is base and job.flex_placement is flex
+    assert state_snapshot(sim) == books
     sim.rm.verify_books()
 
 

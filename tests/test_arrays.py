@@ -5,11 +5,10 @@ numpy columns of :class:`repro.core.view.ClusterView`, maintained from
 deltas, must equal a from-scratch rebuild after *any* interleaving of
 cluster mutations — and every query (pools, best-candidate selection
 incl. the region tie-break and the unhealthy/transient-launch
-exclusions, domain capacity, the reclaim-cost index) must return exactly
-what the oracle's scan-from-scratch
-:class:`repro.oracle.refview.ReferenceView` returns over the same
-cluster.  The MCKP DP kernel and the batched reclaim index are pinned
-bit-identical to their scalar references here too.
+exclusions, domain capacity) must return exactly what the oracle's
+scan-from-scratch :class:`repro.oracle.refview.ReferenceView` returns
+over the same cluster.  The MCKP DP kernel is pinned bit-identical to
+its scalar reference here too.
 
 The golden-log suite (``tests/test_equivalence.py``) pins end-to-end
 behaviour; these tests pin the *mechanisms* so a column bug is caught at
@@ -38,7 +37,6 @@ from repro.core.mckp import (
     solve_mckp_bruteforce,
     solution_cost,
 )
-from repro.core.reclaim import preemption_cost_index
 from repro.core.view import _INITIAL_SLOTS, ClusterView
 from repro.faults.crash import (
     BARRIER_BETWEEN_EVENTS,
@@ -122,8 +120,8 @@ def _walked(seed, per_step=None):
     rng = random.Random(seed)
     pair = ClusterPair(make_training_cluster(3), make_inference_cluster(3))
     jobs = _make_jobs()
-    view = ClusterView(pair.training, jobs=jobs)
-    ref = ReferenceView(pair.training, jobs=jobs)
+    view = ClusterView(pair.training)
+    ref = ReferenceView(pair.training)
     rm = ResourceManager(pair, jobs)
     _random_walk(
         view, rm, pair, jobs, rng,
@@ -136,15 +134,6 @@ def _same_answers(view, ref):
     assert view.pools() == ref.pools()
     assert view.dedicated_free == ref.dedicated_free
     assert view.onloan_free == ref.onloan_free
-    # The cost index prices whole jobs, and the kernel only ever books
-    # jobs on whitelist members.  The walk also books them on
-    # inference-side servers, whose changes the view rightly never hears
-    # about — the version-keyed cache is only owed while no job straddles.
-    if all(
-        sid in view.cluster
-        for job in view.jobs.values() for sid in job.servers
-    ):
-        assert view.reclaim_cost_index() == ref.reclaim_cost_index()
     for gpus_per_worker in (1, 2, 3):
         for on_loan in (False, True):
             assert view.domain_capacity(on_loan, gpus_per_worker) == (
@@ -165,11 +154,10 @@ class TestArrayMirrorProperties:
             seed, per_step=lambda view, ref: view.assert_consistent()
         )
         rebuilt = ClusterView(
-            pair.training, jobs=view.jobs, attach=False,
+            pair.training, attach=False,
             default_onloan_cost=view.default_onloan_cost,
         )
         assert view.snapshot() == rebuilt.snapshot()
-        assert rebuilt.reclaim_cost_index() == ref.reclaim_cost_index()
         _same_answers(rebuilt, ref)
         # a pickle round-trip carries the columns as they are
         clone = pickle.loads(pickle.dumps(view))
@@ -180,9 +168,9 @@ class TestArrayMirrorProperties:
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_vectorized_queries_match_dict_view(self, seed):
-        """pools / domain_capacity / the reclaim index agree with the
-        reference scan after every delta (the id predates the single
-        view: the dict-indexed view it names is gone)."""
+        """pools and domain_capacity agree with the reference scan after
+        every delta (the id predates the single view: the dict-indexed
+        view it names is gone)."""
         _walked(seed, per_step=_same_answers)
 
     @given(seed=st.integers(0, 2**32 - 1))
@@ -199,8 +187,8 @@ class TestArrayMirrorProperties:
             make_inference_cluster(12),
         )
         jobs = _make_jobs()
-        view = ClusterView(pair.training, jobs=jobs)
-        ref = ReferenceView(pair.training, jobs=jobs)
+        view = ClusterView(pair.training)
+        ref = ReferenceView(pair.training)
         rm = ResourceManager(pair, jobs)
         every = pair.training.servers + pair.inference.servers
         types = sorted({s.gpu_type.name for s in every})
@@ -269,7 +257,7 @@ def test_pickle_roundtrip_rebuilds_columns():
     the old mirror dropped its columns and rebuilt lazily); only the
     derived placement columns are re-derived, on the first query."""
     pair = ClusterPair(make_training_cluster(3), make_inference_cluster(3))
-    view = ClusterView(pair.training, jobs=_make_jobs())
+    view = ClusterView(pair.training)
     pair.training.servers[0].allocate(0, 2)
     clone = pickle.loads(pickle.dumps(view))
     assert clone.cluster is not pair.training
@@ -286,14 +274,14 @@ def test_pickle_roundtrip_rebuilds_columns():
     assert best is clone.cluster.servers[0]  # non-idle, fewest free GPUs
 
 
-#: what a pickled view carries: the columns and the books, no derived
-#: placement column — the key set from before the packed key existed
+#: what a pickled view carries: the columns and the books — no derived
+#: placement column, no job table, no cost cache
 PICKLED_VIEW_KEYS = [
-    "_active", "_cost_cache", "_free", "_free_slots", "_free_total",
+    "_active", "_free", "_free_slots", "_free_total",
     "_group_code", "_has_alloc", "_id_rank", "_on_loan", "_onloan_types",
     "_pending_cache", "_perf", "_ranks_stale", "_rel_by_code",
     "_server_at", "_slot_of", "_type_code", "_type_codes", "_worker_costs",
-    "cluster", "default_onloan_cost", "jobs", "version",
+    "cluster", "default_onloan_cost", "version",
 ]
 
 
@@ -303,7 +291,7 @@ def test_pickle_leaves_derived_columns_out_and_clone_answers_alike():
     them to answer every query exactly like the original."""
     pair = ClusterPair(make_training_cluster(4), make_inference_cluster(4))
     jobs = _make_jobs()
-    view = ClusterView(pair.training, jobs=jobs)
+    view = ClusterView(pair.training)
     rm = ResourceManager(pair, jobs)
     loan(rm, 3)
     servers = pair.training.servers
@@ -413,17 +401,3 @@ class TestMCKPKernels:
         v_bf, _ = solve_mckp_bruteforce(groups, capacity)
         assert v_np == pytest.approx(v_bf)
 
-
-# ----------------------------------------------------------------------
-# the batched reclaim index keeps its scalar presentation
-# ----------------------------------------------------------------------
-class TestReclaimIndex:
-    def test_empty_server_cost_is_the_int_zero(self):
-        """The historical ``sum([])`` returned the int 0; its repr (``0``,
-        not ``0.0``) leaks into logged plan-cost details, so the batched
-        index must preserve it exactly."""
-        pair = ClusterPair(make_training_cluster(2), make_inference_cluster(1))
-        index = preemption_cost_index(pair.training.servers, {})
-        for cost in index.values():
-            assert cost == 0
-            assert isinstance(cost, int)

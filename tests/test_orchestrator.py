@@ -204,3 +204,65 @@ class TestPredictor:
         sim_r.run()
         assert sim_p.metrics.reclaim_ops
         assert sim_r.metrics.reclaim_ops
+
+
+class TestReclaimPricing:
+    """Table 1's server-fraction cost is priced once per reclaim plan,
+    at plan time, whether or not a tracer is on."""
+
+    RUN = [
+        "run", "--scheme", "lyra", "--jobs", "300", "--days", "1",
+        "--training-servers", "6", "--inference-servers", "10",
+        "--load", "3", "--explain", "--json",
+    ]
+
+    @staticmethod
+    def _pricing(capsys, argv):
+        import json
+
+        from repro.cli import main
+
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        plans = json.loads(out[: out.rindex("}") + 1])["plans"]
+        return [plan["pricing"] for plan in plans]
+
+    def test_explain_prices_untraced_reclaims_as_traced_ones(
+        self, capsys, tmp_path
+    ):
+        untraced = self._pricing(capsys, self.RUN)
+        traced = self._pricing(
+            capsys, self.RUN + ["--trace", str(tmp_path / "t.jsonl")]
+        )
+        assert untraced == traced
+        assert sum(p["preemption_cost"] for p in untraced) > 0
+
+    def test_every_reported_cost_is_a_float_equal_to_server_preemption_cost(
+        self, monkeypatch
+    ):
+        from repro.core.reclaim import server_preemption_cost
+        from tests.test_recovery import build_sim
+
+        checked = []
+        real = ResourceOrchestrator._plan_reclaim_actions
+
+        def spy(self, sim, demand, **kwargs):
+            actions = real(self, sim, demand, **kwargs)
+            for action in actions:
+                if action.kind != "reclaim_servers" or action.route_around:
+                    continue
+                assert [sid for sid, _ in action.costs] == list(
+                    action.server_ids
+                )
+                for sid, cost in action.costs:
+                    expected = server_preemption_cost(
+                        sim.pair.training.get(sid), sim.jobs
+                    )
+                    assert type(cost) is float
+                    assert cost == round(expected, 4)
+                    checked.append(cost)
+            return actions
+
+        monkeypatch.setattr(ResourceOrchestrator, "_plan_reclaim_actions", spy)
+        build_sim("lyra_loaning").run()
+        assert any(cost > 0 for cost in checked)

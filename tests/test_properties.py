@@ -329,13 +329,12 @@ class TestClusterViewProperties:
         _, pair, view, _ = _walked(
             seed, per_step=lambda view, ref: view.assert_consistent()
         )
-        # the cached derived queries agree with scratch computation too
+        # the cached pool totals agree with scratch computation too
         rebuilt = ClusterView(
-            pair.training, jobs=view.jobs, attach=False,
+            pair.training, attach=False,
             default_onloan_cost=view.default_onloan_cost,
         )
         assert view.pools() == rebuilt.pools()
-        assert view.reclaim_cost_index() == rebuilt.reclaim_cost_index()
 
 
 # ----------------------------------------------------------------------

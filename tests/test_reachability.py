@@ -27,9 +27,6 @@ ENTRY_POINTS = (ROOT / "benchmarks", ROOT / "examples")
 
 #: definitions only ``tests/`` reaches, each with why it stays
 ALLOWLIST: Dict[str, str] = {
-    "server_preemption_cost": "the scalar per-(server, job) pricing that "
-    "tests/test_reclaim.py and tests/test_view.py pin the batched "
-    "preemption_cost_index against, bit for bit",
     "reset_logging": "test isolation: undoes configure_logging between "
     "the logging tests of tests/test_obs.py",
     "pending_events": "harness probe: tests count armed timers (tick "

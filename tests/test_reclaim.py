@@ -15,7 +15,6 @@ from repro.core.reclaim import (
     plan_reclaim_optimal,
     plan_reclaim_random,
     plan_reclaim_scf,
-    preemption_cost_index,
     server_preemption_cost,
 )
 
@@ -92,14 +91,23 @@ class TestPreemptionCost:
         assert cost == pytest.approx(expected)
 
 
+def reported_costs(servers, jobs, model):
+    """Each server's cost as a reclaim plan reports it."""
+    return {
+        s.server_id: server_preemption_cost(s, jobs, model) for s in servers
+    }
+
+
 class TestCostIndexDrift:
-    """The cached cost index and the greedy loop's live costs must agree.
+    """The cost a reclaim plan reports and the greedy loop's live costs
+    must agree.
 
     GPU_FRACTION was historically computed two ways — GPUs over
-    ``job.servers`` in the index vs workers over the working span in the
-    loop — which only diverges when a job's per-server GPU cost varies
-    across hosts.  Both paths now route through ``job_preemption_cost``;
-    these pins keep them fused.
+    ``job.servers`` in the reported cost vs workers over the working
+    span in the loop — which only diverges when a job's per-server GPU
+    cost varies across hosts.  Both paths now route through
+    ``job_preemption_cost``; these pins keep them fused.  (The class and
+    test names predate the removal of the batched cost index.)
     """
 
     def _mixed_cost_instance(self):
@@ -122,24 +130,24 @@ class TestCostIndexDrift:
     @pytest.mark.parametrize("model", list(CostModel))
     def test_index_matches_initial_greedy_costs(self, model):
         servers, jobs = self._mixed_cost_instance()
-        index = preemption_cost_index(servers, jobs, model)
+        reported = reported_costs(servers, jobs, model)
         live = initial_greedy_costs(servers, jobs, model)
-        assert live == pytest.approx(index)
+        assert live == pytest.approx(reported)
 
     def test_mixed_costs_price_gpu_fraction_by_gpus_not_workers(self):
         # 2 GPUs on m0 vs 4 on m1: the fractions must be 1/3 and 2/3
         # (a workers-based computation would claim 1/2 each).
         servers, jobs = self._mixed_cost_instance()
-        index = preemption_cost_index(servers, jobs, CostModel.GPU_FRACTION)
-        assert index["m0"] == pytest.approx(1 / 3)
-        assert index["m1"] == pytest.approx(2 / 3)
+        reported = reported_costs(servers, jobs, CostModel.GPU_FRACTION)
+        assert reported["m0"] == pytest.approx(1 / 3)
+        assert reported["m1"] == pytest.approx(2 / 3)
 
     def test_index_matches_on_fig5(self):
         servers, jobs = fig5_instance()
         for model in CostModel:
-            index = preemption_cost_index(servers, jobs, model)
+            reported = reported_costs(servers, jobs, model)
             live = initial_greedy_costs(servers, jobs, model)
-            assert live == pytest.approx(index)
+            assert live == pytest.approx(reported)
 
 
 class TestLyraGreedy:

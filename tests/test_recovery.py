@@ -46,6 +46,7 @@ from repro.faults.plan import (
     resolve_plan,
 )
 from repro.ioutil import atomic_write, atomic_write_text
+from repro.obs import Observability
 from repro.rm.manager import TransientLaunchError
 from repro.recovery import (
     SCHEMA_VERSION,
@@ -67,7 +68,7 @@ KILL_AT = 30000.0
 CHECKPOINT_EVERY = 3000.0
 
 
-def build_sim(name: str, fault_plan=None) -> Simulation:
+def build_sim(name: str, fault_plan=None, obs=None) -> Simulation:
     """The golden-suite scenario ``name``, built but not run
     (``fault_plan`` replaces the scenario's own)."""
     policy_fn, opts = SCENARIOS[name]
@@ -100,6 +101,7 @@ def build_sim(name: str, fault_plan=None) -> Simulation:
         inference_trace=trace,
         orchestrator=ResourceOrchestrator() if orchestrated else None,
         config=config,
+        obs=obs,
     )
 
 
@@ -199,6 +201,30 @@ class TestKillAnywhereEquivalence:
         assert manager.checkpoints > 0
         assert list(tmp_path.glob("snapshot-*.ckpt"))
         assert (tmp_path / "wal.jsonl").exists()
+
+    def test_wal_digests_do_not_depend_on_tracing(self, tmp_path):
+        """A reclaim plan is priced when it is planned, watched or not:
+        the checkpointed run journals the same plans, costs included,
+        with and without a tracer."""
+        journals = []
+        for obs in (None, Observability.enabled()):
+            directory = tmp_path / ("plain" if obs is None else "traced")
+            sim = build_sim("lyra_loaning", obs=obs)
+            RecoveryManager(
+                directory, checkpoint_every=CHECKPOINT_EVERY
+            ).attach(sim)
+            sim.run()
+            journals.append(_wal_lines(directory / "wal.jsonl"))
+        plain, traced = journals
+        assert [r["digest"] for r in plain] == [r["digest"] for r in traced]
+        costs = [
+            cost
+            for record in plain
+            for action in record["actions"]
+            if action["kind"] == "reclaim_servers"
+            for _, cost in action["costs"]
+        ]
+        assert any(cost > 0 for cost in costs)
 
     def test_disabled_recovery_allocates_nothing(self, golden):
         """With no checkpoint directory the recovery subsystem must cost
@@ -570,17 +596,17 @@ class TestSnapshotCodec:
             SnapshotCodec.load(tmp_path / "nope.ckpt")
 
     def test_recover_refuses_a_directory_an_older_build_wrote(self, tmp_path):
-        """Schema 6: the metrics roster is the kernel's job table.  A
-        schema-5 directory (its metrics pickled a job list beside the
-        table) is refused by its manifest, before any unpickle."""
+        """Schema 7: every reclaim plan carries its preemption costs.  A
+        schema-6 directory (its WAL journaled untraced reclaims without
+        costs) is refused by its manifest, before any unpickle."""
         killed_run("fifo_contention", tmp_path)
         manifest = tmp_path / "recovery.json"
         current = manifest.read_text()
-        manifest.write_text(current.replace('"schema": 6', '"schema": 5'))
+        manifest.write_text(current.replace('"schema": 7', '"schema": 6'))
         assert manifest.read_text() != current
         with pytest.raises(
             RecoveryError,
-            match=r"schema 5 does not match this build \(schema 6\)",
+            match=r"schema 6 does not match this build \(schema 7\)",
         ):
             RecoveryManager.recover(tmp_path)
 

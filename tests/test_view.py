@@ -3,9 +3,10 @@
 Covers: pool totals vs a manual scan, the deterministic on-loan cost
 (the old scan derived it from iteration order), the cached pending-queue
 ordering, candidate/capacity queries vs the oracle's full-scan
-reference view, the reclaim-cost index, engine wake-up peeking, epoch
-skipping and heartbeat skip-ahead in the simulator.  The random-delta
-properties of the same class live in ``tests/test_arrays.py``.
+reference view, reclaim pricing on a placed cluster, engine wake-up
+peeking, epoch skipping and heartbeat skip-ahead in the simulator.  The
+random-delta properties of the same class live in
+``tests/test_arrays.py``.
 """
 
 import pytest
@@ -170,6 +171,9 @@ class TestViewIndexes:
             ) == scan
 
     def test_reclaim_cost_matches_direct_computation(self):
+        """On a cluster the placement engine filled, a server's reported
+        preemption cost is Table 1's server fraction summed by hand:
+        ``1 / base span`` per job with base workers there."""
         pair = _pair(train=0, infer=4)
         view = ClusterView(pair.training)
         loan(pair, 4)
@@ -182,10 +186,14 @@ class TestViewIndexes:
             engine.place(
                 [PlacementRequest(job, base_workers=2, flex_workers=1)]
             )
-        view.jobs = jobs
         for server in pair.training.servers:
-            assert view.reclaim_cost(server.server_id) == pytest.approx(
-                server_preemption_cost(server, jobs)
+            direct = sum(
+                1.0 / len(job.base_placement)
+                for job in jobs.values()
+                if server.server_id in job.base_placement
+            )
+            assert server_preemption_cost(server, jobs) == pytest.approx(
+                direct
             )
 
     def test_ordered_pending_caches_until_delta(self):
