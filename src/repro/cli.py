@@ -962,9 +962,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "inference lenders in staggered time zones x "
                             "M training regions) or a market-config JSON "
                             "file; the setup's hardware is split across "
-                            "the regions and a capacity broker clears "
-                            "the market each interval ('1x1' reproduces "
-                            "the plain pair exactly)")
+                            "the regions and the resource orchestrator "
+                            "clears the market each interval ('1x1' "
+                            "reproduces the plain pair exactly)")
     _add_fault_args(run_p)
     _add_recovery_args(run_p)
     run_p.add_argument("--crash-at", type=float, default=None,

@@ -7,8 +7,9 @@ servers.  :class:`ClusterPair` is the topology every run has: one training
 whitelist (whose servers are tagged with M >= 1 home regions) borrowing from
 N >= 1 lender whitelists, with the loan/return primitive and the book of
 open :class:`LoanContract` s.  Lyra's pair is the 1x1 case, built as
-``ClusterPair(training, inference)``; :func:`repro.market.ClusterSet` builds
-the same class from lists of regions and lenders.
+``ClusterPair(training, inference)``; :func:`ClusterSet` builds the same
+class from lists of regions and lenders, putting several lenders behind a
+read-only :class:`FederatedCluster`.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ class Cluster:
     @property
     def members(self) -> List["Cluster"]:
         """The real whitelists behind this one: itself, unless it is a
-        union (:class:`repro.market.FederatedCluster`)."""
+        union (:class:`FederatedCluster`)."""
         return [self]
 
     @property
@@ -126,10 +127,75 @@ class Cluster:
     def used_gpus(self) -> int:
         return sum(s.used_gpus for s in self._servers.values())
 
-    def utilization(self) -> float:
-        """Fraction of GPUs currently allocated."""
-        total = self.total_gpus
-        return self.used_gpus / total if total else 0.0
+
+class FederatedCluster(Cluster):
+    """The lender side of N > 1 lenders: their whitelists as a read-only
+    union.
+
+    Everything a :class:`ClusterPair` consumer reads off the inference
+    side — membership, lookups, capacity sums, the loanable scan — spans
+    all members (in member order, insertion order within each).  Removal
+    routes to the owning member; insertion raises, because "the union" is
+    not a place a server can live — returns go to the member named by the
+    server's ``home_cluster``.
+    """
+
+    def __init__(self, name: str, members: Sequence[Cluster]):
+        if not members:
+            raise ValueError("a federated cluster needs at least one member")
+        self.name = name
+        self._members: List[Cluster] = list(members)
+        seen = set()
+        for member in self._members:
+            if member.name in seen:
+                raise ValueError(f"duplicate member cluster {member.name!r}")
+            seen.add(member.name)
+
+    @property
+    def members(self) -> List[Cluster]:
+        return self._members
+
+    def owner_of(self, server_id: str) -> Cluster:
+        for member in self.members:
+            if server_id in member:
+                return member
+        raise KeyError(f"server {server_id!r} is in no member of {self.name!r}")
+
+    def add_server(self, server: Server) -> None:
+        raise TypeError(
+            f"cannot add {server.server_id!r} to the federated "
+            f"{self.name!r} whitelist: a union has no insertion point — "
+            f"route the server to its home member "
+            f"({server.home_cluster!r}) instead"
+        )
+
+    def remove_server(self, server_id: str) -> Server:
+        return self.owner_of(server_id).remove_server(server_id)
+
+    def __contains__(self, server_id: str) -> bool:
+        return any(server_id in member for member in self.members)
+
+    def __len__(self) -> int:
+        return sum(len(member) for member in self.members)
+
+    def get(self, server_id: str) -> Server:
+        return self.owner_of(server_id).get(server_id)
+
+    @property
+    def servers(self) -> List[Server]:
+        return [s for member in self.members for s in member.servers]
+
+    @property
+    def total_gpus(self) -> int:
+        return sum(member.total_gpus for member in self.members)
+
+    @property
+    def free_gpus(self) -> int:
+        return sum(member.free_gpus for member in self.members)
+
+    @property
+    def used_gpus(self) -> int:
+        return sum(member.used_gpus for member in self.members)
 
 
 def make_training_cluster(
@@ -450,3 +516,41 @@ class ClusterPair:
             "lenders_used": sorted(self.lenders_used),
             "outstanding_by_lender": self.outstanding_by_lender(),
         }
+
+
+def ClusterSet(
+    training_regions: Sequence[Cluster],
+    inference_clusters: Sequence[Cluster],
+    **market,
+) -> ClusterPair:
+    """Build the topology from M training regions and N lender clusters.
+
+    A single region or lender is used as it is — ``ClusterSet([t], [i])``
+    is ``ClusterPair(t, i)``.  Several regions are merged into one
+    training whitelist (each server keeps its region of origin in
+    ``home_cluster``; placement uses the tags for locality, the training
+    scheduler itself is region-blind); several lenders sit behind a
+    :class:`FederatedCluster`.  ``market`` is :class:`ClusterPair`'s
+    ``transfer_costs`` / ``default_transfer_cost`` / ``terms``.
+    """
+    training_regions = list(training_regions)
+    inference_clusters = list(inference_clusters)
+    if not training_regions or not inference_clusters:
+        raise ValueError("the market needs >= 1 cluster on each side")
+    region_names = tuple(c.name for c in training_regions)
+    if len(set(region_names)) != len(region_names):
+        raise ValueError("duplicate training region names")
+    if len(training_regions) == 1:
+        training = training_regions[0]
+    else:
+        training = Cluster(
+            "training",
+            [s for region in training_regions for s in region.servers],
+        )
+    if len(inference_clusters) == 1:
+        inference = inference_clusters[0]
+    else:
+        inference = FederatedCluster("inference", inference_clusters)
+    return ClusterPair(
+        training, inference, training_region_names=region_names, **market
+    )

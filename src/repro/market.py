@@ -1,4 +1,11 @@
-"""Market topologies: specs, config files and the setup builder.
+"""Multi-cluster capacity markets: specs, config files and the setup builder.
+
+N inference clusters in different time zones lend whitelist capacity to
+M training regions.  There is no market-only topology or clearing rule:
+every run is a :class:`~repro.cluster.cluster.ClusterPair` (built here
+by :func:`~repro.cluster.cluster.ClusterSet`) cleared by
+:class:`~repro.core.orchestrator.ResourceOrchestrator`, and Lyra's pair
+is the 1×1 market.  This module holds only what describes a market.
 
 A market run is an ordinary :class:`~repro.scenarios.ExperimentSetup`
 whose hardware is split across regions.  The split is described by a
@@ -35,11 +42,11 @@ import numpy as np
 from repro.cluster.cluster import (
     Cluster,
     ClusterPair,
+    ClusterSet,
     ContractTerms,
     make_inference_cluster,
     make_training_cluster,
 )
-from repro.market.cluster_set import ClusterSet
 from repro.traces.inference import (
     DAY,
     SAMPLE_INTERVAL,
@@ -88,10 +95,6 @@ class MarketConfig:
     def __post_init__(self) -> None:
         if not self.inference or not self.training:
             raise ValueError("a market needs >= 1 region on each side")
-
-    @property
-    def shape(self) -> str:
-        return f"{len(self.inference)}x{len(self.training)}"
 
     def transfer_cost_map(self) -> Dict[Tuple[str, str], float]:
         return {

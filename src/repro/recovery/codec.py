@@ -49,7 +49,11 @@ MAGIC = b"REPROSNAP\x00"
 #: the view holds no job table (a schema-6 WAL journaled untraced
 #: reclaims without costs, so its digests no longer match a re-derived
 #: plan)
-SCHEMA_VERSION = 7
+#: 8: a market's lender union is ``repro.cluster.cluster.FederatedCluster``
+#: and its orchestrator a plain ``ResourceOrchestrator`` (a schema-7 market
+#: run pickled both from the ``repro.market`` package, now one module that
+#: defines neither)
+SCHEMA_VERSION = 8
 
 #: pinned pickle protocol: snapshots written on 3.9 load on 3.12
 PICKLE_PROTOCOL = 4
@@ -106,7 +110,13 @@ class SnapshotCodec:
         digest = hashlib.sha256(blob).hexdigest()
         if digest != header.get("sha256"):
             raise SnapshotError("snapshot checksum mismatch: payload corrupt")
-        return pickle.loads(blob)
+        try:
+            return pickle.loads(blob)
+        except Exception as exc:
+            # pickle raises no single type (UnpicklingError, ImportError,
+            # AttributeError, EOFError, ...): an intact file whose graph
+            # this build cannot rebuild is as unusable as a torn one
+            raise SnapshotError(f"cannot unpickle snapshot: {exc!r}") from exc
 
     # ------------------------------------------------------------------
     @classmethod

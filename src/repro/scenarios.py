@@ -271,7 +271,6 @@ def wire_scheme(
     sim_overrides: Optional[dict] = None,
     predictor=None,
     lender_traces: Optional[dict] = None,
-    orchestrator_cls=ResourceOrchestrator,
     **policy_kwargs,
 ) -> Tuple[SchedulerPolicy, SimulationConfig, Optional[ResourceOrchestrator]]:
     """Resolve a :data:`SCHEMES` name into what a kernel is built from:
@@ -296,7 +295,7 @@ def wire_scheme(
     )
     orchestrator = None
     if wiring.loaning:
-        orchestrator = orchestrator_cls(
+        orchestrator = ResourceOrchestrator(
             reclaimer=wiring.reclaimer,
             seed=seed,
             predictor=predictor,
@@ -348,13 +347,11 @@ def build_sim(
         specs = apply_scenario(setup.workload.specs, scenario, seed=seed)
 
     lender_traces = None
-    orchestrator_cls = ResourceOrchestrator
     if market is not None:
-        # Lazy import: the market package is optional machinery and the
-        # common single-pair path should not pay for it.
-        from repro.market import CapacityBroker, build_market_setup
+        # Lazy import: the single-pair path does not need the market's
+        # config module.
+        from repro.market import build_market_setup
 
-        orchestrator_cls = CapacityBroker  # same rule, timed as `market`
         built = build_market_setup(setup, market, seed=seed)
         pair = built.pair
         trace = built.aggregate_trace
@@ -368,7 +365,6 @@ def build_sim(
         sim_overrides={"scaling_model": scaling_model, **(sim_overrides or {})},
         predictor=predictor,
         lender_traces=lender_traces,
-        orchestrator_cls=orchestrator_cls,
         **policy_kwargs,
     )
 

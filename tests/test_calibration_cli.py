@@ -161,6 +161,63 @@ class TestCLI:
         data = json.loads(capsys.readouterr().out)
         assert data["completed"] == 1.0
 
+    TINY = ["--jobs", "30", "--days", "0.25", "--training-servers", "4",
+            "--inference-servers", "6"]
+
+    def test_crashed_run_recovers_to_the_uninterrupted_log(
+        self, tmp_path, capsys
+    ):
+        whole, dead, recovered = (
+            tmp_path / name for name in ("whole.txt", "dead.txt", "rec.txt")
+        )
+        assert main(["run", *self.TINY, "--activities-out", str(whole)]) == 0
+        assert main([
+            "run", *self.TINY, "--activities-out", str(dead),
+            "--checkpoint-dir", str(tmp_path / "ck"),
+            "--checkpoint-every", "3000", "--crash-at", "10000",
+        ]) == 3
+        assert not dead.exists()
+        assert main([
+            "recover", str(tmp_path / "ck"), "--activities-out", str(recovered),
+        ]) == 0
+        assert "recoveries 1" in capsys.readouterr().out
+        assert recovered.read_bytes() == whole.read_bytes()
+
+    def test_chaos_with_process_crashes_is_seed_stable(self, capsys):
+        """Two identically seeded runs print the same kill log and the
+        same snapshot, but for the wall-clock seconds each in-process
+        recovery took (only their count is seeded)."""
+        runs = []
+        for _ in range(2):
+            assert main([
+                "chaos", *self.TINY, "--plan", "process-crash", "--json",
+            ]) == 0
+            out = capsys.readouterr().out
+            kills, doc = out[:out.index("{")], json.loads(out[out.index("{"):])
+            timing = doc["recovery"]["time_to_recover_s"]
+            doc["recovery"]["time_to_recover_s"] = timing["count"]
+            runs.append((kills, doc))
+        assert runs[0] == runs[1]
+        kills, doc = runs[0]
+        assert kills.count("[chaos] simulated crash") > 0
+        assert doc["recovery"]["recoveries"] == doc["recovery"][
+            "time_to_recover_s"
+        ] > 0
+
+    def test_check_without_replay_passes(self, capsys):
+        assert main(["check", "--n", "2", "--skip-replay"]) == 0
+
+    def test_run_explain_prints_the_plan_summary(self, capsys):
+        assert main(["run", *self.TINY, "--explain"]) == 0
+        out = capsys.readouterr().out
+        assert "  plans    applied " in out and "  actions  " in out
+
+    def test_run_on_a_market_reports_its_book(self, capsys):
+        assert main(["run", *self.TINY, "--clusters", "2x2", "--json"]) == 0
+        market = json.loads(capsys.readouterr().out)["market"]
+        assert market["inference_clusters"] == ["infer-r0", "infer-r1"]
+        assert market["training_regions"] == ["train-r0", "train-r1"]
+
     def test_report_command(self, capsys):
         rc = main([
             "report", "--jobs", "120", "--days", "0.5",

@@ -44,15 +44,14 @@ from repro.traces.workload import TraceConfig, generate_workload
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_logs.json"
 
-#: The legs of the matrix.  The ids predate the single view and are kept
-#: so test history stays continuous:
+#: The legs of the matrix:
 #:
-#: - ``legacy``       the oracle's scan-from-scratch reference view,
-#: - ``array``        the production column view,
-#: - ``incremental``  the production view again, with its delta
-#:                    maintenance audited (columns == rebuild) after
-#:                    *every* epoch rather than once at the end.
-VIEWS = ("legacy", "incremental", "array")
+#: - ``reference``   the oracle's scan-from-scratch reference view,
+#: - ``production``  the production column view,
+#: - ``audited``     the production view again, with its delta
+#:                   maintenance audited (columns == rebuild) after
+#:                   *every* epoch rather than once at the end.
+VIEWS = ("reference", "audited", "production")
 
 #: name -> (policy factory, simulation kwargs)
 SCENARIOS = {
@@ -90,24 +89,20 @@ SCENARIOS = {
 
 def run_scenario(
     name: str,
-    view: str = "array",
+    view: str = "production",
     obs=None,
     pair_factory=None,
-    orchestrator_factory=None,
 ) -> Simulation:
     """Run one golden scenario on one leg of :data:`VIEWS`.
 
-    ``pair_factory`` / ``orchestrator_factory`` substitute drop-in
-    cluster-pair and orchestrator implementations — the market suite
-    uses them to pin the degenerate 1×1 ClusterSet + CapacityBroker
-    against these same golden digests.
+    ``pair_factory`` substitutes the cluster pair's construction — the
+    market suite uses it to pin the 1×1 ``ClusterSet`` and a renamed
+    pair against these same golden digests.
     """
     if pair_factory is None:
         pair_factory = lambda: ClusterPair(  # noqa: E731
             make_training_cluster(6), make_inference_cluster(8)
         )
-    if orchestrator_factory is None:
-        orchestrator_factory = ResourceOrchestrator
     policy_fn, opts = SCENARIOS[name]
     specs = generate_workload(
         TraceConfig(
@@ -136,13 +131,13 @@ def run_scenario(
         pair,
         policy_fn(),
         inference_trace=trace,
-        orchestrator=orchestrator_factory() if orchestrated else None,
+        orchestrator=ResourceOrchestrator() if orchestrated else None,
         config=config,
         obs=obs,
     )
-    if view == "legacy":
+    if view == "reference":
         install_reference_view(sim)
-    elif view == "incremental":
+    elif view == "audited":
         finished = sim.epoch_finished
 
         def audited() -> None:
@@ -188,7 +183,7 @@ def test_backends_produce_identical_logs(name, view, golden):
     assert sim.executor.plans_applied > 0
     assert sim.executor.plans_rejected == 0
     # ... and on the view it claims to
-    assert isinstance(sim.view, ReferenceView) == (view == "legacy")
+    assert isinstance(sim.view, ReferenceView) == (view == "reference")
     sim.view.assert_consistent()
 
 
@@ -220,7 +215,7 @@ def test_disabled_obs_keeps_golden_log(golden):
 def _regenerate() -> None:
     fixture = {}
     for name in sorted(SCENARIOS):
-        sim = run_scenario(name, view="legacy")
+        sim = run_scenario(name, view="reference")
         fixture[name] = {
             "events": len(sim.activities),
             "sha256": digest(sim.activities),

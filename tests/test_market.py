@@ -32,14 +32,13 @@ import pytest
 
 from repro.cluster.cluster import (
     ClusterPair,
+    ClusterSet,
+    ContractTerms,
+    FederatedCluster,
     make_inference_cluster,
     make_training_cluster,
 )
 from repro.market import (
-    CapacityBroker,
-    ClusterSet,
-    ContractTerms,
-    FederatedCluster,
     build_market_setup,
     market_config_from_file,
     market_config_from_spec,
@@ -80,8 +79,7 @@ class TestReturnRouting:
         """A mixed-origin loan pool must unwind each server to the
         member whitelist it came from, not to "the" inference cluster."""
         pair = two_lender_set()
-        a = pair.inference.member("infer-r0")
-        b = pair.inference.member("infer-r1")
+        a, b = pair.inference_members
         pair.loan_ids(["infer-r0-0000", "infer-r1-0000", "infer-r1-0001"])
         assert len(a) == 2 and len(b) == 1
         for sid in ("infer-r1-0000", "infer-r0-0000", "infer-r1-0001"):
@@ -263,7 +261,7 @@ class TestContracts:
 class TestMarketConfig:
     def test_spec_shapes_and_staggered_peaks(self):
         cfg = market_config_from_spec("3x2")
-        assert cfg.shape == "3x2"
+        assert (len(cfg.inference), len(cfg.training)) == (3, 2)
         peaks = [r.peak_hour for r in cfg.inference]
         assert peaks == [22.0, 14.0, 6.0]
         assert [r.name for r in cfg.training] == ["train-r0", "train-r1"]
@@ -288,7 +286,8 @@ class TestMarketConfig:
             "recall_penalty": 0.25,
         }))
         cfg = market_config_from_file(str(path))
-        assert cfg.shape == "2x1"
+        assert [r.name for r in cfg.inference] == ["infer-eu", "infer-us"]
+        assert [r.name for r in cfg.training] == ["train-eu"]
         assert cfg.transfer_cost_map()[("infer-us", "train-eu")] == 2.0
         assert cfg.terms.min_duration == 1800.0
         assert resolve_market(str(path)) == cfg
@@ -309,7 +308,7 @@ class TestMarketConfig:
 
 
 # ----------------------------------------------------------------------
-# broker clearing
+# market clearing
 # ----------------------------------------------------------------------
 class TestBroker:
     def test_market_smoke_2x2(self):
@@ -331,18 +330,14 @@ class TestBroker:
             assert sim.pair.training.get(sid).on_loan
 
     def test_degenerate_market_has_no_contract_machinery_cost(self):
-        """A 1×1 market is a pair under other names: the broker adds no
-        code to the orchestrator, and loans keep the one contract book."""
-        assert not [
-            name for name, value in vars(CapacityBroker).items()
-            if callable(value)
-        ], "CapacityBroker must hold no logic of its own"
+        """A 1×1 market is a pair under other names: the plain
+        orchestrator clears it, and loans keep the one contract book."""
         setup = default_setup(
             num_jobs=90, days=0.5, training_servers=6, inference_servers=8,
             target_load=4.0,
         )
         sim = build_sim(setup, "lyra", market=market_config_from_spec("1x1"))
-        assert isinstance(sim.orchestrator, CapacityBroker)
+        assert type(sim.orchestrator) is ResourceOrchestrator
         assert type(sim.pair) is ClusterPair and not sim.pair.market_active
         metrics = sim.run()
         sim.rm.verify_books()
@@ -540,16 +535,11 @@ def degenerate_pair():
 @pytest.mark.parametrize("view", VIEWS)
 @pytest.mark.parametrize("name", ["lyra_loaning", "lyra_elastic"])
 def test_degenerate_market_matches_golden_logs(name, view):
-    """The list-of-clusters constructor and the market's name for the
-    orchestrator give the committed golden log, byte for byte."""
+    """The list-of-clusters constructor gives the committed golden log,
+    byte for byte."""
     with GOLDEN_PATH.open() as fh:
         golden = json.load(fh)
-    sim = run_scenario(
-        name,
-        view=view,
-        pair_factory=degenerate_pair,
-        orchestrator_factory=CapacityBroker,
-    )
+    sim = run_scenario(name, view=view, pair_factory=degenerate_pair)
     assert digest(sim.activities) == golden[name]["sha256"], (
         f"the 1x1 ClusterSet drifted from the plain pair on "
         f"{name!r}/{view!r}"

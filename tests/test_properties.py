@@ -28,7 +28,7 @@ from repro.rm.manager import ResourceManager
 from repro.schedulers.lyra import LyraScheduler
 from repro.simulator.simulation import Simulation, SimulationConfig
 from tests.conftest import loan, make_engine
-from tests.test_arrays import _walked
+from tests.test_view import _walked
 
 
 # ----------------------------------------------------------------------
@@ -325,7 +325,7 @@ class TestClusterViewProperties:
     @settings(max_examples=60, deadline=None)
     def test_view_equals_rebuild_after_every_delta(self, seed):
         # the walk (and its op mix) is shared with the query-level
-        # properties in tests/test_arrays.py
+        # properties in tests/test_view.py
         _, pair, view, _ = _walked(
             seed, per_step=lambda view, ref: view.assert_consistent()
         )

@@ -8,7 +8,7 @@ is pinned by the golden fixture in ``tests/data/golden_logs.json``, so
 no reference run is needed here.
 
 Also covered: the snapshot codec's integrity envelope (magic, schema,
-checksum), WAL replay idempotence and divergence detection, atomic
+checksum, a payload that does not unpickle), WAL replay idempotence and divergence detection, atomic
 artifact writes under a mid-write kill, RNG-stream preservation across
 snapshot round-trips, and the zero-cost guarantee when checkpointing is
 off.
@@ -55,6 +55,7 @@ from repro.recovery import (
     RecoveryManager,
     SnapshotCodec,
     SnapshotError,
+    SnapshotStore,
     WALError,
     capture_payload,
     restore_payload,
@@ -596,19 +597,49 @@ class TestSnapshotCodec:
             SnapshotCodec.load(tmp_path / "nope.ckpt")
 
     def test_recover_refuses_a_directory_an_older_build_wrote(self, tmp_path):
-        """Schema 7: every reclaim plan carries its preemption costs.  A
-        schema-6 directory (its WAL journaled untraced reclaims without
-        costs) is refused by its manifest, before any unpickle."""
+        """Schema 8: a market's lender union and orchestrator pickle under
+        new class paths.  A schema-7 directory is refused by its
+        manifest, before any unpickle."""
         killed_run("fifo_contention", tmp_path)
         manifest = tmp_path / "recovery.json"
         current = manifest.read_text()
-        manifest.write_text(current.replace('"schema": 7', '"schema": 6'))
+        manifest.write_text(current.replace('"schema": 8', '"schema": 7'))
         assert manifest.read_text() != current
         with pytest.raises(
             RecoveryError,
-            match=r"schema 6 does not match this build \(schema 7\)",
+            match=r"schema 7 does not match this build \(schema 8\)",
         ):
             RecoveryManager.recover(tmp_path)
+
+    #: an intact, current-schema payload whose graph names a class at a
+    #: path this build does not have (the broker a schema-7 market run
+    #: pickled)
+    MOVED = b"crepro.market.broker\nCapacityBroker\n."
+
+    def test_unpicklable_payload_is_a_snapshot_error(self):
+        with pytest.raises(SnapshotError, match="unpickle") as caught:
+            SnapshotCodec.decode(SnapshotCodec.encode(self.MOVED))
+        assert isinstance(caught.value.__cause__, ImportError)
+
+    def test_store_skips_an_unpicklable_snapshot(self, tmp_path):
+        store = SnapshotStore(tmp_path)
+        good, _ = store.write(self.PAYLOAD)
+        bad, _ = store.write(self.MOVED)
+        payload, used, skipped = SnapshotStore(tmp_path).load_newest()
+        assert (payload, used, skipped) == (self.DECODED, good, [bad])
+
+    def test_cli_recover_refuses_only_unpicklable_snapshots(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        (tmp_path / "recovery.json").write_text(
+            json.dumps({"schema": SCHEMA_VERSION, "checkpoint_every": 600.0})
+        )
+        SnapshotStore(tmp_path).write(self.MOVED)
+        assert main(["recover", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot recover: all 1 snapshots in "), err
 
 
 # ----------------------------------------------------------------------

@@ -6,14 +6,13 @@ import random
 import pytest
 
 from repro.cluster.cluster import (
-    Cluster,
     ClusterPair,
+    ClusterSet,
     make_inference_cluster,
     make_training_cluster,
 )
 from repro.cluster.gpu import T4, V100
 from repro.cluster.server import Server
-from repro.market import ClusterSet
 
 from tests.conftest import loan
 
@@ -106,20 +105,11 @@ class TestCluster:
         with pytest.raises(KeyError):
             make_training_cluster(1).remove_server("nope")
 
-    def test_utilization(self):
-        cluster = make_training_cluster(2)
-        assert cluster.utilization() == 0.0
-        cluster.servers[0].allocate(1, 8)
-        assert cluster.utilization() == pytest.approx(0.5)
-
     def test_contains_and_len(self):
         cluster = make_training_cluster(3)
         assert len(cluster) == 3
         assert "train-0000" in cluster
         assert "nope" not in cluster
-
-    def test_empty_cluster_utilization_zero(self):
-        assert Cluster("empty").utilization() == 0.0
 
 
 class TestClusterPair:
