@@ -4,18 +4,18 @@ Commands:
 
 * ``run``      — run one scheme on a generated trace and print metrics
   (``--trace out.jsonl`` additionally exports a structured event trace;
-  ``--faults PLAN`` injects a fault plan; ``--node-mtbf``/
-  ``--node-repair-time``/``--failure-seed`` are shorthand for a plan
-  holding one Poisson node-failure process).
+  ``--faults PLAN`` injects a fault plan, process kills included;
+  ``--node-mtbf``/``--node-repair-time``/``--failure-seed`` are
+  shorthand for a plan holding one Poisson node-failure process).
 * ``serve``    — run the same scheduling kernel as a wall-clock asyncio
   daemon: jobs arrive over a JSONL TCP API (submit/query/cancel/scale,
   streaming event feed), requests batch into scheduling epochs, and
   ``--state-dir`` adds journal+snapshot+WAL durability so a killed
   daemon restarts without losing an acked job (see docs/SERVING.md).
 * ``chaos``    — run one scheme under a named or file-based fault plan
-  and print the resilience snapshot (goodput, lost GPU-hours by cause,
-  time-to-recover).  Seeded: identical arguments give byte-identical
-  ``--json`` output.
+  (read exactly as ``run --faults`` reads it) and print the resilience
+  snapshot (goodput, lost GPU-hours by cause, time-to-recover).
+  Seeded: identical arguments give byte-identical ``--json`` output.
 * ``whatif``   — run a loaning scheme up to a point in time, then price
   a hypothetical reclaim plan (preemptions, lost GPU-hours, per-server
   preemption cost) as a dry run that provably leaves the simulation
@@ -53,18 +53,12 @@ from typing import Optional, Sequence
 from repro import paper
 from repro.analysis import compare_to_paper, render_report
 from repro.ioutil import atomic_write, atomic_write_text
-from repro.obs import (
-    Observability,
-    TraceFormatError,
-    configure_logging,
-    inspect_trace,
-)
+from repro.obs import Observability, TraceFormatError, configure_logging
 from repro.scenarios import (
     SCENARIOS,
     SCHEMES,
     build_sim,
     default_setup,
-    run_scheme,
     wire_scheme,
 )
 from repro.simulator.metrics import SimulationMetrics, reduction
@@ -72,83 +66,35 @@ from repro.traces.io import load_workload, save_workload
 from repro.traces.workload import TraceConfig, generate_workload
 
 
-def _add_log_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--log-level", default=None,
-        choices=["debug", "info", "warning", "error"],
-        help="enable library logging at this level (silent by default)",
-    )
-
-
-def _add_setup_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=int, default=600,
-                        help="number of jobs to generate")
-    parser.add_argument("--days", type=float, default=2.0,
-                        help="trace span in days")
-    parser.add_argument("--training-servers", type=int, default=24)
-    parser.add_argument("--inference-servers", type=int, default=30)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--load", type=float, default=1.0,
-                        help="offered load relative to cluster capacity")
-    _add_log_arg(parser)
-
-
-def _add_fault_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--node-mtbf", type=float, default=None, metavar="SECONDS",
-        help="per-node mean time between failures; arms a Poisson "
-             "node-failure process (off by default)",
-    )
-    parser.add_argument(
-        "--node-repair-time", type=float, default=3600.0, metavar="SECONDS",
-        help="how long a failed node stays down before recovering",
-    )
-    parser.add_argument(
-        "--failure-seed", type=int, default=None,
-        help="RNG seed for fault injection; defaults to the plan's own "
-             "seed (or 0 for --node-mtbf)",
-    )
+class _Refused(Exception):
+    """A command refuses its arguments: :func:`main` prints the reason to
+    stderr and exits 2."""
 
 
 def _fault_overrides(args) -> dict:
-    """SimulationConfig overrides from the fault-injection CLI knobs."""
-    overrides: dict = {}
-    plan_spec = getattr(args, "faults", None) or getattr(args, "plan", None)
+    """SimulationConfig overrides from the fault flags: ``--faults`` and
+    ``--plan`` name the same thing, ``--node-mtbf`` is shorthand for a
+    plan of one node-failure process."""
+    opt = vars(args).get
+    plan_spec = opt("faults") or opt("plan")
     if plan_spec:
         from repro.faults import resolve_plan
 
         plan = resolve_plan(plan_spec)
         if args.failure_seed is not None:
             plan = plan.with_seed(args.failure_seed)
-        overrides["fault_plan"] = plan
-    elif args.node_mtbf:
+        return {"fault_plan": plan}
+    if opt("node_mtbf"):
         from repro.faults import FaultPlan, NodeFailureProcess
 
-        overrides["fault_plan"] = FaultPlan(
+        return {"fault_plan": FaultPlan(
             name="node-mtbf",
             seed=args.failure_seed or 0,
             process=NodeFailureProcess(
                 mtbf=args.node_mtbf, repair_time=args.node_repair_time
             ),
-        )
-    return overrides
-
-
-def _add_recovery_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--checkpoint-dir", default=None, metavar="DIR",
-        help="durable-state directory (snapshots + WAL); enables "
-             "checkpointing",
-    )
-    parser.add_argument(
-        "--checkpoint-every", type=float, default=1800.0, metavar="SECONDS",
-        help="simulated seconds between snapshots (default: 1800)",
-    )
-    parser.add_argument(
-        "--activities-out", default=None, metavar="FILE",
-        help="write the Activity log, one line per event, for "
-             "byte-comparison across runs",
-    )
+        )}
+    return {}
 
 
 def _make_setup(args):
@@ -160,6 +106,157 @@ def _make_setup(args):
         seed=args.seed,
         target_load=args.load,
     )
+
+
+def _simulate(args, scheme: Optional[str] = None, setup=None,
+              until: Optional[float] = None):
+    """The one path from parsed arguments to a finished simulation.
+
+    Builds ``scheme`` (default ``--scheme``) on ``setup`` (default: the
+    one the setup flags describe) under the fault plan the fault flags
+    resolve to, and runs it to ``until`` (default: the end).  A
+    subcommand runs with the default of every option it does not take.
+    Returns ``(sim, metrics)``.
+
+    ``--checkpoint-dir`` attaches a checkpointing
+    :class:`~repro.recovery.RecoveryManager`.  A plan that kills the
+    process gets one either way (in a temporary directory, removed
+    after): each kill discards the dead simulation and recovers from
+    disk in-process, with the kill logged to stderr, so the simulation
+    returned is the one that finished.  A ``--crash-at`` kill is not
+    recovered — its ``SimulatedCrash`` propagates.
+
+    The first SIGINT/SIGTERM stops the run at the next event boundary;
+    the run returns normally with whatever completed (so the caller
+    still writes its artifacts) and the signal is left in
+    ``args.interrupted`` for :func:`main` to report.  A second signal
+    falls back to the default behavior.
+    """
+    import shutil
+    import signal
+    import tempfile
+
+    opt = vars(args).get
+    if setup is None:
+        setup = _make_setup(args)
+    specs = None
+    if opt("replay"):
+        specs = load_workload(
+            args.replay, cluster_gpus=args.training_servers * 8
+        ).specs
+    overrides = _fault_overrides(args)
+    plan = overrides.get("fault_plan")
+    kills = plan.crashes if plan is not None else ()
+    if opt("explain"):
+        overrides["record_plans"] = True
+    if opt("activities_out"):
+        overrides["record_activities"] = True
+    market = None
+    if opt("clusters"):
+        from repro.market import resolve_market
+
+        try:
+            market = resolve_market(args.clusters)
+        except (ValueError, OSError) as exc:
+            raise _Refused(f"bad --clusters: {exc}")
+    crash_at = opt("crash_at")
+    if crash_at is not None and not args.checkpoint_dir:
+        raise _Refused("--crash-at requires --checkpoint-dir (there would "
+                       "be nothing to recover from)")
+    if crash_at is not None and kills:
+        raise _Refused(f"--crash-at cannot be combined with plan "
+                       f"{plan.name!r}, whose own process kills are "
+                       f"recovered in-process")
+    injector = None
+    recoverable = ()  # catches nothing: a --crash-at kill propagates
+    if kills or crash_at is not None:
+        from repro.faults.crash import (
+            CrashInjector,
+            CrashPoint,
+            SimulatedCrash,
+        )
+
+        injector = CrashInjector(
+            kills or [CrashPoint(crash_at, args.crash_barrier)]
+        )
+        if kills:
+            recoverable = SimulatedCrash
+    workdir = opt("checkpoint_dir")
+    if kills and not workdir:
+        workdir = tempfile.mkdtemp(prefix="repro-chaos-")
+    if workdir:
+        from repro.recovery import RecoveryError, RecoveryManager
+    obs = Observability.enabled() if opt("trace") else None
+
+    def fresh_sim():
+        built = build_sim(
+            setup, scheme or args.scheme, scenario=opt("scenario", "basic"),
+            seed=args.seed, scaling_model=opt("scaling_model", "linear"),
+            specs=specs, obs=obs, sim_overrides=overrides, market=market,
+        )
+        if workdir:
+            RecoveryManager(
+                workdir, checkpoint_every=args.checkpoint_every,
+                crash=injector,
+            ).attach(built)
+        return built
+
+    caught: dict = {}
+
+    def stop(signum, frame):
+        if caught:
+            raise KeyboardInterrupt
+        caught["signum"] = signum
+        sim.engine.stop()
+
+    previous = {}
+    resumed = False
+    try:
+        sim = fresh_sim()
+        for sig in (signal.SIGINT, signal.SIGTERM):
+            try:
+                previous[sig] = signal.signal(sig, stop)
+            except ValueError:  # not the main thread (embedded use)
+                pass
+        while True:
+            try:
+                metrics = sim.resume() if resumed else sim.run(until)
+                break
+            except recoverable as exc:
+                print(f"  [chaos] {exc}; recovering "
+                      f"({len(injector.remaining())} kill(s) left)",
+                      file=sys.stderr)
+                try:
+                    sim, resumed = RecoveryManager.recover(workdir), True
+                except RecoveryError:
+                    # died before the first checkpoint: start over (the
+                    # WAL survives; the rerun replays it as no-ops)
+                    sim, resumed = fresh_sim(), False
+                else:
+                    # the surviving schedule lives in the injector this
+                    # process kept; a restored sim has no crash armed
+                    sim.recovery.arm_crash(injector)
+    finally:
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
+        if workdir != opt("checkpoint_dir"):
+            shutil.rmtree(workdir, ignore_errors=True)
+    if caught:
+        args.interrupted = (caught["signum"], sim.now)
+    return sim, metrics
+
+
+def _load_traces(paths):
+    """Load exported event traces; a missing or unparseable file refuses
+    the command."""
+    from repro.obs import load_trace
+
+    try:
+        return [load_trace(path) for path in paths]
+    except FileNotFoundError as exc:
+        raise _Refused(f"no such trace file: {exc.filename}")
+    except TraceFormatError as exc:
+        raise _Refused(f"cannot parse trace: {exc}")
 
 
 def _metrics_dict(metrics: SimulationMetrics) -> dict:
@@ -244,109 +341,32 @@ def _print_recovery_summary(sim) -> None:
           + (f"   wal appended {wal.appended}" if wal is not None else ""))
 
 
-def _run_interruptible(sim):
-    """Run the simulation, stopping gracefully on SIGINT/SIGTERM.
-
-    The first signal stops the engine at the next event boundary — the
-    run returns normally with whatever completed, so the caller still
-    writes traces and artifacts (atomically, via :mod:`repro.ioutil`)
-    instead of dying with a traceback and half a file.  A second signal
-    falls back to the default behavior.
-
-    Returns ``(metrics, signum)`` where ``signum`` is None for an
-    uninterrupted run.
-    """
-    import signal
-
-    caught: dict = {}
-
-    def _stop(signum, frame):
-        if caught:
-            raise KeyboardInterrupt
-        caught["signum"] = signum
-        sim.engine.stop()
-
-    previous = {}
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        try:
-            previous[sig] = signal.signal(sig, _stop)
-        except ValueError:  # not the main thread (embedded use)
-            pass
-    try:
-        metrics = sim.run()
-    finally:
-        for sig, handler in previous.items():
-            signal.signal(sig, handler)
-    return metrics, caught.get("signum")
-
-
 def cmd_run(args) -> int:
-    import signal
-
     from repro.faults.crash import SimulatedCrash
 
-    setup = _make_setup(args)
-    specs = None
-    if getattr(args, "replay", None):
-        specs = load_workload(
-            args.replay, cluster_gpus=args.training_servers * 8
-        ).specs
-    obs = None
-    if getattr(args, "trace", None):
-        obs = Observability.enabled()
-    sim_overrides = _fault_overrides(args)
-    explain = getattr(args, "explain", False)
-    if explain:
-        sim_overrides["record_plans"] = True
-    if args.activities_out:
-        sim_overrides["record_activities"] = True
-    market = None
-    if getattr(args, "clusters", None):
-        from repro.market import resolve_market
-
-        try:
-            market = resolve_market(args.clusters)
-        except (ValueError, OSError) as exc:
-            print(f"bad --clusters: {exc}", file=sys.stderr)
-            return 2
-    sim = build_sim(
-        setup, args.scheme, scenario=args.scenario, seed=args.seed,
-        scaling_model=args.scaling_model, specs=specs, obs=obs,
-        sim_overrides=sim_overrides or None, market=market,
-    )
-    if args.checkpoint_dir:
-        _attach_recovery(sim, args)
-    elif args.crash_at is not None:
-        print("--crash-at requires --checkpoint-dir (there would be "
-              "nothing to recover from)", file=sys.stderr)
-        return 2
     try:
-        metrics, interrupted = _run_interruptible(sim)
+        sim, metrics = _simulate(args)
     except SimulatedCrash as exc:
         print(f"simulated crash: {exc}; recover with "
               f"`repro recover {args.checkpoint_dir}`", file=sys.stderr)
         return 3
-    has_faults = "fault_plan" in sim_overrides
-    snapshot = None
-    if market is not None:
-        snapshot = sim.pair.market_snapshot()
+    plan = sim.config.fault_plan
+    snapshot = sim.pair.market_snapshot() if args.clusters else None
     if args.json:
         data = _metrics_dict(metrics)
-        if has_faults:
+        if plan is not None:
             from repro.faults import resilience_snapshot
 
-            data["resilience"] = resilience_snapshot(
-                metrics, plan=sim_overrides.get("fault_plan")
-            )
+            data["resilience"] = resilience_snapshot(metrics, plan=plan)
         if snapshot is not None:
             data["market"] = snapshot
-        if explain:
+        if args.explain:
             data["plans"] = sim.plan_log
         print(json.dumps(data, indent=2,
                          sort_keys="resilience" in data))
     else:
         _print_metrics(args.scheme, metrics)
-        if has_faults:
+        if plan is not None:
             print(f"  faults   node failures {metrics.node_failures}   "
                   f"preemptions {metrics.preemptions}")
         if snapshot is not None:
@@ -357,10 +377,10 @@ def cmd_run(args) -> int:
                   f"early recalls {snapshot['early_recalls']}   "
                   f"penalties {snapshot['penalties_accrued']}")
             print(f"  lenders  {lenders}")
-        if explain:
+        if args.explain:
             _print_plan_summary(sim)
-    if obs is not None:
-        records = obs.export_trace(args.trace, format=args.trace_format)
+    if args.trace:
+        records = sim.obs.export_trace(args.trace, format=args.trace_format)
         print(f"wrote {records} trace records to {args.trace} "
               f"({args.trace_format}); summarize with "
               f"`repro inspect {args.trace}`")
@@ -368,11 +388,6 @@ def cmd_run(args) -> int:
         _write_activities(sim, args.activities_out)
     if sim.recovery is not None and not args.json:
         _print_recovery_summary(sim)
-    if interrupted is not None:
-        name = signal.Signals(interrupted).name
-        print(f"interrupted ({name}) at t={sim.now:,.0f}; partial "
-              f"artifacts written", file=sys.stderr)
-        return 128 + interrupted
     return 0
 
 
@@ -424,8 +439,7 @@ def cmd_serve(args) -> int:
         )
     except WALError as exc:
         # the state directory's request journal is unreadable
-        print(f"cannot start: {exc}", file=sys.stderr)
-        return 2
+        raise _Refused(f"cannot start: {exc}")
 
     async def _serve() -> int:
         await service.start()
@@ -472,24 +486,6 @@ def cmd_serve(args) -> int:
     return asyncio.run(_serve())
 
 
-def _attach_recovery(sim, args):
-    from repro.faults.crash import CrashInjector, CrashPoint
-    from repro.recovery import RecoveryManager
-
-    crash = None
-    if args.crash_at is not None:
-        crash = CrashInjector(
-            [CrashPoint(args.crash_at, args.crash_barrier)]
-        )
-    manager = RecoveryManager(
-        args.checkpoint_dir,
-        checkpoint_every=args.checkpoint_every,
-        crash=crash,
-    )
-    manager.attach(sim)
-    return manager
-
-
 def cmd_recover(args) -> int:
     """Restore a killed run from its checkpoint directory and finish it."""
     from repro.recovery import RecoveryError, RecoveryManager
@@ -497,8 +493,7 @@ def cmd_recover(args) -> int:
     try:
         sim = RecoveryManager.recover(args.directory)
     except RecoveryError as exc:
-        print(f"cannot recover: {exc}", file=sys.stderr)
-        return 2
+        raise _Refused(f"cannot recover: {exc}")
     metrics = sim.resume()
     if args.json:
         print(json.dumps(_metrics_dict(metrics), indent=2))
@@ -512,7 +507,7 @@ def cmd_recover(args) -> int:
 
 def cmd_chaos(args) -> int:
     """Run one scheme under a fault plan and report resilience metrics."""
-    from repro.faults import BUILTIN_PLANS, resilience_snapshot, resolve_plan
+    from repro.faults import BUILTIN_PLANS, resilience_snapshot
 
     if args.list_plans:
         for name, plan in sorted(BUILTIN_PLANS.items()):
@@ -536,20 +531,8 @@ def cmd_chaos(args) -> int:
             print(f"  {name:<14} {', '.join(parts) or 'no faults'}")
         return 0
 
-    plan = resolve_plan(args.plan)
-    if args.failure_seed is not None:
-        plan = plan.with_seed(args.failure_seed)
-    setup = _make_setup(args)
-    obs = Observability.enabled() if args.trace else None
-    if plan.crashes:
-        sim, metrics = _run_with_crashes(args, setup, plan, obs)
-    else:
-        sim = None
-        metrics = run_scheme(
-            setup, args.scheme, scenario=args.scenario, seed=args.seed,
-            scaling_model=args.scaling_model,
-            sim_overrides={"fault_plan": plan}, obs=obs,
-        )
+    sim, metrics = _simulate(args)
+    plan = sim.config.fault_plan
     snap = resilience_snapshot(metrics, plan=plan)
     payload = json.dumps(snap, indent=2, sort_keys=True)
     if args.out:
@@ -596,66 +579,10 @@ def cmd_chaos(args) -> int:
         print(f"  jct      mean {jct['mean']:>10,.1f} s   "
               f"p95 {jct['p95']:>10,.1f}   completed {snap['completed']:.3f}"
               f"   audits {snap['audits']}")
-    if obs is not None:
-        # after a crash-recovery loop the live bundle is the restored
-        # sim's, not the one this process originally created
-        bundle = sim.obs if sim is not None else obs
-        records = bundle.export_trace(args.trace, format=args.trace_format)
+    if args.trace:
+        records = sim.obs.export_trace(args.trace, format=args.trace_format)
         print(f"wrote {records} trace records to {args.trace}")
     return 0
-
-
-def _run_with_crashes(args, setup, plan, obs):
-    """Chaos harness for plans with a process-kill schedule: run under a
-    checkpointing RecoveryManager, and on every simulated crash discard
-    the dead simulation and recover from disk — in-process, so one chaos
-    invocation reports the whole kill-recover-resume story."""
-    import shutil
-    import tempfile
-
-    from repro.faults.crash import CrashInjector, SimulatedCrash
-    from repro.recovery import RecoveryError, RecoveryManager
-
-    workdir = args.checkpoint_dir or tempfile.mkdtemp(prefix="repro-chaos-")
-    injector = CrashInjector(plan.crashes)
-
-    def fresh_sim():
-        sim = build_sim(
-            setup, args.scheme, scenario=args.scenario, seed=args.seed,
-            scaling_model=args.scaling_model,
-            sim_overrides={"fault_plan": plan}, obs=obs,
-        )
-        manager = RecoveryManager(
-            workdir, checkpoint_every=args.checkpoint_every, crash=injector
-        )
-        manager.attach(sim)
-        return sim
-
-    sim = fresh_sim()
-    resumed = False
-    try:
-        while True:
-            try:
-                metrics = sim.resume() if resumed else sim.run()
-                return sim, metrics
-            except SimulatedCrash as exc:
-                print(f"  [chaos] {exc}; recovering "
-                      f"({len(injector.remaining())} kill(s) left)")
-                try:
-                    sim = RecoveryManager.recover(workdir)
-                    resumed = True
-                except RecoveryError:
-                    # died before the first checkpoint: start over (the
-                    # WAL survives; the rerun replays it as no-ops)
-                    sim = fresh_sim()
-                    resumed = False
-                else:
-                    # the surviving schedule lives in the injector this
-                    # process kept; a restored sim has no crash armed
-                    sim.recovery.arm_crash(injector)
-    finally:
-        if not args.checkpoint_dir:
-            shutil.rmtree(workdir, ignore_errors=True)
 
 
 def cmd_whatif(args) -> int:
@@ -667,15 +594,11 @@ def cmd_whatif(args) -> int:
     (preemptions, per-server preemption cost, collateral GPUs) with the
     simulation state provably untouched.
     """
-    setup = _make_setup(args)
-    sim = build_sim(setup, args.scheme, scenario=args.scenario,
-                    seed=args.seed)
-    if sim.orchestrator is None:
-        print(f"scheme {args.scheme!r} has no resource orchestrator; "
-              f"pick a loaning scheme (e.g. lyra, lyra_loaning)",
-              file=sys.stderr)
-        return 2
-    sim.run(until=args.at)
+    if wire_scheme(args.scheme)[2] is None:
+        raise _Refused(f"scheme {args.scheme!r} has no resource "
+                       f"orchestrator; pick a loaning scheme (e.g. lyra, "
+                       f"lyra_loaning)")
+    sim, _ = _simulate(args, until=args.at)
     loaned = sim.pair.loaned_count
     before = (
         len(sim.activities), len(sim.running), len(sim.pending),
@@ -758,12 +681,9 @@ def cmd_check(args) -> int:
 
 def cmd_compare(args) -> int:
     setup = _make_setup(args)
-    results = {}
-    for scheme in args.schemes:
-        results[scheme] = run_scheme(
-            setup, scheme, scenario=args.scenario, seed=args.seed,
-            scaling_model=args.scaling_model,
-        )
+    results = {
+        scheme: _simulate(args, scheme, setup)[1] for scheme in args.schemes
+    }
     if args.json:
         print(json.dumps(
             {name: _metrics_dict(m) for name, m in results.items()},
@@ -811,8 +731,7 @@ def cmd_trace(args) -> int:
         try:
             save_workload(workload, args.out)
         except ValueError as exc:  # not a .json / .csv path
-            print(f"cannot write trace: {exc}", file=sys.stderr)
-            return 2
+            raise _Refused(f"cannot write trace: {exc}")
         print(f"wrote {len(workload.specs)} jobs to {args.out}")
     for key, value in stats.items():
         print(f"  {key}: {value:.3f}" if isinstance(value, float)
@@ -823,17 +742,10 @@ def cmd_trace(args) -> int:
 def cmd_report(args) -> int:
     """With a trace file: render the markdown run report.  Without one:
     run the headline schemes and print the shape-verdict report."""
-    if getattr(args, "trace_file", None):
-        from repro.obs import report_from_file
+    if args.trace_file:
+        from repro.obs import build_report
 
-        try:
-            text = report_from_file(args.trace_file)
-        except FileNotFoundError:
-            print(f"no such trace file: {args.trace_file}", file=sys.stderr)
-            return 2
-        except TraceFormatError as exc:
-            print(f"cannot parse trace: {exc}", file=sys.stderr)
-            return 2
+        text = build_report(*_load_traces([args.trace_file]))
         if args.out:
             atomic_write_text(args.out, text)
             print(f"wrote report to {args.out}")
@@ -842,7 +754,7 @@ def cmd_report(args) -> int:
         return 0
     setup = _make_setup(args)
     results = {
-        scheme: run_scheme(setup, scheme, seed=args.seed)
+        scheme: _simulate(args, scheme, setup)[1]
         for scheme in ("baseline", "lyra", "lyra_loaning", "lyra_scaling")
     }
     checks = compare_to_paper(results)
@@ -854,52 +766,34 @@ def cmd_why(args) -> int:
     """Narrate the causal chain behind one job's lifecycle."""
     from repro.obs import TimelineStore, render_why
 
-    try:
-        store = TimelineStore.from_file(args.trace_file)
-    except FileNotFoundError:
-        print(f"no such trace file: {args.trace_file}", file=sys.stderr)
-        return 2
-    except TraceFormatError as exc:
-        print(f"cannot parse trace: {exc}", file=sys.stderr)
-        return 2
+    store = TimelineStore.from_trace(*_load_traces([args.trace_file]))
     try:
         story = store.why(args.job_id, at=args.at)
     except KeyError:
         known = sorted(store.jobs)
         hint = (f" (trace covers jobs {known[0]}..{known[-1]})"
                 if known else "")
-        print(f"job {args.job_id} does not appear in this trace{hint}",
-              file=sys.stderr)
-        return 2
+        raise _Refused(f"job {args.job_id} does not appear in this "
+                       f"trace{hint}")
     print(render_why(args.job_id, story))
     return 0
 
 
 def cmd_inspect(args) -> int:
     """Summarize an exported event trace, or diff two of them."""
-    from repro.obs import diff_traces, load_trace, render_diff
+    from repro.obs import diff_traces, render_diff, render_summary, summarize
 
     files = args.trace_file
-    try:
-        if args.diff:
-            if len(files) != 2:
-                print("--diff compares exactly two traces",
-                      file=sys.stderr)
-                return 2
-            diff = diff_traces(load_trace(files[0]), load_trace(files[1]))
-            print(render_diff(diff, files[0], files[1]))
-            return 0 if diff.identical else 1
-        if len(files) != 1:
-            print("inspect takes one trace (use --diff to compare two)",
-                  file=sys.stderr)
-            return 2
-        print(inspect_trace(files[0], top=args.top))
-    except FileNotFoundError as exc:
-        print(f"no such trace file: {exc.filename}", file=sys.stderr)
-        return 2
-    except TraceFormatError as exc:
-        print(f"cannot parse trace: {exc}", file=sys.stderr)
-        return 2
+    if args.diff and len(files) != 2:
+        raise _Refused("--diff compares exactly two traces")
+    if not args.diff and len(files) != 1:
+        raise _Refused("inspect takes one trace (use --diff to compare two)")
+    traces = _load_traces(files)
+    if args.diff:
+        diff = diff_traces(*traces)
+        print(render_diff(diff, *files))
+        return 0 if diff.identical else 1
+    print(render_summary(summarize(traces[0]), top=args.top))
     return 0
 
 
@@ -916,9 +810,8 @@ def cmd_paper(args) -> int:
     }
     data = tables.get(args.table)
     if data is None:
-        print(f"unknown table {args.table!r}; choose from "
-              f"{sorted(tables)}", file=sys.stderr)
-        return 2
+        raise _Refused(f"unknown table {args.table!r}; choose from "
+                       f"{sorted(tables)}")
     for key, value in data.items():
         print(f"  {key}: {value}")
     return 0
@@ -927,6 +820,158 @@ def cmd_paper(args) -> int:
 # ----------------------------------------------------------------------
 # parser
 # ----------------------------------------------------------------------
+#: Every option, declared once; a subcommand names the ones it takes, so
+#: a flag several subcommands share has one default, type, choices and
+#: help.  ``--out``, ``--at`` and ``check --seed`` mean something
+#: different per subcommand and are declared where they are used.
+_OPTIONS = {
+    # the generated setup
+    "--jobs": dict(type=int, default=600, help="number of jobs to generate"),
+    "--days": dict(type=float, default=2.0, help="trace span in days"),
+    "--training-servers": dict(type=int, default=24),
+    "--inference-servers": dict(type=int, default=30),
+    "--seed": dict(type=int, default=0),
+    "--load": dict(type=float, default=1.0,
+                   help="offered load relative to cluster capacity"),
+    "--log-level": dict(
+        default=None, choices=["debug", "info", "warning", "error"],
+        help="enable library logging at this level (silent by default)"),
+    # the simulation
+    "--scheme": dict(default="lyra", choices=sorted(SCHEMES)),
+    "--schemes": dict(nargs="+", default=["baseline", "lyra"],
+                      choices=sorted(SCHEMES)),
+    "--scenario": dict(default="basic", choices=SCENARIOS),
+    "--scaling-model": dict(default="linear",
+                            choices=["linear", "sublinear20"]),
+    "--replay": dict(help="replay a saved workload trace (.json/.csv) "
+                          "instead of generating one"),
+    "--clusters": dict(
+        default=None, metavar="SPEC",
+        help="multi-cluster capacity market: 'NxM' (N inference lenders "
+             "in staggered time zones x M training regions) or a "
+             "market-config JSON file; the setup's hardware is split "
+             "across the regions and the resource orchestrator clears "
+             "the market each interval ('1x1' reproduces the plain pair "
+             "exactly)"),
+    # faults
+    "--faults": dict(
+        default=None, metavar="PLAN",
+        help="fault plan: a builtin name (see `repro chaos --list-plans`) "
+             "or a YAML/JSON plan file; its process kills are recovered "
+             "in-process"),
+    "--plan": dict(default="chaos", metavar="PLAN",
+                   help="builtin plan name or YAML/JSON plan file "
+                        "(default: chaos)"),
+    "--list-plans": dict(action="store_true",
+                         help="list builtin fault plans and exit"),
+    "--node-mtbf": dict(
+        type=float, default=None, metavar="SECONDS",
+        help="per-node mean time between failures; arms a Poisson "
+             "node-failure process (off by default)"),
+    "--node-repair-time": dict(
+        type=float, default=3600.0, metavar="SECONDS",
+        help="how long a failed node stays down before recovering"),
+    "--failure-seed": dict(
+        type=int, default=None,
+        help="RNG seed for fault injection; defaults to the plan's own "
+             "seed (or 0 for --node-mtbf)"),
+    # durability
+    "--checkpoint-dir": dict(
+        default=None, metavar="DIR",
+        help="durable-state directory (snapshots + WAL); enables "
+             "checkpointing (a plan that kills the process otherwise "
+             "checkpoints to a temporary directory, removed after)"),
+    "--checkpoint-every": dict(
+        type=float, default=1800.0, metavar="SECONDS",
+        help="simulated seconds between snapshots (default: 1800)"),
+    "--crash-at": dict(
+        type=float, default=None, metavar="SECONDS",
+        help="kill the run at the first matching recovery barrier at/after "
+             "this simulated time (exit code 3; recover with `repro "
+             "recover`)"),
+    "--crash-barrier": dict(
+        default="between_events",
+        choices=["between_events", "mid_epoch", "post_wal"],
+        help="barrier class for --crash-at"),
+    # output
+    "--json": dict(action="store_true",
+                   help="print the result as JSON instead of text"),
+    "--explain": dict(
+        action="store_true",
+        help="record every applied decision plan and print a summary "
+             "(with --json, the full plan log under \"plans\")"),
+    "--trace": dict(help="export a structured event trace to this path "
+                         "(serve: on shutdown)"),
+    "--trace-format": dict(
+        default="jsonl", choices=["jsonl", "chrome"],
+        help="event-trace format: JSON lines, or Chrome trace_event for "
+             "about://tracing / Perfetto"),
+    "--activities-out": dict(
+        default=None, metavar="FILE",
+        help="write the finished run's Activity log here, one line per "
+             "event, for byte-comparison across runs"),
+    # whatif
+    "--demand": dict(type=int, default=2,
+                     help="on-loan servers the inference side "
+                          "hypothetically asks back"),
+    # check
+    "--policy": dict(action="append", choices=sorted(SCHEMES),
+                     metavar="SCHEME",
+                     help="scheme to replay on both views (repeatable; "
+                          "default: every registered scheme)"),
+    "--n": dict(type=int, default=50,
+                help="instances per differential check (replay and "
+                     "pricing counts scale down from it)"),
+    "--skip-replay": dict(action="store_true",
+                          help="skip the mini-scenario replays (instance "
+                               "sweeps and metamorphic checks only)"),
+    "--max-divergences": dict(type=int, default=1,
+                              help="stop after this many divergences"),
+    "--verbose": dict(action="store_true",
+                      help="print per-stage progress lines"),
+    # inspect
+    "--diff": dict(action="store_true",
+                   help="compare two traces: first event-stream divergence "
+                        "plus metric deltas (exit 1 when they differ)"),
+    "--top": dict(type=int, default=5,
+                  help="how many worst-preempted jobs to list"),
+    # serve
+    "--host": dict(default="127.0.0.1"),
+    "--port": dict(type=int, default=7463,
+                   help="TCP port to listen on (0 picks a free port, "
+                        "printed on startup)"),
+    "--epoch-interval": dict(
+        type=float, default=0.2, metavar="SECONDS",
+        help="scheduling-epoch batching window in kernel seconds; "
+             "requests landing within one window are planned in one "
+             "epoch (wall window = this / --time-scale)"),
+    "--time-scale": dict(type=float, default=1.0,
+                         help="kernel seconds per wall second; 60 runs a "
+                              "day of kernel time in 24 minutes (demos, "
+                              "load tests)"),
+    "--max-pending": dict(type=int, default=10_000,
+                          help="admission control: submits beyond this "
+                               "many pending jobs are rejected with "
+                               "queue_full"),
+    "--state-dir": dict(
+        default=None, metavar="DIR",
+        help="durable state directory (request journal, kernel snapshots, "
+             "plan WAL); restarting on the same directory recovers every "
+             "acked job"),
+    "--snapshot-every": dict(type=int, default=1, metavar="EPOCHS",
+                             help="snapshot the kernel every N scheduling "
+                                  "epochs (with --state-dir)"),
+    "--drain-timeout": dict(
+        type=float, default=30.0, metavar="SECONDS",
+        help="on SIGTERM, stop admission and wait up to this long for the "
+             "cluster to empty before the final snapshot (0 skips the "
+             "drain)"),
+}
+
+_SETUP = ("--jobs", "--days", "--training-servers", "--inference-servers",
+          "--seed", "--load", "--log-level")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -934,251 +979,82 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run one scheme")
-    _add_setup_args(run_p)
-    run_p.add_argument("--scheme", default="lyra", choices=sorted(SCHEMES))
-    run_p.add_argument("--scenario", default="basic", choices=SCENARIOS)
-    run_p.add_argument("--scaling-model", default="linear",
-                       choices=["linear", "sublinear20"])
-    run_p.add_argument("--json", action="store_true")
-    run_p.add_argument("--explain", action="store_true",
-                       help="record every applied decision plan and print "
-                            "a summary (with --json, the full plan log "
-                            "under \"plans\")")
-    run_p.add_argument("--replay",
-                       help="replay a saved workload trace (.json/.csv) "
-                            "instead of generating one")
-    run_p.add_argument("--trace",
-                       help="export a structured event trace to this path")
-    run_p.add_argument("--trace-format", default="jsonl",
-                       choices=["jsonl", "chrome"],
-                       help="event-trace format: JSON lines, or Chrome "
-                            "trace_event for about://tracing / Perfetto")
-    run_p.add_argument("--faults", default=None, metavar="PLAN",
-                       help="fault plan: a builtin name (see `repro chaos "
-                            "--list-plans`) or a YAML/JSON plan file")
-    run_p.add_argument("--clusters", default=None, metavar="SPEC",
-                       help="multi-cluster capacity market: 'NxM' (N "
-                            "inference lenders in staggered time zones x "
-                            "M training regions) or a market-config JSON "
-                            "file; the setup's hardware is split across "
-                            "the regions and the resource orchestrator "
-                            "clears the market each interval ('1x1' "
-                            "reproduces the plain pair exactly)")
-    _add_fault_args(run_p)
-    _add_recovery_args(run_p)
-    run_p.add_argument("--crash-at", type=float, default=None,
-                       metavar="SECONDS",
-                       help="kill the run at the first matching recovery "
-                            "barrier at/after this simulated time "
-                            "(exit code 3; recover with `repro recover`)")
-    run_p.add_argument("--crash-barrier", default="between_events",
-                       choices=["between_events", "mid_epoch", "post_wal"],
-                       help="barrier class for --crash-at")
-    run_p.set_defaults(func=cmd_run)
+    def command(name, func, help, *options):
+        cmd = sub.add_parser(name, help=help)
+        for option in options:
+            cmd.add_argument(option, **_OPTIONS[option])
+        cmd.set_defaults(func=func)
+        return cmd
 
-    recover_p = sub.add_parser(
-        "recover",
-        help="restore a killed run from its checkpoint directory and "
-             "finish it",
-    )
-    recover_p.add_argument("directory",
+    command("run", cmd_run, "run one scheme", *_SETUP, "--scheme",
+            "--scenario", "--scaling-model", "--json", "--explain",
+            "--replay", "--trace", "--trace-format", "--faults",
+            "--clusters", "--node-mtbf", "--node-repair-time",
+            "--failure-seed", "--checkpoint-dir", "--checkpoint-every",
+            "--activities-out", "--crash-at", "--crash-barrier")
+    command("recover", cmd_recover,
+            "restore a killed run from its checkpoint directory and "
+            "finish it", "--json", "--activities-out", "--log-level",
+            ).add_argument("directory",
                            help="checkpoint directory of the dead run "
                                 "(run --checkpoint-dir)")
-    recover_p.add_argument("--json", action="store_true")
-    recover_p.add_argument("--activities-out", default=None, metavar="FILE",
-                           help="write the finished Activity log here "
-                                "(byte-comparable to an uninterrupted "
-                                "run's)")
-    _add_log_arg(recover_p)
-    recover_p.set_defaults(func=cmd_recover)
-
-    chaos_p = sub.add_parser(
-        "chaos",
-        help="run one scheme under a fault plan, report resilience metrics",
-    )
-    _add_setup_args(chaos_p)
-    chaos_p.add_argument("--plan", default="chaos", metavar="PLAN",
-                         help="builtin plan name or YAML/JSON plan file "
-                              "(default: chaos)")
-    chaos_p.add_argument("--list-plans", action="store_true",
-                         help="list builtin fault plans and exit")
-    chaos_p.add_argument("--scheme", default="lyra",
-                         choices=sorted(SCHEMES))
-    chaos_p.add_argument("--scenario", default="basic", choices=SCENARIOS)
-    chaos_p.add_argument("--scaling-model", default="linear",
-                         choices=["linear", "sublinear20"])
-    chaos_p.add_argument("--failure-seed", type=int, default=None,
-                         help="override the plan's fault-injection seed")
-    chaos_p.add_argument("--json", action="store_true",
-                         help="print the resilience snapshot as JSON "
-                              "(byte-stable for identical seeds)")
-    chaos_p.add_argument("--out", help="also write the snapshot JSON here")
-    chaos_p.add_argument("--trace",
-                         help="export a structured event trace to this path")
-    chaos_p.add_argument("--trace-format", default="jsonl",
-                         choices=["jsonl", "chrome"])
-    chaos_p.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                         help="keep the crash harness's snapshots + WAL "
-                              "here (default: a temp dir, removed after)")
-    chaos_p.add_argument("--checkpoint-every", type=float, default=1800.0,
-                         metavar="SECONDS",
-                         help="snapshot cadence for plans with process "
-                              "crashes (default: 1800)")
-    chaos_p.set_defaults(func=cmd_chaos)
-
-    whatif_p = sub.add_parser(
-        "whatif",
-        help="price a hypothetical reclaim plan mid-run (dry run)",
-    )
-    _add_setup_args(whatif_p)
-    whatif_p.add_argument("--scheme", default="lyra",
-                          choices=sorted(SCHEMES))
-    whatif_p.add_argument("--scenario", default="basic", choices=SCENARIOS)
-    whatif_p.add_argument("--at", type=float, default=21600.0,
-                          metavar="SECONDS",
-                          help="simulation time at which to pose the "
-                               "what-if (default: 6h in)")
-    whatif_p.add_argument("--demand", type=int, default=2,
-                          help="on-loan servers the inference side "
-                               "hypothetically asks back")
-    whatif_p.add_argument("--json", action="store_true")
-    whatif_p.set_defaults(func=cmd_whatif)
-
-    check_p = sub.add_parser(
-        "check",
-        help="conformance-check schedulers against the correctness oracles",
-    )
-    check_p.add_argument("--policy", action="append",
-                         choices=sorted(SCHEMES), metavar="SCHEME",
-                         help="scheme to replay on both views "
-                              "(repeatable; default: every registered "
-                              "scheme)")
-    check_p.add_argument("--seed", type=int, default=0,
-                         help="base seed; different seeds explore disjoint "
-                              "instance streams")
-    check_p.add_argument("--n", type=int, default=50,
-                         help="instances per differential check (replay "
-                              "and pricing counts scale down from it)")
-    check_p.add_argument("--skip-replay", action="store_true",
-                         help="skip the mini-scenario replays (instance "
-                              "sweeps and metamorphic checks only)")
-    check_p.add_argument("--max-divergences", type=int, default=1,
-                         help="stop after this many divergences")
-    check_p.add_argument("--json", action="store_true")
-    check_p.add_argument("--verbose", action="store_true",
-                         help="print per-stage progress lines")
-    _add_log_arg(check_p)
-    check_p.set_defaults(func=cmd_check)
-
-    cmp_p = sub.add_parser("compare", help="run several schemes")
-    _add_setup_args(cmp_p)
-    cmp_p.add_argument("--schemes", nargs="+",
-                       default=["baseline", "lyra"],
-                       choices=sorted(SCHEMES))
-    cmp_p.add_argument("--scenario", default="basic", choices=SCENARIOS)
-    cmp_p.add_argument("--scaling-model", default="linear",
-                       choices=["linear", "sublinear20"])
-    cmp_p.add_argument("--json", action="store_true")
-    cmp_p.set_defaults(func=cmd_compare)
-
-    trace_p = sub.add_parser("trace", help="generate/describe a trace")
-    _add_setup_args(trace_p)
-    trace_p.add_argument("--out",
-                         help="write the trace (.json/.csv) for run --replay")
-    trace_p.set_defaults(func=cmd_trace)
-
-    report_p = sub.add_parser(
-        "report",
-        help="markdown run report from a trace; without a trace, run the "
-             "headline schemes and check shapes vs paper",
-    )
-    report_p.add_argument("trace_file", nargs="?", default=None,
-                          help="trace written by run --trace; renders the "
-                               "deterministic markdown run report")
-    report_p.add_argument("--out", default=None,
-                          help="write the markdown report to this path "
-                               "instead of stdout")
-    _add_setup_args(report_p)
-    report_p.set_defaults(func=cmd_report)
-
-    why_p = sub.add_parser(
-        "why",
-        help="narrate the causal chain behind a job's lifecycle",
-    )
-    why_p.add_argument("trace_file", help="trace written by run --trace")
-    why_p.add_argument("job_id", type=int, help="job to explain")
-    why_p.add_argument("--at", type=float, default=None, metavar="SECONDS",
-                       help="explain only the state in effect at this "
-                            "simulated time")
-    _add_log_arg(why_p)
-    why_p.set_defaults(func=cmd_why)
-
-    inspect_p = sub.add_parser(
-        "inspect", help="summarize an exported event trace"
-    )
-    inspect_p.add_argument("trace_file", nargs="+",
-                           help="trace written by run --trace "
-                                "(two traces with --diff)")
-    inspect_p.add_argument("--diff", action="store_true",
-                           help="compare two traces: first event-stream "
-                                "divergence plus metric deltas "
-                                "(exit 1 when they differ)")
-    inspect_p.add_argument("--top", type=int, default=5,
-                           help="how many worst-preempted jobs to list")
-    _add_log_arg(inspect_p)
-    inspect_p.set_defaults(func=cmd_inspect)
-
-    serve_p = sub.add_parser(
-        "serve",
-        help="run the scheduler as a wall-clock daemon (JSONL TCP API)",
-    )
-    serve_p.add_argument("--scheme", default="lyra", choices=sorted(SCHEMES))
-    serve_p.add_argument("--training-servers", type=int, default=24)
-    serve_p.add_argument("--inference-servers", type=int, default=30)
-    serve_p.add_argument("--seed", type=int, default=0)
-    serve_p.add_argument("--host", default="127.0.0.1")
-    serve_p.add_argument("--port", type=int, default=7463,
-                         help="TCP port to listen on (0 picks a free "
-                              "port, printed on startup)")
-    serve_p.add_argument("--epoch-interval", type=float, default=0.2,
-                         metavar="SECONDS",
-                         help="scheduling-epoch batching window in kernel "
-                              "seconds; requests landing within one "
-                              "window are planned in one epoch (wall "
-                              "window = this / --time-scale)")
-    serve_p.add_argument("--time-scale", type=float, default=1.0,
-                         help="kernel seconds per wall second; 60 runs "
-                              "a day of kernel time in 24 minutes "
-                              "(demos, load tests)")
-    serve_p.add_argument("--max-pending", type=int, default=10_000,
-                         help="admission control: submits beyond this "
-                              "many pending jobs are rejected with "
-                              "queue_full")
-    serve_p.add_argument("--state-dir", default=None, metavar="DIR",
-                         help="durable state directory (request journal, "
-                              "kernel snapshots, plan WAL); restarting "
-                              "on the same directory recovers every "
-                              "acked job")
-    serve_p.add_argument("--snapshot-every", type=int, default=1,
-                         metavar="EPOCHS",
-                         help="snapshot the kernel every N scheduling "
-                              "epochs (with --state-dir)")
-    serve_p.add_argument("--drain-timeout", type=float, default=30.0,
-                         metavar="SECONDS",
-                         help="on SIGTERM, stop admission and wait up to "
-                              "this long for the cluster to empty before "
-                              "the final snapshot (0 skips the drain)")
-    serve_p.add_argument("--trace",
-                         help="export a structured event trace here on "
-                              "shutdown")
-    _add_log_arg(serve_p)
-    serve_p.set_defaults(func=cmd_serve)
-
-    paper_p = sub.add_parser("paper", help="show the paper's numbers")
-    paper_p.add_argument("table", help="table5|table7|table8|table9|"
-                                       "table10|headlines|fig1|workload")
-    paper_p.set_defaults(func=cmd_paper)
+    command("chaos", cmd_chaos,
+            "run one scheme under a fault plan, report resilience metrics",
+            *_SETUP, "--plan", "--list-plans", "--scheme", "--scenario",
+            "--scaling-model", "--failure-seed", "--json", "--trace",
+            "--trace-format", "--checkpoint-dir", "--checkpoint-every",
+            ).add_argument("--out", help="also write the snapshot JSON here")
+    command("whatif", cmd_whatif,
+            "price a hypothetical reclaim plan mid-run (dry run)",
+            *_SETUP, "--scheme", "--scenario", "--demand", "--json",
+            ).add_argument("--at", type=float, default=21600.0,
+                           metavar="SECONDS",
+                           help="simulation time at which to pose the "
+                                "what-if (default: 6h in)")
+    command("check", cmd_check,
+            "conformance-check schedulers against the correctness oracles",
+            "--policy", "--n", "--skip-replay", "--max-divergences",
+            "--json", "--verbose", "--log-level",
+            ).add_argument("--seed", type=int, default=0,
+                           help="base seed; different seeds explore "
+                                "disjoint instance streams")
+    command("compare", cmd_compare, "run several schemes", *_SETUP,
+            "--schemes", "--scenario", "--scaling-model", "--json")
+    command("trace", cmd_trace, "generate/describe a trace", *_SETUP,
+            ).add_argument("--out", help="write the trace (.json/.csv) for "
+                                         "run --replay")
+    report = command(
+        "report", cmd_report,
+        "markdown run report from a trace; without a trace, run the "
+        "headline schemes and check shapes vs paper", *_SETUP)
+    report.add_argument("trace_file", nargs="?", default=None,
+                        help="trace written by run --trace; renders the "
+                             "deterministic markdown run report")
+    report.add_argument("--out", default=None,
+                        help="write the markdown report to this path "
+                             "instead of stdout")
+    why = command("why", cmd_why,
+                  "narrate the causal chain behind a job's lifecycle",
+                  "--log-level")
+    why.add_argument("trace_file", help="trace written by run --trace")
+    why.add_argument("job_id", type=int, help="job to explain")
+    why.add_argument("--at", type=float, default=None, metavar="SECONDS",
+                     help="explain only the state in effect at this "
+                          "simulated time")
+    command("inspect", cmd_inspect, "summarize an exported event trace",
+            "--diff", "--top", "--log-level",
+            ).add_argument("trace_file", nargs="+",
+                           help="trace written by run --trace (two traces "
+                                "with --diff)")
+    command("serve", cmd_serve,
+            "run the scheduler as a wall-clock daemon (JSONL TCP API)",
+            "--scheme", "--training-servers", "--inference-servers",
+            "--seed", "--host", "--port", "--epoch-interval",
+            "--time-scale", "--max-pending", "--state-dir",
+            "--snapshot-every", "--drain-timeout", "--trace", "--log-level")
+    command("paper", cmd_paper, "show the paper's numbers").add_argument(
+        "table",
+        help="table5|table7|table8|table9|table10|headlines|fig1|workload")
     return parser
 
 
@@ -1186,7 +1062,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "log_level", None):
         configure_logging(args.log_level)
-    return args.func(args)
+    try:
+        rc = args.func(args)
+    except _Refused as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    interrupted = getattr(args, "interrupted", None)
+    if interrupted is not None:
+        import signal
+
+        signum, now = interrupted
+        print(f"interrupted ({signal.Signals(signum).name}) at t={now:,.0f}; "
+              f"partial artifacts written", file=sys.stderr)
+        return 128 + signum
+    return rc
 
 
 if __name__ == "__main__":  # pragma: no cover

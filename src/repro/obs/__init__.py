@@ -47,7 +47,7 @@ from repro.obs.provenance import (
     Provenance,
     Trigger,
 )
-from repro.obs.report import build_report, report_from_file
+from repro.obs.report import build_report
 from repro.obs.timeline import TimelineStore, render_why
 from repro.obs.tracer import (
     CAT_SPAN,
@@ -128,7 +128,6 @@ __all__ = [
     "render_diff",
     "render_summary",
     "render_why",
-    "report_from_file",
     "reset_logging",
     "summarize",
     "to_chrome",

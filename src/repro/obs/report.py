@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.obs.inspect import load_trace, summarize
+from repro.obs.inspect import summarize
 from repro.obs.metrics import percentile
 from repro.obs.timeline import TimelineStore
 
@@ -257,8 +257,3 @@ def build_report(trace: Dict[str, Any]) -> str:
         lines.append("")
 
     return "\n".join(lines).rstrip() + "\n"
-
-
-def report_from_file(path: str) -> str:
-    """One-call helper: load ``path`` and build its report."""
-    return build_report(load_trace(path))

@@ -1,15 +1,14 @@
-"""Timeline reconstruction: per-job and per-server lifecycles from a
-trace, plus the causal narration behind ``repro why``.
+"""Timeline reconstruction: per-job lifecycles from a trace, plus the
+causal narration behind ``repro why``.
 
 A flat event trace answers *what happened*; this module rebuilds *to
 whom* and *because of what*.  :class:`TimelineStore` ingests a loaded
-trace once and indexes three views:
+trace once and indexes the two views ``repro why`` and ``repro
+report`` read:
 
 * per-job lifecycles — queued → running → preempted/scaled →
   completed, each transition carrying the servers, GPU types and loan
   status recorded at dispatch;
-* per-server lifecycles — loaned → reclaimed/returned, down → up,
-  degraded → recovered;
 * the decision ledger — every ``plan.provenance`` event, keyed by
   commit time, with its triggers, inputs and pricing.
 
@@ -24,8 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
-
-from repro.obs.inspect import load_trace
 
 #: job.* event name -> timeline state
 _JOB_STATES = {
@@ -43,7 +40,7 @@ _DISPATCH_KINDS = ("launch", "scale_out", "scale_in")
 
 @dataclass(frozen=True)
 class Transition:
-    """One state change of a job or server."""
+    """One state change of a job."""
 
     ts: float
     state: str
@@ -64,12 +61,6 @@ class JobTimeline:
                 break
             last = tr
         return last
-
-
-@dataclass
-class ServerTimeline:
-    server_id: str
-    transitions: List[Transition] = field(default_factory=list)
 
 
 @dataclass
@@ -114,11 +105,10 @@ class Explanation:
 
 
 class TimelineStore:
-    """Indexed per-job / per-server / per-plan views over one trace."""
+    """Indexed per-job and per-plan views over one trace."""
 
     def __init__(self) -> None:
         self.jobs: Dict[int, JobTimeline] = {}
-        self.servers: Dict[str, ServerTimeline] = {}
         self.plans: List[PlanRecord] = []
         self.faults: List[Dict[str, Any]] = []
         self.node_failures: List[Dict[str, Any]] = []
@@ -135,19 +125,10 @@ class TimelineStore:
             store._ingest(event)
         return store
 
-    @classmethod
-    def from_file(cls, path: str) -> "TimelineStore":
-        return cls.from_trace(load_trace(path))
-
     def _job(self, job_id: int) -> JobTimeline:
         if job_id not in self.jobs:
             self.jobs[job_id] = JobTimeline(job_id)
         return self.jobs[job_id]
-
-    def _server(self, server_id: str) -> ServerTimeline:
-        if server_id not in self.servers:
-            self.servers[server_id] = ServerTimeline(server_id)
-        return self.servers[server_id]
 
     def _ingest(self, event: Dict[str, Any]) -> None:
         name = event.get("name", "?")
@@ -173,62 +154,12 @@ class TimelineStore:
                 dropped_triggers=int(args.get("dropped_triggers", 0)),
             ))
             return
-        if name == "orchestrator.loan":
-            for server_id in args.get("servers") or []:
-                self._server(server_id).transitions.append(
-                    Transition(ts=ts, state="loaned",
-                               detail={"requested": args.get("requested")})
-                )
-            return
-        if name == "orchestrator.reclaim":
-            detail = {"demand": args.get("demand"),
-                      "preempted": args.get("preempted") or []}
-            for server_id in args.get("servers") or []:
-                self._server(server_id).transitions.append(
-                    Transition(ts=ts, state="returned", detail=detail)
-                )
-            return
-        if name == "recovery.reclaim_route_around":
-            server_id = args.get("server_id")
-            if server_id is not None:
-                self._server(server_id).transitions.append(
-                    Transition(ts=ts, state="returned",
-                               detail={"route_around": True,
-                                       "unhealthy": args.get("unhealthy"),
-                                       "straggling": args.get("straggling")})
-                )
-            return
         if name == "cluster.node_failure":
-            record = {"ts": ts, **args}
-            self.node_failures.append(record)
-            server_id = args.get("server_id")
-            if server_id is not None:
-                self._server(server_id).transitions.append(
-                    Transition(ts=ts, state="down", detail=args)
-                )
+            self.node_failures.append({"ts": ts, **args})
             return
-        if name == "cluster.node_recovery":
-            server_id = args.get("server_id")
-            if server_id is not None:
-                self._server(server_id).transitions.append(
-                    Transition(ts=ts, state="up", detail={})
-                )
-            return
-        if name == "fault.straggler_start":
-            for server_id in args.get("servers") or []:
-                self._server(server_id).transitions.append(
-                    Transition(ts=ts, state="degraded",
-                               detail={"factor": args.get("factor")})
-                )
-            self.faults.append({"ts": ts, "name": name, **args})
-            return
-        if name == "fault.straggler_end":
-            for server_id in args.get("servers") or []:
-                self._server(server_id).transitions.append(
-                    Transition(ts=ts, state="recovered", detail={})
-                )
-            return
-        if name.startswith("fault."):
+        # a straggler's end is not a fault of its own: the census counts
+        # its start
+        if name.startswith("fault.") and name != "fault.straggler_end":
             self.faults.append({"ts": ts, "name": name, **args})
 
     # ------------------------------------------------------------------

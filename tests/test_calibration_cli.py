@@ -192,8 +192,9 @@ class TestCLI:
             assert main([
                 "chaos", *self.TINY, "--plan", "process-crash", "--json",
             ]) == 0
-            out = capsys.readouterr().out
-            kills, doc = out[:out.index("{")], json.loads(out[out.index("{"):])
+            # the kill log goes to stderr: stdout is one JSON document
+            captured = capsys.readouterr()
+            kills, doc = captured.err, json.loads(captured.out)
             timing = doc["recovery"]["time_to_recover_s"]
             doc["recovery"]["time_to_recover_s"] = timing["count"]
             runs.append((kills, doc))
@@ -203,6 +204,77 @@ class TestCLI:
         assert doc["recovery"]["recoveries"] == doc["recovery"][
             "time_to_recover_s"
         ] > 0
+
+    def test_run_recovers_a_plans_process_kills(self, tmp_path, capsys):
+        """`run --faults` executes a plan's process kills as `chaos` does:
+        each one is recovered in-process, and the finished Activity log
+        is the one the same plan gives without its kills."""
+        import dataclasses
+
+        from repro.faults import resolve_plan
+
+        killed, clean = tmp_path / "killed.txt", tmp_path / "clean.txt"
+        assert main([
+            "run", *self.TINY, "--faults", "process-crash", "--json",
+            "--activities-out", str(killed),
+        ]) == 0
+        captured = capsys.readouterr()
+        doc, _ = json.JSONDecoder().raw_decode(captured.out)
+        fired = captured.err.count("[chaos] simulated crash")
+        assert doc["resilience"]["recovery"]["recoveries"] == fired > 0
+
+        plan = dataclasses.replace(resolve_plan("process-crash"), crashes=())
+        plan_file = tmp_path / "no-kills.json"
+        plan_file.write_text(json.dumps(plan.to_dict()))
+        assert main([
+            "run", *self.TINY, "--faults", str(plan_file),
+            "--activities-out", str(clean),
+        ]) == 0
+        assert killed.read_bytes() == clean.read_bytes()
+
+    def test_crash_at_refuses_a_plan_that_kills(self, tmp_path, capsys):
+        assert main([
+            "run", *self.TINY, "--faults", "process-crash",
+            "--checkpoint-dir", str(tmp_path / "ck"), "--crash-at", "100",
+        ]) == 2
+        assert "--crash-at cannot be combined" in capsys.readouterr().err
+
+    #: flags whose meaning differs by subcommand, each with its reason
+    #: (``*`` = on every subcommand that takes it)
+    PER_COMMAND_FLAGS = {
+        ("*", "--out"): "chaos, trace and report each write a different "
+                        "artifact",
+        ("*", "--at"): "whatif poses its question at a default 6h in; why "
+                       "narrates the whole lifecycle unless asked",
+        ("check", "--seed"): "seeds the oracle's instance streams, not a "
+                             "generated trace",
+    }
+
+    def test_a_shared_flag_means_one_thing(self):
+        """Every flag that several subcommands take has one default,
+        type, choices list and help text."""
+        import argparse
+
+        from repro.cli import build_parser
+
+        (sub,) = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        seen: dict = {}
+        for name, parser in sub.choices.items():
+            for action in parser._actions:
+                for flag in action.option_strings:
+                    if flag in ("-h", "--help") \
+                            or ("*", flag) in self.PER_COMMAND_FLAGS \
+                            or (name, flag) in self.PER_COMMAND_FLAGS:
+                        continue
+                    seen.setdefault(flag, {})[name] = repr((
+                        action.default, action.type, action.choices,
+                        action.help,
+                    ))
+        shared = {flag: by for flag, by in seen.items() if len(by) > 1}
+        assert "--json" in shared and "--trace" in shared
+        for flag, by_command in shared.items():
+            assert len(set(by_command.values())) == 1, (flag, by_command)
 
     def test_check_without_replay_passes(self, capsys):
         assert main(["check", "--n", "2", "--skip-replay"]) == 0
