@@ -8,7 +8,7 @@ losses into scale-ins instead of restarts.
 """
 
 from benchmarks.bench_util import emit, get_setup, run_cached
-from repro.faults import FaultPlan, NodeFailureProcess
+from repro.faults.plan import FaultPlan, NodeFailureProcess
 
 
 def build():

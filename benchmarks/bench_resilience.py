@@ -26,12 +26,8 @@ import os
 
 from benchmarks.bench_util import emit, get_setup, run_cached, scale_name
 from repro.ioutil import atomic_write
-from repro.faults import (
-    FaultPlan,
-    FlashCrowd,
-    NodeFailureProcess,
-    resilience_snapshot,
-)
+from repro.faults.metrics import resilience_snapshot
+from repro.faults.plan import FaultPlan, FlashCrowd, NodeFailureProcess
 from repro.scenarios import with_checkpointing_fraction
 
 HOUR = 3600.0

@@ -45,7 +45,8 @@ from repro.core.kernel import SimulationConfig  # noqa: E402
 from repro.ioutil import atomic_write  # noqa: E402
 from repro.obs import Observability  # noqa: E402
 from repro.schedulers.fifo import FIFOScheduler  # noqa: E402
-from repro.serve import SchedulerService, ServeClient  # noqa: E402
+from repro.serve.client import ServeClient  # noqa: E402
+from repro.serve.service import SchedulerService  # noqa: E402
 
 #: acceptance bar, requests per second sustained across all clients
 MIN_RPS = 1000.0

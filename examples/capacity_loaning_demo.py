@@ -11,10 +11,29 @@ including how often elastic scale-in alone satisfied the reclaim demand
 Run:  python examples/capacity_loaning_demo.py
 """
 
-from repro import default_setup
 from repro.core.orchestrator import ResourceOrchestrator
-from repro.scenarios import apply_scenario, make_policy
+from repro.scenarios import apply_scenario, default_setup, make_policy
 from repro.simulator.simulation import Simulation, SimulationConfig
+
+
+class HourlySimulation(Simulation):
+    """The simulation plus one hourly timer that records the loan state:
+    ``(time, inference utilization, loaned, busy on loan, pending)``."""
+
+    TIMERS = {**Simulation.TIMERS, "hourly": "_on_hourly"}
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.timeline = []
+
+    def _on_hourly(self) -> None:
+        util = self.inference_trace.utilization_at(self.now)
+        busy = sum(1 for s in self.pair.training.on_loan_servers if not s.idle)
+        self.timeline.append(
+            (self.now, util, self.pair.loaned_count, busy, len(self.pending))
+        )
+        if self.pending or self.running or self.now < self._last_arrival:
+            self.engine.schedule_after(3600.0, ("hourly",))
 
 
 def strip(value: float, width: int = 24) -> str:
@@ -33,7 +52,7 @@ def main() -> None:
     )
     pair = setup.make_pair()
     orchestrator = ResourceOrchestrator(reclaimer="lyra")
-    sim = Simulation(
+    sim = HourlySimulation(
         apply_scenario(setup.workload.specs, "basic"),
         pair,
         make_policy("lyra"),
@@ -41,22 +60,11 @@ def main() -> None:
         orchestrator=orchestrator,
         config=SimulationConfig(elastic=True),
     )
-
-    timeline = []
-
-    def probe() -> None:
-        util = setup.inference_trace.utilization_at(sim.now)
-        loaned = pair.loaned_count
-        busy = sum(1 for s in pair.training.on_loan_servers if not s.idle)
-        timeline.append((sim.now, util, loaned, busy, len(sim.pending)))
-        if sim.pending or sim.running or sim.now < sim._last_arrival:
-            sim.engine.schedule_after(3600.0, probe)
-
-    sim.engine.schedule(0.0, probe)
+    sim.engine.schedule(0.0, ("hourly",))
     metrics = sim.run()
 
     print("hour  inference utilization      loaned busy pending")
-    for now, util, loaned, busy, pending in timeline[:48]:
+    for now, util, loaned, busy, pending in sim.timeline[:48]:
         print(
             f"{now / 3600:>4.0f}  [{strip(util)}] {util:.2f} "
             f"{loaned:>5} {busy:>4} {pending:>7}"

@@ -9,10 +9,14 @@ Tables 2-4 that motivate Lyra's two-phase design.
 Run:  python examples/elastic_scaling_comparison.py
 """
 
-from repro import default_setup, run_scheme
 from repro.cluster.job import Job, JobSpec
 from repro.core.allocation import Pools, allocate_two_phase
-from repro.scenarios import apply_scenario, with_elastic_fraction
+from repro.scenarios import (
+    apply_scenario,
+    default_setup,
+    run_scheme,
+    with_elastic_fraction,
+)
 
 
 def worked_example() -> None:

@@ -11,8 +11,8 @@ Run:  python examples/predictor_demo.py
 
 import numpy as np
 
-from repro import default_setup, run_scheme
 from repro.predictor.predictor import UsagePredictor
+from repro.scenarios import default_setup, run_scheme
 
 
 def main() -> None:

@@ -10,7 +10,7 @@ paper reports: queuing time, JCT, GPU usage, and preemption ratio.
 Run:  python examples/quickstart.py
 """
 
-from repro import default_setup, run_scheme
+from repro.scenarios import default_setup, run_scheme
 from repro.simulator.metrics import reduction
 
 

@@ -14,8 +14,9 @@ import json
 import tempfile
 from pathlib import Path
 
-from repro import default_setup, run_scheme
-from repro.obs import Observability, inspect_trace
+from repro.obs import Observability
+from repro.obs.inspect import inspect_trace
+from repro.scenarios import default_setup, run_scheme
 
 
 def main() -> None:

@@ -18,31 +18,3 @@ Public API highlights:
 * :mod:`repro.scenarios` — evaluation scenarios and the experiment
   runner (:func:`repro.scenarios.run_scheme`).
 """
-
-from repro.analysis import compare_to_paper, render_report
-from repro.obs import Observability
-from repro.profiler import JobProfiler
-from repro.scenarios import (
-    SCENARIOS,
-    SCHEMES,
-    ExperimentSetup,
-    apply_scenario,
-    default_setup,
-    run_scheme,
-)
-
-__version__ = "1.0.0"
-
-__all__ = [
-    "JobProfiler",
-    "SCENARIOS",
-    "SCHEMES",
-    "ExperimentSetup",
-    "Observability",
-    "apply_scenario",
-    "compare_to_paper",
-    "default_setup",
-    "render_report",
-    "run_scheme",
-    "__version__",
-]

@@ -53,7 +53,9 @@ from typing import Optional, Sequence
 from repro import paper
 from repro.analysis import compare_to_paper, render_report
 from repro.ioutil import atomic_write, atomic_write_text
-from repro.obs import Observability, TraceFormatError, configure_logging
+from repro.obs import Observability
+from repro.obs.inspect import TraceFormatError
+from repro.obs.log import configure_logging
 from repro.scenarios import (
     SCENARIOS,
     SCHEMES,
@@ -78,14 +80,14 @@ def _fault_overrides(args) -> dict:
     opt = vars(args).get
     plan_spec = opt("faults") or opt("plan")
     if plan_spec:
-        from repro.faults import resolve_plan
+        from repro.faults.plan import resolve_plan
 
         plan = resolve_plan(plan_spec)
         if args.failure_seed is not None:
             plan = plan.with_seed(args.failure_seed)
         return {"fault_plan": plan}
     if opt("node_mtbf"):
-        from repro.faults import FaultPlan, NodeFailureProcess
+        from repro.faults.plan import FaultPlan, NodeFailureProcess
 
         return {"fault_plan": FaultPlan(
             name="node-mtbf",
@@ -119,8 +121,8 @@ def _simulate(args, scheme: Optional[str] = None, setup=None,
     Returns ``(sim, metrics)``.
 
     ``--checkpoint-dir`` attaches a checkpointing
-    :class:`~repro.recovery.RecoveryManager`.  A plan that kills the
-    process gets one either way (in a temporary directory, removed
+    :class:`~repro.recovery.manager.RecoveryManager`.  A plan that kills
+    the process gets one either way (in a temporary directory, removed
     after): each kill discards the dead simulation and recovers from
     disk in-process, with the kill logged to stderr, so the simulation
     returned is the one that finished.  A ``--crash-at`` kill is not
@@ -185,7 +187,7 @@ def _simulate(args, scheme: Optional[str] = None, setup=None,
     if kills and not workdir:
         workdir = tempfile.mkdtemp(prefix="repro-chaos-")
     if workdir:
-        from repro.recovery import RecoveryError, RecoveryManager
+        from repro.recovery.manager import RecoveryError, RecoveryManager
     obs = Observability.enabled() if opt("trace") else None
 
     def fresh_sim():
@@ -249,7 +251,7 @@ def _simulate(args, scheme: Optional[str] = None, setup=None,
 def _load_traces(paths):
     """Load exported event traces; a missing or unparseable file refuses
     the command."""
-    from repro.obs import load_trace
+    from repro.obs.inspect import load_trace
 
     try:
         return [load_trace(path) for path in paths]
@@ -355,7 +357,7 @@ def cmd_run(args) -> int:
     if args.json:
         data = _metrics_dict(metrics)
         if plan is not None:
-            from repro.faults import resilience_snapshot
+            from repro.faults.metrics import resilience_snapshot
 
             data["resilience"] = resilience_snapshot(metrics, plan=plan)
         if snapshot is not None:
@@ -395,7 +397,7 @@ def cmd_serve(args) -> int:
     """Run the scheduling kernel as a wall-clock daemon.
 
     Same kernel, same policies, same durability machinery as ``run`` —
-    just driven by real time (:class:`repro.serve.WallClockDriver`)
+    just driven by real time (:class:`repro.serve.driver.WallClockDriver`)
     instead of the simulated-event engine, with jobs arriving over a
     JSONL TCP API instead of from a generated trace.
     """
@@ -408,8 +410,8 @@ def cmd_serve(args) -> int:
         make_inference_cluster,
         make_training_cluster,
     )
-    from repro.recovery import WALError
-    from repro.serve import SchedulerService
+    from repro.recovery.wal import WALError
+    from repro.serve.service import SchedulerService
 
     pair = ClusterPair(
         make_training_cluster(args.training_servers),
@@ -437,6 +439,8 @@ def cmd_serve(args) -> int:
             obs=obs,
             orchestrator=orchestrator,
         )
+    except ValueError as exc:
+        raise _Refused(f"bad --snapshot-every: {exc}")
     except WALError as exc:
         # the state directory's request journal is unreadable
         raise _Refused(f"cannot start: {exc}")
@@ -488,7 +492,7 @@ def cmd_serve(args) -> int:
 
 def cmd_recover(args) -> int:
     """Restore a killed run from its checkpoint directory and finish it."""
-    from repro.recovery import RecoveryError, RecoveryManager
+    from repro.recovery.manager import RecoveryError, RecoveryManager
 
     try:
         sim = RecoveryManager.recover(args.directory)
@@ -507,7 +511,8 @@ def cmd_recover(args) -> int:
 
 def cmd_chaos(args) -> int:
     """Run one scheme under a fault plan and report resilience metrics."""
-    from repro.faults import BUILTIN_PLANS, resilience_snapshot
+    from repro.faults.metrics import resilience_snapshot
+    from repro.faults.plan import BUILTIN_PLANS
 
     if args.list_plans:
         for name, plan in sorted(BUILTIN_PLANS.items()):
@@ -650,16 +655,16 @@ def cmd_whatif(args) -> int:
 def cmd_check(args) -> int:
     """Conformance-check the schedulers against the correctness oracles.
 
-    Runs ``repro.oracle.run_check``: seeded differential sweeps (greedy
-    and optimal reclaim vs an exhaustive job-subset search, the MCKP DP
-    vs enumeration, two-phase allocation vs a first-principles
-    reference), metamorphic properties (capacity monotonicity,
-    permutation invariance, dry-run pricing), and mini-scenario replays
-    of every requested scheme on both views.  A divergence prints
-    a pointed report with a minimized, runnable repro script and the
-    command exits 1.
+    Runs ``repro.oracle.conformance.run_check``: seeded differential
+    sweeps (greedy and optimal reclaim vs an exhaustive job-subset
+    search, the MCKP DP vs enumeration, two-phase allocation vs a
+    first-principles reference), metamorphic properties (capacity
+    monotonicity, permutation invariance, dry-run pricing), and
+    mini-scenario replays of every requested scheme on both views.  A
+    divergence prints a pointed report with a minimized, runnable repro
+    script and the command exits 1.
     """
-    from repro.oracle import run_check
+    from repro.oracle.conformance import run_check
 
     progress = None
     if args.verbose and not args.json:
@@ -743,7 +748,7 @@ def cmd_report(args) -> int:
     """With a trace file: render the markdown run report.  Without one:
     run the headline schemes and print the shape-verdict report."""
     if args.trace_file:
-        from repro.obs import build_report
+        from repro.obs.report import build_report
 
         text = build_report(*_load_traces([args.trace_file]))
         if args.out:
@@ -764,7 +769,7 @@ def cmd_report(args) -> int:
 
 def cmd_why(args) -> int:
     """Narrate the causal chain behind one job's lifecycle."""
-    from repro.obs import TimelineStore, render_why
+    from repro.obs.timeline import TimelineStore, render_why
 
     store = TimelineStore.from_trace(*_load_traces([args.trace_file]))
     try:
@@ -781,7 +786,12 @@ def cmd_why(args) -> int:
 
 def cmd_inspect(args) -> int:
     """Summarize an exported event trace, or diff two of them."""
-    from repro.obs import diff_traces, render_diff, render_summary, summarize
+    from repro.obs.inspect import (
+        diff_traces,
+        render_diff,
+        render_summary,
+        summarize,
+    )
 
     files = args.trace_file
     if args.diff and len(files) != 2:
@@ -959,8 +969,8 @@ _OPTIONS = {
              "plan WAL); restarting on the same directory recovers every "
              "acked job"),
     "--snapshot-every": dict(type=int, default=1, metavar="EPOCHS",
-                             help="snapshot the kernel every N scheduling "
-                                  "epochs (with --state-dir)"),
+                             help="snapshot the kernel every N >= 1 "
+                                  "scheduling epochs (with --state-dir)"),
     "--drain-timeout": dict(
         type=float, default=30.0, metavar="SECONDS",
         help="on SIGTERM, stop admission and wait up to this long for the "

@@ -1,45 +1,1 @@
 """Lyra's core: reclaiming, two-phase allocation, placement, orchestration."""
-
-from repro.core.allocation import (
-    AllocationDecision,
-    Pools,
-    allocate_two_phase,
-    build_flex_groups,
-    preferred_domain,
-    sjf_phase,
-)
-from repro.core.mckp import Item, solve_mckp, solve_mckp_bruteforce
-from repro.core.orchestrator import ResourceOrchestrator
-from repro.core.placement import PlacementEngine, PlacementRequest, PlacementResult
-from repro.core.reclaim import (
-    CostModel,
-    ReclaimPlan,
-    plan_reclaim_lyra,
-    plan_reclaim_optimal,
-    plan_reclaim_random,
-    plan_reclaim_scf,
-    server_preemption_cost,
-)
-
-__all__ = [
-    "AllocationDecision",
-    "CostModel",
-    "Item",
-    "PlacementEngine",
-    "PlacementRequest",
-    "PlacementResult",
-    "Pools",
-    "ReclaimPlan",
-    "ResourceOrchestrator",
-    "allocate_two_phase",
-    "build_flex_groups",
-    "plan_reclaim_lyra",
-    "plan_reclaim_optimal",
-    "plan_reclaim_random",
-    "plan_reclaim_scf",
-    "preferred_domain",
-    "server_preemption_cost",
-    "sjf_phase",
-    "solve_mckp",
-    "solve_mckp_bruteforce",
-]

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.cluster.job import Job
-from repro.obs import get_logger
+from repro.obs.log import get_logger
 from repro.obs.profiling import PHASE_PLAN_COMMIT, PHASE_PLAN_VALIDATE
 from repro.obs.provenance import (
     PROVENANCE_EVENT,
@@ -832,8 +832,8 @@ class PlanExecutor:
 
     def _commit_loan(self, action: LoanServers) -> None:
         sim = self.sim
-        moved = sim.rm.loan_selected(
-            action.server_ids, now=sim.now, borrower=action.borrower
+        moved = sim.pair.loan_ids(
+            action.server_ids, borrower=action.borrower, now=sim.now
         )
         if moved:
             server_ids = [s.server_id for s in moved]

@@ -42,7 +42,8 @@ from repro.core.actions import PlanExecutor
 from repro.core.placement import PlacementEngine
 from repro.core.view import ClusterView
 from repro.elastic.throughput import get_scaling_model
-from repro.obs import Observability, get_logger
+from repro.obs import Observability
+from repro.obs.log import get_logger
 from repro.obs.profiling import PHASE_SCHEDULER_TICK
 from repro.obs.provenance import (
     MAX_TRIGGERS,
@@ -187,10 +188,10 @@ class SchedulerKernel:
     Holds every piece of scheduling state that is *not* about time —
     jobs, queues, the view, the executor, metrics, provenance — and
     exposes the transitions the paper's scheduler performs: job
-    admission (:meth:`admit_job`), scheduling epochs (:meth:`run_epoch`
-    via :meth:`trigger_schedule`), orchestrator epochs
-    (:meth:`run_orchestrator_epoch`), preemption, node failure and
-    recovery, straggler degradation, and cancellation.
+    admission (:meth:`admit_job`), scheduling epochs
+    (:meth:`_schedule_tick`, armed by :meth:`trigger_schedule`),
+    orchestrator epochs (:meth:`run_orchestrator_epoch`), preemption,
+    node failure and recovery, straggler degradation, and cancellation.
 
     The kernel is driven: a :class:`Driver` supplies ``now`` and timers,
     and decides when to call the pipeline.  Constructing a kernel with
@@ -514,8 +515,6 @@ class SchedulerKernel:
         self._arrivals.clear()
         self.driver.epoch_finished()
 
-    run_epoch = _schedule_tick
-
     def _can_skip_epoch(self) -> bool:
         """Whether this epoch is provably a no-op.
 
@@ -683,9 +682,6 @@ class SchedulerKernel:
         if self.degraded_servers:
             job.straggler_penalty = self._straggler_penalty_for(job)
 
-    def _reschedule_completion(self, job: Job) -> None:
-        self._schedule_completion_at(job, job.eta())
-
     def _schedule_completion_at(self, job: Job, eta: float) -> None:
         """(Re-)arm the job's completion at ``now + eta``.
 
@@ -710,7 +706,7 @@ class SchedulerKernel:
             return
         job.advance(self.now)
         if job.remaining_work > _WORK_EPS * job.spec.total_work:
-            self._reschedule_completion(job)
+            self._schedule_completion_at(job, job.eta())
             return
         self.rm.release_job(job)
         job.mark_finished(self.now)
@@ -908,7 +904,7 @@ class SchedulerKernel:
             if server_id in job.servers:
                 job.advance(self.now)
                 job.straggler_penalty = self._straggler_penalty_for(job)
-                self._reschedule_completion(job)
+                self._schedule_completion_at(job, job.eta())
 
     def _straggler_penalty_for(self, job: Job) -> float:
         """Synchronous training paces at its slowest worker: the penalty

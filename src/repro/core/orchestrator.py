@@ -38,7 +38,7 @@ from repro.core.reclaim import (
     plan_reclaim_scf,
     server_preemption_cost,
 )
-from repro.obs import get_logger
+from repro.obs.log import get_logger
 from repro.obs.profiling import PHASE_ORCH_TICK, PHASE_RECLAIM_PLAN
 
 RECLAIMERS = ("lyra", "random", "scf")

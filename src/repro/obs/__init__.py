@@ -22,42 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict
 
-from repro.obs.inspect import (
-    TraceDiff,
-    TraceFormatError,
-    TraceSummary,
-    diff_traces,
-    inspect_trace,
-    load_trace,
-    render_diff,
-    render_summary,
-    summarize,
-)
-from repro.obs.log import configure_logging, get_logger, reset_logging
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    percentile,
-)
-from repro.obs.profiling import NULL_PROFILER, PhaseProfiler, PhaseStat
-from repro.obs.provenance import (
-    PROVENANCE_EVENT,
-    Provenance,
-    Trigger,
-)
-from repro.obs.report import build_report
-from repro.obs.timeline import TimelineStore, render_why
-from repro.obs.tracer import (
-    CAT_SPAN,
-    NULL_TRACER,
-    SPAN_EVENT,
-    SUMMARY_EVENT,
-    TraceEvent,
-    Tracer,
-    to_chrome,
-)
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.profiling import PhaseProfiler
+from repro.obs.tracer import Tracer
 
 
 @dataclass
@@ -95,40 +62,3 @@ class Observability:
         record count written."""
         return self.tracer.export(path, format=format, summary=self.summary())
 
-
-__all__ = [
-    "CAT_SPAN",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NULL_PROFILER",
-    "NULL_TRACER",
-    "Observability",
-    "PROVENANCE_EVENT",
-    "PhaseProfiler",
-    "PhaseStat",
-    "Provenance",
-    "SPAN_EVENT",
-    "SUMMARY_EVENT",
-    "TimelineStore",
-    "TraceDiff",
-    "TraceEvent",
-    "TraceFormatError",
-    "TraceSummary",
-    "Tracer",
-    "Trigger",
-    "build_report",
-    "configure_logging",
-    "diff_traces",
-    "get_logger",
-    "inspect_trace",
-    "load_trace",
-    "percentile",
-    "render_diff",
-    "render_summary",
-    "render_why",
-    "reset_logging",
-    "summarize",
-    "to_chrome",
-]

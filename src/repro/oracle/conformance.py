@@ -404,7 +404,7 @@ def recovery_divergence(scheme: str, seed: int) -> Optional[str]:
         CrashPoint,
         SimulatedCrash,
     )
-    from repro.recovery import RecoveryError, RecoveryManager
+    from repro.recovery.manager import RecoveryError, RecoveryManager
 
     reference = replay_scenario(scheme, seed)
     horizon = reference.now

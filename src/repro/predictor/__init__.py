@@ -1,13 +1,1 @@
 """Inference resource-usage predictor (NumPy LSTM, §6)."""
-
-from repro.predictor.lstm import Adam, Dense, LSTMLayer, LSTMRegressor
-from repro.predictor.predictor import UsagePredictor, make_windows
-
-__all__ = [
-    "Adam",
-    "Dense",
-    "LSTMLayer",
-    "LSTMRegressor",
-    "UsagePredictor",
-    "make_windows",
-]

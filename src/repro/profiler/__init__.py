@@ -1,5 +1,1 @@
 """The §3 job profiler: online running-time estimation."""
-
-from repro.profiler.profiler import JobProfiler
-
-__all__ = ["JobProfiler"]

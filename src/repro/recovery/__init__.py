@@ -20,21 +20,3 @@ The pieces (docs/ROBUSTNESS.md):
 A simulation with ``sim.recovery is None`` (the default) never imports
 this package and takes the exact pre-recovery code path.
 """
-
-from repro.recovery.codec import SCHEMA_VERSION, SnapshotCodec, SnapshotError, SnapshotStore
-from repro.recovery.manager import RecoveryError, RecoveryManager
-from repro.recovery.state import capture_payload, restore_payload
-from repro.recovery.wal import PlanWAL, WALError
-
-__all__ = [
-    "PlanWAL",
-    "RecoveryError",
-    "RecoveryManager",
-    "SCHEMA_VERSION",
-    "SnapshotCodec",
-    "SnapshotError",
-    "SnapshotStore",
-    "WALError",
-    "capture_payload",
-    "restore_payload",
-]

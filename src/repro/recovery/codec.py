@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.ioutil import atomic_write_bytes
-from repro.obs import get_logger
+from repro.obs.log import get_logger
 
 logger = get_logger("recovery.codec")
 

@@ -32,7 +32,7 @@ import os
 from pathlib import Path
 from typing import Dict, List, Union
 
-from repro.obs import get_logger
+from repro.obs.log import get_logger
 
 logger = get_logger("recovery.wal")
 

@@ -199,8 +199,8 @@ class ResourceManager:
         """The one loan-eligibility predicate, shared by plan and commit.
 
         :meth:`peek_loanable` picks the ids a plan names and
-        :meth:`loan_selected` moves exactly those at commit, so this is
-        the only place eligibility is decided.
+        :meth:`~repro.cluster.cluster.ClusterPair.loan_ids` moves exactly
+        those at commit, so this is the only place eligibility is decided.
         Today: never loan a server that is known-unhealthy (e.g. it
         failed while on loan and was routed back before its repair
         finished).
@@ -216,7 +216,8 @@ class ResourceManager:
         """Up to ``count`` server ids a loan would move right now.
 
         Pure read used when *planning* a loan: the commit later moves
-        exactly these ids via :meth:`loan_selected`, so the plan is
+        exactly these ids via
+        :meth:`~repro.cluster.cluster.ClusterPair.loan_ids`, so the plan is
         deterministic (insertion-ordered idle inference servers,
         eligible only).
         ``lender`` restricts the scan to servers homed in one member
@@ -235,16 +236,6 @@ class ResourceManager:
             if self.loan_eligible(server):
                 ids.append(server.server_id)
         return ids
-
-    def loan_selected(
-        self, server_ids, now: float = 0.0, borrower: Optional[str] = None
-    ) -> List[Server]:
-        """Whitelist-move the named idle inference servers to training.
-
-        ``borrower`` names the training region the loan is matched to
-        (the contracts open against it, at ``now``).
-        """
-        return self.pair.loan_ids(server_ids, borrower=borrower, now=now)
 
     def return_server(self, server_id: str, now: float = 0.0) -> Server:
         server = self.pair.training.get(server_id)

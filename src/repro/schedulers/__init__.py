@@ -1,21 +1,1 @@
 """Scheduling policies: Lyra and the paper's comparison schemes."""
-
-from repro.schedulers.afs import AFSScheduler
-from repro.schedulers.agnostic import LyraAgnosticScheduler
-from repro.schedulers.base import SchedulerPolicy
-from repro.schedulers.fifo import FIFOScheduler, OpportunisticScheduling, SJFScheduler
-from repro.schedulers.gandiva import GandivaScheduler
-from repro.schedulers.lyra import LyraScheduler
-from repro.schedulers.pollux import PolluxScheduler
-
-__all__ = [
-    "AFSScheduler",
-    "LyraAgnosticScheduler",
-    "FIFOScheduler",
-    "GandivaScheduler",
-    "LyraScheduler",
-    "OpportunisticScheduling",
-    "PolluxScheduler",
-    "SJFScheduler",
-    "SchedulerPolicy",
-]

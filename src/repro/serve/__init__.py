@@ -3,15 +3,10 @@
 ``repro serve`` promotes the reproduction from a batch simulator into a
 long-running scheduler daemon: the same clock-agnostic
 :class:`~repro.core.kernel.SchedulerKernel` the simulator drives with a
-discrete-event engine runs here on a :class:`WallClockDriver` mapped to
-an asyncio event loop, fronted by a line-delimited-JSON TCP API
+discrete-event engine runs here on a
+:class:`~repro.serve.driver.WallClockDriver` mapped to an asyncio event
+loop, fronted by a line-delimited-JSON TCP API
 (submit / scale / query / cancel / stats / drain + a streaming event
 feed).  See docs/SERVING.md for the API surface and the operational
 knobs (epoch batching, admission control, durability).
 """
-
-from repro.serve.client import ServeClient
-from repro.serve.driver import WallClockDriver
-from repro.serve.service import SchedulerService
-
-__all__ = ["SchedulerService", "ServeClient", "WallClockDriver"]

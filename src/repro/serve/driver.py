@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.kernel import Driver
-from repro.obs import get_logger
+from repro.obs.log import get_logger
 
 logger = get_logger("serve.driver")
 

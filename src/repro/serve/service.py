@@ -43,7 +43,8 @@ from repro.cluster.cluster import ClusterPair
 from repro.cluster.job import JobStatus
 from repro.core.actions import EpochPlan, PlanRejected, ScaleIn
 from repro.core.kernel import SchedulerKernel, SimulationConfig
-from repro.obs import Observability, get_logger
+from repro.obs import Observability
+from repro.obs.log import get_logger
 from repro.schedulers.base import SchedulerPolicy
 from repro.serve import protocol
 from repro.serve.driver import WallClockDriver
@@ -83,8 +84,13 @@ class SchedulerService:
         self._policy = policy
         self._orchestrator = orchestrator
         self._time_scale = time_scale
+        if snapshot_every_epochs < 1:
+            raise ValueError(
+                f"snapshot cadence must be at least 1 epoch, got "
+                f"{snapshot_every_epochs}"
+            )
         self.state = ServeState(state_dir) if state_dir is not None else None
-        self.snapshot_every_epochs = max(1, snapshot_every_epochs)
+        self.snapshot_every_epochs = snapshot_every_epochs
 
         self.kernel: Optional[SchedulerKernel] = None
         self.driver: Optional[WallClockDriver] = None

@@ -9,22 +9,13 @@ JSON/pickle-friendly tuple (``("completion", job_id, epoch)``,
 ``("heartbeat",)``, ...) that the engine hands, when due, to the one
 ``dispatch`` function its owner supplied — the same function in a live
 run and in one restored from a snapshot.  The heap is therefore plain
-``(when, seq, tag)`` triples and pickles as it is.  Ad-hoc harnesses may
-still arm a bare callable, which fires as itself — it simply makes the
-engine unsnapshotable.
+``(when, seq, tag)`` triples and pickles as it is.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional, Tuple, Union
-
-#: What a timer holds: a serializable tag, or an ad-hoc harness callable.
-Event = Union[tuple, Callable[[], None]]
-
-
-class UnsnapshotableEvent(RuntimeError):
-    """The heap holds a bare callable, so it cannot be serialized."""
+from typing import Callable, List, Optional, Tuple
 
 
 class Engine:
@@ -39,25 +30,25 @@ class Engine:
         #: pickles by reference with its owner
         self.dispatch = dispatch
         self.now = start_time
-        self._heap: List[Tuple[float, int, Event]] = []
+        self._heap: List[Tuple[float, int, tuple]] = []
         self._next_seq = 0
         self._stopped = False
 
-    def schedule(self, when: float, event: Event) -> None:
-        """Fire ``event`` at absolute time ``when`` (>= now)."""
+    def schedule(self, when: float, tag: tuple) -> None:
+        """Fire ``tag`` at absolute time ``when`` (>= now)."""
         if when < self.now:
             raise ValueError(
                 f"cannot schedule in the past: {when} < now {self.now}"
             )
         seq = self._next_seq
         self._next_seq = seq + 1
-        heapq.heappush(self._heap, (when, seq, event))
+        heapq.heappush(self._heap, (when, seq, tag))
 
-    def schedule_after(self, delay: float, event: Event) -> None:
-        """Fire ``event`` ``delay`` seconds from now."""
+    def schedule_after(self, delay: float, tag: tuple) -> None:
+        """Fire ``tag`` ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"delay must be >= 0, got {delay}")
-        self.schedule(self.now + delay, event)
+        self.schedule(self.now + delay, tag)
 
     @property
     def pending_events(self) -> int:
@@ -100,11 +91,7 @@ class Engine:
             if until is not None and when > until:
                 break
             self.now = when
-            event = heapq.heappop(heap)[2]
-            if callable(event):
-                event()
-            else:
-                dispatch(event)
+            dispatch(heapq.heappop(heap)[2])
         if until is not None and self.now < until:
             self.now = until
         return self.now
@@ -113,16 +100,7 @@ class Engine:
     # serialization: the heap is already data
     # ------------------------------------------------------------------
     def snapshot_events(self) -> List[Tuple[float, int, tuple]]:
-        """The heap as ``(when, seq, tag)`` triples, heap-order sorted.
-
-        Raises :class:`UnsnapshotableEvent` if any event is a callable.
-        """
-        for when, seq, event in self._heap:
-            if callable(event):
-                raise UnsnapshotableEvent(
-                    f"event at t={when} (seq {seq}) is a bare callable; "
-                    f"only tags can be serialized"
-                )
+        """The heap as ``(when, seq, tag)`` triples, heap-order sorted."""
         return sorted(self._heap)
 
     def __getstate__(self) -> dict:

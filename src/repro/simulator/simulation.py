@@ -37,16 +37,10 @@ from typing import Optional, Sequence
 
 from repro.cluster.cluster import ClusterPair
 from repro.cluster.job import JobSpec
-from repro.core.kernel import (  # noqa: F401  (re-exports: long-standing API)
-    DAY,
-    SchedulerKernel,
-    SimulationConfig,
-)
-from repro.obs import Observability, get_logger
-from repro.obs.provenance import (  # noqa: F401  (Provenance re-exported)
-    TRIGGER_HEARTBEAT,
-    Provenance,
-)
+from repro.core.kernel import SchedulerKernel, SimulationConfig
+from repro.obs import Observability
+from repro.obs.log import get_logger
+from repro.obs.provenance import TRIGGER_HEARTBEAT
 from repro.simulator.engine import Engine
 from repro.simulator.metrics import SimulationMetrics
 

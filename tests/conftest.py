@@ -14,6 +14,7 @@ from repro.core.placement import PlacementEngine
 from repro.core.view import ClusterView
 from repro.rm.manager import ResourceManager
 from repro.scenarios import ExperimentSetup
+from repro.simulator.simulation import Simulation
 from repro.traces.inference import generate_inference_trace
 from repro.traces.workload import TraceConfig, generate_workload
 
@@ -52,7 +53,27 @@ def loan(pair_or_rm, count: int, now: float = 0.0):
     rm = pair_or_rm
     if not isinstance(rm, ResourceManager):
         rm = ResourceManager(pair_or_rm, {})
-    return rm.loan_selected(rm.peek_loanable(count), now=now)
+    return rm.pair.loan_ids(rm.peek_loanable(count), now=now)
+
+
+class ProbedSimulation(Simulation):
+    """A simulation with one more timer, for tests that act mid-run:
+    :meth:`probe` arms a ``("probe", i)`` tag, and its firing calls the
+    ``i``-th function the test handed over."""
+
+    TIMERS = {**Simulation.TIMERS, "probe": "_on_probe"}
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.probes = []
+
+    def probe(self, when: float, fn) -> None:
+        """Call ``fn()`` at simulated time ``when``."""
+        self.probes.append(fn)
+        self.engine.schedule(when, ("probe", len(self.probes) - 1))
+
+    def _on_probe(self, index: int) -> None:
+        self.probes[index]()
 
 
 def make_engine(cluster_or_view, **options) -> PlacementEngine:

@@ -211,7 +211,7 @@ class TestCLI:
         is the one the same plan gives without its kills."""
         import dataclasses
 
-        from repro.faults import resolve_plan
+        from repro.faults.plan import resolve_plan
 
         killed, clean = tmp_path / "killed.txt", tmp_path / "clean.txt"
         assert main([

@@ -22,17 +22,15 @@ from hypothesis import strategies as st
 
 from repro import scenarios
 from repro.cli import main
-from repro.recovery import (
+from repro.recovery.codec import (
+    PICKLE_PROTOCOL,
     SCHEMA_VERSION,
-    PlanWAL,
-    RecoveryError,
-    RecoveryManager,
     SnapshotCodec,
     SnapshotStore,
-    WALError,
 )
-from repro.recovery.codec import PICKLE_PROTOCOL
+from repro.recovery.manager import RecoveryError, RecoveryManager
 from repro.recovery.state import capture_payload
+from repro.recovery.wal import PlanWAL, WALError
 from repro.serve.state import RequestJournal, ServeState
 from tests.test_recovery import build_sim, killed_run
 from tests.test_serve import _service, killed_daemon, run_with_service

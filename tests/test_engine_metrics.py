@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulator.engine import Engine, UnsnapshotableEvent
+from repro.simulator.engine import Engine
 from repro.simulator.metrics import (
     DistributionSummary,
     SimulationMetrics,
@@ -21,67 +21,74 @@ from tests.conftest import make_job
 
 class TestEngine:
     def test_events_run_in_time_order(self):
-        engine = Engine()
         seen = []
-        engine.schedule(5.0, lambda: seen.append("b"))
-        engine.schedule(1.0, lambda: seen.append("a"))
-        engine.schedule(9.0, lambda: seen.append("c"))
+        engine = Engine(dispatch=seen.append)
+        engine.schedule(5.0, ("b",))
+        engine.schedule(1.0, ("a",))
+        engine.schedule(9.0, ("c",))
         engine.run()
-        assert seen == ["a", "b", "c"]
+        assert seen == [("a",), ("b",), ("c",)]
         assert engine.now == 9.0
 
     def test_ties_run_in_insertion_order(self):
-        engine = Engine()
         seen = []
-        engine.schedule(1.0, lambda: seen.append(1))
-        engine.schedule(1.0, lambda: seen.append(2))
+        engine = Engine(dispatch=seen.append)
+        engine.schedule(1.0, ("x", 1))
+        engine.schedule(1.0, ("x", 2))
         engine.run()
-        assert seen == [1, 2]
+        assert seen == [("x", 1), ("x", 2)]
 
     def test_schedule_in_past_raises(self):
         engine = Engine(start_time=10.0)
         with pytest.raises(ValueError):
-            engine.schedule(5.0, lambda: None)
+            engine.schedule(5.0, ("late",))
 
     def test_schedule_after_negative_raises(self):
         with pytest.raises(ValueError):
-            Engine().schedule_after(-1.0, lambda: None)
+            Engine().schedule_after(-1.0, ("late",))
 
     def test_run_until_stops_early(self):
-        engine = Engine()
         seen = []
-        engine.schedule(1.0, lambda: seen.append(1))
-        engine.schedule(10.0, lambda: seen.append(2))
+        engine = Engine(dispatch=seen.append)
+        engine.schedule(1.0, ("x", 1))
+        engine.schedule(10.0, ("x", 2))
         engine.run(until=5.0)
-        assert seen == [1]
+        assert seen == [("x", 1)]
         assert engine.now == 5.0
         assert engine.pending_events == 1
 
     def test_until_is_inclusive(self):
-        engine = Engine()
         seen = []
-        engine.schedule(5.0, lambda: seen.append(1))
+        engine = Engine(dispatch=seen.append)
+        engine.schedule(5.0, ("x",))
         engine.run(until=5.0)
-        assert seen == [1]
+        assert seen == [("x",)]
 
     def test_callbacks_can_schedule_more(self):
-        engine = Engine()
         seen = []
 
-        def chain():
+        def dispatch(tag):
             seen.append(engine.now)
             if engine.now < 3:
-                engine.schedule_after(1.0, chain)
+                engine.schedule_after(1.0, tag)
 
-        engine.schedule(0.0, chain)
+        engine = Engine(dispatch=dispatch)
+        engine.schedule(0.0, ("chain",))
         engine.run()
         assert seen == [0.0, 1.0, 2.0, 3.0]
 
     def test_stop_aborts_loop(self):
-        engine = Engine()
         seen = []
-        engine.schedule(1.0, engine.stop)
-        engine.schedule(2.0, lambda: seen.append("nope"))
+
+        def dispatch(tag):
+            if tag == ("stop",):
+                engine.stop()
+            else:
+                seen.append(tag)
+
+        engine = Engine(dispatch=dispatch)
+        engine.schedule(1.0, ("stop",))
+        engine.schedule(2.0, ("nope",))
         engine.run()
         assert seen == []
 
@@ -104,12 +111,6 @@ class TestEngine:
         frozen.dispatch = refired.append
         frozen.run()
         assert refired == fired
-
-    def test_bare_callable_makes_the_heap_unsnapshotable(self):
-        engine = Engine()
-        engine.schedule(1.0, lambda: None)
-        with pytest.raises(UnsnapshotableEvent):
-            engine.snapshot_events()
 
 
 #: an event: (time, delays of the events it schedules when it fires);

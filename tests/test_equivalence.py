@@ -25,6 +25,7 @@ from repro.cluster.cluster import (
     make_inference_cluster,
     make_training_cluster,
 )
+from repro.core.kernel import DAY
 from repro.core.orchestrator import ResourceOrchestrator
 from repro.faults.plan import FaultPlan, NodeFailureProcess
 from repro.oracle.refview import ReferenceView, install_reference_view
@@ -38,7 +39,7 @@ from repro.schedulers.fifo import (
 from repro.schedulers.gandiva import GandivaScheduler
 from repro.schedulers.lyra import LyraScheduler
 from repro.schedulers.pollux import PolluxScheduler
-from repro.simulator.simulation import DAY, Simulation, SimulationConfig
+from repro.simulator.simulation import Simulation, SimulationConfig
 from repro.traces.inference import generate_inference_trace
 from repro.traces.workload import TraceConfig, generate_workload
 
@@ -191,7 +192,9 @@ def test_tracing_does_not_perturb_the_golden_log(golden):
     """Observability must be read-only: a fully traced run (spans,
     provenance, the lot) still produces the byte-identical Activity log
     pinned by the golden fixture — and the instrumentation is live."""
-    from repro.obs import Observability, PROVENANCE_EVENT, SPAN_EVENT
+    from repro.obs import Observability
+    from repro.obs.provenance import PROVENANCE_EVENT
+    from repro.obs.tracer import SPAN_EVENT
 
     obs = Observability.enabled()
     sim = run_scenario("lyra_loaning", obs=obs)

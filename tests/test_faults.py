@@ -12,26 +12,25 @@ from repro.cluster.cluster import (
     make_training_cluster,
 )
 from repro.cluster.job import JobSpec, JobStatus
-from repro.faults import (
+from repro.faults.audit import InvariantViolation, verify_scheduler_invariants
+from repro.faults.metrics import resilience_snapshot
+from repro.faults.plan import (
     BUILTIN_PLANS,
-    DegradedLoaning,
     FaultPlan,
     FlashCrowd,
-    InvariantViolation,
     LaunchFailures,
     NodeFailureProcess,
     NodeOutage,
     PredictorOutage,
-    RetryPolicy,
     Straggler,
-    resilience_snapshot,
     resolve_plan,
-    verify_scheduler_invariants,
 )
+from repro.faults.recovery import DegradedLoaning, RetryPolicy
 from repro.scenarios import default_setup, run_scheme
 from repro.schedulers.lyra import LyraScheduler
 from repro.simulator.simulation import Simulation, SimulationConfig
 from repro.traces.inference import InferenceTrace
+from tests.conftest import ProbedSimulation
 
 
 def pair(training=3, inference=2):
@@ -182,14 +181,21 @@ class TestZeroCost:
         )
 
     def test_fault_free_run_never_imports_faults(self):
+        """A plain run loads neither the fault and recovery machinery
+        nor any surface beside the simulator: no daemon, CLI, oracle,
+        paper analysis or offline trace tooling."""
+        never_loaded = (
+            "repro.faults", "repro.recovery", "repro.oracle", "repro.serve",
+            "repro.cli", "repro.analysis", "repro.obs.inspect",
+            "repro.obs.report", "repro.obs.timeline",
+        )
         code = (
             "import sys\n"
             "from repro.scenarios import default_setup, run_scheme\n"
             "setup = default_setup(num_jobs=10, days=0.2,"
             " training_servers=4, inference_servers=4, seed=0)\n"
             "run_scheme(setup, 'lyra')\n"
-            "loaded = [m for m in sys.modules"
-            " if m.startswith('repro.faults')]\n"
+            f"loaded = [m for m in sys.modules if m.startswith({never_loaded!r})]\n"
             "assert not loaded, loaded\n"
         )
         subprocess.run([sys.executable, "-c", code], check=True)
@@ -285,7 +291,7 @@ class TestInjector:
         sim.rm.verify_books()
 
     def test_double_failure_is_recorded_noop(self):
-        sim = Simulation(
+        sim = ProbedSimulation(
             [spec(duration=5000.0)], pair(), LyraScheduler(),
             config=SimulationConfig(),
         )
@@ -296,7 +302,7 @@ class TestInjector:
             assert not sim.apply_node_failure(server_id, repair_time=None)
             assert not sim.apply_node_failure("no-such-server")
 
-        sim.engine.schedule(100.0, fail_twice)
+        sim.probe(100.0, fail_twice)
         metrics = sim.run()
         assert metrics.node_failures == 1
         noop = metrics.registry.counter(
@@ -375,7 +381,7 @@ class TestAudit:
         verify_scheduler_invariants(sim)
 
     def test_detects_running_pending_overlap(self):
-        sim = Simulation(
+        sim = ProbedSimulation(
             [spec(duration=5000.0)], pair(), LyraScheduler(),
             config=SimulationConfig(),
         )
@@ -387,11 +393,11 @@ class TestAudit:
                 verify_scheduler_invariants(sim)
             sim.pending.remove(job)
 
-        sim.engine.schedule(100.0, corrupt)
+        sim.probe(100.0, corrupt)
         sim.run()
 
     def test_detects_pending_with_placement(self):
-        sim = Simulation(
+        sim = ProbedSimulation(
             [spec(duration=5000.0)], pair(), LyraScheduler(),
             config=SimulationConfig(),
         )
@@ -408,5 +414,5 @@ class TestAudit:
             sim.running[job.job_id] = job
             job.status = saved_status
 
-        sim.engine.schedule(100.0, corrupt)
+        sim.probe(100.0, corrupt)
         sim.run()

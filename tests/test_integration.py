@@ -7,6 +7,7 @@ from repro.cluster.job import JobStatus
 from repro.scenarios import default_setup, run_scheme
 from repro.schedulers.lyra import LyraScheduler
 from repro.simulator.simulation import Simulation, SimulationConfig
+from tests.conftest import ProbedSimulation
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +119,7 @@ class TestConservationInvariants:
     def test_elastic_jobs_within_worker_range_lyra(self, setup):
         """Spot-check during the run: Lyra never exceeds w_max."""
         pair = setup.make_pair()
-        sim = Simulation(
+        sim = ProbedSimulation(
             setup.workload.specs, pair, LyraScheduler(),
             inference_trace=setup.inference_trace,
             config=SimulationConfig(),
@@ -130,15 +131,15 @@ class TestConservationInvariants:
                 if job.total_workers > job.spec.max_workers:
                     violations.append(job.job_id)
             if sim.pending or sim.running:
-                sim.engine.schedule_after(1800.0, check)
+                sim.probe(sim.now + 1800.0, check)
 
-        sim.engine.schedule(0.0, check)
+        sim.probe(0.0, check)
         sim.run()
         assert not violations
 
     def test_base_demand_always_met_while_running(self, setup):
         pair = setup.make_pair()
-        sim = Simulation(
+        sim = ProbedSimulation(
             setup.workload.specs, pair, LyraScheduler(),
             inference_trace=setup.inference_trace,
             config=SimulationConfig(),
@@ -150,9 +151,9 @@ class TestConservationInvariants:
                 if job.base_workers < job.spec.min_workers:
                     violations.append(job.job_id)
             if sim.pending or sim.running:
-                sim.engine.schedule_after(1800.0, check)
+                sim.probe(sim.now + 1800.0, check)
 
-        sim.engine.schedule(0.0, check)
+        sim.probe(0.0, check)
         sim.run()
         assert not violations
 
@@ -160,7 +161,7 @@ class TestConservationInvariants:
         """Mid-run consistency: each server's allocation for a job must
         equal the job's recorded footprint on it."""
         pair = setup.make_pair()
-        sim = Simulation(
+        sim = ProbedSimulation(
             setup.workload.specs, pair, LyraScheduler(),
             inference_trace=setup.inference_trace,
             config=SimulationConfig(),
@@ -174,8 +175,8 @@ class TestConservationInvariants:
                     if job.gpus_on(server.server_id) != gpus:
                         mismatches.append((server.server_id, job_id))
             if sim.pending or sim.running:
-                sim.engine.schedule_after(3600.0, check)
+                sim.probe(sim.now + 3600.0, check)
 
-        sim.engine.schedule(0.0, check)
+        sim.probe(0.0, check)
         sim.run()
         assert not mismatches

@@ -22,7 +22,8 @@ from repro.cluster.cluster import (
 )
 from repro.cluster.job import JobSpec, JobStatus
 from repro.core.kernel import Driver, SchedulerKernel, SimulationConfig
-from repro.recovery import PlanWAL, capture_payload, restore_payload
+from repro.recovery.state import capture_payload, restore_payload
+from repro.recovery.wal import PlanWAL
 from repro.schedulers.fifo import FIFOScheduler
 
 

@@ -47,7 +47,8 @@ from repro.market import (
 from repro.cluster.job import JobSpec
 from repro.core.orchestrator import PredictorUnavailable, ResourceOrchestrator
 from repro.faults.plan import FaultPlan, FlashCrowd
-from repro.obs import PROVENANCE_EVENT, Observability
+from repro.obs import Observability
+from repro.obs.provenance import PROVENANCE_EVENT
 from repro.rm.manager import ResourceManager
 from repro.scenarios import build_sim, default_setup
 from repro.schedulers.lyra import LyraScheduler
@@ -147,7 +148,7 @@ class TestSharedEligibility:
         rm = PickyRM(pair, {})
         peeked = rm.peek_loanable(3)
         assert PickyRM.banned not in peeked
-        moved = rm.loan_selected(peeked, now=0.0)
+        moved = pair.loan_ids(peeked, now=0.0)
         assert [s.server_id for s in moved] == peeked
         assert PickyRM.banned in pair.inference
 
@@ -158,7 +159,7 @@ class TestSharedEligibility:
         rm.fail_node(first)
         peeked = rm.peek_loanable(3)
         assert first not in peeked
-        moved = rm.loan_selected(peeked, now=0.0)
+        moved = pair.loan_ids(peeked, now=0.0)
         assert [s.server_id for s in moved] == peeked
         assert first in pair.inference
 
@@ -628,7 +629,7 @@ def test_any_interleaving_unwinds_cleanly(ops):
         elif op == "loan_ids":  # one lender's servers only
             ids = rm.peek_loanable(arg % 3, lender="infer-r1")
             if ids:
-                rm.loan_selected(ids, now=float(arg))
+                pair.loan_ids(ids, now=float(arg))
         else:  # return one on-loan server, if any
             loaned = pair.training.on_loan_servers
             if loaned:

@@ -8,26 +8,22 @@ import time
 import pytest
 
 from repro.cli import main
-from repro.obs import (
-    Observability,
-    PROVENANCE_EVENT,
-    SPAN_EVENT,
-    SUMMARY_EVENT,
-    TimelineStore,
+from repro.obs import Observability
+from repro.obs.inspect import (
     TraceFormatError,
-    Tracer,
-    build_report,
     diff_traces,
     inspect_trace,
     load_trace,
-    percentile,
     render_diff,
     render_summary,
-    render_why,
     summarize,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, percentile
 from repro.obs.profiling import NULL_PROFILER, PhaseProfiler
+from repro.obs.provenance import PROVENANCE_EVENT
+from repro.obs.report import build_report
+from repro.obs.timeline import TimelineStore, render_why
+from repro.obs.tracer import SPAN_EVENT, SUMMARY_EVENT, Tracer
 from repro.scenarios import default_setup, run_scheme
 from repro.simulator.metrics import SimulationMetrics
 
@@ -525,7 +521,6 @@ class TestProvenanceLedger:
         # a run without tracing must never construct a Provenance
         import repro.core.actions as actions_mod
         import repro.core.kernel as kernel_mod
-        import repro.simulator.simulation as sim_mod
 
         calls = []
 
@@ -533,7 +528,6 @@ class TestProvenanceLedger:
             def __init__(self, *args, **kwargs):
                 calls.append((args, kwargs))
 
-        monkeypatch.setattr(sim_mod, "Provenance", Spy)
         monkeypatch.setattr(kernel_mod, "Provenance", Spy)
         monkeypatch.setattr(actions_mod, "Provenance", Spy)
         tiny_obs_run()  # default bundle: tracing off
@@ -557,7 +551,7 @@ class TestProvenanceLedger:
 def chaos_trace(tmp_path_factory):
     """A traced chaos run that exercises every causal path: outage- and
     reclaim-caused preemptions, loans, stragglers, a flash crowd."""
-    from repro.faults import resolve_plan
+    from repro.faults.plan import resolve_plan
 
     setup = default_setup(
         num_jobs=120, days=0.5, training_servers=4, inference_servers=10,

@@ -16,25 +16,29 @@ import repro.core.allocation as allocation_mod
 import repro.core.reclaim as reclaim_mod
 import repro.oracle.conformance as conformance_mod
 from repro.core.reclaim import CostModel, plan_reclaim_lyra, plan_reclaim_optimal
-from repro.oracle import (
+from repro.oracle.conformance import (
+    allocation_divergence,
+    mckp_divergence,
+    metamorphic_divergence,
+    reclaim_divergence,
+    run_check,
+)
+from repro.oracle.instances import (
     AllocationInstance,
     MCKPInstance,
     ReclaimInstance,
-    allocation_divergence,
+    gen_allocation_instance,
+    gen_mckp_instance,
+    gen_reclaim_instance,
+    minimize,
+)
+from repro.oracle.metamorphic import (
     check_capacity_monotonic,
     check_dry_run_pricing,
     check_mckp_permutation,
     check_permutation_invariance,
-    gen_allocation_instance,
-    gen_mckp_instance,
-    gen_reclaim_instance,
-    mckp_divergence,
-    metamorphic_divergence,
-    minimize,
-    plan_reclaim_bruteforce,
-    reclaim_divergence,
-    run_check,
 )
+from repro.oracle.reference import plan_reclaim_bruteforce
 from tests.test_reclaim import fig5_instance
 
 

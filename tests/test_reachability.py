@@ -30,7 +30,7 @@ ALLOWLIST: Dict[str, str] = {
     "reset_logging": "test isolation: undoes configure_logging between "
     "the logging tests of tests/test_obs.py",
     "pending_events": "harness probe: tests count armed timers (tick "
-    "coalescing, a bare callable on the heap) without reading _heap",
+    "coalescing, a run cut short) without reading _heap",
 }
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")

@@ -29,6 +29,7 @@ from repro.cluster.cluster import (
     make_inference_cluster,
     make_training_cluster,
 )
+from repro.core.kernel import DAY
 from repro.core.orchestrator import ResourceOrchestrator
 from repro.faults.crash import (
     BARRIER_BETWEEN_EVENTS,
@@ -48,19 +49,16 @@ from repro.faults.plan import (
 from repro.ioutil import atomic_write, atomic_write_text
 from repro.obs import Observability
 from repro.rm.manager import TransientLaunchError
-from repro.recovery import (
+from repro.recovery.codec import (
     SCHEMA_VERSION,
-    PlanWAL,
-    RecoveryError,
-    RecoveryManager,
     SnapshotCodec,
     SnapshotError,
     SnapshotStore,
-    WALError,
-    capture_payload,
-    restore_payload,
 )
-from repro.simulator.simulation import DAY, Simulation, SimulationConfig
+from repro.recovery.manager import RecoveryError, RecoveryManager
+from repro.recovery.state import capture_payload, restore_payload
+from repro.recovery.wal import PlanWAL, WALError
+from repro.simulator.simulation import Simulation, SimulationConfig
 from repro.traces.inference import generate_inference_trace
 from repro.traces.workload import TraceConfig, generate_workload
 from tests.test_equivalence import GOLDEN_PATH, SCENARIOS, digest, run_scenario

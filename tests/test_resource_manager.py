@@ -8,12 +8,12 @@ from repro.cluster.cluster import (
     make_training_cluster,
 )
 from repro.cluster.job import JobSpec, JobStatus
-from repro.faults import FaultPlan, NodeFailureProcess
+from repro.faults.plan import FaultPlan, NodeFailureProcess
 from repro.rm.manager import ResourceManager
 from repro.schedulers.lyra import LyraScheduler
 from repro.simulator.simulation import Simulation, SimulationConfig
 
-from tests.conftest import loan, make_job as bare_job
+from tests.conftest import ProbedSimulation, loan, make_job as bare_job
 
 
 @pytest.fixture
@@ -322,8 +322,8 @@ class TestOnLoanFailures:
             JobSpec(job_id=1, submit_time=0.0, duration=5000.0,
                     max_workers=2, fungible=True),
         ]
-        return Simulation(specs, pair, LyraScheduler(),
-                          config=SimulationConfig())
+        return ProbedSimulation(specs, pair, LyraScheduler(),
+                                config=SimulationConfig())
 
     def loaned_busy_server(self, sim):
         for server in sim.cluster.servers:
@@ -347,8 +347,8 @@ class TestOnLoanFailures:
             assert sim.apply_node_failure(server.server_id, repair_time=600.0)
             sim.rm.verify_books()  # clean immediately after the failure
 
-        sim.engine.schedule(10.0, loan_one)
-        sim.engine.schedule(2000.0, fail)
+        sim.probe(10.0, loan_one)
+        sim.probe(2000.0, fail)
         metrics = sim.run()
 
         assert observed["victims"], "failure hit an empty server"
@@ -394,8 +394,8 @@ class TestOnLoanFailures:
             )
             sim.rm.verify_books()
 
-        sim.engine.schedule(10.0, loan_one)
-        sim.engine.schedule(2000.0, reclaim_then_fail)
+        sim.probe(10.0, loan_one)
+        sim.probe(2000.0, reclaim_then_fail)
         metrics = sim.run()
 
         reclaim_count = metrics.registry.counter(

@@ -18,7 +18,7 @@ from repro.schedulers.gandiva import GandivaScheduler
 from repro.schedulers.lyra import LyraScheduler
 from repro.schedulers.pollux import PolluxScheduler
 from repro.simulator.simulation import Simulation, SimulationConfig
-from tests.conftest import loan
+from tests.conftest import ProbedSimulation, loan
 
 
 def run_policy(policy, specs, training=2, inference=2, **cfg):
@@ -118,7 +118,7 @@ class TestLyra:
             elastic(1, submit=10.0, duration=10_000.0, wmin=5, wmax=6,
                     heterogeneous=True),
         ]
-        sim = Simulation(
+        sim = ProbedSimulation(
             specs, pair, LyraScheduler(),
             config=SimulationConfig(tuned_jobs=True),
         )
@@ -132,7 +132,7 @@ class TestLyra:
             }
             seen["per_gpu"] = job.throughput() / job.total_workers
 
-        sim.engine.schedule(100.0, probe)
+        sim.probe(100.0, probe)
         sim.run()
         assert len(seen["types"]) == 1 + loaned
         assert seen["per_gpu"] == pytest.approx(factor)

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main as cli_main
 from repro.cluster.cluster import (
     ClusterPair,
     make_inference_cluster,
@@ -30,9 +31,10 @@ from repro.obs import Observability
 from repro.scenarios import SCHEMES, wire_scheme
 from repro.schedulers.fifo import FIFOScheduler
 from repro.schedulers.lyra import LyraScheduler
-from repro.serve import SchedulerService, ServeClient, WallClockDriver
 from repro.serve import protocol
-from repro.serve.client import ServeError
+from repro.serve.client import ServeClient, ServeError
+from repro.serve.driver import WallClockDriver
+from repro.serve.service import SchedulerService
 
 
 def _pair():
@@ -961,6 +963,18 @@ class TestServeDurability:
             if event.get("name") == "job.submit"
         ]
         assert submits == [second_job - 1, second_job]
+
+
+@pytest.mark.parametrize("every", [0, -5])
+def test_a_snapshot_cadence_below_one_epoch_is_refused(every, tmp_path, capsys):
+    """0 or less is an error, not a silent "every epoch": the service
+    raises, and ``repro serve`` exits 2 naming the flag."""
+    with pytest.raises(ValueError, match=f"at least 1 epoch, got {every}"):
+        _service(snapshot_every_epochs=every)
+    rc = cli_main(["serve", "--port", "0", "--state-dir", str(tmp_path),
+                   "--snapshot-every", str(every)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("bad --snapshot-every: ")
 
 
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))

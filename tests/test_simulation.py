@@ -14,6 +14,7 @@ from repro.schedulers.fifo import FIFOScheduler
 from repro.schedulers.lyra import LyraScheduler
 from repro.simulator.events import EventKind
 from repro.simulator.simulation import Simulation, SimulationConfig
+from tests.conftest import ProbedSimulation
 
 
 def pair(training=2, inference=2):
@@ -187,7 +188,7 @@ class TestElasticLifecycle:
 
 class TestPreemption:
     def test_preempt_requeues_and_restarts(self):
-        sim = Simulation(
+        sim = ProbedSimulation(
             [spec(duration=400.0)], pair(), FIFOScheduler(),
             config=SimulationConfig(),
         )
@@ -198,7 +199,7 @@ class TestPreemption:
             preempted["workers"] = job.total_workers
             sim.preempt(job)
 
-        sim.engine.schedule(100.0, preempt_at_100)
+        sim.probe(100.0, preempt_at_100)
         sim.run()
         job = sim.jobs[0]
         assert job.preemptions == 1
@@ -207,11 +208,11 @@ class TestPreemption:
         assert job.jct == pytest.approx(100.0 + 400.0 + 63.0, abs=2.0)
 
     def test_preempt_with_checkpoint_resumes(self):
-        sim = Simulation(
+        sim = ProbedSimulation(
             [spec(duration=400.0, checkpointing=True)], pair(),
             FIFOScheduler(), config=SimulationConfig(),
         )
-        sim.engine.schedule(100.0, lambda: sim.preempt(sim.jobs[0]))
+        sim.probe(100.0, lambda: sim.preempt(sim.jobs[0]))
         sim.run()
         job = sim.jobs[0]
         assert job.jct == pytest.approx(400.0 + 63.0, abs=2.0)

@@ -59,7 +59,7 @@ from repro.faults.crash import (
 )
 from repro.oracle.reference import solve_mckp_scalar
 from repro.oracle.refview import ReferenceView, install_reference_view
-from repro.recovery import RecoveryManager
+from repro.recovery.manager import RecoveryManager
 from repro.rm.manager import ResourceManager
 from repro.schedulers.base import SchedulerPolicy
 from repro.schedulers.fifo import FIFOScheduler, SJFScheduler
@@ -315,12 +315,14 @@ class TestViewIndexes:
 
 class TestEnginePeek:
     def test_peek_next_time(self):
-        engine = Engine()
+        fired = []
+        engine = Engine(dispatch=fired.append)
         assert engine.peek_next_time() is None
-        engine.schedule(5.0, lambda: None)
-        engine.schedule(2.0, lambda: None)
+        engine.schedule(5.0, ("late",))
+        engine.schedule(2.0, ("early",))
         assert engine.peek_next_time() == 2.0
         engine.run(until=3.0)
+        assert fired == [("early",)]
         assert engine.peek_next_time() == 5.0
 
 
