@@ -4,14 +4,17 @@ The paper reports that its worst-case phase-two instance — 354 items over
 245 free GPUs — solves in 0.02 s via dynamic programming.  This bench
 times exactly that instance shape, a 4x larger one, and the shape the
 e2e ``lyra_wide`` workload solves (183 items, 2,514 free GPUs, a reach
-of 366) across the solver kernels — the vectorized numpy DP
-(production, table clamped to what the instance can reach), the
-full-width scalar reference DP from ``repro.oracle``, and brute force on
-a tiny instance — checks they agree exactly, records the comparison and
-each instance's full vs clamped table size in
+of 366) across the solvers — ``solve_mckp`` (the certified per-group
+arg-max when the demand fits whole, else the vectorized numpy DP over a
+table clamped to what the instance can reach), the full-width scalar
+reference DP from ``repro.oracle``, and brute force on a tiny instance —
+checks they agree exactly, records the comparison, each instance's full
+vs clamped table size and which path it takes (``fits_whole``) in
 ``benchmarks/results/BENCH_mckp.json``, and fails if the wide instance
 solves slower than the paper's (fewer items must not cost more because
-the cluster around them is bigger).
+the cluster around them is bigger) or if either instance leaves its
+path: the wide one must take the arg-max, the paper's the DP (so the
+e2e ``mckp.paper354_solve_ms`` keeps timing the DP).
 
 Runs under pytest-benchmark (``pytest benchmarks/bench_mckp_solver.py``)
 or standalone::
@@ -36,6 +39,7 @@ from repro.core.mckp import (  # noqa: E402
     Item,
     solve_mckp,
     solve_mckp_bruteforce,
+    solve_whole,
     table_shape,
 )
 from repro.ioutil import atomic_write  # noqa: E402
@@ -123,6 +127,7 @@ def solver_comparison() -> dict:
             "unit": unit,
             "table_cells_full": len(groups) * (capacity + 1),
             "table_cells_clamped": len(groups) * (width + 1),
+            "fits_whole": solve_whole(groups, capacity) is not None,
             "value": v_np,
             "vectorized_s": round(t_np, 6),
             "scalar_s": round(t_py, 6),
@@ -145,6 +150,11 @@ def solver_comparison() -> dict:
         ), 6),
     }
     out["paper_reference_s"] = 0.02
+    paths = {name: row["fits_whole"] for name, row in out["instances"].items()}
+    assert paths["wide_183x2514"] and not paths["paper_354x245"], (
+        f"fits_whole {paths}: the lyra_wide shape must take the certified "
+        f"arg-max and the paper's instance the DP"
+    )
     wide = out["instances"]["wide_183x2514"]["vectorized_s"]
     paper = out["instances"]["paper_354x245"]["vectorized_s"]
     assert wide <= paper, (
@@ -193,8 +203,9 @@ def bench_mckp_paper_instance(benchmark):
             ["solution weight", weight],
             ["4x instance vectorized (s)", big["vectorized_s"]],
             ["4x instance scalar (s)", big["scalar_s"]],
-            ["lyra_wide-shaped 183 x 2,514 vectorized (s)",
+            ["lyra_wide-shaped 183 x 2,514 solve_mckp (s)",
              wide["vectorized_s"]],
+            ["its path", "fits whole" if wide["fits_whole"] else "DP"],
             ["its table cells, full -> clamped",
              f"{wide['table_cells_full']} -> {wide['table_cells_clamped']}"],
         ],
@@ -214,6 +225,7 @@ def main() -> int:
             f"scalar {row['scalar_s']*1e3:8.2f} ms  "
             f"speedup {row['speedup']:.2f}x  "
             f"cells {row['table_cells_full']} -> {row['table_cells_clamped']}"
+            f"  {'fits whole' if row['fits_whole'] else 'DP'}"
         )
     bf = comparison["bruteforce"]
     print(

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.job import Job
-from repro.core.mckp import Item, solve_mckp
+from repro.core.mckp import solve_mckp
 from repro.obs.profiling import NULL_PROFILER, PHASE_MCKP_SOLVE
 
 #: Placement domains an allocation can draw from.
@@ -90,10 +90,11 @@ class AllocationDecision:
         skipped: Jobs whose base demand did not fit this epoch.
         mckp_value: Total JCT-reduction value realized by phase two.
         leftover: Capacity remaining after both phases.
-        mckp_groups: The exact MCKP groups phase two solved (None when
-            phase two did not run).  Kept for conformance probes: the
-            repro.oracle runner re-solves captured instances by brute
-            force to certify the DP's optimality in situ.
+        mckp_groups: The exact MCKP groups phase two solved, as
+            ``(weight, value)`` pairs (None when phase two did not run).
+            Kept for conformance probes: the repro.oracle runner
+            re-solves captured instances by brute force to certify the
+            solver's optimality in situ.
         mckp_capacity: The knapsack capacity handed to the solver.
     """
 
@@ -102,7 +103,7 @@ class AllocationDecision:
     skipped: List[Job] = field(default_factory=list)
     mckp_value: float = 0.0
     leftover: Pools = field(default_factory=lambda: Pools(0, 0))
-    mckp_groups: Optional[List[List[Item]]] = None
+    mckp_groups: Optional[List[List[Tuple[int, float]]]] = None
     mckp_capacity: int = 0
 
 
@@ -212,23 +213,25 @@ def build_flex_groups(
     elastic_jobs: Sequence[Job],
     max_weight: int,
     value_fn=jct_reduction_values,
-) -> List[List[Item]]:
+) -> List[List[Tuple[int, float]]]:
     """Build MCKP groups for phase two (the Fig. 6 transformation).
 
     For elastic job *j* with range ``[w_min, w_max]``, item *k* grants
-    ``k`` extra workers; its weight is ``k * gpus_per_worker`` and its
-    value ``value_fn(job, extras)[k - 1]`` — by default the reduction in
-    estimated remaining time versus running at base demand.  Items wider
+    ``k`` extra workers and is the pair ``(k * gpus_per_worker,
+    value_fn(job, extras)[k - 1])`` — by default the value is the
+    reduction in estimated remaining time versus running at base demand.
+    The extra count is positional (item *k* sits at index ``k - 1``, and
+    its weight divided by ``gpus_per_worker`` is ``k``).  Items wider
     than ``max_weight`` can never fit and are pruned up front.
     """
-    groups: List[List[Item]] = []
+    groups: List[List[Tuple[int, float]]] = []
     for job in elastic_jobs:
         gpus = job.spec.gpus_per_worker
         extras = range(1, 1 + min(
             job.spec.max_workers - job.spec.min_workers, max_weight // gpus
         ))
         groups.append([
-            Item(weight=extra * gpus, value=value, payload=(job, extra))
+            (extra * gpus, value)
             for extra, value in zip(extras, value_fn(job, extras))
         ])
     return groups
@@ -253,7 +256,7 @@ def allocate_two_phase(
             available resources include GPUs used by flexible workers).
         pools: Free capacity; consumed in place.
         phases: Optional :class:`~repro.obs.profiling.PhaseProfiler`
-            that times the MCKP DP solve.
+            that times the MCKP solve.
 
     Returns:
         The combined :class:`AllocationDecision`.
@@ -278,10 +281,10 @@ def allocate_two_phase(
             value, choices = solve_mckp(groups, pools.total)
         decision.mckp_value = value
         for job, choice in zip(elastic_jobs, choices):
-            extra = choice.payload[1] if choice is not None else 0
-            decision.flex[job.job_id] = extra
-            if extra:
-                _deduct_flex(pools, job, extra * job.spec.gpus_per_worker)
+            gpus = choice[0] if choice is not None else 0
+            decision.flex[job.job_id] = gpus // job.spec.gpus_per_worker
+            if gpus:
+                _deduct_flex(pools, job, gpus)
     else:
         for job in elastic_jobs:
             decision.flex[job.job_id] = 0

@@ -8,26 +8,33 @@ weight is its GPU count and whose value is the resulting JCT reduction
 pseudo-polynomial dynamic programming solves production-sized instances in
 milliseconds (the paper reports 0.02 s for 354 items / 245 GPUs).
 
-This module is deliberately generic — items carry an opaque payload — so it
-is reusable and property-testable against brute force.
+This module is deliberately generic — an item is any ``(weight, value,
+...)`` tuple and comes back as the caller's own object — so it is
+reusable and property-testable against brute force.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from math import gcd
-from typing import Any, List, Optional, Sequence, Tuple
+from math import gcd, inf
+from typing import Any, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+#: unit roundoff of an IEEE-754 double under round-to-nearest
+_ROUNDOFF = 2.0 ** -53
 
-@dataclass(frozen=True)
-class Item:
+
+class Item(NamedTuple):
     """One candidate allocation inside a group.
 
+    The solvers read an item by position — ``item[0]`` its weight,
+    ``item[1]`` its value — so a plain ``(weight, value)`` pair is an
+    item too (phase two passes those); ``Item`` names the fields and
+    carries a payload.
+
     Attributes:
-        weight: Integral resource cost (GPUs).
+        weight: Integral resource cost (GPUs), ``>= 0``.
         value: Benefit of picking this item (seconds of JCT reduction).
         payload: Opaque caller data carried through to the solution.
     """
@@ -35,10 +42,6 @@ class Item:
     weight: int
     value: float
     payload: Any = None
-
-    def __post_init__(self) -> None:
-        if self.weight < 0:
-            raise ValueError(f"weight must be >= 0, got {self.weight}")
 
 
 def table_shape(
@@ -56,14 +59,80 @@ def table_shape(
     for group in groups:
         heaviest = 0
         for item in group:
-            w = item.weight
-            if w <= capacity and item.value > 0:
+            w = item[0]
+            if w <= capacity and item[1] > 0:
                 unit = gcd(unit, w)
                 if w > heaviest:
                     heaviest = w
         reach += heaviest
     unit = unit or 1  # no live item, or every live weight is 0
     return min(capacity, reach) // unit, unit
+
+
+def solve_whole(
+    groups: Sequence[Sequence[Item]], capacity: int
+) -> Optional[Tuple[float, List[Optional[Item]]]]:
+    """The DP's answer without the table, when the demand fits whole.
+
+    Per group, pick the first live item with the largest value and sum
+    the picks' values left to right from ``0.0``.  That is exactly what
+    :func:`solve_mckp`'s DP returns — the same float, the same items —
+    when both of these hold, and None is returned otherwise:
+
+    * the picks fit: the reach (:func:`table_shape`) is ``<= capacity``;
+    * every group with a live item has a *margin* — its best value minus
+      the runner-up, the largest *other* live value or 0 for taking
+      nothing (an exact tie is margin 0) — above ``4 * (G + 1) * 2**-53
+      * total``, for ``G`` groups and ``total`` the summed value.
+
+    Proof.  ``fl(x + v)`` is monotone in ``x``, so each DP cell holds
+    the largest *computed* sum over the selections that fit in it.  A
+    left-to-right sum of at most ``G`` positive values is within
+    ``G * 2**-53`` (relative, to first order) of its exact sum.  A
+    selection that differs from the picks in some group is below them,
+    exactly, by at least that group's margin, and a margin above
+    ``2 * G * 2**-53 * total`` keeps it below them once both are
+    rounded (the factor 4 also covers the rounding of the margin and of
+    the bound).  So the picks are the only selection holding the
+    maximum computed sum, at every prefix of the groups: the DP's
+    first-column ``argmax`` lands on the picks' weight, each back-walk
+    step finds its group's pick as the one candidate reaching the
+    cell's value, and the value is the same left-to-right sum.
+    docs/ARCHITECTURE.md, *Bit-exactness rules*, has the details.
+
+    Raises:
+        ValueError: An item has a negative weight.
+    """
+    reach = 0
+    total = 0.0
+    margin = inf
+    picks: List[Optional[Item]] = []
+    for group in groups:
+        heaviest = 0
+        best = runner = 0.0  # a runner-up of 0.0 is "take nothing"
+        pick = None
+        for item in group:
+            w, v = item[0], item[1]
+            if w < 0:
+                raise ValueError(f"weight must be >= 0, got {w}")
+            if w > capacity or not v > 0:
+                continue
+            if w > heaviest:
+                heaviest = w
+            if v > best:
+                best, runner, pick = v, best, item
+            elif v > runner:
+                runner = v
+        reach += heaviest
+        picks.append(pick)
+        if pick is not None:
+            total += best
+            margin = min(margin, best - runner)
+    if reach > capacity or not (
+        margin > 4 * (len(groups) + 1) * _ROUNDOFF * total
+    ):
+        return None
+    return total, picks
 
 
 def _dp_rows(
@@ -95,10 +164,11 @@ def _dp_rows(
         new_dp = dp.copy()  # taking nothing is always valid
         taken = np.full(cells, -1, dtype=np.int64)
         for idx, item in enumerate(group):
-            if item.weight > capacity or not item.value > 0:
+            weight, value = item[0], item[1]
+            if weight > capacity or not value > 0:
                 continue
-            w = item.weight // unit
-            candidate = dp[: cells - w] + item.value
+            w = weight // unit
+            candidate = dp[: cells - w] + value
             target = new_dp[w:]
             better = candidate > target
             np.putmask(target, better, candidate)
@@ -111,7 +181,8 @@ def _dp_rows(
 def solve_mckp(
     groups: Sequence[Sequence[Item]], capacity: int
 ) -> Tuple[float, List[Optional[Item]]]:
-    """Solve MCKP by dynamic programming.
+    """Solve MCKP exactly: by :func:`solve_whole` when it certifies its
+    answer, else by dynamic programming.
 
     Args:
         groups: One sequence of candidate items per group; picking zero
@@ -120,11 +191,18 @@ def solve_mckp(
 
     Returns:
         ``(total_value, choices)`` where ``choices[i]`` is the item chosen
-        from ``groups[i]`` or None.  ``O(items × min(capacity, reach) /
-        unit)`` time, ``groups`` for ``items`` in space (:func:`table_shape`).
+        from ``groups[i]`` or None — bit-for-bit the DP's answer on either
+        path.  The DP takes ``O(items × min(capacity, reach) / unit)``
+        time, ``groups`` for ``items`` in space (:func:`table_shape`).
+
+    Raises:
+        ValueError: Negative capacity, or an item of negative weight.
     """
     if capacity < 0:
         raise ValueError(f"capacity must be >= 0, got {capacity}")
+    whole = solve_whole(groups, capacity)
+    if whole is not None:
+        return whole
 
     num_groups = len(groups)
     dp, choice, unit = _dp_rows(groups, capacity)
@@ -139,7 +217,7 @@ def solve_mckp(
         if idx >= 0:
             item = groups[g][idx]
             choices[g] = item
-            cap -= item.weight // unit
+            cap -= item[0] // unit
     return best_value, choices
 
 
@@ -153,8 +231,8 @@ def solution_cost(
     certify that a reported optimum is consistent with (and feasible
     for) the items actually chosen.
     """
-    value = sum(item.value for item in choices if item is not None)
-    weight = sum(item.weight for item in choices if item is not None)
+    value = sum(item[1] for item in choices if item is not None)
+    weight = sum(item[0] for item in choices if item is not None)
     return value, weight
 
 
@@ -168,10 +246,10 @@ def solve_mckp_bruteforce(
     best_choice: List[Optional[Item]] = [None] * len(groups)
     options = [[None] + list(group) for group in groups]
     for combo in itertools.product(*options):
-        weight = sum(item.weight for item in combo if item is not None)
+        weight = sum(item[0] for item in combo if item is not None)
         if weight > capacity:
             continue
-        value = sum(item.value for item in combo if item is not None)
+        value = sum(item[1] for item in combo if item is not None)
         if value > best_value:
             best_value = value
             best_choice = list(combo)

@@ -41,6 +41,7 @@ from repro.oracle.reference import (
     allocate_reference,
     plan_reclaim_bruteforce,
     replay_flex_leftover,
+    solve_mckp_scalar,
 )
 from repro.oracle.refview import install_reference_view
 
@@ -218,9 +219,24 @@ def reclaim_divergence(instance) -> Optional[str]:
 
 
 def mckp_divergence(instance) -> Optional[str]:
-    """Diff the MCKP dynamic program against exhaustive enumeration."""
+    """Diff the MCKP solver against the scalar DP and exhaustive enumeration.
+
+    ``solve_mckp`` must return the full-width scalar DP's answer exactly
+    — the same float and the very same items, whichever of its paths
+    (the certified arg-max or the clamped table) ran — and an optimum
+    brute force agrees with.
+    """
     groups, capacity = instance.build()
     dp_value, dp_choices = solve_mckp(groups, capacity)
+    ref_value, ref_choices = solve_mckp_scalar(groups, capacity)
+    if dp_value != ref_value or any(
+        a is not b for a, b in zip(dp_choices, ref_choices)
+    ):
+        return (
+            f"solve_mckp returns {dp_value!r} choosing {dp_choices} but "
+            f"the scalar DP {ref_value!r} choosing {ref_choices} at "
+            f"capacity {capacity}"
+        )
     bf_value, _ = solve_mckp_bruteforce(groups, capacity)
     if not math.isclose(dp_value, bf_value, rel_tol=1e-9, abs_tol=1e-9):
         return (

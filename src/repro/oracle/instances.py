@@ -13,12 +13,15 @@ historically diverged from the spec: non-fungible elastic jobs against a
 dry training pool (the ``_deduct_flex`` spill), jobs whose per-server
 GPU cost differs across hosts (the GPU_FRACTION index/loop drift),
 multi-server jobs whose preemption cascades vacate several candidates at
-once (the optimal planner's early exit), and MCKP groups with
-zero-weight items, negative values and empty groups.
+once (the optimal planner's early exit), MCKP groups with
+zero-weight items, negative values and empty groups, and MCKP instances
+whose demand fits whole, with the exact ties, 1-ulp near-ties and
+rounding-absorbed values that decide ``solve_whole``'s certificate.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
@@ -27,7 +30,6 @@ from repro.cluster.gpu import V100
 from repro.cluster.job import Job, JobSpec
 from repro.cluster.server import Server
 from repro.core.allocation import Pools
-from repro.core.mckp import Item
 
 #: (job_id, server_id, workers, flexible, gpu_cost)
 Placement = Tuple[int, str, int, bool, int]
@@ -151,17 +153,14 @@ def gen_reclaim_instance(seed: int) -> ReclaimInstance:
 
 @dataclass(frozen=True)
 class MCKPInstance:
-    """A multiple-choice knapsack instance as ``(weight, value)`` tuples."""
+    """A multiple-choice knapsack instance as ``(weight, value)`` tuples —
+    the item shape phase two passes the solver."""
 
     groups: Tuple[Tuple[Tuple[int, float], ...], ...]
     capacity: int
 
-    def build(self) -> Tuple[List[List[Item]], int]:
-        return (
-            [[Item(weight=w, value=v) for w, v in group]
-             for group in self.groups],
-            self.capacity,
-        )
+    def build(self) -> Tuple[List[List[Tuple[int, float]]], int]:
+        return [list(group) for group in self.groups], self.capacity
 
     def shrinks(self) -> Iterator["MCKPInstance"]:
         for g in range(len(self.groups)):  # drop a group
@@ -184,6 +183,8 @@ class MCKPInstance:
 
 def gen_mckp_instance(seed: int) -> MCKPInstance:
     rng = random.Random(seed)
+    if rng.random() < 0.5:
+        return _gen_whole_mckp_instance(rng)
     groups = []
     for _ in range(rng.randint(0, 4)):
         items = []
@@ -193,6 +194,31 @@ def gen_mckp_instance(seed: int) -> MCKPInstance:
             items.append((weight, value))
         groups.append(tuple(items))
     return MCKPInstance(groups=tuple(groups), capacity=rng.randint(0, 12))
+
+
+def _gen_whole_mckp_instance(rng: random.Random) -> MCKPInstance:
+    """Capacity at or above the reach and positive values: the class
+    ``solve_whole`` answers.  Exact ties and 1-ulp near-ties fail its
+    certificate, and so does a group ~1e16 times the others: added to
+    it, the DP's running sum rounds their value differences away."""
+    groups = []
+    for _ in range(rng.randint(1, 4)):
+        scale = 1e16 if rng.random() < 0.2 else 1.0
+        items: List[Tuple[int, float]] = []
+        for _ in range(rng.randint(1, 4)):
+            roll = rng.random()
+            if items and roll < 0.2:
+                value = items[-1][1]
+            elif items and roll < 0.4:
+                value = math.nextafter(items[-1][1], math.inf)
+            else:
+                value = scale * round(rng.uniform(0.1, 10.0), 3)
+            items.append((rng.randint(0, 6), value))
+        groups.append(tuple(items))
+    reach = sum(max(w for w, _ in group) for group in groups)
+    return MCKPInstance(
+        groups=tuple(groups), capacity=reach + rng.randint(0, 3)
+    )
 
 
 @dataclass(frozen=True)

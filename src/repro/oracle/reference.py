@@ -280,10 +280,11 @@ def solve_mckp_scalar(
         new_dp = dp[:]  # taking nothing from this group is always valid
         taken = [-1] * (capacity + 1)
         for idx, item in enumerate(group):
-            if item.weight > capacity or item.value <= 0:
+            weight, value = item[0], item[1]
+            if weight > capacity or value <= 0:
                 continue
-            for cap in range(item.weight, capacity + 1):
-                candidate = dp[cap - item.weight] + item.value
+            for cap in range(weight, capacity + 1):
+                candidate = dp[cap - weight] + value
                 if candidate > new_dp[cap]:
                     new_dp[cap] = candidate
                     taken[cap] = idx
@@ -296,5 +297,5 @@ def solve_mckp_scalar(
         idx = choice[g][cap]
         if idx >= 0:
             choices[g] = groups[g][idx]
-            cap -= groups[g][idx].weight
+            cap -= groups[g][idx][0]
     return best_value, choices

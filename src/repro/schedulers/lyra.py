@@ -67,6 +67,8 @@ class LyraScheduler(SchedulerPolicy):
             self.admit_inelastically(ctx, pending)
             return
 
+        # allocate_two_phase consumes ``pools``: keep what it was offered
+        offered = pools.copy() if ctx.tracer.enabled else None
         with ctx.phase(PHASE_ALLOCATION):
             decision = allocate_two_phase(
                 pending,
@@ -95,8 +97,9 @@ class LyraScheduler(SchedulerPolicy):
                 mckp_value_s=round(decision.mckp_value, 3),
                 pending=len(pending),
                 running_elastic=len(running_elastic),
-                pool_training=round(pools.training, 3),
-                pool_total=round(pools.total, 3),
+                pool_training=round(offered.training, 3),
+                pool_total=round(offered.total, 3),
+                mckp_capacity=decision.mckp_capacity,
             )
 
         # Scale-ins first: free the GPUs that admissions will consume.

@@ -15,7 +15,6 @@ from repro.core.allocation import (
     sjf_phase,
 )
 
-from repro.core.mckp import Item
 from repro.elastic.throughput import SUBLINEAR_20
 from repro.schedulers.agnostic import throughput_gain_values
 
@@ -119,9 +118,9 @@ class TestFlexGroups:
         job_b = make_job(duration=20, max_workers=6, min_workers=2,
                          gpus_per_worker=1, elastic=True)
         groups = build_flex_groups([job_b], max_weight=10)
-        values = [item.value for item in groups[0]]
+        values = [value for _, value in groups[0]]
         assert values == pytest.approx([20.0, 30.0, 36.0, 40.0])
-        assert [item.weight for item in groups[0]] == [1, 2, 3, 4]
+        assert [weight for weight, _ in groups[0]] == [1, 2, 3, 4]
 
     def test_table4_job_a_values(self):
         """Job A (w in [2, 3], min runtime 100, 2 GPUs/worker): one item
@@ -129,9 +128,9 @@ class TestFlexGroups:
         job_a = make_job(duration=100, max_workers=3, min_workers=2,
                          gpus_per_worker=2, elastic=True)
         groups = build_flex_groups([job_a], max_weight=10)
-        assert len(groups[0]) == 1
-        assert groups[0][0].weight == 2
-        assert groups[0][0].value == pytest.approx(50.0)
+        ((weight, value),) = groups[0]
+        assert weight == 2
+        assert value == pytest.approx(50.0)
 
     def test_items_pruned_at_max_weight(self):
         job = make_job(duration=20, max_workers=6, min_workers=2,
@@ -144,12 +143,13 @@ class TestFlexGroups:
                        elastic=True)
         job.remaining_work = job.spec.total_work / 2
         groups = build_flex_groups([job], max_weight=10)
-        assert groups[0][0].value == pytest.approx(10.0)
+        assert groups[0][0][1] == pytest.approx(10.0)
 
     def test_values_bit_identical_to_per_item_expression(self):
         """The base time is hoisted out of the per-item loop; every
-        ``Item`` must still be what the one-item-at-a-time builder made:
-        ``t(min) * err - t(min + k) * err``, same operands, same order."""
+        ``(weight, value)`` pair must still be what the one-item-at-a-time
+        builder made: ``t(min) * err - t(min + k) * err``, same operands,
+        same order."""
         rng = random.Random(21)
         for job_id in range(300):
             min_w = rng.randint(1, 4)
@@ -176,8 +176,7 @@ class TestFlexGroups:
                 scaled_time = (
                     job.remaining_time_at(min_w + extra) * job.estimate_error
                 )
-                expected.append(Item(weight, base_time - scaled_time,
-                                     (job, extra)))
+                expected.append((weight, base_time - scaled_time))
             (group,) = build_flex_groups([job], max_weight=max_weight)
             assert group == expected  # float ==, not approx
 
@@ -192,9 +191,7 @@ class TestFlexGroups:
                          gpus_per_worker=2, elastic=True) for k in range(3)]
         groups = build_flex_groups(jobs, max_weight=5, value_fn=value_fn)
         assert calls == [(0, [1, 2]), (1, [1, 2]), (2, [1, 2])]
-        assert [[(i.weight, i.value) for i in g] for g in groups] == (
-            [[(2, 1.0), (4, 2.0)]] * 3
-        )
+        assert groups == [[(2, 1.0), (4, 2.0)]] * 3
 
     def test_agnostic_values_bit_identical_to_per_item_expression(self):
         rng = random.Random(22)
@@ -280,7 +277,7 @@ class TestTwoPhase:
         decision = allocate_two_phase([job], [], Pools(training=8))
         assert decision.mckp_capacity == 6  # 8 minus the base demand of 2
         assert decision.mckp_groups is not None
-        assert [i.weight for i in decision.mckp_groups[0]] == [1, 2, 3, 4]
+        assert [w for w, _ in decision.mckp_groups[0]] == [1, 2, 3, 4]
 
 
 class TestDeductFlex:

@@ -13,6 +13,7 @@ from repro.core.mckp import (
     solution_cost,
     solve_mckp,
     solve_mckp_bruteforce,
+    solve_whole,
     table_shape,
 )
 from repro.oracle.instances import gen_allocation_instance, gen_mckp_instance
@@ -36,8 +37,9 @@ class TestBasics:
             solve_mckp([], -1)
 
     def test_negative_weight_raises(self):
-        with pytest.raises(ValueError):
-            Item(weight=-1, value=1.0)
+        for value in (1.0, 0.0, -1.0):  # live or not
+            with pytest.raises(ValueError, match="weight must be >= 0"):
+                solve_mckp([[(2, 1.0)], [(-1, value)]], 10)
 
     def test_single_item_fits(self):
         groups = [[Item(weight=2, value=3.0, payload="a")]]
@@ -91,6 +93,7 @@ item_strategy = st.builds(
     Item,
     weight=st.integers(min_value=0, max_value=6),
     value=st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
+    payload=st.none(),
 )
 groups_strategy = st.lists(
     st.lists(item_strategy, max_size=4), max_size=4
@@ -134,6 +137,7 @@ signed_item_strategy = st.builds(
     Item,
     weight=st.integers(min_value=0, max_value=6),
     value=st.floats(min_value=-50.0, max_value=100.0, allow_nan=False),
+    payload=st.none(),
 )
 signed_groups_strategy = st.lists(
     st.lists(signed_item_strategy, max_size=4), max_size=4
@@ -249,8 +253,12 @@ class TestClampedTable:
         assert weight % unit == 0 and weight // unit <= width
 
     def test_oracle_mckp_generator(self):
+        paths = set()
         for seed in range(300):
-            assert_same_solution(*gen_mckp_instance(seed).build())
+            groups, capacity = gen_mckp_instance(seed).build()
+            assert_same_solution(groups, capacity)
+            paths.add(solve_whole(groups, capacity) is None)
+        assert paths == {True, False}  # both the arg-max and the DP ran
 
     def test_oracle_allocation_generator(self):
         for seed in range(150):
@@ -266,10 +274,75 @@ class TestClampedTable:
         assert (len(groups), sum(map(len, groups))) == (31, 183)
         assert capacity == 2514 and raw_reach(groups) == 366
         assert table_shape(groups, capacity) == (183, 2)
+        assert solve_whole(groups, capacity) is not None  # fits whole
         assert_same_solution(groups, capacity)
         # tighter than the reach: capacity binds, off the unit grid
         assert table_shape(groups, 101) == (50, 2)
+        assert solve_whole(groups, 101) is None
         assert_same_solution(groups, 101)
+
+
+# ----------------------------------------------------------------------
+# the fits-whole arg-max against the full-width scalar reference
+# ----------------------------------------------------------------------
+whole_values = st.one_of(
+    st.floats(min_value=1e-3, max_value=100.0),
+    st.floats(min_value=1e10, max_value=1e17),  # absorbs small values
+    st.floats(min_value=1e-300, max_value=1e300),  # far apart
+    st.integers(1, 8).map(float),  # exact ties
+)
+
+
+@st.composite
+def whole_instances(draw):
+    """Demand that fits whole — capacity at or above the reach, values
+    positive — with exact ties, 1-ulp near-ties and magnitudes far
+    apart, so both sides of ``solve_whole``'s certificate are drawn."""
+    groups = []
+    for _ in range(draw(st.integers(0, 6))):
+        group = []
+        for _ in range(draw(st.integers(1, 5))):
+            kind = draw(st.sampled_from(["fresh"] * 4 + ["tie", "ulp"]))
+            if group and kind != "fresh":
+                value = draw(st.sampled_from(group))[1]
+                if kind == "ulp":
+                    value = math.nextafter(
+                        value, draw(st.sampled_from([math.inf, 0.0]))
+                    )
+            else:
+                value = draw(whole_values)
+            group.append(Item(weight=draw(st.integers(0, 8)), value=value))
+        groups.append(group)
+    return groups, raw_reach(groups) + draw(st.integers(0, 5))
+
+
+class TestFitsWhole:
+    @given(inst=whole_instances())
+    @settings(max_examples=500, deadline=None)
+    def test_equals_full_width_scalar_reference(self, inst):
+        assert_same_solution(*inst)
+
+    def test_rounding_absorbed_runner_up_refuses_the_arg_max(self):
+        # 1e16 + 0.5 and 1e16 + 0.75 both round to 1e16, a tie with
+        # taking nothing: the DP keeps nothing from group 2, while the
+        # bare per-group arg-max would take (2, 0.75).
+        groups = [[(1, 1e16)], [(1, 0.5), (2, 0.75)]]
+        assert solve_whole(groups, 3) is None
+        assert solve_mckp(groups, 3) == (1e16, [(1, 1e16), None])
+        assert_same_solution(groups, 3)
+
+    def test_ties_and_no_live_items(self):
+        tie = [[(1, 2.0), (2, 2.0)]]
+        assert solve_whole(tie, 5) is None  # margin 0
+        assert_same_solution(tie, 5)
+        dead = [[(1, 0.0), (2, -1.0), (3, math.nan)], []]
+        assert solve_whole(dead, 5) == (0.0, [None, None])
+        assert_same_solution(dead, 5)
+
+    def test_items_too_heavy_are_not_picked(self):
+        groups = [[(1, 1.0), (9, 50.0)], [(2, 3.0)]]
+        assert solve_whole(groups, 4) == (4.0, [(1, 1.0), (2, 3.0)])
+        assert_same_solution(groups, 4)
 
 
 class TestTableShape:

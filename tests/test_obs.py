@@ -509,6 +509,35 @@ class TestProvenanceLedger:
         assert noted
         assert any("mckp_admitted" in e.args["inputs"] for e in noted)
 
+    def test_lyra_notes_the_pools_its_decision_was_given(self, monkeypatch):
+        # allocate_two_phase consumes the pools in place: the ledger must
+        # report what phase 1 was offered, not what both phases left
+        import repro.core.actions as actions_mod
+        import repro.schedulers.lyra as lyra_mod
+
+        offered, noted = [], []
+        real_allocate = lyra_mod.allocate_two_phase
+        real_note = actions_mod.PlanTransaction.note_provenance
+
+        def allocate(pending, running, pools, **kwargs):
+            given = (pools.training, pools.total)
+            decision = real_allocate(pending, running, pools, **kwargs)
+            offered.append(given + (decision.mckp_capacity,))
+            return decision
+
+        def note(self, **inputs):
+            if "mckp_admitted" in inputs:
+                noted.append((inputs["pool_training"], inputs["pool_total"],
+                              inputs["mckp_capacity"]))
+            real_note(self, **inputs)
+
+        monkeypatch.setattr(lyra_mod, "allocate_two_phase", allocate)
+        monkeypatch.setattr(actions_mod.PlanTransaction, "note_provenance",
+                            note)
+        tiny_obs_run(Observability.enabled())
+        assert noted and noted == offered
+        assert any(total > capacity for _, total, capacity in noted)
+
     def test_provenance_span_links_resolve(self, ledger):
         provs, _, spans = ledger
         span_ids = {e.args["span_id"] for e in spans}

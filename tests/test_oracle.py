@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.allocation as allocation_mod
+import repro.core.mckp as mckp_mod
 import repro.core.reclaim as reclaim_mod
 import repro.oracle.conformance as conformance_mod
 from repro.core.reclaim import CostModel, plan_reclaim_lyra, plan_reclaim_optimal
@@ -302,6 +303,21 @@ class TestBugReintroduction:
         assert "AllocationInstance(" in div.repro
         assert "allocation_divergence" in div.repro
         assert div.render().startswith("[allocation")
+
+    def test_uncertified_arg_max_is_caught(self, monkeypatch):
+        # With no rounding allowance the fast path answers whenever no
+        # group has an exact tie — including where the DP's running sum
+        # rounds a group's value differences away.
+        monkeypatch.setattr(mckp_mod, "_ROUNDOFF", 0.0)
+        instance = MCKPInstance(
+            groups=(((1, 1e16),), ((1, 0.5), (2, 0.75))), capacity=3
+        )
+        msg = mckp_divergence(instance)
+        assert msg is not None
+        assert "the scalar DP" in msg
+        report = run_check(policies=["lyra"], n=50, replay=False)
+        assert [d.check for d in report.divergences] == ["mckp"]
+        assert "MCKPInstance(" in report.divergences[0].repro
 
     def test_random_reclaimer_noise_does_not_false_positive(self):
         # Sanity guard against over-tight oracles: a valid-but-greedy
