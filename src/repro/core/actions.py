@@ -16,18 +16,18 @@ journaled or replayed, none of which an imperative scheduler allows.
 
 Two families of actions coexist:
 
-* **Staged** actions come out of a :class:`PlanTransaction` — the façade
-  a policy's ``decide()`` runs against.  Placement is capacity-shaped
-  (which worker fits where depends on every earlier placement in the
-  epoch), so resource/book mutations happen eagerly at plan time,
-  journaled for exact inversion; the *lifecycle* effects (queue
-  membership, activity log, metrics, completion events) are recorded as
-  actions and deferred to commit.  Rolling back the journal restores
-  the pre-plan cluster state — server books, groups, job placement —
-  which is what makes ``dry_run`` and all-or-nothing rejection
-  possible.  The journal records one signed GPU delta per mutation of a
-  server's book (undone by handing the resource manager its negation)
-  and one pre-image per job touched (restored absolutely).
+* **Staged** actions come out of a :class:`PlanTransaction` — the
+  declared context a policy's ``decide()`` runs against.  Placement is
+  capacity-shaped (which worker fits where depends on every earlier
+  placement in the epoch), so resource/book mutations happen eagerly at
+  plan time, journaled for exact inversion; the *lifecycle* effects
+  (queue membership, activity log, metrics, completion events) are
+  recorded as actions and deferred to commit.  Rolling back the journal
+  restores the pre-plan cluster state — server books, groups, job
+  placement — which is what makes ``dry_run`` and all-or-nothing
+  rejection possible.  The journal records one signed GPU delta per
+  mutation of a server's book (undone by handing the resource manager
+  its negation) and one pre-image per job touched (restored absolutely).
 * **Declarative** actions (:class:`LoanServers`, :class:`ReclaimServers`,
   :class:`Preempt` and ``ScaleIn(staged=False)``)
   describe an effect computed purely — by the orchestrator, or from an
@@ -265,19 +265,22 @@ class EpochPlan:
 
 
 # ----------------------------------------------------------------------
-# plan transaction: the façade policies decide against
+# plan transaction: the context policies decide against
 # ----------------------------------------------------------------------
 class PlanTransaction:
-    """Simulation façade that stages an epoch's decisions.
+    """The declared context one epoch's decisions are staged against.
 
-    Reads delegate to the live simulation, with the queue/running
-    overlays a mid-epoch policy expects (a job launched earlier in the
-    epoch is no longer pending and is already running).  The three
-    mutation entry points — :meth:`activate`, :meth:`rescale`,
-    :meth:`scale_in_worker_counts` — apply the resource-side effects at
-    once (so later placement decisions see the true capacity) while
-    journaling inverse operations and recording the lifecycle effect as
-    an action for commit.
+    A policy may read exactly what is bound here when the transaction
+    opens — ``now`` (fixed for the whole epoch), ``config``, ``cluster``,
+    ``view``, ``placement_engine``, ``phase``, ``trace``, ``tracer``,
+    ``obs`` and ``hetero_ideal`` — plus the queue/running overlays a
+    mid-epoch policy expects (a job launched earlier in the epoch is no
+    longer pending and is already running).  Any other read raises
+    ``AttributeError``.  The three mutation entry points —
+    :meth:`activate`, :meth:`rescale`, :meth:`scale_in_worker_counts` —
+    apply the resource-side effects at once (so later placement
+    decisions see the true capacity) while journaling inverse operations
+    and recording the lifecycle effect as an action for commit.
 
     The transaction also installs itself as the resource manager's
     ``journal`` so launches/stops made by the placement engine are
@@ -291,6 +294,17 @@ class PlanTransaction:
                 "a plan transaction is already open on this simulation; "
                 "seal or abort it before starting another"
             )
+        # the context: read once, so one epoch decides at one instant
+        self.now = sim.now
+        self.config = sim.config
+        self.cluster = sim.cluster
+        self.view = sim.view
+        self.placement_engine = sim.placement_engine
+        self.phase = sim.phase
+        self.trace = sim.trace
+        self.tracer = sim.tracer
+        self.obs = sim.obs
+        self.hetero_ideal = sim.hetero_ideal
         self._sim = sim
         self._policy = policy
         self._actions: List[Action] = []
@@ -308,10 +322,7 @@ class PlanTransaction:
         self._open = True
         rm.journal = self
 
-    # -- reads -----------------------------------------------------------
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._sim, name)
-
+    # -- overlays --------------------------------------------------------
     @property
     def pending(self) -> List[Job]:
         if not self._launched_ids:
@@ -361,7 +372,7 @@ class PlanTransaction:
                 f"< base demand {job.spec.min_workers}"
             )
         self.note_job(job)
-        job.mark_started(self._sim.now)
+        job.mark_started(self.now)
         self._sim._retune(job)
         self._launched.append(job)
         self._launched_ids.add(job.job_id)
@@ -371,7 +382,7 @@ class PlanTransaction:
                 job_id=job.job_id,
                 workers=job.total_workers,
                 gpus=sum(job.gpus_on(sid) for sid in job.servers),
-                queued_s=self._sim.now - job.spec.submit_time,
+                queued_s=self.now - job.spec.submit_time,
                 eta=job.eta(),
             )
         )
@@ -379,13 +390,13 @@ class PlanTransaction:
     def rescale(self, job: Job, scaled_out: bool) -> None:
         """Stage a scale operation on a (possibly just-launched) job."""
         self.note_job(job)
-        job.advance(self._sim.now)
+        job.advance(self.now)
         self._record_rescale(job, scaled_out)
 
     def scale_in_worker_counts(self, job: Job, server_workers: Dict[str, int]) -> None:
         """Stage the removal of specific flexible workers."""
         self.note_job(job)
-        job.advance(self._sim.now)
+        job.advance(self.now)
         for server_id, workers in server_workers.items():
             self._sim.rm.scale_in(job, server_id, workers)
         self._record_rescale(
@@ -431,7 +442,7 @@ class PlanTransaction:
         """Detach from the RM and package the staged epoch as a plan."""
         self._detach()
         plan = EpochPlan(
-            now=self._sim.now,
+            now=self.now,
             policy=self._policy,
             actions=tuple(self._actions),
         )
@@ -478,7 +489,7 @@ class PlanTransaction:
                 _, server, previous = entry
                 server.group = previous
                 # the view mirrors group state in a column
-                self._sim.view.note_group_change(server)
+                self.view.note_group_change(server)
         for job, values, contents in self._job_pre.values():
             for name, value in zip(Job.__slots__, values):
                 setattr(job, name, value)

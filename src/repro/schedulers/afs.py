@@ -64,7 +64,7 @@ class AFSScheduler(SchedulerPolicy):
 
         if not ctx.config.elastic:
             return
-        engine = self.make_engine(ctx)
+        engine = ctx.placement_engine()
         # Greedy marginal allocation, one worker at a time.
         while True:
             best: Optional[Job] = None

@@ -1,12 +1,13 @@
 """Scheduler policy interface and shared machinery.
 
 A policy's :meth:`SchedulerPolicy.decide` is invoked at every scheduling
-epoch with a :class:`~repro.core.actions.PlanTransaction` — a façade over
-the live :class:`~repro.simulator.simulation.Simulation`; it reads the
-pending queue and cluster state, places workers through the
-:class:`~repro.core.placement.PlacementEngine`, and reports starts/scales
-back through the transaction's ``activate``/``rescale`` API, which stages
-them as actions.  :meth:`SchedulerPolicy.plan` wraps an epoch's decisions
+epoch with a :class:`~repro.core.actions.PlanTransaction` — the declared
+context of the epoch (``ctx``): the instant ``now``, the config, the
+training cluster and its view, the placement engine, the pending queue
+and running set, and the observability hooks.  The policy places workers
+through ``ctx.placement_engine()`` and reports starts/scales back
+through the context's ``activate``/``rescale`` calls, which stage them
+as actions.  :meth:`SchedulerPolicy.plan` wraps an epoch's decisions
 into an :class:`~repro.core.actions.EpochPlan` the simulation applies
 through its :class:`~repro.core.actions.PlanExecutor` — the single commit
 point between policy and cluster.
@@ -22,7 +23,7 @@ import numpy as np
 from repro.cluster.job import Job
 from repro.core.actions import EpochPlan, PlanTransaction
 from repro.core.allocation import Pools
-from repro.core.placement import PlacementEngine, PlacementRequest
+from repro.core.placement import PlacementRequest
 from repro.obs.profiling import PHASE_DECIDE, PHASE_PLACEMENT
 
 
@@ -91,33 +92,13 @@ class SchedulerPolicy(abc.ABC):
 
     @abc.abstractmethod
     def decide(self, ctx: "PlanTransaction") -> None:
-        """Make one epoch's decisions against the transaction façade."""
+        """Make one epoch's decisions against the epoch's context."""
 
     # ------------------------------------------------------------------
-    # shared helpers
+    # shared helpers: ``ctx`` is the epoch's PlanTransaction
     # ------------------------------------------------------------------
     @staticmethod
-    def free_pools(sim: "Simulation") -> Pools:
-        """Current idle capacity split into training / on-loan pools.
-
-        Served O(1) from the view's cached totals.  The on-loan cost
-        factor (physical GPUs per normalized GPU, §5.2) is derived
-        deterministically from the loaned hardware's relative compute:
-        the *weakest* loaned type sets the cost, so heterogeneous loans
-        can never overcommit the physical on-loan pool.
-        """
-        pools = sim.view.pools()
-        if pools.onloan_cost < 1.0:
-            raise ValueError(
-                f"view produced on-loan cost {pools.onloan_cost!r} < 1.0; "
-                f"the §5.2 weakest-type normalization guarantees at "
-                f"least one physical GPU per normalized GPU — the "
-                f"view's GPU-type census is corrupt"
-            )
-        return pools
-
-    @staticmethod
-    def credit_flex(sim: "Simulation", pools: Pools, jobs: Sequence[Job]) -> None:
+    def credit_flex(ctx: "PlanTransaction", pools: Pools, jobs: Sequence[Job]) -> None:
         """Add running jobs' flexible-worker GPUs back into the pools.
 
         §5.2: the resources available at an epoch include GPUs being used
@@ -125,21 +106,16 @@ class SchedulerPolicy(abc.ABC):
         """
         for job in jobs:
             for server_id, workers in job.flex_placement.items():
-                if server_id not in sim.cluster:
+                if server_id not in ctx.cluster:
                     continue
                 gpus = workers * job.gpu_cost_on(server_id)
-                if sim.cluster.get(server_id).on_loan:
+                if ctx.cluster.get(server_id).on_loan:
                     pools.onloan += gpus
                 else:
                     pools.training += gpus
 
-    @staticmethod
-    def make_engine(sim: "Simulation") -> PlacementEngine:
-        """The kernel's persistent, view-fed placement engine."""
-        return sim.placement_engine()
-
     def sorted_pending(
-        self, sim: "Simulation", key_fn, cache_key: str, dynamic: bool = False
+        self, ctx: "PlanTransaction", key_fn, cache_key: str, dynamic: bool = False
     ) -> Sequence[Job]:
         """The pending queue in ``key_fn`` order, cached on the view.
 
@@ -150,11 +126,11 @@ class SchedulerPolicy(abc.ABC):
         returned sequence is read-only.
         """
         if dynamic:
-            return sorted(sim.pending, key=key_fn)
-        return sim.view.ordered_pending(cache_key, key_fn, sim.pending)
+            return sorted(ctx.pending, key=key_fn)
+        return ctx.view.ordered_pending(cache_key, key_fn, ctx.pending)
 
     @staticmethod
-    def update_hetero_penalty(sim: "Simulation", job: Job) -> None:
+    def update_hetero_penalty(ctx: "PlanTransaction", job: Job) -> None:
         """Apply the <=70 % mixed-GPU throughput penalty (§7.1 Advanced).
 
         A heterogeneous job spanning more than one GPU type pays the
@@ -162,18 +138,18 @@ class SchedulerPolicy(abc.ABC):
         Ideal scenario models perfect heterogeneous training and keeps
         the multiplier at 1.0 via ``hetero_ideal``.
         """
-        if not job.spec.heterogeneous or sim.hetero_ideal:
+        if not job.spec.heterogeneous or ctx.hetero_ideal:
             return
         types = {
-            sim.cluster.get(sid).gpu_type.name
+            ctx.cluster.get(sid).gpu_type.name
             for sid in job.servers
-            if sid in sim.cluster
+            if sid in ctx.cluster
         }
         job.hetero_penalty = 0.7 if len(types) > 1 else 1.0
 
     def admit_inelastically(
         self,
-        sim: "Simulation",
+        ctx: "PlanTransaction",
         ordered_pending: Sequence[Job],
         workers_for=None,
     ) -> List[Job]:
@@ -196,8 +172,8 @@ class SchedulerPolicy(abc.ABC):
         jobs = list(ordered_pending)
         if not jobs:
             return []
-        engine = self.make_engine(sim)
-        pools = self.free_pools(sim)
+        engine = ctx.placement_engine()
+        pools = ctx.view.pools()
         worker_counts: List[int] = []
         demand: List[int] = []
         budget_class: List[int] = []
@@ -230,16 +206,16 @@ class SchedulerPolicy(abc.ABC):
                 break
             start = i + 1
             job = jobs[i]
-            with sim.phase(PHASE_PLACEMENT):
+            with ctx.phase(PHASE_PLACEMENT):
                 result = engine.place(
                     [PlacementRequest(job, base_workers=worker_counts[i])]
                 )
             if result.failed_base:
                 failed[shape_ids[i]] = True
                 continue
-            pools = self.free_pools(sim)
-            self.update_hetero_penalty(sim, job)
-            sim.activate(job)
+            pools = ctx.view.pools()
+            self.update_hetero_penalty(ctx, job)
+            ctx.activate(job)
             started.append(job)
         return started
 
@@ -248,19 +224,20 @@ class SchedulerPolicy(abc.ABC):
     # ------------------------------------------------------------------
     @staticmethod
     def choose_flex_removals(
-        sim: "Simulation", job: Job, workers: int
+        ctx: "PlanTransaction", job: Job, workers: int
     ) -> Dict[str, int]:
         """Pick which flexible workers to drop when scaling ``job`` in.
 
         Prefers vacating dedicated training servers first (keeping the
         on-loan FLEX group intact preserves reclaim-without-preemption),
-        then the emptiest on-loan servers.
+        then the emptiest on-loan servers.  Only ``ctx.cluster`` is read,
+        so the daemon's ``scale`` op passes its kernel instead.
         """
 
         def rank(server_id: str) -> Tuple:
-            if server_id not in sim.cluster:
+            if server_id not in ctx.cluster:
                 return (0, 0, server_id)
-            server = sim.cluster.get(server_id)
+            server = ctx.cluster.get(server_id)
             return (server.on_loan, -server.free_gpus, server_id)
 
         removals: Dict[str, int] = {}

@@ -66,7 +66,7 @@ class OpportunisticScheduling(FIFOScheduler):
 
     def decide(self, ctx: "PlanTransaction") -> None:
         engine = ctx.placement_engine(opportunistic=True)
-        pools = self.free_pools(ctx)
+        pools = ctx.view.pools()
         failed_shapes = set()
         ordered = self.sorted_pending(
             ctx, self.order_key, self.name + ":order"
@@ -84,5 +84,5 @@ class OpportunisticScheduling(FIFOScheduler):
             if result.failed_base:
                 failed_shapes.add(shape)
                 continue
-            pools = self.free_pools(ctx)
+            pools = ctx.view.pools()
             ctx.activate(job)

@@ -40,7 +40,7 @@ class GandivaScheduler(SchedulerPolicy):
         # Grow phase: only when nothing is pending (under-utilization).
         if ctx.pending or not ctx.config.elastic:
             return
-        engine = self.make_engine(ctx)
+        engine = ctx.placement_engine()
         grew = True
         while grew:
             grew = False

@@ -55,7 +55,7 @@ class LyraScheduler(SchedulerPolicy):
             job.job_id: job.flex_workers for job in running_elastic
         }
 
-        pools = self.free_pools(ctx)
+        pools = ctx.view.pools()
         self.credit_flex(ctx, pools, running_elastic)
 
         pending = self.sorted_pending(
@@ -111,7 +111,7 @@ class LyraScheduler(SchedulerPolicy):
                 ctx.scale_in_worker_counts(job, removals)
 
         # Place admissions (base + their flexible surplus) and scale-outs.
-        engine = self.make_engine(ctx)
+        engine = ctx.placement_engine()
         requests: List[PlacementRequest] = []
         for job, _domain in decision.scheduled:
             flex = decision.flex.get(job.job_id, 0) if job.elastic else 0

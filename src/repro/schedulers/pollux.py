@@ -182,7 +182,7 @@ class PolluxScheduler(SchedulerPolicy):
         jobs: List[Job] = list(ctx.running.values()) + list(ctx.pending)
         if not jobs:
             return
-        pools = self.free_pools(ctx)
+        pools = ctx.view.pools()
         self.credit_flex(ctx, pools, ctx.running_elastic)
         running_base = sum(
             j.base_workers * j.spec.gpus_per_worker for j in ctx.running.values()
@@ -192,7 +192,7 @@ class PolluxScheduler(SchedulerPolicy):
         genome = self._search(jobs, capacity)
 
         # Apply: scale running jobs, admit pending ones with w > 0.
-        engine = self.make_engine(ctx)
+        engine = ctx.placement_engine()
         target: Dict[int, int] = {
             job.job_id: w for job, w in zip(jobs, genome)
         }

@@ -3,9 +3,9 @@
 Covers the freeze-guard contract (policies and the orchestrator emit
 plans; only the PlanExecutor applies them), dry-run pricing leaving the
 simulation untouched, single-use plans, the closed action vocabulary,
-the explicit ``epoch_idempotent`` declarations, the on-loan-cost guard,
-and the hypothesis properties pinning reclaim-plan rollback and the
-scale-in-first/preempt disjointness.
+the explicit ``epoch_idempotent`` declarations, the declared context an
+open transaction exposes, and the hypothesis properties pinning
+reclaim-plan rollback and the scale-in-first/preempt disjointness.
 """
 
 from types import SimpleNamespace
@@ -173,20 +173,16 @@ def test_every_policy_declares_epoch_idempotent_explicitly(cls):
 
 
 # ----------------------------------------------------------------------
-# free_pools on-loan cost guard (satellite)
+# the pools a policy reads (satellite)
 # ----------------------------------------------------------------------
-def test_free_pools_rejects_subunit_onloan_cost_from_view():
-    fake_view = SimpleNamespace(pools=lambda: SimpleNamespace(onloan_cost=0.5))
-    fake_sim = SimpleNamespace(view=fake_view)
-    with pytest.raises(ValueError, match="on-loan cost 0.5"):
-        FIFOScheduler.free_pools(fake_sim)
-
-
+# A sub-unit on-loan cost cannot reach a policy: ``Pools`` refuses it
+# (tests/test_allocation.py::TestPools::test_cost_below_one_rejected) and
+# the view's cost rule clamps at 1 (tests/test_view.py::
+# TestDeterministicOnloanCost::test_cost_never_below_one).
 def test_free_pools_weakest_type_default_with_empty_onloan_pool():
     # no servers on loan anywhere: the census holds no loaned types and
     # the cost must fall back to a conservative default of at least 1.0
-    fake_sim = SimpleNamespace(view=ClusterView(make_training_cluster(2)))
-    pools = FIFOScheduler.free_pools(fake_sim)
+    pools = ClusterView(make_training_cluster(2)).pools()
     assert pools.onloan == 0
     assert pools.onloan_cost >= 1.0
     assert pools.onloan_cost == 3.0  # the documented conservative default
@@ -420,12 +416,16 @@ def test_rolled_back_plan_leaves_the_container_ledger_as_found(how):
 
 class _FailsAfterDeciding(LyraScheduler):
     """Stages its epoch, writes a job field that no hand-kept rollback
-    list named, then fails."""
+    list named, then fails.  The context has no job table: the jobs
+    come from the simulation the test holds."""
+
+    def __init__(self, jobs):
+        self.jobs = jobs
 
     def decide(self, ctx):
         super().decide(ctx)
         for job_id in (0, 1):
-            ctx.jobs[job_id].preempted_at = 5.0
+            self.jobs[job_id].preempted_at = 5.0
         raise RuntimeError("decide failed")
 
 
@@ -444,11 +444,75 @@ def test_failed_decide_leaves_every_touched_job_as_found():
     maps = [(job.base_placement, job.flex_placement) for job in jobs]
     books = state_snapshot(sim)
     with pytest.raises(RuntimeError, match="decide failed"):
-        _FailsAfterDeciding().plan(sim)
+        _FailsAfterDeciding(sim.jobs).plan(sim)
     assert [_attributes(job) for job in jobs] == before
     for job, (base, flex) in zip(jobs, maps):
         assert job.base_placement is base and job.flex_placement is flex
     assert state_snapshot(sim) == books
+    sim.rm.verify_books()
+
+
+# ----------------------------------------------------------------------
+# the declared context (satellite)
+# ----------------------------------------------------------------------
+#: what a policy reads and stages through; widening it is a reviewed diff
+CONTEXT = {
+    "now",
+    "config",
+    "cluster",
+    "view",
+    "placement_engine",
+    "phase",
+    "trace",
+    "tracer",
+    "obs",
+    "hetero_ideal",
+    "pending",
+    "running",
+    "running_elastic",
+    "activate",
+    "rescale",
+    "scale_in_worker_counts",
+    "note_provenance",
+}
+#: what the plan/executor lifecycle calls
+LIFECYCLE = {"seal", "abort", "close", "rollback"}
+#: what the resource manager calls while the transaction is its journal
+JOURNAL_HOOKS = {"note_job", "record_book", "record_group"}
+
+
+def test_an_open_transaction_exposes_exactly_the_declared_names():
+    sim = flexed_sim()
+    txn = PlanTransaction(sim, policy="surface")
+    try:
+        public = {name for name in dir(txn) if not name.startswith("_")}
+        assert public == CONTEXT | LIFECYCLE | JOURNAL_HOOKS
+        assert "__getattr__" not in vars(PlanTransaction)
+    finally:
+        txn.abort()
+
+
+class _ReadsUndeclared(LyraScheduler):
+    """Stages its epoch, then reads a name the context does not declare."""
+
+    def decide(self, ctx):
+        super().decide(ctx)
+        self.staged = set(ctx.running)
+        ctx.jobs
+
+
+def test_an_undeclared_read_fails_and_leaves_nothing_staged():
+    sim = shrink_to_launch_sim()
+    jobs = [sim.jobs[0], sim.jobs[1]]
+    before = [_attributes(job) for job in jobs]
+    books = state_snapshot(sim)
+    policy = _ReadsUndeclared()
+    with pytest.raises(AttributeError, match="jobs"):
+        policy.plan(sim)
+    assert policy.staged == {0, 1}, "the epoch must have launched job 1 first"
+    assert [_attributes(job) for job in jobs] == before
+    assert state_snapshot(sim) == books
+    assert sim.rm.journal is None
     sim.rm.verify_books()
 
 

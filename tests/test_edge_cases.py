@@ -45,13 +45,13 @@ class TestBaseHelpers:
     def test_free_pools_derives_onloan_cost(self):
         sim = make_sim()
         loan(sim.rm, 1)
-        pools = SchedulerPolicy.free_pools(sim)
+        pools = sim.view.pools()
         assert pools.onloan == 8
         assert pools.onloan_cost == pytest.approx(3.0)
 
     def test_free_pools_without_loans(self):
         sim = make_sim()
-        pools = SchedulerPolicy.free_pools(sim)
+        pools = sim.view.pools()
         assert pools.onloan == 0
         assert pools.training == 16
 

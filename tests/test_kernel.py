@@ -155,6 +155,35 @@ class TestDriverProtocol:
         assert kernel.now == 42.5
 
 
+class _TickingDriver(ManualDriver):
+    """A live clock: every read of ``now`` is later than the last, as
+    the wall-clock driver's is."""
+
+    @property
+    def now(self) -> float:
+        self._now += 0.25
+        return self._now
+
+
+class TestOneEpochOneInstant:
+    def test_every_staged_start_is_the_plans_now(self):
+        pair = ClusterPair(make_training_cluster(2), make_inference_cluster(2))
+        driver = _TickingDriver()
+        kernel = SchedulerKernel(
+            [], pair, FIFOScheduler(),
+            config=SimulationConfig(scheduler_interval=10.0, record_plans=True),
+            driver=driver,
+        )
+        driver.dispatch = kernel.dispatch
+        jobs = [_submit(kernel, i, max_workers=1) for i in range(4)]
+        driver.advance_to(50.0)
+        (plan,) = kernel.plan_log
+        assert plan["by_kind"] == {"launch": 4}
+        for job, launch in zip(jobs, plan["actions"]):
+            assert job.first_start_time == plan["now"]
+            assert launch["queued_s"] == plan["now"] - job.spec.submit_time
+
+
 class TestEpochBatching:
     def test_burst_of_submits_arms_one_tick(self):
         kernel, driver = _kernel(interval=10.0)

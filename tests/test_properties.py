@@ -198,6 +198,25 @@ class TestReclaimProperties:
 # ----------------------------------------------------------------------
 # resource-manager interleavings
 # ----------------------------------------------------------------------
+def _context(rm):
+    """A stand-in kernel: the resource manager plus the names a plan
+    transaction binds when it opens.  The mutations below go straight to
+    the resource manager, so none of the bound names is read."""
+    return SimpleNamespace(
+        rm=rm,
+        now=0.0,
+        config=None,
+        cluster=rm.pair.training,
+        view=None,
+        placement_engine=None,
+        phase=None,
+        trace=None,
+        tracer=None,
+        obs=None,
+        hetero_ideal=False,
+    )
+
+
 class TestResourceManagerInterleavings:
     """Seeded random interleavings of every RM mutation keep the books.
 
@@ -281,7 +300,7 @@ class TestResourceManagerInterleavings:
             op = rng.choice(self.OPS)
             if op == "rolled_back_txn":
                 before = self.books(pair, jobs)
-                txn = PlanTransaction(SimpleNamespace(rm=rm), "test")
+                txn = PlanTransaction(_context(rm), "test")
                 for _ in range(rng.randint(1, 4)):
                     attempt(rng.choice(("launch", "scale_in", "release")))
                 txn.rollback()

@@ -61,7 +61,6 @@ from repro.oracle.reference import solve_mckp_scalar
 from repro.oracle.refview import ReferenceView, install_reference_view
 from repro.recovery.manager import RecoveryManager
 from repro.rm.manager import ResourceManager
-from repro.schedulers.base import SchedulerPolicy
 from repro.schedulers.fifo import FIFOScheduler, SJFScheduler
 from repro.simulator.engine import Engine
 from repro.simulator.simulation import Simulation, SimulationConfig
@@ -132,28 +131,19 @@ class TestDeterministicOnloanCost:
             training.add_server(server)
         return training
 
-    class _FakeSim:
-        def __init__(self, view):
-            self.cluster = view.cluster
-            self.view = view
-
     def test_cost_independent_of_iteration_order(self):
         a = self._hetero_pair([T4, A100])
         b = self._hetero_pair([A100, T4])
-        pa = SchedulerPolicy.free_pools(self._FakeSim(ClusterView(a)))
-        pb = SchedulerPolicy.free_pools(self._FakeSim(ClusterView(b)))
+        pa = ClusterView(a).pools()
+        pb = ClusterView(b).pools()
         assert pa.onloan_cost == pb.onloan_cost
         # weakest loaned type (T4, relative_compute 1/3) sets the cost
         assert pa.onloan_cost == pytest.approx(1.0 / T4.relative_compute)
 
     def test_view_and_scan_paths_agree(self):
         cluster = self._hetero_pair([A100, T4])
-        scan = SchedulerPolicy.free_pools(
-            self._FakeSim(ReferenceView(cluster))
-        )
-        via_view = SchedulerPolicy.free_pools(
-            self._FakeSim(ClusterView(cluster))
-        )
+        scan = ReferenceView(cluster).pools()
+        via_view = ClusterView(cluster).pools()
         assert scan == via_view
 
     def test_default_when_nothing_loaned(self):
