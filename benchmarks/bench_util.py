@@ -129,6 +129,10 @@ def fmt_cell(cell) -> str:
     if isinstance(cell, float):
         if abs(cell) >= 100:
             return f"{cell:,.0f}"
+        if 0 < abs(cell) < 0.1:
+            # three significant figures: two decimals would print a
+            # 0.0108 preemption ratio as 0.01 and 4.8e-4 as 0.00
+            return f"{cell:.3g}"
         return f"{cell:.2f}"
     return str(cell)
 

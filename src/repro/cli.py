@@ -82,7 +82,11 @@ def _fault_overrides(args) -> dict:
     if plan_spec:
         from repro.faults.plan import resolve_plan
 
-        plan = resolve_plan(plan_spec)
+        try:
+            plan = resolve_plan(plan_spec)
+        except (ValueError, TypeError, OSError) as exc:
+            flag = "--faults" if opt("faults") else "--plan"
+            raise _Refused(f"bad {flag}: {exc}")
         if args.failure_seed is not None:
             plan = plan.with_seed(args.failure_seed)
         return {"fault_plan": plan}
@@ -525,7 +529,7 @@ def cmd_chaos(args) -> int:
                 parts.append(f"{len(plan.stragglers)} straggler(s)")
             if plan.flash_crowds:
                 parts.append(f"{len(plan.flash_crowds)} flash crowd(s)")
-            if plan.predictor_outages or plan.predictor_biases:
+            if plan.predictor_outages:
                 parts.append("predictor faults")
             if plan.launch_failures:
                 parts.append(

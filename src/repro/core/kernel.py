@@ -50,7 +50,6 @@ from repro.obs.provenance import (
     TRIGGER_ARRIVAL,
     TRIGGER_COMPLETION,
     TRIGGER_FAULT,
-    TRIGGER_FORECAST,
     TRIGGER_INTERVAL,
     TRIGGER_NODE_FAILURE,
     TRIGGER_NODE_RECOVERY,
@@ -547,8 +546,6 @@ class SchedulerKernel:
                 ts=self.now,
                 detail=(("interval_s", self.config.orchestrator_interval),),
             )]
-            if inputs.get("forecast_capped"):
-                extra.append(Trigger(TRIGGER_FORECAST, ts=self.now))
             if inputs.get("degraded"):
                 extra.append(Trigger(
                     TRIGGER_FAULT,

@@ -2,15 +2,15 @@
 
 Each inference cluster scheduler autonomously decides *when and how much*
 to lend or ask back — here that signal is derived per lender from its
-utilization trace plus the 2 % headroom rule (§7.1), optionally capped by
-a usage predictor so reclaiming starts one interval early, before the
-traffic actually rises (§6).  The orchestrator clears those offers
-against the training side's demand with one rule over N >= 1 lenders and
-M >= 1 borrower regions (:meth:`ResourceOrchestrator._plan_actions`);
-Lyra's pair is the 1×1 case of it, not a separate path.  *Which* on-loan
-servers go back is delegated to one of the reclaim planners in
-:mod:`repro.core.reclaim` (Lyra's preemption-cost greedy, or the
-Random/SCF baselines).
+utilization trace plus the 2 % headroom rule (§7.1), and reclaiming
+reacts to the traffic the trace shows (the paper's §6 LSTM forecast is a
+stated divergence, see EXPERIMENTS.md).  The orchestrator clears those
+offers against the training side's demand with one rule over N >= 1
+lenders and M >= 1 borrower regions
+(:meth:`ResourceOrchestrator._plan_actions`); Lyra's pair is the 1×1
+case of it, not a separate path.  *Which* on-loan servers go back is
+delegated to one of the reclaim planners in :mod:`repro.core.reclaim`
+(Lyra's preemption-cost greedy, or the Random/SCF baselines).
 
 Everything is emitted as declarative actions into the one
 :class:`~repro.core.actions.EpochPlan` the transactional executor
@@ -46,15 +46,6 @@ RECLAIMERS = ("lyra", "random", "scf")
 logger = get_logger("orchestrator")
 
 
-class PredictorUnavailable(RuntimeError):
-    """The usage predictor cannot produce a forecast right now.
-
-    Raised by (possibly fault-wrapped) predictors; the orchestrator
-    reacts by degrading to a reactive safety-margin policy instead of
-    crashing the loaning loop.
-    """
-
-
 class ResourceOrchestrator:
     """Moves whole servers between the inference and training whitelists.
 
@@ -62,9 +53,6 @@ class ResourceOrchestrator:
         reclaimer: ``"lyra"``, ``"random"`` or ``"scf"``.
         headroom: Inference capacity never loaned (§7.1: 2 %).
         seed: RNG seed for the Random reclaimer.
-        predictor: Optional callable mapping a recent utilization history
-            (list of floats, oldest first) to the predicted utilization
-            of the next interval; used to reclaim ahead of traffic rises.
         scale_in_first: Vacate flexible server groups before preempting
             (§5.3); disabled when elastic scaling is off.
         lender_traces: ``{lender_name: InferenceTrace}`` — one
@@ -79,9 +67,7 @@ class ResourceOrchestrator:
         reclaimer: str = "lyra",
         headroom: float = 0.02,
         seed: int = 0,
-        predictor: Optional[Callable[[list], float]] = None,
         scale_in_first: bool = True,
-        window: int = 10,
         lender_traces: Optional[Dict[str, object]] = None,
     ):
         if reclaimer not in RECLAIMERS:
@@ -89,25 +75,18 @@ class ResourceOrchestrator:
         self.reclaimer = reclaimer
         self.headroom = headroom
         self.rng = random.Random(seed)
-        self.predictor = predictor
         self.scale_in_first = scale_in_first
-        self.window = window
         self.lender_traces: Dict[str, object] = dict(lender_traces or {})
-        #: per lender, held as read: the predictor's utilization window
-        #: and the three offers the supply median reads
-        self._windows: Dict[str, deque] = {}
+        #: per lender, the three offers the supply median reads
         self._offers: Dict[str, deque] = {}
         self._surplus_ticks = 0
-        #: fault-injection hook: ``predictor_down(now)`` -> True forces
-        #: the degraded (reactive safety-margin) posture for this tick
+        #: fault-injection hook: ``predictor_down(now)`` -> True means
+        #: the loaning signal is unavailable this tick (degraded posture)
         self.predictor_down: Optional[Callable[[float], bool]] = None
-        #: extra headroom held while the predictor is unavailable —
-        #: without a forecast, spikes cannot be seen coming
+        #: extra headroom held while the loaning signal is unavailable —
+        #: a spike it would have shown can no longer be seen
         self.degraded_headroom: float = 0.15
-        #: most conservative degraded posture: reclaim only, no new loans
-        self.freeze_loans_when_degraded: bool = False
         self._degraded_tick = False
-        self._forecast_capped = False
         #: decision inputs of the latest tick, for the provenance ledger
         #: (built only while the run is traced)
         self._last_inputs: Optional[dict] = None
@@ -123,74 +102,32 @@ class ResourceOrchestrator:
             return self.lender_traces.get(lender)
         return sim.inference_trace
 
-    def lender_offer(
-        self, sim: "Simulation", lender: str, safety: Optional[float] = None
-    ) -> int:
-        """Servers ``lender`` can have on loan right now.
-
-        What its utilization trace and the headroom leave, capped by the
-        §6 forecast once the predictor's window is full.  ``safety`` is
-        the posture while the predictor is unavailable: no forecast,
-        that much reactive headroom instead, since a spike can no longer
-        be seen coming.  A lender without a trace offers nothing.
-        """
+    def lender_offer(self, sim: "Simulation", lender: str, headroom: float) -> int:
+        """Servers ``lender`` can have on loan right now: what its
+        utilization trace leaves after ``headroom``.  A lender without a
+        trace offers nothing."""
         trace = self.lender_trace(sim, lender)
-        if trace is None:
-            return 0
-        if safety is not None:
-            return trace.loanable_at(sim.now, headroom=safety)
-        offer = trace.loanable_at(sim.now, headroom=self.headroom)
-        window = self._windows.get(lender, ())
-        if self.predictor is not None and len(window) == self.window:
-            predicted_util = float(self.predictor(list(window)))
-            reserved = math.ceil(
-                (min(1.0, max(0.0, predicted_util)) + self.headroom)
-                * trace.num_servers
-            )
-            forecast = max(0, trace.num_servers - reserved)
-            if forecast < offer:
-                self._forecast_capped = True
-                offer = forecast
-        return offer
+        return 0 if trace is None else trace.loanable_at(sim.now, headroom=headroom)
 
     def _lender_supplies(self, sim: "Simulation") -> Dict[str, int]:
         """Every lender's offer this interval, median-of-3 smoothed.
 
-        The predictor being unavailable — the fault-injection
-        ``predictor_down`` hook says so, or any lender's forecast raises
-        :class:`PredictorUnavailable` — degrades the whole tick, once:
+        The loaning signal being unavailable — the fault-injection
+        ``predictor_down`` hook says so — degrades the whole tick, once:
         every lender holds ``degraded_headroom`` extra slack.
         """
-        lenders = sorted(m.name for m in sim.pair.inference_members)
-        for name in lenders:
-            trace = self.lender_trace(sim, name)
-            if trace is not None:
-                self._windows.setdefault(
-                    name, deque(maxlen=self.window)
-                ).append(trace.utilization_at(sim.now))
-        self._forecast_capped = False
         self._degraded_tick = (
             self.predictor_down is not None and self.predictor_down(sim.now)
         )
-        offers: Dict[str, int] = {}
-        if not self._degraded_tick:
-            try:
-                offers = {n: self.lender_offer(sim, n) for n in lenders}
-            except PredictorUnavailable:
-                self._degraded_tick = True
+        headroom = self.headroom
         if self._degraded_tick:
-            self._forecast_capped = False
-            safety = min(0.99, self.headroom + self.degraded_headroom)
-            offers = {n: self.lender_offer(sim, n, safety) for n in lenders}
+            headroom = min(0.99, self.headroom + self.degraded_headroom)
             sim.metrics.registry.counter("resilience.degraded_ticks").inc()
-            sim.trace(
-                "recovery.predictor_degraded", headroom=safety,
-                freeze_loans=self.freeze_loans_when_degraded,
-            )
+            sim.trace("recovery.predictor_degraded", headroom=headroom)
         supplies: Dict[str, int] = {}
-        for name in lenders:
+        for name in sorted(m.name for m in sim.pair.inference_members):
             recent = self._offers.setdefault(name, deque(maxlen=3))
-            recent.append(offers[name])
+            recent.append(self.lender_offer(sim, name, headroom))
             supplies[name] = sorted(recent)[len(recent) // 2]
         return supplies
 
@@ -329,8 +266,8 @@ class ResourceOrchestrator:
         if sim.tracer.enabled:
             # Provenance: what the loaning decision saw this interval.
             # ``supply`` is the smoothed lender-side offer, ``need`` the
-            # training-side demand; a forecast-lowered supply or a
-            # degraded predictor shows up here and in the trigger kind.
+            # training-side demand; a degraded tick shows up here and in
+            # the trigger kind.
             self._last_inputs = {
                 "supply": total_supply,
                 "raw_target": sum(self._offers[n][-1] for n in supplies),
@@ -338,8 +275,6 @@ class ResourceOrchestrator:
                 "target": target,
                 "current": current,
                 "surplus_ticks": self._surplus_ticks,
-                "predictor": self.predictor is not None,
-                "forecast_capped": self._forecast_capped,
                 "degraded": self._degraded_tick,
                 "lender_supply": dict(supplies),
                 "lender_outstanding": dict(outstanding),
@@ -359,10 +294,7 @@ class ResourceOrchestrator:
                         )
         else:
             self._surplus_ticks = 0
-            # degraded posture may be reclaim-only: no new loans
-            if target > current and not (
-                self._degraded_tick and self.freeze_loans_when_degraded
-            ):
+            if target > current:
                 actions.extend(
                     self._match_loans(sim, target - current, supplies, effective)
                 )

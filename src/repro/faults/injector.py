@@ -48,9 +48,6 @@ class FaultInjector:
         self._rng_target = random.Random(f"{plan.seed}:target")
         self._rng_launch = random.Random(f"{plan.seed}:launch")
         self.audits = 0
-        #: the orchestrator's own predictor, which :meth:`_biased_forecast`
-        #: wraps while a plan carries predictor biases
-        self._predictor_orig = None
 
     # ------------------------------------------------------------------
     def install(self) -> None:
@@ -81,10 +78,6 @@ class FaultInjector:
         if orch is not None and plan.predictor_outages:
             orch.predictor_down = self._predictor_down
             orch.degraded_headroom = plan.degraded.headroom
-            orch.freeze_loans_when_degraded = plan.degraded.freeze_loans
-        if orch is not None and plan.predictor_biases and orch.predictor is not None:
-            self._predictor_orig = orch.predictor
-            orch.predictor = self._biased_forecast
         if plan.launch_failures is not None:
             sim.rm.launch_gate = self._launch_gate
 
@@ -231,7 +224,7 @@ class FaultInjector:
         self.sim.metrics.registry.counter("resilience.flash_crowds").inc()
 
     # ------------------------------------------------------------------
-    # predictor faults
+    # loaning-signal outages
     # ------------------------------------------------------------------
     def _predictor_down(self, now: float) -> bool:
         """The orchestrator's ``predictor_down`` hook: inside an outage
@@ -240,19 +233,6 @@ class FaultInjector:
             o.at <= now < o.at + o.duration
             for o in self.plan.predictor_outages
         )
-
-    def _biased_forecast(self, history) -> float:
-        """The orchestrator's ``predictor`` while the plan biases it:
-        the real forecast, scaled inside a bias window."""
-        value = float(self._predictor_orig(history))
-        now = self.sim.now
-        for bias in self.plan.predictor_biases:
-            if bias.at <= now < bias.at + bias.duration:
-                self.sim.metrics.registry.counter(
-                    "resilience.predictor_biased_ticks"
-                ).inc()
-                return value * bias.factor
-        return value
 
     # ------------------------------------------------------------------
     # transient launch failures

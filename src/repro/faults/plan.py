@@ -19,9 +19,9 @@ Fault families (each optional, all composable):
   affected jobs through the elastic throughput model.
 * **FlashCrowd** — an inference traffic spike overlaid on the
   utilization trace, forcing a reclaim storm on the loaning loop.
-* **PredictorOutage** / **PredictorBias** — the usage predictor stops
-  answering (orchestrator degrades to a reactive safety margin) or
-  answers with a systematic multiplicative error.
+* **PredictorOutage** — the loaning signal is unavailable; the
+  orchestrator holds the degraded headroom of
+  :class:`repro.faults.recovery.DegradedLoaning` meanwhile.
 * **LaunchFailures** — each container launch transiently fails with
   probability ``probability``; the resource manager retries with
   exponential backoff per :class:`repro.faults.recovery.RetryPolicy`.
@@ -132,7 +132,7 @@ class FlashCrowd:
 
 @dataclass(frozen=True)
 class PredictorOutage:
-    """The usage predictor is unreachable during [at, at + duration)."""
+    """The loaning signal is unavailable during [at, at + duration)."""
 
     at: float
     duration: float
@@ -141,21 +141,6 @@ class PredictorOutage:
         _require(self.at >= 0, f"at must be >= 0, got {self.at}")
         _require(self.duration > 0,
                  f"duration must be positive, got {self.duration}")
-
-
-@dataclass(frozen=True)
-class PredictorBias:
-    """The predictor's answers are off by ``factor`` during the window."""
-
-    at: float
-    duration: float
-    factor: float = 0.5
-
-    def __post_init__(self) -> None:
-        _require(self.at >= 0, f"at must be >= 0, got {self.at}")
-        _require(self.duration > 0,
-                 f"duration must be positive, got {self.duration}")
-        _require(self.factor > 0, f"factor must be positive, got {self.factor}")
 
 
 @dataclass(frozen=True)
@@ -183,7 +168,6 @@ _EVENT_FIELDS = {
     "stragglers": Straggler,
     "flash_crowds": FlashCrowd,
     "predictor_outages": PredictorOutage,
-    "predictor_biases": PredictorBias,
 }
 
 
@@ -198,7 +182,6 @@ class FaultPlan:
     stragglers: Tuple[Straggler, ...] = ()
     flash_crowds: Tuple[FlashCrowd, ...] = ()
     predictor_outages: Tuple[PredictorOutage, ...] = ()
-    predictor_biases: Tuple[PredictorBias, ...] = ()
     launch_failures: Optional[LaunchFailures] = None
     crashes: Tuple[CrashPoint, ...] = ()
     retry: RetryPolicy = field(default_factory=RetryPolicy)

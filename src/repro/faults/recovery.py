@@ -6,10 +6,9 @@ Injection without recovery is just destruction; this module holds the
 * :class:`RetryPolicy` — exponential backoff with deterministic jitter
   and a cap, used by the resource manager when container launches fail
   transiently (`repro.faults.plan.LaunchFailures`).
-* :class:`DegradedLoaning` — the reactive safety margin the capacity
-  orchestrator falls back to while the usage predictor is down: instead
-  of trusting a forecast, loan only what is idle *right now* minus a
-  conservative headroom.
+* :class:`DegradedLoaning` — the safety margin the capacity
+  orchestrator holds while the loaning signal is unavailable: loan only
+  what is idle *right now* minus a conservative headroom.
 
 Both are pure data + arithmetic so they can live in a fault plan and
 round-trip through JSON.
@@ -58,17 +57,14 @@ class RetryPolicy:
 
 @dataclass(frozen=True)
 class DegradedLoaning:
-    """Reactive loaning posture while the predictor is unavailable.
+    """Loaning posture while the loaning signal is unavailable.
 
     ``headroom`` is the extra fraction of inference capacity held back
-    on top of the orchestrator's normal margin — without a forecast we
-    cannot see a spike coming, so we keep more slack.  ``freeze_loans``
-    additionally stops *new* loans entirely and only reclaims, the most
-    conservative stance.
+    on top of the orchestrator's normal margin — without the signal a
+    spike cannot be seen coming, so we keep more slack.
     """
 
     headroom: float = 0.15
-    freeze_loans: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.headroom <= 1.0:

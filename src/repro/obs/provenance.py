@@ -6,9 +6,9 @@ cannot: *what caused this decision epoch, and what did the policy see
 when it decided?*  The record has three parts:
 
 * **triggers** — the events that scheduled the epoch (job arrival,
-  completion, preemption, fault injection, loan/reclaim, predictor
-  forecast crossing, or the plain orchestrator interval), collected by
-  the simulation between epochs and consumed by the next plan;
+  completion, preemption, fault injection, loan/reclaim, or the plain
+  orchestrator interval), collected by the simulation between epochs and
+  consumed by the next plan;
 * **inputs** — the decision-relevant state the policy saw, noted by the
   policy itself (e.g. Lyra's MCKP admitted/value, the orchestrator's
   supply/target/current server counts);
@@ -61,7 +61,6 @@ TRIGGER_NODE_FAILURE = "node_failure"
 TRIGGER_NODE_RECOVERY = "node_recovery"
 TRIGGER_FAULT = "fault"
 TRIGGER_INTERVAL = "orchestrator_interval"
-TRIGGER_FORECAST = "predictor_forecast"
 TRIGGER_HEARTBEAT = "heartbeat"
 
 #: Triggers kept per epoch before coalescing into a ``dropped`` count;

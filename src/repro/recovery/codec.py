@@ -53,7 +53,10 @@ MAGIC = b"REPROSNAP\x00"
 #: and its orchestrator a plain ``ResourceOrchestrator`` (a schema-7 market
 #: run pickled both from the ``repro.market`` package, now one module that
 #: defines neither)
-SCHEMA_VERSION = 8
+#: 9: the orchestrator holds no predictor, forecast window or loan-freeze
+#: switch, and a fault plan no predictor biases (a schema-8 snapshot
+#: pickled all three, and an injector holding the wrapped predictor)
+SCHEMA_VERSION = 9
 
 #: pinned pickle protocol: snapshots written on 3.9 load on 3.12
 PICKLE_PROTOCOL = 4

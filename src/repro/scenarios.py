@@ -269,7 +269,6 @@ def wire_scheme(
     scheme: str,
     seed: int = 0,
     sim_overrides: Optional[dict] = None,
-    predictor=None,
     lender_traces: Optional[dict] = None,
     **policy_kwargs,
 ) -> Tuple[SchedulerPolicy, SimulationConfig, Optional[ResourceOrchestrator]]:
@@ -298,7 +297,6 @@ def wire_scheme(
         orchestrator = ResourceOrchestrator(
             reclaimer=wiring.reclaimer,
             seed=seed,
-            predictor=predictor,
             scale_in_first=config.elastic,
             lender_traces=lender_traces,
         )
@@ -313,7 +311,6 @@ def build_sim(
     specs: Optional[Sequence[JobSpec]] = None,
     scaling_model: str = "linear",
     estimate_error: Optional[tuple] = None,
-    predictor=None,
     sim_overrides: Optional[dict] = None,
     obs: Optional[Observability] = None,
     market=None,
@@ -333,7 +330,6 @@ def build_sim(
         estimate_error: ``(wrong_fraction, max_error)`` for the Table 9
             study — that fraction of jobs get a runtime estimate off by a
             uniform factor within ``±max_error``.
-        predictor: Optional usage predictor for early reclaiming (§6).
         sim_overrides: Extra :class:`SimulationConfig` fields.
         obs: Observability bundle (tracer/registry/profiler); omit for
             the zero-overhead disabled default.
@@ -363,7 +359,6 @@ def build_sim(
         scheme,
         seed=seed,
         sim_overrides={"scaling_model": scaling_model, **(sim_overrides or {})},
-        predictor=predictor,
         lender_traces=lender_traces,
         **policy_kwargs,
     )

@@ -239,6 +239,33 @@ class TestCLI:
         ]) == 2
         assert "--crash-at cannot be combined" in capsys.readouterr().err
 
+    #: fault-plan files that are no plan: missing, an unknown key, and
+    #: the fields the predictor took with it
+    BAD_PLANS = {
+        "missing": None,
+        "unknown-key": {"name": "x", "bogus": []},
+        "predictor-biases": {
+            "name": "x",
+            "predictor_biases": [{"at": 0.0, "duration": 60.0}],
+        },
+        "freeze-loans": {"name": "x", "degraded": {"freeze_loans": True}},
+    }
+
+    @pytest.mark.parametrize("command,flag", [
+        ("run", "--faults"), ("chaos", "--plan"),
+    ])
+    @pytest.mark.parametrize("case", sorted(BAD_PLANS))
+    def test_a_bad_plan_file_is_refused(
+        self, tmp_path, capsys, case, command, flag
+    ):
+        path = tmp_path / "plan.json"
+        if self.BAD_PLANS[case] is not None:
+            path.write_text(json.dumps(self.BAD_PLANS[case]))
+        assert main([command, *self.TINY, flag, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"bad {flag}: ")
+        assert captured.out == ""
+
     #: flags whose meaning differs by subcommand, each with its reason
     #: (``*`` = on every subcommand that takes it)
     PER_COMMAND_FLAGS = {

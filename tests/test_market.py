@@ -11,9 +11,9 @@ Covers:
     re-implement the filter inline, so an eligibility change could make
     plans diverge from commits);
 * the topology: federation, contracts, config parsing, regional outages;
-* the clearing rule on N > 1 lenders: a flash crowd and the §6 predictor
-  reach every lender (both were dropped by the market's own copy of the
-  rule), the degraded posture is entered once per tick;
+* the clearing rule on N > 1 lenders: a flash crowd reaches every
+  lender (it was dropped by the market's own copy of the rule), the
+  degraded posture is entered once per tick;
 * the pair is the 1×1 case: the two constructors build one class, and
   the orchestrated golden scenarios reproduce the committed logs with
   the lender and the region renamed — nothing depends on the names
@@ -45,10 +45,9 @@ from repro.market import (
     resolve_market,
 )
 from repro.cluster.job import JobSpec
-from repro.core.orchestrator import PredictorUnavailable, ResourceOrchestrator
+from repro.core.orchestrator import ResourceOrchestrator
 from repro.faults.plan import FaultPlan, FlashCrowd
 from repro.obs import Observability
-from repro.obs.provenance import PROVENANCE_EVENT
 from repro.rm.manager import ResourceManager
 from repro.scenarios import build_sim, default_setup
 from repro.schedulers.lyra import LyraScheduler
@@ -362,10 +361,9 @@ class TestBroker:
 # ----------------------------------------------------------------------
 # one rule: what reaches the pair's lender reaches every lender
 # ----------------------------------------------------------------------
-def loaded_sim(spec, fault_plan=None, predictor=None, obs=None):
-    """12+24 servers, 300 jobs over half a day at load 2.0 (seed 1), not
-    yet run: the pair opens 16 loans here, a 2×1 market 33, a 2×2
-    market 34."""
+def loaded_run(spec, fault_plan=None):
+    """12+24 servers, 300 jobs over half a day at load 2.0 (seed 1), run
+    and audited: a 2×2 market opens 34 loans here."""
     setup = default_setup(
         num_jobs=300, days=0.5, training_servers=12, inference_servers=24,
         seed=1, target_load=2.0,
@@ -373,15 +371,10 @@ def loaded_sim(spec, fault_plan=None, predictor=None, obs=None):
     overrides = {"record_activities": True}
     if fault_plan is not None:
         overrides["fault_plan"] = fault_plan
-    return build_sim(
-        setup, "lyra", seed=1, predictor=predictor, obs=obs,
-        market=market_config_from_spec(spec) if spec else None,
-        sim_overrides=overrides,
+    sim = build_sim(
+        setup, "lyra", seed=1,
+        market=market_config_from_spec(spec), sim_overrides=overrides,
     )
-
-
-def loaded_run(spec, **kwargs):
-    sim = loaded_sim(spec, **kwargs)
     sim.run()
     sim.rm.verify_books()
     return sim
@@ -406,66 +399,22 @@ class TestEveryLenderIsReached:
         registry = spiked.metrics.registry
         assert registry.counter("resilience.flash_crowds").value == 1
 
-    def test_predictor_caps_every_lender(self):
-        """A forecast of full utilization leaves nothing to offer — on
-        the pair and on each lender of a market (whose own clearing rule
-        used to accept the predictor and never call it)."""
-        for spec in (None, "2x1"):
-            sim = loaded_run(spec, predictor=lambda history: 1.0)
-            assert sim.metrics.loan_ops == [], spec
-            assert sim.pair.contracts_opened == 0
-
-    def test_late_forecast_recalls_and_says_so(self):
-        """A forecast that rises only after loans are out recalls them,
-        and the plan's provenance names the forecast as the reason."""
-        cell = {}
-
-        def predictor(history):
-            return 1.0 if cell["sim"].now >= 5 * 3600.0 else 0.0
-
-        obs = Observability.enabled()
-        sim = cell["sim"] = loaded_sim("2x1", predictor=predictor, obs=obs)
-        sim.run()
-        assert sim.metrics.loan_ops, "nothing was ever on loan"
-        recalls = [
-            event.args for event in obs.tracer.events
-            if event.name == PROVENANCE_EVENT
-            and event.args["policy"].startswith("orchestrator:")
-            and event.ts >= 5 * 3600.0
-            and any(a["kind"] == "reclaim_servers"
-                    for a in event.args["actions"])
-        ]
-        assert recalls, "the risen forecast recalled nothing"
-        assert all(args["inputs"]["forecast_capped"] for args in recalls)
-        assert all(args["inputs"]["predictor"] for args in recalls)
-        assert sim.pair.loaned_count == 0
-
     def test_predictor_unavailable_degrades_the_tick_once(self):
-        """Whichever lender's forecast raises, the tick degrades once:
-        one counter increment, one event, every lender on the safety
-        headroom."""
-        calls = []
-
-        def flaky(history):
-            calls.append(len(history))
-            if len(calls) == 2:  # the second lender of the tick
-                raise PredictorUnavailable("forecast service down")
-            return 0.0
-
+        """An unavailable loaning signal degrades the tick once, over
+        every lender: one counter increment, one event, every lender on
+        the safety headroom."""
         pair = two_lender_set()
         trace = InferenceTrace(utilization=np.zeros(12), num_servers=3)
         obs = Observability.enabled()
         sim = Simulation(
             [], pair, LyraScheduler(), obs=obs,
             orchestrator=ResourceOrchestrator(
-                predictor=flaky, window=1,
                 lender_traces={"infer-r0": trace, "infer-r1": trace},
             ),
         )
+        sim.orchestrator.predictor_down = lambda now: True
         plan = sim.orchestrator.plan_tick(sim)
-        assert calls == [1, 1]
         assert plan.decision_inputs["degraded"]
-        assert not plan.decision_inputs["forecast_capped"]
         # ceil(0.17 * 3) = 1 server held back per lender
         assert plan.decision_inputs["lender_supply"] == {
             "infer-r0": 2, "infer-r1": 2

@@ -1,4 +1,4 @@
-"""Tests for the resource orchestrator: loaning, reclaiming, prediction."""
+"""Tests for the resource orchestrator: loaning and reclaiming."""
 
 import numpy as np
 import pytest
@@ -52,20 +52,20 @@ class TestTargets:
         sim = sim_with(trace)
         orch = ResourceOrchestrator()
         # 4 - ceil(0.02*4)=1; the pair's one lender is its inference side
-        assert orch.lender_offer(sim, "inference") == 3
+        assert orch.lender_offer(sim, "inference", orch.headroom) == 3
         # degraded posture: a safety headroom instead, ceil(0.3*4)=2
-        assert orch.lender_offer(sim, "inference", safety=0.3) == 2
+        assert orch.lender_offer(sim, "inference", 0.3) == 2
         # per-lender traces, once given, are the only source
         named = ResourceOrchestrator(
             lender_traces={"elsewhere": flat_trace([0.5] * 10)}
         )
-        assert named.lender_offer(sim, "elsewhere") == 1
-        assert named.lender_offer(sim, "inference") == 0
+        assert named.lender_offer(sim, "elsewhere", named.headroom) == 1
+        assert named.lender_offer(sim, "inference", named.headroom) == 0
 
     def test_no_trace_means_no_loaning(self):
         sim = sim_with(None)
         orch = ResourceOrchestrator()
-        assert orch.lender_offer(sim, "inference") == 0
+        assert orch.lender_offer(sim, "inference", orch.headroom) == 0
         assert orch.plan_tick(sim).actions == ()
 
 
@@ -173,37 +173,6 @@ class TestReclaimerSelection:
         sim = sim_with(trace, [spec], ResourceOrchestrator(reclaimer=name))
         sim.run()
         assert sim.pair.loaned_count == 0
-
-
-class TestPredictor:
-    def test_predictor_reclaims_early(self):
-        """An oracle predictor foreseeing the traffic rise makes the
-        orchestrator reclaim at least as early as the reactive one."""
-        levels = [0.0] * 12 + [1.0] * 8
-        trace = flat_trace(levels, num_servers=4)
-
-        def oracle(history):
-            # predicts the *next* sample = the step to full utilization
-            steps_seen = len(oracle.calls)
-            oracle.calls.append(history)
-            idx = min(steps_seen + 1, len(levels) - 1)
-            return levels[idx]
-
-        oracle.calls = []
-        specs = [
-            JobSpec(job_id=0, submit_time=0.0, duration=60000.0,
-                    max_workers=16),
-            JobSpec(job_id=1, submit_time=0.0, duration=60000.0,
-                    max_workers=2, fungible=True),
-        ]
-        predictive = ResourceOrchestrator(predictor=oracle, window=3)
-        sim_p = sim_with(trace, specs, predictive)
-        sim_p.run()
-        reactive = ResourceOrchestrator()
-        sim_r = sim_with(trace, specs, reactive)
-        sim_r.run()
-        assert sim_p.metrics.reclaim_ops
-        assert sim_r.metrics.reclaim_ops
 
 
 class TestReclaimPricing:

@@ -10,6 +10,11 @@ the body of an unreached definition is unreached too.  Imports,
 nothing alive, and ``tests/`` is not an entry point: what only a test
 calls is either deleted with the test or named in :data:`ALLOWLIST` with
 the reason the test needs it.
+
+What module-level code does not reach and only ``benchmarks/`` or
+``examples/`` do is named in :data:`BENCH_ONLY`, each with why it stays
+in ``src/``: a definition that outlives the benchmark or example using
+it must go with it, not linger as reached-by-nothing.
 """
 
 from __future__ import annotations
@@ -31,6 +36,49 @@ ALLOWLIST: Dict[str, str] = {
     "the logging tests of tests/test_obs.py",
     "pending_events": "harness probe: tests count armed timers (tick "
     "coalescing, a run cut short) without reading _heap",
+}
+
+#: definitions no module-level code reaches, only ``benchmarks/`` or
+#: ``examples/`` — a key is a label or a module/class prefix of labels —
+#: each with why it stays in ``src/``
+BENCH_ONLY: Dict[str, str] = {
+    "repro.scenarios.run_scheme": "the library's two-line happy path "
+    "(build_sim + run); every benchmark and example runs a cell with it",
+    "repro.scenarios.with_checkpointing_fraction": "Fig. 13 workload "
+    "transform (bench_fig13_checkpointing, bench_resilience)",
+    "repro.scenarios.with_elastic_fraction": "Figs. 8/14-16 workload "
+    "transform (the elastic sweeps and elastic_scaling_comparison)",
+    "repro.serve.client": "the daemon's asyncio client: bench_serve "
+    "drives `repro serve` through it, the daemon never calls itself",
+    "repro.simulator.metrics.TimeSeries": "hourly/bucketed views of a "
+    "usage series for the Figs. 1, 2, 7 and 9 benches",
+    "repro.simulator.metrics.SimulationMetrics.onloan_job_ids": "Table 7 "
+    "on-loan job split (bench_table7_onloan_jobs)",
+    "repro.simulator.metrics.SimulationMetrics.summary_for": "Table 7 "
+    "per-subset summaries (bench_table7_onloan_jobs)",
+    "repro.simulator.metrics.SimulationMetrics.mean_collateral": "Fig. 10 "
+    "collateral damage column (bench_fig10, bench_table10, "
+    "capacity_loaning_demo)",
+    "repro.simulator.metrics.SimulationMetrics.mean_flex_satisfied": "Table "
+    "5/6 flexible-demand column (bench_table5, bench_table6, bench_fig10)",
+    "repro.traces.bootstrap": "Fig. 12 bootstrap resampling of traces "
+    "(bench_fig12_bootstrap)",
+    "repro.traces.models.fig3_series": "Fig. 3 throughput curves "
+    "(bench_fig3_throughput_scaling)",
+    "repro.obs.inspect.inspect_trace": "trace summary the "
+    "trace_inspection_demo prints (the CLI's inspect renders its own)",
+    "repro.elastic.throughput.ScalingModel.efficiency": "reached by name "
+    "only (a comment in bench_fig3); tests/test_elastic.py pins the "
+    "scaling curve through it",
+    "repro.elastic.throughput.ScalingModel.speedup": "reached by name only "
+    "(a result key in bench_mckp_solver and bench_reclaim_optimal); "
+    "tests/test_elastic.py pins the scaling curve through it",
+    "repro.obs.profiling.PhaseProfiler.render_table": "reached by name "
+    "only (bench_util defines its own render_table); tests/test_obs.py "
+    "reads the profiler's table through it",
+    "repro.serve.driver.WallClockDriver.bound": "reached by name only (the "
+    "word `bound` in the benches); tests/test_serve.py asserts a frozen "
+    "driver is unbound",
 }
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -118,18 +166,23 @@ def _regions(src: Path):
 
 
 @functools.lru_cache(maxsize=None)
-def _entry_mentions() -> Set[str]:
+def _entry_mentions(entries: Tuple[Path, ...]) -> Set[str]:
     found: Set[str] = set()
-    for entry in ENTRY_POINTS:
+    for entry in entries:
         for path in sorted(entry.rglob("*.py")):
             found.update(_IDENT.findall(path.read_text()))
     return found
 
 
-def unreached(src: Path = SRC, extra_roots: Iterable[str] = ()) -> List[str]:
-    """Labels of the definitions under ``src`` no entry point reaches."""
+def unreached(
+    src: Path = SRC,
+    extra_roots: Iterable[str] = (),
+    entries: Tuple[Path, ...] = ENTRY_POINTS,
+) -> List[str]:
+    """Labels of the definitions under ``src`` that neither module-level
+    code nor the files under ``entries`` reach."""
     roots, regions = _regions(src)
-    live_names = roots | _entry_mentions() | set(extra_roots)
+    live_names = roots | _entry_mentions(entries) | set(extra_roots)
     live: Set[str] = set()
     grew = True
     while grew:
@@ -176,3 +229,44 @@ def test_a_planted_unused_definition_is_caught(tmp_path):
     assert [d.rsplit(".", 1)[-1] for d in dead] == [
         f"planted_unused_{i}" for i in range(len(modules))
     ]
+
+
+def unnamed_bench_only(src: Path = SRC, entries: Tuple[Path, ...] = ENTRY_POINTS) -> List[str]:
+    """Labels under ``src`` that ``entries`` reach and module-level code
+    (with :data:`ALLOWLIST`) does not, not named by :data:`BENCH_ONLY`."""
+    reached = set(unreached(src, ALLOWLIST, entries))
+    return [
+        label
+        for label in unreached(src, ALLOWLIST, entries=())
+        if label not in reached and not _named(label, BENCH_ONLY)
+    ]
+
+
+def _named(label: str, keys: Iterable[str]) -> bool:
+    return any(label == key or label.startswith(key + ".") for key in keys)
+
+
+def test_what_only_benchmarks_or_examples_reach_is_named():
+    assert unnamed_bench_only() == [], "reached only by benchmarks/ or examples/"
+    only = unreached(extra_roots=ALLOWLIST, entries=())
+    for key in BENCH_ONLY:
+        assert any(_named(label, [key]) for label in only), (
+            f"{key} is reached by module-level code, or names nothing: "
+            f"delete its BENCH_ONLY entry"
+        )
+
+
+def test_a_planted_bench_only_definition_is_caught(tmp_path):
+    """Plant-and-catch: a function appended to a copy of ``src/repro``
+    and called only from a planted benchmark is reached, yet named as
+    bench-only."""
+    planted = tmp_path / "repro"
+    shutil.copytree(SRC, planted)
+    with open(planted / "scenarios.py", "a") as fh:
+        fh.write("\n\ndef planted_bench_only():\n    return 0\n")
+    bench = tmp_path / "benchmarks"
+    bench.mkdir()
+    (bench / "bench_planted.py").write_text("planted_bench_only()\n")
+    entries = ENTRY_POINTS + (bench,)
+    assert unreached(planted, ALLOWLIST, entries) == []
+    assert unnamed_bench_only(planted, entries) == ["repro.scenarios.planted_bench_only"]

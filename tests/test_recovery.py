@@ -42,7 +42,6 @@ from repro.faults.crash import (
 from repro.faults.plan import (
     FaultPlan,
     LaunchFailures,
-    PredictorBias,
     PredictorOutage,
     resolve_plan,
 )
@@ -392,21 +391,15 @@ class TestSnapshotRoundTrip:
 # ----------------------------------------------------------------------
 # the snapshot is the object graph: every hook installed, nothing edited
 # ----------------------------------------------------------------------
-#: installs all three fault hooks (launch gate, predictor outage,
-#: predictor bias) and keeps each active around the capture instant
+#: installs both fault hooks (launch gate, predictor outage) and keeps
+#: each active around the capture instant
 ALL_HOOKS_PLAN = FaultPlan(
     name="all-hooks",
     seed=11,
     launch_failures=LaunchFailures(probability=0.3),
     predictor_outages=(PredictorOutage(at=20000.0, duration=9000.0),),
-    predictor_biases=(PredictorBias(at=0.0, duration=DAY, factor=0.8),),
 )
 CAPTURE_AT = 25000.0
-
-
-def _last_seen(history):
-    """A stand-in usage predictor (module-level, so it pickles by name)."""
-    return history[-1]
 
 
 @pytest.fixture
@@ -416,7 +409,6 @@ def hooked(tmp_path):
     manager (WAL + crash probe), a conformance probe and an event feed —
     the last two as lambdas, which no pickle could carry."""
     sim = build_sim("lyra_loaning", ALL_HOOKS_PLAN)
-    sim.orchestrator.predictor = _last_seen
     sim.policy.conformance_probe = lambda name, kind, payload: None
     sim.activity_sink = lambda activity, trace_args: None
     for paused in paused_at(sim, tmp_path, [CAPTURE_AT]):
@@ -435,7 +427,7 @@ def _rng_states(sim):
 
 
 def _hook_draws(sim):
-    """What the three fault hooks answer next (draws the launch RNG)."""
+    """What the two fault hooks answer next (draws the launch RNG)."""
     job = next(iter(sim.running.values()))
     server = sim.cluster.servers[0]
     launches = []
@@ -447,7 +439,6 @@ def _hook_draws(sim):
             launches.append(False)
     return (
         launches,
-        sim.orchestrator.predictor([0.25, 0.5]),
         [sim.orchestrator.predictor_down(t) for t in (0.0, 21000.0, 30000.0)],
     )
 
@@ -455,8 +446,8 @@ def _hook_draws(sim):
 class TestSnapshotIsTheObjectGraph:
     def test_capture_never_edits_what_it_saves(self, hooked):
         """Every attribute of the kernel and of each hook owner is the
-        very object it was (``is``, not ``==``) after a capture, no RNG
-        moved, and any number of captures wrap the predictor once."""
+        very object it was (``is``, not ``==``) after a capture, and no
+        RNG moved."""
         sim = hooked
         assert sim.recovery is not None and sim.executor.wal is not None
         assert sim.executor.crash_probe is not None
@@ -479,8 +470,6 @@ class TestSnapshotIsTheObjectGraph:
             changed = [n for n in was if was[n] is not now[n]]
             assert changed == []
         assert _rng_states(sim) == rngs
-        assert sim.orchestrator.predictor.__self__ is sim.fault_injector
-        assert sim.fault_injector._predictor_orig is _last_seen
 
     def test_round_trip_with_every_hook_installed(self, hooked):
         """Hooks that are run state come back installed and bound to the
@@ -493,9 +482,6 @@ class TestSnapshotIsTheObjectGraph:
         assert injector.sim is restored
         assert restored.rm.launch_gate.__self__ is injector
         assert restored.orchestrator.predictor_down.__self__ is injector
-        # wrapped once: a second install() on restore would wrap the wrapper
-        assert restored.orchestrator.predictor.__self__ is injector
-        assert injector._predictor_orig is _last_seen
         assert restored.engine.dispatch.__self__ is restored
         assert restored.recovery is restored.executor.wal is None
         assert restored.activity_sink is restored.executor.crash_probe is None
@@ -503,18 +489,17 @@ class TestSnapshotIsTheObjectGraph:
         assert _rng_states(restored) == _rng_states(sim)
         live = _hook_draws(sim)
         assert False in live[0] and True in live[0]
-        assert live[1] == 0.5 * 0.8 and live[2] == [False, True, False]
+        assert live[1] == [False, True, False]
         assert _hook_draws(restored) == live
 
     def test_restored_hooks_carry_the_run_to_the_uninterrupted_log(
         self, hooked
     ):
         plain = build_sim("lyra_loaning", ALL_HOOKS_PLAN)
-        plain.orchestrator.predictor = _last_seen
         plain.run()
         counters = plain.obs.registry.snapshot()["counters"]
         assert counters["resilience.launch_failures"] > 0
-        assert counters["resilience.predictor_biased_ticks"] > 0
+        assert counters["resilience.degraded_ticks"] > 0
         assert _resumed_copy_digest(hooked) == digest(plain.activities)
 
     def test_foreign_closure_is_a_typed_error_naming_its_holder(self, hooked):
@@ -595,17 +580,17 @@ class TestSnapshotCodec:
             SnapshotCodec.load(tmp_path / "nope.ckpt")
 
     def test_recover_refuses_a_directory_an_older_build_wrote(self, tmp_path):
-        """Schema 8: a market's lender union and orchestrator pickle under
-        new class paths.  A schema-7 directory is refused by its
-        manifest, before any unpickle."""
+        """Schema 9: the orchestrator, the fault plan and its injector
+        pickle without the predictor's fields.  A schema-8 directory is
+        refused by its manifest, before any unpickle."""
         killed_run("fifo_contention", tmp_path)
         manifest = tmp_path / "recovery.json"
         current = manifest.read_text()
-        manifest.write_text(current.replace('"schema": 8', '"schema": 7'))
+        manifest.write_text(current.replace('"schema": 9', '"schema": 8'))
         assert manifest.read_text() != current
         with pytest.raises(
             RecoveryError,
-            match=r"schema 7 does not match this build \(schema 8\)",
+            match=r"schema 8 does not match this build \(schema 9\)",
         ):
             RecoveryManager.recover(tmp_path)
 

@@ -24,6 +24,13 @@ class TestFormatting:
     def test_fmt_cell_small_float_two_decimals(self):
         assert fmt_cell(0.1234) == "0.12"
 
+    def test_fmt_cell_tiny_float_keeps_three_significant_figures(self):
+        assert fmt_cell(0.0108) == "0.0108"
+        assert fmt_cell(4.8e-4) == "0.00048"
+        assert fmt_cell(-0.0123456) == "-0.0123"
+        assert fmt_cell(0.1) == "0.10"
+        assert fmt_cell(0.0) == "0.00"
+
     def test_fmt_cell_passthrough_strings_and_ints(self):
         assert fmt_cell("lyra") == "lyra"
         assert fmt_cell(7) == "7"
