@@ -443,8 +443,6 @@ def cmd_serve(args) -> int:
             obs=obs,
             orchestrator=orchestrator,
         )
-    except ValueError as exc:
-        raise _Refused(f"bad --snapshot-every: {exc}")
     except WALError as exc:
         # the state directory's request journal is unreadable
         raise _Refused(f"cannot start: {exc}")
@@ -985,6 +983,26 @@ _OPTIONS = {
 _SETUP = ("--jobs", "--days", "--training-servers", "--inference-servers",
           "--seed", "--load", "--log-level")
 
+#: numeric options with a floor, refused below it before a command runs:
+#: option -> (floor, whether the floor itself is allowed)
+_FLOORS = {
+    "--checkpoint-every": (0, False),
+    "--node-mtbf": (0, False),
+    "--node-repair-time": (0, True),
+    "--epoch-interval": (0, False),
+    "--time-scale": (0, False),
+    "--snapshot-every": (1, True),
+}
+
+
+def _check_floors(args) -> None:
+    for option, (floor, inclusive) in _FLOORS.items():
+        value = getattr(args, option[2:].replace("-", "_"), None)
+        if value is None or value > floor or (inclusive and value == floor):
+            continue
+        bound = f">= {floor}" if inclusive else f"> {floor}"
+        raise _Refused(f"bad {option}: must be {bound}, got {value:g}")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -1077,6 +1095,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if getattr(args, "log_level", None):
         configure_logging(args.log_level)
     try:
+        _check_floors(args)
         rc = args.func(args)
     except _Refused as exc:
         print(exc, file=sys.stderr)

@@ -288,21 +288,20 @@ class Job:
     # ------------------------------------------------------------------
     # progress accounting
     # ------------------------------------------------------------------
-    def _parallel_efficiency(self, workers: int) -> float:
-        """Average per-worker efficiency, charging out-of-range workers.
+    def effective_workers(self, workers: int) -> float:
+        """Perfectly-scaling workers ``workers`` workers are worth.
 
         Inside the scaling range the job's scaling model applies; every
         worker beyond ``max_workers`` contributes only
-        :data:`BEYOND_RANGE_EFFICIENCY` of a worker.
+        :data:`BEYOND_RANGE_EFFICIENCY` of a worker.  Divided by
+        ``workers`` it is the average per-worker efficiency.
         """
-        if workers == 0:
-            return 1.0
         wmax = self.spec.max_workers
         inside = min(workers, wmax)
         effective = self.scaling_model.effective_workers(inside)
         if workers > wmax:
             effective += (workers - wmax) * BEYOND_RANGE_EFFICIENCY
-        return effective / workers
+        return effective
 
     def throughput(self) -> float:
         """Current work rate in training-GPU seconds per second.
@@ -320,7 +319,7 @@ class Job:
         raw = workers * self.spec.gpus_per_worker
         return (
             raw
-            * self._parallel_efficiency(workers)
+            * (self.effective_workers(workers) / workers)
             * self.hetero_penalty
             * self.tuning_bonus
             * self.straggler_penalty
@@ -359,19 +358,18 @@ class Job:
             return math.inf
         return self.remaining_work / rate
 
-    def remaining_time_at(self, workers: int, compute: float = 1.0) -> float:
+    def remaining_time_at(self, workers: int) -> float:
         """Projected remaining running time with ``workers`` workers.
 
-        Used by the allocator to evaluate candidate allocations; assumes
-        homogeneous placement on GPUs with ``compute`` relative compute.
+        Used by the allocator to evaluate candidate allocations; like
+        :meth:`throughput`, speed does not depend on where workers run.
         """
         if workers <= 0:
             return math.inf
         rate = (
             workers
             * self.spec.gpus_per_worker
-            * compute
-            * self._parallel_efficiency(workers)
+            * (self.effective_workers(workers) / workers)
             * self.hetero_penalty
             * self.tuning_bonus
             * self.straggler_penalty

@@ -15,7 +15,6 @@ Throughput is expressed in training-GPU (V100) equivalents: a worker using
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -52,19 +51,6 @@ class ScalingModel:
         if workers == 0:
             return 0.0
         return 1.0 + (workers - 1) * (1.0 - self.marginal_loss)
-
-    def efficiency(self, workers: int) -> float:
-        """Average per-worker efficiency at ``workers`` workers (<= 1.0)."""
-        if workers == 0:
-            return 1.0
-        return self.effective_workers(workers) / workers
-
-    def speedup(self, workers: int, base_workers: int) -> float:
-        """Throughput ratio between ``workers`` and ``base_workers``."""
-        base = self.effective_workers(base_workers)
-        if base == 0:
-            return math.inf if workers > 0 else 1.0
-        return self.effective_workers(workers) / base
 
 
 #: The paper's default assumption inside the scaling range (§5).

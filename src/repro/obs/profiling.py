@@ -165,21 +165,6 @@ class PhaseProfiler:
             for s in self.stats()
         }
 
-    def render_table(self) -> str:
-        """The per-phase time breakdown as an aligned text table."""
-        rows = self.stats()
-        header = (f"{'phase':<28}{'calls':>8}{'total s':>10}"
-                  f"{'mean ms':>10}{'max ms':>10}")
-        lines = [header, "-" * len(header)]
-        if not rows:
-            lines.append("(no phases recorded)")
-        for s in rows:
-            lines.append(
-                f"{s.name:<28}{s.calls:>8}{s.total_s:>10.3f}"
-                f"{s.mean_ms:>10.3f}{s.max_ms:>10.3f}"
-            )
-        return "\n".join(lines)
-
 
 #: A process-wide always-off profiler for unwired code paths.
 NULL_PROFILER = PhaseProfiler.disabled()

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.cluster.job import BEYOND_RANGE_EFFICIENCY, Job
+from repro.cluster.job import Job
 from repro.core.placement import PlacementRequest
 from repro.schedulers.base import SchedulerPolicy
 
@@ -34,21 +34,10 @@ class AFSScheduler(SchedulerPolicy):
     def order_key(job):
         return (job.spec.submit_time, job.job_id)
 
-    @staticmethod
-    def _effective_workers(job: Job, workers: int) -> float:
-        wmax = job.spec.max_workers
-        inside = min(workers, wmax)
-        eff = job.scaling_model.effective_workers(inside)
-        if workers > wmax:
-            eff += (workers - wmax) * BEYOND_RANGE_EFFICIENCY
-        return eff
-
     def _marginal_gain(self, job: Job) -> float:
         """Throughput gain per GPU of granting one more worker now."""
         w = job.total_workers
-        gain = self._effective_workers(job, w + 1) - self._effective_workers(
-            job, w
-        )
+        gain = job.effective_workers(w + 1) - job.effective_workers(w)
         return gain / job.spec.gpus_per_worker
 
     def _growth_limit(self, job: Job) -> int:

@@ -151,14 +151,19 @@ class SchedulerPolicy(abc.ABC):
         self,
         ctx: "PlanTransaction",
         ordered_pending: Sequence[Job],
-        workers_for=None,
+        opportunistic: bool = False,
     ) -> List[Job]:
-        """Admit jobs in a fixed order at a fixed worker count.
+        """Admit jobs in a fixed order at their base demand.
 
         The workhorse of the FIFO/SJF baselines: scan ``ordered_pending``,
-        place each job's workers (``workers_for(job)``, defaulting to
-        the base demand), skip jobs that do not fit and keep scanning
-        (backfill).  Returns the jobs started.
+        place each job's base workers, skip jobs that do not fit and keep
+        scanning (backfill).  Returns the jobs started.
+
+        A fungible or heterogeneous job may draw on every free GPU, any
+        other job on the training pool only.  ``opportunistic`` is Table
+        5 row 6 instead: through the opportunistic engine a fungible job
+        draws on the on-loan pool only, and every other job on the
+        training pool.
 
         With 200k queued jobs a per-job Python scan *is* the epoch, so
         each job's demand, budget class and shape id are computed once
@@ -172,23 +177,20 @@ class SchedulerPolicy(abc.ABC):
         jobs = list(ordered_pending)
         if not jobs:
             return []
-        engine = ctx.placement_engine()
+        engine = ctx.placement_engine(opportunistic=opportunistic)
         pools = ctx.view.pools()
-        worker_counts: List[int] = []
         demand: List[int] = []
         budget_class: List[int] = []
         shape_of: List[int] = []
         shape_codes: Dict[Tuple, int] = {}
         for job in jobs:
             spec = job.spec
-            workers = workers_for(job) if workers_for else spec.min_workers
-            worker_counts.append(workers)
-            demand.append(workers * spec.gpus_per_worker)
-            if spec.fungible or spec.heterogeneous:
-                budget_class.append(0)  # may also use on-loan GPUs
+            demand.append(spec.min_workers * spec.gpus_per_worker)
+            if spec.fungible or (spec.heterogeneous and not opportunistic):
+                budget_class.append(0)  # may use on-loan GPUs
             else:
                 budget_class.append(1)
-            shape = (spec.gpus_per_worker, workers, spec.fungible)
+            shape = (spec.gpus_per_worker, spec.min_workers, spec.fungible)
             shape_of.append(shape_codes.setdefault(shape, len(shape_codes)))
         gpus = np.array(demand, dtype=np.int64)
         cls = np.array(budget_class, dtype=np.intp)
@@ -197,7 +199,8 @@ class SchedulerPolicy(abc.ABC):
         started: List[Job] = []
         start = 0  # everything before it was scanned and skipped for good
         while start < len(jobs):
-            budgets = np.array([pools.total, pools.training], dtype=np.int64)
+            shared = pools.onloan if opportunistic else pools.total
+            budgets = np.array([shared, pools.training], dtype=np.int64)
             ok = (gpus[start:] <= budgets[cls[start:]]) & ~failed[
                 shape_ids[start:]
             ]
@@ -208,7 +211,7 @@ class SchedulerPolicy(abc.ABC):
             job = jobs[i]
             with ctx.phase(PHASE_PLACEMENT):
                 result = engine.place(
-                    [PlacementRequest(job, base_workers=worker_counts[i])]
+                    [PlacementRequest(job, base_workers=job.spec.min_workers)]
                 )
             if result.failed_base:
                 failed[shape_ids[i]] = True

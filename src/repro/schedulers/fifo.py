@@ -15,7 +15,6 @@ evicted when inference traffic returns).
 from __future__ import annotations
 
 from repro.cluster.job import Job
-from repro.core.placement import PlacementRequest
 from repro.schedulers.base import SchedulerPolicy
 
 
@@ -65,24 +64,7 @@ class OpportunisticScheduling(FIFOScheduler):
     epoch_idempotent = True
 
     def decide(self, ctx: "PlanTransaction") -> None:
-        engine = ctx.placement_engine(opportunistic=True)
-        pools = ctx.view.pools()
-        failed_shapes = set()
         ordered = self.sorted_pending(
             ctx, self.order_key, self.name + ":order"
         )
-        for job in ordered:
-            workers = job.spec.min_workers
-            gpus = workers * job.spec.gpus_per_worker
-            budget = pools.onloan if job.spec.fungible else pools.training
-            if gpus > budget:
-                continue
-            shape = (job.spec.gpus_per_worker, workers, job.spec.fungible)
-            if shape in failed_shapes:
-                continue
-            result = engine.place([PlacementRequest(job, base_workers=workers)])
-            if result.failed_base:
-                failed_shapes.add(shape)
-                continue
-            pools = ctx.view.pools()
-            ctx.activate(job)
+        self.admit_inelastically(ctx, ordered, opportunistic=True)

@@ -63,10 +63,6 @@ class WallClockDriver(Driver):
         for seq, (when, _tag) in self._armed.items():
             self._arm(seq, when)
 
-    @property
-    def bound(self) -> bool:
-        return self._loop is not None
-
     # ------------------------------------------------------------------
     # the Driver protocol
     # ------------------------------------------------------------------

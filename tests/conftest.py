@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Optional
+
 import pytest
 
 from repro.cluster.cluster import (
@@ -12,11 +15,13 @@ from repro.cluster.cluster import (
 from repro.cluster.job import Job, JobSpec
 from repro.core.placement import PlacementEngine
 from repro.core.view import ClusterView
+from repro.oracle.refview import ReferenceView
 from repro.rm.manager import ResourceManager
 from repro.scenarios import ExperimentSetup
 from repro.simulator.simulation import Simulation
 from repro.traces.inference import generate_inference_trace
 from repro.traces.workload import TraceConfig, generate_workload
+from tests.test_equivalence import LEGS, build_scenario, digest
 
 
 def make_job(
@@ -111,3 +116,59 @@ def tiny_setup() -> ExperimentSetup:
         training_servers=8,
         inference_servers=10,
     )
+
+
+@dataclass(frozen=True)
+class GoldenRun:
+    """A finished plain golden-scenario run, as its readers see it."""
+
+    digest: str
+    events: int
+    plans_applied: int
+    plans_rejected: int
+    on_reference: bool
+    #: the final view audit's failure, or None
+    view_drift: Optional[str]
+    #: whether a recovery manager, plan WAL or crash probe was wired
+    durable_wired: bool
+    #: trace events plus phase stats the run's obs bundle recorded
+    obs_recorded: int
+
+
+def _finish(sim: Simulation) -> GoldenRun:
+    sim.run()
+    try:
+        sim.view.assert_consistent()
+        drift = None
+    except AssertionError as exc:
+        drift = str(exc)
+    return GoldenRun(
+        digest=digest(sim.activities),
+        events=len(sim.activities),
+        plans_applied=sim.executor.plans_applied,
+        plans_rejected=sim.executor.plans_rejected,
+        on_reference=isinstance(sim.view, ReferenceView),
+        view_drift=drift,
+        durable_wired=any(
+            hook is not None
+            for hook in (
+                sim.recovery, sim.executor.wal, sim.executor.crash_probe
+            )
+        ),
+        obs_recorded=len(sim.obs.tracer) + len(sim.obs.phases.stats()),
+    )
+
+
+@pytest.fixture(scope="session")
+def golden_run():
+    """``golden_run(name, leg="production")``: golden scenario ``name``
+    on one leg of ``tests.test_equivalence.LEGS``, simulated once per
+    session however many tests read it."""
+    runs = {}
+
+    def get(name: str, leg: str = "production") -> GoldenRun:
+        if (name, leg) not in runs:
+            runs[name, leg] = _finish(build_scenario(name, **LEGS[leg]))
+        return runs[name, leg]
+
+    return get

@@ -266,6 +266,27 @@ class TestCLI:
         assert captured.err.startswith(f"bad {flag}: ")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--checkpoint-every", "0"],
+        ["chaos", "--checkpoint-every", "0"],
+        ["run", "--node-mtbf", "-5"],
+        ["run", "--node-mtbf", "0"],
+        ["run", "--node-repair-time", "-1"],
+        ["serve", "--port", "0", "--epoch-interval", "0"],
+        ["serve", "--port", "0", "--time-scale", "0"],
+        ["serve", "--port", "0", "--snapshot-every", "0"],
+    ], ids=lambda argv: " ".join(argv[0:1] + argv[-2:]))
+    def test_an_out_of_range_number_is_refused(self, tmp_path, capsys, argv):
+        """Refused before anything runs, naming the flag: no traceback,
+        no silently ignored value, no daemon started."""
+        command, rest = argv[0], argv[1:]
+        if command != "serve":
+            rest = [*self.TINY, "--checkpoint-dir", str(tmp_path), *rest]
+        assert main([command, *rest]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"bad {argv[-2]}: must be ")
+        assert captured.out == ""
+
     #: flags whose meaning differs by subcommand, each with its reason
     #: (``*`` = on every subcommand that takes it)
     PER_COMMAND_FLAGS = {

@@ -32,7 +32,8 @@ from repro.recovery.manager import RecoveryError, RecoveryManager
 from repro.recovery.state import capture_payload
 from repro.recovery.wal import PlanWAL, WALError
 from repro.serve.state import RequestJournal, ServeState
-from tests.test_recovery import build_sim, killed_run
+from tests.test_equivalence import build_scenario
+from tests.test_recovery import killed_run
 from tests.test_serve import _service, killed_daemon, run_with_service
 
 
@@ -249,7 +250,7 @@ def test_opening_a_directory_sweeps_stale_snapshot_temp_files(
     other = tmp_path / "report.json.tmp.12345"
     other.write_bytes(b"not the store's file")
     if client == "simulator":
-        RecoveryManager(tmp_path).attach(build_sim("fifo_contention"))
+        RecoveryManager(tmp_path).attach(build_scenario("fifo_contention"))
     else:
         ServeState(tmp_path).close()
     assert not stale.exists()

@@ -1,7 +1,5 @@
 """Tests for the elastic substrate: the throughput scaling models."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +16,6 @@ class TestScalingModel:
     def test_linear_is_identity(self):
         for w in (1, 2, 8, 64):
             assert LINEAR.effective_workers(w) == w
-            assert LINEAR.efficiency(w) == 1.0
 
     def test_sublinear_charges_added_workers(self):
         # §7.2: each added worker brings 20 % less throughput.
@@ -32,8 +29,11 @@ class TestScalingModel:
         assert model.effective_workers(1) == 1.0
 
     def test_speedup(self):
-        assert SUBLINEAR_20.speedup(6, 2) == pytest.approx(5.0 / 1.8)
-        assert LINEAR.speedup(4, 0) == math.inf
+        # six workers over two: 5.0 / 1.8 of the throughput
+        assert SUBLINEAR_20.effective_workers(6) / (
+            SUBLINEAR_20.effective_workers(2)
+        ) == pytest.approx(5.0 / 1.8)
+        assert LINEAR.effective_workers(4) / LINEAR.effective_workers(1) == 4
 
     def test_invalid_loss_rejected(self):
         with pytest.raises(ValueError):
@@ -58,7 +58,7 @@ class TestScalingModel:
     @settings(max_examples=100, deadline=None)
     def test_efficiency_bounded(self, loss, workers):
         model = ScalingModel("p", loss)
-        eff = model.efficiency(workers)
+        eff = model.effective_workers(workers) / workers
         assert 0 < eff <= 1.0
         # effective workers monotone in worker count
         assert model.effective_workers(workers + 1) > model.effective_workers(

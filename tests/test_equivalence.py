@@ -12,6 +12,12 @@ A golden-log fixture (``tests/data/golden_logs.json``) additionally pins
 both against silent drift across future changes: regenerate it with
 ``python -m tests.test_equivalence`` (which runs the reference view)
 only when a PR *intends* to change scheduling behaviour.
+
+:func:`build_scenario` is the one builder of a golden scenario: the
+recovery, market and view suites build theirs here too.  A test that
+needs only a finished plain run reads ``tests.conftest.golden_run``,
+which simulates each (scenario, leg) once per session.
+docs/CORRECTNESS.md tables which planted bug each golden leg catches.
 """
 
 import hashlib
@@ -28,7 +34,7 @@ from repro.cluster.cluster import (
 from repro.core.kernel import DAY
 from repro.core.orchestrator import ResourceOrchestrator
 from repro.faults.plan import FaultPlan, NodeFailureProcess
-from repro.oracle.refview import ReferenceView, install_reference_view
+from repro.oracle.refview import install_reference_view
 from repro.schedulers.afs import AFSScheduler
 from repro.schedulers.agnostic import LyraAgnosticScheduler
 from repro.schedulers.fifo import (
@@ -45,14 +51,18 @@ from repro.traces.workload import TraceConfig, generate_workload
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_logs.json"
 
-#: The legs of the matrix:
+#: The legs of the matrix, each as :func:`build_scenario` options:
 #:
 #: - ``reference``   the oracle's scan-from-scratch reference view,
-#: - ``production``  the production column view,
-#: - ``audited``     the production view again, with its delta
-#:                   maintenance audited (columns == rebuild) after
-#:                   *every* epoch rather than once at the end.
-VIEWS = ("reference", "audited", "production")
+#: - ``audited``     the production view with its delta maintenance
+#:                   audited (columns == rebuild) after *every* epoch
+#:                   rather than once at the end,
+#: - ``production``  the production column view.
+LEGS = {
+    "reference": {"view": "reference"},
+    "audited": {"audit": True},
+    "production": {},
+}
 
 #: name -> (policy factory, simulation kwargs)
 SCENARIOS = {
@@ -88,17 +98,21 @@ SCENARIOS = {
 }
 
 
-def run_scenario(
+def build_scenario(
     name: str,
     view: str = "production",
+    audit: bool = False,
     obs=None,
     pair_factory=None,
+    fault_plan=None,
 ) -> Simulation:
-    """Run one golden scenario on one leg of :data:`VIEWS`.
+    """The golden scenario ``name``, built but not run.
 
-    ``pair_factory`` substitutes the cluster pair's construction — the
-    market suite uses it to pin the 1×1 ``ClusterSet`` and a renamed
-    pair against these same golden digests.
+    ``view`` is ``"production"`` or ``"reference"``; ``audit`` checks
+    the view against a rebuild after every epoch.  ``pair_factory``
+    substitutes the cluster pair's construction (the market suite pins
+    the 1×1 ``ClusterSet`` and a renamed pair against these same golden
+    digests), and ``fault_plan`` replaces the scenario's own.
     """
     if pair_factory is None:
         pair_factory = lambda: ClusterPair(  # noqa: E731
@@ -124,7 +138,7 @@ def run_scenario(
     config = SimulationConfig(
         record_activities=True,
         elastic=opts.get("elastic", True),
-        fault_plan=opts.get("fault_plan"),
+        fault_plan=fault_plan or opts.get("fault_plan"),
         drain_limit=opts.get("drain_days", 30.0) * DAY,
     )
     sim = Simulation(
@@ -138,7 +152,7 @@ def run_scenario(
     )
     if view == "reference":
         install_reference_view(sim)
-    elif view == "audited":
+    if audit:
         finished = sim.epoch_finished
 
         def audited() -> None:
@@ -146,7 +160,6 @@ def run_scenario(
             finished()
 
         sim.epoch_finished = audited
-    sim.run()
     return sim
 
 
@@ -166,26 +179,25 @@ def golden():
         return json.load(fh)
 
 
-@pytest.mark.parametrize("view", VIEWS)
+@pytest.mark.parametrize("leg", LEGS)
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_backends_produce_identical_logs(name, view, golden):
-    sim = run_scenario(name, view=view)
-    d = digest(sim.activities)
+def test_backends_produce_identical_logs(name, leg, golden, golden_run):
+    run = golden_run(name, leg)
     entry = golden[name]
-    assert len(sim.activities) == entry["events"], (
-        f"view {view!r}, scenario {name!r}: event count drifted"
+    assert run.events == entry["events"], (
+        f"leg {leg!r}, scenario {name!r}: event count drifted"
     )
-    assert d == entry["sha256"], (
-        f"view {view!r}, scenario {name!r} drifted from the "
+    assert run.digest == entry["sha256"], (
+        f"leg {leg!r}, scenario {name!r} drifted from the "
         f"committed golden log; if the behaviour change is intentional, "
         f"regenerate the fixture with `python -m tests.test_equivalence`"
     )
     # every leg must be running through the decision-plan core
-    assert sim.executor.plans_applied > 0
-    assert sim.executor.plans_rejected == 0
+    assert run.plans_applied > 0
+    assert run.plans_rejected == 0
     # ... and on the view it claims to
-    assert isinstance(sim.view, ReferenceView) == (view == "reference")
-    sim.view.assert_consistent()
+    assert run.on_reference == (leg == "reference")
+    assert run.view_drift is None, run.view_drift
 
 
 def test_tracing_does_not_perturb_the_golden_log(golden):
@@ -197,28 +209,27 @@ def test_tracing_does_not_perturb_the_golden_log(golden):
     from repro.obs.tracer import SPAN_EVENT
 
     obs = Observability.enabled()
-    sim = run_scenario("lyra_loaning", obs=obs)
+    sim = build_scenario("lyra_loaning", obs=obs)
+    sim.run()
     assert digest(sim.activities) == golden["lyra_loaning"]["sha256"]
     names = {e.name for e in obs.tracer.events}
     assert SPAN_EVENT in names
     assert PROVENANCE_EVENT in names
 
 
-def test_disabled_obs_keeps_golden_log(golden):
-    """An explicitly disabled bundle is equivalent to no bundle."""
-    from repro.obs import Observability
-
-    obs = Observability.disabled()
-    sim = run_scenario("lyra_elastic", obs=obs)
-    assert digest(sim.activities) == golden["lyra_elastic"]["sha256"]
-    assert len(obs.tracer) == 0
-    assert obs.phases.stats() == []
+def test_disabled_obs_keeps_golden_log(golden, golden_run):
+    """A run given no bundle runs on a disabled one, which records
+    nothing and keeps the golden log."""
+    run = golden_run("lyra_elastic")
+    assert run.digest == golden["lyra_elastic"]["sha256"]
+    assert run.obs_recorded == 0
 
 
 def _regenerate() -> None:
     fixture = {}
     for name in sorted(SCENARIOS):
-        sim = run_scenario(name, view="reference")
+        sim = build_scenario(name, view="reference")
+        sim.run()
         fixture[name] = {
             "events": len(sim.activities),
             "sha256": digest(sim.activities),

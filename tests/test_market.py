@@ -55,7 +55,7 @@ from repro.simulator.simulation import Simulation
 from repro.traces.inference import SAMPLE_INTERVAL, InferenceTrace
 
 from tests.conftest import loan
-from tests.test_equivalence import digest, run_scenario, GOLDEN_PATH, VIEWS
+from tests.test_equivalence import GOLDEN_PATH, LEGS, build_scenario, digest
 
 
 def two_lender_set(**kwargs) -> ClusterSet:
@@ -482,17 +482,18 @@ def degenerate_pair():
     )
 
 
-@pytest.mark.parametrize("view", VIEWS)
+@pytest.mark.parametrize("leg", LEGS)
 @pytest.mark.parametrize("name", ["lyra_loaning", "lyra_elastic"])
-def test_degenerate_market_matches_golden_logs(name, view):
+def test_degenerate_market_matches_golden_logs(name, leg):
     """The list-of-clusters constructor gives the committed golden log,
     byte for byte."""
     with GOLDEN_PATH.open() as fh:
         golden = json.load(fh)
-    sim = run_scenario(name, view=view, pair_factory=degenerate_pair)
+    sim = build_scenario(name, pair_factory=degenerate_pair, **LEGS[leg])
+    sim.run()
     assert digest(sim.activities) == golden[name]["sha256"], (
         f"the 1x1 ClusterSet drifted from the plain pair on "
-        f"{name!r}/{view!r}"
+        f"{name!r}/{leg!r}"
     )
 
 
@@ -536,7 +537,8 @@ def test_renamed_pair_matches_golden_logs(name):
     back."""
     with GOLDEN_PATH.open() as fh:
         golden = json.load(fh)
-    sim = run_scenario(name, pair_factory=renamed_pair)
+    sim = build_scenario(name, pair_factory=renamed_pair)
+    sim.run()
     # the failure scenario's load never overflows the training cluster
     loaned = name != "node_failures"
     assert bool(sim.metrics.loan_ops) == loaned

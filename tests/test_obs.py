@@ -164,7 +164,6 @@ class TestPhaseProfiler:
         assert stat.name == "tick" and stat.calls == 3
         assert stat.total_s >= 0.0
         assert stat.max_ms >= stat.mean_ms * 0.5
-        assert "tick" in prof.render_table()
 
     def test_stats_sorted_by_total(self):
         prof = PhaseProfiler()

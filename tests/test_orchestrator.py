@@ -210,7 +210,7 @@ class TestReclaimPricing:
         self, monkeypatch
     ):
         from repro.core.reclaim import server_preemption_cost
-        from tests.test_recovery import build_sim
+        from tests.test_equivalence import build_scenario
 
         checked = []
         real = ResourceOrchestrator._plan_reclaim_actions
@@ -233,5 +233,5 @@ class TestReclaimPricing:
             return actions
 
         monkeypatch.setattr(ResourceOrchestrator, "_plan_reclaim_actions", spy)
-        build_sim("lyra_loaning").run()
+        build_scenario("lyra_loaning").run()
         assert any(cost > 0 for cost in checked)

@@ -67,18 +67,6 @@ BENCH_ONLY: Dict[str, str] = {
     "(bench_fig3_throughput_scaling)",
     "repro.obs.inspect.inspect_trace": "trace summary the "
     "trace_inspection_demo prints (the CLI's inspect renders its own)",
-    "repro.elastic.throughput.ScalingModel.efficiency": "reached by name "
-    "only (a comment in bench_fig3); tests/test_elastic.py pins the "
-    "scaling curve through it",
-    "repro.elastic.throughput.ScalingModel.speedup": "reached by name only "
-    "(a result key in bench_mckp_solver and bench_reclaim_optimal); "
-    "tests/test_elastic.py pins the scaling curve through it",
-    "repro.obs.profiling.PhaseProfiler.render_table": "reached by name "
-    "only (bench_util defines its own render_table); tests/test_obs.py "
-    "reads the profiler's table through it",
-    "repro.serve.driver.WallClockDriver.bound": "reached by name only (the "
-    "word `bound` in the benches); tests/test_serve.py asserts a frozen "
-    "driver is unbound",
 }
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")

@@ -244,10 +244,12 @@ class TestWallClockDriver:
             await asyncio.sleep(0.02)
             frozen = pickle.loads(pickle.dumps(driver))
             assert frozen.time_scale == 50.0
-            assert not frozen.bound
             # restored time resumes from (roughly) the pickling instant
             assert frozen.now >= 10.0
             assert abs(frozen.now - driver.now) < 60.0
+            # ... and the loop stayed behind: nothing arms before bind()
+            with pytest.raises(RuntimeError, match="before bind"):
+                frozen.schedule(frozen.now, ("tick",))
 
         asyncio.run(main())
 

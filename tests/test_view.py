@@ -65,8 +65,8 @@ from repro.schedulers.fifo import FIFOScheduler, SJFScheduler
 from repro.simulator.engine import Engine
 from repro.simulator.simulation import Simulation, SimulationConfig
 from tests.conftest import loan, make_engine, make_job
-from tests.test_equivalence import GOLDEN_PATH, digest
-from tests.test_recovery import CHECKPOINT_EVERY, KILL_AT, build_sim
+from tests.test_equivalence import GOLDEN_PATH, build_scenario, digest
+from tests.test_recovery import CHECKPOINT_EVERY, KILL_AT
 
 
 def _pair(train=3, infer=3):
@@ -657,7 +657,7 @@ def test_recovery_roundtrip_under_array_backend(tmp_path):
     column view (loans and returns included)."""
     with GOLDEN_PATH.open() as fh:
         golden = json.load(fh)["lyra_loaning"]["sha256"]
-    sim = build_sim("lyra_loaning")
+    sim = build_scenario("lyra_loaning")
     manager = RecoveryManager(
         tmp_path,
         checkpoint_every=CHECKPOINT_EVERY,
