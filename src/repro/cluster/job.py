@@ -40,6 +40,10 @@ class JobStatus(enum.Enum):
 #: ``max_workers``; physically those models scale poorly out of range.
 BEYOND_RANGE_EFFICIENCY = 0.7
 
+#: Seconds of extra work a preemption charges at the job's full rate:
+#: checkpoint save/load and container churn, measured on the testbed (§7.5).
+PREEMPTION_OVERHEAD = 63.0
+
 
 @dataclass(frozen=True)
 class JobSpec:
@@ -137,9 +141,9 @@ class Job:
         "spec", "status", "remaining_work", "base_placement",
         "flex_placement", "_server_cost", "_onloan_servers", "scaling_model",
         "first_start_time", "finish_time", "last_progress_time",
-        "preemptions", "scale_ops", "hetero_penalty", "tuning_bonus",
-        "straggler_penalty", "onloan_work", "estimate_error", "arrival_hour",
-        "completion_epoch", "preempted_at",
+        "preemptions", "hetero_penalty", "tuning_bonus", "straggler_penalty",
+        "onloan_work", "estimate_error", "arrival_hour", "completion_epoch",
+        "preempted_at",
     )
 
     def __init__(self, spec: JobSpec):
@@ -160,7 +164,6 @@ class Job:
         self.finish_time: Optional[float] = None
         self.last_progress_time: Optional[float] = None
         self.preemptions = 0
-        self.scale_ops = 0
         #: <=70 % throughput penalty while spanning mixed GPU types (§7.1)
         self.hetero_penalty: float = 1.0
         #: goodput bonus from hyperparameter tuning (Lyra+TunedJobs, §7.4)
@@ -303,27 +306,30 @@ class Job:
             effective += (workers - wmax) * BEYOND_RANGE_EFFICIENCY
         return effective
 
-    def throughput(self) -> float:
-        """Current work rate in training-GPU seconds per second.
+    def _rate(self, workers: int) -> float:
+        """Work rate, in training-GPU seconds per second, at ``workers``.
 
         A worker delivers its full ``gpus_per_worker`` of training-GPU
         throughput wherever it runs: the §5.2 capacity normalization
         charges weaker on-loan GPUs a larger *footprint* instead (more
         physical GPUs per worker), so speed is placement-independent.
         The job-level parallel efficiency, heterogeneous-training
-        penalty and tuning bonus still apply.
+        penalty, tuning bonus and straggler pace still apply.
         """
-        workers = self.total_workers
-        if workers == 0:
+        if workers <= 0:
             return 0.0
-        raw = workers * self.spec.gpus_per_worker
         return (
-            raw
+            workers
+            * self.spec.gpus_per_worker
             * (self.effective_workers(workers) / workers)
             * self.hetero_penalty
             * self.tuning_bonus
             * self.straggler_penalty
         )
+
+    def throughput(self) -> float:
+        """Current work rate in training-GPU seconds per second."""
+        return self._rate(self.total_workers)
 
     def onloan_throughput_fraction(self) -> float:
         """Fraction of current throughput delivered by on-loan servers."""
@@ -362,18 +368,9 @@ class Job:
         """Projected remaining running time with ``workers`` workers.
 
         Used by the allocator to evaluate candidate allocations; like
-        :meth:`throughput`, speed does not depend on where workers run.
+        :meth:`throughput`, it reads :meth:`_rate`.
         """
-        if workers <= 0:
-            return math.inf
-        rate = (
-            workers
-            * self.spec.gpus_per_worker
-            * (self.effective_workers(workers) / workers)
-            * self.hetero_penalty
-            * self.tuning_bonus
-            * self.straggler_penalty
-        )
+        rate = self._rate(workers)
         return self.remaining_work / rate if rate > 0 else math.inf
 
     def estimated_duration(self) -> float:

@@ -37,9 +37,10 @@ Two families of actions coexist:
 The executor validates every action against the live cluster/view state
 before committing anything (the activity log cannot be unwritten, so
 atomicity means validate-all-then-commit), emits the per-action
-lifecycle events through ``repro.obs`` plus a ``scheduler.plan``
-summary, and feeds deltas to the :class:`~repro.core.view.ClusterView`
-through the same ``Server`` change hooks the staged mutations fire.
+lifecycle events through ``repro.obs`` plus one ``plan.provenance``
+record per committed plan, and feeds deltas to the
+:class:`~repro.core.view.ClusterView` through the same ``Server`` change
+hooks the staged mutations fire.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.cluster.job import Job
+from repro.cluster.job import PREEMPTION_OVERHEAD, Job
 from repro.obs.log import get_logger
 from repro.obs.profiling import PHASE_PLAN_COMMIT, PHASE_PLAN_VALIDATE
 from repro.obs.provenance import (
@@ -601,18 +602,6 @@ class PlanExecutor:
                 entry["pricing"] = pricing
                 sim.plan_log.append(entry)
             if sim.tracer.enabled:
-                sim.tracer.emit(
-                    "scheduler.plan",
-                    ts=sim.now,
-                    cat=CAT_PLAN,
-                    policy=plan.policy,
-                    plan_id=self.plans_applied,
-                    actions=len(plan.actions),
-                    by_kind=plan.by_kind(),
-                    jobs_affected=pricing["jobs_affected"],
-                    preemptions=pricing["preemptions"],
-                    gpus_moved=pricing["gpus_moved"],
-                )
                 self._emit_provenance(plan, pricing)
         return PlanReceipt(applied=True, actions=len(plan.actions), pricing=pricing)
 
@@ -673,7 +662,7 @@ class PlanExecutor:
                 preemptions += 1
                 job = sim.jobs.get(action.job_id)
                 if job is not None:
-                    lost_gpu_s += job.preemption_loss(sim.config.preemption_overhead)
+                    lost_gpu_s += job.preemption_loss(PREEMPTION_OVERHEAD)
                     gpus_moved += sum(job.gpus_on(sid) for sid in job.servers)
             elif kind == "loan_servers":
                 servers_loaned += len(action.server_ids)

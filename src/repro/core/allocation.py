@@ -89,7 +89,6 @@ class AllocationDecision:
             than current: a scale-in).
         skipped: Jobs whose base demand did not fit this epoch.
         mckp_value: Total JCT-reduction value realized by phase two.
-        leftover: Capacity remaining after both phases.
         mckp_groups: The exact MCKP groups phase two solved, as
             ``(weight, value)`` pairs (None when phase two did not run).
             Kept for conformance probes: the repro.oracle runner
@@ -102,7 +101,6 @@ class AllocationDecision:
     flex: Dict[int, int] = field(default_factory=dict)
     skipped: List[Job] = field(default_factory=list)
     mckp_value: float = 0.0
-    leftover: Pools = field(default_factory=lambda: Pools(0, 0))
     mckp_groups: Optional[List[List[Tuple[int, float]]]] = None
     mckp_capacity: int = 0
 
@@ -254,7 +252,8 @@ def allocate_two_phase(
             workers are up for re-decision; callers must have already
             credited those workers' GPUs back into ``pools`` (§5.2: the
             available resources include GPUs used by flexible workers).
-        pools: Free capacity; consumed in place.
+        pools: Free capacity; phase one consumes it in place, and phase
+            two solves over what is left.
         phases: Optional :class:`~repro.obs.profiling.PhaseProfiler`
             that times the MCKP solve.
 
@@ -271,45 +270,21 @@ def allocate_two_phase(
     # Phase two: flexible demand of scheduled + running elastic jobs.
     elastic_jobs = [job for job, _ in decision.scheduled if job.elastic]
     elastic_jobs.extend(running_elastic)
-    if elastic_jobs and pools.total > 0:
+    capacity = pools.total
+    if elastic_jobs and capacity > 0:
         groups = build_flex_groups(
-            elastic_jobs, max_weight=pools.total, value_fn=value_fn
+            elastic_jobs, max_weight=capacity, value_fn=value_fn
         )
         decision.mckp_groups = groups
-        decision.mckp_capacity = pools.total
+        decision.mckp_capacity = capacity
         with phases.phase(PHASE_MCKP_SOLVE):
-            value, choices = solve_mckp(groups, pools.total)
+            value, choices = solve_mckp(groups, capacity)
         decision.mckp_value = value
         for job, choice in zip(elastic_jobs, choices):
             gpus = choice[0] if choice is not None else 0
             decision.flex[job.job_id] = gpus // job.spec.gpus_per_worker
-            if gpus:
-                _deduct_flex(pools, job, gpus)
     else:
         for job in elastic_jobs:
             decision.flex[job.job_id] = 0
-    decision.leftover = pools.copy()
     return decision
 
-
-def _deduct_flex(pools: Pools, job: Job, gpus: int) -> None:
-    """Charge flexible GPUs to the pools, respecting fungibility.
-
-    Flexible workers prefer on-loan capacity (§5.3); non-fungible jobs
-    may only draw from training.  MCKP solves over the *combined*
-    normalized pool, so a non-fungible job's grant can exceed what the
-    training pool holds; the excess is clamped — never charged to
-    on-loan hardware the job cannot run on — and placement clamps the
-    physically infeasible remainder of the grant itself.
-    """
-    if not job.spec.fungible:
-        pools.training -= min(gpus, pools.training)
-        return
-    taken = min(gpus, pools.onloan_normalized)
-    pools.onloan -= int(round(taken * pools.onloan_cost))
-    pools.training -= gpus - taken
-    if pools.training < 0 or pools.onloan < 0:
-        # Fungible spill across the pool split; clamp at zero —
-        # placement enforces physical feasibility.
-        pools.training = max(0, pools.training)
-        pools.onloan = max(0, pools.onloan)

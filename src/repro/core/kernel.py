@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.cluster import Cluster, ClusterPair
-from repro.cluster.job import Job, JobSpec, JobStatus
+from repro.cluster.job import PREEMPTION_OVERHEAD, Job, JobSpec, JobStatus
 from repro.core.actions import PlanExecutor
 from repro.core.placement import PlacementEngine
 from repro.core.view import ClusterView
@@ -86,7 +86,6 @@ _WORK_EPS = 1e-6
 #: Throughput bonus hyperparameter tuning yields above base demand (§7.4).
 _TUNING_BONUS = 1.08
 
-
 @dataclass
 class SimulationConfig:
     """Kernel- and simulation-wide knobs.
@@ -96,8 +95,6 @@ class SimulationConfig:
             epochs are additionally triggered by job/capacity events.
         orchestrator_interval: Seconds between orchestrator ticks (§7.1:
             five minutes).
-        preemption_overhead: Seconds of extra work charged per preemption
-            (§7.5: 63 s measured on the testbed).
         sample_interval: Seconds between usage samples.
         elastic: Master switch for elastic scaling.
         drain_limit: Extra simulated seconds allowed after the last
@@ -111,7 +108,6 @@ class SimulationConfig:
 
     scheduler_interval: float = 30.0
     orchestrator_interval: float = 300.0
-    preemption_overhead: float = 63.0
     sample_interval: float = 300.0
     elastic: bool = True
     drain_limit: float = 30 * DAY
@@ -658,7 +654,6 @@ class SchedulerKernel:
         (and :meth:`_retune`) already happened — staged by the plan
         transaction, or just before the call for a declarative
         :class:`~repro.core.actions.ScaleIn` and a node failure."""
-        job.scale_ops += 1
         self.metrics.scale_ops += 1
         kind = EventKind.SCALE_OUT if scaled_out else EventKind.SCALE_IN
         self.log(kind, job.job_id, detail=workers, workers=workers)
@@ -724,7 +719,7 @@ class SchedulerKernel:
         job.advance(self.now)  # bank progress before containers die
         workers = job.total_workers
         # resilience accounting: GPU-seconds this preemption destroys
-        lost_work = job.preemption_loss(self.config.preemption_overhead)
+        lost_work = job.preemption_loss(PREEMPTION_OVERHEAD)
         self.metrics.registry.histogram(
             "resilience.lost_gpu_hours", cause=cause
         ).observe(lost_work / 3600.0)
@@ -733,7 +728,7 @@ class SchedulerKernel:
         ).inc()
         job.preempted_at = self.now
         self.rm.release_job(job)
-        job.mark_preempted(self.now, overhead=self.config.preemption_overhead)
+        job.mark_preempted(self.now, overhead=PREEMPTION_OVERHEAD)
         del self.running[job.job_id]
         job.completion_epoch += 1
         self.pending.append(job)

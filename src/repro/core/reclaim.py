@@ -17,17 +17,17 @@ other server it spans), which is NP-hard.  Lyra's heuristic:
    enough servers are vacated — counting servers that became idle as a
    cascade of the preemptions.
 
-Random and smallest-job-count-first (SCF) baselines and an exhaustive
-optimal search (used in §7.3's comparison) live here too.
+Random and smallest-job-count-first (SCF) baselines live here too; the
+exhaustive optimum of §7.3's comparison is the oracle's
+``repro.oracle.reference.plan_reclaim_bruteforce``.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set
 
 from repro.cluster.job import Job
 from repro.cluster.server import Server
@@ -359,97 +359,3 @@ def _plan_from_order(
         plan.scaled_in.pop(job_id, None)
     return plan
 
-
-# ----------------------------------------------------------------------
-# exhaustive optimal (§7.3 comparison)
-# ----------------------------------------------------------------------
-def plan_reclaim_optimal(
-    candidates: Sequence[Server],
-    jobs: Mapping[int, Job],
-    count: int,
-    max_candidates: int = 24,
-) -> ReclaimPlan:
-    """Exhaustively find a preemption-minimal reclaim plan.
-
-    Searches subsets of servers to preempt-clear, allowing servers idled
-    as a cascade to count toward the demand — the same accounting the
-    greedy heuristic uses.  Exponential: guarded by ``max_candidates``.
-    """
-    if len(candidates) > max_candidates:
-        raise ValueError(
-            f"{len(candidates)} candidates exceeds exhaustive-search limit "
-            f"{max_candidates}"
-        )
-    count = min(count, len(candidates))
-
-    def evaluate(subset: Tuple[Server, ...]) -> Optional[ReclaimPlan]:
-        plan = _plan_from_order(list(subset), jobs, len(subset))
-        # Cascade: candidates left with no base workers once the
-        # preempted jobs are gone can be vacated for free.
-        vacated = set(plan.servers)
-        for server in candidates:
-            if server.server_id in vacated:
-                continue
-            base_jobs = [
-                j.job_id
-                for j in _base_jobs_on(server, jobs)
-                if j.job_id not in plan.preempted_jobs
-            ]
-            if not base_jobs:
-                vacated.add(server.server_id)
-                plan.servers.append(server.server_id)
-                for job_id in server.allocations:
-                    if (
-                        job_id not in plan.preempted_jobs
-                        and server.server_id in jobs[job_id].flex_placement
-                    ):
-                        plan.scaled_in.setdefault(job_id, {})[
-                            server.server_id
-                        ] = jobs[job_id].flex_placement[server.server_id]
-            if len(plan.servers) >= count:
-                break
-        if len(plan.servers) < count:
-            return None
-        plan.servers = plan.servers[:count]
-        # _plan_from_order charged collateral against the subset alone;
-        # recompute it against the final selection so GPUs on cascade-
-        # vacated servers that ARE being returned no longer count as
-        # damage (§7.3 definition: GPUs freed on unreturned servers).
-        returned = set(plan.servers)
-        plan.collateral_gpus = 0
-        for job_id in plan.preempted_jobs:
-            job = jobs[job_id]
-            for sid in job.servers:
-                if sid not in returned:
-                    plan.collateral_gpus += job.gpus_on(sid)
-        return plan
-
-    best: Optional[ReclaimPlan] = None
-    for size in range(0, count + 1):
-        for subset in itertools.combinations(candidates, size):
-            plan = evaluate(subset)
-            if plan is None:
-                continue
-            if best is None or plan.num_preemptions < best.num_preemptions:
-                best = plan
-        if best is not None and best.num_preemptions <= size:
-            # Sound to stop (proof, pinned by the repro.oracle brute
-            # force over *job* subsets): any subset achieving k
-            # preemptions is dominated by a subset of size <= k.  Shrink
-            # its preempted job set to a minimal P still vacating
-            # >= count candidates, call them V.  Minimality puts a base
-            # host in V for every job of P (dropping a job with no such
-            # host would leave V vacated).  Pick one host per job of P:
-            # that subset S' has |S'| <= |P| <= k, its servers' base
-            # jobs are exactly P (servers in V are base-free once P is
-            # gone, so they host nothing outside P), and preempting P
-            # re-vacates all of V — so evaluate(S') already achieved
-            # <= k preemptions at size |S'|.  Hence a plan beating
-            # `best` (< best <= size) would have been found at a
-            # strictly smaller size, and searching larger subsets
-            # cannot help — multi-server-job cascades included.
-            break
-    if best is None:
-        # Not enough vacatable capacity even preempting everything.
-        best = _plan_from_order(list(candidates), jobs, count)
-    return best

@@ -16,11 +16,12 @@ when it decided?*  The record has three parts:
   GPU-hours, servers moved), stamped by the executor at commit.
 
 The executor emits the whole record as a single ``plan.provenance``
-trace event (category ``plan``) right after the plan commits, with a
-``plan_id`` shared with the ``scheduler.plan`` event and a ``span_id``
-linking back to the ``obs.span`` that produced the plan.  Everything is
-built only when the tracer is enabled — untraced runs never allocate a
-:class:`Provenance` or a trigger dict.
+trace event (category ``plan``) right after the plan commits — the one
+trace record of a committed plan — with the plan's 1-based commit
+ordinal as ``plan_id`` and a ``span_id`` linking back to the
+``obs.span`` that produced the plan.  Everything is built only when the
+tracer is enabled — untraced runs never allocate a :class:`Provenance`
+or a trigger dict.
 
 JSON schema of the emitted event's ``args``::
 

@@ -10,10 +10,10 @@ instance as a literal.
 
 Generators deliberately cover the regions where the production paths
 historically diverged from the spec: non-fungible elastic jobs against a
-dry training pool (the ``_deduct_flex`` spill), jobs whose per-server
-GPU cost differs across hosts (the GPU_FRACTION index/loop drift),
-multi-server jobs whose preemption cascades vacate several candidates at
-once (the optimal planner's early exit), MCKP groups with
+dry training pool (phase two solves over the combined pool), jobs whose
+per-server GPU cost differs across hosts (the GPU_FRACTION index/loop
+drift), multi-server jobs whose preemption cascades vacate several
+candidates at once, MCKP groups with
 zero-weight items, negative values and empty groups, and MCKP instances
 whose demand fits whole, with the exact ties, 1-ulp near-ties and
 rounding-absorbed values that decide ``solve_whole``'s certificate.

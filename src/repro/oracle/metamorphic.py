@@ -16,7 +16,8 @@ from typing import Optional
 from repro.cluster.gpu import V100
 from repro.cluster.server import Server
 from repro.core.mckp import solve_mckp
-from repro.core.reclaim import plan_reclaim_lyra, plan_reclaim_optimal
+from repro.core.reclaim import plan_reclaim_lyra
+from repro.oracle.reference import plan_reclaim_bruteforce
 
 
 def check_capacity_monotonic(instance) -> Optional[str]:
@@ -24,8 +25,8 @@ def check_capacity_monotonic(instance) -> Optional[str]:
 
     Holds for the greedy (the extra server is vacated for free in phase
     zero, after which the selection sequence is unchanged but stops one
-    server earlier) and trivially for the optimal search (every old plan
-    is still available).
+    server earlier) and trivially for the exhaustive optimum (every old
+    plan is still available).
     """
     servers, jobs = instance.build()
     extra = Server(
@@ -39,8 +40,10 @@ def check_capacity_monotonic(instance) -> Optional[str]:
             f"adding an idle candidate raised greedy preemptions "
             f"{base.num_preemptions} -> {grown.num_preemptions}"
         )
-    opt_base = plan_reclaim_optimal(servers, jobs, instance.count)
-    opt_grown = plan_reclaim_optimal(servers + [extra], jobs, instance.count)
+    opt_base = plan_reclaim_bruteforce(servers, jobs, instance.count)
+    opt_grown = plan_reclaim_bruteforce(
+        servers + [extra], jobs, instance.count
+    )
     if opt_grown.num_preemptions > opt_base.num_preemptions:
         return (
             f"adding an idle candidate raised optimal preemptions "
@@ -58,7 +61,7 @@ def check_permutation_invariance(instance, seed: int = 0) -> Optional[str]:
     """
     servers, jobs = instance.build()
     ref = plan_reclaim_lyra(servers, jobs, instance.count)
-    ref_optimal = plan_reclaim_optimal(servers, jobs, instance.count)
+    ref_optimal = plan_reclaim_bruteforce(servers, jobs, instance.count)
     rng = random.Random(seed)
     for _ in range(3):
         shuffled = servers[:]
@@ -73,7 +76,7 @@ def check_permutation_invariance(instance, seed: int = 0) -> Optional[str]:
                 f"{ref.servers}/{sorted(ref.preempted_jobs)} vs "
                 f"{plan.servers}/{sorted(plan.preempted_jobs)}"
             )
-        optimal = plan_reclaim_optimal(shuffled, jobs, instance.count)
+        optimal = plan_reclaim_bruteforce(shuffled, jobs, instance.count)
         if optimal.num_preemptions != ref_optimal.num_preemptions:
             return (
                 f"optimal preemption count depends on candidate order: "

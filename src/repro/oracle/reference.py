@@ -5,15 +5,11 @@ than the production path, so everything here trades efficiency and
 incrementality for first-principles transparency:
 
 * :func:`plan_reclaim_bruteforce` searches *job* subsets exhaustively —
-  a different search space from ``plan_reclaim_optimal``'s server
-  subsets, which makes agreement between the two a meaningful result
-  rather than shared-bug blindness;
+  the §7.3 optimum the greedy reclaimer is certified and measured
+  against, sharing none of the greedy's server-selection code;
 * :func:`allocate_reference` restates the §5.2 two-phase rules in
   straight-line code over raw pool numbers and solves phase two with
   the brute-force MCKP enumerator;
-* :func:`deduct_flex_reference` / :func:`replay_flex_leftover` state the
-  fungibility rule for flexible workers plainly, so a production
-  decision's leftover pools can be re-derived and certified;
 * :func:`solve_mckp_scalar` is the MCKP dynamic program as plain Python
   loops — the reference the vectorized production kernel must match
   bit for bit, choices included.
@@ -122,9 +118,6 @@ class ReferenceAllocation:
     skipped: List[int] = field(default_factory=list)
     flex: Dict[int, int] = field(default_factory=dict)
     mckp_value: float = 0.0
-    #: pools after phase one, before any flexible deduction
-    phase1_leftover: Pools = field(default_factory=lambda: Pools(0, 0))
-    leftover: Pools = field(default_factory=lambda: Pools(0, 0))
 
 
 def _fits_reference(job: Job, gpus: int, pools: Pools) -> str:
@@ -160,40 +153,6 @@ def _charge_reference(pools: Pools, domain: str, gpus: int) -> None:
         pools.onloan -= int(round((gpus - from_training) * pools.onloan_cost))
 
 
-def deduct_flex_reference(pools: Pools, job: Job, gpus: int) -> None:
-    """The fungibility rule for flexible workers, stated plainly.
-
-    Fungible jobs draw on-loan capacity first (§5.3) and spill the rest
-    to training; non-fungible jobs may only ever draw training GPUs —
-    an over-grant from the combined-pool MCKP is clamped, never charged
-    to on-loan hardware the job cannot run on.  This is the invariant
-    the production ``allocation._deduct_flex`` historically violated.
-    """
-    if not job.spec.fungible:
-        pools.training -= min(gpus, pools.training)
-        return
-    taken = min(gpus, pools.onloan_normalized)
-    pools.onloan = max(0, pools.onloan - int(round(taken * pools.onloan_cost)))
-    pools.training = max(0, pools.training - (gpus - taken))
-
-
-def replay_flex_leftover(
-    pools: Pools, elastic_jobs: Sequence[Job], flex: Mapping[int, int]
-) -> Pools:
-    """Re-derive the leftover pools implied by a flexible-worker decision.
-
-    Starting from the phase-one leftover, charges every granted extra
-    worker through :func:`deduct_flex_reference` in decision order; the
-    result is what a correct production accounting must report.
-    """
-    pools = pools.copy()
-    for job in elastic_jobs:
-        extra = flex.get(job.job_id, 0)
-        if extra:
-            deduct_flex_reference(pools, job, extra * job.spec.gpus_per_worker)
-    return pools
-
-
 def allocate_reference(
     pending: Sequence[Job],
     running_elastic: Sequence[Job],
@@ -225,7 +184,6 @@ def allocate_reference(
         _charge_reference(pools, domain, gpus)
         ref.scheduled.append((job.job_id, domain))
         scheduled_jobs.append(job)
-    ref.phase1_leftover = pools.copy()
 
     elastic_jobs = [job for job in scheduled_jobs if job.elastic]
     elastic_jobs.extend(running_elastic)
@@ -248,14 +206,9 @@ def allocate_reference(
         for job, choice in zip(elastic_jobs, choices):
             extra = choice.payload[1] if choice is not None else 0
             ref.flex[job.job_id] = extra
-            if extra:
-                deduct_flex_reference(
-                    pools, job, extra * job.spec.gpus_per_worker
-                )
     else:
         for job in elastic_jobs:
             ref.flex[job.job_id] = 0
-    ref.leftover = pools
     return ref
 
 

@@ -56,7 +56,9 @@ MAGIC = b"REPROSNAP\x00"
 #: 9: the orchestrator holds no predictor, forecast window or loan-freeze
 #: switch, and a fault plan no predictor biases (a schema-8 snapshot
 #: pickled all three, and an injector holding the wrapped predictor)
-SCHEMA_VERSION = 9
+#: 10: a job has no ``scale_ops`` slot and the kernel config no
+#: ``preemption_overhead`` field (a schema-9 snapshot pickled both)
+SCHEMA_VERSION = 10
 
 #: pinned pickle protocol: snapshots written on 3.9 load on 3.12
 PICKLE_PROTOCOL = 4

@@ -257,11 +257,12 @@ def make_policy(name: str, seed: int = 0, **kwargs) -> SchedulerPolicy:
     if name == "afs":
         return AFSScheduler()
     if name == "pollux":
-        return PolluxScheduler(
-            generations=kwargs.get("pollux_generations", 40),
-            population=kwargs.get("pollux_population", 16),
-            seed=seed,
-        )
+        budget = {
+            key: kwargs[f"pollux_{key}"]
+            for key in ("generations", "population")
+            if f"pollux_{key}" in kwargs
+        }
+        return PolluxScheduler(seed=seed, **budget)
     raise ValueError(f"unknown policy {name!r}")
 
 

@@ -13,8 +13,9 @@ Faithful-to-the-critique modelling choices (§7.4):
   newcomers — prolonging the big jobs;
 * queuing time is not part of the objective, so admission is whatever the
   GA happens to pick, not launch-as-many-as-possible;
-* the GA's quality hinges on its iteration budget; we default to the 250
-  generations the paper grants it.
+* the GA's quality hinges on its iteration budget; every run gets 40
+  generations of 16 candidates, well under the 250 generations the paper
+  grants it, to keep a whole simulation tractable.
 
 Hyperparameter tuning itself is modelled exactly as for Lyra+TunedJobs:
 simulations running Pollux set ``tuned_jobs=True`` so scaled jobs recover
@@ -44,8 +45,8 @@ class PolluxScheduler(SchedulerPolicy):
 
     def __init__(
         self,
-        generations: int = 250,
-        population: int = 20,
+        generations: int = 40,
+        population: int = 16,
         seed: int = 0,
         ga_interval: float = 120.0,
     ):

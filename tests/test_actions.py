@@ -82,7 +82,6 @@ def state_snapshot(sim) -> tuple:
             tuple(sorted(j.base_placement.items())),
             tuple(sorted(j.flex_placement.items())),
             j.preemptions,
-            j.scale_ops,
             j.hetero_penalty,
         )
         for j in sim.jobs.values()

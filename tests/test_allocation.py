@@ -240,7 +240,6 @@ class TestTwoPhase:
         pools = Pools(training=4)
         decision = allocate_two_phase([], [running], pools)
         assert decision.flex[5] == 4
-        assert decision.leftover.training == 0
 
     def test_phase_one_starves_phase_two_under_pressure(self):
         # Inelastic demand soaks the pool; elastic jobs get base only.
@@ -278,38 +277,3 @@ class TestTwoPhase:
         assert decision.mckp_capacity == 6  # 8 minus the base demand of 2
         assert decision.mckp_groups is not None
         assert [w for w, _ in decision.mckp_groups[0]] == [1, 2, 3, 4]
-
-
-class TestDeductFlex:
-    """Regression: the fungibility rule for flexible-worker charges.
-
-    The MCKP solves over the *combined* normalized pool, so a grant can
-    exceed one pool's remainder; how the spill is charged must respect
-    fungibility.  ``_deduct_flex`` historically charged a non-fungible
-    job's spill to ``pools.onloan`` — hardware the job can never run
-    on — under-reporting loanable leftover capacity.
-    """
-
-    def test_nonfungible_flex_never_charges_onloan(self):
-        job = make_job(job_id=1, duration=20, max_workers=8, min_workers=1,
-                       elastic=True, fungible=False)
-        pools = Pools(training=2, onloan=9, onloan_cost=3.0)
-        decision = allocate_two_phase([job], [], pools)
-        # Base takes 1 training GPU; phase two sees capacity 1 + 9/3 = 4
-        # and grants more flex than the training pool holds.
-        assert decision.flex[1] >= 2
-        # The spill must be clamped against training, never billed to
-        # the on-loan pool.
-        assert decision.leftover.onloan == 9
-        assert decision.leftover.training == 0
-
-    def test_fungible_flex_drains_onloan_first(self):
-        job = make_job(job_id=1, duration=20, max_workers=4, min_workers=1,
-                       elastic=True, fungible=True)
-        pools = Pools(training=5, onloan=6, onloan_cost=3.0)
-        decision = allocate_two_phase([job], [], pools)
-        # Base prefers on-loan (1 GPU -> 3 physical); flex 3 draws the
-        # remaining normalized on-loan GPU first, then training.
-        assert decision.flex[1] == 3
-        assert decision.leftover.onloan == 0
-        assert decision.leftover.training == 3

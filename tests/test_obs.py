@@ -24,7 +24,7 @@ from repro.obs.provenance import PROVENANCE_EVENT
 from repro.obs.report import build_report
 from repro.obs.timeline import TimelineStore, render_why
 from repro.obs.tracer import SPAN_EVENT, SUMMARY_EVENT, Tracer
-from repro.scenarios import default_setup, run_scheme
+from repro.scenarios import build_sim, default_setup, run_scheme
 from repro.simulator.metrics import SimulationMetrics
 
 
@@ -201,12 +201,16 @@ class TestSimulationMetricsShim:
         assert snap["histograms"]["orchestrator.reclaim_servers"]["count"] == 1
 
 
-def tiny_obs_run(obs=None):
+def tiny_obs_sim(obs=None):
     setup = default_setup(
         num_jobs=60, days=0.5, training_servers=6, inference_servers=8,
         seed=3,
     )
-    return run_scheme(setup, "lyra", obs=obs)
+    return build_sim(setup, "lyra", obs=obs)
+
+
+def tiny_obs_run(obs=None):
+    return tiny_obs_sim(obs).run()
 
 
 class TestEndToEnd:
@@ -478,18 +482,26 @@ class TestProvenanceLedger:
     @pytest.fixture(scope="class")
     def ledger(self):
         obs = Observability.enabled()
-        tiny_obs_run(obs)
+        sim = tiny_obs_sim(obs)
+        sim.run()
         events = obs.tracer.events
         provs = [e for e in events if e.name == PROVENANCE_EVENT]
-        plans = [e for e in events if e.name == "scheduler.plan"]
         spans = [e for e in events if e.name == SPAN_EVENT]
-        return provs, plans, spans
+        return provs, sim.executor, spans
 
     def test_every_committed_plan_has_provenance(self, ledger):
-        provs, plans, _ = ledger
-        assert provs and plans
-        assert {e.args["plan_id"] for e in provs} \
-            == {e.args["plan_id"] for e in plans}
+        # the ledger record is a committed plan's one trace record: each
+        # committed action is priced in exactly one of them
+        provs, executor, _ = ledger
+        assert provs
+        ids = [e.args["plan_id"] for e in provs]
+        assert ids == sorted(set(ids)) and ids[-1] <= executor.plans_applied
+        assert sum(e.args["pricing"]["actions"] for e in provs) \
+            == executor.actions_applied
+        for e in provs:
+            assert len(e.args["actions"]) == e.args["pricing"]["actions"]
+            assert sum(e.args["pricing"]["by_kind"].values()) \
+                == e.args["pricing"]["actions"]
 
     def test_records_carry_policy_triggers_pricing_actions(self, ledger):
         provs, _, _ = ledger
@@ -510,7 +522,7 @@ class TestProvenanceLedger:
 
     def test_lyra_notes_the_pools_its_decision_was_given(self, monkeypatch):
         # allocate_two_phase consumes the pools in place: the ledger must
-        # report what phase 1 was offered, not what both phases left
+        # report what phase 1 was offered, not what it left
         import repro.core.actions as actions_mod
         import repro.schedulers.lyra as lyra_mod
 

@@ -12,11 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.allocation as allocation_mod
 import repro.core.mckp as mckp_mod
 import repro.core.reclaim as reclaim_mod
-import repro.oracle.conformance as conformance_mod
-from repro.core.reclaim import CostModel, plan_reclaim_lyra, plan_reclaim_optimal
+from repro.core.reclaim import CostModel, plan_reclaim_lyra
 from repro.oracle.conformance import (
     allocation_divergence,
     mckp_divergence,
@@ -64,15 +62,13 @@ class TestReclaimOracle:
     @given(seed=st.integers(0, 5_000))
     @settings(max_examples=40, deadline=None)
     def test_production_planners_vs_oracle(self, seed):
-        """Greedy never beats the true optimum; exhaustive matches it."""
+        """Greedy never beats the true optimum, under any cost model."""
         servers, jobs = gen_reclaim_instance(seed).build()
         count = gen_reclaim_instance(seed).count
         oracle = plan_reclaim_bruteforce(servers, jobs, count)
         for model in CostModel:
             greedy = plan_reclaim_lyra(servers, jobs, count, cost_model=model)
             assert greedy.num_preemptions >= oracle.num_preemptions
-        optimal = plan_reclaim_optimal(servers, jobs, count)
-        assert optimal.num_preemptions == oracle.num_preemptions
 
 
 class TestDifferentialSweeps:
@@ -174,44 +170,30 @@ class TestRunCheck:
         assert data["divergences"] == []
 
 
+def _plant_gpu_fraction_drift(monkeypatch) -> None:
+    """Put the old greedy-loop GPU_FRACTION cost back: workers over the
+    working span instead of GPUs over the placement."""
+    real = reclaim_mod.job_preemption_cost
+
+    def buggy_cost(job, server_id, model=CostModel.SERVER_FRACTION,
+                   base_span=None, full_span=None):
+        if model is CostModel.GPU_FRACTION and full_span is not None:
+            total = sum(job.workers_on(sid) for sid in full_span)
+            return job.workers_on(server_id) / total if total else 0.0
+        return real(job, server_id, model,
+                    base_span=base_span, full_span=full_span)
+
+    monkeypatch.setattr(reclaim_mod, "job_preemption_cost", buggy_cost)
+
+
 # ----------------------------------------------------------------------
 # the acceptance criterion: re-introduced bugs must be caught, pointedly
 # ----------------------------------------------------------------------
 class TestBugReintroduction:
     """Each historical bug, put back, must yield a pointed divergence."""
 
-    def test_nonfungible_spill_to_onloan_is_caught(self, monkeypatch):
-        def buggy_deduct(pools, job, gpus):
-            # The old code: fungibility ignored, spill billed on-loan.
-            taken = min(gpus, pools.onloan_normalized)
-            pools.onloan -= int(round(taken * pools.onloan_cost))
-            pools.training -= gpus - taken
-            pools.training = max(0, pools.training)
-            pools.onloan = max(0, pools.onloan)
-
-        monkeypatch.setattr(allocation_mod, "_deduct_flex", buggy_deduct)
-        instance = AllocationInstance(
-            jobs=((0, 100.0, 1, 8, 1, True, False, False, False, 0.0),),
-            training=2, onloan=9, onloan_cost=3.0,
-        )
-        msg = allocation_divergence(instance)
-        assert msg is not None
-        assert "leftover pools mis-accounted" in msg
-
     def test_gpu_fraction_drift_is_caught(self, monkeypatch):
-        real = reclaim_mod.job_preemption_cost
-
-        def buggy_cost(job, server_id, model=CostModel.SERVER_FRACTION,
-                       base_span=None, full_span=None):
-            # The old greedy loop: workers over the working span instead
-            # of GPUs over the placement.
-            if model is CostModel.GPU_FRACTION and full_span is not None:
-                total = sum(job.workers_on(sid) for sid in full_span)
-                return job.workers_on(server_id) / total if total else 0.0
-            return real(job, server_id, model,
-                        base_span=base_span, full_span=full_span)
-
-        monkeypatch.setattr(reclaim_mod, "job_preemption_cost", buggy_cost)
+        _plant_gpu_fraction_drift(monkeypatch)
         # One job paying double GPU cost on one of its two hosts: worker
         # fractions are 1/2 each, GPU fractions 1/3 vs 2/3.
         instance = ReclaimInstance(
@@ -224,85 +206,21 @@ class TestBugReintroduction:
         assert msg is not None
         assert "cost-model drift under gpu_fraction" in msg
 
-    def test_optimal_early_exit_is_caught(self, monkeypatch):
-        import itertools
-
-        from repro.core.reclaim import _base_jobs_on, _plan_from_order
-
-        def buggy_optimal(candidates, jobs, count, max_candidates=24):
-            # The tempting-but-wrong exit: stop at the first subset size
-            # with any feasible plan, even if its preemption count
-            # exceeds the size bound.
-            count = min(count, len(candidates))
-            best = None
-            for size in range(0, count + 1):
-                for subset in itertools.combinations(candidates, size):
-                    plan = _plan_from_order(list(subset), jobs, len(subset))
-                    vacated = set(plan.servers)
-                    for server in candidates:
-                        if server.server_id in vacated:
-                            continue
-                        live = [
-                            j for j in _base_jobs_on(server, jobs)
-                            if j.job_id not in plan.preempted_jobs
-                        ]
-                        if not live:
-                            vacated.add(server.server_id)
-                            plan.servers.append(server.server_id)
-                        if len(plan.servers) >= count:
-                            break
-                    if len(plan.servers) < count:
-                        continue
-                    plan.servers = plan.servers[:count]
-                    if best is None or (
-                        plan.num_preemptions < best.num_preemptions
-                    ):
-                        best = plan
-                if best is not None:
-                    break
-            return best or _plan_from_order(list(candidates), jobs, count)
-
-        monkeypatch.setattr(
-            conformance_mod, "plan_reclaim_optimal", buggy_optimal
-        )
-        # The counterexample shape: size 1 admits only a 3-preemption
-        # plan ({r0} + cascade r1); the 2-preemption optimum needs
-        # size 2 ({r2, r3}).
-        instance = ReclaimInstance(
-            num_servers=4,
-            placements=(
-                (0, "r0", 1, False, 1), (0, "r1", 4, False, 1),
-                (1, "r0", 2, False, 1), (2, "r0", 2, False, 1),
-                (3, "r2", 2, False, 1), (4, "r3", 2, False, 1),
-            ),
-            count=2,
-        )
-        msg = reclaim_divergence(instance)
-        assert msg is not None
-        assert "brute force proves" in msg
-
     def test_run_check_surfaces_the_divergence_with_a_repro(
         self, monkeypatch
     ):
-        def buggy_deduct(pools, job, gpus):
-            taken = min(gpus, pools.onloan_normalized)
-            pools.onloan -= int(round(taken * pools.onloan_cost))
-            pools.training -= gpus - taken
-            pools.training = max(0, pools.training)
-            pools.onloan = max(0, pools.onloan)
-
-        monkeypatch.setattr(allocation_mod, "_deduct_flex", buggy_deduct)
-        # Seed 0's stream hits the bug within the first instances (the
-        # generator makes non-fungible elastic jobs against tight pools
-        # common on purpose); the report must carry a runnable repro.
+        _plant_gpu_fraction_drift(monkeypatch)
+        # Seed 0's stream hits the drift within the first instances (the
+        # generator gives jobs a different per-worker GPU cost on each
+        # host on purpose); the report must carry a runnable repro.
         report = run_check(policies=["lyra"], n=50, replay=False)
         assert not report.ok
         div = report.divergences[0]
-        assert div.check == "allocation"
+        assert div.check == "reclaim"
         assert div.repro is not None
-        assert "AllocationInstance(" in div.repro
-        assert "allocation_divergence" in div.repro
-        assert div.render().startswith("[allocation")
+        assert "ReclaimInstance(" in div.repro
+        assert "reclaim_divergence" in div.repro
+        assert div.render().startswith("[reclaim")
 
     def test_uncertified_arg_max_is_caught(self, monkeypatch):
         # With no rounding allowance the fast path answers whenever no

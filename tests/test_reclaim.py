@@ -12,11 +12,11 @@ from repro.core.reclaim import (
     CostModel,
     initial_greedy_costs,
     plan_reclaim_lyra,
-    plan_reclaim_optimal,
     plan_reclaim_random,
     plan_reclaim_scf,
     server_preemption_cost,
 )
+from repro.oracle.reference import plan_reclaim_bruteforce
 
 from tests.conftest import make_job
 
@@ -265,43 +265,8 @@ class TestBaselines:
 
 
 class TestOptimal:
-    def test_fig5_optimal_matches_lyra(self):
-        servers, jobs = fig5_instance()
-        optimal = plan_reclaim_optimal(servers, jobs, count=2)
-        assert optimal.num_preemptions == 1
-
-    def test_size_bound_keeps_searching_past_first_feasible_plan(self):
-        """Counterexample shape for a tempting-but-wrong early exit.
-
-        At subset size 1 the only feasible plan is {x}: preempting its
-        three sliver jobs vacates x plus (by cascade) y — 3 preemptions.
-        The optimum needs subset size 2 ({a, b}: 2 preemptions).  An
-        exit that stops at the first feasible size would return 3; the
-        actual bound (``best.num_preemptions <= size``) keeps searching
-        because 3 > 1, which is exactly what the soundness proof in
-        ``plan_reclaim_optimal`` licenses.
-        """
-        servers = {
-            sid: Server(server_id=sid, gpu_type=V100, on_loan=True,
-                        home_cluster="inference")
-            for sid in ("x", "y", "a", "b")
-        }
-        jobs = {}
-        spanner = make_job(job_id=0, max_workers=8)
-        place(spanner, servers["x"], 1)
-        place(spanner, servers["y"], 4)
-        jobs[0] = spanner
-        for job_id, sid in ((1, "x"), (2, "x"), (3, "a"), (4, "b")):
-            job = make_job(job_id=job_id, max_workers=4)
-            place(job, servers[sid], 2)
-            jobs[job_id] = job
-        optimal = plan_reclaim_optimal(list(servers.values()), jobs, count=2)
-        assert optimal.num_preemptions == 2
-
-    def test_guard_on_large_instances(self):
-        servers, jobs = fig5_instance()
-        with pytest.raises(ValueError):
-            plan_reclaim_optimal(servers * 10, jobs, 2, max_candidates=10)
+    """The greedy against the §7.3 exhaustive optimum, which is the
+    oracle's search over job subsets."""
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
@@ -325,7 +290,7 @@ class TestOptimal:
                     place(job, server, workers)
         count = rng.randint(1, 4)
         greedy = plan_reclaim_lyra(servers, jobs, count)
-        optimal = plan_reclaim_optimal(servers, jobs, count)
+        optimal = plan_reclaim_bruteforce(servers, jobs, count)
         assert len(greedy.servers) == count
         assert len(optimal.servers) == count
         assert greedy.num_preemptions >= optimal.num_preemptions

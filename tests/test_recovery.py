@@ -557,17 +557,17 @@ class TestSnapshotCodec:
             SnapshotCodec.load(tmp_path / "nope.ckpt")
 
     def test_recover_refuses_a_directory_an_older_build_wrote(self, tmp_path):
-        """Schema 9: the orchestrator, the fault plan and its injector
-        pickle without the predictor's fields.  A schema-8 directory is
+        """Schema 10: a job pickles without ``scale_ops`` and the kernel
+        config without ``preemption_overhead``.  A schema-9 directory is
         refused by its manifest, before any unpickle."""
         killed_run("fifo_contention", tmp_path)
         manifest = tmp_path / "recovery.json"
         current = manifest.read_text()
-        manifest.write_text(current.replace('"schema": 9', '"schema": 8'))
+        manifest.write_text(current.replace('"schema": 10', '"schema": 9'))
         assert manifest.read_text() != current
         with pytest.raises(
             RecoveryError,
-            match=r"schema 8 does not match this build \(schema 9\)",
+            match=r"schema 9 does not match this build \(schema 10\)",
         ):
             RecoveryManager.recover(tmp_path)
 

@@ -797,8 +797,8 @@ class TestServeDurability:
 
     def test_scale_in_is_a_plan_and_survives_a_kill(self, tmp_path):
         """The ``scale`` op commits through the kernel's executor — one
-        more applied plan, one more WAL entry, a ``scheduler.plan`` +
-        ``plan.provenance`` pair under policy ``serve:scale`` — and a
+        more applied plan, one more WAL entry, one ``plan.provenance``
+        ledger record under policy ``serve:scale`` — and a
         kill right after the ack loses nothing: the snapshot predates
         the shrink, the journal replays it."""
         state_dir = tmp_path / "state"
@@ -830,15 +830,10 @@ class TestServeDurability:
 
         job_id = asyncio.run(first_life())
         plans = [e for e in obs.tracer.events
-                 if e.name == "scheduler.plan"
+                 if e.name == "plan.provenance"
                  and e.args["policy"] == "serve:scale"]
-        assert len(plans) == 1 and plans[0].args["by_kind"] == {"scale_in": 1}
-        assert any(
-            e.name == "plan.provenance"
-            and e.args["plan_id"] == plans[0].args["plan_id"]
-            and e.args["policy"] == "serve:scale"
-            for e in obs.tracer.events
-        )
+        assert len(plans) == 1
+        assert plans[0].args["pricing"]["by_kind"] == {"scale_in": 1}
 
         async def second_life():
             service = _service(policy=LyraScheduler, state_dir=state_dir,
