@@ -56,6 +56,7 @@ from repro.ioutil import atomic_write, atomic_write_text
 from repro.obs import Observability
 from repro.obs.inspect import TraceFormatError
 from repro.obs.log import configure_logging
+from repro.obs.provenance import PROVENANCE_EVENT
 from repro.scenarios import (
     SCENARIOS,
     SCHEMES,
@@ -153,8 +154,6 @@ def _simulate(args, scheme: Optional[str] = None, setup=None,
     overrides = _fault_overrides(args)
     plan = overrides.get("fault_plan")
     kills = plan.crashes if plan is not None else ()
-    if opt("explain"):
-        overrides["record_plans"] = True
     if opt("activities_out"):
         overrides["record_activities"] = True
     market = None
@@ -192,7 +191,8 @@ def _simulate(args, scheme: Optional[str] = None, setup=None,
         workdir = tempfile.mkdtemp(prefix="repro-chaos-")
     if workdir:
         from repro.recovery.manager import RecoveryError, RecoveryManager
-    obs = Observability.enabled() if opt("trace") else None
+    # --explain prints the decision ledger, which only a traced run keeps
+    obs = Observability.enabled() if opt("trace") or opt("explain") else None
 
     def fresh_sim():
         built = build_sim(
@@ -297,9 +297,15 @@ def _print_metrics(name: str, metrics: SimulationMetrics) -> None:
           f"reclaims {data['reclaim_ops']}")
 
 
+def _ledger(sim) -> list:
+    """The ``plan.provenance`` records of a traced run, in commit order:
+    one per committed non-empty plan."""
+    return [e.args for e in sim.tracer.events if e.name == PROVENANCE_EVENT]
+
+
 def _print_plan_summary(sim) -> None:
-    """Summarize the recorded decision plans of a finished run."""
-    plans = sim.plan_log
+    """Summarize the decision ledger of a finished run."""
+    plans = _ledger(sim)
     executor = sim.executor
     print(f"  plans    applied {executor.plans_applied}   "
           f"rejected {executor.plans_rejected}   "
@@ -367,7 +373,7 @@ def cmd_run(args) -> int:
         if snapshot is not None:
             data["market"] = snapshot
         if args.explain:
-            data["plans"] = sim.plan_log
+            data["plans"] = _ledger(sim)
         print(json.dumps(data, indent=2,
                          sort_keys="resilience" in data))
     else:
@@ -528,7 +534,7 @@ def cmd_chaos(args) -> int:
             if plan.flash_crowds:
                 parts.append(f"{len(plan.flash_crowds)} flash crowd(s)")
             if plan.predictor_outages:
-                parts.append("predictor faults")
+                parts.append("loaning signal unavailable")
             if plan.launch_failures:
                 parts.append(
                     f"launch p={plan.launch_failures.probability:g}"
@@ -658,13 +664,13 @@ def cmd_check(args) -> int:
     """Conformance-check the schedulers against the correctness oracles.
 
     Runs ``repro.oracle.conformance.run_check``: seeded differential
-    sweeps (greedy and optimal reclaim vs an exhaustive job-subset
-    search, the MCKP DP vs enumeration, two-phase allocation vs a
-    first-principles reference), metamorphic properties (capacity
-    monotonicity, permutation invariance, dry-run pricing), and
-    mini-scenario replays of every requested scheme on both views.  A
-    divergence prints a pointed report with a minimized, runnable repro
-    script and the command exits 1.
+    sweeps (greedy reclaim vs an exhaustive job-subset search, the MCKP
+    DP vs enumeration, two-phase allocation vs a first-principles
+    reference), metamorphic properties (capacity monotonicity,
+    permutation invariance, dry-run pricing), and mini-scenario replays
+    of every requested scheme on both views.  A divergence prints a
+    pointed report with a minimized, runnable repro script and the
+    command exits 1.
     """
     from repro.oracle.conformance import run_check
 
@@ -910,8 +916,9 @@ _OPTIONS = {
                    help="print the result as JSON instead of text"),
     "--explain": dict(
         action="store_true",
-        help="record every applied decision plan and print a summary "
-             "(with --json, the full plan log under \"plans\")"),
+        help="trace the run in memory and summarize its decision ledger "
+             "(with --json, every plan.provenance record under "
+             "\"plans\")"),
     "--trace": dict(help="export a structured event trace to this path "
                          "(serve: on shutdown)"),
     "--trace-format": dict(

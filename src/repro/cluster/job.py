@@ -70,7 +70,10 @@ class JobSpec:
         checkpointing: Whether preemption preserves training progress
             (§7.3); the paper's conservative default is ``False``.
         model_family: Model family label, e.g. ``"resnet"``.
-        scaling: Name of the throughput scaling model.
+        scaling: Read by nothing: every elastic job gets the kernel's
+            ``SimulationConfig.scaling_model``.  Kept so a request
+            journal an earlier daemon wrote (its submits could set it)
+            still replays; a submit can no longer set it.
     """
 
     job_id: int

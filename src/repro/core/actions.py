@@ -49,18 +49,12 @@ import dataclasses
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cluster.job import PREEMPTION_OVERHEAD, Job
 from repro.obs.log import get_logger
 from repro.obs.profiling import PHASE_PLAN_COMMIT, PHASE_PLAN_VALIDATE
-from repro.obs.provenance import (
-    PROVENANCE_EVENT,
-    TRIGGER_LOAN,
-    TRIGGER_RECLAIM,
-    Provenance,
-    action_digest,
-)
+from repro.obs.provenance import PROVENANCE_EVENT, TRIGGER_LOAN, TRIGGER_RECLAIM
 from repro.obs.tracer import CAT_PLAN
 from repro.simulator.events import EventKind
 
@@ -241,10 +235,11 @@ class EpochPlan:
     decision_inputs: Optional[Dict[str, Any]] = field(
         default=None, repr=False, compare=False
     )
-    #: full causal record, attached by the simulation before apply()
-    provenance: Optional[Provenance] = field(
-        default=None, repr=False, compare=False
-    )
+    #: the events that scheduled this plan's epoch, as the dicts the
+    #: ledger prints; set by whoever builds the plan (traced runs only)
+    triggers: Sequence[Dict[str, Any]] = field(default=(), repr=False, compare=False)
+    #: triggers beyond ``MAX_TRIGGERS`` that the epoch coalesced away
+    dropped_triggers: int = field(default=0, repr=False, compare=False)
 
     def by_kind(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
@@ -557,8 +552,7 @@ class PlanExecutor:
         plan.consumed = True
         txn = plan.txn
         sim = self.sim
-        record = sim.config.record_plans
-        want_pricing = dry_run or record or sim.tracer.enabled
+        want_pricing = dry_run or sim.tracer.enabled
         pricing = self.price(plan) if want_pricing else None
         if dry_run:
             if txn is not None:
@@ -596,41 +590,26 @@ class PlanExecutor:
         if txn is not None:
             txn.close()
         self.plans_applied += 1
-        if plan.actions:
-            if record:
-                entry = plan.to_dict()
-                entry["pricing"] = pricing
-                sim.plan_log.append(entry)
-            if sim.tracer.enabled:
-                self._emit_provenance(plan, pricing)
+        if plan.actions and sim.tracer.enabled:
+            self._emit_provenance(plan, pricing)
         return PlanReceipt(applied=True, actions=len(plan.actions), pricing=pricing)
 
     def _emit_provenance(self, plan: EpochPlan, pricing: Dict[str, Any]) -> None:
-        """Emit the plan's causal record (the ``plan.provenance`` event).
-
-        The simulation attaches a full :class:`Provenance` (triggers +
-        inputs + span) before calling :meth:`apply`; plans applied
-        outside that loop (tests, what-if replays) still get a minimal
-        record so the ledger never has holes.
+        """Emit the plan's one ledger record (the ``plan.provenance``
+        event): the plan as the WAL journals it, plus its commit
+        ordinal, pricing, triggers and whatever provenance it carries.
         """
-        sim = self.sim
-        prov = plan.provenance
-        if prov is None:
-            prov = Provenance(
-                policy=plan.policy,
-                ts=plan.now,
-                inputs=plan.decision_inputs or {},
-                span_id=plan.span_id,
-            )
-        sim.tracer.emit(
-            PROVENANCE_EVENT,
-            ts=sim.now,
-            cat=CAT_PLAN,
-            plan_id=self.plans_applied,
-            pricing=pricing,
-            actions=[action_digest(a) for a in plan.actions],
-            **prov.to_payload(),
-        )
+        record = plan.to_dict()
+        record["plan_id"] = self.plans_applied
+        record["pricing"] = pricing
+        record["triggers"] = list(plan.triggers)
+        if plan.decision_inputs:
+            record["inputs"] = plan.decision_inputs
+        if plan.span_id is not None:
+            record["span_id"] = plan.span_id
+        if plan.dropped_triggers:
+            record["dropped_triggers"] = plan.dropped_triggers
+        self.sim.tracer.emit(PROVENANCE_EVENT, ts=self.sim.now, cat=CAT_PLAN, **record)
 
     # -- pricing ---------------------------------------------------------
     def price(self, plan: EpochPlan) -> Dict[str, Any]:

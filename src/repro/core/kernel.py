@@ -49,13 +49,9 @@ from repro.obs.provenance import (
     MAX_TRIGGERS,
     TRIGGER_ARRIVAL,
     TRIGGER_COMPLETION,
-    TRIGGER_FAULT,
-    TRIGGER_INTERVAL,
     TRIGGER_NODE_FAILURE,
     TRIGGER_NODE_RECOVERY,
     TRIGGER_PREEMPT,
-    Provenance,
-    Trigger,
 )
 from repro.obs.tracer import CAT_JOB, CAT_ORCHESTRATOR, CAT_SCHEDULER
 from repro.profiler.profiler import JobProfiler
@@ -123,10 +119,6 @@ class SimulationConfig:
     #: nothing.  Typed loosely so fault-free simulations never import
     #: :mod:`repro.faults`.
     fault_plan: Optional[object] = None
-    #: keep every applied non-empty :class:`~repro.core.actions.EpochPlan`
-    #: (as JSON dicts with pricing) in ``Simulation.plan_log`` — the
-    #: ``repro run --explain`` data source
-    record_plans: bool = False
 
     def __post_init__(self) -> None:
         if self.scheduler_interval <= 0:
@@ -235,9 +227,9 @@ class SchedulerKernel:
         #: kernel logs (the serving daemon's streaming feed); None — the
         #: default — costs one attribute check per logged event
         self.activity_sink = None
-        #: epoch triggers awaiting the next plan's provenance record;
-        #: only ever populated while the tracer is enabled
-        self._pending_triggers: List[Trigger] = []
+        #: epoch triggers (ledger dicts) awaiting the next scheduling
+        #: plan; only ever populated while the tracer is enabled
+        self._pending_triggers: List[dict] = []
         self._dropped_triggers = 0
 
         #: the only writer of placement, over the live job table
@@ -271,8 +263,6 @@ class SchedulerKernel:
         #: the single commit point for decision plans: every epoch's
         #: :class:`~repro.core.actions.EpochPlan` is applied through it
         self.executor = PlanExecutor(self)
-        #: applied plans (JSON dicts), populated when ``record_plans``
-        self.plan_log: List[dict] = []
         #: persistent placement engines, keyed by opportunistic flag
         self._engines: Dict[bool, PlacementEngine] = {}
         #: scheduling epochs skipped because no deltas arrived
@@ -384,49 +374,17 @@ class SchedulerKernel:
         """Record one cause of the next scheduling epoch (provenance).
 
         Call sites pair this with :meth:`trigger_schedule`; the pending
-        list is consumed into the next applied plan's
-        :class:`~repro.obs.provenance.Provenance`.  A no-op (no dict, no
-        allocation) when the run is untraced.
+        list becomes the ``triggers`` of the next scheduling plan.  A
+        no-op (no dict, no allocation) when the run is untraced.
         """
         if not self.tracer.enabled:
             return
         if len(self._pending_triggers) >= MAX_TRIGGERS:
             self._dropped_triggers += 1
             return
-        self._pending_triggers.append(
-            Trigger(
-                kind=kind,
-                ts=self.now,
-                detail=tuple(sorted(detail.items())),
-            )
-        )
-
-    def _take_provenance(
-        self, plan, extra_triggers=(), consume_pending=True
-    ) -> None:
-        """Attach a provenance record to a freshly built plan.
-
-        Scheduler plans consume the pending trigger list (the events
-        that scheduled the epoch); orchestrator plans are driven by
-        their own interval and only carry synthesized triggers, leaving
-        the pending list for the next scheduling epoch.
-        """
-        dropped = 0
-        if consume_pending:
-            triggers = tuple(self._pending_triggers) + tuple(extra_triggers)
-            self._pending_triggers = []
-            dropped = self._dropped_triggers
-            self._dropped_triggers = 0
-        else:
-            triggers = tuple(extra_triggers)
-        plan.provenance = Provenance(
-            policy=plan.policy,
-            ts=self.now,
-            triggers=triggers,
-            inputs=plan.decision_inputs or {},
-            span_id=plan.span_id,
-            dropped_triggers=dropped,
-        )
+        trigger = {"kind": kind, "ts": self.now}
+        trigger.update(sorted(detail.items()))
+        self._pending_triggers.append(trigger)
 
     # ------------------------------------------------------------------
     # the epoch pipeline
@@ -498,7 +456,10 @@ class SchedulerKernel:
             else:
                 plan = self.policy.plan(self)
                 if self.tracer.enabled:
-                    self._take_provenance(plan)
+                    plan.triggers = self._pending_triggers
+                    plan.dropped_triggers = self._dropped_triggers
+                    self._pending_triggers = []
+                    self._dropped_triggers = 0
                 self.executor.apply(plan)
                 self._last_epoch_version = self.view.version
         # First-attempt bookkeeping for the Fig. 2 queuing ratio: an
@@ -534,24 +495,7 @@ class SchedulerKernel:
         scheduling epoch does.
         """
         assert self.orchestrator is not None
-        plan = self.orchestrator.plan_tick(self)
-        if self.tracer.enabled:
-            inputs = plan.decision_inputs or {}
-            extra = [Trigger(
-                kind=TRIGGER_INTERVAL,
-                ts=self.now,
-                detail=(("interval_s", self.config.orchestrator_interval),),
-            )]
-            if inputs.get("degraded"):
-                extra.append(Trigger(
-                    TRIGGER_FAULT,
-                    ts=self.now,
-                    detail=(("fault", "predictor_down"),),
-                ))
-            self._take_provenance(
-                plan, extra_triggers=extra, consume_pending=False
-            )
-        self.executor.apply(plan)
+        self.executor.apply(self.orchestrator.plan_tick(self))
 
     def placement_engine(self, opportunistic: bool = False) -> PlacementEngine:
         """The persistent, view-fed placement engine for this kernel.

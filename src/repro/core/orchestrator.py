@@ -40,6 +40,8 @@ from repro.core.reclaim import (
 )
 from repro.obs.log import get_logger
 from repro.obs.profiling import PHASE_ORCH_TICK, PHASE_RECLAIM_PLAN
+from repro.obs.provenance import TRIGGER_FAULT, TRIGGER_INTERVAL
+from repro.traces.inference import HEADROOM
 
 RECLAIMERS = ("lyra", "random", "scf")
 
@@ -51,7 +53,6 @@ class ResourceOrchestrator:
 
     Args:
         reclaimer: ``"lyra"``, ``"random"`` or ``"scf"``.
-        headroom: Inference capacity never loaned (§7.1: 2 %).
         seed: RNG seed for the Random reclaimer.
         scale_in_first: Vacate flexible server groups before preempting
             (§5.3); disabled when elastic scaling is off.
@@ -65,7 +66,6 @@ class ResourceOrchestrator:
     def __init__(
         self,
         reclaimer: str = "lyra",
-        headroom: float = 0.02,
         seed: int = 0,
         scale_in_first: bool = True,
         lender_traces: Optional[Dict[str, object]] = None,
@@ -73,7 +73,6 @@ class ResourceOrchestrator:
         if reclaimer not in RECLAIMERS:
             raise ValueError(f"unknown reclaimer {reclaimer!r}; use {RECLAIMERS}")
         self.reclaimer = reclaimer
-        self.headroom = headroom
         self.rng = random.Random(seed)
         self.scale_in_first = scale_in_first
         self.lender_traces: Dict[str, object] = dict(lender_traces or {})
@@ -119,9 +118,9 @@ class ResourceOrchestrator:
         self._degraded_tick = (
             self.predictor_down is not None and self.predictor_down(sim.now)
         )
-        headroom = self.headroom
+        headroom = HEADROOM
         if self._degraded_tick:
-            headroom = min(0.99, self.headroom + self.degraded_headroom)
+            headroom = min(0.99, HEADROOM + self.degraded_headroom)
             sim.metrics.registry.counter("resilience.degraded_ticks").inc()
             sim.trace("recovery.predictor_degraded", headroom=headroom)
         supplies: Dict[str, int] = {}
@@ -224,6 +223,18 @@ class ResourceOrchestrator:
         plan.span_id = tick_span.span_id
         plan.decision_inputs = self._last_inputs
         self._last_inputs = None
+        if sim.tracer.enabled:
+            # the interval scheduled this plan; a degraded tick was a
+            # fault as well
+            plan.triggers = [{
+                "kind": TRIGGER_INTERVAL, "ts": sim.now,
+                "interval_s": sim.config.orchestrator_interval,
+            }]
+            if self._degraded_tick:
+                plan.triggers.append({
+                    "kind": TRIGGER_FAULT, "ts": sim.now,
+                    "fault": "predictor_down",
+                })
         return plan
 
     def _plan_actions(self, sim: "Simulation") -> list:

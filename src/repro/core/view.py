@@ -197,9 +197,11 @@ def _tier_offsets(
     return table
 
 
-def deterministic_onloan_cost(
-    rel_computes: Sequence[float], default: float = 3.0
-) -> float:
+#: The §5.2 on-loan cost factor charged while nothing is on loan.
+DEFAULT_ONLOAN_COST = 3.0
+
+
+def deterministic_onloan_cost(rel_computes: Sequence[float]) -> float:
     """The §5.2 on-loan cost factor, made iteration-order independent.
 
     With heterogeneous loaned hardware the historical scan derived the
@@ -208,26 +210,20 @@ def deterministic_onloan_cost(
     (``max`` of ``1/relative_compute``) — conservative in the only
     direction that matters, since the allocator uses the cost to decide
     whether normalized demand fits the physical on-loan pool and must
-    never overcommit it.  Falls back to ``default`` when nothing is on
-    loan, and never drops below 1 (loaned GPUs are never *stronger*
-    per-GPU bookkeeping-wise, §7.5).
+    never overcommit it.  Falls back to :data:`DEFAULT_ONLOAN_COST` when
+    nothing is on loan, and never drops below 1 (loaned GPUs are never
+    *stronger* per-GPU bookkeeping-wise, §7.5).
     """
     if not rel_computes:
-        return max(1.0, default)
+        return DEFAULT_ONLOAN_COST
     return max(1.0, max(1.0 / rel for rel in rel_computes))
 
 
 class ClusterView:
     """Delta-maintained scheduling state over one (training) cluster."""
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        default_onloan_cost: float = 3.0,
-        attach: bool = True,
-    ):
+    def __init__(self, cluster: Cluster, attach: bool = True):
         self.cluster = cluster
-        self.default_onloan_cost = default_onloan_cost
         #: bumped on every delta; consumers key caches off it
         self.version = 0
         #: GPU type name -> column code, and per-code relative compute
@@ -418,8 +414,7 @@ class ClusterView:
     def onloan_cost(self) -> float:
         """Deterministic §5.2 cost factor of the loaned hardware."""
         return deterministic_onloan_cost(
-            [self._rel_by_code[code] for code in self._onloan_types],
-            default=self.default_onloan_cost,
+            [self._rel_by_code[code] for code in self._onloan_types]
         )
 
     def pools(self) -> Pools:
@@ -669,8 +664,7 @@ class ClusterView:
             ],
             "onloan_types": dict(Counter(s.gpu_type.name for s in loaned)),
             "onloan_cost": deterministic_onloan_cost(
-                [s.gpu_type.relative_compute for s in loaned],
-                default=self.default_onloan_cost,
+                [s.gpu_type.relative_compute for s in loaned]
             ),
         }
         live = self.snapshot()

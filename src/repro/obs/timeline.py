@@ -286,11 +286,11 @@ class TimelineStore:
                 (a for a in plan.actions
                  if a.get("kind") == "reclaim_servers"), None
             )
-            if reclaim is not None and reclaim.get("servers"):
+            if reclaim is not None and reclaim.get("server_ids"):
                 chain.append(CausalStep(
                     plan.ts,
-                    f"reclaim returned {len(reclaim['servers'])} "
-                    f"server(s): " + ",".join(reclaim["servers"]),
+                    f"reclaim returned {len(reclaim['server_ids'])} "
+                    f"server(s): " + ",".join(reclaim["server_ids"]),
                 ))
             self._narrate_triggers(plan, chain)
             return

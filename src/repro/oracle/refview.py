@@ -21,6 +21,7 @@ from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from repro.cluster.server import BASE_GROUP, FLEX_GROUP, Server
 from repro.core.allocation import Pools
+from repro.core.view import DEFAULT_ONLOAN_COST
 
 
 def placement_tier(
@@ -55,9 +56,8 @@ def placement_tier(
 class ReferenceView:
     """Full-scan answers to the :class:`ClusterView` queries."""
 
-    def __init__(self, cluster, default_onloan_cost: float = 3.0):
+    def __init__(self, cluster):
         self.cluster = cluster
-        self.default_onloan_cost = default_onloan_cost
         self.version = 0
 
     # -- deltas: nothing to maintain, only the version moves ------------
@@ -86,7 +86,7 @@ class ReferenceView:
             for s in self.cluster.servers
             if s.on_loan
         ]
-        return max(1.0, max(costs) if costs else self.default_onloan_cost)
+        return max(1.0, max(costs)) if costs else DEFAULT_ONLOAN_COST
 
     def pools(self) -> Pools:
         return Pools(
@@ -169,9 +169,7 @@ def install_reference_view(sim) -> ReferenceView:
     kernel's cached placement engines, which hold the view they were
     built with.  Returns the installed view.
     """
-    ref = ReferenceView(
-        sim.cluster, default_onloan_cost=sim.view.default_onloan_cost
-    )
+    ref = ReferenceView(sim.cluster)
     sim.cluster.attach_view(ref)
     sim.view = ref
     sim._engines.clear()  # noqa: SLF001 - oracle-side surgery by design

@@ -58,7 +58,12 @@ MAGIC = b"REPROSNAP\x00"
 #: pickled all three, and an injector holding the wrapped predictor)
 #: 10: a job has no ``scale_ops`` slot and the kernel config no
 #: ``preemption_overhead`` field (a schema-9 snapshot pickled both)
-SCHEMA_VERSION = 10
+#: 11: the kernel config has no plan-recording switch and the kernel no
+#: list of recorded plans; a traced run's pending triggers are dicts; the
+#: orchestrator and the view hold no headroom or on-loan cost default of
+#: their own (a schema-10 snapshot pickled all of them, its triggers as
+#: instances of a class this build does not have)
+SCHEMA_VERSION = 11
 
 #: pinned pickle protocol: snapshots written on 3.9 load on 3.12
 PICKLE_PROTOCOL = 4

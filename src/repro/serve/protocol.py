@@ -30,7 +30,7 @@ MAX_LINE_BYTES = 1 << 20
 SUBMIT_FIELDS = frozenset({
     "duration", "max_workers", "min_workers", "gpus_per_worker",
     "elastic", "fungible", "heterogeneous", "checkpointing",
-    "model_family", "scaling",
+    "model_family",
 })
 
 

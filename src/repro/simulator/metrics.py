@@ -24,18 +24,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, ValuesView
 import numpy as np
 
 from repro.cluster.job import Job
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.metrics import percentile as _shared_percentile
-
-
-def percentile(values: Sequence[float], pct: float) -> float:
-    """Percentile with linear interpolation; NaN on empty input.
-
-    Delegates to the shared :func:`repro.obs.metrics.percentile` so the
-    registry histograms, the distribution summaries and the Table 8
-    bench all agree on one definition.
-    """
-    return _shared_percentile(list(values), pct)
+from repro.obs.metrics import MetricsRegistry, percentile
 
 
 @dataclass

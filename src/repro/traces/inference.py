@@ -18,6 +18,8 @@ import numpy as np
 #: Seconds between consecutive utilization samples (paper: 5 minutes).
 SAMPLE_INTERVAL = 300.0
 DAY = 86400.0
+#: Inference capacity the inference scheduler never lends (§7.1: 2 %).
+HEADROOM = 0.02
 
 
 @dataclass
@@ -59,7 +61,7 @@ class InferenceTrace:
         """Servers the inference workload itself occupies at ``t``."""
         return math.ceil(self.utilization_at(t) * self.num_servers)
 
-    def loanable_at(self, t: float, headroom: float = 0.02) -> int:
+    def loanable_at(self, t: float, headroom: float = HEADROOM) -> int:
         """Servers the inference scheduler can lend at time ``t``.
 
         The scheduler keeps ``headroom`` of the cluster (never loaned,

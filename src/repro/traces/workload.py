@@ -52,10 +52,6 @@ class TraceConfig:
         elastic_resource_share: Target share of total GPU-time held by
             elastic jobs; the generator sizes elastic jobs to approach
             it.
-        heterogeneous_fraction: Fraction of jobs able to span GPU types
-            at runtime (0 outside the Advanced/Heterogeneous scenarios).
-        checkpointing_fraction: Fraction of jobs that checkpoint (§7.3's
-            conservative default is zero).
         elastic_mean_hours: Mean elastic-job running time (paper: 14.2 h).
     """
 
@@ -67,8 +63,6 @@ class TraceConfig:
     fungible_fraction: float = 0.21
     elastic_job_fraction: float = 0.05
     elastic_resource_share: float = 0.36
-    heterogeneous_fraction: float = 0.0
-    checkpointing_fraction: float = 0.0
     elastic_mean_hours: float = 14.2
 
     def __post_init__(self) -> None:
@@ -80,8 +74,6 @@ class TraceConfig:
             "fungible_fraction",
             "elastic_job_fraction",
             "elastic_resource_share",
-            "heterogeneous_fraction",
-            "checkpointing_fraction",
         ):
             value = getattr(self, name)
             if not 0 <= value <= 1:
@@ -254,7 +246,7 @@ def generate_workload(config: TraceConfig = TraceConfig()) -> Workload:
             for s in specs
         ]
 
-    # --- arrivals, fungibility, flags ------------------------------------
+    # --- arrivals and fungibility ---------------------------------------
     arrivals = _diurnal_arrivals(rng, n, span)
     order = rng.permutation(n)
     specs = [specs[i] for i in order]
@@ -267,14 +259,6 @@ def generate_workload(config: TraceConfig = TraceConfig()) -> Workload:
     fungible_ids = set(
         rng.choice(n, size=want_fungible, replace=False).tolist()
     )
-    hetero_ids = set(
-        rng.choice(n, size=int(round(config.heterogeneous_fraction * n)),
-                   replace=False).tolist()
-    )
-    ckpt_ids = set(
-        rng.choice(n, size=int(round(config.checkpointing_fraction * n)),
-                   replace=False).tolist()
-    )
 
     final: List[JobSpec] = []
     for idx, spec in enumerate(specs):
@@ -284,8 +268,6 @@ def generate_workload(config: TraceConfig = TraceConfig()) -> Workload:
                 job_id=idx,
                 submit_time=float(arrivals[idx]),
                 fungible=spec.fungible or idx in fungible_ids,
-                heterogeneous=idx in hetero_ids,
-                checkpointing=idx in ckpt_ids,
             )
         )
     return Workload(specs=final, config=config)

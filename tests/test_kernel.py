@@ -22,6 +22,8 @@ from repro.cluster.cluster import (
 )
 from repro.cluster.job import JobSpec, JobStatus
 from repro.core.kernel import Driver, SchedulerKernel, SimulationConfig
+from repro.obs import Observability
+from repro.obs.provenance import PROVENANCE_EVENT
 from repro.recovery.state import capture_payload, restore_payload
 from repro.recovery.wal import PlanWAL
 from repro.schedulers.fifo import FIFOScheduler
@@ -171,13 +173,14 @@ class TestOneEpochOneInstant:
         driver = _TickingDriver()
         kernel = SchedulerKernel(
             [], pair, FIFOScheduler(),
-            config=SimulationConfig(scheduler_interval=10.0, record_plans=True),
-            driver=driver,
+            config=SimulationConfig(scheduler_interval=10.0),
+            driver=driver, obs=Observability.enabled(),
         )
         driver.dispatch = kernel.dispatch
         jobs = [_submit(kernel, i, max_workers=1) for i in range(4)]
         driver.advance_to(50.0)
-        (plan,) = kernel.plan_log
+        (plan,) = [e.args for e in kernel.tracer.events
+                   if e.name == PROVENANCE_EVENT]
         assert plan["by_kind"] == {"launch": 4}
         for job, launch in zip(jobs, plan["actions"]):
             assert job.first_start_time == plan["now"]

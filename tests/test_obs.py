@@ -415,15 +415,17 @@ class TestSharedPercentile:
     def test_simulator_metrics_share_the_helper(self):
         # bench_table8_percentiles consumes the simulator summaries, so
         # one percentile definition must serve both layers
-        from repro.simulator.metrics import percentile as sim_percentile
+        from repro.simulator.metrics import DistributionSummary
 
         values = [1.0, 2.0, 3.0, 4.0]
         hist = MetricsRegistry().histogram("x")
         for v in values:
             hist.observe(v)
         for pct in (0, 25, 50, 95, 100):
-            assert hist.percentile(pct) == sim_percentile(values, pct) \
-                == percentile(values, pct)
+            assert hist.percentile(pct) == percentile(values, pct)
+        summary = DistributionSummary.from_values(values)
+        assert (summary.median, summary.p75, summary.p95, summary.p99) == \
+            tuple(percentile(values, pct) for pct in (50, 75, 95, 99))
 
 
 class TestSpanTracing:
@@ -557,21 +559,27 @@ class TestProvenanceLedger:
         assert all(e.args["span_id"] in span_ids for e in linked)
 
     def test_untraced_run_allocates_no_provenance(self, monkeypatch):
-        # the zero-cost-when-disabled contract, asserted structurally:
-        # a run without tracing must never construct a Provenance
-        import repro.core.actions as actions_mod
-        import repro.core.kernel as kernel_mod
+        # the zero-cost-when-disabled contract, asserted structurally: a
+        # run that neither traces nor journals never serializes a plan
+        from repro.core.actions import EpochPlan
 
         calls = []
+        real = EpochPlan.to_dict
 
-        class Spy:
-            def __init__(self, *args, **kwargs):
-                calls.append((args, kwargs))
+        def spy(plan):
+            calls.append(plan.policy)
+            return real(plan)
 
-        monkeypatch.setattr(kernel_mod, "Provenance", Spy)
-        monkeypatch.setattr(actions_mod, "Provenance", Spy)
-        tiny_obs_run()  # default bundle: tracing off
+        monkeypatch.setattr(EpochPlan, "to_dict", spy)
+        sim = tiny_obs_sim()  # default bundle: tracing off
+        sim.run()
+        assert sim.executor.plans_applied and sim.recovery is None
         assert calls == []
+        # the spy is live: a traced run serializes each ledger record
+        obs = Observability.enabled()
+        tiny_obs_run(obs)
+        ledger = [e for e in obs.tracer.events if e.name == PROVENANCE_EVENT]
+        assert ledger and len(calls) == len(ledger)
 
     def test_untraced_run_keeps_no_trigger_state(self):
         from repro.scenarios import build_sim

@@ -12,7 +12,7 @@ from repro.cluster.job import JobSpec
 from repro.core.orchestrator import ResourceOrchestrator
 from repro.schedulers.lyra import LyraScheduler
 from repro.simulator.simulation import Simulation, SimulationConfig
-from repro.traces.inference import InferenceTrace
+from repro.traces.inference import HEADROOM, InferenceTrace
 
 
 def flat_trace(levels, num_servers=4):
@@ -52,20 +52,20 @@ class TestTargets:
         sim = sim_with(trace)
         orch = ResourceOrchestrator()
         # 4 - ceil(0.02*4)=1; the pair's one lender is its inference side
-        assert orch.lender_offer(sim, "inference", orch.headroom) == 3
+        assert orch.lender_offer(sim, "inference", HEADROOM) == 3
         # degraded posture: a safety headroom instead, ceil(0.3*4)=2
         assert orch.lender_offer(sim, "inference", 0.3) == 2
         # per-lender traces, once given, are the only source
         named = ResourceOrchestrator(
             lender_traces={"elsewhere": flat_trace([0.5] * 10)}
         )
-        assert named.lender_offer(sim, "elsewhere", named.headroom) == 1
-        assert named.lender_offer(sim, "inference", named.headroom) == 0
+        assert named.lender_offer(sim, "elsewhere", HEADROOM) == 1
+        assert named.lender_offer(sim, "inference", HEADROOM) == 0
 
     def test_no_trace_means_no_loaning(self):
         sim = sim_with(None)
         orch = ResourceOrchestrator()
-        assert orch.lender_offer(sim, "inference", orch.headroom) == 0
+        assert orch.lender_offer(sim, "inference", HEADROOM) == 0
         assert orch.plan_tick(sim).actions == ()
 
 
@@ -186,25 +186,34 @@ class TestReclaimPricing:
     ]
 
     @staticmethod
-    def _pricing(capsys, argv):
+    def _plans(capsys, argv):
         import json
 
         from repro.cli import main
 
         assert main(argv) == 0
         out = capsys.readouterr().out
-        plans = json.loads(out[: out.rindex("}") + 1])["plans"]
-        return [plan["pricing"] for plan in plans]
+        return json.loads(out[: out.rindex("}") + 1])["plans"]
 
     def test_explain_prices_untraced_reclaims_as_traced_ones(
         self, capsys, tmp_path
     ):
-        untraced = self._pricing(capsys, self.RUN)
-        traced = self._pricing(
-            capsys, self.RUN + ["--trace", str(tmp_path / "t.jsonl")]
-        )
+        # --explain prints the run's decision ledger: with --trace as
+        # well, its plans are the trace file's plan.provenance records
+        import json
+
+        path = tmp_path / "t.jsonl"
+        untraced = self._plans(capsys, self.RUN)
+        traced = self._plans(capsys, self.RUN + ["--trace", str(path)])
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        ledger = [r["args"] for r in records if r["name"] == "plan.provenance"]
+        assert traced == ledger
         assert untraced == traced
-        assert sum(p["preemption_cost"] for p in untraced) > 0
+        assert [p["plan_id"] for p in ledger] == sorted(
+            {p["plan_id"] for p in ledger}
+        )
+        assert all(isinstance(p["triggers"], list) for p in ledger)
+        assert sum(p["pricing"]["preemption_cost"] for p in untraced) > 0
 
     def test_every_reported_cost_is_a_float_equal_to_server_preemption_cost(
         self, monkeypatch

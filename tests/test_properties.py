@@ -349,10 +349,7 @@ class TestClusterViewProperties:
             seed, per_step=lambda view, ref: view.assert_consistent()
         )
         # the cached pool totals agree with scratch computation too
-        rebuilt = ClusterView(
-            pair.training, attach=False,
-            default_onloan_cost=view.default_onloan_cost,
-        )
+        rebuilt = ClusterView(pair.training, attach=False)
         assert view.pools() == rebuilt.pools()
 
 

@@ -557,17 +557,17 @@ class TestSnapshotCodec:
             SnapshotCodec.load(tmp_path / "nope.ckpt")
 
     def test_recover_refuses_a_directory_an_older_build_wrote(self, tmp_path):
-        """Schema 10: a job pickles without ``scale_ops`` and the kernel
-        config without ``preemption_overhead``.  A schema-9 directory is
-        refused by its manifest, before any unpickle."""
+        """Schema 11: the kernel config pickles without ``record_plans``
+        and a traced run's pending triggers as dicts.  A schema-10
+        directory is refused by its manifest, before any unpickle."""
         killed_run("fifo_contention", tmp_path)
         manifest = tmp_path / "recovery.json"
         current = manifest.read_text()
-        manifest.write_text(current.replace('"schema": 10', '"schema": 9'))
+        manifest.write_text(current.replace('"schema": 11', '"schema": 10'))
         assert manifest.read_text() != current
         with pytest.raises(
             RecoveryError,
-            match=r"schema 9 does not match this build \(schema 10\)",
+            match=r"schema 10 does not match this build \(schema 11\)",
         ):
             RecoveryManager.recover(tmp_path)
 
@@ -689,6 +689,37 @@ class TestPlanWAL:
         path.write_text(json.dumps(record, sort_keys=True) + "\n")
         with pytest.raises(WALError, match="digest"):
             PlanWAL(path)
+
+
+    def test_ledger_records_are_the_journaled_plans(self, tmp_path, capsys):
+        """A committed plan has one record: the ``plan.provenance`` event
+        carries the plan exactly as the WAL journals it under the same
+        ``plan_id``, reclaims and their costs included."""
+        from repro.cli import main
+
+        trace = tmp_path / "trace.jsonl"
+        assert main([
+            "run", "--scheme", "lyra", "--jobs", "300", "--days", "1",
+            "--training-servers", "6", "--inference-servers", "10",
+            "--load", "3", "--checkpoint-dir", str(tmp_path / "ckpt"),
+            "--checkpoint-every", str(10 * DAY), "--trace", str(trace),
+        ]) == 0
+        capsys.readouterr()
+        journaled = {
+            r["plan_id"]: r
+            for r in _wal_lines(tmp_path / "ckpt" / "wal.jsonl")
+            if r["type"] == "plan"
+        }
+        ledger = {
+            r["args"]["plan_id"]: r["args"]
+            for r in _wal_lines(trace) if r["name"] == "plan.provenance"
+        }
+        assert journaled and sorted(ledger) == sorted(journaled)
+        for plan_id, record in journaled.items():
+            for key in ("policy", "now", "by_kind", "actions"):
+                assert ledger[plan_id][key] == record[key], (plan_id, key)
+        assert any(a["kind"] == "reclaim_servers"
+                   for r in ledger.values() for a in r["actions"])
 
 
 # ----------------------------------------------------------------------

@@ -405,6 +405,20 @@ class TestServiceLifecycle:
 
         run_with_service(body)
 
+    def test_submit_cannot_set_the_scaling_model(self):
+        # every elastic job runs the kernel's scaling model, so a spec
+        # field that would name another is refused, not journaled
+        async def body(service, client):
+            with pytest.raises(ServeError) as exc:
+                await client.submit(duration=10.0, max_workers=2,
+                                    min_workers=1, elastic=True,
+                                    scaling="sublinear20")
+            assert exc.value.code == "bad_request"
+            assert "scaling" in str(exc.value)
+            assert not service.kernel.jobs
+
+        run_with_service(body)
+
     def test_admission_control_sheds_load(self):
         async def body(service, client):
             # base demand 16 GPUs fills both servers; everything behind

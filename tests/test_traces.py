@@ -95,20 +95,6 @@ class TestWorkloadCalibration:
         with pytest.raises(ValueError):
             TraceConfig(fungible_fraction=1.5)
 
-    def test_checkpointing_fraction_applied(self):
-        workload = generate_workload(
-            TraceConfig(num_jobs=500, checkpointing_fraction=0.4, seed=5)
-        )
-        frac = sum(1 for s in workload.specs if s.checkpointing) / 500
-        assert frac == pytest.approx(0.4, abs=0.02)
-
-    def test_heterogeneous_fraction_applied(self):
-        workload = generate_workload(
-            TraceConfig(num_jobs=500, heterogeneous_fraction=0.1, seed=5)
-        )
-        frac = sum(1 for s in workload.specs if s.heterogeneous) / 500
-        assert frac == pytest.approx(0.1, abs=0.02)
-
 
 class TestInferenceTrace:
     @pytest.fixture(scope="class")

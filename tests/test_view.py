@@ -48,6 +48,7 @@ from repro.core.placement import PlacementEngine, PlacementRequest
 from repro.core.reclaim import server_preemption_cost
 from repro.core.view import (
     _INITIAL_SLOTS,
+    DEFAULT_ONLOAN_COST,
     ClusterView,
     deterministic_onloan_cost,
 )
@@ -147,8 +148,7 @@ class TestDeterministicOnloanCost:
         assert scan == via_view
 
     def test_default_when_nothing_loaned(self):
-        assert deterministic_onloan_cost([], default=3.0) == 3.0
-        assert deterministic_onloan_cost([], default=0.5) == 1.0
+        assert deterministic_onloan_cost([]) == DEFAULT_ONLOAN_COST == 3.0
 
     def test_cost_never_below_one(self):
         # loaned hardware stronger than training GPUs clamps at 1
@@ -468,10 +468,7 @@ class TestArrayMirrorProperties:
         _, pair, view, ref = _walked(
             seed, per_step=lambda view, ref: view.assert_consistent()
         )
-        rebuilt = ClusterView(
-            pair.training, attach=False,
-            default_onloan_cost=view.default_onloan_cost,
-        )
+        rebuilt = ClusterView(pair.training, attach=False)
         assert view.snapshot() == rebuilt.snapshot()
         _same_answers(rebuilt, ref)
         # a pickle round-trip carries the columns as they are
@@ -596,7 +593,7 @@ PICKLED_VIEW_KEYS = [
     "_group_code", "_has_alloc", "_id_rank", "_on_loan", "_onloan_types",
     "_pending_cache", "_perf", "_ranks_stale", "_rel_by_code",
     "_server_at", "_slot_of", "_type_code", "_type_codes", "_worker_costs",
-    "cluster", "default_onloan_cost", "version",
+    "cluster", "version",
 ]
 
 
