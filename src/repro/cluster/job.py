@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -146,7 +147,7 @@ class Job:
         "first_start_time", "finish_time", "last_progress_time",
         "preemptions", "hetero_penalty", "tuning_bonus", "straggler_penalty",
         "onloan_work", "estimate_error", "arrival_hour", "completion_epoch",
-        "preempted_at",
+        "preempted_at", "flex_items",
     )
 
     def __init__(self, spec: JobSpec):
@@ -184,6 +185,12 @@ class Job:
         self.arrival_hour = 0
         self.completion_epoch = 0
         self.preempted_at: Optional[float] = None
+        #: derived, never pickled: ``(flex_key(value_fn), items)``
+        self.flex_items: Optional[tuple] = None
+
+    def __reduce__(self) -> tuple:
+        # a snapshot carries the other slots' values, in slot order
+        return _restore_job, (_snapshot_state(self),)
 
     # ------------------------------------------------------------------
     # identity / convenience passthroughs
@@ -376,6 +383,12 @@ class Job:
         rate = self._rate(workers)
         return self.remaining_work / rate if rate > 0 else math.inf
 
+    def flex_key(self, value_fn) -> tuple:
+        """Every input a phase-two ``value_fn`` reads beside the spec."""
+        return (value_fn, self.remaining_work, self.estimate_error,
+                self.hetero_penalty, self.tuning_bonus,
+                self.straggler_penalty, self.scaling_model)
+
     def estimated_duration(self) -> float:
         """The scheduler-visible running-time estimate (Table 9 study)."""
         return self.spec.duration * self.estimate_error
@@ -430,6 +443,7 @@ class Job:
         self.status = JobStatus.FINISHED
         self.finish_time = now
         self.clear_placement()
+        self.flex_items = None
 
     # ------------------------------------------------------------------
     # metrics
@@ -447,3 +461,15 @@ class Job:
         if self.finish_time is None:
             return None
         return self.finish_time - self.spec.submit_time
+
+
+_SNAPSHOT_SLOTS = Job.__slots__[:-1]  # all but the flex-item cache
+_snapshot_state = operator.attrgetter(*_SNAPSHOT_SLOTS)
+
+
+def _restore_job(state: tuple) -> Job:
+    job = Job.__new__(Job)
+    for name, value in zip(_SNAPSHOT_SLOTS, state):
+        setattr(job, name, value)
+    job.flex_items = None
+    return job

@@ -336,7 +336,10 @@ class PlanTransaction:
 
     @property
     def running_elastic(self) -> List[Job]:
-        return [j for j in self.running.values() if j.elastic]
+        # the kernel's index, then this epoch's elastic launches
+        elastic = list(self._sim.running_elastic.values())
+        elastic.extend(job for job in self._launched if job.elastic)
+        return elastic
 
     # -- journal hooks (called by ResourceManager / PlacementEngine) -----
     def note_job(self, job: Job) -> None:

@@ -158,10 +158,15 @@ def _deduct(pools: Pools, domain: str, gpus: int) -> None:
         raise RuntimeError(f"pool underflow deducting {gpus} from {domain}")
 
 
+def sjf_key(job: Job) -> tuple:
+    """Shortest (scheduler-visible) running time first, then arrival."""
+    return (job.estimated_duration(), job.spec.submit_time, job.job_id)
+
+
 def sjf_phase(
     pending: Sequence[Job],
     pools: Pools,
-    order_key=None,
+    order_key=sjf_key,
     presorted: bool = False,
 ) -> Tuple[List[Tuple[Job, str]], List[Job]]:
     """Phase one: admit base demands shortest-job-first.
@@ -176,10 +181,6 @@ def sjf_phase(
 
     Returns ``(scheduled, skipped)``; mutates ``pools`` in place.
     """
-    if order_key is None:
-        order_key = lambda j: (  # noqa: E731 - local default
-            j.estimated_duration(), j.spec.submit_time, j.job_id,
-        )
     scheduled: List[Tuple[Job, str]] = []
     skipped: List[Job] = []
     by_runtime = list(pending) if presorted else sorted(pending, key=order_key)
@@ -207,6 +208,13 @@ def jct_reduction_values(job: Job, extras: Sequence[int]) -> List[float]:
     ]
 
 
+def price_flex(job: Job, value_fn) -> List[Tuple[int, float]]:
+    """The job's items over its whole flexible span, one value_fn call."""
+    gpus = job.spec.gpus_per_worker
+    extras = range(1, 1 + job.spec.max_workers - job.spec.min_workers)
+    return [(k * gpus, value) for k, value in zip(extras, value_fn(job, extras))]
+
+
 def build_flex_groups(
     elastic_jobs: Sequence[Job],
     max_weight: int,
@@ -221,17 +229,19 @@ def build_flex_groups(
     The extra count is positional (item *k* sits at index ``k - 1``, and
     its weight divided by ``gpus_per_worker`` is ``k``).  Items wider
     than ``max_weight`` can never fit and are pruned up front.
+
+    ``value_fn`` is a pure function of the spec and the inputs
+    ``Job.flex_key`` lists, one value per extra, independent of the
+    others; so a job's full-span items are cached under that key, only a
+    job whose inputs moved is repriced, and a group is a cached prefix.
     """
     groups: List[List[Tuple[int, float]]] = []
     for job in elastic_jobs:
-        gpus = job.spec.gpus_per_worker
-        extras = range(1, 1 + min(
-            job.spec.max_workers - job.spec.min_workers, max_weight // gpus
-        ))
-        groups.append([
-            (extra * gpus, value)
-            for extra, value in zip(extras, value_fn(job, extras))
-        ])
+        key = job.flex_key(value_fn)
+        cached = job.flex_items
+        if cached is None or cached[0] != key:
+            cached = job.flex_items = (key, price_flex(job, value_fn))
+        groups.append(cached[1][:max_weight // job.spec.gpus_per_worker])
     return groups
 
 
@@ -239,7 +249,7 @@ def allocate_two_phase(
     pending: Sequence[Job],
     running_elastic: Sequence[Job],
     pools: Pools,
-    order_key=None,
+    order_key=sjf_key,
     value_fn=jct_reduction_values,
     phases=None,
     presorted: bool = False,

@@ -39,6 +39,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.cluster.cluster import Cluster, ClusterPair
 from repro.cluster.job import PREEMPTION_OVERHEAD, Job, JobSpec, JobStatus
 from repro.core.actions import PlanExecutor
+from repro.core.allocation import price_flex
 from repro.core.placement import PlacementEngine
 from repro.core.view import ClusterView
 from repro.elastic.throughput import get_scaling_model
@@ -234,8 +235,11 @@ class SchedulerKernel:
 
         #: the only writer of placement, over the live job table
         self.rm = ResourceManager(pair, self.jobs)
+        self.rm.derived_check = self.verify_derived
         self.pending: List[Job] = []
         self.running: Dict[int, Job] = {}
+        #: derived, never pickled: the elastic jobs of ``running``, in order
+        self.running_elastic: Dict[int, Job] = {}
         #: straggling servers: ``{server_id: throughput factor}``; empty
         #: in fault-free runs, in which case every guard below is inert
         self.degraded_servers: Dict[str, float] = {}
@@ -284,7 +288,26 @@ class SchedulerKernel:
         # larger.
         state = {"jobs": self.jobs, **self.__dict__}
         state["recovery"] = state["activity_sink"] = None
+        del state["running_elastic"]
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        running = self.running.items()
+        self.running_elastic = {i: job for i, job in running if job.elastic}
+        self.rm.derived_check = self.verify_derived
+
+    def verify_derived(self) -> None:
+        """Check what snapshots drop against a recomputation: the index,
+        and each flex-item cache whose key matches its job's inputs."""
+        elastic = [job for job in self.running.values() if job.elastic]
+        if list(self.running_elastic.values()) != elastic:
+            raise RuntimeError("running-elastic index drifted from running")
+        for job in self.jobs.values():
+            key, items = job.flex_items or (None, None)
+            if key and key == job.flex_key(key[0]):
+                if items != price_flex(job, key[0]):
+                    raise RuntimeError(f"job {job.job_id}: stale flex items")
 
     # ------------------------------------------------------------------
     # setup helpers
@@ -578,6 +601,8 @@ class SchedulerKernel:
             ).observe(self.now - job.preempted_at)
             job.preempted_at = None
         self.running[job.job_id] = job
+        if job.elastic:
+            self.running_elastic[job.job_id] = job
         if job.preemptions == 0:
             # first dispatch: only a preemption puts a job back in the queue
             self.metrics.registry.histogram("sim.queue_wait_s").observe(
@@ -647,6 +672,7 @@ class SchedulerKernel:
         self.rm.release_job(job)
         job.mark_finished(self.now)
         del self.running[job.job_id]
+        self.running_elastic.pop(job.job_id, None)
         if self.profiler is not None:
             self.profiler.observe(job.spec, job.spec.duration)
         self.metrics.registry.histogram("sim.jct_s").observe(job.jct)
@@ -674,6 +700,7 @@ class SchedulerKernel:
         self.rm.release_job(job)
         job.mark_preempted(self.now, overhead=PREEMPTION_OVERHEAD)
         del self.running[job.job_id]
+        self.running_elastic.pop(job.job_id, None)
         job.completion_epoch += 1
         self.pending.append(job)
         self.view.note_queue_change()
@@ -704,6 +731,7 @@ class SchedulerKernel:
             job.advance(self.now)
             self.rm.release_job(job)
             del self.running[job_id]
+            self.running_elastic.pop(job_id, None)
             job.completion_epoch += 1
             job.status = JobStatus.PENDING
             cancelled = True

@@ -63,7 +63,10 @@ MAGIC = b"REPROSNAP\x00"
 #: orchestrator and the view hold no headroom or on-loan cost default of
 #: their own (a schema-10 snapshot pickled all of them, its triggers as
 #: instances of a class this build does not have)
-SCHEMA_VERSION = 11
+#: 12: a job pickles as its slot values in order, without the flex-item
+#: cache; the kernel drops its running-elastic index and the resource
+#: manager its derived check, and restore re-derives all three
+SCHEMA_VERSION = 12
 
 #: pinned pickle protocol: snapshots written on 3.9 load on 3.12
 PICKLE_PROTOCOL = 4

@@ -66,6 +66,9 @@ class ResourceManager:
     ids on a server's book and never writes to it.
     """
 
+    #: the owner's check of its derived state, run last by verify_books
+    derived_check: Optional[Callable[[], None]] = None
+
     def __init__(self, pair: ClusterPair, jobs: Dict[int, Job]):
         self.pair = pair
         self.jobs = jobs
@@ -77,6 +80,9 @@ class ResourceManager:
         #: journaling book mutations for rollback; None outside an epoch
         #: being planned
         self.journal = None
+
+    def __getstate__(self) -> dict:  # the owner's restore re-attaches it
+        return {k: v for k, v in self.__dict__.items() if k != "derived_check"}
 
     # ------------------------------------------------------------------
     # queries
@@ -333,3 +339,5 @@ class ResourceManager:
                     f"contract for {server_id} names lender {lender!r}, "
                     f"the server is homed in {server.home_cluster!r}"
                 )
+        if self.derived_check is not None:
+            self.derived_check()

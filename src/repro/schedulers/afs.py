@@ -16,7 +16,7 @@ from typing import Optional
 
 from repro.cluster.job import Job
 from repro.core.placement import PlacementRequest
-from repro.schedulers.base import SchedulerPolicy
+from repro.schedulers.base import SchedulerPolicy, fifo_key
 
 #: Growth cap relative to the declared maximum demand.
 _UNBOUNDED_FACTOR = 2
@@ -29,10 +29,7 @@ class AFSScheduler(SchedulerPolicy):
     #: marginal gains depend only on current worker counts; with no
     #: deltas the greedy loop re-derives the same (failed) last step
     epoch_idempotent = True
-
-    @staticmethod
-    def order_key(job):
-        return (job.spec.submit_time, job.job_id)
+    order_key = staticmethod(fifo_key)
 
     def _marginal_gain(self, job: Job) -> float:
         """Throughput gain per GPU of granting one more worker now."""

@@ -27,6 +27,11 @@ from repro.core.placement import PlacementRequest
 from repro.obs.profiling import PHASE_DECIDE, PHASE_PLACEMENT
 
 
+def fifo_key(job: Job) -> tuple:
+    """Arrival order."""
+    return (job.spec.submit_time, job.job_id)
+
+
 class SchedulerPolicy(abc.ABC):
     """Base class for all job-scheduling policies."""
 

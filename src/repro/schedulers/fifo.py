@@ -14,8 +14,8 @@ evicted when inference traffic returns).
 
 from __future__ import annotations
 
-from repro.cluster.job import Job
-from repro.schedulers.base import SchedulerPolicy
+from repro.core.allocation import sjf_key
+from repro.schedulers.base import SchedulerPolicy, fifo_key
 
 
 class FIFOScheduler(SchedulerPolicy):
@@ -26,10 +26,7 @@ class FIFOScheduler(SchedulerPolicy):
     #: and a failed admission attempt leaves no state behind — re-running
     #: the epoch on unchanged state is a no-op
     epoch_idempotent = True
-
-    @staticmethod
-    def order_key(job: Job):
-        return (job.spec.submit_time, job.job_id)
+    order_key = staticmethod(fifo_key)
 
     def decide(self, ctx: "PlanTransaction") -> None:
         ordered = self.sorted_pending(
@@ -44,10 +41,7 @@ class SJFScheduler(FIFOScheduler):
     name = "sjf"
     #: same argument as FIFO: the estimate-ordered scan is stateless
     epoch_idempotent = True
-
-    @staticmethod
-    def order_key(job: Job):
-        return (job.estimated_duration(), job.spec.submit_time, job.job_id)
+    order_key = staticmethod(sjf_key)
 
 
 class OpportunisticScheduling(FIFOScheduler):

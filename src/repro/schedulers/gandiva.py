@@ -15,7 +15,7 @@ barely improves queuing over the FIFO baseline (Table 5 row 10).
 from __future__ import annotations
 
 from repro.core.placement import PlacementRequest
-from repro.schedulers.base import SchedulerPolicy
+from repro.schedulers.base import SchedulerPolicy, fifo_key
 
 
 class GandivaScheduler(SchedulerPolicy):
@@ -25,10 +25,7 @@ class GandivaScheduler(SchedulerPolicy):
     #: admission and the grow loop both run to a fixpoint each epoch —
     #: with no deltas since, re-running repeats the same failed attempts
     epoch_idempotent = True
-
-    @staticmethod
-    def order_key(job):
-        return (job.spec.submit_time, job.job_id)
+    order_key = staticmethod(fifo_key)
 
     def decide(self, ctx: "PlanTransaction") -> None:
         # Admission: FIFO with backfill at base demand.

@@ -16,14 +16,10 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.cluster.job import Job
-from repro.core.allocation import allocate_two_phase, jct_reduction_values
+from repro.core.allocation import allocate_two_phase, jct_reduction_values, sjf_key
 from repro.core.placement import PlacementRequest
 from repro.obs.profiling import PHASE_ALLOCATION, PHASE_PLACEMENT
 from repro.schedulers.base import SchedulerPolicy
-
-
-def _sjf_key(job: Job):
-    return (job.estimated_duration(), job.spec.submit_time, job.job_id)
 
 
 class LyraScheduler(SchedulerPolicy):
@@ -36,10 +32,11 @@ class LyraScheduler(SchedulerPolicy):
 
     name = "lyra"
     #: phase-one ordering (default: shortest estimated runtime first)
-    order_key = staticmethod(_sjf_key)
+    order_key = staticmethod(sjf_key)
     #: phase-two MCKP item values depend on *remaining* time — they drift
     #: with the clock, so epochs are never skippable (epoch_idempotent
-    #: stays False)
+    #: stays False).  It must be pure in the spec and ``Job.flex_key``,
+    #: one value per extra, independent of the others (it is cached)
     value_fn = staticmethod(jct_reduction_values)
     #: True when order_key is time-varying (least-attained-service) and
     #: the cached pending order must not be reused across epochs

@@ -1,4 +1,4 @@
-"""Real-time serving of the scheduling kernel (ROADMAP item 2).
+"""Real-time serving of the scheduling kernel.
 
 ``repro serve`` promotes the reproduction from a batch simulator into a
 long-running scheduler daemon: the same clock-agnostic

@@ -137,6 +137,7 @@ class GoldenRun:
 
 def _finish(sim: Simulation) -> GoldenRun:
     sim.run()
+    sim.rm.verify_books()
     try:
         sim.view.assert_consistent()
         drift = None

@@ -11,6 +11,7 @@ from repro.core.allocation import (
     Pools,
     allocate_two_phase,
     build_flex_groups,
+    jct_reduction_values,
     preferred_domain,
     sjf_phase,
 )
@@ -181,6 +182,10 @@ class TestFlexGroups:
             assert group == expected  # float ==, not approx
 
     def test_value_fn_is_called_once_per_job(self):
+        """A job is priced over its full flexible span, once, and its
+        group is the capacity-pruned prefix; a rebuild with unchanged
+        inputs prices nothing, and progress reprices only the job that
+        made it."""
         calls = []
 
         def value_fn(job, extras):
@@ -190,8 +195,45 @@ class TestFlexGroups:
         jobs = [make_job(job_id=k, min_workers=1, max_workers=4,
                          gpus_per_worker=2, elastic=True) for k in range(3)]
         groups = build_flex_groups(jobs, max_weight=5, value_fn=value_fn)
-        assert calls == [(0, [1, 2]), (1, [1, 2]), (2, [1, 2])]
+        assert calls == [(0, [1, 2, 3]), (1, [1, 2, 3]), (2, [1, 2, 3])]
         assert groups == [[(2, 1.0), (4, 2.0)]] * 3
+
+        calls.clear()
+        groups = build_flex_groups(jobs, max_weight=8, value_fn=value_fn)
+        assert calls == []
+        assert groups == [[(2, 1.0), (4, 2.0), (6, 3.0)]] * 3
+
+        running = jobs[1]
+        running.record_placement("s0", 1, flexible=False)
+        running.mark_started(0.0)
+        running.advance(60.0)
+        build_flex_groups(jobs, max_weight=5, value_fn=value_fn)
+        assert calls == [(1, [1, 2, 3])]
+
+    @pytest.mark.parametrize("name, moved", [
+        ("remaining_work", 500.0),
+        ("estimate_error", 1.5),
+        ("hetero_penalty", 0.7),
+        ("tuning_bonus", 1.08),
+        ("straggler_penalty", 0.5),
+        ("scaling_model", SUBLINEAR_20),
+    ])
+    def test_every_input_a_value_reads_reprices_the_job(self, name, moved):
+        """The cache key holds every input a value reads beside the
+        spec: moving any one of them (a straggler onset with no progress
+        in between, say) must give the items a fresh call gives."""
+        job = make_job(duration=20, max_workers=6, min_workers=2,
+                       elastic=True)
+        before = build_flex_groups([job], max_weight=10)
+        setattr(job, name, moved)
+        (group,) = build_flex_groups([job], max_weight=10)
+        assert group != before[0]
+        assert group == list(zip(range(1, 5), jct_reduction_values(
+            job, range(1, 5))))
+        assert build_flex_groups(
+            [job], max_weight=10, value_fn=throughput_gain_values
+        )[0] == list(zip(range(1, 5), throughput_gain_values(
+            job, range(1, 5))))
 
     def test_agnostic_values_bit_identical_to_per_item_expression(self):
         rng = random.Random(22)

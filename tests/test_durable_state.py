@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro import scenarios
 from repro.cli import main
+from repro.core.allocation import build_flex_groups
 from repro.recovery.codec import (
     PICKLE_PROTOCOL,
     SCHEMA_VERSION,
@@ -341,3 +342,68 @@ def test_snapshot_grows_with_the_job_table_and_little_else():
     snapshot_growth = len(capture_payload(large)) - len(capture_payload(small))
     assert table_growth > 0
     assert snapshot_growth <= 1.5 * table_growth
+
+
+#: what a snapshot carries of a job (its values, in this order) and of a
+#: kernel: state, not caches — no flex-item cache on the job, no
+#: running-elastic index on the kernel
+PICKLED_JOB_KEYS = [
+    "spec", "status", "remaining_work", "base_placement", "flex_placement",
+    "_server_cost", "_onloan_servers", "scaling_model", "first_start_time",
+    "finish_time", "last_progress_time", "preemptions", "hetero_penalty",
+    "tuning_bonus", "straggler_penalty", "onloan_work", "estimate_error",
+    "arrival_hour", "completion_epoch", "preempted_at",
+]
+PICKLED_KERNEL_KEYS = [
+    "_arrivals", "_deadline", "_dropped_triggers", "_engines",
+    "_epochs_skipped", "_fail_times", "_heartbeats", "_hour_queued",
+    "_hour_submissions", "_last_arrival", "_last_epoch_version",
+    "_last_tick", "_pending_triggers", "_scaling", "_tick_pending",
+    "activities", "activity_sink", "cluster", "config", "degraded_servers",
+    "driver", "engine", "executor", "fault_injector", "inference_trace",
+    "jobs", "metrics", "obs", "orchestrator", "pair", "pending", "policy",
+    "profiler", "recovery", "rm", "running", "tracer", "view",
+]
+
+
+def test_a_snapshot_carries_no_derived_state():
+    """Mid-run, Lyra has running elastic jobs and priced flex items: a
+    snapshot pickles neither the items nor the index.  The restored
+    kernel re-derives the index in the running set's order, re-attaches
+    the books check, and its jobs reprice on first use."""
+    sim = build_scenario("lyra_elastic")
+    sim.run(until=50_000.0)
+    assert sim.running_elastic
+    assert any(job.flex_items for job in sim.jobs.values())
+    job = next(iter(sim.running_elastic.values()))
+    _, (values,) = job.__reduce__()
+    assert values == tuple(getattr(job, name) for name in PICKLED_JOB_KEYS)
+    assert sorted(sim.__getstate__()) == PICKLED_KERNEL_KEYS
+    clone = pickle.loads(capture_payload(sim))["sim"]
+    assert list(clone.running_elastic) == list(sim.running_elastic)
+    assert all(job.flex_items is None for job in clone.jobs.values())
+    assert clone.rm.derived_check == clone.verify_derived
+    clone.rm.verify_books()
+
+
+def test_the_books_check_catches_drifted_derived_state():
+    """``verify_books`` fails on an index that lost a running elastic
+    job and on items that differ from a fresh ``value_fn`` call under
+    a key that still matches."""
+    sim = build_scenario("lyra_elastic")
+    sim.run(until=50_000.0)
+    sim.rm.verify_books()
+    job_id, job = next(iter(sim.running_elastic.items()))
+    del sim.running_elastic[job_id]
+    with pytest.raises(RuntimeError, match="running-elastic index"):
+        sim.rm.verify_books()
+    sim.running_elastic[job_id] = job
+    sim.rm.verify_books()
+    value_fn = sim.policy.value_fn
+    build_flex_groups([job], max_weight=10**6, value_fn=value_fn)
+    key, items = job.flex_items
+    job.flex_items = (key, [(w, v + 1.0) for w, v in items])
+    with pytest.raises(RuntimeError, match="stale flex items"):
+        sim.rm.verify_books()
+    job.remaining_work *= 0.5  # a moved input: the key misses, no check
+    sim.rm.verify_books()

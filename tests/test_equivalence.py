@@ -55,7 +55,8 @@ GOLDEN_PATH = Path(__file__).parent / "data" / "golden_logs.json"
 #:
 #: - ``reference``   the oracle's scan-from-scratch reference view,
 #: - ``audited``     the production view with its delta maintenance
-#:                   audited (columns == rebuild) after *every* epoch
+#:                   audited (columns == rebuild), and the books with
+#:                   the derived state they check, after *every* epoch
 #:                   rather than once at the end,
 #: - ``production``  the production column view.
 LEGS = {
@@ -109,7 +110,8 @@ def build_scenario(
     """The golden scenario ``name``, built but not run.
 
     ``view`` is ``"production"`` or ``"reference"``; ``audit`` checks
-    the view against a rebuild after every epoch.  ``pair_factory``
+    the view against a rebuild and the books (derived state included)
+    after every epoch.  ``pair_factory``
     substitutes the cluster pair's construction (the market suite pins
     the 1×1 ``ClusterSet`` and a renamed pair against these same golden
     digests), and ``fault_plan`` replaces the scenario's own.
@@ -157,6 +159,7 @@ def build_scenario(
 
         def audited() -> None:
             sim.view.assert_consistent()
+            sim.rm.verify_books()
             finished()
 
         sim.epoch_finished = audited

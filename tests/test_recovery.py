@@ -557,17 +557,18 @@ class TestSnapshotCodec:
             SnapshotCodec.load(tmp_path / "nope.ckpt")
 
     def test_recover_refuses_a_directory_an_older_build_wrote(self, tmp_path):
-        """Schema 11: the kernel config pickles without ``record_plans``
-        and a traced run's pending triggers as dicts.  A schema-10
-        directory is refused by its manifest, before any unpickle."""
+        """Schema 12: a job pickles as its slot values in order, without
+        its flex-item cache, and the kernel without its running-elastic
+        index.  A schema-11 directory is refused by its manifest, before
+        any unpickle."""
         killed_run("fifo_contention", tmp_path)
         manifest = tmp_path / "recovery.json"
         current = manifest.read_text()
-        manifest.write_text(current.replace('"schema": 11', '"schema": 10'))
+        manifest.write_text(current.replace('"schema": 12', '"schema": 11'))
         assert manifest.read_text() != current
         with pytest.raises(
             RecoveryError,
-            match=r"schema 10 does not match this build \(schema 11\)",
+            match=r"schema 11 does not match this build \(schema 12\)",
         ):
             RecoveryManager.recover(tmp_path)
 

@@ -454,6 +454,23 @@ class TestServiceLifecycle:
 
         run_with_service(body)
 
+    def test_cancel_of_a_running_elastic_job_leaves_the_index(self):
+        """A cancelled running elastic job leaves the kernel's
+        running-elastic index with its running entry, so the books
+        check, which compares the two, stays clean."""
+        async def body(service, client):
+            job_id = await client.submit(
+                duration=10_000.0, max_workers=4, min_workers=1,
+                elastic=True,
+            )
+            await _wait_status(client, job_id, "running")
+            assert list(service.kernel.running_elastic) == [job_id]
+            assert await client.cancel(job_id) is True
+            assert not service.kernel.running_elastic
+            service.kernel.rm.verify_books()
+
+        run_with_service(body, policy=LyraScheduler)
+
     def test_scale_running_elastic_job(self):
         async def body(service, client):
             job_id = await client.submit(
