@@ -1,11 +1,11 @@
 """Scheduling-epoch latency at cluster scale.
 
 Runs a seeded workload through the simulator and reports the mean
-wall-clock cost of one scheduling epoch (the ``scheduler.tick`` profiler
-phase) per (scale, scheme) cell.  Every cell is run twice and the two
-activity logs must be byte-identical — the digest check that catches any
-nondeterminism in the view or the placement walk; the faster of the two
-runs is reported.
+wall-clock cost of one scheduling epoch (the ``scheduler.tick`` phase
+of the kernel's always-on phase clock) per (scale, scheme) cell.  Every
+cell is run twice and the two activity logs must be byte-identical —
+the digest check that catches any nondeterminism in the view or the
+placement walk; the faster of the two runs is reported.
 
 Not a pytest bench: run it directly.
 
@@ -49,12 +49,7 @@ from repro.cluster.cluster import (  # noqa: E402
     make_training_cluster,
 )
 from repro.ioutil import atomic_write  # noqa: E402
-from repro.obs import Observability  # noqa: E402
-from repro.obs.profiling import (  # noqa: E402
-    PHASE_SCHEDULER_TICK,
-    PhaseProfiler,
-)
-from repro.obs.tracer import Tracer  # noqa: E402
+from repro.obs.tracer import PHASE_SCHEDULER_TICK  # noqa: E402
 from repro.schedulers.fifo import FIFOScheduler, SJFScheduler  # noqa: E402
 from repro.simulator.simulation import (  # noqa: E402
     Simulation,
@@ -99,19 +94,16 @@ def _run_once(specs, servers: int, scheme: str):
     pair = ClusterPair(
         make_training_cluster(servers), make_inference_cluster(4)
     )
-    obs = Observability(tracer=Tracer.disabled(), phases=PhaseProfiler())
     sim = Simulation(
         specs,
         pair,
         SCHEMES[scheme](),
         config=SimulationConfig(record_activities=True),
-        obs=obs,
     )
     start = time.perf_counter()
     sim.run()
     wall = time.perf_counter() - start
-    total = obs.phases.totals.get(PHASE_SCHEDULER_TICK, 0.0)
-    calls = obs.phases.counts.get(PHASE_SCHEDULER_TICK, 0)
+    calls, total, _ = sim.phase_stats.get(PHASE_SCHEDULER_TICK, (0, 0.0, 0.0))
     return sim, {
         "wall_s": round(wall, 3),
         "epoch_total_s": round(total, 3),

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from repro.obs import Observability
 from repro.obs.inspect import inspect_trace
-from repro.scenarios import default_setup, run_scheme
+from repro.scenarios import build_sim, default_setup
 
 
 def main() -> None:
@@ -30,7 +30,8 @@ def main() -> None:
         target_load=1.1,
     )
     obs = Observability.enabled()
-    metrics = run_scheme(setup, "lyra_loaning", obs=obs)
+    sim = build_sim(setup, "lyra_loaning", obs=obs)
+    metrics = sim.run()
     print(
         f"simulated {len(metrics.jobs)} jobs; tracer captured "
         f"{len(obs.tracer)} events across "
@@ -40,8 +41,8 @@ def main() -> None:
     out_dir = Path(tempfile.mkdtemp(prefix="lyra-trace-"))
     jsonl = out_dir / "trace.jsonl"
     chrome = out_dir / "trace_chrome.json"
-    obs.export_trace(str(jsonl))
-    obs.export_trace(str(chrome), format="chrome")
+    sim.export_trace(str(jsonl))
+    sim.export_trace(str(chrome), format="chrome")
     print(f"wrote {jsonl} (JSONL) and {chrome} (load the latter in "
           f"about://tracing or https://ui.perfetto.dev)\n")
 

@@ -15,7 +15,7 @@ Public API highlights:
   traces calibrated to the paper's statistics.
 * :mod:`repro.elastic` — training-throughput scaling models.
 * :mod:`repro.obs` — observability: event tracing, metrics registry,
-  phase profiling and trace inspection (docs/OBSERVABILITY.md).
+  trace inspection (docs/OBSERVABILITY.md).
 * :mod:`repro.scenarios` — evaluation scenarios and the experiment
   runner (:func:`repro.scenarios.run_scheme`).
 """

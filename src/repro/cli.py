@@ -392,7 +392,7 @@ def cmd_run(args) -> int:
         if args.explain:
             _print_plan_summary(sim)
     if args.trace:
-        records = sim.obs.export_trace(args.trace, format=args.trace_format)
+        records = sim.export_trace(args.trace, format=args.trace_format)
         print(f"wrote {records} trace records to {args.trace} "
               f"({args.trace_format}); summarize with "
               f"`repro inspect {args.trace}`")
@@ -445,7 +445,6 @@ def cmd_serve(args) -> int:
             max_pending=args.max_pending,
             time_scale=args.time_scale,
             state_dir=args.state_dir,
-            snapshot_every_epochs=args.snapshot_every,
             obs=obs,
             orchestrator=orchestrator,
         )
@@ -489,8 +488,9 @@ def cmd_serve(args) -> int:
         with contextlib.suppress(asyncio.CancelledError):
             await server_task
         if args.trace:
-            # after a restart the service's bundle is the restored kernel's
-            records = service.obs.export_trace(args.trace, format="jsonl")
+            # after a restart the kernel, its trace and phase totals
+            # so far included, is the restored one
+            records = service.kernel.export_trace(args.trace)
             print(f"wrote {records} trace records to {args.trace}",
                   flush=True)
         return 0
@@ -593,7 +593,7 @@ def cmd_chaos(args) -> int:
               f"p95 {jct['p95']:>10,.1f}   completed {snap['completed']:.3f}"
               f"   audits {snap['audits']}")
     if args.trace:
-        records = sim.obs.export_trace(args.trace, format=args.trace_format)
+        records = sim.export_trace(args.trace, format=args.trace_format)
         print(f"wrote {records} trace records to {args.trace}")
     return 0
 
@@ -977,9 +977,6 @@ _OPTIONS = {
         help="durable state directory (request journal, kernel snapshots, "
              "plan WAL); restarting on the same directory recovers every "
              "acked job"),
-    "--snapshot-every": dict(type=int, default=1, metavar="EPOCHS",
-                             help="snapshot the kernel every N >= 1 "
-                                  "scheduling epochs (with --state-dir)"),
     "--drain-timeout": dict(
         type=float, default=30.0, metavar="SECONDS",
         help="on SIGTERM, stop admission and wait up to this long for the "
@@ -998,7 +995,6 @@ _FLOORS = {
     "--node-repair-time": (0, True),
     "--epoch-interval": (0, False),
     "--time-scale": (0, False),
-    "--snapshot-every": (1, True),
 }
 
 
@@ -1090,7 +1086,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--scheme", "--training-servers", "--inference-servers",
             "--seed", "--host", "--port", "--epoch-interval",
             "--time-scale", "--max-pending", "--state-dir",
-            "--snapshot-every", "--drain-timeout", "--trace", "--log-level")
+            "--drain-timeout", "--trace", "--log-level")
     command("paper", cmd_paper, "show the paper's numbers").add_argument(
         "table",
         help="table5|table7|table8|table9|table10|headlines|fig1|workload")

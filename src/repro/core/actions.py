@@ -53,7 +53,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cluster.job import PREEMPTION_OVERHEAD, Job
 from repro.obs.log import get_logger
-from repro.obs.profiling import PHASE_PLAN_COMMIT, PHASE_PLAN_VALIDATE
+from repro.obs.tracer import PHASE_PLAN_COMMIT, PHASE_PLAN_VALIDATE
 from repro.obs.provenance import PROVENANCE_EVENT, TRIGGER_LOAN, TRIGGER_RECLAIM
 from repro.obs.tracer import CAT_PLAN
 from repro.simulator.events import EventKind
@@ -561,9 +561,8 @@ class PlanExecutor:
             if txn is not None:
                 txn.rollback()
             return PlanReceipt(applied=False, actions=len(plan.actions), pricing=pricing)
-        phases = sim.obs.phases
         try:
-            with phases.phase(PHASE_PLAN_VALIDATE):
+            with sim.phase(PHASE_PLAN_VALIDATE):
                 self._validate(plan)
         except PlanError:
             self.plans_rejected += 1
@@ -580,7 +579,7 @@ class PlanExecutor:
                 self.crash_probe.maybe_fire("post_wal", sim.now)
         self.in_flight = True
         try:
-            with phases.phase(PHASE_PLAN_COMMIT):
+            with sim.phase(PHASE_PLAN_COMMIT):
                 for i, action in enumerate(plan.actions):
                     self._commit(action)
                     self.actions_applied += 1

@@ -20,12 +20,13 @@ and a single (non-heterogeneous) job cannot straddle GPU types in one run.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.job import Job
 from repro.core.mckp import solve_mckp
-from repro.obs.profiling import NULL_PROFILER, PHASE_MCKP_SOLVE
+from repro.obs.tracer import PHASE_MCKP_SOLVE
 
 #: Placement domains an allocation can draw from.
 TRAINING = "training"
@@ -251,7 +252,7 @@ def allocate_two_phase(
     pools: Pools,
     order_key=sjf_key,
     value_fn=jct_reduction_values,
-    phases=None,
+    phase=nullcontext,
     presorted: bool = False,
 ) -> AllocationDecision:
     """Run both allocation phases for one scheduling epoch.
@@ -264,14 +265,13 @@ def allocate_two_phase(
             available resources include GPUs used by flexible workers).
         pools: Free capacity; phase one consumes it in place, and phase
             two solves over what is left.
-        phases: Optional :class:`~repro.obs.profiling.PhaseProfiler`
-            that times the MCKP solve.
+        phase: The caller's phase timer
+            (:meth:`~repro.core.kernel.SchedulerKernel.phase`), entered
+            around the MCKP solve; untimed by default.
 
     Returns:
         The combined :class:`AllocationDecision`.
     """
-    if phases is None:
-        phases = NULL_PROFILER
     decision = AllocationDecision()
     decision.scheduled, decision.skipped = sjf_phase(
         pending, pools, order_key=order_key, presorted=presorted
@@ -287,7 +287,7 @@ def allocate_two_phase(
         )
         decision.mckp_groups = groups
         decision.mckp_capacity = capacity
-        with phases.phase(PHASE_MCKP_SOLVE):
+        with phase(PHASE_MCKP_SOLVE):
             value, choices = solve_mckp(groups, capacity)
         decision.mckp_value = value
         for job, choice in zip(elastic_jobs, choices):

@@ -13,7 +13,9 @@ simulator so both can share it byte-for-byte:
   commit the resulting :class:`~repro.core.actions.EpochPlan` through
   the executor, with provenance, metrics, audits and recovery hooks
   along the way.  The kernel never reads a clock or arms a timer
-  itself: *when* is always delegated to its driver.
+  itself: *when* is always delegated to its driver.  (Its phase clock,
+  :meth:`SchedulerKernel.phase`, measures the wall-clock cost of each
+  pipeline phase in every run; nothing reads it to decide.)
 * :class:`Driver` is the protocol a clock source implements to host the
   kernel: a ``now`` property plus ``schedule``/``schedule_after`` timer
   primitives and an ``epoch_finished`` notification.  A timer is armed
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from time import perf_counter
 from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.cluster import Cluster, ClusterPair
@@ -45,7 +48,6 @@ from repro.core.view import ClusterView
 from repro.elastic.throughput import get_scaling_model
 from repro.obs import Observability
 from repro.obs.log import get_logger
-from repro.obs.profiling import PHASE_SCHEDULER_TICK
 from repro.obs.provenance import (
     MAX_TRIGGERS,
     TRIGGER_ARRIVAL,
@@ -54,7 +56,14 @@ from repro.obs.provenance import (
     TRIGGER_NODE_RECOVERY,
     TRIGGER_PREEMPT,
 )
-from repro.obs.tracer import CAT_JOB, CAT_ORCHESTRATOR, CAT_SCHEDULER
+from repro.obs.tracer import (
+    CAT_JOB,
+    CAT_ORCHESTRATOR,
+    CAT_SCHEDULER,
+    CAT_SPAN,
+    PHASE_SCHEDULER_TICK,
+    SPAN_EVENT,
+)
 from repro.profiler.profiler import JobProfiler
 from repro.rm.manager import ResourceManager
 from repro.simulator.events import Activity, EventKind
@@ -82,6 +91,60 @@ _WORK_EPS = 1e-6
 
 #: Throughput bonus hyperparameter tuning yields above base demand (§7.4).
 _TUNING_BONUS = 1.08
+
+
+class _Phase:
+    """One timed occurrence of a phase: :meth:`SchedulerKernel.phase`.
+
+    Exiting adds the wall-clock time to the kernel's ``phase_stats``.
+    While the tracer is enabled the phase is also a span: entering takes
+    the next span id (sequential per run, so seeded runs share their
+    span structure) under the innermost open span, and exiting emits an
+    ``obs.span`` event stamped with the kernel time at entry.  Plans
+    link back to the span that produced them through ``span_id``, which
+    stays None in an untraced run.
+    """
+
+    __slots__ = ("kernel", "name", "span_id", "parent_id", "ts", "start")
+
+    def __init__(self, kernel: "SchedulerKernel", name: str):
+        self.kernel = kernel
+        self.name = name
+        self.span_id: Optional[int] = None
+
+    def __enter__(self) -> "_Phase":
+        kernel = self.kernel
+        if kernel.tracer.enabled:
+            self.parent_id = kernel._open_span
+            kernel._span_seq += 1
+            self.span_id = kernel._open_span = kernel._span_seq
+            self.ts = kernel.now
+        self.start = perf_counter()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        elapsed = perf_counter() - self.start
+        kernel = self.kernel
+        stat = kernel.phase_stats.get(self.name)
+        if stat is None:
+            kernel.phase_stats[self.name] = [1, elapsed, elapsed]
+        else:
+            stat[0] += 1
+            stat[1] += elapsed
+            if elapsed > stat[2]:
+                stat[2] = elapsed
+        if self.span_id is not None:
+            kernel._open_span = self.parent_id
+            kernel.tracer.emit(
+                SPAN_EVENT,
+                ts=self.ts,
+                cat=CAT_SPAN,
+                span=self.name,
+                span_id=self.span_id,
+                parent_id=self.parent_id,
+                dur_ms=round(elapsed * 1e3, 6),
+            )
+
 
 @dataclass
 class SimulationConfig:
@@ -221,6 +284,12 @@ class SchedulerKernel:
         self.config = config
         self.obs = obs if obs is not None else Observability.disabled()
         self.tracer = self.obs.tracer
+        #: the phase clock, always on: ``{phase: [calls, total_s, max_s]}``
+        #: of wall-clock time, kept by :meth:`phase`
+        self.phase_stats: Dict[str, list] = {}
+        #: span ids handed out so far, and the innermost open span
+        self._span_seq = 0
+        self._open_span: Optional[int] = None
         self.jobs: Dict[int, Job] = {}
         self.metrics = SimulationMetrics(self.obs.registry, self.jobs)
         self.activities: List[Activity] = []
@@ -389,9 +458,27 @@ class SchedulerKernel:
         if self.tracer.enabled:
             self.tracer.emit(name, ts=self.now, job_id=job_id, **args)
 
-    def phase(self, name: str):
-        """Wall-clock phase timer (no-op unless profiling is enabled)."""
-        return self.obs.phases.phase(name)
+    def phase(self, name: str) -> _Phase:
+        """Context manager timing one occurrence of phase ``name``."""
+        return _Phase(self, name)
+
+    def phase_summary(self) -> Dict[str, Dict[str, float]]:
+        """The phase clock's totals, most expensive first."""
+        ordered = sorted(self.phase_stats.items(), key=lambda kv: kv[1][1],
+                         reverse=True)
+        return {
+            name: {"calls": calls, "total_s": total,
+                   "mean_ms": 1e3 * total / calls, "max_ms": 1e3 * peak}
+            for name, (calls, total, peak) in ordered
+        }
+
+    def export_trace(self, path: str, format: str = "jsonl") -> int:
+        """Export the trace plus its summary record (phase totals and
+        metrics, what ``repro inspect`` reads); returns the record count
+        written."""
+        summary = {"phases": self.phase_summary(),
+                   "metrics": self.obs.registry.snapshot()}
+        return self.tracer.export(path, format=format, summary=summary)
 
     def note_trigger(self, kind: str, **detail) -> None:
         """Record one cause of the next scheduling epoch (provenance).
@@ -467,7 +554,7 @@ class SchedulerKernel:
         self._tick_pending = False
         self._last_tick = self.now
         self.log(EventKind.SCHEDULE_EPOCH, detail=len(self.pending))
-        with self.obs.phases.phase(PHASE_SCHEDULER_TICK):
+        with self.phase(PHASE_SCHEDULER_TICK):
             if self._can_skip_epoch():
                 # No deltas since the last epoch and the policy is
                 # epoch-idempotent: re-running would provably repeat the

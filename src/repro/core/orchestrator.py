@@ -39,7 +39,7 @@ from repro.core.reclaim import (
     server_preemption_cost,
 )
 from repro.obs.log import get_logger
-from repro.obs.profiling import PHASE_ORCH_TICK, PHASE_RECLAIM_PLAN
+from repro.obs.tracer import PHASE_ORCH_TICK, PHASE_RECLAIM_PLAN
 from repro.obs.provenance import TRIGGER_FAULT, TRIGGER_INTERVAL
 from repro.traces.inference import HEADROOM
 

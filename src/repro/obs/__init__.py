@@ -1,4 +1,4 @@
-"""Observability: structured tracing, metrics and profiling hooks.
+"""Observability: structured tracing and metrics.
 
 The three pillars (§"make the simulator a glass box"):
 
@@ -7,33 +7,31 @@ The three pillars (§"make the simulator a glass box"):
 * :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges and
   histograms with labels, the substrate under
   :class:`~repro.simulator.metrics.SimulationMetrics`;
-* :class:`~repro.obs.profiling.PhaseProfiler` — wall-clock timers
-  around the scheduler/orchestrator hot paths.
+* per-phase wall-clock time around the scheduler/orchestrator hot paths,
+  which is not in this bundle: the kernel's phase clock
+  (:meth:`~repro.core.kernel.SchedulerKernel.phase`) is always on, and
+  a traced run also gets each phase as an ``obs.span`` event.
 
-An :class:`Observability` bundles all three; pass one to
-:class:`~repro.simulator.simulation.Simulation` (or
-:func:`repro.scenarios.run_scheme`) to light the instrumentation up.
-The default is a shared disabled bundle whose hooks cost one attribute
-check per call site.
+An :class:`Observability` bundles the tracer and the registry; pass one
+to :class:`~repro.simulator.simulation.Simulation` (or
+:func:`repro.scenarios.run_scheme`) to turn tracing on.  The default
+bundle's tracer is off and costs one attribute check per call site.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiling import PhaseProfiler
 from repro.obs.tracer import Tracer
 
 
 @dataclass
 class Observability:
-    """The tracer + registry + profiler bundle a simulation carries."""
+    """The tracer + registry bundle a simulation carries."""
 
     tracer: Tracer = field(default_factory=Tracer)
     registry: MetricsRegistry = field(default_factory=MetricsRegistry)
-    phases: PhaseProfiler = field(default_factory=PhaseProfiler)
 
     @classmethod
     def enabled(cls) -> "Observability":
@@ -41,24 +39,10 @@ class Observability:
 
     @classmethod
     def disabled(cls) -> "Observability":
-        """A bundle whose tracer and profiler are off.
+        """A bundle whose tracer is off.
 
         The registry stays live — it is the storage layer of
         :class:`~repro.simulator.metrics.SimulationMetrics` and costs
         the same as the plain dataclass fields it replaced.
         """
-        return cls(tracer=Tracer.disabled(), phases=PhaseProfiler.disabled())
-
-    # ------------------------------------------------------------------
-    def summary(self) -> Dict[str, Any]:
-        """The aggregate record appended to exported traces."""
-        return {
-            "phases": self.phases.to_dict(),
-            "metrics": self.registry.snapshot(),
-        }
-
-    def export_trace(self, path: str, format: str = "jsonl") -> int:
-        """Export the trace plus the aggregate summary; returns the
-        record count written."""
-        return self.tracer.export(path, format=format, summary=self.summary())
-
+        return cls(tracer=Tracer.disabled())

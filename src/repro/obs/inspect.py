@@ -4,7 +4,7 @@
 prints what you would otherwise grep for by hand: the event census, a
 job funnel, the preemption breakdown by cause (and its worst victims),
 the reclaim timeline with per-op collateral damage, and the per-phase
-wall-clock table recorded by the profiling hooks.
+wall-clock table recorded by the kernel's phase clock.
 
 ``repro inspect --diff A B`` compares two traces: it reports the first
 event where the streams diverge (spans excluded — their durations are

@@ -19,8 +19,9 @@ payload is the plan in the write-ahead journal's format
 * **inputs** — the decision-relevant state the policy saw, noted by the
   policy itself (e.g. Lyra's MCKP admitted/value, the orchestrator's
   supply/target/current server counts), when there is any;
-* **span_id** — the ``obs.span`` that produced the plan, when the
-  profiler timed one;
+* **span_id** — the ``obs.span`` of the phase that produced the plan
+  (the policy's ``scheduler.decide``, the orchestrator's
+  ``orchestrator.tick``), in any traced run, simulated or served;
 * **dropped_triggers** — triggers beyond :data:`MAX_TRIGGERS`, when
   there were any.
 

@@ -39,8 +39,20 @@ CAT_SPAN = "span"
 #: The reserved name of the trailing aggregate record in JSONL exports.
 SUMMARY_EVENT = "trace.summary"
 
-#: The event name nested profiler spans are emitted under.
+#: The event name nested phase spans are emitted under.
 SPAN_EVENT = "obs.span"
+
+#: Phase names timed by :meth:`repro.core.kernel.SchedulerKernel.phase`
+#: (and the ``span`` of their ``obs.span`` events in a traced run).
+PHASE_SCHEDULER_TICK = "scheduler.tick"
+PHASE_DECIDE = "scheduler.decide"
+PHASE_MCKP_SOLVE = "scheduler.mckp_solve"
+PHASE_ALLOCATION = "scheduler.allocation"
+PHASE_PLACEMENT = "scheduler.placement"
+PHASE_RECLAIM_PLAN = "orchestrator.reclaim_plan"
+PHASE_ORCH_TICK = "orchestrator.tick"
+PHASE_PLAN_VALIDATE = "plan.validate"
+PHASE_PLAN_COMMIT = "plan.commit"
 
 
 @dataclass(frozen=True)
@@ -220,7 +232,7 @@ def to_chrome(
     Layout: process 1 holds one thread per job (its run intervals as
     ``"X"`` duration slices, other job events as instants); process 0
     holds scheduler/orchestrator/cluster instants and the running/pending
-    counter tracks; process 2 renders profiler spans (:data:`SPAN_EVENT`
+    counter tracks; process 2 renders phase spans (:data:`SPAN_EVENT`
     records) as duration slices, one thread per nesting depth, placed at
     their simulated entry time with their wall-clock duration.
     """

@@ -66,7 +66,10 @@ MAGIC = b"REPROSNAP\x00"
 #: 12: a job pickles as its slot values in order, without the flex-item
 #: cache; the kernel drops its running-elastic index and the resource
 #: manager its derived check, and restore re-derives all three
-SCHEMA_VERSION = 12
+#: 13: the kernel holds the phase clock (``phase_stats`` and its span
+#: counters) and the observability bundle no phase profiler (a schema-12
+#: snapshot pickled a profiler of a module this build does not have)
+SCHEMA_VERSION = 13
 
 #: pinned pickle protocol: snapshots written on 3.9 load on 3.12
 PICKLE_PROTOCOL = 4

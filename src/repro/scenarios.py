@@ -332,8 +332,8 @@ def build_sim(
             study — that fraction of jobs get a runtime estimate off by a
             uniform factor within ``±max_error``.
         sim_overrides: Extra :class:`SimulationConfig` fields.
-        obs: Observability bundle (tracer/registry/profiler); omit for
-            the zero-overhead disabled default.
+        obs: Observability bundle (tracer/registry); omit for the
+            untraced default.
         market: Optional :class:`~repro.market.MarketConfig` — split the
             setup's hardware into a multi-cluster capacity market, each
             lender with its own utilization trace.  The same

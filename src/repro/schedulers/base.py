@@ -24,7 +24,7 @@ from repro.cluster.job import Job
 from repro.core.actions import EpochPlan, PlanTransaction
 from repro.core.allocation import Pools
 from repro.core.placement import PlacementRequest
-from repro.obs.profiling import PHASE_DECIDE, PHASE_PLACEMENT
+from repro.obs.tracer import PHASE_DECIDE, PHASE_PLACEMENT
 
 
 def fifo_key(job: Job) -> tuple:

@@ -18,7 +18,7 @@ from typing import Dict, List
 from repro.cluster.job import Job
 from repro.core.allocation import allocate_two_phase, jct_reduction_values, sjf_key
 from repro.core.placement import PlacementRequest
-from repro.obs.profiling import PHASE_ALLOCATION, PHASE_PLACEMENT
+from repro.obs.tracer import PHASE_ALLOCATION, PHASE_PLACEMENT
 from repro.schedulers.base import SchedulerPolicy
 
 
@@ -73,7 +73,7 @@ class LyraScheduler(SchedulerPolicy):
                 pools,
                 order_key=self.order_key,
                 value_fn=self.value_fn,
-                phases=ctx.obs.phases,
+                phase=ctx.phase,
                 presorted=True,
             )
         self.emit_decision("allocation", decision=decision)

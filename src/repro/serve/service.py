@@ -71,7 +71,6 @@ class SchedulerService:
         max_pending: int = 10_000,
         time_scale: float = 1.0,
         state_dir=None,
-        snapshot_every_epochs: int = 1,
         obs: Optional[Observability] = None,
         orchestrator=None,
     ):
@@ -84,13 +83,7 @@ class SchedulerService:
         self._policy = policy
         self._orchestrator = orchestrator
         self._time_scale = time_scale
-        if snapshot_every_epochs < 1:
-            raise ValueError(
-                f"snapshot cadence must be at least 1 epoch, got "
-                f"{snapshot_every_epochs}"
-            )
         self.state = ServeState(state_dir) if state_dir is not None else None
-        self.snapshot_every_epochs = snapshot_every_epochs
 
         self.kernel: Optional[SchedulerKernel] = None
         self.driver: Optional[WallClockDriver] = None
@@ -105,7 +98,6 @@ class SchedulerService:
         self.shutdown_requested = asyncio.Event()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._epochs = 0
-        self._epochs_since_snapshot = 0
         self.recovered_jobs = 0
         self.replayed_requests = 0
 
@@ -237,13 +229,8 @@ class SchedulerService:
     # ------------------------------------------------------------------
     def _on_epoch_finished(self) -> None:
         self._epochs += 1
-        self._epochs_since_snapshot += 1
-        if (
-            self.state is not None
-            and self._epochs_since_snapshot >= self.snapshot_every_epochs
-        ):
+        if self.state is not None:
             self.state.snapshot(self.kernel)
-            self._epochs_since_snapshot = 0
         self._maybe_mark_drained()
 
     def _maybe_mark_drained(self) -> None:

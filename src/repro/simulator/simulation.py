@@ -87,9 +87,6 @@ class Simulation(SchedulerKernel):
             config=config,
             obs=obs,
         )
-        # Promote profiler phases to spans on the simulated clock; a
-        # no-op unless both the profiler and the tracer are enabled.
-        self.obs.phases.bind(self.tracer, self.engine)
         #: heartbeat firings (drops when wake-up skipping is active)
         self._heartbeats = 0
         #: the run deadline, kept so a restored run can resume to it

@@ -156,7 +156,7 @@ def _finish(sim: Simulation) -> GoldenRun:
                 sim.recovery, sim.executor.wal, sim.executor.crash_probe
             )
         ),
-        obs_recorded=len(sim.obs.tracer) + len(sim.obs.phases.stats()),
+        obs_recorded=len(sim.obs.tracer),
     )
 
 

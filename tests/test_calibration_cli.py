@@ -274,7 +274,6 @@ class TestCLI:
         ["run", "--node-repair-time", "-1"],
         ["serve", "--port", "0", "--epoch-interval", "0"],
         ["serve", "--port", "0", "--time-scale", "0"],
-        ["serve", "--port", "0", "--snapshot-every", "0"],
     ], ids=lambda argv: " ".join(argv[0:1] + argv[-2:]))
     def test_an_out_of_range_number_is_refused(self, tmp_path, capsys, argv):
         """Refused before anything runs, naming the flag: no traceback,

@@ -358,10 +358,11 @@ PICKLED_KERNEL_KEYS = [
     "_arrivals", "_deadline", "_dropped_triggers", "_engines",
     "_epochs_skipped", "_fail_times", "_heartbeats", "_hour_queued",
     "_hour_submissions", "_last_arrival", "_last_epoch_version",
-    "_last_tick", "_pending_triggers", "_scaling", "_tick_pending",
-    "activities", "activity_sink", "cluster", "config", "degraded_servers",
-    "driver", "engine", "executor", "fault_injector", "inference_trace",
-    "jobs", "metrics", "obs", "orchestrator", "pair", "pending", "policy",
+    "_last_tick", "_open_span", "_pending_triggers", "_scaling",
+    "_span_seq", "_tick_pending", "activities", "activity_sink", "cluster",
+    "config", "degraded_servers", "driver", "engine", "executor",
+    "fault_injector", "inference_trace", "jobs", "metrics", "obs",
+    "orchestrator", "pair", "pending", "phase_stats", "policy",
     "profiler", "recovery", "rm", "running", "tracer", "view",
 ]
 

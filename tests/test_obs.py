@@ -1,5 +1,5 @@
 """Tests for the observability subsystem: tracer, metrics registry,
-phase profiler, trace inspection and the CLI wiring."""
+the kernel's phase clock, trace inspection and the CLI wiring."""
 
 import json
 import math
@@ -19,12 +19,11 @@ from repro.obs.inspect import (
     summarize,
 )
 from repro.obs.metrics import MetricsRegistry, percentile
-from repro.obs.profiling import NULL_PROFILER, PhaseProfiler
 from repro.obs.provenance import PROVENANCE_EVENT
 from repro.obs.report import build_report
 from repro.obs.timeline import TimelineStore, render_why
 from repro.obs.tracer import SPAN_EVENT, SUMMARY_EVENT, Tracer
-from repro.scenarios import build_sim, default_setup, run_scheme
+from repro.scenarios import build_sim, default_setup
 from repro.simulator.metrics import SimulationMetrics
 
 
@@ -155,32 +154,55 @@ class TestMetricsRegistry:
 
 
 class TestPhaseProfiler:
+    """The kernel's phase clock, always on, the one per-phase timer."""
+
     def test_records_calls_and_totals(self):
-        prof = PhaseProfiler()
+        sim = tiny_obs_sim()
         for _ in range(3):
-            with prof.phase("tick"):
+            with sim.phase("tick"):
                 pass
-        (stat,) = prof.stats()
-        assert stat.name == "tick" and stat.calls == 3
-        assert stat.total_s >= 0.0
-        assert stat.max_ms >= stat.mean_ms * 0.5
+        stat = sim.phase_summary()["tick"]
+        assert stat["calls"] == 3
+        assert stat["total_s"] >= 0.0
+        assert stat["max_ms"] >= stat["mean_ms"] * 0.5
+        assert sim.phase_stats["tick"][0] == 3
 
     def test_stats_sorted_by_total(self):
-        prof = PhaseProfiler()
-        with prof.phase("fast"):
+        sim = tiny_obs_sim()
+        with sim.phase("fast"):
             pass
-        with prof.phase("slow"):
+        with sim.phase("slow"):
             time.sleep(0.002)
-        assert [s.name for s in prof.stats()] == ["slow", "fast"]
+        assert list(sim.phase_summary()) == ["slow", "fast"]
 
-    def test_disabled_profiler_shares_null_phase(self):
-        prof = PhaseProfiler.disabled()
-        cm1, cm2 = prof.phase("a"), prof.phase("b")
-        assert cm1 is cm2  # one shared no-op object, no allocation
-        with cm1:
+    def test_traced_phases_get_unique_span_ids_whose_parents_resolve(self):
+        obs = Observability.enabled()
+        sim = tiny_obs_sim(obs)
+        with sim.phase("outer") as outer:
+            with sim.phase("inner") as inner:
+                pass
+            with sim.phase("inner") as again:
+                pass
+        assert outer.span_id is not None
+        assert len({outer.span_id, inner.span_id, again.span_id}) == 3
+        spans = {e.args["span_id"]: e.args for e in obs.tracer.events
+                 if e.name == SPAN_EVENT}
+        assert set(spans) == {outer.span_id, inner.span_id, again.span_id}
+        assert spans[outer.span_id]["parent_id"] is None
+        assert spans[inner.span_id]["parent_id"] == outer.span_id
+        assert spans[again.span_id]["parent_id"] == outer.span_id
+        assert sim.phase_stats["inner"][0] == 2
+
+    def test_untraced_run_times_phases_and_traces_nothing(self):
+        obs = Observability.disabled()
+        sim = tiny_obs_sim(obs)
+        sim.run()
+        assert len(obs.tracer) == 0
+        phases = sim.phase_summary()
+        assert phases and phases["scheduler.tick"]["calls"] > 0
+        with sim.phase("x") as cm:
             pass
-        assert prof.stats() == []
-        assert NULL_PROFILER.phase("x") is cm1
+        assert cm.span_id is None
 
 
 class TestSimulationMetricsShim:
@@ -217,15 +239,16 @@ class TestEndToEnd:
     @pytest.fixture(scope="class")
     def traced(self, tmp_path_factory):
         obs = Observability.enabled()
-        tiny_obs_run(obs)
+        sim = tiny_obs_sim(obs)
+        sim.run()
         path = tmp_path_factory.mktemp("obs") / "trace.jsonl"
-        obs.export_trace(str(path))
-        return obs, str(path)
+        sim.export_trace(str(path))
+        return sim, str(path)
 
     def test_lifecycle_events_present(self, traced):
-        obs, _ = traced
+        sim, _ = traced
         counts = {}
-        for event in obs.tracer.events:
+        for event in sim.tracer.events:
             counts[event.name] = counts.get(event.name, 0) + 1
         assert counts["job.submit"] == 60
         assert counts["job.start"] == 60
@@ -234,8 +257,8 @@ class TestEndToEnd:
         assert counts.get("scheduler.mckp", 0) > 0
 
     def test_phase_timings_recorded(self, traced):
-        obs, _ = traced
-        phases = obs.phases.to_dict()
+        sim, _ = traced
+        phases = sim.phase_summary()
         assert "scheduler.tick" in phases
         assert "scheduler.allocation" in phases
         assert phases["scheduler.tick"]["calls"] > 0
@@ -281,10 +304,10 @@ class TestEndToEnd:
         # is derived from simulated time only, so two seeded runs agree.
         reports = []
         for i in range(2):
-            obs = Observability.enabled()
-            tiny_obs_run(obs)
+            sim = tiny_obs_sim(Observability.enabled())
+            sim.run()
             path = tmp_path / f"t{i}.jsonl"
-            obs.export_trace(str(path))
+            sim.export_trace(str(path))
             reports.append(inspect_trace(str(path)))
         head = [r.split("== phase timing")[0] for r in reports]
         assert head[0] == head[1]
@@ -298,11 +321,11 @@ class TestEndToEnd:
         assert a.preemptions == b.preemptions
 
     def test_chrome_trace_loads_back(self, traced):
-        obs, _ = traced
+        sim, _ = traced
         import io
 
         buf = io.StringIO()
-        obs.tracer.export_chrome(buf, summary=obs.summary())
+        sim.tracer.export_chrome(buf, summary={"phases": sim.phase_summary()})
         doc = json.loads(buf.getvalue())
         assert any(e["ph"] == "X" for e in doc["traceEvents"])
 
@@ -473,12 +496,6 @@ class TestSpanTracing:
         assert len(lanes) == len(events)
         assert all(lane["dur"] >= 1 for lane in lanes)
 
-    def test_disabled_profiler_emits_no_spans(self):
-        obs = Observability.disabled()
-        tiny_obs_run(obs)
-        assert len(obs.tracer) == 0
-        assert obs.phases.stats() == []
-
 
 class TestProvenanceLedger:
     @pytest.fixture(scope="class")
@@ -605,13 +622,14 @@ def chaos_trace(tmp_path_factory):
         num_jobs=120, days=0.5, training_servers=4, inference_servers=10,
         seed=2, target_load=1.6,
     )
-    obs = Observability.enabled()
-    run_scheme(
+    sim = build_sim(
         setup, "lyra", seed=2,
-        sim_overrides={"fault_plan": resolve_plan("chaos")}, obs=obs,
+        sim_overrides={"fault_plan": resolve_plan("chaos")},
+        obs=Observability.enabled(),
     )
+    sim.run()
     path = tmp_path_factory.mktemp("chaos") / "chaos.jsonl"
-    obs.export_trace(str(path))
+    sim.export_trace(str(path))
     return str(path)
 
 
@@ -701,10 +719,10 @@ class TestRunReport:
     def test_byte_deterministic_across_same_seed_runs(self, tmp_path):
         reports = []
         for i in range(2):
-            obs = Observability.enabled()
-            tiny_obs_run(obs)
+            sim = tiny_obs_sim(Observability.enabled())
+            sim.run()
             path = tmp_path / f"r{i}.jsonl"
-            obs.export_trace(str(path))
+            sim.export_trace(str(path))
             reports.append(build_report(load_trace(str(path))))
         assert reports[0] == reports[1]
 

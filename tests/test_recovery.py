@@ -432,11 +432,11 @@ class TestSnapshotIsTheObjectGraph:
             sim, sim.executor, sim.rm, sim.orchestrator, sim.policy,
             sim.fault_injector,
         )
-        phases = sim.obs.phases
 
         def attributes():
             held = [dict(vars(owner)) for owner in owners]
-            held.append({n: getattr(phases, n) for n in phases.__slots__})
+            # the phase clock's per-phase records live on the kernel
+            held.append(dict(sim.phase_stats))
             return held
 
         before, rngs = attributes(), _rng_states(sim)
@@ -557,18 +557,17 @@ class TestSnapshotCodec:
             SnapshotCodec.load(tmp_path / "nope.ckpt")
 
     def test_recover_refuses_a_directory_an_older_build_wrote(self, tmp_path):
-        """Schema 12: a job pickles as its slot values in order, without
-        its flex-item cache, and the kernel without its running-elastic
-        index.  A schema-11 directory is refused by its manifest, before
-        any unpickle."""
+        """Schema 13: the kernel holds the phase clock and the
+        observability bundle no phase profiler.  A schema-12 directory is
+        refused by its manifest, before any unpickle."""
         killed_run("fifo_contention", tmp_path)
         manifest = tmp_path / "recovery.json"
         current = manifest.read_text()
-        manifest.write_text(current.replace('"schema": 12', '"schema": 11'))
+        manifest.write_text(current.replace('"schema": 13', '"schema": 12'))
         assert manifest.read_text() != current
         with pytest.raises(
             RecoveryError,
-            match=r"schema 11 does not match this build \(schema 12\)",
+            match=r"schema 12 does not match this build \(schema 13\)",
         ):
             RecoveryManager.recover(tmp_path)
 

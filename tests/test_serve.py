@@ -20,7 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cli import main as cli_main
 from repro.cluster.cluster import (
     ClusterPair,
     make_inference_cluster,
@@ -28,6 +27,8 @@ from repro.cluster.cluster import (
 )
 from repro.core.kernel import SimulationConfig
 from repro.obs import Observability
+from repro.obs.provenance import PROVENANCE_EVENT
+from repro.obs.tracer import SPAN_EVENT
 from repro.scenarios import SCHEMES, wire_scheme
 from repro.schedulers.fifo import FIFOScheduler
 from repro.schedulers.lyra import LyraScheduler
@@ -374,6 +375,32 @@ class TestServiceLifecycle:
             assert summary["pending"] == 0
 
         run_with_service(body)
+
+    def test_a_traced_daemon_emits_spans_its_ledger_links_to(self):
+        """The kernel's phase clock emits spans under any driver: each
+        ``scheduler.decide`` nests under a ``scheduler.tick``, and every
+        scheduler plan record names one of the spans."""
+        obs = Observability.enabled()
+
+        async def body(service, client):
+            job_id = await client.submit(
+                duration=20.0, max_workers=1, min_workers=1
+            )
+            await _wait_status(client, job_id, "finished")
+
+        run_with_service(body, obs=obs)
+        spans = {e.args["span_id"]: e.args for e in obs.tracer.events
+                 if e.name == SPAN_EVENT}
+        decides = [s for s in spans.values() if s["span"] == "scheduler.decide"]
+        assert decides
+        for span in decides:
+            assert spans[span["parent_id"]]["span"] == "scheduler.tick"
+        ledger = [e.args for e in obs.tracer.events
+                  if e.name == PROVENANCE_EVENT
+                  and not e.args["policy"].startswith(("orchestrator", "serve"))]
+        assert ledger
+        for record in ledger:
+            assert record["span_id"] in spans, record
 
     def test_burst_batches_into_few_epochs(self):
         async def body(service, client):
@@ -984,25 +1011,13 @@ class TestServeDurability:
         assert metrics["counters"]["sim.submissions"] == 2
         assert metrics["counters"]["serve.requests{op=submit}"] == 2
         trace = tmp_path / "trace.jsonl"
-        service.obs.export_trace(str(trace))
+        service.kernel.export_trace(str(trace))
         submits = [
             event["job_id"]
             for event in map(json.loads, trace.read_text().splitlines())
             if event.get("name") == "job.submit"
         ]
         assert submits == [second_job - 1, second_job]
-
-
-@pytest.mark.parametrize("every", [0, -5])
-def test_a_snapshot_cadence_below_one_epoch_is_refused(every, tmp_path, capsys):
-    """0 or less is an error, not a silent "every epoch": the service
-    raises, and ``repro serve`` exits 2 naming the flag."""
-    with pytest.raises(ValueError, match=f"at least 1 epoch, got {every}"):
-        _service(snapshot_every_epochs=every)
-    rc = cli_main(["serve", "--port", "0", "--state-dir", str(tmp_path),
-                   "--snapshot-every", str(every)])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("bad --snapshot-every: ")
 
 
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
