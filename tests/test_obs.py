@@ -193,16 +193,17 @@ class TestPhaseProfiler:
         assert spans[again.span_id]["parent_id"] == outer.span_id
         assert sim.phase_stats["inner"][0] == 2
 
-    def test_untraced_run_times_phases_and_traces_nothing(self):
+    def test_disabled_profiler_shares_null_phase(self):
+        # With tracing off every phase shares the null span: none takes
+        # a span id, nothing is emitted, and the clock still counts it.
         obs = Observability.disabled()
         sim = tiny_obs_sim(obs)
-        sim.run()
+        with sim.phase("a") as outer:
+            with sim.phase("b") as inner:
+                pass
+        assert outer.span_id is None and inner.span_id is None
         assert len(obs.tracer) == 0
-        phases = sim.phase_summary()
-        assert phases and phases["scheduler.tick"]["calls"] > 0
-        with sim.phase("x") as cm:
-            pass
-        assert cm.span_id is None
+        assert sim.phase_stats["a"][0] == sim.phase_stats["b"][0] == 1
 
 
 class TestSimulationMetricsShim:
@@ -495,6 +496,14 @@ class TestSpanTracing:
                  if e.get("pid") == 2 and e.get("ph") == "X"]
         assert len(lanes) == len(events)
         assert all(lane["dur"] >= 1 for lane in lanes)
+
+    def test_disabled_profiler_emits_no_spans(self):
+        # An untraced run emits no spans, yet its phases are still timed.
+        obs = Observability.disabled()
+        sim = tiny_obs_sim(obs)
+        sim.run()
+        assert len(obs.tracer) == 0
+        assert sim.phase_summary()["scheduler.tick"]["calls"] > 0
 
 
 class TestProvenanceLedger:
