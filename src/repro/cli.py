@@ -4,18 +4,14 @@ Commands:
 
 * ``run``      — run one scheme on a generated trace and print metrics
   (``--trace out.jsonl`` additionally exports a structured event trace;
-  ``--faults PLAN`` injects a fault plan, process kills included;
-  ``--node-mtbf``/``--node-repair-time``/``--failure-seed`` are
-  shorthand for a plan holding one Poisson node-failure process).
+  ``--faults PLAN`` injects a builtin or file-based fault plan, process
+  kills included, and adds the resilience snapshot: goodput, lost
+  GPU-hours by cause, time-to-recover).
 * ``serve``    — run the same scheduling kernel as a wall-clock asyncio
   daemon: jobs arrive over a JSONL TCP API (submit/query/cancel/scale,
   streaming event feed), requests batch into scheduling epochs, and
   ``--state-dir`` adds journal+snapshot+WAL durability so a killed
   daemon restarts without losing an acked job (see docs/SERVING.md).
-* ``chaos``    — run one scheme under a named or file-based fault plan
-  (read exactly as ``run --faults`` reads it) and print the resilience
-  snapshot (goodput, lost GPU-hours by cause, time-to-recover).
-  Seeded: identical arguments give byte-identical ``--json`` output.
 * ``whatif``   — run a loaning scheme up to a point in time, then price
   a hypothetical reclaim plan (preemptions, lost GPU-hours, per-server
   preemption cost) as a dry run that provably leaves the simulation
@@ -75,33 +71,21 @@ class _Refused(Exception):
 
 
 def _fault_overrides(args) -> dict:
-    """SimulationConfig overrides from the fault flags: ``--faults`` and
-    ``--plan`` name the same thing, ``--node-mtbf`` is shorthand for a
-    plan of one node-failure process."""
-    opt = vars(args).get
-    plan_spec = opt("faults") or opt("plan")
-    if plan_spec:
-        from repro.faults.plan import resolve_plan
+    """SimulationConfig overrides from ``--faults`` (a builtin plan name
+    or a YAML/JSON plan file) and ``--failure-seed``, which reseeds it."""
+    spec, seed = vars(args).get("faults"), vars(args).get("failure_seed")
+    if not spec:
+        if seed is not None:
+            raise _Refused("--failure-seed reseeds a plan; name one with "
+                           "--faults")
+        return {}
+    from repro.faults.plan import resolve_plan
 
-        try:
-            plan = resolve_plan(plan_spec)
-        except (ValueError, TypeError, OSError) as exc:
-            flag = "--faults" if opt("faults") else "--plan"
-            raise _Refused(f"bad {flag}: {exc}")
-        if args.failure_seed is not None:
-            plan = plan.with_seed(args.failure_seed)
-        return {"fault_plan": plan}
-    if opt("node_mtbf"):
-        from repro.faults.plan import FaultPlan, NodeFailureProcess
-
-        return {"fault_plan": FaultPlan(
-            name="node-mtbf",
-            seed=args.failure_seed or 0,
-            process=NodeFailureProcess(
-                mtbf=args.node_mtbf, repair_time=args.node_repair_time
-            ),
-        )}
-    return {}
+    try:
+        plan = resolve_plan(spec)
+    except (ValueError, TypeError, OSError) as exc:
+        raise _Refused(f"bad --faults: {exc}")
+    return {"fault_plan": plan if seed is None else plan.with_seed(seed)}
 
 
 def _make_setup(args):
@@ -120,8 +104,8 @@ def _simulate(args, scheme: Optional[str] = None, setup=None,
     """The one path from parsed arguments to a finished simulation.
 
     Builds ``scheme`` (default ``--scheme``) on ``setup`` (default: the
-    one the setup flags describe) under the fault plan the fault flags
-    resolve to, and runs it to ``until`` (default: the end).  A
+    one the setup flags describe) under the fault plan ``--faults``
+    resolves to, and runs it to ``until`` (default: the end).  A
     subcommand runs with the default of every option it does not take.
     Returns ``(sim, metrics)``.
 
@@ -144,6 +128,7 @@ def _simulate(args, scheme: Optional[str] = None, setup=None,
     import tempfile
 
     opt = vars(args).get
+    overrides = _fault_overrides(args)
     if setup is None:
         setup = _make_setup(args)
     specs = None
@@ -151,7 +136,6 @@ def _simulate(args, scheme: Optional[str] = None, setup=None,
         specs = load_workload(
             args.replay, cluster_gpus=args.training_servers * 8
         ).specs
-    overrides = _fault_overrides(args)
     plan = overrides.get("fault_plan")
     kills = plan.crashes if plan is not None else ()
     if opt("activities_out"):
@@ -344,6 +328,35 @@ def _write_activities(sim, path: str) -> None:
     print(f"wrote {len(sim.activities)} activity lines to {path}")
 
 
+def _print_resilience(snap: dict) -> None:
+    """The resilience snapshot of a fault-injected run, in text (its
+    durable-state counters are :func:`_print_recovery_summary`'s)."""
+    good = snap["goodput"]
+    print(f"  goodput  {good['goodput_fraction']:.4f}   "
+          f"useful {good['useful_gpu_hours']:,.1f} GPUh   "
+          f"wasted {good['wasted_gpu_hours']:,.1f} GPUh")
+    lost = snap["lost_gpu_hours_by_cause"]
+    if lost:
+        print("  lost GPU-hours by cause: "
+              + "   ".join(f"{c} {h:,.1f}" for c, h in sorted(lost.items())))
+    by_cause = snap["preemptions_by_cause"]
+    print(f"  faults   node failures {snap['node_failures']}   "
+          f"no-ops {snap['node_failure_noops']}   preemptions "
+          + (", ".join(f"{c}={n}" for c, n in sorted(by_cause.items()))
+             or "0")
+          + f"   audits {snap['audits']}")
+    ttr = snap["time_to_restart_s"]
+    if ttr["count"]:
+        print(f"  recover  restarts {ttr['count']}   "
+              f"mean {ttr['mean']:,.1f} s   p95 {ttr['p95']:,.1f} s")
+    launch = snap["launch"]
+    if launch["retries"] or launch["failures"]:
+        print(f"  launch   retries {launch['retries']}   "
+              f"exhausted {launch['failures']}")
+    if snap["degraded_ticks"]:
+        print(f"  loaning  degraded ticks {snap['degraded_ticks']}")
+
+
 def _print_recovery_summary(sim) -> None:
     registry = sim.obs.registry
     wal = sim.recovery.wal if sim.recovery is not None else None
@@ -363,13 +376,16 @@ def cmd_run(args) -> int:
               f"`repro recover {args.checkpoint_dir}`", file=sys.stderr)
         return 3
     plan = sim.config.fault_plan
+    resilience = None
+    if plan is not None:
+        from repro.faults.metrics import resilience_snapshot
+
+        resilience = resilience_snapshot(metrics, plan=plan)
     snapshot = sim.pair.market_snapshot() if args.clusters else None
     if args.json:
         data = _metrics_dict(metrics)
-        if plan is not None:
-            from repro.faults.metrics import resilience_snapshot
-
-            data["resilience"] = resilience_snapshot(metrics, plan=plan)
+        if resilience is not None:
+            data["resilience"] = resilience
         if snapshot is not None:
             data["market"] = snapshot
         if args.explain:
@@ -377,10 +393,12 @@ def cmd_run(args) -> int:
         print(json.dumps(data, indent=2,
                          sort_keys="resilience" in data))
     else:
-        _print_metrics(args.scheme, metrics)
-        if plan is not None:
-            print(f"  faults   node failures {metrics.node_failures}   "
-                  f"preemptions {metrics.preemptions}")
+        if resilience is None:
+            _print_metrics(args.scheme, metrics)
+        else:
+            _print_metrics(f"{args.scheme} under plan {plan.name!r} "
+                           f"(seed {plan.seed})", metrics)
+            _print_resilience(resilience)
         if snapshot is not None:
             lenders = ", ".join(snapshot["lenders_used"]) or "none"
             print(f"  market   {len(snapshot['inference_clusters'])} lenders"
@@ -514,87 +532,6 @@ def cmd_recover(args) -> int:
         _print_recovery_summary(sim)
     if args.activities_out:
         _write_activities(sim, args.activities_out)
-    return 0
-
-
-def cmd_chaos(args) -> int:
-    """Run one scheme under a fault plan and report resilience metrics."""
-    from repro.faults.metrics import resilience_snapshot
-    from repro.faults.plan import BUILTIN_PLANS
-
-    if args.list_plans:
-        for name, plan in sorted(BUILTIN_PLANS.items()):
-            parts = []
-            if plan.process:
-                parts.append(f"mtbf {plan.process.mtbf / 3600:.0f}h")
-            if plan.outages:
-                parts.append(f"{len(plan.outages)} outage(s)")
-            if plan.stragglers:
-                parts.append(f"{len(plan.stragglers)} straggler(s)")
-            if plan.flash_crowds:
-                parts.append(f"{len(plan.flash_crowds)} flash crowd(s)")
-            if plan.predictor_outages:
-                parts.append("loaning signal unavailable")
-            if plan.launch_failures:
-                parts.append(
-                    f"launch p={plan.launch_failures.probability:g}"
-                )
-            if plan.crashes:
-                parts.append(f"{len(plan.crashes)} process crash(es)")
-            print(f"  {name:<14} {', '.join(parts) or 'no faults'}")
-        return 0
-
-    sim, metrics = _simulate(args)
-    plan = sim.config.fault_plan
-    snap = resilience_snapshot(metrics, plan=plan)
-    payload = json.dumps(snap, indent=2, sort_keys=True)
-    if args.out:
-        atomic_write_text(args.out, payload + "\n")
-        print(f"wrote resilience snapshot to {args.out}")
-    if args.json:
-        print(payload)
-    else:
-        good = snap["goodput"]
-        print(f"[{args.scheme} under plan {plan.name!r} "
-              f"(seed {plan.seed})]")
-        print(f"  goodput  {good['goodput_fraction']:.4f}   "
-              f"useful {good['useful_gpu_hours']:,.1f} GPUh   "
-              f"wasted {good['wasted_gpu_hours']:,.1f} GPUh")
-        lost = snap["lost_gpu_hours_by_cause"]
-        if lost:
-            print("  lost GPU-hours by cause: "
-                  + "   ".join(f"{c} {h:,.1f}" for c, h in sorted(lost.items())))
-        by_cause = snap["preemptions_by_cause"]
-        print(f"  events   node failures {snap['node_failures']}   "
-              f"no-ops {snap['node_failure_noops']}   preemptions "
-              + (", ".join(f"{c}={n}" for c, n in sorted(by_cause.items()))
-                 or "0"))
-        ttr = snap["time_to_restart_s"]
-        if ttr["count"]:
-            print(f"  recover  restarts {ttr['count']}   "
-                  f"mean {ttr['mean']:,.1f} s   p95 {ttr['p95']:,.1f} s")
-        launch = snap["launch"]
-        if launch["retries"] or launch["failures"]:
-            print(f"  launch   retries {launch['retries']}   "
-                  f"exhausted {launch['failures']}")
-        if snap["degraded_ticks"]:
-            print(f"  loaning  degraded ticks {snap['degraded_ticks']}")
-        rec = snap["recovery"]
-        if rec["recoveries"] or rec["checkpoints"]:
-            ttrr = rec["time_to_recover_s"]
-            mean = f"   mean {ttrr['mean'] * 1000:,.1f} ms" \
-                if ttrr["count"] else ""
-            print(f"  durable  checkpoints {rec['checkpoints']}   "
-                  f"recoveries {rec['recoveries']}   "
-                  f"wal replayed {rec['wal_entries_replayed']}   "
-                  f"snapshot {rec['snapshot_bytes']:,.0f} B{mean}")
-        jct = snap["jct"]
-        print(f"  jct      mean {jct['mean']:>10,.1f} s   "
-              f"p95 {jct['p95']:>10,.1f}   completed {snap['completed']:.3f}"
-              f"   audits {snap['audits']}")
-    if args.trace:
-        records = sim.export_trace(args.trace, format=args.trace_format)
-        print(f"wrote {records} trace records to {args.trace}")
     return 0
 
 
@@ -874,25 +811,12 @@ _OPTIONS = {
     # faults
     "--faults": dict(
         default=None, metavar="PLAN",
-        help="fault plan: a builtin name (see `repro chaos --list-plans`) "
+        help="fault plan: a builtin name (tabled in docs/ROBUSTNESS.md) "
              "or a YAML/JSON plan file; its process kills are recovered "
-             "in-process"),
-    "--plan": dict(default="chaos", metavar="PLAN",
-                   help="builtin plan name or YAML/JSON plan file "
-                        "(default: chaos)"),
-    "--list-plans": dict(action="store_true",
-                         help="list builtin fault plans and exit"),
-    "--node-mtbf": dict(
-        type=float, default=None, metavar="SECONDS",
-        help="per-node mean time between failures; arms a Poisson "
-             "node-failure process (off by default)"),
-    "--node-repair-time": dict(
-        type=float, default=3600.0, metavar="SECONDS",
-        help="how long a failed node stays down before recovering"),
+             "in-process, and the result adds its resilience snapshot"),
     "--failure-seed": dict(
         type=int, default=None,
-        help="RNG seed for fault injection; defaults to the plan's own "
-             "seed (or 0 for --node-mtbf)"),
+        help="reseed the --faults plan (default: the plan's own seed)"),
     # durability
     "--checkpoint-dir": dict(
         default=None, metavar="DIR",
@@ -990,16 +914,27 @@ _SETUP = ("--jobs", "--days", "--training-servers", "--inference-servers",
 #: numeric options with a floor, refused below it before a command runs:
 #: option -> (floor, whether the floor itself is allowed)
 _FLOORS = {
+    "--jobs": (1, True),
+    "--days": (0, False),
+    "--training-servers": (1, True),
+    "--inference-servers": (1, True),
+    "--seed": (0, True),
+    "--load": (0, False),
+    "--demand": (1, True),
     "--checkpoint-every": (0, False),
-    "--node-mtbf": (0, False),
-    "--node-repair-time": (0, True),
     "--epoch-interval": (0, False),
     "--time-scale": (0, False),
 }
 
+#: (command, option) pairs a floor does not bind: a daemon may start
+#: with no lender cluster, a generated setup may not
+_FLOOR_EXEMPT = {("serve", "--inference-servers")}
+
 
 def _check_floors(args) -> None:
     for option, (floor, inclusive) in _FLOORS.items():
+        if (args.command, option) in _FLOOR_EXEMPT:
+            continue
         value = getattr(args, option[2:].replace("-", "_"), None)
         if value is None or value > floor or (inclusive and value == floor):
             continue
@@ -1024,21 +959,15 @@ def build_parser() -> argparse.ArgumentParser:
     command("run", cmd_run, "run one scheme", *_SETUP, "--scheme",
             "--scenario", "--scaling-model", "--json", "--explain",
             "--replay", "--trace", "--trace-format", "--faults",
-            "--clusters", "--node-mtbf", "--node-repair-time",
-            "--failure-seed", "--checkpoint-dir", "--checkpoint-every",
-            "--activities-out", "--crash-at", "--crash-barrier")
+            "--clusters", "--failure-seed", "--checkpoint-dir",
+            "--checkpoint-every", "--activities-out", "--crash-at",
+            "--crash-barrier")
     command("recover", cmd_recover,
             "restore a killed run from its checkpoint directory and "
             "finish it", "--json", "--activities-out", "--log-level",
             ).add_argument("directory",
                            help="checkpoint directory of the dead run "
                                 "(run --checkpoint-dir)")
-    command("chaos", cmd_chaos,
-            "run one scheme under a fault plan, report resilience metrics",
-            *_SETUP, "--plan", "--list-plans", "--scheme", "--scenario",
-            "--scaling-model", "--failure-seed", "--json", "--trace",
-            "--trace-format", "--checkpoint-dir", "--checkpoint-every",
-            ).add_argument("--out", help="also write the snapshot JSON here")
     command("whatif", cmd_whatif,
             "price a hypothetical reclaim plan mid-run (dry run)",
             *_SETUP, "--scheme", "--scenario", "--demand", "--json",

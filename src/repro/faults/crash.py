@@ -13,9 +13,10 @@ dies in interesting ways:
 
 Firing raises :class:`SimulatedCrash` — a ``BaseException`` so no
 library code accidentally swallows it.  In-process harnesses (tests,
-``repro chaos``) catch it, discard the dead simulation, and recover from
-the checkpoint directory; the CLI lets it terminate the process so CI
-can kill and recover across real process boundaries.
+``repro run --faults`` with a plan that carries kills) catch it, discard
+the dead simulation, and recover from the checkpoint directory; a
+``run --crash-at`` kill terminates the process so CI can kill and
+recover across real process boundaries.
 """
 
 from __future__ import annotations

@@ -292,7 +292,8 @@ class FaultPlan:
 
 
 # ----------------------------------------------------------------------
-# builtin plans (the `repro chaos --plan <name>` registry)
+# builtin plans (the names `repro run --faults` takes; docs/ROBUSTNESS.md
+# tables them)
 # ----------------------------------------------------------------------
 def _builtin_plans() -> Dict[str, FaultPlan]:
     return {
@@ -338,8 +339,8 @@ def _builtin_plans() -> Dict[str, FaultPlan]:
         ),
         # the simulator process itself dies (and must recover): a seeded
         # kill schedule over the recovery-barrier taxonomy, executed by
-        # the chaos harness via repro.recovery, with mild node churn so
-        # recovery happens under real scheduling pressure
+        # `repro run`'s kill/recover loop via repro.recovery, with mild
+        # node churn so recovery happens under real scheduling pressure
         "process-crash": FaultPlan(
             name="process-crash",
             process=NodeFailureProcess(mtbf=12 * HOUR, repair_time=HOUR),
@@ -370,7 +371,7 @@ BUILTIN_PLANS: Dict[str, FaultPlan] = _builtin_plans()
 
 
 def resolve_plan(spec: str) -> FaultPlan:
-    """Resolve a CLI ``--plan`` value: builtin name or file path."""
+    """Resolve a CLI ``--faults`` value: builtin name or file path."""
     if spec in BUILTIN_PLANS:
         return BUILTIN_PLANS[spec]
     if spec.endswith((".json", ".yaml", ".yml")):

@@ -190,11 +190,12 @@ class TestCLI:
         runs = []
         for _ in range(2):
             assert main([
-                "chaos", *self.TINY, "--plan", "process-crash", "--json",
+                "run", *self.TINY, "--faults", "process-crash", "--json",
             ]) == 0
             # the kill log goes to stderr: stdout is one JSON document
             captured = capsys.readouterr()
-            kills, doc = captured.err, json.loads(captured.out)
+            kills = captured.err
+            doc = json.loads(captured.out)["resilience"]
             timing = doc["recovery"]["time_to_recover_s"]
             doc["recovery"]["time_to_recover_s"] = timing["count"]
             runs.append((kills, doc))
@@ -206,8 +207,8 @@ class TestCLI:
         ] > 0
 
     def test_run_recovers_a_plans_process_kills(self, tmp_path, capsys):
-        """`run --faults` executes a plan's process kills as `chaos` does:
-        each one is recovered in-process, and the finished Activity log
+        """`run --faults` executes a plan's process kills: each one is
+        recovered in-process, and the finished Activity log
         is the one the same plan gives without its kills."""
         import dataclasses
 
@@ -239,8 +240,8 @@ class TestCLI:
         ]) == 2
         assert "--crash-at cannot be combined" in capsys.readouterr().err
 
-    #: fault-plan files that are no plan: missing, an unknown key, and
-    #: the fields the predictor took with it
+    #: fault-plan files that are no plan: missing, an unknown key, the
+    #: fields the predictor took with it, and an out-of-range field
     BAD_PLANS = {
         "missing": None,
         "unknown-key": {"name": "x", "bogus": []},
@@ -249,11 +250,10 @@ class TestCLI:
             "predictor_biases": [{"at": 0.0, "duration": 60.0}],
         },
         "freeze-loans": {"name": "x", "degraded": {"freeze_loans": True}},
+        "zero-mtbf": {"name": "x", "process": {"mtbf": 0}},
     }
 
-    @pytest.mark.parametrize("command,flag", [
-        ("run", "--faults"), ("chaos", "--plan"),
-    ])
+    @pytest.mark.parametrize("command,flag", [("run", "--faults")])
     @pytest.mark.parametrize("case", sorted(BAD_PLANS))
     def test_a_bad_plan_file_is_refused(
         self, tmp_path, capsys, case, command, flag
@@ -266,12 +266,24 @@ class TestCLI:
         assert captured.err.startswith(f"bad {flag}: ")
         assert captured.out == ""
 
+    def test_a_failure_seed_needs_a_plan(self, capsys):
+        """`--failure-seed` reseeds the `--faults` plan; alone it would
+        run fault-free, so it is refused before anything runs."""
+        assert main(["run", *self.TINY, "--failure-seed", "7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("--failure-seed reseeds a plan; name one "
+                                "with --faults\n")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("argv", [
         ["run", "--checkpoint-every", "0"],
-        ["chaos", "--checkpoint-every", "0"],
-        ["run", "--node-mtbf", "-5"],
-        ["run", "--node-mtbf", "0"],
-        ["run", "--node-repair-time", "-1"],
+        ["run", "--jobs", "0"],
+        ["run", "--days", "-1"],
+        ["run", "--training-servers", "0"],
+        ["run", "--inference-servers", "0"],
+        ["run", "--seed", "-1"],
+        ["run", "--load", "0"],
+        ["whatif", "--demand", "0"],
         ["serve", "--port", "0", "--epoch-interval", "0"],
         ["serve", "--port", "0", "--time-scale", "0"],
     ], ids=lambda argv: " ".join(argv[0:1] + argv[-2:]))
@@ -279,8 +291,10 @@ class TestCLI:
         """Refused before anything runs, naming the flag: no traceback,
         no silently ignored value, no daemon started."""
         command, rest = argv[0], argv[1:]
+        if command == "run":
+            rest = ["--checkpoint-dir", str(tmp_path), *rest]
         if command != "serve":
-            rest = [*self.TINY, "--checkpoint-dir", str(tmp_path), *rest]
+            rest = [*self.TINY, *rest]
         assert main([command, *rest]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"bad {argv[-2]}: must be ")
@@ -289,8 +303,8 @@ class TestCLI:
     #: flags whose meaning differs by subcommand, each with its reason
     #: (``*`` = on every subcommand that takes it)
     PER_COMMAND_FLAGS = {
-        ("*", "--out"): "chaos, trace and report each write a different "
-                        "artifact",
+        ("*", "--out"): "trace writes a workload, report a markdown "
+                        "report",
         ("*", "--at"): "whatif poses its question at a default 6h in; why "
                        "narrates the whole lifecycle unless asked",
         ("check", "--seed"): "seeds the oracle's instance streams, not a "

@@ -1,8 +1,10 @@
 """Tests for the repro.faults fault-injection subsystem."""
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -67,10 +69,17 @@ def small_setup(seed=0):
 # ----------------------------------------------------------------------
 class TestFaultPlan:
     def test_round_trip_every_builtin(self):
-        for name in ("none", "node-churn", "rack-outage", "flash-crowd",
-                     "stragglers", "chaos"):
+        for name in BUILTIN_PLANS:
             plan = resolve_plan(name)
             assert FaultPlan.from_dict(plan.to_dict()) == plan
+
+    def test_the_docs_table_every_builtin_plan(self):
+        """docs/ROBUSTNESS.md's builtin-plan table is the listing the
+        names `run --faults` takes: one row per plan, no other row."""
+        doc = (Path(__file__).parents[1] / "docs" / "ROBUSTNESS.md").read_text()
+        table = doc.split("### Builtin plans\n", 1)[1].split("\n#", 1)[0]
+        names = re.findall(r"^\| `([^`]+)` \|", table, re.M)
+        assert sorted(names) == sorted(BUILTIN_PLANS)
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown fault-plan keys"):
@@ -117,8 +126,8 @@ class TestFaultPlan:
             resolve_plan("not-a-plan")
 
     def test_with_seed_and_legacy(self):
-        """``with_seed`` copies; a bare failure process (all the CLI's
-        ``--node-mtbf`` builds) is a non-empty plan."""
+        """``with_seed`` copies; a bare failure process is a non-empty
+        plan."""
         plan = resolve_plan("chaos").with_seed(42)
         assert plan.seed == 42
         assert resolve_plan("chaos").seed == 0  # original untouched

@@ -1020,14 +1020,12 @@ class TestServeDurability:
         assert submits == [second_job - 1, second_job]
 
 
-@pytest.mark.parametrize("scheme", sorted(SCHEMES))
-def test_cli_serve_starts_every_scheme_it_offers(scheme):
-    """``repro serve --scheme X`` for each of the parser's choices boots
-    a real daemon process that answers ``ping`` and exits 0 on the
-    ``shutdown`` op — the scheme resolved by the function ``run`` uses."""
+def _boot_ping_and_stop(scheme, *flags):
+    """Boot ``repro serve --scheme scheme *flags`` as a real daemon
+    process, ``ping`` it, and require exit 0 on the ``shutdown`` op."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--scheme", scheme,
-         "--port", "0", "--time-scale", "50"],
+         "--port", "0", "--time-scale", "50", *flags],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
     try:
@@ -1049,3 +1047,17 @@ def test_cli_serve_starts_every_scheme_it_offers(scheme):
             proc.wait()
         proc.stdout.close()
         proc.stderr.close()
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_cli_serve_starts_every_scheme_it_offers(scheme):
+    """``repro serve --scheme X`` for each of the parser's choices boots
+    a real daemon process that answers ``ping`` and exits 0 on the
+    ``shutdown`` op — the scheme resolved by the function ``run`` uses."""
+    _boot_ping_and_stop(scheme)
+
+
+def test_cli_serve_starts_with_no_lender_cluster():
+    """The ``--inference-servers`` floor binds a generated setup only: a
+    daemon may start with an empty lender cluster."""
+    _boot_ping_and_stop("lyra", "--inference-servers", "0")
