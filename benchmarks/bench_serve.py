@@ -15,12 +15,23 @@ Not a pytest bench: run it directly.
 
     python benchmarks/bench_serve.py                  # 10 s, acceptance
     python benchmarks/bench_serve.py --quick          # CI smoke, ~2 s
-    python benchmarks/bench_serve.py --durable DIR    # with fsynced journal
+    python benchmarks/bench_serve.py --durable [DIR]  # with fsynced journal
 
-Acceptance (full mode): sustained throughput >= 1,000 requests/s.  The
-``--durable`` mode journals (and fsyncs) every mutation before acking
-and is expected to be slower; it reports, but never enforces, the bar.
+Acceptance (full mode): sustained throughput >= 1,000 requests/s.
 Results land in ``benchmarks/results/BENCH_serve.json`` (``--out``).
+
+The ``--durable`` mode journals (and fsyncs) every mutation before
+acking, in DIR or a temporary directory, and is expected to be slower;
+it reports, but never enforces, the throughput bar.  Its cell is
+``benchmarks/results/BENCH_serve_durable.json``, recording the epochs
+run and the snapshots written beside the throughput.  Its gate (full
+mode) is the snapshot cadence: at most one snapshot per
+``MAX_EPOCHS_PER_SNAPSHOT`` epochs.  Epochs are paced by the wall clock
+and a snapshot is due once the journal has grown by one, so the count
+grows only with the log of the request rate: the gate holds on a box
+several times faster or slower.  A ``--quick`` run is too short for
+that margin (its first snapshots are small and come often) and
+reports, never enforces.
 """
 
 from __future__ import annotations
@@ -29,7 +40,9 @@ import argparse
 import asyncio
 import json
 import os
+import shutil
 import sys
+import tempfile
 import time
 
 sys.path.insert(
@@ -50,6 +63,9 @@ from repro.serve.service import SchedulerService  # noqa: E402
 
 #: acceptance bar, requests per second sustained across all clients
 MIN_RPS = 1000.0
+
+#: durable gate: snapshots_written <= epochs / MAX_EPOCHS_PER_SNAPSHOT
+MAX_EPOCHS_PER_SNAPSHOT = 10
 
 #: of every KEEP_EVERY submitted jobs, one is left to actually run;
 #: the rest are cancelled after a query, keeping the pending queue
@@ -141,6 +157,7 @@ async def run_bench(args) -> dict:
             "jobs": stats["jobs"],
             "callback_errors": stats["callback_errors"],
             "wal_appended": stats["wal_appended"],
+            "snapshots_written": stats["snapshots_written"],
         },
     }
 
@@ -161,25 +178,46 @@ def main(argv=None) -> int:
                         help="scheduling-epoch batching window")
     parser.add_argument("--time-scale", type=float, default=50.0,
                         help="kernel seconds per wall second")
-    parser.add_argument("--durable", default=None, metavar="DIR",
-                        help="state directory: journal+fsync every "
-                             "mutation before acking (slower by design; "
-                             "the throughput bar is not enforced)")
-    parser.add_argument("--out",
-                        default=os.path.join(
-                            os.path.dirname(__file__), "results",
-                            "BENCH_serve.json"),
-                        help="result JSON path")
+    parser.add_argument("--durable", nargs="?", const="", default=None,
+                        metavar="DIR",
+                        help="state directory (default: a temporary one): "
+                             "journal+fsync every mutation before acking "
+                             "(slower by design; the throughput bar is not "
+                             "enforced, the snapshot cadence is in a full "
+                             "run)")
+    parser.add_argument("--out", default=None,
+                        help="result JSON path (default: "
+                             "results/BENCH_serve.json, or "
+                             "results/BENCH_serve_durable.json with "
+                             "--durable)")
     args = parser.parse_args(argv)
+    durable = args.durable is not None
     if args.duration is None:
         args.duration = 2.0 if args.quick else 10.0
     if args.clients is None:
         args.clients = 4 if args.quick else 8
+    if args.out is None:
+        args.out = os.path.join(
+            os.path.dirname(__file__), "results",
+            "BENCH_serve_durable.json" if durable else "BENCH_serve.json",
+        )
 
-    results = asyncio.run(run_bench(args))
+    scratch = None
+    if args.durable == "":  # --durable without a DIR
+        args.durable = scratch = tempfile.mkdtemp(prefix="bench-serve-")
+    try:
+        results = asyncio.run(run_bench(args))
+    finally:
+        if scratch is not None:
+            shutil.rmtree(scratch, ignore_errors=True)
 
-    enforce = not args.quick and args.durable is None
+    enforce = not args.quick and not durable
     passed = results["throughput_rps"] >= MIN_RPS
+    daemon = results["daemon"]
+    cadence_ok = (
+        daemon["snapshots_written"] * MAX_EPOCHS_PER_SNAPSHOT
+        <= daemon["epochs"]
+    )
     payload = {
         "config": {
             "quick": args.quick,
@@ -188,7 +226,7 @@ def main(argv=None) -> int:
             "servers": args.servers,
             "epoch_interval_s": args.epoch_interval,
             "time_scale": args.time_scale,
-            "durable": bool(args.durable),
+            "durable": durable,
         },
         "results": results,
         "acceptance": {
@@ -197,6 +235,14 @@ def main(argv=None) -> int:
             "pass": passed,
         },
     }
+    if durable:
+        payload["cadence"] = {
+            "epochs": daemon["epochs"],
+            "snapshots_written": daemon["snapshots_written"],
+            "max_epochs_per_snapshot": MAX_EPOCHS_PER_SNAPSHOT,
+            "enforced": not args.quick,
+            "pass": cadence_ok,
+        }
     with atomic_write(args.out) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
@@ -212,16 +258,23 @@ def main(argv=None) -> int:
         print(f"  sched    p50 {sched['p50'] * 1e3:.1f} ms   "
               f"p99 {sched['p99'] * 1e3:.1f} ms  (submit -> placed, "
               f"{sched['count']} jobs)")
-    print(f"  daemon   epochs {results['daemon']['epochs']} "
-          f"({results['daemon']['epochs_skipped']} skipped)   "
-          f"plans {results['daemon']['plans_applied']}   "
-          f"jobs {results['daemon']['jobs']}")
+    print(f"  daemon   epochs {daemon['epochs']} "
+          f"({daemon['epochs_skipped']} skipped)   "
+          f"plans {daemon['plans_applied']}   "
+          f"jobs {daemon['jobs']}   "
+          f"snapshots {daemon['snapshots_written']}")
     print(f"wrote {args.out}")
+    failed = False
     if enforce and not passed:
         print(f"FAIL: {results['throughput_rps']:,.0f} req/s "
               f"< acceptance bar {MIN_RPS:,.0f}", file=sys.stderr)
-        return 1
-    return 0
+        failed = True
+    if durable and not args.quick and not cadence_ok:
+        print(f"FAIL: {daemon['snapshots_written']} snapshots over "
+              f"{daemon['epochs']} epochs: more than one per "
+              f"{MAX_EPOCHS_PER_SNAPSHOT}", file=sys.stderr)
+        failed = True
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

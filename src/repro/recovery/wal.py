@@ -48,6 +48,8 @@ class AppendLog:
         self.path = Path(path)
         self._dumps_kwargs = dumps_kwargs
         self._fh = None
+        #: bytes this process has appended (the file may hold more)
+        self.bytes_written = 0
 
     def load(self) -> List[dict]:
         """Every complete record, in file order; truncates a torn tail."""
@@ -79,8 +81,9 @@ class AppendLog:
         if self._fh is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._fh = self.path.open("ab")
-        line = json.dumps(record, **self._dumps_kwargs) + "\n"
-        self._fh.write(line.encode("utf-8"))
+        line = json.dumps(record, **self._dumps_kwargs).encode("utf-8") + b"\n"
+        self._fh.write(line)
+        self.bytes_written += len(line)
         self._fh.flush()
         os.fsync(self._fh.fileno())
 
@@ -111,11 +114,11 @@ class PlanWAL:
         self.appended = 0
         self.replayed = 0
         self._digests: Dict[int, str] = {}
-        self._log = AppendLog(self.path, sort_keys=True)
+        self.log = AppendLog(self.path, sort_keys=True)
         self._load()
 
     def _load(self) -> None:
-        for i, record in enumerate(self._log.load()):
+        for i, record in enumerate(self.log.load()):
             kind = record.get("type")
             plan_id = record.get("plan_id")
             if not isinstance(plan_id, int):
@@ -171,7 +174,7 @@ class PlanWAL:
                     f"recovered run diverged: plan {plan_id} digest "
                     f"{digest[:12]} != journaled {known[:12]}"
                 )
-            self._log.append(
+            self.log.append(
                 {"type": "noop", "plan_id": plan_id, "digest": digest}
             )
             self.replayed += 1
@@ -179,10 +182,10 @@ class PlanWAL:
                 self.registry.counter("recovery.wal_entries_replayed").inc()
             return "replayed"
         record["digest"] = digest
-        self._log.append(record)
+        self.log.append(record)
         self._digests[plan_id] = digest
         self.appended += 1
         return "appended"
 
     def close(self) -> None:
-        self._log.close()
+        self.log.close()

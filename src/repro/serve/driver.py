@@ -98,7 +98,7 @@ class WallClockDriver(Driver):
     # ------------------------------------------------------------------
     def _fire(self, seq: int) -> None:
         # out of the armed set before the handler runs: a snapshot taken
-        # inside the handler (the per-epoch one is) must not restore the
+        # inside the handler (an epoch's is) must not restore the
         # very timer that is firing
         _when, tag = self._armed.pop(seq)
         try:

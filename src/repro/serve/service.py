@@ -21,8 +21,9 @@ API (:mod:`repro.serve.protocol`).  Design points:
   a slow subscriber loses oldest events (counted, never blocking the
   scheduling path).
 * **Durability** — with a state directory, every acked mutation is
-  journaled before the ack, the kernel snapshots at epoch boundaries,
-  and the plan executor writes a per-generation WAL
+  journaled before the ack, the plan executor writes a per-generation
+  WAL, and the kernel snapshots at the end of an epoch once the two
+  logs have grown by the newest snapshot's size
   (:mod:`repro.serve.state`).  A daemon restarted on the same directory
   recovers every acked job.
 * **Graceful drain** — ``drain`` (or SIGTERM via the CLI) stops
@@ -230,7 +231,7 @@ class SchedulerService:
     def _on_epoch_finished(self) -> None:
         self._epochs += 1
         if self.state is not None:
-            self.state.snapshot(self.kernel)
+            self.state.epoch_finished(self.kernel)
         self._maybe_mark_drained()
 
     def _maybe_mark_drained(self) -> None:
@@ -499,6 +500,7 @@ class SchedulerService:
 
     def _op_stats(self, request_id) -> dict:
         snap = self.obs.registry.snapshot()
+        state = self.state
         return protocol.ok(
             request_id,
             now=self.kernel.now,
@@ -513,10 +515,13 @@ class SchedulerService:
             callback_errors=self.driver.callback_errors,
             recovered_jobs=self.recovered_jobs,
             replayed_requests=self.replayed_requests,
-            snapshots_written=(
-                self.state.snapshots_written if self.state else 0
+            snapshots_written=state.snapshots_written if state else 0,
+            last_snapshot_bytes=state.snapshot_bytes if state else 0,
+            logged_bytes_since_snapshot=(
+                state.logged_since_snapshot if state else 0
             ),
-            wal_appended=(self.state.wal.appended if self.state else 0),
+            snapshot_kernel_time=state.snapshot_kernel_time if state else None,
+            wal_appended=state.wal.appended if state else 0,
             metrics=snap,
         )
 

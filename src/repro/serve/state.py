@@ -12,8 +12,8 @@ directory:
   the ack leaves the process.  This is the daemon's source of truth for
   work accepted after the newest snapshot.
 * ``snapshot-NNNNNN.ckpt`` — the whole kernel, captured by
-  :func:`repro.recovery.state.capture_payload` at epoch boundaries and
-  on graceful shutdown, stamped with the request sequence it covers and
+  :func:`repro.recovery.state.capture_payload` when due (below) and on
+  graceful shutdown, stamped with the request sequence it covers and
   kept by a :class:`repro.recovery.codec.SnapshotStore`.
 * ``wal-genN.jsonl`` — a :class:`~repro.recovery.wal.PlanWAL` attached
   to the kernel's plan executor, one segment per daemon generation.
@@ -24,6 +24,13 @@ directory:
   so no acked work — and therefore no committed plan's outcome — is
   lost.  Segments are never rewritten: the full WAL history is the
   audit trail of every plan the daemon ever committed.
+
+A snapshot is due at an epoch's end once the journal and this
+generation's WAL segment have grown by the newest snapshot's size since
+it was taken (0 before the first).  Snapshot bytes stay within the log
+bytes plus one snapshot, and a crash rewinds the kernel by under one
+snapshot's worth of log as of the last epoch's end, plus the epoch in
+flight; every acked request is still fsynced before its ack.
 
 Restart = load newest readable snapshot (torn snapshots skipped, by the
 same store the simulator's recovery manager uses), bind its wall-clock
@@ -52,8 +59,8 @@ class RequestJournal:
 
     def __init__(self, path: Path):
         self.path = Path(path)
-        self._log = AppendLog(self.path, separators=(",", ":"))
-        entries = self._log.load()
+        self.log = AppendLog(self.path, separators=(",", ":"))
+        entries = self.log.load()
         #: sequence number of the newest journaled request
         self.seq = len(entries)
         #: largest job id ever acked (-1: none): new jobs are numbered past
@@ -65,16 +72,16 @@ class RequestJournal:
     def entries_after(self, seq: int) -> List[dict]:
         """Requests newer than ``seq``, read from disk: startup replay
         is the one reader, so nothing is kept in memory."""
-        return self._log.load()[seq:]
+        return self.log.load()[seq:]
 
     def append(self, op: str, **fields) -> int:
         """Durably record one request; returns its sequence number."""
         self.seq += 1
-        self._log.append({"seq": self.seq, "op": op, **fields})
+        self.log.append({"seq": self.seq, "op": op, **fields})
         return self.seq
 
     def close(self) -> None:
-        self._log.close()
+        self.log.close()
 
 
 class ServeState:
@@ -89,6 +96,11 @@ class ServeState:
         #: the kernel's executor by the service
         self.wal = PlanWAL(self.directory / f"wal-gen{self.generation}.jsonl")
         self.snapshots_written = 0
+        #: the newest snapshot's file size (0: none yet), the log bytes
+        #: written when it was taken, and the kernel time it holds
+        self.snapshot_bytes = 0
+        self._logged_at_snapshot = 0
+        self.snapshot_kernel_time: Optional[float] = None
 
     def _next_generation(self) -> int:
         gens = [
@@ -97,15 +109,28 @@ class ServeState:
         ]
         return (max(gens) + 1) if gens else 0
 
+    @property
+    def logged_since_snapshot(self) -> int:
+        """Journal + WAL bytes appended since the newest snapshot."""
+        logged = self.journal.log.bytes_written + self.wal.log.bytes_written
+        return logged - self._logged_at_snapshot
+
+    def epoch_finished(self, kernel) -> None:
+        """Snapshot if the logs have grown by the newest one's size."""
+        if self.logged_since_snapshot >= self.snapshot_bytes:
+            self.snapshot(kernel)
+
     def snapshot(self, kernel) -> Path:
-        """Capture the kernel post-epoch; prune old snapshots."""
-        path, _ = self.store.write(
+        """Capture the quiescent kernel; prune old snapshots."""
+        path, self.snapshot_bytes = self.store.write(
             capture_payload(
                 kernel,
                 request_seq=self.journal.seq,
                 generation=self.generation,
             )
         )
+        self._logged_at_snapshot += self.logged_since_snapshot
+        self.snapshot_kernel_time = kernel.now
         self.snapshots_written += 1
         self.store.prune(KEEP_SNAPSHOTS)
         return path
@@ -117,10 +142,13 @@ class ServeState:
         snapshot exists (fresh state dir, or every snapshot torn —
         then the journal alone rebuilds the world from empty).
         """
-        payload, _, _ = self.store.load_newest()
+        payload, path, _ = self.store.load_newest()
         if payload is None:
             return None
-        return restore_payload(payload), int(payload.get("request_seq", 0))
+        kernel = restore_payload(payload)
+        self.snapshot_bytes = path.stat().st_size
+        self.snapshot_kernel_time = kernel.now
+        return kernel, int(payload.get("request_seq", 0))
 
     def close(self) -> None:
         self.journal.close()

@@ -14,6 +14,7 @@ import json
 import pickle
 import shutil
 import tempfile
+import types
 from pathlib import Path
 
 import pytest
@@ -298,6 +299,81 @@ def test_serve_snapshot_serializes_the_kernel_once(tmp_path, monkeypatch):
         assert payload["generation"] == service.state.generation
 
     run_with_service(body, state_dir=tmp_path, interval=1.0)
+
+
+# ----------------------------------------------------------------------
+# the snapshot cadence: due once the logs have grown by a snapshot
+# ----------------------------------------------------------------------
+def _stub_kernel(ballast: int):
+    """What a snapshot reads of a kernel, ``ballast`` bytes heavy."""
+    return types.SimpleNamespace(
+        rm=types.SimpleNamespace(journal=None),
+        executor=types.SimpleNamespace(in_flight=False),
+        now=float(ballast),
+        ballast=b"k" * ballast,
+    )
+
+
+def _logged_on_disk(directory: Path) -> int:
+    """Bytes in the request journal and every plan-WAL segment."""
+    files = [directory / "requests.jsonl", *directory.glob("wal-gen*.jsonl")]
+    return sum(path.stat().st_size for path in files if path.exists())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ops=st.lists(
+        st.one_of(
+            st.tuples(st.just("journal"), st.integers(0, 3_000)),
+            st.tuples(st.just("wal"), st.integers(0, 40)),
+            # an epoch ends on a kernel this heavy
+            st.tuples(st.just("epoch"), st.integers(0, 6_000)),
+            st.tuples(st.just("restart"), st.just(0)),
+        ),
+        max_size=30,
+    ),
+)
+def test_property_a_snapshot_is_due_once_the_logs_grew_by_one(ops):
+    """Over any sequence of journal appends, WAL appends, epoch ends and
+    restarts, an epoch end snapshots iff the journal and WAL bytes on
+    disk grew, since the newest snapshot, by at least its file size (0
+    before the first; a restart counts from the one it loaded) — so
+    every snapshot but the newest is paid for by as many log bytes."""
+    workdir = Path(tempfile.mkdtemp(prefix="repro-cadence-prop-"))
+    state = ServeState(workdir)
+    try:
+        last_size, mark, plan_id, sizes = 0, 0, 0, []
+        for op, n in ops:
+            if op == "journal":
+                state.journal.append("submit", pad="j" * n)
+            elif op == "wal":
+                plan_id += 1
+                state.wal.append(plan_id, _Plan(n))
+            elif op == "restart":
+                state.close()
+                state = ServeState(workdir)
+                restored = state.load_kernel()
+                newest = state.store.paths()[-1:]
+                assert (restored is None) == (not newest)
+                last_size = newest[0].stat().st_size if newest else 0
+                mark = _logged_on_disk(workdir)
+            else:
+                written = state.snapshots_written
+                due = _logged_on_disk(workdir) - mark >= last_size
+                state.epoch_finished(_stub_kernel(n))
+                assert state.snapshots_written == written + due
+                if due:
+                    last_size = state.store.paths()[-1].stat().st_size
+                    mark = _logged_on_disk(workdir)
+                    sizes.append(last_size)
+            assert state.snapshot_bytes == last_size
+            assert state.logged_since_snapshot == (
+                _logged_on_disk(workdir) - mark
+            )
+        assert sum(sizes[:-1]) <= _logged_on_disk(workdir)
+    finally:
+        state.close()
+        shutil.rmtree(workdir, ignore_errors=True)
 
 
 # ----------------------------------------------------------------------

@@ -29,6 +29,7 @@ from repro.core.kernel import SimulationConfig
 from repro.obs import Observability
 from repro.obs.provenance import PROVENANCE_EVENT
 from repro.obs.tracer import SPAN_EVENT
+from repro.recovery.codec import SnapshotCodec
 from repro.scenarios import SCHEMES, wire_scheme
 from repro.schedulers.fifo import FIFOScheduler
 from repro.schedulers.lyra import LyraScheduler
@@ -128,8 +129,9 @@ async def _poll(condition, what, timeout=10.0):
 
 async def killed_daemon(state_dir):
     """One daemon life that ends in a hard kill: five acked submits, the
-    third cancelled once running, at least two epoch snapshots on disk.
-    Returns the acked job ids (shared with tests/test_durable_state.py)."""
+    third cancelled once running, two snapshots on disk — the first
+    epoch's, and one taken after the cancel.  Returns the acked job ids
+    (shared with tests/test_durable_state.py)."""
     service = _service(state_dir=state_dir, interval=1.0)
     await service.start()
     server = asyncio.ensure_future(service.serve_forever())
@@ -140,12 +142,9 @@ async def killed_daemon(state_dir):
     ]
     await _wait_status(client, acked[0], "running")
     assert await client.cancel(acked[2]) is True
-    for _ in range(500):
-        if (await client.stats())["snapshots_written"] >= 2:
-            break
-        await asyncio.sleep(0.01)
-    else:
-        raise AssertionError("daemon never wrote a second snapshot")
+    # later epochs log too little to make a snapshot due: take it here
+    service.state.snapshot(service.kernel)
+    assert len(list(state_dir.glob("snapshot-*.ckpt"))) >= 2
     await _crash(service, server, client)
     return acked
 
@@ -611,7 +610,7 @@ class TestServiceLifecycle:
 class TestServeDurability:
     def test_kill_and_restart_loses_no_acked_job(self, tmp_path):
         """Hard-kill equivalence: acked work survives without the final
-        snapshot — some jobs from the last epoch snapshot, the rest
+        snapshot — some jobs from a mid-burst snapshot, the rest
         replayed from the request journal."""
         state_dir = tmp_path / "state"
 
@@ -626,8 +625,9 @@ class TestServeDurability:
                     duration=5_000.0, max_workers=1, min_workers=1
                 ))
                 if i == 3:
-                    # let an epoch (and its snapshot) happen mid-burst
+                    # let an epoch happen mid-burst, then snapshot it
                     await _wait_status(client, acked[0], "running")
+                    service.state.snapshot(service.kernel)
             stats = await client.stats()
             assert stats["snapshots_written"] >= 1
             await client.close()
@@ -666,6 +666,64 @@ class TestServeDurability:
                 server.cancel()
                 with contextlib.suppress(asyncio.CancelledError):
                     await server
+
+        asyncio.run(second_life())
+
+    def test_a_kill_replays_the_journal_behind_the_newest_snapshot(
+        self, tmp_path
+    ):
+        """Epochs after the first log far less than a snapshot's size, so
+        no later one snapshots and requests acked after the first epoch
+        live in the journal alone.  After a kill every acked,
+        un-cancelled job is back — the first from the snapshot, the
+        rest replayed — and the restart replays exactly the journal
+        behind the snapshot; ``stats`` shows that window before the
+        kill."""
+        state_dir = tmp_path / "state"
+
+        def submit(client):
+            return client.submit(
+                duration=5_000.0, max_workers=1, min_workers=1
+            )
+
+        async def first_life():
+            async with daemon_life(state_dir, crash=True) as (service, client):
+                first = await submit(client)
+                await _wait_status(client, first, "running")
+                stats = await client.stats()
+                (snapshot,) = state_dir.glob("snapshot-*.ckpt")
+                assert stats["snapshots_written"] == 1
+                assert stats["last_snapshot_bytes"] == snapshot.stat().st_size
+                assert stats["logged_bytes_since_snapshot"] == 0
+                assert 0 < stats["snapshot_kernel_time"] <= stats["now"]
+                later = [await submit(client) for _ in range(3)]
+                assert await client.cancel(later[1]) is True
+                # an epoch ran after them, and did not snapshot
+                await _wait_status(client, later[-1], "running")
+                stats = await client.stats()
+                assert stats["snapshots_written"] == 1
+                assert 0 < stats["logged_bytes_since_snapshot"] < (
+                    stats["last_snapshot_bytes"]
+                )
+                covered = SnapshotCodec.load(snapshot)["request_seq"]
+                suffix = service.state.journal.entries_after(covered)
+                assert len(suffix) == 4  # three submits and a cancel
+                return [first, *later], later[1], len(suffix)
+
+        acked, cancelled, suffix = asyncio.run(first_life())
+
+        async def second_life():
+            async with daemon_life(state_dir) as (service, client):
+                assert service.recovered_jobs == 1
+                assert service.replayed_requests == suffix
+                for job_id in acked:
+                    if job_id == cancelled:
+                        with pytest.raises(ServeError) as exc:
+                            await client.query(job_id)
+                        assert exc.value.code == "unknown_job"
+                    else:
+                        info = await client.query(job_id)
+                        assert info["status"] in ("pending", "running")
 
         asyncio.run(second_life())
 
@@ -863,8 +921,7 @@ class TestServeDurability:
         obs = Observability.enabled()
 
         async def first_life():
-            # one epoch only (the next is 10,000 kernel-seconds away), so
-            # the snapshot on disk holds the job at full size
+            # one epoch only (the next is 10,000 kernel-seconds away)
             service = _service(policy=LyraScheduler, state_dir=state_dir,
                                interval=10_000.0, obs=obs)
             await service.start()
@@ -875,6 +932,8 @@ class TestServeDurability:
                 elastic=True,
             )
             await _wait_status(client, job_id, "running")
+            # the snapshot on disk holds the job at full size
+            service.state.snapshot(service.kernel)
             before = await client.stats()
             assert (await client.query(job_id))["workers"] == 4
             shrunk = await client.scale(job_id, 2)
@@ -958,16 +1017,8 @@ class TestServeDurability:
                     return (await client.stats())["now"] >= 600.0
 
                 await _poll(past_600, "kernel time 600")
-                written = (await client.stats())["snapshots_written"]
-                # any request that runs an epoch: its snapshot is the
-                # one the restart loads
-                await client.submit(duration=10.0, max_workers=1)
-
-                async def snapshotted():
-                    stats = await client.stats()
-                    return stats["snapshots_written"] > written
-
-                await _poll(snapshotted, "the epoch's snapshot")
+                # the snapshot the restart loads
+                service.state.snapshot(service.kernel)
                 job = service.kernel.jobs[long_job]
                 return long_job, job.first_start_time, job.completion_epoch
 
