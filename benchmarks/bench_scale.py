@@ -84,9 +84,7 @@ XL_MAX_MEAN_MS = 150.0
 def _digest(activities) -> str:
     h = hashlib.sha256()
     for a in activities:
-        h.update(
-            f"{a.time!r}|{a.kind.value}|{a.job_id!r}|{a.detail!r}\n".encode()
-        )
+        h.update(a.line().encode())
     return h.hexdigest()
 
 

@@ -20,6 +20,7 @@ from benchmarks.bench_util import (
     run_cached,
     scheme_row,
 )
+from repro.paper import HEADLINES, TABLE5
 
 
 def build_table():
@@ -57,10 +58,12 @@ def bench_table5_main_results(benchmark):
     q_red, jct_red = reductions_vs(baseline, cells["Basic/Lyra"])
     notes = (
         f"Lyra vs Baseline (Basic): queuing reduction {q_red:.2f}x "
-        f"(paper 1.53x), JCT reduction {jct_red:.2f}x (paper 1.48x)\n"
+        f"(paper {HEADLINES['queuing_reduction_basic']:.2f}x), JCT reduction "
+        f"{jct_red:.2f}x (paper {HEADLINES['jct_reduction_basic']:.2f}x)\n"
         f"Overall usage: {baseline.overall_usage.mean():.2f} -> "
         f"{cells['Basic/Lyra'].overall_usage.mean():.2f} "
-        f"(paper 0.52 -> 0.65)"
+        f"(paper {TABLE5['baseline'].usage_overall:.2f} -> "
+        f"{TABLE5['basic'].usage_overall:.2f})"
     )
     emit("table5", "Table 5: main simulation results", SCHEME_HEADERS, rows,
          notes)

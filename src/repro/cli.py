@@ -133,9 +133,12 @@ def _simulate(args, scheme: Optional[str] = None, setup=None,
         setup = _make_setup(args)
     specs = None
     if opt("replay"):
-        specs = load_workload(
-            args.replay, cluster_gpus=args.training_servers * 8
-        ).specs
+        try:
+            specs = load_workload(
+                args.replay, cluster_gpus=args.training_servers * 8
+            ).specs
+        except (OSError, ValueError) as exc:
+            raise _Refused(f"bad --replay: {exc}")
     plan = overrides.get("fault_plan")
     kills = plan.crashes if plan is not None else ()
     if opt("activities_out"):
@@ -319,12 +322,12 @@ def _print_plan_summary(sim) -> None:
 # commands
 # ----------------------------------------------------------------------
 def _write_activities(sim, path: str) -> None:
-    """Dump the Activity log, one line per event, in the exact format the
-    equivalence digest hashes — so `cmp a.log b.log` is the byte-identity
+    """Dump the Activity log, one `Activity.line` per event (what the
+    equivalence digest hashes), so `cmp a.log b.log` is the byte-identity
     check.  Written atomically: a kill mid-dump leaves no partial file."""
     with atomic_write(path) as fh:
         for a in sim.activities:
-            fh.write(f"{a.time!r}|{a.kind.value}|{a.job_id!r}|{a.detail!r}\n")
+            fh.write(a.line())
     print(f"wrote {len(sim.activities)} activity lines to {path}")
 
 

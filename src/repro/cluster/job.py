@@ -19,11 +19,12 @@ allocation in the linear regime, exactly as §5 assumes.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 import operator
-from dataclasses import dataclass
-from typing import Dict, Optional
+from dataclasses import MISSING, dataclass, fields
+from typing import Any, Dict, Mapping, Optional, get_type_hints
 
 from repro.elastic.throughput import LINEAR, ScalingModel
 
@@ -125,6 +126,52 @@ class JobSpec:
     def total_work(self) -> float:
         """Total workload in training-GPU seconds (demand x min runtime)."""
         return self.duration * self.max_workers * self.gpus_per_worker
+
+
+#: every JobSpec field and its type, in declaration order: the one schema
+#: trace files, the serve wire and the request journal share
+SPEC_FIELDS: Dict[str, type] = get_type_hints(JobSpec)
+#: what a record carries: every field but the unread ``scaling``, which
+#: the reader still takes (a journal an earlier build wrote has it)
+RECORD_FIELDS = [name for name in SPEC_FIELDS if name != "scaling"]
+_REQUIRED = [f.name for f in fields(JobSpec) if f.default is MISSING]
+_FLAG_WORDS = {"true": True, "false": False}
+_TAKES = {int: "an integral number", float: "a finite number",
+          bool: "true or false", str: "a string"}
+
+
+def spec_record(spec: JobSpec) -> dict:
+    """``spec`` as a flat record of JSON- and CSV-ready values."""
+    return {name: getattr(spec, name) for name in RECORD_FIELDS}
+
+
+def _field_value(name: str, value: Any) -> Any:
+    kind = SPEC_FIELDS[name]
+    if isinstance(value, str) and kind is not str:
+        # a CSV cell: read the text as the field's type
+        with contextlib.suppress(KeyError, ValueError):
+            value = _FLAG_WORDS[value.strip().lower()] if kind is bool else kind(value)
+    if kind in (bool, str):
+        if isinstance(value, kind):
+            return value
+    elif isinstance(value, (int, float)) and not isinstance(value, bool) \
+            and math.isfinite(value) and (kind is float or value == int(value)):
+        return kind(value)
+    raise ValueError(f"field {name!r} takes {_TAKES[kind]}, got {value!r}")
+
+
+def spec_from_record(record: Mapping[str, Any]) -> JobSpec:
+    """Read a spec record (a trace row, a journal entry, a submit): text
+    is read as its field's type; a wrong type (a bool for a number, 1.5
+    for an int, NaN), an unknown field or a missing required one is a
+    ValueError naming the field.  JobSpec checks the numeric invariants."""
+    unknown = sorted(set(record) - SPEC_FIELDS.keys(), key=repr)
+    if unknown:
+        raise ValueError(f"unknown field {unknown[0]!r}")
+    for name in _REQUIRED:
+        if name not in record:
+            raise ValueError(f"missing field {name!r}, which a JobSpec requires")
+    return JobSpec(**{name: _field_value(name, v) for name, v in record.items()})
 
 
 class Job:

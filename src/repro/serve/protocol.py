@@ -9,29 +9,24 @@ may pipeline.  Responses always carry ``ok``; failures carry ``error``
 The event feed (the ``subscribe`` op) switches the connection into a
 one-way stream of event objects — same framing, no further requests.
 
-Job specs travel as plain dicts mirroring
-:class:`~repro.cluster.job.JobSpec` fields; ``job_id`` and
-``submit_time`` are daemon-assigned on submit and therefore rejected if
-a client supplies them.
+Job specs travel as plain dicts of :class:`~repro.cluster.job.JobSpec`
+fields, read by the one spec codec (:func:`~repro.cluster.job.spec_from_record`);
+``job_id`` and ``submit_time`` are daemon-assigned on submit and
+therefore rejected if a client supplies them.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from typing import Optional
 
-from repro.cluster.job import JobSpec
+from repro.cluster.job import RECORD_FIELDS, JobSpec, spec_from_record
 
 #: a request line longer than this is a protocol error, not a DoS vector
 MAX_LINE_BYTES = 1 << 20
 
 #: spec fields a submit request may set (everything else is server-side)
-SUBMIT_FIELDS = frozenset({
-    "duration", "max_workers", "min_workers", "gpus_per_worker",
-    "elastic", "fungible", "heterogeneous", "checkpointing",
-    "model_family",
-})
+SUBMIT_FIELDS = frozenset(RECORD_FIELDS) - {"job_id", "submit_time"}
 
 
 class ProtocolError(ValueError):
@@ -55,35 +50,17 @@ def decode_line(line: bytes) -> dict:
     return obj
 
 
-def spec_from_request(
-    fields: dict, job_id: int, submit_time: float
-) -> JobSpec:
-    """Validate a submit payload and mint the daemon-side JobSpec.
-
-    JobSpec's own ``__post_init__`` enforces the numeric invariants
-    (positive duration, worker-count ordering); this layer only rejects
-    unknown fields so typos fail loudly instead of being ignored.
-    """
+def spec_from_request(fields: dict, job_id: int, submit_time: float) -> JobSpec:
+    """Validate a submit payload and mint the daemon-side JobSpec: a field
+    outside :data:`SUBMIT_FIELDS` is refused here, the rest by the codec."""
     unknown = set(fields) - SUBMIT_FIELDS
     if unknown:
-        raise ProtocolError(
-            f"unknown spec fields: {sorted(unknown)}; "
-            f"allowed: {sorted(SUBMIT_FIELDS)}"
-        )
-    if "duration" not in fields or "max_workers" not in fields:
-        raise ProtocolError("submit requires 'duration' and 'max_workers'")
+        raise ProtocolError(f"unknown spec fields: {sorted(unknown)}; "
+                            f"allowed: {sorted(SUBMIT_FIELDS)}")
     try:
-        return JobSpec(job_id=job_id, submit_time=submit_time, **fields)
-    except (TypeError, ValueError) as exc:
+        return spec_from_record({**fields, "job_id": job_id, "submit_time": submit_time})
+    except ValueError as exc:
         raise ProtocolError(f"invalid spec: {exc}") from exc
-
-
-def spec_to_dict(spec: JobSpec) -> dict:
-    return dataclasses.asdict(spec)
-
-
-def spec_from_dict(d: dict) -> JobSpec:
-    return JobSpec(**d)
 
 
 def ok(request_id, **fields) -> dict:

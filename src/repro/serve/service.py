@@ -41,7 +41,7 @@ import asyncio
 from typing import Dict, List, Optional
 
 from repro.cluster.cluster import ClusterPair
-from repro.cluster.job import JobStatus
+from repro.cluster.job import JobStatus, spec_from_record, spec_record
 from repro.core.actions import EpochPlan, PlanRejected, ScaleIn
 from repro.core.kernel import SchedulerKernel, SimulationConfig
 from repro.obs import Observability
@@ -175,7 +175,7 @@ class SchedulerService:
         """
         op = entry.get("op")
         if op == "submit":
-            spec = protocol.spec_from_dict(entry["spec"])
+            spec = spec_from_record(entry["spec"])
             if spec.job_id not in self.kernel.jobs:
                 self.kernel.admit_job(self.kernel.register_job(spec))
             return None
@@ -382,7 +382,7 @@ class SchedulerService:
         job_id = self._next_job_id
         spec = protocol.spec_from_request(fields, job_id, self.kernel.now)
         self._next_job_id += 1
-        entry = {"op": "submit", "spec": protocol.spec_to_dict(spec)}
+        entry = {"op": "submit", "spec": spec_record(spec)}
         if self.state is not None:
             self.state.journal.append(**entry)
         self._apply(entry)
@@ -391,6 +391,8 @@ class SchedulerService:
 
     def _op_query(self, request_id, request) -> dict:
         job_id = request.get("job_id")
+        if job_id is not None and type(job_id) is not int:
+            return protocol.err(request_id, "bad_request", "job_id must be an int")
         if job_id is None:
             counts = {
                 "pending": len(self.kernel.pending),
@@ -421,8 +423,8 @@ class SchedulerService:
 
     def _op_cancel(self, request_id, request) -> dict:
         job_id = request.get("job_id")
-        if not isinstance(job_id, int):
-            return protocol.err(request_id, "bad_request", "missing job_id")
+        if type(job_id) is not int:
+            return protocol.err(request_id, "bad_request", "cancel needs an int job_id")
         job = self.kernel.jobs.get(job_id)
         if job is None or job.status is JobStatus.FINISHED:
             # Nothing to make durable.  Journaling a cancel that lost the
@@ -441,9 +443,9 @@ class SchedulerService:
     def _op_scale(self, request_id, request) -> dict:
         job_id = request.get("job_id")
         workers = request.get("workers")
-        if not isinstance(job_id, int) or not isinstance(workers, int):
+        if type(job_id) is not int or type(workers) is not int:
             return protocol.err(
-                request_id, "bad_request", "scale needs job_id and workers"
+                request_id, "bad_request", "scale needs int job_id and workers"
             )
         entry = {"op": "scale", "job_id": job_id, "workers": workers}
         try:

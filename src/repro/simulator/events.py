@@ -43,3 +43,7 @@ class Activity:
     kind: EventKind
     job_id: Optional[int] = None
     detail: Any = None
+
+    def line(self) -> str:
+        """One repr-exact log line: what ``--activities-out`` writes."""
+        return f"{self.time!r}|{self.kind.value}|{self.job_id!r}|{self.detail!r}\n"

@@ -12,48 +12,15 @@ import json
 from pathlib import Path
 from typing import List, Union
 
-from repro.cluster.job import JobSpec
+from repro.cluster.job import RECORD_FIELDS, JobSpec, spec_from_record, spec_record
 from repro.ioutil import atomic_write, atomic_write_text
 from repro.traces.workload import DAY, TraceConfig, Workload
-
-_FIELDS = [
-    "job_id", "submit_time", "duration", "max_workers", "min_workers",
-    "gpus_per_worker", "elastic", "fungible", "heterogeneous",
-    "checkpointing", "model_family",
-]
-
-_BOOL_FIELDS = {"elastic", "fungible", "heterogeneous", "checkpointing"}
-_INT_FIELDS = {"job_id", "max_workers", "min_workers", "gpus_per_worker"}
-_FLOAT_FIELDS = {"submit_time", "duration"}
-
-
-def _spec_to_dict(spec: JobSpec) -> dict:
-    return {name: getattr(spec, name) for name in _FIELDS}
-
-
-def _spec_from_dict(record: dict) -> JobSpec:
-    kwargs = {}
-    for name in _FIELDS:
-        if name not in record:
-            raise ValueError(f"trace record missing field {name!r}")
-        value = record[name]
-        if name in _BOOL_FIELDS:
-            if isinstance(value, str):
-                value = value.strip().lower() in ("1", "true", "yes")
-            else:
-                value = bool(value)
-        elif name in _INT_FIELDS:
-            value = int(value)
-        elif name in _FLOAT_FIELDS:
-            value = float(value)
-        kwargs[name] = value
-    return JobSpec(**kwargs)
 
 
 def save_workload(workload: Workload, path: Union[str, Path]) -> None:
     """Write a workload to ``path`` (.json or .csv by extension)."""
     path = Path(path)
-    records = [_spec_to_dict(s) for s in workload.specs]
+    records = [spec_record(s) for s in workload.specs]
     if path.suffix == ".json":
         payload = {
             "config": {
@@ -68,7 +35,7 @@ def save_workload(workload: Workload, path: Union[str, Path]) -> None:
         atomic_write_text(path, json.dumps(payload))
     elif path.suffix == ".csv":
         with atomic_write(path, newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=_FIELDS)
+            writer = csv.DictWriter(fh, fieldnames=RECORD_FIELDS)
             writer.writeheader()
             writer.writerows(records)
     else:
@@ -88,17 +55,17 @@ def load_workload(
     path = Path(path)
     config_dict = None
     if path.suffix == ".json":
-        payload = json.loads(path.read_text())
-        records = payload["jobs"] if isinstance(payload, dict) else payload
-        if isinstance(payload, dict):
-            config_dict = payload.get("config")
+        records = json.loads(path.read_text())
+        if isinstance(records, dict):
+            config_dict = records.get("config")
+            records = records.get("jobs", [])
     elif path.suffix == ".csv":
         with path.open(newline="") as fh:
             records = list(csv.DictReader(fh))
     else:
         raise ValueError(f"unsupported trace format {path.suffix!r}")
 
-    specs: List[JobSpec] = [_spec_from_dict(r) for r in records]
+    specs: List[JobSpec] = [spec_from_record(r) for r in records]
     if not specs:
         raise ValueError(f"trace {path} contains no jobs")
     specs.sort(key=lambda s: (s.submit_time, s.job_id))

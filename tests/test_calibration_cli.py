@@ -266,6 +266,31 @@ class TestCLI:
         assert captured.err.startswith(f"bad {flag}: ")
         assert captured.out == ""
 
+    #: workload files ``--replay`` cannot read: missing, a fractional
+    #: worker count, a flag that is no bool, a missing field, no jobs
+    BAD_TRACES = {
+        "missing.json": None,
+        "fractional-workers.csv": (
+            "job_id,submit_time,duration,max_workers\n0,0.0,100.0,1.5\n"
+        ),
+        "flag-word.csv": (
+            "job_id,submit_time,duration,max_workers,elastic\n"
+            "0,0.0,100.0,2,maybe\n"
+        ),
+        "missing-field.json": '{"jobs": [{"job_id": 0, "submit_time": 0.0}]}',
+        "no-jobs.json": '{"config": {"days": 1.0}}',
+    }
+
+    @pytest.mark.parametrize("name", sorted(BAD_TRACES))
+    def test_a_bad_trace_file_is_refused(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        if self.BAD_TRACES[name] is not None:
+            path.write_text(self.BAD_TRACES[name])
+        assert main(["run", *self.TINY, "--replay", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("bad --replay: ")
+        assert captured.out == ""
+
     def test_a_failure_seed_needs_a_plan(self, capsys):
         """`--failure-seed` reseeds the `--faults` plan; alone it would
         run fault-free, so it is refused before anything runs."""

@@ -170,9 +170,7 @@ def digest(activities) -> str:
     """Canonical, repr-exact digest of an Activity log."""
     h = hashlib.sha256()
     for a in activities:
-        h.update(
-            f"{a.time!r}|{a.kind.value}|{a.job_id!r}|{a.detail!r}\n".encode()
-        )
+        h.update(a.line().encode())
     return h.hexdigest()
 
 

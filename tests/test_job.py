@@ -3,8 +3,16 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.cluster.job import BEYOND_RANGE_EFFICIENCY, JobSpec, JobStatus
+from repro.cluster.job import (
+    BEYOND_RANGE_EFFICIENCY,
+    JobSpec,
+    JobStatus,
+    spec_from_record,
+    spec_record,
+)
 from repro.elastic.throughput import SUBLINEAR_20
 
 from tests.conftest import make_job
@@ -47,6 +55,55 @@ class TestJobSpecValidation:
                 job_id=1, submit_time=0, duration=10,
                 max_workers=1, gpus_per_worker=0,
             )
+
+
+@st.composite
+def job_specs(draw):
+    """Any valid JobSpec but for ``scaling``, which no record carries."""
+    max_workers = draw(st.integers(1, 64))
+    elastic = draw(st.booleans())
+    return JobSpec(
+        job_id=draw(st.integers(0, 2**40)),
+        submit_time=draw(st.floats(0.0, 1e9)),
+        duration=draw(st.floats(1e-3, 1e9)),
+        max_workers=max_workers,
+        min_workers=draw(st.integers(1, max_workers)) if elastic else 0,
+        gpus_per_worker=draw(st.integers(1, 8)),
+        elastic=elastic,
+        fungible=draw(st.booleans()),
+        heterogeneous=draw(st.booleans()),
+        checkpointing=draw(st.booleans()),
+        model_family=draw(st.text(max_size=12)),
+    )
+
+
+class TestSpecCodec:
+    @given(job_specs())
+    def test_a_record_reads_back_as_its_spec(self, spec):
+        assert spec_from_record(spec_record(spec)) == spec
+        # ... and so does its text, the way a CSV row comes back
+        text = {name: str(value) for name, value in spec_record(spec).items()}
+        assert spec_from_record(text) == spec
+
+    BASE = {"job_id": 1, "submit_time": 0.0, "duration": 10.0,
+            "max_workers": 2}
+
+    def test_an_integral_number_reads_as_an_int(self):
+        spec = spec_from_record({**self.BASE, "max_workers": 2.0})
+        assert spec.max_workers == 2 and type(spec.max_workers) is int
+
+    @pytest.mark.parametrize("record,field", [
+        ({"job_id": 1, "submit_time": 0.0, "max_workers": 2}, "duration"),
+        ({**BASE, "scale": "linear"}, "scale"),
+        ({**BASE, "max_workers": "2.7"}, "max_workers"),
+        ({**BASE, "elastic": ""}, "elastic"),
+        ({**BASE, "submit_time": "nan"}, "submit_time"),
+        ({**BASE, "job_id": False}, "job_id"),
+    ], ids=["missing", "unknown", "fraction-text", "empty-flag",
+            "nan-text", "bool-id"])
+    def test_a_bad_record_is_refused_by_field(self, record, field):
+        with pytest.raises(ValueError, match=repr(field)):
+            spec_from_record(record)
 
 
 class TestWorkAccounting:

@@ -10,11 +10,13 @@ on the same state directory, and require every acked job back.
 
 import asyncio
 import contextlib
+import dataclasses
 import json
 import pickle
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from repro.cluster.cluster import (
     make_inference_cluster,
     make_training_cluster,
 )
+from repro.cluster.job import JobSpec, spec_from_record, spec_record
 from repro.core.kernel import SimulationConfig
 from repro.obs import Observability
 from repro.obs.provenance import PROVENANCE_EVENT
@@ -37,6 +40,7 @@ from repro.serve import protocol
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.driver import WallClockDriver
 from repro.serve.service import SchedulerService
+from repro.serve.state import RequestJournal
 
 
 def _pair():
@@ -189,8 +193,37 @@ class TestProtocol:
         spec = protocol.spec_from_request(
             {"duration": 10, "max_workers": 2, "elastic": True}, 3, 1.5
         )
-        clone = protocol.spec_from_dict(protocol.spec_to_dict(spec))
-        assert clone == spec
+        record = spec_record(spec)
+        assert spec_from_record(record) == spec
+        # a journaled submit is the wire's fields plus the daemon's two
+        assert set(record) == protocol.SUBMIT_FIELDS | {"job_id", "submit_time"}
+
+    #: one mistyped field each, over a submit that is valid without it
+    MISTYPED = [
+        ("max_workers", True), ("gpus_per_worker", False),
+        ("min_workers", 1.5), ("duration", float("nan")),
+        ("duration", float("inf")), ("duration", True), ("elastic", "x"),
+        ("elastic", 1), ("model_family", 7), ("bogus", 1),
+    ]
+
+    @pytest.mark.parametrize(
+        "field,value", MISTYPED, ids=[f"{f}={v!r}" for f, v in MISTYPED]
+    )
+    def test_a_mistyped_field_is_refused_by_name(self, field, value):
+        fields = {"duration": 100.0, "max_workers": 3, "min_workers": 1,
+                  "elastic": True, field: value}
+        # through the JSON framing, as a client sends it
+        request = protocol.decode_line(protocol.encode({"spec": fields}))
+        with pytest.raises(protocol.ProtocolError, match=repr(field)):
+            protocol.spec_from_request(request["spec"], 0, 0.0)
+
+    def test_the_docs_table_every_submit_field(self):
+        """docs/SERVING.md's submit-field table is the set the wire
+        takes: one row per field, no other row."""
+        doc = (Path(__file__).parents[1] / "docs" / "SERVING.md").read_text()
+        table = doc.split("### Submit fields\n", 1)[1].split("\n#", 1)[0]
+        names = re.findall(r"^\| `([^`]+)` \|", table, re.M)
+        assert sorted(names) == sorted(protocol.SUBMIT_FIELDS)
 
 
 # ----------------------------------------------------------------------
@@ -444,6 +477,73 @@ class TestServiceLifecycle:
             assert not service.kernel.jobs
 
         run_with_service(body)
+
+    def test_a_mistyped_submit_is_refused_and_stalls_nothing(self):
+        """A submit with 1.5 ``min_workers`` used to be acked; every
+        epoch after it then raised inside placement (swallowed by the
+        driver), so no later job started.  It is refused at the door."""
+
+        async def body(service, client):
+            try:
+                await client.submit(duration=100, max_workers=3,
+                                    min_workers=1.5, elastic=True)
+            except ServeError as exc:
+                refused = exc
+            else:
+                refused = None
+            job_id = await client.submit(duration=5_000.0, max_workers=1)
+            await _wait_status(client, job_id, "running", timeout=2.0)
+            assert (await client.stats())["callback_errors"] == 0
+            assert refused is not None and refused.code == "bad_request"
+            assert "min_workers" in str(refused)
+            assert list(service.kernel.jobs) == [job_id]
+
+        run_with_service(body)
+
+    def test_job_ids_and_worker_counts_are_ints_not_bools(self, tmp_path):
+        """``true`` hashes as 1: a bool job id used to query, cancel or
+        scale job 1 (and journal ``true``)."""
+
+        async def body(service, client):
+            elastic = await client.submit(duration=50_000.0, max_workers=4,
+                                          min_workers=1, elastic=True)
+            one = await client.submit(duration=50_000.0, max_workers=1)
+            assert one == 1
+            await _wait_status(client, one, "running")
+            seq = service.state.journal.seq
+            for op, fields in [
+                ("query", {"job_id": True}),
+                ("cancel", {"job_id": True}),
+                ("scale", {"job_id": True, "workers": 1}),
+                ("scale", {"job_id": elastic, "workers": True}),
+                ("query", {"job_id": "1"}),
+                ("cancel", {"job_id": 1.0}),
+            ]:
+                with pytest.raises(ServeError) as exc:
+                    await client.request(op, **fields)
+                assert exc.value.code == "bad_request", (op, fields)
+            assert (await client.query(one))["status"] == "running"
+            assert service.state.journal.seq == seq
+
+        run_with_service(body, state_dir=tmp_path)
+
+    def test_a_journaled_spec_with_scaling_replays(self, tmp_path):
+        """An earlier build journaled every JobSpec field, ``scaling``
+        included (``dataclasses.asdict``); the reader still takes it,
+        though the wire refuses it."""
+        old = JobSpec(job_id=0, submit_time=0.0, duration=50_000.0,
+                      max_workers=1)
+        journal = RequestJournal(tmp_path / "requests.jsonl")
+        journal.append("submit", spec=dataclasses.asdict(old))
+        journal.close()
+        assert '"scaling":"linear"' in journal.path.read_text()
+
+        async def body(service, client):
+            assert service.replayed_requests == 1
+            assert service.kernel.jobs[0].spec == old
+            assert (await client.submit(duration=10.0, max_workers=1)) == 1
+
+        run_with_service(body, state_dir=tmp_path)
 
     def test_admission_control_sheds_load(self):
         async def body(service, client):
