@@ -2,19 +2,23 @@
 
 The paper reports that its worst-case phase-two instance — 354 items over
 245 free GPUs — solves in 0.02 s via dynamic programming.  This bench
-times exactly that instance shape, a 4x larger one, and the shape the
-e2e ``lyra_wide`` workload solves (183 items, 2,514 free GPUs, a reach
-of 366) across the solvers — ``solve_mckp`` (the certified per-group
-arg-max when the demand fits whole, else the vectorized numpy DP over a
+times exactly that instance shape, a 4x larger one, and the shapes the
+e2e ``lyra_wide`` (183 items, 2,514 free GPUs, a reach of 366) and
+``lyra_pair`` (71 items, 52 free GPUs, a reach of 142) workloads solve
+across the solvers — ``solve_mckp`` (the certified per-group arg-max
+when the demand fits whole, the certified ladder when every group climbs
+one weight step with concave values, else the vectorized numpy DP over a
 table clamped to what the instance can reach), the full-width scalar
 reference DP from ``repro.oracle``, and brute force on a tiny instance —
 checks they agree exactly, records the comparison, each instance's full
-vs clamped table size and which path it takes (``fits_whole``) in
-``benchmarks/results/BENCH_mckp.json``, and fails if the wide instance
-solves slower than the paper's (fewer items must not cost more because
-the cluster around them is bigger) or if either instance leaves its
-path: the wide one must take the arg-max, the paper's the DP (so the
-e2e ``mckp.paper354_solve_ms`` keeps timing the DP).
+vs clamped table size and which path answers it (``path``: ``whole``,
+``ladder`` or ``table``) in ``benchmarks/results/BENCH_mckp.json``, and
+fails if the wide instance solves slower than the paper's (fewer items
+must not cost more because the cluster around them is bigger) or if an
+instance leaves its path: the wide one must fit whole, the pair one
+take the ladder, and the paper's — two weight steps, 1 and 2 GPUs per
+worker — the table (so the e2e ``mckp.paper354_solve_ms`` keeps timing
+the DP).
 
 Runs under pytest-benchmark (``pytest benchmarks/bench_mckp_solver.py``)
 or standalone::
@@ -37,6 +41,7 @@ if __package__ in (None, ""):  # standalone: make repro + benchmarks importable
 from benchmarks.bench_util import emit  # noqa: E402
 from repro.core.mckp import (  # noqa: E402
     Item,
+    solve_ladder,
     solve_mckp,
     solve_mckp_bruteforce,
     solve_whole,
@@ -93,6 +98,38 @@ def make_wide_instance():
     return groups, 2514
 
 
+#: group sizes of the ``lyra_pair`` shape: 11 groups, 71 items
+PAIR_GROUP_SIZES = [16] * 2 + [12] + [8] + [4] * 3 + [2] * 3 + [1]
+
+
+def make_pair_instance():
+    """The mean phase-two instance of the e2e ``lyra_pair`` workload
+    among the 786 of its 1,453 solves (seed 0, first trace) that do not
+    fit whole: 10.5 groups, 71 items, every job at 2 GPUs per worker,
+    52.5 free GPUs, a reach of 142.  The DP table answered them all
+    before the ladder, which now answers 783."""
+    rng = random.Random(0)
+    sizes = list(PAIR_GROUP_SIZES)
+    rng.shuffle(sizes)
+    groups = []
+    for size in sizes:
+        base_time = rng.uniform(200, 900)
+        groups.append([
+            Item(weight=2 * k, value=base_time * k / (k + size / 2))
+            for k in range(1, size + 1)
+        ])
+    return groups, 52
+
+
+def solver_path(groups, capacity) -> str:
+    """Which of ``solve_mckp``'s paths answers the instance."""
+    if solve_whole(groups, capacity) is not None:
+        return "whole"
+    if solve_ladder(groups, capacity) is not None:
+        return "ladder"
+    return "table"
+
+
 def _time(fn, repeats: int = 5) -> float:
     """Best-of-N wall time in seconds (min damps scheduler noise)."""
     samples = []
@@ -109,6 +146,7 @@ def solver_comparison() -> dict:
         "paper_354x245": make_instance(354, 245),
         "4x_1400x980": make_instance(1400, 980, seed=1),
         "wide_183x2514": make_wide_instance(),
+        "pair_71x52": make_pair_instance(),
     }
     out = {"instances": {}, "bruteforce": {}}
     for name, (groups, capacity) in instances.items():
@@ -127,7 +165,7 @@ def solver_comparison() -> dict:
             "unit": unit,
             "table_cells_full": len(groups) * (capacity + 1),
             "table_cells_clamped": len(groups) * (width + 1),
-            "fits_whole": solve_whole(groups, capacity) is not None,
+            "path": solver_path(groups, capacity),
             "value": v_np,
             "vectorized_s": round(t_np, 6),
             "scalar_s": round(t_py, 6),
@@ -150,10 +188,12 @@ def solver_comparison() -> dict:
         ), 6),
     }
     out["paper_reference_s"] = 0.02
-    paths = {name: row["fits_whole"] for name, row in out["instances"].items()}
-    assert paths["wide_183x2514"] and not paths["paper_354x245"], (
-        f"fits_whole {paths}: the lyra_wide shape must take the certified "
-        f"arg-max and the paper's instance the DP"
+    paths = {name: row["path"] for name, row in out["instances"].items()}
+    want = {"wide_183x2514": "whole", "pair_71x52": "ladder",
+            "paper_354x245": "table"}
+    assert all(paths[name] == path for name, path in want.items()), (
+        f"paths {paths}: the lyra_wide shape must fit whole, the "
+        f"lyra_pair shape take the ladder and the paper's instance the DP"
     )
     wide = out["instances"]["wide_183x2514"]["vectorized_s"]
     paper = out["instances"]["paper_354x245"]["vectorized_s"]
@@ -188,6 +228,7 @@ def bench_mckp_paper_instance(benchmark):
     paper = comparison["instances"]["paper_354x245"]
     big = comparison["instances"]["4x_1400x980"]
     wide = comparison["instances"]["wide_183x2514"]
+    pair = comparison["instances"]["pair_71x52"]
     write_report(comparison)
 
     emit(
@@ -205,9 +246,11 @@ def bench_mckp_paper_instance(benchmark):
             ["4x instance scalar (s)", big["scalar_s"]],
             ["lyra_wide-shaped 183 x 2,514 solve_mckp (s)",
              wide["vectorized_s"]],
-            ["its path", "fits whole" if wide["fits_whole"] else "DP"],
+            ["its path", wide["path"]],
             ["its table cells, full -> clamped",
              f"{wide['table_cells_full']} -> {wide['table_cells_clamped']}"],
+            ["lyra_pair-shaped 71 x 52 solve_mckp (s)", pair["vectorized_s"]],
+            ["its path", pair["path"]],
         ],
     )
     assert weight <= capacity
@@ -225,7 +268,7 @@ def main() -> int:
             f"scalar {row['scalar_s']*1e3:8.2f} ms  "
             f"speedup {row['speedup']:.2f}x  "
             f"cells {row['table_cells_full']} -> {row['table_cells_clamped']}"
-            f"  {'fits whole' if row['fits_whole'] else 'DP'}"
+            f"  {row['path']}"
         )
     bf = comparison["bruteforce"]
     print(

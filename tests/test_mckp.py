@@ -1,18 +1,24 @@
 """Tests for the multiple-choice knapsack solver (§5.2 phase two)."""
 
+import itertools
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from benchmarks.bench_mckp_solver import make_wide_instance
+from benchmarks.bench_mckp_solver import (
+    make_pair_instance,
+    make_wide_instance,
+    solver_path,
+)
 from repro.core.allocation import build_flex_groups
 from repro.core.mckp import (
     Item,
     solution_cost,
     solve_mckp,
     solve_mckp_bruteforce,
+    solve_ladder,
     solve_whole,
     table_shape,
 )
@@ -257,8 +263,8 @@ class TestClampedTable:
         for seed in range(300):
             groups, capacity = gen_mckp_instance(seed).build()
             assert_same_solution(groups, capacity)
-            paths.add(solve_whole(groups, capacity) is None)
-        assert paths == {True, False}  # both the arg-max and the DP ran
+            paths.add(solver_path(groups, capacity))
+        assert paths == {"whole", "ladder", "table"}
 
     def test_oracle_allocation_generator(self):
         for seed in range(150):
@@ -343,6 +349,94 @@ class TestFitsWhole:
         groups = [[(1, 1.0), (9, 50.0)], [(2, 3.0)]]
         assert solve_whole(groups, 4) == (4.0, [(1, 1.0), (2, 3.0)])
         assert_same_solution(groups, 4)
+
+
+# ----------------------------------------------------------------------
+# the certified ladder against the full-width scalar reference
+# ----------------------------------------------------------------------
+@st.composite
+def ladder_instances(draw):
+    """Every group a ladder of one step — the k-th item weighs k steps,
+    integral increments that never grow, scaled by a power of two so
+    every increment is exact — with capacity below the reach.  Copies of
+    an earlier group, as is or with its top rung 1 ulp apart, put exact
+    ties and near-ties at the cut; a 2**54 scale puts a group far above
+    the rest, where the DP's running sum rounds their increments away."""
+    step = draw(st.sampled_from([1, 2, 3]))
+    groups = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["fresh"] * 3 + ["tie", "ulp"]))
+        if groups and kind != "fresh":
+            values = [item.value for item in draw(st.sampled_from(groups))]
+            if kind == "ulp":
+                values[-1] = math.nextafter(
+                    values[-1], draw(st.sampled_from([math.inf, 0.0]))
+                )
+        else:
+            scale = draw(st.sampled_from([1.0, 1.0, 0.5, 2.0 ** 54]))
+            gains = draw(st.lists(st.integers(1, 12), min_size=1,
+                                  max_size=5))
+            values = list(itertools.accumulate(
+                scale * gain for gain in sorted(gains, reverse=True)
+            ))
+        groups.append([Item(step * k, v) for k, v in enumerate(values, 1)])
+    reach = raw_reach(groups)
+    return groups, draw(st.integers(reach // 3, reach - 1))
+
+
+#: a ladder the certificate passes: increments 10, 6, 3 and 8, 4 at
+#: step 2, the top three of them (10, 8, 6) fitting in 6 GPUs
+LADDER = [[(2, 10.0), (4, 16.0), (6, 19.0)], [(2, 8.0), (4, 12.0)]]
+
+
+class TestLadder:
+    @given(inst=ladder_instances())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_full_width_scalar_reference(self, inst):
+        assert_same_solution(*inst)
+
+    def test_takes_the_largest_increments(self):
+        assert solve_whole(LADDER, 6) is None  # reach 10 > 6
+        assert solve_ladder(LADDER, 6) == (24.0, [(4, 16.0), (2, 8.0)])
+        assert_same_solution(LADDER, 6)
+        # capacity off the step grid floors to the same cut
+        assert solve_ladder(LADDER, 7) == solve_ladder(LADDER, 6)
+
+    @pytest.mark.parametrize("groups, capacity", [
+        # exact tie at the cut: the third and fourth increments are both 6
+        ([LADDER[0], [(2, 8.0), (4, 14.0)]], 6),
+        # a 1-ulp near-tie: 6 + 2**-49 against 6.  The picks' exact sum
+        # 24 + 2**-49 rounds to 24, the DP keeps the first 24 it meets
+        # and a ladder without the margin test would take the other
+        ([LADDER[0], [(2, 8.0), (4, math.nextafter(14.0, math.inf))]], 6),
+        # a group 1e16 times the others: added to it, the DP's running
+        # sum rounds the small groups' increments away
+        ([[(2, 1e17), (4, 1.6e17)], LADDER[1], [(2, 7.0), (4, 10.0)]], 8),
+        # two weight steps, 2 and 1 GPUs per worker
+        ([LADDER[0], [(1, 8.0), (2, 12.0)]], 6),
+        # a convex group: increments 4, 2, 5, so the third rung is worth
+        # more than the second and the cut would stop below it
+        ([[(2, 4.0), (4, 6.0), (6, 11.0)], [(2, 3.0)]], 6),
+        # items out of positional order: the 2-GPU item comes second
+        ([LADDER[1], [(4, 10.0), (2, 16.0), (6, 19.0)]], 6),
+        # non-positive increments 0 and -1 before the cut at 0: the cut
+        # would take the second 10.0, the DP keeps the first
+        ([[(2, 10.0), (4, 10.0), (6, 9.0)], [(2, 5.0), (4, 3.0)]], 6),
+        # falling values, increments 10, -1, -2: the cut at -1 would
+        # take 9.0 over 10.0
+        ([[(2, 10.0), (4, 9.0), (6, 7.0)], [(2, 5.0), (4, 3.0)]], 6),
+    ], ids=["tie", "ulp", "1e16", "two-steps", "convex", "order",
+            "flat", "falling"])
+    def test_refuses_and_the_table_answers(self, groups, capacity):
+        assert solve_whole(groups, capacity) is None
+        assert solve_ladder(groups, capacity) is None
+        assert_same_solution(groups, capacity)
+
+    def test_lyra_pair_shape_takes_the_ladder(self):
+        # the e2e lyra_pair mean instance that does not fit whole
+        groups, capacity = make_pair_instance()
+        assert solver_path(groups, capacity) == "ladder"
+        assert_same_solution(groups, capacity)
 
 
 class TestTableShape:
