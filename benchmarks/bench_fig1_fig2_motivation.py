@@ -9,7 +9,7 @@ at ~82 % training-cluster utilization with >3,000 s mean queuing.
 import numpy as np
 
 from benchmarks.bench_util import emit, get_setup, run_cached
-from repro.paper import TABLE5
+from repro.paper import FIG1, TABLE5, WORKLOAD_STATS
 from repro.simulator.metrics import TimeSeries
 
 
@@ -27,10 +27,10 @@ def bench_fig1_inference_utilization(benchmark):
         build_fig1, rounds=1, iterations=1
     )
     rows = [
-        ["mean", float(np.mean(util)), 0.65],
-        ["min (trough)", float(np.min(util)), 0.42],
-        ["max (peak)", float(max(series.hourly_max())), 0.95],
-        ["peak/trough", trace.peak_to_trough(), 2.2],
+        ["mean", float(np.mean(util)), FIG1["mean"]],
+        ["min (trough)", float(np.min(util)), FIG1["trough"]],
+        ["max (peak)", float(max(series.hourly_max())), FIG1["peak"]],
+        ["peak/trough", trace.peak_to_trough(), FIG1["peak_to_trough"]],
     ]
     sparkline = "".join(
         " .:-=+*#%@"[min(9, int(v * 10))] for v in hours[: 48]
@@ -56,7 +56,8 @@ def bench_fig2_queuing_ratio(benchmark):
         ["hours with ratio > 0.5", sum(r > 0.5 for r in ratios), "-"],
         ["mean queuing time (s)", metrics.queuing_summary().mean,
          TABLE5["baseline"].queuing_mean],
-        ["training utilization", metrics.training_usage.mean(), 0.82],
+        ["training utilization", metrics.training_usage.mean(),
+         WORKLOAD_STATS["training_utilization"]],
     ]
     emit("fig2", "Fig. 2: hourly queuing-job ratio under the baseline",
          ["statistic", "measured", "paper"], rows)

@@ -15,7 +15,8 @@ import tempfile
 from pathlib import Path
 
 from repro.obs import Observability
-from repro.obs.inspect import inspect_trace
+from repro.obs.inspect import load_trace, render_summary
+from repro.obs.timeline import TimelineStore
 from repro.scenarios import build_sim, default_setup
 
 
@@ -46,8 +47,10 @@ def main() -> None:
     print(f"wrote {jsonl} (JSONL) and {chrome} (load the latter in "
           f"about://tracing or https://ui.perfetto.dev)\n")
 
-    # The same report `python -m repro inspect trace.jsonl` prints.
-    print(inspect_trace(str(jsonl)))
+    # The same report `python -m repro inspect trace.jsonl` prints: the
+    # store is the one index `inspect`, `report` and `why` all read.
+    store = TimelineStore.from_trace(load_trace(str(jsonl)))
+    print(render_summary(store))
 
     # Ad-hoc mining: costly reclaims, straight off the event objects.
     print("\n== reclaims that preempted jobs ==")

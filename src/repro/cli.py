@@ -21,7 +21,10 @@ Commands:
   brute-force references, metamorphic properties, and mini-scenario
   replays through every registered scheduler on both views.  Exits
   non-zero on the first divergence, printing a minimized repro script.
-* ``compare``  — run several schemes on the same trace, print a table.
+* ``compare``  — run several schemes on the same trace, print a table;
+  with ``baseline`` and a headline scheme (Lyra, loaning-only,
+  scaling-only) on the basic scenario, also check their shapes against
+  the paper (exit 1 when a claim does not hold).
 * ``trace``    — generate a synthetic trace and describe (or export) it.
 * ``inspect``  — summarize an exported event trace (phase timings,
   preemption causes, reclaim timeline); ``--diff A B`` compares two
@@ -29,10 +32,9 @@ Commands:
 * ``why``      — narrate the causal chain behind a job's lifecycle from
   an exported trace: which plan dispatched/preempted it, what triggered
   that epoch, which fault was behind it.
-* ``report``   — with a trace file, render a deterministic markdown run
-  report (JCT/queue-wait percentiles, utilization, loan/reclaim and
-  preemption timelines, decision ledger, phase call counts); without
-  one, run the headline schemes and check shapes against the paper.
+* ``report``   — render an exported trace as a deterministic markdown
+  run report (JCT/queue-wait percentiles, utilization, loan/reclaim and
+  preemption timelines, decision ledger, phase call counts).
 * ``paper``    — print the paper's published numbers for a table.
 
 Everything is seeded; two invocations with the same arguments produce
@@ -250,6 +252,13 @@ def _load_traces(paths):
         raise _Refused(f"no such trace file: {exc.filename}")
     except TraceFormatError as exc:
         raise _Refused(f"cannot parse trace: {exc}")
+
+
+def _load_store(path):
+    """The one index ``inspect``, ``why`` and ``report`` read."""
+    from repro.obs.timeline import TimelineStore
+
+    return TimelineStore.from_trace(*_load_traces([path]))
 
 
 def _metrics_dict(metrics: SimulationMetrics) -> dict:
@@ -633,6 +642,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    """Run several schemes on one setup, side by side; in text mode,
+    with ``baseline`` and a headline scheme on the paper's setup, also
+    check their shapes against the paper (exit 1 if a claim fails)."""
     setup = _make_setup(args)
     results = {
         scheme: _simulate(args, scheme, setup)[1] for scheme in args.schemes
@@ -660,7 +672,13 @@ def cmd_compare(args) -> int:
             print(f"{name} vs baseline: "
                   f"{reduction(base.queuing_summary().mean, metrics.queuing_summary().mean):.2f}x queuing, "
                   f"{reduction(base.jct_summary().mean, metrics.jct_summary().mean):.2f}x JCT")
-    return 0
+    checks = []
+    if "baseline" in results \
+            and (args.scenario, args.scaling_model) == ("basic", "linear"):
+        checks = compare_to_paper(results)
+    if checks:
+        print(render_report(checks))
+    return 0 if all(c.holds for c in checks) else 1
 
 
 def cmd_trace(args) -> int:
@@ -693,33 +711,23 @@ def cmd_trace(args) -> int:
 
 
 def cmd_report(args) -> int:
-    """With a trace file: render the markdown run report.  Without one:
-    run the headline schemes and print the shape-verdict report."""
-    if args.trace_file:
-        from repro.obs.report import build_report
+    """Render an exported trace as the markdown run report."""
+    from repro.obs.report import build_report
 
-        text = build_report(*_load_traces([args.trace_file]))
-        if args.out:
-            atomic_write_text(args.out, text)
-            print(f"wrote report to {args.out}")
-        else:
-            print(text, end="")
-        return 0
-    setup = _make_setup(args)
-    results = {
-        scheme: _simulate(args, scheme, setup)[1]
-        for scheme in ("baseline", "lyra", "lyra_loaning", "lyra_scaling")
-    }
-    checks = compare_to_paper(results)
-    print(render_report(checks))
-    return 0 if all(c.holds for c in checks) else 1
+    text = build_report(_load_store(args.trace_file))
+    if args.out:
+        atomic_write_text(args.out, text)
+        print(f"wrote report to {args.out}")
+    else:
+        print(text, end="")
+    return 0
 
 
 def cmd_why(args) -> int:
     """Narrate the causal chain behind one job's lifecycle."""
-    from repro.obs.timeline import TimelineStore, render_why
+    from repro.obs.timeline import render_why
 
-    store = TimelineStore.from_trace(*_load_traces([args.trace_file]))
+    store = _load_store(args.trace_file)
     try:
         story = store.why(args.job_id, at=args.at)
     except KeyError:
@@ -734,24 +742,18 @@ def cmd_why(args) -> int:
 
 def cmd_inspect(args) -> int:
     """Summarize an exported event trace, or diff two of them."""
-    from repro.obs.inspect import (
-        diff_traces,
-        render_diff,
-        render_summary,
-        summarize,
-    )
+    from repro.obs.inspect import diff_traces, render_diff, render_summary
 
     files = args.trace_file
     if args.diff and len(files) != 2:
         raise _Refused("--diff compares exactly two traces")
     if not args.diff and len(files) != 1:
         raise _Refused("inspect takes one trace (use --diff to compare two)")
-    traces = _load_traces(files)
     if args.diff:
-        diff = diff_traces(*traces)
+        diff = diff_traces(*_load_traces(files))
         print(render_diff(diff, *files))
         return 0 if diff.identical else 1
-    print(render_summary(summarize(traces[0]), top=args.top))
+    print(render_summary(_load_store(files[0]), top=args.top))
     return 0
 
 
@@ -990,13 +992,10 @@ def build_parser() -> argparse.ArgumentParser:
     command("trace", cmd_trace, "generate/describe a trace", *_SETUP,
             ).add_argument("--out", help="write the trace (.json/.csv) for "
                                          "run --replay")
-    report = command(
-        "report", cmd_report,
-        "markdown run report from a trace; without a trace, run the "
-        "headline schemes and check shapes vs paper", *_SETUP)
-    report.add_argument("trace_file", nargs="?", default=None,
-                        help="trace written by run --trace; renders the "
-                             "deterministic markdown run report")
+    report = command("report", cmd_report,
+                     "deterministic markdown run report from a trace",
+                     "--log-level")
+    report.add_argument("trace_file", help="trace written by run --trace")
     report.add_argument("--out", default=None,
                         help="write the markdown report to this path "
                              "instead of stdout")
@@ -1032,9 +1031,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         _check_floors(args)
         rc = args.func(args)
+        sys.stdout.flush()
     except _Refused as exc:
         print(exc, file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader went away (`repro why T J | head -1`): end as SIGPIPE
+        # would, and let the exit flush write what is left to /dev/null
+        import os
+        import signal
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 128 + signal.SIGPIPE
     interrupted = getattr(args, "interrupted", None)
     if interrupted is not None:
         import signal

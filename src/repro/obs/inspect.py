@@ -1,9 +1,10 @@
-"""Trace inspection: summarize, compare and sanity-check event traces.
+"""Trace inspection: load, render and compare event traces.
 
-``repro inspect <trace>`` loads a JSONL (or Chrome-format) trace and
-prints what you would otherwise grep for by hand: the event census, a
-job funnel, the preemption breakdown by cause (and its worst victims),
-the reclaim timeline with per-op collateral damage, and the per-phase
+``repro inspect <trace>`` loads a JSONL (or Chrome-format) trace,
+indexes it in a :class:`~repro.obs.timeline.TimelineStore` and prints
+what you would otherwise grep for by hand: the event census, a job
+funnel, the preemption breakdown by cause (and its worst victims), the
+reclaim timeline with per-op collateral damage, and the per-phase
 wall-clock table recorded by the kernel's phase clock.
 
 ``repro inspect --diff A B`` compares two traces: it reports the first
@@ -18,19 +19,10 @@ file with no parseable record at all is still rejected.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.tracer import CAT_SPAN, SPAN_EVENT, SUMMARY_EVENT
-
-#: Event-name prefixes the toolchain emits today.  ``summarize`` counts
-#: every event either way, but names outside this vocabulary are
-#: surfaced explicitly so a producer/consumer drift (or a hand-edited
-#: trace) is visible instead of silently folded into the census.
-KNOWN_EVENT_PREFIXES = (
-    "job.", "scheduler.", "orchestrator.", "cluster.", "fault.",
-    "recovery.", "plan.", "obs.", "run.", "trace.",
-)
 
 
 class TraceFormatError(ValueError):
@@ -92,105 +84,47 @@ def load_trace(path: str) -> Dict[str, Any]:
     return {"events": events, "summary": summary, "skipped_lines": skipped}
 
 
-@dataclass
-class TraceSummary:
-    """Everything ``repro inspect`` reports about one trace."""
-
-    total_events: int = 0
-    span: float = 0.0
-    counts: Dict[str, int] = field(default_factory=dict)
-    submissions: int = 0
-    starts: int = 0
-    finishes: int = 0
-    preemptions: int = 0
-    preempt_causes: Dict[str, int] = field(default_factory=dict)
-    preempt_victims: Dict[int, int] = field(default_factory=dict)
-    reclaims: List[Dict[str, Any]] = field(default_factory=list)
-    loans: List[Dict[str, Any]] = field(default_factory=list)
-    phases: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    metrics: Dict[str, Any] = field(default_factory=dict)
-    skipped_lines: int = 0
-    unknown_events: Dict[str, int] = field(default_factory=dict)
-
-
-def summarize(trace: Dict[str, Any]) -> TraceSummary:
-    """Aggregate a loaded trace into a :class:`TraceSummary`."""
-    out = TraceSummary()
-    events = trace["events"]
-    out.total_events = len(events)
-    out.skipped_lines = int(trace.get("skipped_lines", 0))
-    if events:
-        times = [e.get("ts", 0.0) for e in events]
-        out.span = max(times) - min(times)
-    for event in events:
-        name = event.get("name", "?")
-        out.counts[name] = out.counts.get(name, 0) + 1
-        if not name.startswith(KNOWN_EVENT_PREFIXES):
-            out.unknown_events[name] = out.unknown_events.get(name, 0) + 1
-        args = event.get("args") or {}
-        if name == "job.submit":
-            out.submissions += 1
-        elif name == "job.start":
-            out.starts += 1
-        elif name == "job.finish":
-            out.finishes += 1
-        elif name == "job.preempt":
-            out.preemptions += 1
-            cause = args.get("cause", "unknown")
-            out.preempt_causes[cause] = out.preempt_causes.get(cause, 0) + 1
-            job = event.get("job_id")
-            if job is not None:
-                out.preempt_victims[job] = out.preempt_victims.get(job, 0) + 1
-        elif name == "orchestrator.reclaim":
-            out.reclaims.append({"ts": event.get("ts", 0.0), **args})
-        elif name == "orchestrator.loan":
-            out.loans.append({"ts": event.get("ts", 0.0), **args})
-    summary = trace.get("summary") or {}
-    out.phases = summary.get("phases", {})
-    out.metrics = summary.get("metrics", {})
-    return out
-
-
 def _hours(seconds: float) -> str:
     return f"{seconds / 3600.0:8.2f}h"
 
 
-def render_summary(summary: TraceSummary, top: int = 5) -> str:
-    """Format a :class:`TraceSummary` as the CLI report."""
+def render_summary(store, top: int = 5) -> str:
+    """Format a :class:`~repro.obs.timeline.TimelineStore` as the CLI
+    report."""
     lines: List[str] = []
     lines.append("== trace overview ==")
-    lines.append(f"  events: {summary.total_events}   "
-                 f"span: {summary.span / 3600.0:.2f} simulated hours")
-    lines.append(f"  jobs: {summary.submissions} submitted, "
-                 f"{summary.starts} dispatches, "
-                 f"{summary.finishes} finished, "
-                 f"{summary.preemptions} preemptions")
-    if summary.skipped_lines:
-        lines.append(f"  warning: skipped {summary.skipped_lines} "
+    lines.append(f"  events: {store.total_events}   "
+                 f"span: {store.span / 3600.0:.2f} simulated hours")
+    lines.append(f"  jobs: {store.submissions} submitted, "
+                 f"{store.starts} dispatches, "
+                 f"{store.finishes} finished, "
+                 f"{store.preemptions} preemptions")
+    if store.skipped_lines:
+        lines.append(f"  warning: skipped {store.skipped_lines} "
                      f"corrupt line"
-                     f"{'s' if summary.skipped_lines != 1 else ''}")
+                     f"{'s' if store.skipped_lines != 1 else ''}")
     lines.append("")
     lines.append("== event census ==")
-    for name in sorted(summary.counts, key=summary.counts.get, reverse=True):
-        lines.append(f"  {name:<26}{summary.counts[name]:>8}")
-    if summary.unknown_events:
+    for name in sorted(store.counts, key=store.counts.get, reverse=True):
+        lines.append(f"  {name:<26}{store.counts[name]:>8}")
+    if store.unknown_events:
         unknown = ", ".join(
             f"{name} ×{count}"
-            for name, count in sorted(summary.unknown_events.items())
+            for name, count in sorted(store.unknown_events.items())
         )
         lines.append(f"  warning: unrecognized event types: {unknown}")
 
     lines.append("")
     lines.append("== preemption summary ==")
-    if not summary.preemptions:
+    if not store.preemptions:
         lines.append("  no preemptions recorded")
     else:
-        for cause in sorted(summary.preempt_causes,
-                            key=summary.preempt_causes.get, reverse=True):
-            count = summary.preempt_causes[cause]
-            share = count / summary.preemptions
+        for cause in sorted(store.preempt_causes,
+                            key=store.preempt_causes.get, reverse=True):
+            count = store.preempt_causes[cause]
+            share = count / store.preemptions
             lines.append(f"  cause {cause:<16}{count:>6}  ({share:5.1%})")
-        worst = sorted(summary.preempt_victims.items(),
+        worst = sorted(store.preempt_victims.items(),
                        key=lambda kv: (-kv[1], kv[0]))[:top]
         if worst:
             lines.append(f"  most-preempted jobs (top {len(worst)}): "
@@ -198,13 +132,13 @@ def render_summary(summary: TraceSummary, top: int = 5) -> str:
 
     lines.append("")
     lines.append("== reclaim timeline ==")
-    if not summary.reclaims:
+    if not store.reclaims:
         lines.append("  no reclaim ops recorded")
     else:
         header = (f"  {'sim time':>9}  {'demand':>6}  {'returned':>8}  "
                   f"{'preempted':>9}  {'collateral':>10}")
         lines.append(header)
-        for op in summary.reclaims:
+        for op in store.reclaims:
             servers = op.get("servers") or []
             preempted = op.get("preempted") or []
             collateral = op.get("collateral")
@@ -215,21 +149,21 @@ def render_summary(summary: TraceSummary, top: int = 5) -> str:
                 + (f"{collateral:>10.3f}" if collateral is not None
                    else f"{'-':>10}")
             )
-    if summary.loans:
-        moved = sum(len(op.get("servers") or []) for op in summary.loans)
-        lines.append(f"  loans: {len(summary.loans)} ops moved "
+    if store.loans:
+        moved = sum(len(op.get("servers") or []) for op in store.loans)
+        lines.append(f"  loans: {len(store.loans)} ops moved "
                      f"{moved} servers to training")
 
     lines.append("")
     lines.append("== phase timing (wall clock) ==")
-    if not summary.phases:
+    if not store.phases:
         lines.append("  no profiling data in this trace")
     else:
         header = (f"  {'phase':<28}{'calls':>8}{'total s':>10}"
                   f"{'mean ms':>10}{'max ms':>10}")
         lines.append(header)
         lines.append("  " + "-" * (len(header) - 2))
-        ordered = sorted(summary.phases.items(),
+        ordered = sorted(store.phases.items(),
                          key=lambda kv: -kv[1].get("total_s", 0.0))
         for name, stats in ordered:
             lines.append(
@@ -238,22 +172,17 @@ def render_summary(summary: TraceSummary, top: int = 5) -> str:
                 f"{stats.get('mean_ms', 0.0):>10.3f}"
                 f"{stats.get('max_ms', 0.0):>10.3f}"
             )
-    if summary.metrics:
+    if store.metrics:
         lines.append("")
         lines.append("== recorded metrics ==")
         for kind in ("counters", "gauges"):
             for key, value in sorted(
-                (summary.metrics.get(kind) or {}).items()
+                (store.metrics.get(kind) or {}).items()
             ):
                 formatted = (f"{value:.4f}" if isinstance(value, float)
                              else str(value))
                 lines.append(f"  {key:<34}{formatted:>12}")
     return "\n".join(lines)
-
-
-def inspect_trace(path: str, top: int = 5) -> str:
-    """One-call helper: load, summarize and render ``path``."""
-    return render_summary(summarize(load_trace(path)), top=top)
 
 
 # ----------------------------------------------------------------------

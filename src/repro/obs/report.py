@@ -1,10 +1,11 @@
 """`repro report`: a deterministic markdown run report from one trace.
 
-The report is built from simulated-time data only — JCT and queue-wait
-percentiles from the metrics registry snapshot embedded in the trace,
-utilization from the periodic ``cluster.usage`` samples, loan/reclaim
-and preemption summaries from lifecycle events, the decision ledger
-from ``plan.provenance``, and the phase table reduced to call counts
+The report renders a :class:`~repro.obs.timeline.TimelineStore` from
+simulated-time data only — JCT and queue-wait percentiles from the
+metrics registry snapshot embedded in the trace, utilization from the
+periodic ``cluster.usage`` samples, loan/reclaim and preemption
+summaries from lifecycle events, the decision ledger from
+``plan.provenance``, and the phase table reduced to call counts
 (wall-clock totals are intentionally excluded).  Two same-seed runs
 therefore produce byte-identical reports, which CI asserts.
 """
@@ -13,9 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.obs.inspect import summarize
 from repro.obs.metrics import percentile
-from repro.obs.timeline import TimelineStore
 
 #: percentiles shown in the latency tables
 _PCTS = (25, 50, 75, 95, 99)
@@ -50,31 +49,24 @@ def _hist_row(label: str, hist: Optional[Dict[str, Any]],
     return "| " + label + " | " + " | ".join(cells) + " |"
 
 
-def build_report(trace: Dict[str, Any]) -> str:
-    """Render one loaded trace as the markdown run report."""
-    summary = summarize(trace)
-    store = TimelineStore.from_trace(trace)
-    events = trace["events"]
-    metrics = (trace.get("summary") or {}).get("metrics") or {}
-    histograms = metrics.get("histograms") or {}
-    counters = metrics.get("counters") or {}
+def build_report(store) -> str:
+    """Render a :class:`~repro.obs.timeline.TimelineStore` as the markdown
+    run report."""
+    histograms = store.metrics.get("histograms") or {}
+    counters = store.metrics.get("counters") or {}
 
     lines: List[str] = ["# Run report", ""]
-    if summary.skipped_lines:
-        lines.append(f"> warning: {summary.skipped_lines} corrupt trace "
+    if store.skipped_lines:
+        lines.append(f"> warning: {store.skipped_lines} corrupt trace "
                      f"line(s) skipped while loading")
         lines.append("")
 
     # -- run configuration ---------------------------------------------
-    config = next(
-        (e.get("args") or {} for e in events
-         if e.get("name") == "run.config"), None
-    )
-    if config:
+    if store.config:
         lines.append("## Run configuration")
         lines.append("")
-        for key in sorted(config):
-            value = config[key]
+        for key in sorted(store.config):
+            value = store.config[key]
             if key == "fault_plan":
                 value = "yes" if value else "none"
             lines.append(f"- {key}: {value}")
@@ -83,44 +75,32 @@ def build_report(trace: Dict[str, Any]) -> str:
     # -- job funnel -----------------------------------------------------
     lines.append("## Job funnel")
     lines.append("")
-    lines.append(f"- submitted: {summary.submissions}")
-    lines.append(f"- dispatches: {summary.starts}")
-    lines.append(f"- finished: {summary.finishes}")
-    lines.append(f"- preemptions: {summary.preemptions}")
-    lines.append(f"- trace span: {_hours(summary.span)} simulated")
+    lines.append(f"- submitted: {store.submissions}")
+    lines.append(f"- dispatches: {store.starts}")
+    lines.append(f"- finished: {store.finishes}")
+    lines.append(f"- preemptions: {store.preemptions}")
+    lines.append(f"- trace span: {_hours(store.span)} simulated")
     lines.append("")
 
     # -- latency percentiles -------------------------------------------
-    jct_values = sorted(
-        float((e.get("args") or {}).get("jct_s", 0.0))
-        for e in events if e.get("name") == "job.finish"
-    )
-    first_start: Dict[Any, float] = {}
-    for e in events:
-        if e.get("name") == "job.start" \
-                and e.get("job_id") not in first_start:
-            first_start[e.get("job_id")] = float(
-                (e.get("args") or {}).get("queued_s", 0.0)
-            )
-    wait_values = sorted(first_start.values())
     lines.append("## Completion and queueing (seconds)")
     lines.append("")
     header = ["count", "mean"] + [f"p{p}" for p in _PCTS] + ["min", "max"]
     lines.append("| metric | " + " | ".join(header) + " |")
     lines.append("|" + "---|" * (len(header) + 1))
-    lines.append(_hist_row("JCT", histograms.get("sim.jct_s"), jct_values))
-    lines.append(_hist_row("queue wait",
-                           histograms.get("sim.queue_wait_s"), wait_values))
+    lines.append(_hist_row("JCT", histograms.get("sim.jct_s"),
+                           sorted(store.jcts)))
+    lines.append(_hist_row("queue wait", histograms.get("sim.queue_wait_s"),
+                           sorted(store.first_waits.values())))
     lines.append("")
 
     # -- utilization ----------------------------------------------------
-    usage = [e.get("args") or {} for e in events
-             if e.get("name") == "cluster.usage"]
     lines.append("## Utilization")
     lines.append("")
-    if usage:
+    if store.usage:
         def series(key):
-            return [float(u[key]) for u in usage if u.get(key) is not None]
+            return [float(u[key]) for u in store.usage
+                    if u.get(key) is not None]
         for label, key in (("training", "training"),
                            ("overall", "overall"),
                            ("on-loan", "onloan_usage")):
@@ -143,22 +123,22 @@ def build_report(trace: Dict[str, Any]) -> str:
     # -- loan / reclaim timeline ---------------------------------------
     lines.append("## Loan / reclaim timeline")
     lines.append("")
-    if not summary.loans and not summary.reclaims:
+    if not store.loans and not store.reclaims:
         lines.append("- no capacity movement recorded")
     else:
-        moved = sum(len(op.get("servers") or []) for op in summary.loans)
+        moved = sum(len(op.get("servers") or []) for op in store.loans)
         returned = sum(len(op.get("servers") or [])
-                       for op in summary.reclaims)
-        lines.append(f"- {len(summary.loans)} loan op(s) moved {moved} "
+                       for op in store.reclaims)
+        lines.append(f"- {len(store.loans)} loan op(s) moved {moved} "
                      f"server(s) to training")
-        lines.append(f"- {len(summary.reclaims)} reclaim op(s) returned "
+        lines.append(f"- {len(store.reclaims)} reclaim op(s) returned "
                      f"{returned} server(s) to inference")
-        if summary.reclaims:
+        if store.reclaims:
             lines.append("")
             lines.append("| sim time | demand | returned | preempted | "
                          "collateral |")
             lines.append("|---|---|---|---|---|")
-            for op in summary.reclaims:
+            for op in store.reclaims:
                 servers = op.get("servers") or []
                 lines.append(
                     f"| {_hours(op.get('ts', 0.0))} "
@@ -172,14 +152,14 @@ def build_report(trace: Dict[str, Any]) -> str:
     # -- preemptions ----------------------------------------------------
     lines.append("## Preemptions")
     lines.append("")
-    if not summary.preemptions:
+    if not store.preemptions:
         lines.append("- none recorded")
     else:
-        for cause in sorted(summary.preempt_causes,
-                            key=lambda c: (-summary.preempt_causes[c], c)):
-            count = summary.preempt_causes[cause]
+        for cause in sorted(store.preempt_causes,
+                            key=lambda c: (-store.preempt_causes[c], c)):
+            count = store.preempt_causes[cause]
             lines.append(f"- {cause}: {count} "
-                         f"({count / summary.preemptions:.1%})")
+                         f"({count / store.preemptions:.1%})")
     lines.append("")
 
     # -- decision ledger ------------------------------------------------
@@ -210,13 +190,13 @@ def build_report(trace: Dict[str, Any]) -> str:
     # deterministic and never appears in this report) -------------------
     lines.append("## Phase breakdown")
     lines.append("")
-    if not summary.phases:
+    if not store.phases:
         lines.append("- no profiling data in this trace")
     else:
         lines.append("| phase | calls |")
         lines.append("|---|---|")
         ordered = sorted(
-            summary.phases.items(),
+            store.phases.items(),
             key=lambda kv: (-int(kv[1].get("calls", 0)), kv[0]),
         )
         for name, stats in ordered:

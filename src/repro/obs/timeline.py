@@ -1,22 +1,25 @@
-"""Timeline reconstruction: per-job lifecycles from a trace, plus the
+"""Timeline reconstruction: the one index of a loaded trace, plus the
 causal narration behind ``repro why``.
 
 A flat event trace answers *what happened*; this module rebuilds *to
-whom* and *because of what*.  :class:`TimelineStore` ingests a loaded
-trace once and indexes the two views ``repro why`` and ``repro
-report`` read:
+whom* and *because of what*.  :class:`TimelineStore` walks a loaded
+trace once and is the one place that decides what an event means;
+``repro inspect``, ``repro report`` and ``repro why`` all read it:
 
 * per-job lifecycles — queued → running → preempted/scaled →
   completed, each transition carrying the servers, GPU types and loan
   status recorded at dispatch;
 * the decision ledger — every ``plan.provenance`` event, keyed by
-  commit time, with its triggers, inputs and pricing.
+  commit time, with its triggers, inputs and pricing;
+* the event census, job funnel, preemptions, loans and reclaims, fault
+  records, utilization samples, run configuration, waits and JCTs, and
+  the trace's recorded summary.
 
 :meth:`TimelineStore.why` walks a job's transitions and attaches a
 causal chain to each: the plan that committed it, the triggers that
 scheduled that plan's epoch, and — where a trigger or cause points at a
-fault — the fault-plan event behind it.  Everything is derived from
-simulated time only, so the narration is deterministic for seeded runs.
+fault — the fault-plan event behind it.  Everything but the phase table
+is simulated-time data, so it is deterministic for seeded runs.
 """
 
 from __future__ import annotations
@@ -36,6 +39,15 @@ _JOB_STATES = {
 
 #: plan-action kinds that put (or keep) a job on servers
 _DISPATCH_KINDS = ("launch", "scale_out", "scale_in")
+
+#: Event-name prefixes the toolchain emits today.  The census counts
+#: every event either way, but names outside this vocabulary are kept
+#: apart so a producer/consumer drift (or a hand-edited trace) is
+#: visible instead of silently folded into the census.
+KNOWN_EVENT_PREFIXES = (
+    "job.", "scheduler.", "orchestrator.", "cluster.", "fault.",
+    "recovery.", "plan.", "obs.", "run.", "trace.",
+)
 
 
 @dataclass(frozen=True)
@@ -105,24 +117,68 @@ class Explanation:
 
 
 class TimelineStore:
-    """Indexed per-job and per-plan views over one trace."""
+    """Every view the offline tools read of one trace, built in one pass."""
 
     def __init__(self) -> None:
         self.jobs: Dict[int, JobTimeline] = {}
         self.plans: List[PlanRecord] = []
         self.faults: List[Dict[str, Any]] = []
         self.node_failures: List[Dict[str, Any]] = []
+        #: event name -> count, and the names outside the vocabulary
+        self.counts: Dict[str, int] = {}
+        self.unknown_events: Dict[str, int] = {}
+        self.total_events = 0
+        self.span = 0.0  # simulated seconds, first event to last
+        self.preempt_causes: Dict[str, int] = {}
+        self.preempt_victims: Dict[int, int] = {}
+        #: orchestrator operations as ``{"ts": ..., **args}``
+        self.loans: List[Dict[str, Any]] = []
+        self.reclaims: List[Dict[str, Any]] = []
+        self.usage: List[Dict[str, Any]] = []  # cluster.usage args
+        self.config: Optional[Dict[str, Any]] = None  # first run.config
+        #: job -> queue wait at its first dispatch; JCT per finish
+        self.first_waits: Dict[Any, float] = {}
+        self.jcts: List[float] = []
+        #: the trace's recorded summary, and the corrupt lines skipped
+        self.phases: Dict[str, Dict[str, float]] = {}
+        self.metrics: Dict[str, Any] = {}
+        self.skipped_lines = 0
+
+    # the job funnel, read off the census
+    @property
+    def submissions(self) -> int:
+        return self.counts.get("job.submit", 0)
+
+    @property
+    def starts(self) -> int:
+        return self.counts.get("job.start", 0)
+
+    @property
+    def finishes(self) -> int:
+        return self.counts.get("job.finish", 0)
+
+    @property
+    def preemptions(self) -> int:
+        return self.counts.get("job.preempt", 0)
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
     @classmethod
     def from_trace(cls, trace: Dict[str, Any]) -> "TimelineStore":
+        """Index a trace as :func:`repro.obs.inspect.load_trace` loads it."""
         store = cls()
-        for event in sorted(
-            trace["events"], key=lambda e: e.get("ts", 0.0)
-        ):
+        events = sorted(trace["events"], key=lambda e: e.get("ts", 0.0))
+        for event in events:
             store._ingest(event)
+        store.total_events = len(events)
+        if events:
+            store.span = (events[-1].get("ts", 0.0)
+                          - events[0].get("ts", 0.0))
+        summary = trace.get("summary") or {}
+        store.phases = summary.get("phases") or {}
+        store.metrics = summary.get("metrics") or {}
+        store.skipped_lines = int(trace.get("skipped_lines", 0))
         return store
 
     def _job(self, job_id: int) -> JobTimeline:
@@ -134,12 +190,28 @@ class TimelineStore:
         name = event.get("name", "?")
         ts = float(event.get("ts", 0.0))
         args = event.get("args") or {}
+        job_id = event.get("job_id")
+        self.counts[name] = self.counts.get(name, 0) + 1
+        if not name.startswith(KNOWN_EVENT_PREFIXES):
+            self.unknown_events[name] = self.unknown_events.get(name, 0) + 1
         if name in _JOB_STATES:
-            job_id = event.get("job_id")
             if job_id is not None:
                 self._job(job_id).transitions.append(
                     Transition(ts=ts, state=_JOB_STATES[name], detail=args)
                 )
+            if name == "job.start" and job_id not in self.first_waits:
+                self.first_waits[job_id] = float(args.get("queued_s", 0.0))
+            elif name == "job.finish":
+                self.jcts.append(float(args.get("jct_s", 0.0)))
+            elif name == "job.preempt":
+                cause = args.get("cause", "unknown")
+                self.preempt_causes[cause] = (
+                    self.preempt_causes.get(cause, 0) + 1
+                )
+                if job_id is not None:
+                    self.preempt_victims[job_id] = (
+                        self.preempt_victims.get(job_id, 0) + 1
+                    )
             return
         if name == "plan.provenance":
             self.plans.append(PlanRecord(
@@ -153,13 +225,19 @@ class TimelineStore:
                 span_id=args.get("span_id"),
                 dropped_triggers=int(args.get("dropped_triggers", 0)),
             ))
-            return
-        if name == "cluster.node_failure":
+        elif name == "orchestrator.loan":
+            self.loans.append({"ts": ts, **args})
+        elif name == "orchestrator.reclaim":
+            self.reclaims.append({"ts": ts, **args})
+        elif name == "cluster.usage":
+            self.usage.append(args)
+        elif name == "run.config" and self.config is None:
+            self.config = args
+        elif name == "cluster.node_failure":
             self.node_failures.append({"ts": ts, **args})
-            return
         # a straggler's end is not a fault of its own: the census counts
         # its start
-        if name.startswith("fault.") and name != "fault.straggler_end":
+        elif name.startswith("fault.") and name != "fault.straggler_end":
             self.faults.append({"ts": ts, "name": name, **args})
 
     # ------------------------------------------------------------------

@@ -151,6 +151,10 @@ class SnapshotCodec:
         return cls.decode(data)
 
 
+#: snapshots a directory keeps; each write prunes the older ones
+KEEP_SNAPSHOTS = 3
+
+
 class SnapshotStore:
     """Owns the ``snapshot-NNNNNN.ckpt`` files of one directory."""
 
@@ -171,10 +175,14 @@ class SnapshotStore:
         return sorted(self.directory.glob(SNAPSHOT_GLOB))
 
     def write(self, blob: bytes) -> Tuple[Path, int]:
-        """Write payload bytes as the next snapshot; (path, file size)."""
+        """Write payload bytes as the next snapshot, then prune to the
+        newest :data:`KEEP_SNAPSHOTS`; (path, file size)."""
         self.seq += 1
         path = self.directory / f"snapshot-{self.seq:06d}.ckpt"
-        return path, SnapshotCodec.dump(blob, path)
+        size = SnapshotCodec.dump(blob, path)
+        for old in self.paths()[:-KEEP_SNAPSHOTS]:
+            old.unlink()
+        return path, size
 
     def load_newest(
         self,
@@ -190,8 +198,3 @@ class SnapshotStore:
                 logger.warning("skipping snapshot %s: %s", path.name, exc)
                 skipped.append(path)
         return None, None, skipped
-
-    def prune(self, keep: int) -> None:
-        """Delete all but the ``keep`` newest snapshots."""
-        for old in self.paths()[:-keep]:
-            old.unlink()

@@ -50,9 +50,6 @@ from repro.recovery.codec import SnapshotStore
 from repro.recovery.state import capture_payload, restore_payload
 from repro.recovery.wal import AppendLog, PlanWAL
 
-#: snapshots kept in the state directory; older ones are pruned
-KEEP_SNAPSHOTS = 3
-
 
 class RequestJournal:
     """Append-only fsynced JSONL journal of acked requests."""
@@ -132,7 +129,6 @@ class ServeState:
         self._logged_at_snapshot += self.logged_since_snapshot
         self.snapshot_kernel_time = kernel.now
         self.snapshots_written += 1
-        self.store.prune(KEEP_SNAPSHOTS)
         return path
 
     def load_kernel(self) -> Optional[Tuple[object, int]]:

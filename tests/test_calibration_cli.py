@@ -115,6 +115,24 @@ class TestCLI:
         assert "lyra vs baseline" in out
         assert "x queuing" in out
 
+    def test_compare_checks_shapes_on_the_papers_setup(self, capsys):
+        """An idle cluster leaves loaning nothing to win, so its JCT claim
+        fails and text-mode `compare` exits 1; off the paper's setup, or
+        with --json, it prints no verdict and exits 0."""
+        idle = [
+            "compare", "--schemes", "baseline", "lyra_loaning",
+            "--jobs", "10", "--days", "0.5",
+            "--training-servers", "8", "--inference-servers", "1",
+        ]
+        assert main(idle) == 1
+        out = capsys.readouterr().out
+        assert "[!] loaning-only JCT reduction" in out
+        assert "shape verdict: " in out
+        for extra in (["--scenario", "heterogeneous"],
+                      ["--scaling-model", "sublinear20"], ["--json"]):
+            assert main([*idle, *extra]) == 0
+            assert "shape verdict" not in capsys.readouterr().out
+
     def test_trace_export(self, tmp_path, capsys):
         out_file = tmp_path / "trace.json"
         rc = main([
@@ -377,8 +395,11 @@ class TestCLI:
         assert market["training_regions"] == ["train-r0", "train-r1"]
 
     def test_report_command(self, capsys):
+        """The headline schemes side by side against baseline: `compare`
+        checks their shapes against the paper."""
         rc = main([
-            "report", "--jobs", "120", "--days", "0.5",
+            "compare", "--schemes", "baseline", "lyra", "lyra_loaning",
+            "lyra_scaling", "--jobs", "120", "--days", "0.5",
             "--training-servers", "8", "--inference-servers", "10",
             "--seed", "1",
         ])

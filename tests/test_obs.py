@@ -3,7 +3,10 @@ the kernel's phase clock, trace inspection and the CLI wiring."""
 
 import json
 import math
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -12,11 +15,9 @@ from repro.obs import Observability
 from repro.obs.inspect import (
     TraceFormatError,
     diff_traces,
-    inspect_trace,
     load_trace,
     render_diff,
     render_summary,
-    summarize,
 )
 from repro.obs.metrics import MetricsRegistry, percentile
 from repro.obs.provenance import PROVENANCE_EVENT
@@ -274,7 +275,7 @@ class TestEndToEnd:
 
     def test_inspect_renders_all_sections(self, traced):
         _, path = traced
-        report = inspect_trace(path)
+        report = render_summary(TimelineStore.from_trace(load_trace(path)))
         for section in ("trace overview", "event census",
                         "phase timing", "recorded metrics"):
             assert section in report
@@ -309,7 +310,9 @@ class TestEndToEnd:
             sim.run()
             path = tmp_path / f"t{i}.jsonl"
             sim.export_trace(str(path))
-            reports.append(inspect_trace(str(path)))
+            reports.append(render_summary(
+                TimelineStore.from_trace(load_trace(str(path)))
+            ))
         head = [r.split("== phase timing")[0] for r in reports]
         assert head[0] == head[1]
 
@@ -352,7 +355,7 @@ class TestInspectLoader:
         assert [e["name"] for e in trace["events"]] \
             == ["job.submit", "job.start"]
         assert trace["skipped_lines"] == 2
-        summary = summarize(trace)
+        summary = TimelineStore.from_trace(trace)
         assert summary.skipped_lines == 2
         assert "skipped 2 corrupt lines" in render_summary(summary)
 
@@ -368,7 +371,7 @@ class TestInspectLoader:
             {"ts": 1.0, "name": "mystery.event"},
             {"ts": 2.0, "name": "mystery.event"},
         ], "summary": {}}
-        summary = summarize(trace)
+        summary = TimelineStore.from_trace(trace)
         assert summary.unknown_events == {"mystery.event": 2}
         assert "unrecognized event types: mystery.event ×2" \
             in render_summary(summary)
@@ -387,7 +390,7 @@ class TestInspectLoader:
         event = next(e for e in trace["events"] if e["name"] == "job.submit")
         assert event["ts"] == pytest.approx(1.0)
         assert event["job_id"] == 4
-        summary = summarize(trace)
+        summary = TimelineStore.from_trace(trace)
         assert (summary.submissions, summary.starts, summary.finishes) \
             == (1, 1, 1)
 
@@ -403,7 +406,7 @@ class TestInspectLoader:
              "args": {"demand": 2, "servers": ["i0"], "preempted": [1],
                       "collateral": 0.25}},
         ], "summary": {}}
-        summary = summarize(trace)
+        summary = TimelineStore.from_trace(trace)
         assert summary.preemptions == 3
         assert summary.preempt_causes == {"reclaim": 2, "node_failure": 1}
         assert summary.preempt_victims == {1: 2, 2: 1}
@@ -639,6 +642,8 @@ def chaos_trace(tmp_path_factory):
     sim.run()
     path = tmp_path_factory.mktemp("chaos") / "chaos.jsonl"
     sim.export_trace(str(path))
+    # the same run in Chrome format, beside it, for the format tests
+    sim.export_trace(str(path.with_suffix(".json")), format="chrome")
     return str(path)
 
 
@@ -724,6 +729,28 @@ class TestTimelineAndWhy:
         assert "preempted" in text
 
 
+class TestFormatsAgree:
+    def test_jsonl_and_chrome_give_the_same_answers(self, chaos_trace,
+                                                    capsys):
+        """`report` and `why` read one store, so the two export formats
+        of one run give byte-identical answers."""
+        chrome = str(Path(chaos_trace).with_suffix(".json"))
+        store = TimelineStore.from_trace(load_trace(chaos_trace))
+        preempted = min(store.preempt_victims)
+        jobs = sorted({min(store.jobs), preempted, max(store.jobs)})
+        assert len(jobs) == 3
+        answers = []
+        for path in (chaos_trace, chrome):
+            outs = []
+            for argv in (["report", path],
+                         *(["why", path, str(job)] for job in jobs)):
+                assert main(argv) == 0
+                outs.append(capsys.readouterr().out)
+            answers.append(outs)
+        assert answers[0] == answers[1]
+        assert "preempted (cause=" in answers[0][1 + jobs.index(preempted)]
+
+
 class TestRunReport:
     def test_byte_deterministic_across_same_seed_runs(self, tmp_path):
         reports = []
@@ -732,11 +759,13 @@ class TestRunReport:
             sim.run()
             path = tmp_path / f"r{i}.jsonl"
             sim.export_trace(str(path))
-            reports.append(build_report(load_trace(str(path))))
+            reports.append(build_report(
+                TimelineStore.from_trace(load_trace(str(path)))
+            ))
         assert reports[0] == reports[1]
 
     def test_sections_and_percentiles(self, chaos_trace):
-        text = build_report(load_trace(chaos_trace))
+        text = build_report(TimelineStore.from_trace(load_trace(chaos_trace)))
         for section in ("# Run report", "## Job funnel",
                         "## Completion and queueing", "## Utilization",
                         "## Loan / reclaim timeline", "## Preemptions",
@@ -749,7 +778,7 @@ class TestRunReport:
 
     def test_excludes_wall_clock(self, chaos_trace):
         # phase table is call counts only; spans never appear
-        text = build_report(load_trace(chaos_trace))
+        text = build_report(TimelineStore.from_trace(load_trace(chaos_trace)))
         assert "total_s" not in text
         assert "mean_ms" not in text
         assert "dur_ms" not in text
@@ -762,7 +791,7 @@ class TestRunReport:
             {"ts": 10.0, "name": "job.finish", "job_id": 1,
              "args": {"jct_s": 10.0}},
         ], "summary": {}}
-        text = build_report(trace)
+        text = build_report(TimelineStore.from_trace(trace))
         assert "| JCT | 1 | 10.0 |" in text
         assert "| queue wait | 1 | 5.0 |" in text
 
@@ -934,3 +963,30 @@ class TestCLIObservability:
         assert "exactly two" in capsys.readouterr().err
         assert main(["inspect", str(a), str(b)]) == 2
         assert "one trace" in capsys.readouterr().err
+
+    def test_report_takes_a_trace_only(self, tmp_path):
+        """`report` renders a trace; the scheme comparison is `compare`'s,
+        so the setup options are refused, not silently ignored."""
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"ts": 0.0, "name": "job.submit", "job_id": 1}\n')
+        for argv in (["report"], ["report", str(path), "--jobs", "5"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+
+    def test_a_closed_stdout_ends_quietly(self, chaos_trace):
+        """`repro why T J | head -1`: when the reader goes away the
+        command ends as SIGPIPE would end it, exit 128 + 13, with no
+        traceback — whether the output overflows the buffer mid-command
+        or is flushed at the end."""
+        job_id = min(TimelineStore.from_trace(load_trace(chaos_trace)).jobs)
+        for argv in (["why", chaos_trace, str(job_id)],
+                     ["inspect", chaos_trace], ["paper", "headlines"]):
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro", *argv],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            )
+            proc.stdout.close()  # long before the command writes
+            err = proc.stderr.read().decode()
+            proc.stderr.close()
+            assert (proc.wait(timeout=60), err) == (141, ""), argv

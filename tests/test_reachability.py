@@ -65,8 +65,6 @@ BENCH_ONLY: Dict[str, str] = {
     "(bench_fig12_bootstrap)",
     "repro.traces.models.fig3_series": "Fig. 3 throughput curves "
     "(bench_fig3_throughput_scaling)",
-    "repro.obs.inspect.inspect_trace": "trace summary the "
-    "trace_inspection_demo prints (the CLI's inspect renders its own)",
 }
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")

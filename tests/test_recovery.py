@@ -44,6 +44,7 @@ from repro.ioutil import atomic_write, atomic_write_text
 from repro.obs import Observability
 from repro.rm.manager import TransientLaunchError
 from repro.recovery.codec import (
+    KEEP_SNAPSHOTS,
     SCHEMA_VERSION,
     SnapshotCodec,
     SnapshotError,
@@ -182,6 +183,23 @@ class TestKillAnywhereEquivalence:
         assert manager.checkpoints > 0
         assert list(tmp_path.glob("snapshot-*.ckpt"))
         assert (tmp_path / "wal.jsonl").exists()
+
+    def test_a_checkpoint_directory_keeps_the_newest_snapshots(
+        self, tmp_path
+    ):
+        """Every write prunes: a run that snapshots 19 times leaves the
+        newest three beside its WAL, not one file per interval."""
+        from repro.cli import main
+
+        assert main([
+            "run", "--scheme", "lyra", "--jobs", "80", "--days", "0.5",
+            "--training-servers", "8", "--inference-servers", "10",
+            "--checkpoint-dir", str(tmp_path), "--checkpoint-every", "3000",
+        ]) == 0
+        assert KEEP_SNAPSHOTS == 3
+        assert [p.name for p in sorted(tmp_path.glob("snapshot-*.ckpt"))] \
+            == ["snapshot-000017.ckpt", "snapshot-000018.ckpt",
+                "snapshot-000019.ckpt"]
 
     def test_wal_digests_do_not_depend_on_tracing(self, tmp_path):
         """A reclaim plan is priced when it is planned, watched or not:
