@@ -23,11 +23,18 @@ absolute bar guards against scan regressions rather than claiming
 interactive latency — measured means are 28-34 ms, 63-104 ms before
 placement became one argmin; the per-epoch object scans this view
 replaced sat at 1.9-2.7 s here.)
+Every tier also generates the paper-shaped trace (15 days, 50,390 jobs,
+3,544 training GPUs, §7.1) once and records it as ``generation``: the
+seconds it took (``gen_s``), its job count and the sha256 of its specs.
 Results land in ``BENCH_scale.json`` (override with ``--out``).
 With ``--baseline`` the run fails when any cell's mean epoch latency
 regresses past 2x the committed baseline, or when its activity-log
 ``sha256`` differs from the baseline cell's — a faster epoch that
-decides differently is not a speed-up.
+decides differently is not a speed-up — and likewise when ``gen_s``
+is over 2x the baseline's or ``specs_sha256`` differs from it.  (The
+trace's floats come from Python's ``sum``, compensated since CPython
+3.12, so ``specs_sha256`` is that of the interpreter the baseline was
+recorded on: 3.11.)
 """
 
 from __future__ import annotations
@@ -79,6 +86,8 @@ REGRESSION_FACTOR = 2.0
 #: O(servers) or O(pending) Python scan (1.9-2.7 s here) trips it
 #: immediately.
 XL_MAX_MEAN_MS = 150.0
+#: The paper's trace (§7.1), generated once per run.
+PAPER_TRACE = TraceConfig(num_jobs=50390, days=15.0, cluster_gpus=3544)
 
 
 def _digest(activities) -> str:
@@ -139,7 +148,20 @@ def run_cell(servers: int, jobs: int, scheme: str) -> dict:
     }
 
 
-def check_baseline(cells, baseline_path: str) -> list:
+def run_generation() -> dict:
+    start = time.perf_counter()
+    specs = generate_workload(PAPER_TRACE).specs
+    gen_s = time.perf_counter() - start
+    return {
+        "gen_s": round(gen_s, 3),
+        "jobs": len(specs),
+        "specs_sha256": hashlib.sha256(
+            "\n".join(map(repr, specs)).encode()
+        ).hexdigest(),
+    }
+
+
+def check_baseline(cells, baseline_path: str, generation=None) -> list:
     with open(baseline_path) as fh:
         baseline = json.load(fh)
     ref = {
@@ -160,6 +182,18 @@ def check_baseline(cells, baseline_path: str) -> list:
             failures.append(
                 f"{key}: activity log sha256 {cell['sha256'][:12]}... "
                 f"!= baseline {ref[key]['sha256'][:12]}..."
+            )
+    ref_gen = baseline.get("generation")
+    if generation is not None and ref_gen is not None:
+        if generation["gen_s"] > REGRESSION_FACTOR * ref_gen["gen_s"]:
+            failures.append(
+                f"generation: {generation['gen_s']:.3f} s "
+                f"> {REGRESSION_FACTOR}x baseline {ref_gen['gen_s']:.3f} s"
+            )
+        if generation["specs_sha256"] != ref_gen["specs_sha256"]:
+            failures.append(
+                f"generation: specs sha256 {generation['specs_sha256'][:12]}... "
+                f"!= baseline {ref_gen['specs_sha256'][:12]}..."
             )
     return failures
 
@@ -183,8 +217,9 @@ def main(argv=None) -> int:
                         help="result JSON path")
     parser.add_argument("--baseline",
                         help="committed baseline JSON; fail on >2x "
-                             "epoch-latency regression or a changed "
-                             "activity-log sha256 in any cell")
+                             "epoch-latency or generation-time regression, "
+                             "a changed activity-log sha256 in any cell or "
+                             "a changed generated-trace sha256")
     args = parser.parse_args(argv)
     if args.quick and args.xl:
         parser.error("--quick and --xl are mutually exclusive")
@@ -196,6 +231,11 @@ def main(argv=None) -> int:
     else:
         scales = FULL_SCALES
 
+    generation = run_generation()
+    print(
+        f"generation  {generation['jobs']} jobs (paper shape) in "
+        f"{generation['gen_s']:.3f} s"
+    )
     cells = []
     for servers, jobs in scales:
         for scheme in sorted(SCHEMES):
@@ -211,6 +251,7 @@ def main(argv=None) -> int:
             "quick": args.quick,
             "xl": args.xl,
         },
+        "generation": generation,
         "cells": cells,
         "all_logs_identical": all(c["logs_identical"] for c in cells),
         "max_mean_ms": max(c["mean_ms"] for c in cells),
@@ -232,7 +273,7 @@ def main(argv=None) -> int:
         )
         return 1
     if args.baseline:
-        failures = check_baseline(cells, args.baseline)
+        failures = check_baseline(cells, args.baseline, generation)
         if failures:
             for line in failures:
                 print(f"FAIL: {line}", file=sys.stderr)

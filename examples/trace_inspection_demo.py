@@ -7,10 +7,14 @@ prints the ``repro inspect`` report, and shows how to answer ad-hoc
 questions directly from the in-memory event list — here, "which reclaim
 operations actually preempted somebody, and what did they cost?".
 
-Run:  python examples/trace_inspection_demo.py
+Run:  python examples/trace_inspection_demo.py [OUT_DIR]
+
+The two trace files go into OUT_DIR when one is given (and stay there);
+otherwise into a temporary directory that is removed at exit.
 """
 
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -20,7 +24,7 @@ from repro.obs.timeline import TimelineStore
 from repro.scenarios import build_sim, default_setup
 
 
-def main() -> None:
+def tour(out_dir: Path) -> None:
     # A small cluster under pressure so reclaims have to preempt.
     setup = default_setup(
         num_jobs=200,
@@ -39,7 +43,6 @@ def main() -> None:
         f"{len({e.name for e in obs.tracer.events})} event types"
     )
 
-    out_dir = Path(tempfile.mkdtemp(prefix="lyra-trace-"))
     jsonl = out_dir / "trace.jsonl"
     chrome = out_dir / "trace_chrome.json"
     sim.export_trace(str(jsonl))
@@ -74,5 +77,16 @@ def main() -> None:
             print(" ", json.dumps(json.loads(line), sort_keys=True))
 
 
+def main(argv) -> None:
+    if argv:
+        out_dir = Path(argv[0])
+        out_dir.mkdir(parents=True, exist_ok=True)
+        tour(out_dir)
+        return
+    with tempfile.TemporaryDirectory(prefix="lyra-trace-") as tmp:
+        tour(Path(tmp))
+    print(f"\nremoved {tmp} (pass a directory to keep the traces)")
+
+
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

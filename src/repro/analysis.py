@@ -9,11 +9,12 @@ magnitude) holds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List
 
 from repro import paper
-from repro.simulator.metrics import SimulationMetrics, reduction
+from repro.simulator.metrics import SimulationMetrics, ratio_text, reduction
 
 
 @dataclass(frozen=True)
@@ -25,7 +26,7 @@ class ShapeCheck:
         paper_value: The published ratio/number.
         measured: What this run produced.
         holds: Direction matches (measured on the same side of 1.0 /
-            same ordering).
+            same ordering); never for an undefined (``nan``) ratio.
         within_band: Additionally within ``band`` of the paper's
             magnitude (informational; shape reproduction does not
             require it).
@@ -41,14 +42,15 @@ class ShapeCheck:
         mark = "+" if self.holds else "!"
         return (
             f"[{mark}] {self.name}: paper {self.paper_value:.2f}, "
-            f"measured {self.measured:.2f}"
+            f"measured {ratio_text(self.measured)}"
         )
 
 
 def _ratio_check(
     name: str, paper_value: float, measured: float, band: float
 ) -> ShapeCheck:
-    holds = (measured > 1.0) == (paper_value > 1.0)
+    # An undefined ratio (nothing waited on either side) tests nothing.
+    holds = not math.isnan(measured) and (measured > 1.0) == (paper_value > 1.0)
     within = (
         abs(measured - paper_value) <= band * paper_value
         if paper_value

@@ -62,7 +62,7 @@ from repro.scenarios import (
     default_setup,
     wire_scheme,
 )
-from repro.simulator.metrics import SimulationMetrics, reduction
+from repro.simulator.metrics import SimulationMetrics, ratio_text, reduction
 from repro.traces.io import load_workload, save_workload
 from repro.traces.workload import TraceConfig, generate_workload
 
@@ -669,9 +669,10 @@ def cmd_compare(args) -> int:
         for name, metrics in results.items():
             if name == "baseline":
                 continue
-            print(f"{name} vs baseline: "
-                  f"{reduction(base.queuing_summary().mean, metrics.queuing_summary().mean):.2f}x queuing, "
-                  f"{reduction(base.jct_summary().mean, metrics.jct_summary().mean):.2f}x JCT")
+            queuing = reduction(base.queuing_summary().mean, metrics.queuing_summary().mean)
+            jct = reduction(base.jct_summary().mean, metrics.jct_summary().mean)
+            print(f"{name} vs baseline: {ratio_text(queuing, 'x')} queuing, "
+                  f"{ratio_text(jct, 'x')} JCT")
     checks = []
     if "baseline" in results \
             and (args.scenario, args.scaling_model) == ("basic", "linear"):

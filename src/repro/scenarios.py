@@ -16,7 +16,7 @@ reclaiming, Gandiva, AFS, Pollux, Lyra+TunedJobs).  This module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -85,17 +85,25 @@ SCHEMES: Dict[str, Scheme] = {
 # ----------------------------------------------------------------------
 # spec transforms
 # ----------------------------------------------------------------------
-def _make_elastic(spec: JobSpec) -> JobSpec:
+def _make_elastic(spec: JobSpec, **fields) -> JobSpec:
     """Ideal-scenario rule: requested demand becomes the base demand and
-    the scaling range is twice that (§7.1), preserving total workload."""
-    if spec.elastic:
-        return spec
-    return replace(
-        spec,
-        elastic=True,
-        min_workers=spec.max_workers,
-        max_workers=2 * spec.max_workers,
-        duration=spec.duration / 2.0,
+    the scaling range is twice that (§7.1), preserving total workload.
+    ``fields`` are set in the same ``replace``."""
+    if not spec.elastic:
+        fields.update(
+            elastic=True,
+            min_workers=spec.max_workers,
+            max_workers=2 * spec.max_workers,
+            duration=spec.duration / 2.0,
+        )
+    return replace(spec, **fields) if fields else spec
+
+
+def _pick(count: int, fraction: float, seed: int) -> Set[int]:
+    """A seeded random ``fraction`` of the indices ``range(count)``."""
+    rng = np.random.default_rng(seed)
+    return set(
+        rng.choice(count, size=int(round(fraction * count)), replace=False).tolist()
     )
 
 
@@ -103,12 +111,7 @@ def with_heterogeneous_fraction(
     specs: Sequence[JobSpec], fraction: float, seed: int = 0
 ) -> List[JobSpec]:
     """Mark a random ``fraction`` of jobs heterogeneous-capable."""
-    rng = np.random.default_rng(seed)
-    chosen = set(
-        rng.choice(
-            len(specs), size=int(round(fraction * len(specs))), replace=False
-        ).tolist()
-    )
+    chosen = _pick(len(specs), fraction, seed)
     return [
         replace(s, heterogeneous=(i in chosen)) for i, s in enumerate(specs)
     ]
@@ -118,12 +121,7 @@ def with_checkpointing_fraction(
     specs: Sequence[JobSpec], fraction: float, seed: int = 0
 ) -> List[JobSpec]:
     """Enable checkpointing on a random ``fraction`` of jobs (Fig. 13)."""
-    rng = np.random.default_rng(seed)
-    chosen = set(
-        rng.choice(
-            len(specs), size=int(round(fraction * len(specs))), replace=False
-        ).tolist()
-    )
+    chosen = _pick(len(specs), fraction, seed)
     return [
         replace(s, checkpointing=(i in chosen)) for i, s in enumerate(specs)
     ]
@@ -149,7 +147,7 @@ def with_elastic_fraction(
         ).tolist()
     )
     return [
-        _make_elastic(replace(s, fungible=True)) if i in chosen else s
+        _make_elastic(s, fungible=True) if i in chosen else s
         for i, s in enumerate(specs)
     ]
 
@@ -169,13 +167,13 @@ def apply_scenario(
     if scenario == "heterogeneous":
         # Fungible training load disabled; only the 10 % heterogeneous
         # jobs can touch on-loan servers (at non-ideal performance).
-        specs = [replace(s, fungible=False) for s in specs]
-        return with_heterogeneous_fraction(specs, 0.10, seed)
+        chosen = _pick(len(specs), 0.10, seed)
+        return [
+            replace(s, fungible=False, heterogeneous=(i in chosen))
+            for i, s in enumerate(specs)
+        ]
     # ideal: every job scales and runs heterogeneously at ideal speed.
-    return [
-        replace(_make_elastic(s), fungible=True, heterogeneous=True)
-        for s in specs
-    ]
+    return [_make_elastic(s, fungible=True, heterogeneous=True) for s in specs]
 
 
 # ----------------------------------------------------------------------

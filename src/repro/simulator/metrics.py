@@ -250,7 +250,14 @@ class SimulationMetrics:
 
 
 def reduction(baseline: float, ours: float) -> float:
-    """The paper's improvement metric: baseline duration / Lyra duration."""
+    """The paper's improvement metric: baseline duration / Lyra duration;
+    ``nan`` when neither waits (an idle cluster shows no reduction),
+    ``inf`` when only the baseline does."""
     if ours <= 0:
-        return math.inf
+        return math.nan if baseline <= 0 else math.inf
     return baseline / ours
+
+
+def ratio_text(value: float, unit: str = "") -> str:
+    """A reduction to two places, or ``n/a`` when it is undefined."""
+    return "n/a" if math.isnan(value) else f"{value:.2f}{unit}"

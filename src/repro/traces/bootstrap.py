@@ -9,7 +9,7 @@ is implemented here over synthetic traces.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -40,15 +40,16 @@ def bootstrap_trace(
             by_day[day].append(spec)
 
     sampled = rng.integers(0, source_days, size=days)
-    specs: List[JobSpec] = []
+    placed: List[Tuple[float, JobSpec]] = []
     for new_day, src_day in enumerate(sampled):
         for spec in by_day[int(src_day)]:
             offset = spec.submit_time - src_day * DAY
-            specs.append(
-                replace(spec, job_id=len(specs), submit_time=new_day * DAY + offset)
-            )
-    specs.sort(key=lambda s: s.submit_time)
-    specs = [replace(s, job_id=i) for i, s in enumerate(specs)]
+            placed.append((new_day * DAY + offset, spec))
+    placed.sort(key=lambda p: p[0])
+    specs = [
+        replace(spec, job_id=i, submit_time=submit)
+        for i, (submit, spec) in enumerate(placed)
+    ]
     config = replace(workload.config, num_jobs=max(1, len(specs)), days=float(days),
                      seed=seed)
     return Workload(specs=specs, config=config)

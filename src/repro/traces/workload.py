@@ -20,7 +20,7 @@ Everything is seeded and deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List
 
 import numpy as np
@@ -140,14 +140,28 @@ def generate_workload(config: TraceConfig = TraceConfig()) -> Workload:
     durations by a single factor so the offered load matches
     ``config.target_load`` exactly — the property the scheduling results
     are sensitive to.
+
+    Calibration works on per-job columns, in draw order (ordinary jobs,
+    then elastic ones), and each ``JobSpec`` is built once, at the end,
+    in permuted order.  The trace is exactly the one a spec-at-a-time
+    calibration gives, which holds only while these rules do:
+
+    * the RNG calls keep their arguments and their order;
+    * a job's work is ``duration * max_workers * gpus_per_worker``
+      evaluated left to right, as ``JobSpec.total_work`` does (numpy's
+      element-wise product rounds the same);
+    * every total is Python's ``sum`` over a list of Python floats in
+      draw order — not ``np.sum`` (pairwise) nor ``math.fsum``;
+    * a calibrated duration is ``min(cap, max(60.0, d * load_factor))``.
+
+    ``tests/test_traces.py`` pins the output of five configurations,
+    the paper-shaped trace among them.
     """
     rng = np.random.default_rng(config.seed)
     n = config.num_jobs
     span = config.days * DAY
     num_elastic = int(round(n * config.elastic_job_fraction))
     num_regular = n - num_elastic
-
-    specs: List[JobSpec] = []
 
     # --- ordinary jobs -------------------------------------------------
     gpus = rng.choice(_REGULAR_GPUS, size=num_regular, p=_REGULAR_PROBS)
@@ -158,36 +172,24 @@ def generate_workload(config: TraceConfig = TraceConfig()) -> Workload:
     durations = np.clip(
         rng.lognormal(math.log(1500.0), 1.7, num_regular), 120, regular_cap
     )
-    for i in range(num_regular):
-        total = int(gpus[i])
-        # Worker containers use at most 2 GPUs (the paper's testbed
-        # containers are 2-GPU, Fig. 3); multi-GPU jobs run more
-        # workers.  Small containers are also what lets fungible jobs
-        # re-shard onto 16 GB inference GPUs (§2.1).
-        gpw = 1 if total == 1 else 2
-        workers = max(1, total // gpw)
-        specs.append(
-            JobSpec(
-                job_id=i,
-                submit_time=0.0,
-                duration=float(durations[i]),
-                max_workers=workers,
-                min_workers=workers,
-                gpus_per_worker=gpw,
-                fungible=False,  # assigned below to hit the global fraction
-                model_family="generic",
-            )
-        )
+    # Worker containers use at most 2 GPUs (the paper's testbed
+    # containers are 2-GPU, Fig. 3); multi-GPU jobs run more workers.
+    # Small containers are also what lets fungible jobs re-shard onto
+    # 16 GB inference GPUs (§2.1).
+    gpus_per_worker = np.where(gpus == 1, 1, 2)
+    max_workers = np.maximum(1, gpus // gpus_per_worker)
+    min_workers = max_workers
+    families = ["generic"] * num_regular
 
     # --- elastic jobs ---------------------------------------------------
     # Large, long jobs from the four well-scaling families; base demand
     # r workers, scaling range up to 2r (the paper's Ideal-scenario rule,
     # reused as the default limited-elasticity range).
+    elastic_cap = min(5 * DAY, span / 2.0)
     if num_elastic:
-        families = rng.choice(len(ELASTIC_FAMILIES), size=num_elastic)
+        picked = rng.choice(len(ELASTIC_FAMILIES), size=num_elastic)
         base_workers = rng.choice([2, 4, 8, 12, 16], size=num_elastic,
                                   p=[0.30, 0.30, 0.20, 0.10, 0.10])
-        elastic_cap = min(5 * DAY, span / 2.0)
         elastic_durations = np.clip(
             rng.lognormal(
                 math.log(config.elastic_mean_hours * 3600.0) - 0.5 * 0.8**2,
@@ -197,59 +199,44 @@ def generate_workload(config: TraceConfig = TraceConfig()) -> Workload:
             1800,
             elastic_cap,
         )
-        for i in range(num_elastic):
-            family = ELASTIC_FAMILIES[int(families[i])]
-            r = int(base_workers[i])
-            # ``duration`` is the minimum running time at max demand 2r;
-            # at base demand r the job runs twice as long (linear).
-            specs.append(
-                JobSpec(
-                    job_id=num_regular + i,
-                    submit_time=0.0,
-                    duration=float(elastic_durations[i]) / 2.0,
-                    max_workers=2 * r,
-                    min_workers=r,
-                    gpus_per_worker=family.gpus_per_worker,
-                    elastic=True,
-                    model_family=family.name,
-                )
-            )
+        # ``duration`` is the minimum running time at max demand 2r;
+        # at base demand r the job runs twice as long (linear).
+        durations = np.concatenate([durations, elastic_durations / 2.0])
+        max_workers = np.concatenate([max_workers, 2 * base_workers])
+        min_workers = np.concatenate([min_workers, base_workers])
+        gpus_per_worker = np.concatenate([
+            gpus_per_worker,
+            [ELASTIC_FAMILIES[f].gpus_per_worker for f in picked.tolist()],
+        ])
+        families += [ELASTIC_FAMILIES[f].name for f in picked.tolist()]
+    elastic = np.arange(n) >= num_regular
+
+    def _work() -> List[float]:
+        return (durations * max_workers * gpus_per_worker).tolist()
 
     # --- calibrate the elastic resource share ---------------------------
-    total = sum(s.total_work for s in specs)
-    elastic_work = sum(s.total_work for s in specs if s.elastic)
+    work = _work()
+    total = sum(work)
+    elastic_work = sum(work[num_regular:])
     if 0 < elastic_work < total and 0 < config.elastic_resource_share < 1:
         share = config.elastic_resource_share
         # Scale elastic durations so elastic_work / total == share.
         factor = share / (1 - share) * (total - elastic_work) / elastic_work
-        specs = [
-            replace(s, duration=s.duration * factor) if s.elastic else s
-            for s in specs
-        ]
+        durations[num_regular:] *= factor
 
     # --- calibrate offered load -----------------------------------------
     # Scale-then-clip, iterated: clipping giants back under the span-
     # relative caps changes the total, so a couple of rounds are needed
     # to land near the target load without re-growing monster jobs.
-    def _cap(s: JobSpec) -> float:
-        return elastic_cap if s.elastic else regular_cap
-
-    elastic_cap = min(5 * DAY, span / 2.0)
+    caps = np.where(elastic, elastic_cap, regular_cap)
     for _ in range(3):
-        total = sum(s.total_work for s in specs)
+        total = sum(_work())
         load_factor = config.target_load * config.cluster_gpus * span / total
-        specs = [
-            replace(
-                s,
-                duration=min(_cap(s), max(60.0, s.duration * load_factor)),
-            )
-            for s in specs
-        ]
+        durations = np.minimum(caps, np.maximum(60.0, durations * load_factor))
 
     # --- arrivals and fungibility ---------------------------------------
     arrivals = _diurnal_arrivals(rng, n, span)
     order = rng.permutation(n)
-    specs = [specs[i] for i in order]
 
     # Fungibility is drawn uniformly over all jobs: that makes the
     # fungible share of the *job count* and of the *load* both match the
@@ -260,14 +247,17 @@ def generate_workload(config: TraceConfig = TraceConfig()) -> Workload:
         rng.choice(n, size=want_fungible, replace=False).tolist()
     )
 
-    final: List[JobSpec] = []
-    for idx, spec in enumerate(specs):
-        final.append(
-            replace(
-                spec,
-                job_id=idx,
-                submit_time=float(arrivals[idx]),
-                fungible=spec.fungible or idx in fungible_ids,
-            )
-        )
-    return Workload(specs=final, config=config)
+    columns = zip(
+        arrivals.tolist(), durations[order].tolist(), max_workers[order].tolist(),
+        min_workers[order].tolist(), gpus_per_worker[order].tolist(),
+        elastic[order].tolist(), [families[i] for i in order.tolist()],
+    )
+    specs = [
+        JobSpec(job_id=idx, submit_time=submit, duration=duration,
+                max_workers=most, min_workers=least, gpus_per_worker=gpw,
+                elastic=is_elastic, fungible=idx in fungible_ids,
+                model_family=family)
+        for idx, (submit, duration, most, least, gpw, is_elastic, family)
+        in enumerate(columns)
+    ]
+    return Workload(specs=specs, config=config)

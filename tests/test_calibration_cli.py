@@ -133,6 +133,21 @@ class TestCLI:
             assert main([*idle, *extra]) == 0
             assert "shape verdict" not in capsys.readouterr().out
 
+    def test_an_idle_cluster_confirms_no_claim(self, capsys):
+        """Nothing queues under either scheme, so the queuing reduction
+        is undefined: it prints as n/a and does not count as holding."""
+        rc = main([
+            "compare", "--schemes", "baseline", "lyra_loaning",
+            "--jobs", "10", "--days", "0.5",
+            "--training-servers", "8", "--inference-servers", "1",
+        ])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "lyra_loaning vs baseline: n/a queuing, 1.00x JCT" in out
+        assert "[!] loaning-only queuing reduction: paper 1.39, measured n/a" in out
+        assert "shape verdict: 0/2 claims hold" in out
+        assert "inf" not in out
+
     def test_trace_export(self, tmp_path, capsys):
         out_file = tmp_path / "trace.json"
         rc = main([

@@ -183,3 +183,17 @@ class TestBenchScaleBaseline:
         )
         assert len(moved) == 1 and "sha256" in moved[0]
         assert check_baseline([dict(cell, mean_ms=0.3)], str(path))
+
+    def test_generated_trace_is_gated_on_time_and_sha256(self, tmp_path):
+        """The paper-shaped trace's record fails the baseline when its
+        specs moved or when it took over 2x the baseline's seconds."""
+        from benchmarks.bench_scale import check_baseline
+
+        gen = {"gen_s": 0.3, "jobs": 50390, "specs_sha256": "a" * 64}
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps({"cells": [], "generation": gen}))
+        assert check_baseline([], str(path), dict(gen, gen_s=0.6)) == []
+        slow = check_baseline([], str(path), dict(gen, gen_s=0.61))
+        assert len(slow) == 1 and "generation" in slow[0]
+        moved = check_baseline([], str(path), dict(gen, specs_sha256="b" * 64))
+        assert len(moved) == 1 and "sha256" in moved[0]

@@ -281,6 +281,7 @@ class TestSimulationMetrics:
     def test_reduction_metric(self):
         assert reduction(3072.0, 2010.0) == pytest.approx(1.528, abs=1e-3)
         assert reduction(1.0, 0.0) == math.inf
+        assert math.isnan(reduction(0.0, 0.0))
 
     def test_completion_ratio(self):
         unfinished = make_job(job_id=3)
