@@ -32,9 +32,9 @@ regresses past 2x the committed baseline, or when its activity-log
 ``sha256`` differs from the baseline cell's — a faster epoch that
 decides differently is not a speed-up — and likewise when ``gen_s``
 is over 2x the baseline's or ``specs_sha256`` differs from it.  (The
-trace's floats come from Python's ``sum``, compensated since CPython
-3.12, so ``specs_sha256`` is that of the interpreter the baseline was
-recorded on: 3.11.)
+generator adds its float totals left to right, never with ``sum``,
+compensated since CPython 3.12, so ``specs_sha256`` is the same on
+every interpreter.)
 """
 
 from __future__ import annotations

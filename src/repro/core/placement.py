@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.cluster.job import Job
 from repro.cluster.server import BASE_GROUP, FLEX_GROUP, Server
@@ -178,6 +178,10 @@ class PlacementEngine:
         carried forward: a launch is the only thing here that moves
         them — the first placed worker type-locks a non-heterogeneous
         job, and each launch adds its workers to one region's tally.
+
+        A base demand whose first pick cannot hold the whole gang is
+        first checked against the gang's room (:meth:`_refuse_short_gang`);
+        a short gang is refused before anything is launched.
         """
         view = self.view
         train_ok = self._domain_eligible(job, False)
@@ -188,6 +192,14 @@ class PlacementEngine:
             self._region_workers(job) if self.region_of is not None else {}
         )
         job_region = self._plurality(regions)
+        # a gang may be refused up front only while its walk is a pure
+        # function of the books: nothing placed yet, no launch gate
+        refusable = (
+            not flexible
+            and self.rm.launch_gate is None
+            and not job.base_placement
+            and not job.flex_placement
+        )
         remaining = workers
         while remaining > 0:
             placed_this_round = 0
@@ -211,6 +223,12 @@ class PlacementEngine:
                     break
                 cost = self.worker_cost(job, server)
                 fit = min(remaining, server.free_gpus // cost)
+                if refusable:
+                    refusable = False
+                    if fit < remaining and self._refuse_short_gang(
+                        job, server, remaining, train_ok, loan_ok, unhealthy
+                    ):
+                        return 0
                 try:
                     self.rm.launch(job, server, fit, cost, flexible=flexible)
                 except TransientLaunchError:
@@ -246,6 +264,64 @@ class PlacementEngine:
             if placed_this_round == 0:
                 break
         return workers - remaining
+
+    def _refuse_short_gang(
+        self,
+        job: Job,
+        first: Server,
+        workers: int,
+        train_ok: bool,
+        loan_ok: bool,
+        unhealthy: Set[str],
+    ) -> bool:
+        """Refuse a gang its candidates cannot hold, launching nothing.
+
+        Called with the first pick of a base demand that holds no
+        workers, when no launch gate is set and the pick cannot take the
+        whole gang.  The refusal is exact — it decides what the walk
+        decides and leaves the state the walk plus ``release_job``
+        leaves:
+
+        * Without a gate no launch fails, and each round puts
+          ``min(remaining, free // cost)`` workers on the best
+          candidate; a candidate that did not take the rest cannot host
+          one more worker after its launch.  A short gang's walk
+          therefore visits every candidate exactly once and places
+          their whole room: the ranking decides only the order.
+        * The candidates are fixed by the first pick: it sets the type
+          lock (none for a heterogeneous job), and a job with no
+          workers has no region, so that pick has no region tie-break.
+          Group tags and later region tie-breaks move only the order.
+        * So the walk fails exactly when the room — ``free // cost``
+          summed over the eligible, healthy slots of the first pick's
+          type with ``free >= cost`` — is below ``workers``.  What it
+          leaves behind is its ``BASE_GROUP`` tags on the on-loan,
+          ungrouped candidates (elastic, non-heterogeneous jobs under
+          special grouping), which the release does not undo, and a
+          moved view version.  Both are set here; the tags are
+          journaled like the walk's.
+
+        With a launch gate (fault plans) every launch draws the plan's
+        RNG, so the walk runs unchanged; the caller checks that.
+        """
+        view = self.view
+        lock = None if job.spec.heterogeneous else first.gpu_type.name
+        query = (job.spec.gpus_per_worker, train_ok, loan_ok, lock, unhealthy)
+        if view.gang_fits(workers, *query):
+            return False
+        if (
+            self.special_elastic_grouping
+            and job.elastic
+            and not job.spec.heterogeneous
+        ):
+            journal = self.rm.journal
+            for server in view.ungrouped_loans(*query):
+                if journal is not None:
+                    journal.record_group(server)
+                server.group = BASE_GROUP
+                view.note_group_change(server)
+        view.bump()
+        return True
 
     def _needs_mixed(
         self, request: PlacementRequest, capacity: Dict[int, int]
@@ -291,8 +367,10 @@ class PlacementEngine:
                     job, request.base_workers, flexible=False
                 )
                 if placed < request.base_workers:
-                    # a failed base demand keeps nothing (gang semantics)
-                    self.rm.release_job(job)
+                    # a failed base demand keeps nothing (gang semantics);
+                    # a refused one launched nothing to release
+                    if job.base_placement or job.flex_placement:
+                        self.rm.release_job(job)
                     result.failed_base.append(job)
                     continue
                 result.placed_base.append(job)

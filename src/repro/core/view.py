@@ -13,7 +13,9 @@ state every kernel carries instead:
   factor, has-allocation flag, server-id rank) over stable slots, so the
   placement engine's questions — best candidate
   (:meth:`select_best`), whole-worker capacity of a domain
-  (:meth:`domain_capacity`) — are vectorized masks, not object scans;
+  (:meth:`domain_capacity`) or of a gang's candidates
+  (:meth:`gang_room`, :meth:`gang_fits`) — are vectorized masks, not
+  object scans;
 * three **derived columns** — the packed placement key, the
   ``(on_loan, group)`` cell and the region code — turn the best
   candidate into one ``argmin``; they are caches, re-derived from the
@@ -587,6 +589,104 @@ class ClusterView:
         mask = self._active & (self._on_loan == on_loan)
         return int(
             (self._free[mask] // self._worker_cost(gpus_per_worker)[mask]).sum()
+        )
+
+    def _gang_slots(
+        self,
+        gpus_per_worker: int,
+        train_ok: bool,
+        loan_ok: bool,
+        type_lock: Optional[str],
+        unhealthy_ids: Optional[Set[str]],
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """The slots :meth:`select_best` could return for this request
+        (any tier, nothing excluded) as a mask, with the per-slot worker
+        cost; None when the request rules out every slot up front (a GPU
+        type no member has, no eligible domain)."""
+        lock = None
+        if type_lock is not None:
+            lock = self._type_codes.get(type_lock)
+            if lock is None:
+                return None
+        if not self._rel_by_code or not (train_ok or loan_ok):
+            return None
+        cost = self._worker_cost(gpus_per_worker, lock)
+        mask = self._free >= cost
+        mask &= self._active
+        if not train_ok:
+            mask &= self._on_loan
+        if not loan_ok:
+            mask &= ~self._on_loan
+        for sid in unhealthy_ids or ():
+            slot = self._slot_of.get(sid)
+            if slot is not None:
+                mask[slot] = False
+        return mask, cost
+
+    def gang_room(
+        self,
+        gpus_per_worker: int,
+        train_ok: bool,
+        loan_ok: bool,
+        type_lock: Optional[str],
+        unhealthy_ids: Optional[Set[str]] = None,
+    ) -> int:
+        """Whole workers the servers :meth:`select_best` could return for
+        this request can host between them: ``free // cost`` summed over
+        the eligible, healthy slots of the locked type with ``free >=
+        cost``."""
+        return self._room(self._gang_slots(
+            gpus_per_worker, train_ok, loan_ok, type_lock, unhealthy_ids
+        ))
+
+    def _room(self, slots: Optional[Tuple[np.ndarray, np.ndarray]]) -> int:
+        if slots is None:
+            return 0
+        mask, cost = slots
+        return int((self._free[mask] // cost[mask]).sum())
+
+    def gang_fits(
+        self,
+        workers: int,
+        gpus_per_worker: int,
+        train_ok: bool,
+        loan_ok: bool,
+        type_lock: Optional[str],
+        unhealthy_ids: Optional[Set[str]] = None,
+    ) -> bool:
+        """Whether :meth:`gang_room` is at least ``workers``.
+
+        Every slot it counts hosts at least one worker, so ``workers``
+        such slots settle the question with a count, without the
+        division: on a wide cluster that is nearly every gang that fits.
+        """
+        slots = self._gang_slots(
+            gpus_per_worker, train_ok, loan_ok, type_lock, unhealthy_ids
+        )
+        if slots is not None and np.count_nonzero(slots[0]) >= workers:
+            return True
+        return self._room(slots) >= workers
+
+    def ungrouped_loans(
+        self,
+        gpus_per_worker: int,
+        train_ok: bool,
+        loan_ok: bool,
+        type_lock: Optional[str],
+        unhealthy_ids: Optional[Set[str]] = None,
+    ) -> List[Server]:
+        """The on-loan, ungrouped servers among those :meth:`gang_room`
+        counts, in ``server_id`` order."""
+        slots = self._gang_slots(
+            gpus_per_worker, train_ok, loan_ok, type_lock, unhealthy_ids
+        )
+        if slots is None:
+            return []
+        hosts = slots[0] & self._on_loan
+        hosts &= self._group_code == _GROUP_CODES[None]
+        return sorted(
+            (self._server_at[slot] for slot in np.flatnonzero(hosts).tolist()),
+            key=lambda s: s.server_id,
         )
 
     # ------------------------------------------------------------------

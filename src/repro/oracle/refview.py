@@ -144,6 +144,41 @@ class ReferenceView:
         ranked = self.ranked_candidates(*args, **kwargs)
         return ranked[0] if ranked else None
 
+    def _gang_candidates(
+        self,
+        gpus_per_worker: int,
+        train_ok: bool,
+        loan_ok: bool,
+        type_lock: Optional[str],
+        unhealthy_ids: Optional[Set[str]] = None,
+    ) -> List[Server]:
+        """Every server ``select_best`` could return for the request, in
+        any tier: the preference flags only order the candidates."""
+        return self.ranked_candidates(
+            gpus_per_worker, train_ok, loan_ok, type_lock,
+            flexible=False, heterogeneous=False, elastic=False,
+            special_grouping=False, unhealthy_ids=unhealthy_ids,
+        )
+
+    def gang_room(self, gpus_per_worker: int, *args, **kwargs) -> int:
+        return sum(
+            s.free_gpus
+            // math.ceil(gpus_per_worker / s.gpu_type.relative_compute)
+            for s in self._gang_candidates(gpus_per_worker, *args, **kwargs)
+        )
+
+    def gang_fits(self, workers: int, *args, **kwargs) -> bool:
+        return self.gang_room(*args, **kwargs) >= workers
+
+    def ungrouped_loans(self, *args, **kwargs) -> List[Server]:
+        return sorted(
+            (
+                s for s in self._gang_candidates(*args, **kwargs)
+                if s.on_loan and s.group is None
+            ),
+            key=lambda s: s.server_id,
+        )
+
     def domain_capacity(self, on_loan: bool, gpus_per_worker: int) -> int:
         return sum(
             s.free_gpus

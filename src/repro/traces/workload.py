@@ -110,6 +110,14 @@ class Workload:
         return sum(1 for s in self.specs if s.fungible) / len(self.specs)
 
 
+def _left_sum(values: np.ndarray) -> float:
+    """``(v0 + v1) + v2 + ...``: one rounding per addition, left to
+    right — the last entry of the running sum.  ``sum`` rounded exactly
+    so before CPython 3.12; since then it compensates, and ``np.sum``
+    adds pairwise, either of which moves a total's last bits."""
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
+
+
 def _diurnal_arrivals(
     rng: np.random.Generator, n: int, span: float
 ) -> np.ndarray:
@@ -150,8 +158,9 @@ def generate_workload(config: TraceConfig = TraceConfig()) -> Workload:
     * a job's work is ``duration * max_workers * gpus_per_worker``
       evaluated left to right, as ``JobSpec.total_work`` does (numpy's
       element-wise product rounds the same);
-    * every total is Python's ``sum`` over a list of Python floats in
-      draw order — not ``np.sum`` (pairwise) nor ``math.fsum``;
+    * every total is :func:`_left_sum`, a left-to-right sum over the
+      jobs in draw order — not ``np.sum`` (pairwise), ``math.fsum`` nor
+      ``sum``, which CPython 3.12 made compensated;
     * a calibrated duration is ``min(cap, max(60.0, d * load_factor))``.
 
     ``tests/test_traces.py`` pins the output of five configurations,
@@ -211,13 +220,13 @@ def generate_workload(config: TraceConfig = TraceConfig()) -> Workload:
         families += [ELASTIC_FAMILIES[f].name for f in picked.tolist()]
     elastic = np.arange(n) >= num_regular
 
-    def _work() -> List[float]:
-        return (durations * max_workers * gpus_per_worker).tolist()
+    def _work() -> np.ndarray:
+        return durations * max_workers * gpus_per_worker
 
     # --- calibrate the elastic resource share ---------------------------
     work = _work()
-    total = sum(work)
-    elastic_work = sum(work[num_regular:])
+    total = _left_sum(work)
+    elastic_work = _left_sum(work[num_regular:])
     if 0 < elastic_work < total and 0 < config.elastic_resource_share < 1:
         share = config.elastic_resource_share
         # Scale elastic durations so elastic_work / total == share.
@@ -230,7 +239,7 @@ def generate_workload(config: TraceConfig = TraceConfig()) -> Workload:
     # to land near the target load without re-growing monster jobs.
     caps = np.where(elastic, elastic_cap, regular_cap)
     for _ in range(3):
-        total = sum(_work())
+        total = _left_sum(_work())
         load_factor = config.target_load * config.cluster_gpus * span / total
         durations = np.minimum(caps, np.maximum(60.0, durations * load_factor))
 

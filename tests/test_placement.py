@@ -1,14 +1,23 @@
 """Tests for BFD worker placement (§5.3)."""
 
+from collections import Counter
+from types import SimpleNamespace
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.cluster.cluster import (
     Cluster,
     ClusterPair,
     make_inference_cluster,
     make_training_cluster,
 )
-from repro.cluster.gpu import T4, V100
+from repro.cluster.gpu import A100, T4, V100
 from repro.cluster.server import BASE_GROUP, FLEX_GROUP, Server
+from repro.core.actions import PlanTransaction
 from repro.core.placement import PlacementEngine, PlacementRequest
+from repro.core.view import ClusterView
+from repro.rm.manager import ResourceManager
 
 from tests.conftest import loan, make_engine, make_job
 
@@ -219,3 +228,174 @@ class TestOpportunisticMode:
         job = make_job(max_workers=2)
         result = engine.place([PlacementRequest(job, base_workers=2)])
         assert result.placed_base == [job]
+
+
+# ----------------------------------------------------------------------
+# a short gang is refused from its room, exactly as the walk would fail
+# ----------------------------------------------------------------------
+_HEALTH = st.sampled_from([True, True, True, False])
+
+
+@st.composite
+def gang_worlds(draw):
+    """Mixed GPU types, busy, grouped and unhealthy servers, and gangs
+    that do and do not fit: ``(training, loaned, jobs, options)``."""
+    training = draw(st.lists(
+        st.tuples(st.sampled_from([V100, A100]), st.integers(0, 8), _HEALTH),
+        max_size=4,
+    ))
+    loaned = draw(st.lists(
+        st.tuples(
+            st.sampled_from([None, None, BASE_GROUP, FLEX_GROUP]),
+            st.integers(0, 8),
+            _HEALTH,
+        ),
+        max_size=5,
+    ))
+    jobs = draw(st.lists(
+        st.tuples(
+            st.sampled_from([1, 1, 2, 4]),  # GPUs per worker
+            st.integers(1, 8),  # base workers
+            st.integers(0, 4),  # flexible workers (elastic jobs only)
+            st.booleans(),  # elastic
+            st.booleans(),  # fungible
+            st.sampled_from([False, False, True]),  # heterogeneous
+        ),
+        min_size=1,
+        max_size=4,
+    ))
+    options = dict(
+        special_elastic_grouping=draw(st.booleans()),
+        opportunistic=draw(st.sampled_from([False, False, True])),
+        regions=draw(st.booleans()),
+    )
+    return training, loaned, jobs, options
+
+
+def _books(pair, jobs):
+    """Both books and every server's group, as plain values."""
+    return (
+        {
+            s.server_id: (dict(s.allocations), s.group)
+            for s in pair.training.servers
+        },
+        {
+            job.job_id: (
+                job.status,
+                dict(job.base_placement),
+                dict(job.flex_placement),
+                dict(job._server_cost),
+                set(job._onloan_servers),
+            )
+            for job in jobs
+        },
+    )
+
+
+def _place_world(world, gated: bool):
+    """Build the world, place its requests inside an open plan
+    transaction, roll the transaction back; returns the placement
+    outcome, the books after placing and ``rm.launch`` calls per job.
+
+    ``gated`` sets a launch gate that lets every launch through: with a
+    gate, placement walks every gang server by server as it always did.
+    """
+    training, loaned, specs, options = world
+    train = Cluster("training", [
+        Server(server_id=f"t{i}", gpu_type=gpu)
+        for i, (gpu, _, _) in enumerate(training)
+    ])
+    infer = Cluster("inference", [
+        Server(server_id=f"i{i}", gpu_type=T4, home_cluster="inference")
+        for i in range(len(loaned))
+    ])
+    pair = ClusterPair(train, infer)
+    loan(pair, len(loaned))
+    view = ClusterView(pair.training)
+    rm = ResourceManager(pair, {})
+    rows = [(f"t{i}", None, busy, ok) for i, (_, busy, ok) in enumerate(training)]
+    rows += [(f"i{i}", *row) for i, row in enumerate(loaned)]
+    for index, (sid, group, busy, healthy) in enumerate(rows):
+        server = pair.training.get(sid)
+        if not healthy:
+            rm.fail_node(sid)
+        if busy:
+            server.allocate(-1 - index, busy)  # a job outside the requests
+        if group is not None:
+            server.group = group
+            view.note_group_change(server)
+    jobs, requests = [], []
+    for k, (gpus, base, flex, elastic, fungible, hetero) in enumerate(specs):
+        flex = flex if elastic else 0
+        job = make_job(
+            job_id=k, max_workers=base + flex, min_workers=base,
+            gpus_per_worker=gpus, elastic=elastic, fungible=fungible,
+            heterogeneous=hetero,
+        )
+        jobs.append(job)
+        requests.append(PlacementRequest(job, base_workers=base, flex_workers=flex))
+    options = dict(options)
+    region_of = None
+    if options.pop("regions"):
+        def region_of(server):
+            return "east" if int(server.server_id[1:]) % 2 else "west"
+    engine = PlacementEngine(view, rm, region_of=region_of, **options)
+    launches = Counter()
+    launch = rm.launch
+
+    def counted(job, *args, **kwargs):
+        launches[job.job_id] += 1
+        return launch(job, *args, **kwargs)
+
+    rm.launch = counted
+    if gated:
+        rm.launch_gate = lambda job, server, workers: None
+    sim = SimpleNamespace(
+        rm=rm, now=0.0, config=None, cluster=pair.training, view=view,
+        placement_engine=None, phase=None, trace=None, tracer=None,
+        obs=None, hetero_ideal=None,
+    )
+    txn = PlanTransaction(sim, "test")
+    before = _books(pair, jobs)
+    result = engine.place(requests)
+    placed = _books(pair, jobs)
+    view.assert_consistent()
+    txn.rollback()
+    view.assert_consistent()
+    assert _books(pair, jobs) == before
+    outcome = (
+        [job.job_id for job in result.placed_base],
+        [job.job_id for job in result.failed_base],
+        result.flex_shortfall,
+    )
+    return outcome, placed, launches
+
+
+@given(world=gang_worlds())
+@settings(max_examples=200, deadline=None)
+def test_a_refused_gang_is_decided_and_left_as_the_walk_leaves_it(world):
+    """The room check decides what the server-by-server walk decides and
+    leaves the same books and groups, which the plan journal rolls back
+    alike; a refused gang never reaches ``rm.launch``."""
+    outcome, placed, launches = _place_world(world, gated=False)
+    walked, walked_books, _ = _place_world(world, gated=True)
+    assert outcome == walked
+    assert placed == walked_books
+    for job_id in outcome[1]:
+        assert launches[job_id] == 0
+
+
+def test_a_short_gang_is_refused_before_a_launch():
+    # two loaned T4 servers host two one-GPU workers each (3 T4 GPUs per
+    # worker, §5.2): a gang of five cannot fit
+    world = ([], [(None, 0, True), (None, 0, True)],
+             [(1, 5, 0, True, True, False)],
+             dict(special_elastic_grouping=True, opportunistic=False,
+                  regions=False))
+    outcome, placed, launches = _place_world(world, gated=False)
+    walked, walked_books, walked_launches = _place_world(world, gated=True)
+    assert outcome == walked == ([], [0], {})
+    assert launches[0] == 0 and walked_launches[0] == 2
+    # the walk tagged both servers BASE_GROUP; so does the refusal
+    assert placed == walked_books
+    assert {group for _, group in placed[0].values()} == {BASE_GROUP}

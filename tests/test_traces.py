@@ -100,34 +100,23 @@ class TestWorkloadCalibration:
 
 #: sha256 over the ``repr`` of every spec (joined by newlines) that the
 #: spec-at-a-time generator produced, before calibration moved to
-#: columns.  The totals are Python ``sum`` over floats, and CPython 3.12
-#: made that sum compensated (Neumaier), so each configuration has one
-#: digest per summation rule; the compensated ones were computed with an
-#: exact model of the 3.12 float loop.
+#: columns.  The totals are left-to-right float additions, which round
+#: alike on every CPython (``sum`` is compensated since 3.12, so the
+#: generator does not call it), so each configuration has one digest.
 _PINNED_TRACES = {
-    "default": (TraceConfig(), (
-        "11f07829e2a2499753f2be927a19c475d474121fd142b1191dd4eaa0cd1225bc",
-        "c1e20016a563fec03a7e403e43bdc805da95f9aba357ccc08f47c2c34478d7cf",
-    )),
-    "one_job": (TraceConfig(num_jobs=1), (
-        "d3ad1a57b8446b7b170a8c13fcff24cda4b0dc034341df1b46bf1e74d8a2c855",
-        "d3ad1a57b8446b7b170a8c13fcff24cda4b0dc034341df1b46bf1e74d8a2c855",
-    )),
+    "default": (TraceConfig(),
+        "11f07829e2a2499753f2be927a19c475d474121fd142b1191dd4eaa0cd1225bc"),
+    "one_job": (TraceConfig(num_jobs=1),
+        "d3ad1a57b8446b7b170a8c13fcff24cda4b0dc034341df1b46bf1e74d8a2c855"),
     # every job elastic: the elastic-share calibration is skipped
-    "all_elastic": (TraceConfig(elastic_job_fraction=1.0), (
-        "a3b4d1178059a4d2b8c773483e56ac75c18943c6e78a3c43d751ec20669d5b83",
-        "e51cb0bbae1a8ddda6e1a9388efa6ec9b52137ba0bedf1e886028b3baf5d695b",
-    )),
+    "all_elastic": (TraceConfig(elastic_job_fraction=1.0),
+        "a3b4d1178059a4d2b8c773483e56ac75c18943c6e78a3c43d751ec20669d5b83"),
     # a short, overloaded span: most durations clip at their cap
-    "clipped": (TraceConfig(days=0.25, target_load=2.0), (
-        "3f02271901e553b85b06d5fdb21c9a5ebb0c587e0cb588144e137ee1c3fc8178",
-        "5a699e38732e0c67ce6083f65f6fc4af37b5da7cbaee6ad002e59f5d73a26f57",
-    )),
+    "clipped": (TraceConfig(days=0.25, target_load=2.0),
+        "3f02271901e553b85b06d5fdb21c9a5ebb0c587e0cb588144e137ee1c3fc8178"),
     # the paper's 15-day, 50,390-job trace on 3,544 training GPUs (§7.1)
-    "paper": (TraceConfig(num_jobs=50390, days=15, cluster_gpus=3544), (
-        "fee6e981527ae3a2432a51165a2386b28905f44e86726deb93514617713b719b",
-        "da370cf9013c6fbf3d4c469be336479c625f6ac55f44fb6f674c8815409a84a7",
-    )),
+    "paper": (TraceConfig(num_jobs=50390, days=15, cluster_gpus=3544),
+        "fee6e981527ae3a2432a51165a2386b28905f44e86726deb93514617713b719b"),
 }
 
 
@@ -139,9 +128,7 @@ def specs_sha256(specs) -> str:
 def test_generated_trace_is_pinned(name):
     """The generator's output, spec for spec: a change to an RNG call, to
     the order of a total or to the rounding of a duration moves it."""
-    config, (plain, compensated) = _PINNED_TRACES[name]
-    # 1.0 survives only a compensated float sum (CPython >= 3.12)
-    expected = compensated if sum([1e100, 1.0, -1e100]) == 1.0 else plain
+    config, expected = _PINNED_TRACES[name]
     assert specs_sha256(generate_workload(config).specs) == expected
 
 

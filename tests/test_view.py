@@ -37,7 +37,7 @@ from repro.cluster.cluster import (
 )
 from repro.cluster.gpu import A100, T4
 from repro.cluster.job import Job, JobSpec
-from repro.cluster.server import Server
+from repro.cluster.server import BASE_GROUP, Server
 from repro.core.mckp import (
     Item,
     solve_mckp,
@@ -199,6 +199,50 @@ class TestViewIndexes:
             assert ReferenceView(pair.training).domain_capacity(
                 on_loan, 3
             ) == scan
+
+    def test_gang_room_equals_scan(self):
+        """A gang's room is ``free // cost`` over exactly the servers
+        ``select_best`` walks: eligible domain, healthy, the locked GPU
+        type, room for one worker."""
+        pair = _pair(train=3, infer=3)
+        view = ClusterView(pair.training)
+        ref = ReferenceView(pair.training)
+        loan(pair, 3)
+        train, *_, lent = pair.training.servers
+        train.allocate(99, 7)  # 1 GPU left: no room for a 2-GPU worker
+        lent.allocate(98, 2)  # 6 T4 GPUs left: one 2-GPU worker (cost 6)
+        pair.training.servers[3].group = BASE_GROUP
+        view.note_group_change(pair.training.servers[3])
+        sick = {pair.training.servers[1].server_id}
+        for lock, train_ok, loan_ok, unhealthy, room in (
+            (None, True, True, None, 4 + 4 + 1 + 1 + 1),
+            ("V100", True, True, None, 4 + 4),
+            ("V100", True, True, sick, 4),
+            ("T4", True, True, None, 1 + 1 + 1),
+            ("T4", True, False, None, 0),
+            (None, False, True, sick, 3),
+            ("A100", True, True, None, 0),  # a type no member has
+        ):
+            query = (2, train_ok, loan_ok, lock, unhealthy)
+            assert view.gang_room(*query) == ref.gang_room(*query) == room
+            # a gang fits exactly up to its room, whether the candidate
+            # count settles it (small gangs) or the division does
+            for workers in (1, room, room + 1):
+                fits = workers <= room
+                assert view.gang_fits(workers, *query) == fits
+                assert ref.gang_fits(workers, *query) == fits
+            candidates = ref.ranked_candidates(
+                2, train_ok, loan_ok, lock, False, False, True, True,
+                unhealthy_ids=unhealthy,
+            )
+            assert room == sum(s.free_gpus // (
+                6 if s.on_loan else 2) for s in candidates)
+            hosts = [s.server_id for s in view.ungrouped_loans(*query)]
+            assert hosts == [s.server_id for s in ref.ungrouped_loans(*query)]
+            assert hosts == sorted(
+                s.server_id for s in candidates
+                if s.on_loan and s.group is None
+            )
 
     def test_reclaim_cost_matches_direct_computation(self):
         """On a cluster the placement engine filled, a server's reported
@@ -454,6 +498,20 @@ def _same_answers(view, ref):
             assert view.domain_capacity(on_loan, gpus_per_worker) == (
                 ref.domain_capacity(on_loan, gpus_per_worker)
             )
+    ids = sorted(s.server_id for s in ref.cluster.servers)
+    for lock in (None, "V100", "T4", "A100"):
+        for unhealthy in (None, set(ids[::2])):
+            for train_ok, loan_ok in ((True, True), (True, False), (False, True)):
+                query = (2, train_ok, loan_ok, lock, unhealthy)
+                room = ref.gang_room(*query)
+                assert view.gang_room(*query) == room
+                for workers in (1, 2, room, room + 1):
+                    assert view.gang_fits(workers, *query) == (
+                        ref.gang_fits(workers, *query)
+                    )
+                assert [s.server_id for s in view.ungrouped_loans(*query)] == [
+                    s.server_id for s in ref.ungrouped_loans(*query)
+                ]
 
 
 # ----------------------------------------------------------------------
@@ -553,6 +611,19 @@ class TestArrayMirrorProperties:
                     best.server_id
                 }
             assert walked == [s.server_id for s in ranked]
+            # a gang's room and its on-loan ungrouped hosts: the same
+            # candidate set, whatever the tier rule, exclusions aside
+            room_query = (
+                query["gpus_per_worker"], query["train_ok"],
+                query["loan_ok"], query["type_lock"], query["unhealthy_ids"],
+            )
+            room = ref.gang_room(*room_query)
+            assert view.gang_room(*room_query) == room
+            for workers in (1, 2, room, room + 1):
+                assert view.gang_fits(workers, *room_query) == (room >= workers)
+            assert [
+                s.server_id for s in view.ungrouped_loans(*room_query)
+            ] == [s.server_id for s in ref.ungrouped_loans(*room_query)]
 
         walk_matches_reference()
         _random_walk(
