@@ -24,7 +24,7 @@ import enum
 import math
 import operator
 from dataclasses import MISSING, dataclass, fields
-from typing import Any, Dict, Mapping, Optional, get_type_hints
+from typing import Any, Dict, Mapping, Optional, Tuple, get_type_hints
 
 from repro.elastic.throughput import LINEAR, ScalingModel
 
@@ -174,6 +174,14 @@ def spec_from_record(record: Mapping[str, Any]) -> JobSpec:
     return JobSpec(**{name: _field_value(name, v) for name, v in record.items()})
 
 
+#: the slots a snapshot leaves out and restore re-derives: the flex-item
+#: cache and the four occupancy counters (see :class:`Job`)
+_DERIVED_SLOTS = (
+    "flex_items", "base_workers", "flex_workers", "flex_training_gpus",
+    "flex_onloan_gpus",
+)
+
+
 class Job:
     """Mutable runtime state of a job inside the scheduler/simulator.
 
@@ -182,6 +190,16 @@ class Job:
     surplus) — because Lyra's placement policy deliberately segregates
     them onto different server groups (§5.3) and its reclaiming policy
     kills flexible workers first (§4).
+
+    Four integer counters are kept beside the maps by the only methods
+    that write them (:meth:`record_placement`, :meth:`remove_placement`,
+    :meth:`remove_flex_on`, :meth:`clear_placement`): ``base_workers``,
+    ``flex_workers``, and the flexible workers' physical GPUs on
+    dedicated training servers (``flex_training_gpus``) and on on-loan
+    servers (``flex_onloan_gpus``) — what §5.2's flex credit adds back
+    to the pools each epoch.  They are derived: :func:`recount` gives
+    them from the maps, ``ResourceManager.verify_books`` compares, and a
+    snapshot leaves them out.
     """
 
     #: every attribute a job has: a plan transaction's rollback restores
@@ -194,7 +212,7 @@ class Job:
         "first_start_time", "finish_time", "last_progress_time",
         "preemptions", "hetero_penalty", "tuning_bonus", "straggler_penalty",
         "onloan_work", "estimate_error", "arrival_hour", "completion_epoch",
-        "preempted_at", "flex_items",
+        "preempted_at", *_DERIVED_SLOTS,
     )
 
     def __init__(self, spec: JobSpec):
@@ -234,6 +252,8 @@ class Job:
         self.preempted_at: Optional[float] = None
         #: derived, never pickled: ``(flex_key(value_fn), items)``
         self.flex_items: Optional[tuple] = None
+        self.base_workers = self.flex_workers = 0
+        self.flex_training_gpus = self.flex_onloan_gpus = 0
 
     def __reduce__(self) -> tuple:
         # a snapshot carries the other slots' values, in slot order
@@ -262,15 +282,7 @@ class Job:
     @property
     def total_workers(self) -> int:
         """Workers currently placed (base + flexible)."""
-        return sum(self.base_placement.values()) + sum(self.flex_placement.values())
-
-    @property
-    def base_workers(self) -> int:
-        return sum(self.base_placement.values())
-
-    @property
-    def flex_workers(self) -> int:
-        return sum(self.flex_placement.values())
+        return self.base_workers + self.flex_workers
 
     @property
     def servers(self) -> set:
@@ -281,6 +293,18 @@ class Job:
         return self.base_placement.get(server_id, 0) + self.flex_placement.get(
             server_id, 0
         )
+
+    def _count_flex(self, server_id: str, sign: int) -> None:
+        """Add (``sign`` 1) or take out (-1) the flexible GPUs on one
+        server from its domain's counter, at the server's current cost
+        and on-loan record."""
+        gpus = sign * self.flex_placement.get(server_id, 0) * self._server_cost.get(
+            server_id, self.spec.gpus_per_worker
+        )
+        if server_id in self._onloan_servers:
+            self.flex_onloan_gpus += gpus
+        else:
+            self.flex_training_gpus += gpus
 
     def record_placement(
         self,
@@ -303,39 +327,65 @@ class Job:
         """
         if workers <= 0:
             raise ValueError(f"workers must be positive, got {workers}")
-        placement = self.flex_placement if flexible else self.base_placement
+        # the server's flexible GPUs are re-counted whole: the cost and
+        # the on-loan record set below apply to the workers already there
+        recount = flexible or server_id in self.flex_placement
+        if recount:
+            self._count_flex(server_id, -1)
+        if flexible:
+            placement = self.flex_placement
+            self.flex_workers += workers
+        else:
+            placement = self.base_placement
+            self.base_workers += workers
         placement[server_id] = placement.get(server_id, 0) + workers
         self._server_cost[server_id] = (
             gpu_cost if gpu_cost is not None else self.spec.gpus_per_worker
         )
         if on_loan:
             self._onloan_servers.add(server_id)
+        if recount:
+            self._count_flex(server_id, 1)
 
     def remove_placement(self, server_id: str) -> int:
         """Remove all of this job's workers from ``server_id``.
 
         Returns the number of workers removed.
         """
-        removed = self.base_placement.pop(server_id, 0)
-        removed += self.flex_placement.pop(server_id, 0)
-        if server_id not in self.servers:
-            self._server_cost.pop(server_id, None)
-            self._onloan_servers.discard(server_id)
-        return removed
+        base = self.base_placement.pop(server_id, 0)
+        self.base_workers -= base
+        return base + self.remove_flex_on(server_id)
 
-    def remove_flex_on(self, server_id: str) -> int:
-        """Scale in: drop only the flexible workers on ``server_id``."""
-        removed = self.flex_placement.pop(server_id, 0)
-        if server_id not in self.servers:
+    def remove_flex_on(self, server_id: str, workers: Optional[int] = None) -> int:
+        """Scale in: drop ``workers`` flexible workers on ``server_id``
+        (all of them when None, or when it is at least what is there).
+
+        Returns the number of workers removed.
+        """
+        have = self.flex_placement.get(server_id, 0)
+        take = have if workers is None else min(workers, have)
+        if take:
+            self._count_flex(server_id, -1)
+            if take < have:
+                self.flex_placement[server_id] = have - take
+                self._count_flex(server_id, 1)
+            else:
+                del self.flex_placement[server_id]
+            self.flex_workers -= take
+        if server_id not in self.base_placement and (
+            server_id not in self.flex_placement
+        ):
             self._server_cost.pop(server_id, None)
             self._onloan_servers.discard(server_id)
-        return removed
+        return take
 
     def clear_placement(self) -> None:
         self.base_placement.clear()
         self.flex_placement.clear()
         self._server_cost.clear()
         self._onloan_servers.clear()
+        self.base_workers = self.flex_workers = 0
+        self.flex_training_gpus = self.flex_onloan_gpus = 0
 
     def gpu_cost_on(self, server_id: str) -> int:
         """Physical GPUs each of this job's workers occupies on a host."""
@@ -510,8 +560,33 @@ class Job:
         return self.finish_time - self.spec.submit_time
 
 
-_SNAPSHOT_SLOTS = Job.__slots__[:-1]  # all but the flex-item cache
+_SNAPSHOT_SLOTS = Job.__slots__[: -len(_DERIVED_SLOTS)]
 _snapshot_state = operator.attrgetter(*_SNAPSHOT_SLOTS)
+
+
+def recount(job: Job) -> Tuple[int, int, int, int]:
+    """The occupancy counters as the placement maps give them: ``(base
+    workers, flexible workers, flexible GPUs on training servers,
+    flexible GPUs on on-loan servers)``."""
+    training = onloan = 0
+    for server_id, workers in job.flex_placement.items():
+        gpus = workers * job.gpu_cost_on(server_id)
+        if server_id in job._onloan_servers:
+            onloan += gpus
+        else:
+            training += gpus
+    return (
+        sum(job.base_placement.values()),
+        sum(job.flex_placement.values()),
+        training,
+        onloan,
+    )
+
+
+def counters(job: Job) -> Tuple[int, int, int, int]:
+    """The occupancy counters as kept, in :func:`recount`'s order."""
+    return (job.base_workers, job.flex_workers, job.flex_training_gpus,
+            job.flex_onloan_gpus)
 
 
 def _restore_job(state: tuple) -> Job:
@@ -519,4 +594,6 @@ def _restore_job(state: tuple) -> Job:
     for name, value in zip(_SNAPSHOT_SLOTS, state):
         setattr(job, name, value)
     job.flex_items = None
+    (job.base_workers, job.flex_workers, job.flex_training_gpus,
+     job.flex_onloan_gpus) = recount(job)
     return job

@@ -3,7 +3,10 @@
 The basic unit of capacity loaning is a physical server (§3): inference and
 training never share one machine, so no extra isolation mechanism is needed.
 Each server tracks which jobs occupy how many of its GPUs; a worker always
-fits entirely on one server.
+fits entirely on one server.  The book's total is kept as an integer
+(``used_gpus``) by its only two writers, :meth:`Server.allocate` and
+:meth:`Server.release`, so capacity reads never re-sum the book;
+``ResourceManager.verify_books`` recounts it.
 """
 
 from __future__ import annotations
@@ -48,8 +51,9 @@ class Server:
     #: relative throughput of workers hosted here (1.0 = nominal; fault
     #: injection lowers it while the server straggles)
     perf_factor: float = 1.0
-    #: GPUs occupied per job id
-    allocations: Dict[int, int] = field(default_factory=dict)
+    #: GPUs occupied per job id; a server starts empty, and allocate /
+    #: release are its only writers
+    allocations: Dict[int, int] = field(default_factory=dict, init=False)
     #: change hook wired by :meth:`Cluster.attach_view`; fired after every
     #: successful allocate/release so the ClusterView stays delta-current
     _on_change: Optional[Callable[["Server"], None]] = field(
@@ -57,6 +61,9 @@ class Server:
     )
 
     def __post_init__(self) -> None:
+        #: derived: the sum of ``allocations``, kept by its two writers
+        #: and left out of pickles (restore recounts it)
+        self.used_gpus = 0
         if self.num_gpus < 1:
             raise ValueError(f"num_gpus must be >= 1, got {self.num_gpus}")
         if not self.home_cluster or not isinstance(self.home_cluster, str):
@@ -65,13 +72,18 @@ class Server:
                 f"got {self.home_cluster!r}"
             )
 
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["used_gpus"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.used_gpus = sum(state["allocations"].values())
+
     # ------------------------------------------------------------------
     # capacity
     # ------------------------------------------------------------------
-    @property
-    def used_gpus(self) -> int:
-        return sum(self.allocations.values())
-
     @property
     def free_gpus(self) -> int:
         return self.num_gpus - self.used_gpus
@@ -101,6 +113,7 @@ class Server:
                 f"{self.free_gpus} free"
             )
         self.allocations[job_id] = self.allocations.get(job_id, 0) + gpus
+        self.used_gpus += gpus
         if self._on_change is not None:
             self._on_change(self)
 
@@ -116,12 +129,14 @@ class Server:
             return 0
         if gpus is None or gpus >= held:
             del self.allocations[job_id]
+            self.used_gpus -= held
             if self._on_change is not None:
                 self._on_change(self)
             return held
         if gpus <= 0:
             raise ValueError(f"gpus must be positive, got {gpus}")
         self.allocations[job_id] = held - gpus
+        self.used_gpus -= gpus
         if self._on_change is not None:
             self._on_change(self)
         return gpus

@@ -368,10 +368,27 @@ class SchedulerKernel:
 
     def verify_derived(self) -> None:
         """Check what snapshots drop against a recomputation: the index,
-        and each flex-item cache whose key matches its job's inputs."""
+        each flex-item cache whose key matches its job's inputs, and the
+        flex credit's premise — every running job's flexible workers sit
+        in the training whitelist, on servers whose on-loan flag is the
+        one the job recorded (its flexible-GPU counters' domains)."""
         elastic = [job for job in self.running.values() if job.elastic]
         if list(self.running_elastic.values()) != elastic:
             raise RuntimeError("running-elastic index drifted from running")
+        for job in self.running.values():
+            for server_id in job.flex_placement:
+                if server_id not in self.cluster:
+                    raise RuntimeError(
+                        f"job {job.job_id} holds flexible workers on "
+                        f"{server_id}, which is not in the training whitelist"
+                    )
+                if self.cluster.get(server_id).on_loan != (
+                    server_id in job._onloan_servers
+                ):
+                    raise RuntimeError(
+                        f"job {job.job_id} credits its flexible GPUs on "
+                        f"{server_id} to the wrong domain"
+                    )
         for job in self.jobs.values():
             key, items = job.flex_items or (None, None)
             if key and key == job.flex_key(key[0]):

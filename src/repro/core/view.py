@@ -23,6 +23,9 @@ state every kernel carries instead:
 * cached **pool totals** and the per-type on-loan census make
   :meth:`pools` O(1), with the §5.2 **on-loan cost** derived from the
   *set* of loaned GPU types (never from iteration order);
+* per-domain **GPU totals** (kept with membership) beside the free
+  totals make used GPUs per domain (:meth:`domain_used`) one
+  subtraction, which is what the usage sampler reads;
 * a cached **pending-queue ordering** per policy, recomputed only when
   the queue actually changed.
 
@@ -273,6 +276,8 @@ class ClusterView:
         self._worker_costs: Dict[Tuple[int, Optional[int]], np.ndarray] = {}
         #: free GPUs per domain, indexed by the on-loan flag
         self._free_total = [0, 0]
+        #: GPUs per domain, indexed the same way
+        self._gpu_total = [0, 0]
         #: on-loan servers per GPU-type code (the §5.2 cost census)
         self._onloan_types: Dict[int, int] = {}
         for server in self.cluster.servers:
@@ -320,6 +325,7 @@ class ClusterView:
         self._drop_derived()
         self._worker_costs.clear()
         self._free_total[server.on_loan] += server.free_gpus
+        self._gpu_total[server.on_loan] += server.num_gpus
         if server.on_loan:
             self._onloan_types[code] = self._onloan_types.get(code, 0) + 1
 
@@ -353,8 +359,10 @@ class ClusterView:
 
     def server_removed(self, server: Server) -> None:
         slot = self._slot_of.pop(server.server_id)
-        self._free_total[bool(self._on_loan[slot])] -= int(self._free[slot])
-        if self._on_loan[slot]:
+        on_loan = bool(self._on_loan[slot])
+        self._free_total[on_loan] -= int(self._free[slot])
+        self._gpu_total[on_loan] -= server.num_gpus
+        if on_loan:
             code = int(self._type_code[slot])
             if self._onloan_types[code] > 1:
                 self._onloan_types[code] -= 1
@@ -412,6 +420,14 @@ class ClusterView:
     def onloan_free(self) -> int:
         """Free GPUs on on-loan servers — O(1)."""
         return self._free_total[True]
+
+    def domain_gpus(self, on_loan: bool) -> int:
+        """GPUs on the on-loan (or the dedicated) servers — O(1)."""
+        return self._gpu_total[on_loan]
+
+    def domain_used(self, on_loan: bool) -> int:
+        """GPUs in use on the on-loan (or the dedicated) servers — O(1)."""
+        return self._gpu_total[on_loan] - self._free_total[on_loan]
 
     def onloan_cost(self) -> float:
         """Deterministic §5.2 cost factor of the loaned hardware."""
@@ -734,6 +750,7 @@ class ClusterView:
             "servers": servers,
             "active_slots": int(self._active.sum()),
             "free_total": list(self._free_total),
+            "gpu_total": list(self._gpu_total),
             "onloan_types": {
                 types[code]: n for code, n in self._onloan_types.items()
             },
@@ -761,6 +778,10 @@ class ClusterView:
             "free_total": [
                 sum(s.free_gpus for s in servers if not s.on_loan),
                 sum(s.free_gpus for s in loaned),
+            ],
+            "gpu_total": [
+                sum(s.num_gpus for s in servers if not s.on_loan),
+                sum(s.num_gpus for s in loaned),
             ],
             "onloan_types": dict(Counter(s.gpu_type.name for s in loaned)),
             "onloan_cost": deterministic_onloan_cost(
@@ -804,6 +825,13 @@ class ClusterView:
                 f"  maintained: {live[field]!r}\n"
                 f"  scanned:    {fresh[field]!r}"
             )
+        # the usage sampler's float-order argument (Simulation._on_sampler)
+        flags = [s.on_loan for s in servers]
+        assert flags == sorted(flags), (
+            "an on-loan server precedes a dedicated one in the cluster's "
+            "order: loans must join at the end and dedicated servers never "
+            "join later"
+        )
         cost = self.onloan_cost()
         assert cost >= 1.0, (
             f"on-loan cost {cost!r} < 1.0: the §5.2 weakest-type "

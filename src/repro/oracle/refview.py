@@ -79,6 +79,15 @@ class ReferenceView:
     def onloan_free(self) -> int:
         return sum(s.free_gpus for s in self.cluster.servers if s.on_loan)
 
+    def domain_gpus(self, on_loan: bool) -> int:
+        return sum(s.num_gpus for s in self.cluster.servers if s.on_loan == on_loan)
+
+    def domain_used(self, on_loan: bool) -> int:
+        return sum(
+            gpus for s in self.cluster.servers if s.on_loan == on_loan
+            for gpus in s.allocations.values()
+        )
+
     def onloan_cost(self) -> float:
         """Weakest loaned GPU type sets the §5.2 cost; never below 1."""
         costs = [

@@ -69,7 +69,9 @@ MAGIC = b"REPROSNAP\x00"
 #: 13: the kernel holds the phase clock (``phase_stats`` and its span
 #: counters) and the observability bundle no phase profiler (a schema-12
 #: snapshot pickled a profiler of a module this build does not have)
-SCHEMA_VERSION = 13
+#: 14: the view pickles its per-domain GPU totals beside its free totals
+#: (a schema-13 view comes back without them)
+SCHEMA_VERSION = 14
 
 #: pinned pickle protocol: snapshots written on 3.9 load on 3.12
 PICKLE_PROTOCOL = 4

@@ -11,7 +11,9 @@ execution layer, and the only writer of placement:
   scheduling decision reads one or the other; :meth:`launch`,
   :meth:`scale_in`, :meth:`release_job` and :meth:`fail_node` edit both
   together, and :meth:`verify_books` asserts they agree, server by
-  server and job by job;
+  server and job by job, and that each side's occupancy counters
+  (``Server.used_gpus``, the ``Job`` worker and flexible-GPU counts) equal
+  a recount of its book;
 * node failures are first-class: :meth:`fail_node` marks a server
   unhealthy, takes its workers off both books, and reports which jobs
   lost base workers (must be rescheduled) versus only flexible workers
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set
 
 from repro.cluster.cluster import ClusterPair
-from repro.cluster.job import Job
+from repro.cluster.job import Job, counters, recount
 from repro.cluster.server import Server
 
 
@@ -192,11 +194,7 @@ class ResourceManager:
         if take < 1:
             return 0
         self._stop(job, server_id, take)
-        if take < have:
-            job.flex_placement[server_id] = have - take
-        else:
-            job.remove_flex_on(server_id)
-        return take
+        return job.remove_flex_on(server_id, take)
 
     # ------------------------------------------------------------------
     # whitelist API (§6)
@@ -304,6 +302,12 @@ class ResourceManager:
                         f"(again in {cluster.name!r})"
                     )
                 booked[server_id] = server.allocations
+                if server.used_gpus != sum(server.allocations.values()):
+                    raise RuntimeError(
+                        f"server {server_id} counts {server.used_gpus} GPUs in "
+                        f"use, its book sums to "
+                        f"{sum(server.allocations.values())}"
+                    )
                 for job_id, gpus in server.allocations.items():
                     job = self.jobs.get(job_id)
                     placed = job.gpus_on(server_id) if job is not None else 0
@@ -323,6 +327,12 @@ class ResourceManager:
                             f"{job.workers_on(server_id)} workers there, "
                             f"the server books nothing for it"
                         )
+            if counters(job) != recount(job):
+                raise RuntimeError(
+                    f"job {job.job_id} counts (base, flex, flex training "
+                    f"GPUs, flex on-loan GPUs) {counters(job)}, its "
+                    f"placement gives {recount(job)}"
+                )
         contracts = self.pair.contracts
         on_loan = {s.server_id: s for s in self.pair.training.on_loan_servers}
         if contracts.keys() != on_loan.keys():

@@ -16,9 +16,7 @@ point between policy and cluster.
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.cluster.job import Job
 from repro.core.actions import EpochPlan, PlanTransaction
@@ -103,21 +101,24 @@ class SchedulerPolicy(abc.ABC):
     # shared helpers: ``ctx`` is the epoch's PlanTransaction
     # ------------------------------------------------------------------
     @staticmethod
-    def credit_flex(ctx: "PlanTransaction", pools: Pools, jobs: Sequence[Job]) -> None:
+    def credit_flex(pools: Pools, jobs: Sequence[Job]) -> None:
         """Add running jobs' flexible-worker GPUs back into the pools.
 
         §5.2: the resources available at an epoch include GPUs being used
-        by flexible workers, because those can be resized away.
+        by flexible workers, because those can be resized away.  Each
+        job keeps those GPUs per domain as two integers (``Job``'s
+        occupancy counters), so the credit visits no server.  Every
+        server a running job's flexible workers sit on is in the
+        training whitelist at decide time, with the on-loan flag its job
+        recorded at launch: a reclaim vacates a server before
+        ``return_server`` takes it out (which refuses a booked server),
+        ``fail_node`` strips a failed server's placements, and a
+        dedicated server never goes on loan.
+        ``SchedulerKernel.verify_derived`` asserts both.
         """
         for job in jobs:
-            for server_id, workers in job.flex_placement.items():
-                if server_id not in ctx.cluster:
-                    continue
-                gpus = workers * job.gpu_cost_on(server_id)
-                if ctx.cluster.get(server_id).on_loan:
-                    pools.onloan += gpus
-                else:
-                    pools.training += gpus
+            pools.training += job.flex_training_gpus
+            pools.onloan += job.flex_onloan_gpus
 
     def sorted_pending(
         self, ctx: "PlanTransaction", key_fn, cache_key: str, dynamic: bool = False
@@ -170,58 +171,47 @@ class SchedulerPolicy(abc.ABC):
         draws on the on-loan pool only, and every other job on the
         training pool.
 
-        With 200k queued jobs a per-job Python scan *is* the epoch, so
-        each job's demand, budget class and shape id are computed once
-        and the next admissible job is found with one vectorized mask.
-        That is the same single pass: per-class budgets only shrink
-        during the scan (placements consume GPUs, the on-loan cost
-        factor is fixed while membership is) and the failed-shape set
-        only grows, so a job skipped at its turn could never have been
-        admitted later.
+        One pass in queue order.  A job is skipped when its budget
+        class's free GPUs cannot hold its base demand, or when placement
+        already failed a job of its shape this epoch; the pools are
+        re-read after each start.  Skipping for good is exact: budgets
+        only shrink during the pass (placements consume GPUs, and the
+        on-loan cost factor is fixed while membership is) and the
+        failed-shape set only grows, so a job skipped at its turn could
+        not be admitted later.  Every demand is at least one GPU, so
+        once both budgets are empty nothing further can start.
         """
-        jobs = list(ordered_pending)
-        if not jobs:
+        if not ordered_pending:
             return []
         engine = ctx.placement_engine(opportunistic=opportunistic)
-        pools = ctx.view.pools()
-        demand: List[int] = []
-        budget_class: List[int] = []
-        shape_of: List[int] = []
-        shape_codes: Dict[Tuple, int] = {}
-        for job in jobs:
-            spec = job.spec
-            demand.append(spec.min_workers * spec.gpus_per_worker)
-            if spec.fungible or (spec.heterogeneous and not opportunistic):
-                budget_class.append(0)  # may use on-loan GPUs
-            else:
-                budget_class.append(1)
-            shape = (spec.gpus_per_worker, spec.min_workers, spec.fungible)
-            shape_of.append(shape_codes.setdefault(shape, len(shape_codes)))
-        gpus = np.array(demand, dtype=np.int64)
-        cls = np.array(budget_class, dtype=np.intp)
-        shape_ids = np.array(shape_of, dtype=np.intp)
-        failed = np.zeros(len(shape_codes), dtype=bool)
+        pools = None  # re-read after each start
+        failed: Set[Tuple] = set()
         started: List[Job] = []
-        start = 0  # everything before it was scanned and skipped for good
-        while start < len(jobs):
-            shared = pools.onloan if opportunistic else pools.total
-            budgets = np.array([shared, pools.training], dtype=np.int64)
-            ok = (gpus[start:] <= budgets[cls[start:]]) & ~failed[
-                shape_ids[start:]
-            ]
-            i = start + int(ok.argmax())  # first admissible job, if any
-            if not ok[i - start]:
-                break
-            start = i + 1
-            job = jobs[i]
+        for job in ordered_pending:
+            if pools is None:
+                pools = ctx.view.pools()
+                training = pools.training
+                shared = pools.onloan if opportunistic else pools.total
+                if not (training or shared):
+                    break
+            spec = job.spec
+            if spec.fungible or (spec.heterogeneous and not opportunistic):
+                budget = shared  # may use on-loan GPUs
+            else:
+                budget = training
+            if spec.min_workers * spec.gpus_per_worker > budget:
+                continue
+            shape = (spec.gpus_per_worker, spec.min_workers, spec.fungible)
+            if shape in failed:
+                continue
             with ctx.phase(PHASE_PLACEMENT):
                 result = engine.place(
-                    [PlacementRequest(job, base_workers=job.spec.min_workers)]
+                    [PlacementRequest(job, base_workers=spec.min_workers)]
                 )
             if result.failed_base:
-                failed[shape_ids[i]] = True
+                failed.add(shape)
                 continue
-            pools = ctx.view.pools()
+            pools = None
             self.update_hetero_penalty(ctx, job)
             ctx.activate(job)
             started.append(job)

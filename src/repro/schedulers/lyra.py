@@ -13,7 +13,7 @@ Each epoch:
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List, Tuple
 
 from repro.cluster.job import Job
 from repro.core.allocation import allocate_two_phase, jct_reduction_values, sjf_key
@@ -48,12 +48,9 @@ class LyraScheduler(SchedulerPolicy):
     def decide(self, ctx: "PlanTransaction") -> None:
         elastic_on = ctx.config.elastic
         running_elastic = ctx.running_elastic if elastic_on else []
-        current_flex: Dict[int, int] = {
-            job.job_id: job.flex_workers for job in running_elastic
-        }
 
         pools = ctx.view.pools()
-        self.credit_flex(ctx, pools, running_elastic)
+        self.credit_flex(pools, running_elastic)
 
         pending = self.sorted_pending(
             ctx, self.order_key, self.name + ":p1", dynamic=self.dynamic_order
@@ -99,41 +96,43 @@ class LyraScheduler(SchedulerPolicy):
                 mckp_capacity=decision.mckp_capacity,
             )
 
-        # Scale-ins first: free the GPUs that admissions will consume.
+        # One pass over the running elastic jobs: scale-ins now, freeing
+        # the GPUs that admissions will consume; scale-outs are placed
+        # after the admissions, with each job's flexible count before.
+        flex = decision.flex
+        scale_outs: List[Tuple[Job, int]] = []
         for job in running_elastic:
-            new_flex = decision.flex.get(job.job_id, current_flex[job.job_id])
-            delta = new_flex - current_flex[job.job_id]
-            if delta < 0:
-                removals = self.choose_flex_removals(ctx, job, -delta)
+            have = job.flex_workers
+            want = flex.get(job.job_id, have)
+            if want < have:
+                removals = self.choose_flex_removals(ctx, job, have - want)
                 ctx.scale_in_worker_counts(job, removals)
+            elif want > have:
+                scale_outs.append((job, have))
 
         # Place admissions (base + their flexible surplus) and scale-outs.
         engine = ctx.placement_engine()
-        requests: List[PlacementRequest] = []
-        for job, _domain in decision.scheduled:
-            flex = decision.flex.get(job.job_id, 0) if job.elastic else 0
-            requests.append(
-                PlacementRequest(
-                    job, base_workers=job.spec.min_workers, flex_workers=flex
-                )
+        requests: List[PlacementRequest] = [
+            PlacementRequest(
+                job,
+                base_workers=job.spec.min_workers,
+                flex_workers=flex.get(job.job_id, 0) if job.elastic else 0,
             )
-        scale_out_jobs: List[Job] = []
-        for job in running_elastic:
-            delta = decision.flex.get(job.job_id, current_flex[job.job_id]) - (
-                current_flex[job.job_id]
-            )
-            if delta > 0:
-                requests.append(PlacementRequest(job, flex_workers=delta))
-                scale_out_jobs.append(job)
+            for job, _domain in decision.scheduled
+        ]
+        requests.extend(
+            PlacementRequest(job, flex_workers=flex[job.job_id] - have)
+            for job, have in scale_outs
+        )
 
         with ctx.phase(PHASE_PLACEMENT):
             result = engine.place(requests)
         for job in result.placed_base:
             self.update_hetero_penalty(ctx, job)
             ctx.activate(job)
-        for job in scale_out_jobs:
+        for job, have in scale_outs:
             shortfall = result.flex_shortfall.get(job.job_id, 0)
-            placed = True if shortfall == 0 else job.flex_workers > current_flex[job.job_id]
+            placed = True if shortfall == 0 else job.flex_workers > have
             if placed:
                 self.update_hetero_penalty(ctx, job)
                 ctx.rescale(job, scaled_out=True)

@@ -184,7 +184,7 @@ class PolluxScheduler(SchedulerPolicy):
         if not jobs:
             return
         pools = ctx.view.pools()
-        self.credit_flex(ctx, pools, ctx.running_elastic)
+        self.credit_flex(pools, ctx.running_elastic)
         running_base = sum(
             j.base_workers * j.spec.gpus_per_worker for j in ctx.running.values()
         )

@@ -223,23 +223,33 @@ class Simulation(SchedulerKernel):
             # clusters run continuously; our finite replay has a drain
             # tail that would otherwise dilute every mean).
             return
-        training = self.cluster
+        view = self.view
         # Training usage per Table 5: GPU-time delivered to training,
         # normalized and measured against the *dedicated* cluster size —
         # capacity loaning therefore pushes it up (Baseline 0.72 ->
         # Basic 0.86 in the paper), rather than diluting the denominator.
-        dedicated_total = used = 0.0
-        for server in training.servers:
-            if server.on_loan:
-                used += server.used_gpus * server.gpu_type.relative_compute
-            else:
-                used += server.used_gpus
-                dedicated_total += server.num_gpus
+        #
+        # The sum is the one a walk of ``training.servers`` makes, added
+        # in the same order: the whitelist gains servers only through
+        # ``ClusterPair.loan_ids`` (appended, on loan) and loses them
+        # only through returns, so every dedicated server precedes every
+        # on-loan one (``ClusterView.assert_consistent`` checks it).  The
+        # walk's dedicated prefix adds integers far below 2**53, so it
+        # is exactly ``float(D)`` for D the dedicated GPUs in use; the
+        # on-loan servers then add the same terms in the same order.
+        dedicated_total = view.domain_gpus(False)
+        used = float(view.domain_used(False))
+        onloan = self.cluster.on_loan_servers
+        busy = 0
+        for server in onloan:
+            used += server.used_gpus * server.gpu_type.relative_compute
+            busy += not server.idle
         if dedicated_total:
             ratio = min(1.0, used / dedicated_total)
             self.metrics.training_usage.append(now, ratio)
             self.obs.registry.gauge("usage.training").set(ratio)
 
+        onloan_used = view.domain_used(True)
         total_gpus = self.pair.training.total_gpus + self.pair.inference.total_gpus
         inference_busy = 0.0
         if self.inference_trace is not None and self.pair.inference.total_gpus:
@@ -257,18 +267,15 @@ class Simulation(SchedulerKernel):
                 * gpus_per_server
                 * self.inference_trace.gpu_busy_fraction
             )
-        overall = (training.used_gpus + inference_busy) / total_gpus if total_gpus else 0.0
+        training_used = view.domain_used(False) + onloan_used
+        overall = (training_used + inference_busy) / total_gpus if total_gpus else 0.0
         self.metrics.overall_usage.append(now, overall)
         self.obs.registry.gauge("usage.overall").set(overall)
 
-        onloan = training.on_loan_servers
         onloan_usage = None
         if onloan:
-            used = sum(s.used_gpus for s in onloan)
-            total = sum(s.num_gpus for s in onloan)
-            onloan_usage = used / total
+            onloan_usage = onloan_used / view.domain_gpus(True)
             self.metrics.onloan_usage.append(now, onloan_usage)
-            busy = sum(1 for s in onloan if not s.idle)
             self.metrics.onloan_busy.append(now, busy / len(onloan))
 
         if self.tracer.enabled:

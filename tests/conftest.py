@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import faulthandler
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,6 +24,33 @@ from repro.simulator.simulation import Simulation
 from repro.traces.inference import generate_inference_trace
 from repro.traces.workload import TraceConfig, generate_workload
 from tests.test_equivalence import LEGS, build_scenario, digest
+
+#: Seconds one test may take, set-up and teardown included, before the
+#: run is stopped with every thread's stack: the slowest test takes about
+#: 5 s, so a test past this bound is stuck (a gang refused every epoch
+#: until the 30-day drain limit, say), and the suite fails by the test's
+#: name instead of hanging.
+TEST_DEADLINE_S = 60.0
+
+#: the terminal's stderr, duplicated before any test captures fd 2: a
+#: dump written into the capture would die with the process
+_deadline_stream = None
+
+
+def pytest_configure(config):
+    global _deadline_stream
+    _deadline_stream = os.fdopen(os.dup(2), "w")
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    faulthandler.dump_traceback_later(
+        TEST_DEADLINE_S, exit=True, file=_deadline_stream
+    )
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
 
 
 def make_job(

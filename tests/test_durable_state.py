@@ -23,7 +23,14 @@ from hypothesis import strategies as st
 
 from repro import scenarios
 from repro.cli import main
+from repro.cluster.cluster import (
+    ClusterPair,
+    make_inference_cluster,
+    make_training_cluster,
+)
+from repro.cluster.job import counters
 from repro.core.allocation import build_flex_groups
+from repro.oracle.refview import ReferenceView
 from repro.recovery.codec import (
     PICKLE_PROTOCOL,
     SCHEMA_VERSION,
@@ -31,7 +38,7 @@ from repro.recovery.codec import (
     SnapshotStore,
 )
 from repro.recovery.manager import RecoveryError, RecoveryManager
-from repro.recovery.state import capture_payload
+from repro.recovery.state import capture_payload, restore_payload
 from repro.recovery.wal import PlanWAL, WALError
 from repro.serve.state import RequestJournal, ServeState
 from tests.test_equivalence import build_scenario
@@ -462,8 +469,40 @@ def test_a_snapshot_carries_no_derived_state():
     clone = pickle.loads(capture_payload(sim))["sim"]
     assert list(clone.running_elastic) == list(sim.running_elastic)
     assert all(job.flex_items is None for job in clone.jobs.values())
+    # the occupancy counters are recounted on restore, to the same values
+    assert [counters(job) for job in clone.jobs.values()] == [
+        counters(job) for job in sim.jobs.values()
+    ]
     assert clone.rm.derived_check == clone.verify_derived
     clone.rm.verify_books()
+
+
+def test_a_restored_view_counts_each_domain_on_small_servers():
+    """The view's per-domain GPU totals survive a snapshot on servers
+    that do not have the dataclass default of 8 GPUs, loans out: the
+    restored view answers like a scan, and the resumed run keeps the
+    view consistent after every epoch."""
+    sim = build_scenario(
+        "lyra_loaning",
+        pair_factory=lambda: ClusterPair(
+            make_training_cluster(6, 4), make_inference_cluster(8, 4)
+        ),
+    )
+    sim.run(until=50_000.0)
+    assert sim.cluster.on_loan_servers
+    clone = restore_payload(pickle.loads(capture_payload(sim)))
+    reference = ReferenceView(clone.cluster)
+    for on_loan in (False, True):
+        assert clone.view.domain_gpus(on_loan) == reference.domain_gpus(on_loan)
+        assert clone.view.domain_used(on_loan) == reference.domain_used(on_loan)
+    finished = clone.epoch_finished
+
+    def audited() -> None:
+        clone.view.assert_consistent()
+        finished()
+
+    clone.epoch_finished = audited
+    clone.resume()
 
 
 def test_the_books_check_catches_drifted_derived_state():

@@ -65,7 +65,7 @@ class TestBaseHelpers:
         job.record_placement(loaned.server_id, 1, flexible=True,
                              gpu_cost=3, on_loan=True)
         pools = Pools(training=0, onloan=0, onloan_cost=3.0)
-        SchedulerPolicy.credit_flex(sim, pools, [job])
+        SchedulerPolicy.credit_flex(pools, [job])
         assert pools.training == 1
         assert pools.onloan == 3
 

@@ -18,12 +18,13 @@ from repro.cluster.cluster import (
     make_inference_cluster,
     make_training_cluster,
 )
-from repro.cluster.job import Job, JobSpec
+from repro.cluster.job import Job, JobSpec, counters, recount
 from repro.core.actions import PlanTransaction
 from repro.core.allocation import Pools, allocate_two_phase
 from repro.core.placement import PlacementEngine, PlacementRequest
 from repro.core.reclaim import plan_reclaim_lyra
 from repro.core.view import ClusterView
+from repro.oracle.refview import ReferenceView
 from repro.rm.manager import ResourceManager
 from repro.schedulers.lyra import LyraScheduler
 from repro.simulator.simulation import Simulation, SimulationConfig
@@ -323,6 +324,98 @@ class TestResourceManagerInterleavings:
         assert self.books(pair, jobs)[1] == {
             job_id: ({}, {}, {}, set()) for job_id in jobs
         }
+
+
+#: one resource-manager mutation: (op, job index, server index, workers,
+#: flexible)
+_BOOK_OP = st.tuples(
+    st.sampled_from(("launch", "scale_in", "release_job")),
+    st.integers(0, 3), st.integers(0, 9), st.integers(1, 3), st.booleans(),
+)
+_STEP = st.one_of(
+    _BOOK_OP,
+    st.tuples(st.sampled_from(("fail_node", "recover", "loan", "return")),
+              st.integers(0, 3), st.integers(0, 9), st.integers(1, 2),
+              st.booleans()),
+    st.tuples(st.just("rolled_back"), st.lists(_BOOK_OP, min_size=1,
+                                               max_size=4)),
+)
+
+
+class TestOccupancyCounters:
+    """The occupancy counters equal a recount after every step.
+
+    ``Server.used_gpus``, each job's worker and flexible-GPU counters and the
+    view's per-domain GPU totals are kept by their writers, never
+    re-summed on a read; a random walk of launches, scale-ins, releases,
+    node failures, loans, returns and rolled-back plan transactions
+    checks each against a count of the books it summarises.
+    """
+
+    @staticmethod
+    def step(rm, jobs, op):
+        name, job_index, server_index, workers, flexible = op
+        pair = rm.pair
+        job = jobs[job_index]
+        every = pair.training.servers + pair.inference.servers
+        server = every[server_index % len(every)]
+        if name == "launch":
+            rm.launch(job, server, workers,
+                      PlacementEngine.worker_cost(job, server),
+                      flexible=flexible)
+        elif name == "scale_in":
+            rm.scale_in(job, server.server_id, workers)
+        elif name == "release_job":
+            rm.release_job(job)
+        elif name == "fail_node":
+            for job_id in rm.fail_node(server.server_id).jobs_lost_base:
+                rm.release_job(jobs[job_id])
+        elif name == "recover":
+            rm.recover_node(server.server_id)
+        elif name == "loan":
+            loan(rm, workers)
+        elif name == "return":
+            rm.return_server(server.server_id)
+
+    @given(steps=st.lists(_STEP, max_size=40))
+    @settings(max_examples=80, deadline=None)
+    def test_every_counter_equals_a_recount(self, steps):
+        pair = ClusterPair(make_training_cluster(3), make_inference_cluster(3))
+        jobs = {
+            i: Job(JobSpec(
+                job_id=i, submit_time=0.0, duration=1000.0,
+                max_workers=6, min_workers=1, gpus_per_worker=1,
+                elastic=True, fungible=True,
+            ))
+            for i in range(4)
+        }
+        rm = ResourceManager(pair, jobs)
+        view = ClusterView(pair.training)
+        ref = ReferenceView(pair.training)
+
+        def attempt(op):
+            try:
+                self.step(rm, jobs, op)
+            except (ValueError, RuntimeError, KeyError):
+                pass  # a rejected op changes nothing
+
+        for op in steps:
+            if op[0] == "rolled_back":
+                txn = PlanTransaction(_context(rm), "test")
+                for inner in op[1]:
+                    attempt(inner)
+                txn.rollback()
+            else:
+                attempt(op)
+            for cluster in pair.clusters():
+                for server in cluster.servers:
+                    assert server.used_gpus == sum(server.allocations.values())
+            for job in jobs.values():
+                assert counters(job) == recount(job)
+            for on_loan in (False, True):
+                assert view.domain_gpus(on_loan) == ref.domain_gpus(on_loan)
+                assert view.domain_used(on_loan) == ref.domain_used(on_loan)
+            rm.verify_books()
 
 
 # ----------------------------------------------------------------------

@@ -575,17 +575,17 @@ class TestSnapshotCodec:
             SnapshotCodec.load(tmp_path / "nope.ckpt")
 
     def test_recover_refuses_a_directory_an_older_build_wrote(self, tmp_path):
-        """Schema 13: the kernel holds the phase clock and the
-        observability bundle no phase profiler.  A schema-12 directory is
-        refused by its manifest, before any unpickle."""
+        """Schema 14: the view pickles its per-domain GPU totals.  A
+        schema-13 directory is refused by its manifest, before any
+        unpickle."""
         killed_run("fifo_contention", tmp_path)
         manifest = tmp_path / "recovery.json"
         current = manifest.read_text()
-        manifest.write_text(current.replace('"schema": 13', '"schema": 12'))
+        manifest.write_text(current.replace('"schema": 14', '"schema": 13'))
         assert manifest.read_text() != current
         with pytest.raises(
             RecoveryError,
-            match=r"schema 12 does not match this build \(schema 13\)",
+            match=r"schema 13 does not match this build \(schema 14\)",
         ):
             RecoveryManager.recover(tmp_path)
 

@@ -493,6 +493,9 @@ def _same_answers(view, ref):
     assert view.pools() == ref.pools()
     assert view.dedicated_free == ref.dedicated_free
     assert view.onloan_free == ref.onloan_free
+    for on_loan in (False, True):
+        assert view.domain_gpus(on_loan) == ref.domain_gpus(on_loan)
+        assert view.domain_used(on_loan) == ref.domain_used(on_loan)
     for gpus_per_worker in (1, 2, 3):
         for on_loan in (False, True):
             assert view.domain_capacity(on_loan, gpus_per_worker) == (
@@ -660,7 +663,7 @@ def test_pickle_roundtrip_rebuilds_columns():
 #: what a pickled view carries: the columns and the books — no derived
 #: placement column, no job table, no cost cache
 PICKLED_VIEW_KEYS = [
-    "_active", "_free", "_free_slots", "_free_total",
+    "_active", "_free", "_free_slots", "_free_total", "_gpu_total",
     "_group_code", "_has_alloc", "_id_rank", "_on_loan", "_onloan_types",
     "_pending_cache", "_perf", "_ranks_stale", "_rel_by_code",
     "_server_at", "_slot_of", "_type_code", "_type_codes", "_worker_costs",
