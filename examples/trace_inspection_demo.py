@@ -3,7 +3,7 @@
 
 Runs a small loaning-heavy scenario with the full observability bundle
 attached, exports the structured event trace (JSONL + Chrome formats),
-prints the ``repro inspect`` report, and shows how to answer ad-hoc
+prints the ``repro report`` markdown, and shows how to answer ad-hoc
 questions directly from the in-memory event list — here, "which reclaim
 operations actually preempted somebody, and what did they cost?".
 
@@ -19,7 +19,8 @@ import tempfile
 from pathlib import Path
 
 from repro.obs import Observability
-from repro.obs.inspect import load_trace, render_summary
+from repro.obs.inspect import load_trace
+from repro.obs.report import build_report
 from repro.obs.timeline import TimelineStore
 from repro.scenarios import build_sim, default_setup
 
@@ -50,10 +51,10 @@ def tour(out_dir: Path) -> None:
     print(f"wrote {jsonl} (JSONL) and {chrome} (load the latter in "
           f"about://tracing or https://ui.perfetto.dev)\n")
 
-    # The same report `python -m repro inspect trace.jsonl` prints: the
-    # store is the one index `inspect`, `report` and `why` all read.
+    # The same report `python -m repro report trace.jsonl` prints: the
+    # store is the one index `report` and `why` both read.
     store = TimelineStore.from_trace(load_trace(str(jsonl)))
-    print(render_summary(store))
+    print(build_report(store), end="")
 
     # Ad-hoc mining: costly reclaims, straight off the event objects.
     print("\n== reclaims that preempted jobs ==")

@@ -26,15 +26,14 @@ Commands:
   scaling-only) on the basic scenario, also check their shapes against
   the paper (exit 1 when a claim does not hold).
 * ``trace``    — generate a synthetic trace and describe (or export) it.
-* ``inspect``  — summarize an exported event trace (phase timings,
-  preemption causes, reclaim timeline); ``--diff A B`` compares two
-  traces and reports the first divergence plus metric deltas.
+* ``inspect``  — compare two exported event traces: the first event
+  where they diverge plus the metric deltas (exit 1 when they differ).
 * ``why``      — narrate the causal chain behind a job's lifecycle from
   an exported trace: which plan dispatched/preempted it, what triggered
   that epoch, which fault was behind it.
-* ``report``   — render an exported trace as a deterministic markdown
-  run report (JCT/queue-wait percentiles, utilization, loan/reclaim and
-  preemption timelines, decision ledger, phase call counts).
+* ``report``   — render an exported trace as the markdown run report;
+  all but its last section, the per-phase wall-clock timing, is the
+  same for two same-seed runs.
 * ``paper``    — print the paper's published numbers for a table.
 
 Everything is seeded; two invocations with the same arguments produce
@@ -255,7 +254,7 @@ def _load_traces(paths):
 
 
 def _load_store(path):
-    """The one index ``inspect``, ``why`` and ``report`` read."""
+    """The one index ``why`` and ``report`` read."""
     from repro.obs.timeline import TimelineStore
 
     return TimelineStore.from_trace(*_load_traces([path]))
@@ -425,7 +424,7 @@ def cmd_run(args) -> int:
         records = sim.export_trace(args.trace, format=args.trace_format)
         print(f"wrote {records} trace records to {args.trace} "
               f"({args.trace_format}); summarize with "
-              f"`repro inspect {args.trace}`")
+              f"`repro report {args.trace}`")
     if args.activities_out:
         _write_activities(sim, args.activities_out)
     if sim.recovery is not None and not args.json:
@@ -742,20 +741,16 @@ def cmd_why(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    """Summarize an exported event trace, or diff two of them."""
-    from repro.obs.inspect import diff_traces, render_diff, render_summary
+    """Compare two exported event traces (exit 1 when they differ)."""
+    from repro.obs.inspect import diff_traces, render_diff
 
     files = args.trace_file
-    if args.diff and len(files) != 2:
-        raise _Refused("--diff compares exactly two traces")
-    if not args.diff and len(files) != 1:
-        raise _Refused("inspect takes one trace (use --diff to compare two)")
-    if args.diff:
-        diff = diff_traces(*_load_traces(files))
-        print(render_diff(diff, *files))
-        return 0 if diff.identical else 1
-    print(render_summary(_load_store(files[0]), top=args.top))
-    return 0
+    if len(files) != 2:
+        raise _Refused("inspect compares exactly two traces; summarize "
+                       "one with `repro report TRACE`")
+    diff = diff_traces(*_load_traces(files))
+    print(render_diff(diff, *files))
+    return 0 if diff.identical else 1
 
 
 def cmd_paper(args) -> int:
@@ -878,12 +873,6 @@ _OPTIONS = {
                               help="stop after this many divergences"),
     "--verbose": dict(action="store_true",
                       help="print per-stage progress lines"),
-    # inspect
-    "--diff": dict(action="store_true",
-                   help="compare two traces: first event-stream divergence "
-                        "plus metric deltas (exit 1 when they differ)"),
-    "--top": dict(type=int, default=5,
-                  help="how many worst-preempted jobs to list"),
     # serve
     "--host": dict(default="127.0.0.1"),
     "--port": dict(type=int, default=7463,
@@ -994,7 +983,7 @@ def build_parser() -> argparse.ArgumentParser:
             ).add_argument("--out", help="write the trace (.json/.csv) for "
                                          "run --replay")
     report = command("report", cmd_report,
-                     "deterministic markdown run report from a trace",
+                     "markdown run report from a trace (wall clock last)",
                      "--log-level")
     report.add_argument("trace_file", help="trace written by run --trace")
     report.add_argument("--out", default=None,
@@ -1008,11 +997,11 @@ def build_parser() -> argparse.ArgumentParser:
     why.add_argument("--at", type=float, default=None, metavar="SECONDS",
                      help="explain only the state in effect at this "
                           "simulated time")
-    command("inspect", cmd_inspect, "summarize an exported event trace",
-            "--diff", "--top", "--log-level",
+    command("inspect", cmd_inspect,
+            "compare two exported event traces (exit 1 when they differ)",
+            "--log-level",
             ).add_argument("trace_file", nargs="+",
-                           help="trace written by run --trace (two traces "
-                                "with --diff)")
+                           help="two traces written by run --trace")
     command("serve", cmd_serve,
             "run the scheduler as a wall-clock daemon (JSONL TCP API)",
             "--scheme", "--training-servers", "--inference-servers",

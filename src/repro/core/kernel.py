@@ -491,7 +491,7 @@ class SchedulerKernel:
 
     def export_trace(self, path: str, format: str = "jsonl") -> int:
         """Export the trace plus its summary record (phase totals and
-        metrics, what ``repro inspect`` reads); returns the record count
+        metrics, what ``repro report`` reads); returns the record count
         written."""
         summary = {"phases": self.phase_summary(),
                    "metrics": self.obs.registry.snapshot()}

@@ -1,13 +1,15 @@
-"""`repro report`: a deterministic markdown run report from one trace.
+"""`repro report`: the markdown run report, the one summary of a trace.
 
-The report renders a :class:`~repro.obs.timeline.TimelineStore` from
-simulated-time data only — JCT and queue-wait percentiles from the
-metrics registry snapshot embedded in the trace, utilization from the
-periodic ``cluster.usage`` samples, loan/reclaim and preemption
-summaries from lifecycle events, the decision ledger from
-``plan.provenance``, and the phase table reduced to call counts
-(wall-clock totals are intentionally excluded).  Two same-seed runs
-therefore produce byte-identical reports, which CI asserts.
+The report renders a :class:`~repro.obs.timeline.TimelineStore`: JCT
+and queue-wait percentiles from the metrics registry snapshot embedded
+in the trace, utilization from the periodic ``cluster.usage`` samples,
+the event census, loan/reclaim and preemption summaries from lifecycle
+events, the decision ledger from ``plan.provenance``, the phase call
+counts and the recorded counters and gauges — simulated-time data all.
+The one wall-clock section, the per-phase timing table, comes last
+under :data:`WALL_CLOCK_HEADING`: everything above that heading is
+byte-identical across two same-seed runs and across the JSONL and
+Chrome exports of one run, which CI asserts.
 """
 
 from __future__ import annotations
@@ -15,9 +17,16 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.obs.metrics import percentile
+from repro.obs.tracer import SPAN_EVENT
 
 #: percentiles shown in the latency tables
 _PCTS = (25, 50, 75, 95, 99)
+
+#: how many of the most-preempted jobs the report names
+TOP_PREEMPTED = 5
+
+#: the heading of the report's last section, its only wall-clock content
+WALL_CLOCK_HEADING = "## Phase timing (wall clock)"
 
 
 def _fmt(value: Optional[float], digits: int = 1) -> str:
@@ -53,12 +62,12 @@ def build_report(store) -> str:
     """Render a :class:`~repro.obs.timeline.TimelineStore` as the markdown
     run report."""
     histograms = store.metrics.get("histograms") or {}
-    counters = store.metrics.get("counters") or {}
 
     lines: List[str] = ["# Run report", ""]
     if store.skipped_lines:
-        lines.append(f"> warning: {store.skipped_lines} corrupt trace "
-                     f"line(s) skipped while loading")
+        lines.append(f"> warning: skipped {store.skipped_lines} corrupt "
+                     f"line{'s' if store.skipped_lines != 1 else ''} "
+                     "while loading")
         lines.append("")
 
     # -- run configuration ---------------------------------------------
@@ -80,6 +89,21 @@ def build_report(store) -> str:
     lines.append(f"- finished: {store.finishes}")
     lines.append(f"- preemptions: {store.preemptions}")
     lines.append(f"- trace span: {_hours(store.span)} simulated")
+    lines.append("")
+
+    # -- event census (phase spans excluded: a Chrome export carries
+    # them as duration slices, not instants; the phase breakdown below
+    # counts them) ------------------------------------------------------
+    census = {name: count for name, count in store.counts.items()
+              if name != SPAN_EVENT}
+    lines += ["## Event census", ""]
+    lines.append(f"- events: {sum(census.values())}")
+    for name in sorted(census, key=lambda n: (-census[n], n)):
+        lines.append(f"  - {name}: {census[name]}")
+    if store.unknown_events:
+        unknown = ", ".join(f"{name} ×{count}" for name, count
+                            in sorted(store.unknown_events.items()))
+        lines.append(f"- warning: unrecognized event types: {unknown}")
     lines.append("")
 
     # -- latency percentiles -------------------------------------------
@@ -158,8 +182,13 @@ def build_report(store) -> str:
         for cause in sorted(store.preempt_causes,
                             key=lambda c: (-store.preempt_causes[c], c)):
             count = store.preempt_causes[cause]
-            lines.append(f"- {cause}: {count} "
+            lines.append(f"- cause {cause}: {count} "
                          f"({count / store.preemptions:.1%})")
+        worst = sorted(store.preempt_victims.items(),
+                       key=lambda kv: (-kv[1], kv[0]))[:TOP_PREEMPTED]
+        if worst:
+            lines.append("- most-preempted jobs: "
+                         + ", ".join(f"job {j} ×{n}" for j, n in worst))
     lines.append("")
 
     # -- decision ledger ------------------------------------------------
@@ -186,8 +215,8 @@ def build_report(store) -> str:
                 lines.append(f"  - {kind}: {trigger_census[kind]}")
     lines.append("")
 
-    # -- phase breakdown (call counts only: wall clock is not
-    # deterministic and never appears in this report) -------------------
+    # -- phase breakdown (call counts only: the wall-clock totals are the
+    # last section's) ---------------------------------------------------
     lines.append("## Phase breakdown")
     lines.append("")
     if not store.phases:
@@ -214,12 +243,6 @@ def build_report(store) -> str:
             lines.append(f"- {name}: {fault_census[name]}")
         if store.node_failures:
             lines.append(f"- node failures: {len(store.node_failures)}")
-        resilience = {
-            key: value for key, value in sorted(counters.items())
-            if key.startswith("resilience.")
-        }
-        for key, value in resilience.items():
-            lines.append(f"- {key}: {value}")
         downtime = histograms.get("resilience.node_downtime_s")
         if downtime:
             lines.append(
@@ -236,4 +259,30 @@ def build_report(store) -> str:
             )
         lines.append("")
 
-    return "\n".join(lines).rstrip() + "\n"
+    # -- every counter and gauge the run recorded -----------------------
+    lines += ["## Recorded metrics", ""]
+    recorded = [item for kind in ("counters", "gauges")
+                for item in sorted((store.metrics.get(kind) or {}).items())]
+    for key, value in recorded:
+        lines.append(f"- {key}: {value:.4f}" if isinstance(value, float)
+                     else f"- {key}: {value}")
+    if not recorded:
+        lines.append("- no metrics recorded in this trace")
+    lines.append("")
+
+    # -- phase timing: wall clock, so it is the last section, and a byte
+    # comparison of two reports cuts at its heading ---------------------
+    lines += [WALL_CLOCK_HEADING, ""]
+    if not store.phases:
+        lines.append("- no profiling data in this trace")
+    else:
+        lines.append("| phase | calls | total s | mean ms | max ms |")
+        lines.append("|---|---|---|---|---|")
+        ordered = sorted(store.phases.items(),
+                         key=lambda kv: (-kv[1].get("total_s", 0.0), kv[0]))
+        for name, stats in ordered:
+            cells = [str(int(stats.get("calls", 0)))] + [
+                f"{stats.get(key, 0.0):.3f}"
+                for key in ("total_s", "mean_ms", "max_ms")]
+            lines.append(f"| {name} | " + " | ".join(cells) + " |")
+    return "\n".join(lines) + "\n"

@@ -4,7 +4,7 @@ causal narration behind ``repro why``.
 A flat event trace answers *what happened*; this module rebuilds *to
 whom* and *because of what*.  :class:`TimelineStore` walks a loaded
 trace once and is the one place that decides what an event means;
-``repro inspect``, ``repro report`` and ``repro why`` all read it:
+``repro report`` and ``repro why`` both read it:
 
 * per-job lifecycles — queued → running → preempted/scaled →
   completed, each transition carrying the servers, GPU types and loan
@@ -127,7 +127,6 @@ class TimelineStore:
         #: event name -> count, and the names outside the vocabulary
         self.counts: Dict[str, int] = {}
         self.unknown_events: Dict[str, int] = {}
-        self.total_events = 0
         self.span = 0.0  # simulated seconds, first event to last
         self.preempt_causes: Dict[str, int] = {}
         self.preempt_victims: Dict[int, int] = {}
@@ -171,7 +170,6 @@ class TimelineStore:
         events = sorted(trace["events"], key=lambda e: e.get("ts", 0.0))
         for event in events:
             store._ingest(event)
-        store.total_events = len(events)
         if events:
             store.span = (events[-1].get("ts", 0.0)
                           - events[0].get("ts", 0.0))

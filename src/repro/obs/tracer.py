@@ -12,7 +12,7 @@ Export formats:
 
 * **JSONL** — one JSON object per line, in (sim-time, seq) order, plus a
   final ``trace.summary`` record carrying aggregated metrics and phase
-  timings (what ``repro inspect`` reads back).
+  timings (what ``repro report`` reads back).
 * **Chrome trace_event** — a ``{"traceEvents": [...]}`` JSON document
   loadable in ``about://tracing`` or https://ui.perfetto.dev: job
   lifetimes become duration (``"X"``) slices on one track per job,

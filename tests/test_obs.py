@@ -17,11 +17,10 @@ from repro.obs.inspect import (
     diff_traces,
     load_trace,
     render_diff,
-    render_summary,
 )
 from repro.obs.metrics import MetricsRegistry, percentile
 from repro.obs.provenance import PROVENANCE_EVENT
-from repro.obs.report import build_report
+from repro.obs.report import WALL_CLOCK_HEADING, build_report
 from repro.obs.timeline import TimelineStore, render_why
 from repro.obs.tracer import SPAN_EVENT, SUMMARY_EVENT, Tracer
 from repro.scenarios import build_sim, default_setup
@@ -275,9 +274,10 @@ class TestEndToEnd:
 
     def test_inspect_renders_all_sections(self, traced):
         _, path = traced
-        report = render_summary(TimelineStore.from_trace(load_trace(path)))
-        for section in ("trace overview", "event census",
-                        "phase timing", "recorded metrics"):
+        report = report_of(path)
+        for section in ("# Run report", "## Event census",
+                        "## Phase breakdown", "## Recorded metrics",
+                        WALL_CLOCK_HEADING):
             assert section in report
 
     def test_seeded_runs_produce_identical_event_streams(self):
@@ -302,19 +302,17 @@ class TestEndToEnd:
         assert spans[0] and spans[0] == spans[1]
 
     def test_inspect_deterministic_outside_wall_clock(self, tmp_path):
-        # Everything repro inspect prints before the phase-timing table
-        # is derived from simulated time only, so two seeded runs agree.
+        # Everything the trace report prints above its wall-clock
+        # section is derived from simulated time only, so two seeded
+        # runs agree on it.
         reports = []
         for i in range(2):
             sim = tiny_obs_sim(Observability.enabled())
             sim.run()
             path = tmp_path / f"t{i}.jsonl"
             sim.export_trace(str(path))
-            reports.append(render_summary(
-                TimelineStore.from_trace(load_trace(str(path)))
-            ))
-        head = [r.split("== phase timing")[0] for r in reports]
-        assert head[0] == head[1]
+            reports.append(deterministic_part(report_of(str(path))))
+        assert reports[0] == reports[1]
 
     def test_disabled_obs_run_matches_default(self):
         # A run with the disabled bundle reports the same numbers as a
@@ -357,7 +355,7 @@ class TestInspectLoader:
         assert trace["skipped_lines"] == 2
         summary = TimelineStore.from_trace(trace)
         assert summary.skipped_lines == 2
-        assert "skipped 2 corrupt lines" in render_summary(summary)
+        assert "skipped 2 corrupt lines" in build_report(summary)
 
     def test_fully_garbage_file_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -374,7 +372,7 @@ class TestInspectLoader:
         summary = TimelineStore.from_trace(trace)
         assert summary.unknown_events == {"mystery.event": 2}
         assert "unrecognized event types: mystery.event ×2" \
-            in render_summary(summary)
+            in build_report(summary)
 
     def test_chrome_document_auto_detected(self, tmp_path):
         tracer = Tracer()
@@ -410,7 +408,7 @@ class TestInspectLoader:
         assert summary.preemptions == 3
         assert summary.preempt_causes == {"reclaim": 2, "node_failure": 1}
         assert summary.preempt_victims == {1: 2, 2: 1}
-        report = render_summary(summary)
+        report = build_report(summary)
         assert "cause reclaim" in report
         assert "job 1 ×2" in report
         assert "0.250" in report
@@ -729,6 +727,18 @@ class TestTimelineAndWhy:
         assert "preempted" in text
 
 
+def deterministic_part(report: str) -> str:
+    """The report above its wall-clock section, which must be its last."""
+    headings = [line for line in report.splitlines()
+                if line.startswith("## ")]
+    assert headings[-1] == WALL_CLOCK_HEADING
+    return report.split(WALL_CLOCK_HEADING)[0]
+
+
+def report_of(path: str) -> str:
+    return build_report(TimelineStore.from_trace(load_trace(path)))
+
+
 class TestFormatsAgree:
     def test_jsonl_and_chrome_give_the_same_answers(self, chaos_trace,
                                                     capsys):
@@ -749,38 +759,47 @@ class TestFormatsAgree:
             answers.append(outs)
         assert answers[0] == answers[1]
         assert "preempted (cause=" in answers[0][1 + jobs.index(preempted)]
+        # the census leaves out phase spans, which only JSONL carries as
+        # instants, so both exports count the same events
+        report = deterministic_part(answers[0][0])
+        assert "- events: " in report and SPAN_EVENT not in report
 
 
 class TestRunReport:
     def test_byte_deterministic_across_same_seed_runs(self, tmp_path):
+        # Everything above the wall-clock section is derived from
+        # simulated time only, so two seeded runs agree on it.
         reports = []
         for i in range(2):
             sim = tiny_obs_sim(Observability.enabled())
             sim.run()
             path = tmp_path / f"r{i}.jsonl"
             sim.export_trace(str(path))
-            reports.append(build_report(
-                TimelineStore.from_trace(load_trace(str(path)))
-            ))
+            reports.append(deterministic_part(report_of(str(path))))
         assert reports[0] == reports[1]
 
     def test_sections_and_percentiles(self, chaos_trace):
-        text = build_report(TimelineStore.from_trace(load_trace(chaos_trace)))
-        for section in ("# Run report", "## Job funnel",
+        text = report_of(chaos_trace)
+        for section in ("# Run report", "## Job funnel", "## Event census",
                         "## Completion and queueing", "## Utilization",
                         "## Loan / reclaim timeline", "## Preemptions",
                         "## Decision ledger", "## Phase breakdown",
-                        "## Resilience"):
+                        "## Resilience", "## Recorded metrics",
+                        WALL_CLOCK_HEADING):
             assert section in text
         assert "| JCT |" in text and "| queue wait |" in text
         assert "p95" in text
-        assert "reclaim" in text  # preemption causes include reclaims
+        assert "cause reclaim" in text  # preemption causes include reclaims
+        assert "most-preempted jobs: job " in text
+        assert "- resilience.launch_retries: " in text
+        assert "| phase | calls | total s | mean ms | max ms |" in text
 
     def test_excludes_wall_clock(self, chaos_trace):
-        # phase table is call counts only; spans never appear
-        text = build_report(TimelineStore.from_trace(load_trace(chaos_trace)))
-        assert "total_s" not in text
-        assert "mean_ms" not in text
+        # wall clock is the last section's alone: the phase breakdown
+        # above it is call counts only, and spans never appear
+        text = deterministic_part(report_of(chaos_trace))
+        assert "total s" not in text
+        assert "mean ms" not in text
         assert "dur_ms" not in text
 
     def test_falls_back_to_event_derived_percentiles(self):
@@ -836,6 +855,27 @@ class TestDiffTraces:
         assert diff.divergence_b is None
         assert "<end of trace>" in render_diff(diff)
 
+    def test_chrome_and_jsonl_exports_of_one_run_are_identical(
+            self, chaos_trace):
+        # a Chrome export stores whole microseconds, so timestamps
+        # compare at microseconds when either side is one
+        chrome = str(Path(chaos_trace).with_suffix(".json"))
+        diff = diff_traces(load_trace(chaos_trace), load_trace(chrome))
+        assert diff.identical, render_diff(diff)
+
+    def test_jsonl_timestamps_compare_exactly(self, tmp_path):
+        paths = []
+        for name, ts in (("a", 698.867182406857), ("b", 698.867182506857)):
+            path = tmp_path / f"{name}.jsonl"
+            path.write_text(json.dumps(
+                {"ts": ts, "name": "job.submit", "job_id": 0}) + "\n")
+            paths.append(str(path))
+        diff = diff_traces(*map(load_trace, paths))
+        assert diff.divergence_index == 0
+        # the timestamp alone differs, and the rendering shows it
+        assert "t=698.867182s" in render_diff(diff)
+        assert "t=698.867183s" in render_diff(diff)
+
     def test_metric_deltas_reported(self):
         a = {"events": [], "summary": {
             "metrics": {"counters": {"sim.preemptions": 3}}}}
@@ -878,7 +918,7 @@ class TestLogging:
 
 
 class TestCLIObservability:
-    def test_run_trace_then_inspect(self, tmp_path, capsys):
+    def test_run_trace_then_report(self, tmp_path, capsys):
         path = tmp_path / "t.jsonl"
         rc = main([
             "run", "--scheme", "lyra", "--jobs", "40", "--days", "0.25",
@@ -886,13 +926,13 @@ class TestCLIObservability:
             "--trace", str(path),
         ])
         assert rc == 0
-        assert "trace records" in capsys.readouterr().out
+        assert f"`repro report {path}`" in capsys.readouterr().out
         assert path.exists()
-        rc = main(["inspect", str(path)])
+        rc = main(["report", str(path)])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "== trace overview ==" in out
-        assert "== phase timing (wall clock) ==" in out
+        assert "## Event census" in out
+        assert deterministic_part(out)
 
     def test_run_trace_chrome_format(self, tmp_path, capsys):
         path = tmp_path / "t.json"
@@ -903,17 +943,19 @@ class TestCLIObservability:
         ])
         assert rc == 0
         json.loads(path.read_text())  # a single valid JSON document
-        assert main(["inspect", str(path)]) == 0
-        assert "job.submit" in capsys.readouterr().out
+        capsys.readouterr()
+        assert main(["report", str(path)]) == 0
+        assert "  - job.submit: 40" in capsys.readouterr().out
 
     def test_inspect_missing_file(self, capsys):
-        assert main(["inspect", "/nonexistent/trace.jsonl"]) == 2
+        assert main(["inspect", "/nonexistent/a.jsonl",
+                     "/nonexistent/b.jsonl"]) == 2
         assert "no such trace" in capsys.readouterr().err
 
     def test_inspect_bad_file(self, tmp_path, capsys):
         path = tmp_path / "junk.jsonl"
         path.write_text("definitely not json\n")
-        assert main(["inspect", str(path)]) == 2
+        assert main(["inspect", str(path), str(path)]) == 2
         assert "cannot parse" in capsys.readouterr().err
 
     def test_run_report_why_roundtrip(self, tmp_path, capsys):
@@ -955,14 +997,17 @@ class TestCLIObservability:
         b = tmp_path / "b.jsonl"
         a.write_text('{"ts": 0.0, "name": "job.submit", "job_id": 1}\n')
         b.write_text('{"ts": 0.0, "name": "job.submit", "job_id": 2}\n')
-        assert main(["inspect", "--diff", str(a), str(a)]) == 0
+        assert main(["inspect", str(a), str(a)]) == 0
         assert "identical" in capsys.readouterr().out
-        assert main(["inspect", "--diff", str(a), str(b)]) == 1
+        assert main(["inspect", str(a), str(b)]) == 1
         assert "first divergence" in capsys.readouterr().out
-        assert main(["inspect", "--diff", str(a)]) == 2
-        assert "exactly two" in capsys.readouterr().err
-        assert main(["inspect", str(a), str(b)]) == 2
-        assert "one trace" in capsys.readouterr().err
+        # one trace is summarized by `report`, not `inspect`
+        assert main(["inspect", str(a)]) == 2
+        assert "`repro report" in capsys.readouterr().err
+        for gone in ("--diff", "--top"):
+            with pytest.raises(SystemExit) as exc:
+                main(["inspect", gone, str(a), str(b)])
+            assert exc.value.code == 2
 
     def test_report_takes_a_trace_only(self, tmp_path):
         """`report` renders a trace; the scheme comparison is `compare`'s,
@@ -981,7 +1026,7 @@ class TestCLIObservability:
         or is flushed at the end."""
         job_id = min(TimelineStore.from_trace(load_trace(chaos_trace)).jobs)
         for argv in (["why", chaos_trace, str(job_id)],
-                     ["inspect", chaos_trace], ["paper", "headlines"]):
+                     ["report", chaos_trace], ["paper", "headlines"]):
             proc = subprocess.Popen(
                 [sys.executable, "-m", "repro", *argv],
                 stdout=subprocess.PIPE, stderr=subprocess.PIPE,
